@@ -6,13 +6,12 @@ import (
 	"mccuckoo/internal/kv"
 )
 
-// Batched operations for the non-sharded kinds, and the Into variants for
-// Sharded. The non-sharded kinds execute a batch as a loop over the point
-// operations — there is no lock to amortize on a Table or Blocked, and
-// Concurrent takes its table-wide lock per element so readers keep
-// interleaving mid-batch. The value of these methods is the uniform
-// BatchStore contract: a consumer written against BatchStore drives all
-// four kinds (and the network client) without per-kind switches.
+// Batched operations for the single-goroutine kinds, and the Into variants
+// of the lock layer behind Sharded and Concurrent. Table and Blocked execute
+// a batch as a loop over the point operations — there is no lock to
+// amortize on them. The value of these methods is the uniform BatchStore
+// contract: a consumer written against BatchStore drives all four kinds (and
+// the network client) without per-kind switches.
 //
 // Argument validation matches internal/shard: mismatched key/value lengths
 // and wrongly sized result slices panic, nil out/removed slices discard
@@ -150,53 +149,16 @@ func (t *Blocked) DeleteBatchInto(keys []uint64, removed []bool) {
 	deleteBatchInto(t, keys, removed)
 }
 
-// InsertBatch stores every keys[i]/values[i] pair under the write lock,
-// taken once per element so readers interleave mid-batch. The single-writer
-// contract of Insert applies to the whole batch.
-func (c *Concurrent) InsertBatch(keys, values []uint64) []InsertResult {
-	return insertBatch(c, keys, values)
-}
-
-// InsertBatchInto is InsertBatch writing outcomes into out, which must be
-// nil (discard outcomes) or exactly len(keys) long.
-func (c *Concurrent) InsertBatchInto(keys, values []uint64, out []InsertResult) {
-	insertBatchInto(c, keys, values, out)
-}
-
-// LookupBatch answers every key under the shared read lock, taken once per
-// element. values[i], found[i] correspond to keys[i].
-func (c *Concurrent) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	return lookupBatch(c, keys)
-}
-
-// LookupBatchInto is LookupBatch writing answers into values and found,
-// each of which must be exactly len(keys) long.
-func (c *Concurrent) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
-	lookupBatchInto(c, keys, values, found)
-}
-
-// DeleteBatch removes every key under the write lock, taken once per
-// element. removed[i] reports whether keys[i] was present.
-func (c *Concurrent) DeleteBatch(keys []uint64) (removed []bool) {
-	return deleteBatch(c, keys)
-}
-
-// DeleteBatchInto is DeleteBatch writing results into removed, which must
-// be nil (discard results) or exactly len(keys) long.
-func (c *Concurrent) DeleteBatchInto(keys []uint64, removed []bool) {
-	deleteBatchInto(c, keys, removed)
-}
-
-// outcomeScratch pools the kv.Outcome buffers Sharded.InsertBatchInto uses
+// outcomeScratch pools the kv.Outcome buffers InsertBatchInto uses
 // to translate internal outcomes into public InsertResults without a fresh
 // allocation per batch.
 var outcomeScratch sync.Pool
 
-// InsertBatchInto is Sharded.InsertBatch writing outcomes into out, which
-// must be nil (discard outcomes) or exactly len(keys) long. Like the other
-// Into variants it performs no allocation of its own in steady state; the
-// shard grouping buffers and the outcome translation buffer are pooled.
-func (s *Sharded) InsertBatchInto(keys, values []uint64, out []InsertResult) {
+// InsertBatchInto is InsertBatch writing outcomes into out, which must be
+// nil (discard outcomes) or exactly len(keys) long. Like the other Into
+// variants it performs no allocation of its own in steady state; the shard
+// grouping buffers and the outcome translation buffer are pooled.
+func (s *shardedStore) InsertBatchInto(keys, values []uint64, out []InsertResult) {
 	if out == nil {
 		s.inner.InsertBatchInto(keys, values, nil)
 		return
@@ -217,16 +179,16 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []InsertResult) {
 	outcomeScratch.Put(buf)
 }
 
-// LookupBatchInto is Sharded.LookupBatch writing answers into values and
-// found, each of which must be exactly len(keys) long. Each touched
-// shard's read lock is taken once.
-func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
+// LookupBatchInto is LookupBatch writing answers into values and found,
+// each of which must be exactly len(keys) long. Each touched shard's read
+// lock is taken once.
+func (s *shardedStore) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
 	s.inner.LookupBatchInto(keys, values, found)
 }
 
-// DeleteBatchInto is Sharded.DeleteBatch writing results into removed,
-// which must be nil (discard results) or exactly len(keys) long. Each
-// touched shard's write lock is taken once.
-func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
+// DeleteBatchInto is DeleteBatch writing results into removed, which must
+// be nil (discard results) or exactly len(keys) long. Each touched shard's
+// write lock is taken once.
+func (s *shardedStore) DeleteBatchInto(keys []uint64, removed []bool) {
 	s.inner.DeleteBatchInto(keys, removed)
 }

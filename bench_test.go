@@ -439,7 +439,8 @@ func BenchmarkExtPipeline(b *testing.B) {
 // BenchmarkShardedVsGlobalLock runs the concurrent throughput sweep at
 // reduced scale — the goroutines × shards matrix of mcbench's concurrent
 // mode — and reports wall-clock Mops/s for every variant at every goroutine
-// count. The recorded baseline for this matrix lives in BENCH_shard.json.
+// count. Wall-clock throughput is machine-dependent, so no baseline is
+// recorded; the gated series live in the perf suites (DESIGN.md §14).
 func BenchmarkShardedVsGlobalLock(b *testing.B) {
 	o := bench.DefaultConcurrentOptions()
 	o.Capacity = 3 * 16384

@@ -9,9 +9,10 @@
 # through sanctioned setters, and deterministic snapshot/repair paths. It
 # runs before the test suite because its findings are cheaper to read than
 # the test failures they predict.
-# Race gate: the concurrency-bearing packages (internal/core's RWMutex
-# wrapper and pathwise inserts, internal/shard's partitioned table,
-# internal/faultinject which drives both, internal/wire's pipelined
+# Race gate: the concurrency-bearing packages (internal/core's pathwise
+# inserts, internal/shard — the one lock layer, whose one-shard form is the
+# public Concurrent and whose N-shard form is Sharded — internal/faultinject
+# which drives both, internal/wire's pipelined
 # server/client — TestServerUnderTrafficWithScrape is the
 # server-under-traffic smoke, a client fleet hammering a telemetry-scraped
 # sharded table — internal/netchaos's fault-injecting conn wrappers, and
@@ -23,6 +24,9 @@
 # convergence) run again under the race detector, which is what actually
 # exercises the reader/writer interleavings their tests stage. Test gates
 # run with -shuffle=on so inter-test ordering dependencies cannot hide.
+# Benchmark module: benchmark/ is a nested Go module, so the root vet, mcvet
+# and test gates skip it; this gate runs them there so a public-API change
+# cannot break `bash benchmark/run.sh` unnoticed.
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
 # digest-equality) runs standalone so the fault-injection layer itself is
 # exercised — and visibly named — on every run.
@@ -99,6 +103,9 @@ say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the trace subpackage, whose
 # seqlock span ring and concurrent-scrape tests are race-gated here.
 go test -race -shuffle=on ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
+
+say "benchmark module: gofmt + vet + mcvet + tests"
+(cd benchmark && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/mcvet ./... && go test -shuffle=on ./...)
 
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...

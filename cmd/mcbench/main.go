@@ -1,7 +1,7 @@
 // Command mcbench regenerates the tables and figures of the McCuckoo paper's
 // evaluation (Fig. 9–16, Tables I–III) plus the ablations described in
 // DESIGN.md, and — in concurrent mode — sweeps wall-clock throughput of the
-// sharded table against the global-lock wrapper.
+// sharded table against the one-lock Concurrent table.
 //
 // Usage:
 //
@@ -49,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		shards     = fs.String("shards", "", "concurrent mode: shard counts to sweep, powers of two (default 4,16)")
 		ops        = fs.Int("ops", 0, "concurrent mode: mixed ops replayed per configuration (default 600000)")
 		batch      = fs.Int("batch", 64, "concurrent mode: batch size for the sharded batched series (0 disables it)")
-		jsonOut    = fs.String("json", "", "concurrent mode: also write the results as a versioned BENCH report (perfgate schema) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,7 +60,7 @@ func run(args []string, out io.Writer) error {
 	switch *mode {
 	case "paper", "":
 	case "concurrent":
-		return runConcurrent(out, cc.Capacity, *ops, *batch, cc.Seed, *goroutines, *shards, *csvOut, *jsonOut)
+		return runConcurrent(out, cc.Capacity, *ops, *batch, cc.Seed, *goroutines, *shards, *csvOut)
 	default:
 		return fmt.Errorf("unknown mode %q (use 'paper' or 'concurrent')", *mode)
 	}
@@ -118,7 +117,7 @@ func run(args []string, out io.Writer) error {
 }
 
 // runConcurrent runs the sharded-vs-global-lock throughput sweep.
-func runConcurrent(out io.Writer, capacity, ops, batch int, seed uint64, goroutines, shards string, csvOut bool, jsonOut string) error {
+func runConcurrent(out io.Writer, capacity, ops, batch int, seed uint64, goroutines, shards string, csvOut bool) error {
 	o := bench.DefaultConcurrentOptions()
 	o.Seed = seed
 	if capacity != 0 {
@@ -156,16 +155,6 @@ func runConcurrent(out io.Writer, capacity, ops, batch int, seed uint64, gorouti
 	}
 	if !csvOut {
 		fmt.Fprintf(out, "[concurrent sweep completed in %v]\n", time.Since(start).Round(time.Millisecond))
-	}
-	if jsonOut != "" {
-		// Mops/s → ns/op so the report speaks the gate's unit.
-		rep := bench.PerfReport("sharded-vs-global-lock concurrent throughput",
-			"go run ./cmd/mcbench -mode concurrent -json", results,
-			func(mops float64) float64 { return 1000 / mops })
-		if err := rep.WriteFile(jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %d series to %s (schema v%d)\n", len(rep.Series), jsonOut, rep.SchemaVersion)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@
 // Show any BENCH file (legacy pre-schema files are described with a
 // warning):
 //
-//	mcperf show BENCH_shard.json
+//	mcperf show BENCH_core.json
 package main
 
 import (

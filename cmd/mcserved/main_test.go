@@ -145,6 +145,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("snapshot not written: %v", err)
 	}
+	// -load sniffs the kind and would accept a sharded container too; the
+	// single-slot loader pins the format to the table's own snapshot.
+	if tab, err := mccuckoo.LoadFile(snap); err != nil {
+		t.Fatalf("-kind single snapshot is not a single-slot snapshot: %v", err)
+	} else if tab.Len() != len(keys) {
+		t.Fatalf("snapshot holds %d items, want %d", tab.Len(), len(keys))
+	}
 
 	lines, errCh = startServed(t, "-addr", "127.0.0.1:0", "-load", snap)
 	addr = strings.Fields(strings.TrimPrefix(waitLine(t, lines, "listening on "), "listening on "))[0]

@@ -23,12 +23,12 @@
 // New builds the single-slot table (d hash functions, one item per bucket,
 // d=3 by default). NewBlocked builds the blocked variant (l slots per bucket,
 // 3×3 by default), which trades slightly weaker lookup filtering for load
-// ratios close to 100%. Both are single-writer structures; Concurrent wraps
-// either for one-writer-many-readers use, and NewSharded builds an N-way
-// hash-partitioned table whose shards lock independently, with batched
-// operations (InsertBatch/LookupBatch/DeleteBatch) that take each touched
-// shard's lock once per batch. Map adapts the table into a generic
-// key/value map for arbitrary comparable key types.
+// ratios close to 100%. Both are single-writer structures; NewSharded
+// builds an N-way hash-partitioned table whose shards lock independently,
+// with batched operations (InsertBatch/LookupBatch/DeleteBatch) that take
+// each touched shard's lock once per batch, and NewConcurrent puts a Table
+// or Blocked behind the same lock layer as one shard. Map adapts the table
+// into a generic key/value map for arbitrary comparable key types.
 //
 // All four kinds satisfy the Store and BatchStore interfaces, so consumers
 // — including the network serving layer in cmd/mcserved — are written once
@@ -41,8 +41,10 @@
 //   - Table and Blocked must be confined to one goroutine at a time. No
 //     method is safe to call concurrently with any other, reads included
 //     (lookups mutate the traffic meter).
-//   - Concurrent allows exactly one mutating goroutine (Insert, Delete,
-//     InsertPathwise) alongside any number of Lookup goroutines.
+//   - Concurrent is safe for any number of goroutines, except that
+//     InsertPathwise must not overlap another mutation (it releases the
+//     write lock between path moves). Lookups share a read lock; mutations
+//     serialize. Its batches take the lock once per batch, as Sharded's do.
 //   - Sharded is safe for unrestricted concurrent use by any number of
 //     goroutines, for every method.
 //

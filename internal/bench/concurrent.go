@@ -12,11 +12,12 @@ import (
 )
 
 // ConcurrentOptions parameterizes the concurrent throughput sweep: a mixed
-// read/write trace replayed from increasing goroutine counts against the
-// global-lock Concurrent wrapper and against Sharded tables of increasing
-// shard counts. Unlike the paper experiments (which count memory accesses),
-// this sweep measures wall-clock throughput — it exists to size the
-// sharding win on real hardware, so results vary with the machine.
+// read/write trace replayed from increasing goroutine counts against a
+// Concurrent table (one lock, the global-lock baseline) and against Sharded
+// tables of increasing shard counts. Unlike the paper experiments (which
+// count memory accesses), this sweep measures wall-clock throughput — it
+// exists to size the sharding win on real hardware, so results vary with
+// the machine.
 type ConcurrentOptions struct {
 	// Capacity is the total bucket count of every table variant.
 	Capacity int
@@ -30,7 +31,7 @@ type ConcurrentOptions struct {
 	// Batch, when positive, adds a second series per shard count that
 	// replays through the batched APIs in key-affine-reordered batches of
 	// at most Batch keys (workload.GroupBatches). Sharded only; the
-	// global-lock wrapper has no batch path.
+	// global-lock baseline runs per-op.
 	Batch int
 	// Reps is how many times each configuration is replayed; the best run
 	// is reported, the standard way to strip scheduler noise from
@@ -112,7 +113,7 @@ func (o *ConcurrentOptions) normalize() error {
 // sweep measures exactly what a user of the package would see.
 
 // buildGlobal builds the global-lock baseline: one single-slot table behind
-// Concurrent's table-wide RWMutex.
+// Concurrent's one RWMutex.
 func buildGlobal(o ConcurrentOptions) (mccuckoo.Store, error) {
 	inner, err := mccuckoo.New(o.Capacity,
 		mccuckoo.WithSeed(hashutil.Mix64(o.Seed^0x910ba1)))

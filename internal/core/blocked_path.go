@@ -168,17 +168,5 @@ func (t *BlockedTable) FinishPath(key, value uint64, head BlockedPathMove, pathL
 // InsertPathwise inserts via two-phase path execution, exactly as
 // Table.InsertPathwise.
 func (t *BlockedTable) InsertPathwise(key, value uint64) kv.Outcome {
-	if out, done := t.TryPlace(key, value); done {
-		return out
-	}
-	path, ok := t.FindPath(key)
-	if !ok {
-		return t.StashOverflow(key, value)
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		if err := t.ApplyMove(path[i]); err != nil {
-			panic(err)
-		}
-	}
-	return t.FinishPath(key, value, path[0], len(path))
+	return pathwise[BlockedPathMove](noLock{}, t, key, value)
 }

@@ -1,6 +1,6 @@
 // Package core implements McCuckoo, the multi-copy cuckoo hash table of the
 // paper, in its single-slot (Table) and blocked multi-slot (BlockedTable)
-// forms, plus a one-writer-many-readers wrapper (Concurrent).
+// forms. The one-writer-many-readers mode lives in internal/shard.
 //
 // The defining idea: an inserted item occupies *all* of its free candidate
 // buckets with redundant copies, and a compact on-chip counter per bucket

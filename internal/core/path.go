@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
@@ -180,22 +181,78 @@ func (t *Table) FinishPath(key, value uint64, head PathMove, pathLen int) kv.Out
 // InsertPathwise inserts key/value using two-phase cuckoo-path execution:
 // the path is discovered first, then executed from its far end backwards,
 // so the table is a valid McCuckoo table after every step. Functionally
-// equivalent to Insert; the point is bounded mutation steps for concurrent
-// wrappers (Concurrent.InsertPathwise interleaves readers between steps).
+// equivalent to Insert; the point is bounded mutation steps for a lock
+// layer (the package-level InsertPathwise interleaves readers between steps).
 func (t *Table) InsertPathwise(key, value uint64) kv.Outcome {
-	if out, done := t.TryPlace(key, value); done {
+	return pathwise[PathMove](noLock{}, t, key, value)
+}
+
+// pathwiseTable is the staged insertion protocol both table kinds expose,
+// generic over their path-move type.
+type pathwiseTable[M any] interface {
+	TryPlace(key, value uint64) (kv.Outcome, bool)
+	FindPath(key uint64) ([]M, bool)
+	ApplyMove(m M) error
+	StashOverflow(key, value uint64) kv.Outcome
+	FinishPath(key, value uint64, head M, pathLen int) kv.Outcome
+}
+
+// noLock is the Locker of a table used by one goroutine alone.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
+
+// InsertPathwise inserts key/value into tab with bounded writer critical
+// sections: mu (the write side of the lock guarding tab) is held for each
+// stage and released between path moves, so readers interleave even during
+// long relocation chains (the MemC3 combination §III.H suggests — McCuckoo's
+// counters find the path, and its native multi-copy representation keeps
+// every intermediate state a valid table, so readers never lose an item
+// mid-path). No other mutation of tab may overlap the call: a move applied
+// to a table changed under it would fail. A tab that is neither *Table nor
+// *BlockedTable is inserted in one critical section.
+func InsertPathwise(mu sync.Locker, tab kv.Table, key, value uint64) kv.Outcome {
+	switch t := tab.(type) {
+	case *Table:
+		return pathwise[PathMove](mu, t, key, value)
+	case *BlockedTable:
+		return pathwise[BlockedPathMove](mu, t, key, value)
+	default:
+		mu.Lock()
+		defer mu.Unlock()
+		return tab.Insert(key, value)
+	}
+}
+
+// pathwise runs the staged protocol with mu released between path moves.
+func pathwise[M any, T pathwiseTable[M]](mu sync.Locker, t T, key, value uint64) kv.Outcome {
+	mu.Lock()
+	out, done := t.TryPlace(key, value)
+	if done {
+		mu.Unlock()
 		return out
 	}
-	path, ok := t.FindPath(key)
-	if !ok {
+	// Discovery does no off-chip writes, but it draws from the writer-owned
+	// RNG and meter, so it stays inside the first critical section.
+	path, found := t.FindPath(key)
+	mu.Unlock()
+	if !found {
+		mu.Lock()
+		defer mu.Unlock()
 		return t.StashOverflow(key, value)
 	}
 	for i := len(path) - 1; i >= 0; i-- {
-		if err := t.ApplyMove(path[i]); err != nil {
-			// Unreachable under the single-writer contract; fail
-			// loudly rather than corrupt the table.
+		mu.Lock()
+		err := t.ApplyMove(path[i])
+		mu.Unlock()
+		if err != nil {
+			// Unreachable without an overlapping mutation; fail loudly
+			// rather than corrupt the table.
 			panic(err)
 		}
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	return t.FinishPath(key, value, path[0], len(path))
 }

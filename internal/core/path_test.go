@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
-	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
 )
 
@@ -154,67 +152,6 @@ func TestFindPathFailsWhenBoxedIn(t *testing.T) {
 	checkInv(t, tab)
 }
 
-func TestConcurrentInsertPathwise(t *testing.T) {
-	inner := mustNew(t, Config{BucketsPerTable: 1024, Seed: 61, AssumeUniqueKeys: true,
-		StashEnabled: true})
-	c := NewConcurrent(inner)
-	keys := fillKeys(62, int(0.88*float64(inner.Capacity())))
-	// Pre-load 60% through the pathwise writer, then run readers against
-	// the rest of the fill.
-	split := len(keys) * 2 / 3
-	for _, k := range keys[:split] {
-		c.InsertPathwise(k, k+1)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s := hashutil.Mix64(uint64(r))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := keys[hashutil.SplitMix64(&s)%uint64(split)]
-				if v, ok := c.Lookup(k); !ok || v != k+1 {
-					t.Errorf("reader %d: key %#x missing or wrong (%d,%v)", r, k, v, ok)
-					return
-				}
-			}
-		}(r)
-	}
-	for _, k := range keys[split:] {
-		if out := c.InsertPathwise(k, k+1); out.Status == kv.Failed {
-			t.Error("pathwise insert failed")
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	for _, k := range keys {
-		if v, ok := c.Lookup(k); !ok || v != k+1 {
-			t.Fatalf("key %#x lost after concurrent pathwise fill", k)
-		}
-	}
-	if err := inner.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentPathwiseBlockedBasic(t *testing.T) {
-	inner := mustNewBlocked(t, Config{BucketsPerTable: 64, Seed: 63, StashEnabled: true})
-	c := NewConcurrent(inner)
-	if out := c.InsertPathwise(1, 2); out.Status != kv.Placed {
-		t.Fatalf("insert status %v", out.Status)
-	}
-	if v, ok := c.Lookup(1); !ok || v != 2 {
-		t.Fatal("insert lost")
-	}
-}
-
 // TestPathwiseEquivalentLoadCurve sanity-checks that pathwise insertion
 // sustains the same loads as the in-place walk.
 func TestPathwiseEquivalentLoadCurve(t *testing.T) {
@@ -300,53 +237,5 @@ func TestBlockedPathwiseInvariantsEveryStep(t *testing.T) {
 		if _, ok := tab.Lookup(k); !ok {
 			t.Fatalf("key %#x lost", k)
 		}
-	}
-}
-
-func TestConcurrentBlockedPathwise(t *testing.T) {
-	inner := mustNewBlocked(t, Config{BucketsPerTable: 256, Seed: 71, AssumeUniqueKeys: true,
-		StashEnabled: true})
-	c := NewConcurrent(inner)
-	keys := fillKeys(72, int(0.98*float64(inner.Capacity())))
-	split := len(keys) * 2 / 3
-	for _, k := range keys[:split] {
-		c.InsertPathwise(k, k+1)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s := hashutil.Mix64(uint64(r + 40))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := keys[hashutil.SplitMix64(&s)%uint64(split)]
-				if v, ok := c.Lookup(k); !ok || v != k+1 {
-					t.Errorf("reader %d: key %#x missing or wrong (%d,%v)", r, k, v, ok)
-					return
-				}
-			}
-		}(r)
-	}
-	for _, k := range keys[split:] {
-		if out := c.InsertPathwise(k, k+1); out.Status == kv.Failed {
-			t.Error("pathwise insert failed")
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	for _, k := range keys {
-		if _, ok := c.Lookup(k); !ok {
-			t.Fatalf("key %#x lost", k)
-		}
-	}
-	if err := inner.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,7 +5,7 @@ import "mccuckoo/internal/hashutil"
 // LookupReadOnly answers a lookup without mutating any table state — no
 // meter charges, no stats. It applies exactly the same principles as Lookup
 // and exists so that many readers can run in parallel under a read lock
-// (see Concurrent). Property tests assert it always agrees with Lookup.
+// (see internal/shard). Property tests assert it always agrees with Lookup.
 func (t *Table) LookupReadOnly(key uint64) (uint64, bool) {
 	v, ok, _ := t.LookupReadOnlyTraced(key)
 	return v, ok

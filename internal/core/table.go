@@ -16,8 +16,7 @@ import (
 // Storage model: the key/value arrays and the stash flags are "off-chip";
 // the counter array is "on-chip". Off-chip bucket accesses and on-chip
 // counter accesses are charged to the Meter separately. The table is not
-// safe for concurrent use; wrap it in Concurrent for one-writer-many-readers
-// access.
+// safe for concurrent use; internal/shard puts it behind a lock.
 type Table struct {
 	cfg    Config
 	family *hashutil.Family

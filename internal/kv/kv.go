@@ -114,8 +114,8 @@ type Stats struct {
 
 // Table is the interface every scheme implements: the two baselines
 // (standard d-ary cuckoo, BCHT) and the two multi-copy schemes (McCuckoo,
-// B-McCuckoo). All tables are single-writer; see core.Concurrent for the
-// one-writer-many-readers wrapper.
+// B-McCuckoo). All tables are single-writer; internal/shard is the lock
+// layer that shares one between goroutines.
 type Table interface {
 	// Insert stores key/value, replacing the value if key is present.
 	Insert(key, value uint64) Outcome

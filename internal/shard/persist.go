@@ -76,11 +76,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	var frame bytes.Buffer
 	for i := range s.shards {
 		frame.Reset()
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		_, err := sh.tab.WriteTo(&frame)
-		sh.mu.RUnlock()
-		if err != nil {
+		if _, err := s.WriteShardTo(i, &frame); err != nil {
 			return written, fmt.Errorf("shard: serializing shard %d: %w", i, err)
 		}
 		binary.LittleEndian.PutUint64(u64[:], uint64(frame.Len()))
@@ -101,6 +97,18 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	n, err := writeCounted(w, u32[:])
 	written += n
 	return written, err
+}
+
+// WriteShardTo writes shard i's table, under the shard's read lock, as that
+// table's own core snapshot (single or blocked v3) rather than the sharded
+// container, so core.Load or core.LoadBlocked restores it.
+//
+//mcvet:deterministic
+func (s *Sharded) WriteShardTo(i int, w io.Writer) (int64, error) {
+	sh := &s.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.tab.WriteTo(w)
 }
 
 // SaveFile writes a crash-safe snapshot of all shards to path (temp file +

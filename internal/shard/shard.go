@@ -1,10 +1,16 @@
-// Package shard provides an N-way hash-partitioned concurrent McCuckoo
-// table. The single global reader/writer lock of core.Concurrent serializes
-// every insertion against all traffic; partitioning the key space over N
-// independent sub-tables, each behind its own sync.RWMutex, multiplies
-// writer throughput by the shard count while keeping each shard's critical
-// sections exactly as short as McCuckoo's counter-guided kick paths make
-// them (the combination Kuszmaul's concurrent kick-out schemes argue for).
+// Package shard is the lock layer of the repository: an N-way
+// hash-partitioned concurrent McCuckoo table, each partition a core table
+// behind its own sync.RWMutex. With one shard it is the §III.H
+// one-writer-many-readers mode: lookups share the read lock, mutations take
+// the write lock. With N shards, writers on different shards proceed in
+// parallel while each shard's critical sections stay exactly as short as
+// McCuckoo's counter-guided kick paths make them (the combination Kuszmaul's
+// concurrent kick-out schemes argue for).
+//
+// The paper suggests MemC3-style optimistic versioned reads; in Go that
+// pattern is a data race by the memory model (readers would observe torn
+// bucket writes), so the honest equivalent is a reader/writer lock: the same
+// concurrency structure with defined behaviour.
 //
 // Shard routing uses the top bits of a dedicated splitmix64 finalizer over
 // the key, salted per table. The in-shard candidate buckets come from BOB
@@ -66,9 +72,8 @@ type state struct {
 	// synchronization. The single-op mutation path needs no counters at
 	// all: every Insert/Delete call bumps the inner table's stats exactly
 	// once, so its write-lock acquisitions are derivable (see ShardStats).
-	// Keeping the hot paths down to the same one-or-two atomics the
-	// global-lock wrapper pays is what lets sharding win even when lock
-	// contention is absent.
+	// Keeping the hot paths down to one or two atomics is what lets
+	// sharding win even when lock contention is absent.
 	singleLookups atomic.Int64 // per-op Lookup calls; each is one read-lock acquisition
 	hits          atomic.Int64 // read-path hits, single and batched
 
@@ -182,6 +187,34 @@ func (s *Sharded) Insert(key, value uint64) kv.Outcome {
 	before := offTotal(m)
 	out := sh.tab.Insert(key, value)
 	off := offTotal(m) - before
+	sh.mu.Unlock()
+	s.sink.Record(telemetry.Event{
+		Op: telemetry.OpInsert, Status: uint8(out.Status), Shard: int32(si),
+		Kicks: int32(out.Kicks), OffChip: off, Nanos: int64(time.Since(start)),
+		KeyHash: hashutil.Mix64(key),
+	})
+	return out
+}
+
+// InsertPathwise stores key/value through core.InsertPathwise, holding the
+// owning shard's write lock for each stage and releasing it between path
+// moves, so that shard's readers interleave even during long relocation
+// chains. It must not overlap another mutation of the same shard.
+func (s *Sharded) InsertPathwise(key, value uint64) kv.Outcome {
+	si := s.shardIndex(key)
+	sh := &s.shards[si]
+	//mcvet:allow lockdiscipline tab is write-once at construction; InsertPathwise takes mu around every stage
+	tab := sh.tab
+	if s.sink == nil {
+		return core.InsertPathwise(&sh.mu, tab, key, value)
+	}
+	start := time.Now()
+	sh.mu.Lock()
+	before := offTotal(sh.tab.Meter())
+	sh.mu.Unlock()
+	out := core.InsertPathwise(&sh.mu, tab, key, value)
+	sh.mu.Lock()
+	off := offTotal(sh.tab.Meter()) - before
 	sh.mu.Unlock()
 	s.sink.Record(telemetry.Event{
 		Op: telemetry.OpInsert, Status: uint8(out.Status), Shard: int32(si),

@@ -183,7 +183,7 @@ func TestServerDigestRoundTrip(t *testing.T) {
 }
 
 func TestServerDigestRequiresReplicatedStore(t *testing.T) {
-	_, addr, shutdown := startServer(t, newLockedTable(t, 1<<10), nil)
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1<<10), nil)
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 	_, _, _, err := c.DigestRange("peer", 0, ^uint64(0), 0)

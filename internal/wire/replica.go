@@ -53,9 +53,9 @@ type ReplicaConfig struct {
 // same state. Deletes leave a tombstone carrying the deletion's sequence
 // number, which stops a stale PUT from resurrecting the key.
 //
-// The wrapped store must itself be safe for concurrent use (Sharded, or a
-// single-writer kind behind Locked); Replicated adds its own lock only
-// around the versioning bookkeeping, and read-only Store methods pass
+// The wrapped store must itself be safe for concurrent use (Sharded, or
+// Concurrent around a single-writer kind); Replicated adds its own lock
+// only around the versioning bookkeeping, and read-only Store methods pass
 // through unlocked.
 type Replicated struct {
 	inner mccuckoo.BatchStore
@@ -94,10 +94,9 @@ type Replicated struct {
 var _ mccuckoo.BatchStore = (*Replicated)(nil)
 
 // NewReplicated wraps inner. If inner is non-empty and supports Range (all
-// concrete kinds do; Locked forwards it), its keys are seeded at an ancient
-// sequence number so they participate in state dumps and version
-// comparisons; LoadSidecar afterwards replaces the seeded bookkeeping with
-// the persisted one.
+// concrete kinds do), its keys are seeded at an ancient sequence number so
+// they participate in state dumps and version comparisons; LoadSidecar
+// afterwards replaces the seeded bookkeeping with the persisted one.
 func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 	if cfg.OplogSize <= 0 {
 		cfg.OplogSize = 1 << 16

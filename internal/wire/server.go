@@ -25,8 +25,8 @@ type Config struct {
 	// Store is the table being served. Required, and must be safe for the
 	// server's concurrency: each connection runs its requests on its own
 	// goroutine, so unless the server has exactly one client connection the
-	// store must be a Sharded table or a Locked wrapper. (A Concurrent
-	// wrapper is NOT enough: two connections can both issue PUTs.)
+	// store must be a Sharded table or a Table or Blocked wrapped with
+	// NewConcurrent.
 	Store mccuckoo.BatchStore
 
 	// MaxConns caps simultaneously served connections (default 256). A

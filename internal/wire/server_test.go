@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -59,19 +59,19 @@ func dialClient(t *testing.T, addr string, mod func(*ClientConfig)) *Client {
 	return c
 }
 
-func newLockedTable(t *testing.T, capacity int) *Locked {
+func newConcurrentTable(t *testing.T, capacity int) *mccuckoo.Concurrent {
 	t.Helper()
 	tab, err := mccuckoo.New(capacity, mccuckoo.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewLocked(tab)
+	return mccuckoo.NewConcurrent(tab)
 }
 
-// TestServerBasicOps runs every opcode end to end against a Locked
-// single-writer table — the wrapper and the server in one pass.
+// TestServerBasicOps runs every opcode end to end against a single-slot
+// table wrapped with NewConcurrent.
 func TestServerBasicOps(t *testing.T) {
-	_, addr, shutdown := startServer(t, newLockedTable(t, 4096), nil)
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 4096), nil)
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 
@@ -284,7 +284,7 @@ func (g *gatedStore) Lookup(key uint64) (uint64, bool) {
 // — and the queued requests must still complete once the store unblocks.
 func TestServerBusy(t *testing.T) {
 	gate := make(chan struct{})
-	store := &gatedStore{BatchStore: newLockedTable(t, 1024), gate: gate}
+	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
 	srv, addr, shutdown := startServer(t, store, func(c *Config) { c.QueueDepth = 2 })
 	defer shutdown()
 
@@ -340,7 +340,7 @@ func TestServerBusy(t *testing.T) {
 // them and flushes their responses before the connection closes.
 func TestServerDrain(t *testing.T) {
 	gate := make(chan struct{})
-	store := &gatedStore{BatchStore: newLockedTable(t, 1024), gate: gate}
+	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
 	srv, addr, _ := startServer(t, store, func(c *Config) { c.QueueDepth = 8 })
 
 	tab := store.BatchStore
@@ -410,7 +410,7 @@ func (p *panicStore) Lookup(key uint64) (uint64, bool) {
 // TestServerPanicIsolation: a panicking request is answered ERR and the
 // connection keeps serving.
 func TestServerPanicIsolation(t *testing.T) {
-	store := &panicStore{BatchStore: newLockedTable(t, 1024)}
+	store := &panicStore{BatchStore: newConcurrentTable(t, 1024)}
 	store.Insert(1, 10)
 	srv, addr, shutdown := startServer(t, store, nil)
 	defer shutdown()
@@ -432,7 +432,7 @@ func TestServerPanicIsolation(t *testing.T) {
 // TestServerConnLimit: the connection past MaxConns gets one ERR frame and
 // is closed; the admitted connection is unaffected.
 func TestServerConnLimit(t *testing.T) {
-	srv, addr, shutdown := startServer(t, newLockedTable(t, 1024), func(c *Config) { c.MaxConns = 1 })
+	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), func(c *Config) { c.MaxConns = 1 })
 	defer shutdown()
 	c := dialClient(t, addr, func(cc *ClientConfig) { cc.Conns = 1 })
 	if err := c.Ping(); err != nil {
@@ -465,7 +465,7 @@ func TestServerConnLimit(t *testing.T) {
 // TestServerMalformedPayload: a structurally valid frame with a bad payload
 // gets ERR; the connection survives. A corrupt frame kills the connection.
 func TestServerMalformedPayload(t *testing.T) {
-	srv, addr, shutdown := startServer(t, newLockedTable(t, 1024), nil)
+	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), nil)
 	defer shutdown()
 
 	rc := dialRaw(t, addr)
@@ -603,23 +603,84 @@ func TestServerUnderTrafficWithScrape(t *testing.T) {
 	}
 }
 
-// TestLockedDo: Do gives exclusive access to the wrapped store — the
-// checkpointing hook used by mcserved.
-func TestLockedDo(t *testing.T) {
-	l := newLockedTable(t, 1024)
-	l.Insert(5, 50)
-	var got uint64
-	l.Do(func(s mccuckoo.BatchStore) {
-		v, ok := s.Lookup(5)
-		if !ok {
-			t.Error("Do: key missing")
+// TestCheckpointUnderTraffic checkpoints a served Concurrent with SaveFile
+// while two connections issue PUTs and GETs. Every checkpoint must load as
+// a single-slot snapshot holding only values the clients wrote, and the
+// final one must hold every PUT.
+func TestCheckpointUnderTraffic(t *testing.T) {
+	store := newConcurrentTable(t, 1<<13)
+	_, addr, shutdown := startServer(t, store, nil)
+	defer shutdown()
+	path := filepath.Join(t.TempDir(), "table.snap")
+
+	// checkpoint saves, reloads and validates one snapshot, returning its
+	// population.
+	checkpoint := func() int {
+		if err := store.SaveFile(path); err != nil {
+			t.Errorf("SaveFile: %v", err)
+			return -1
 		}
-		got = v
-	})
-	if got != 50 {
-		t.Fatalf("Do saw %d, want 50", got)
+		snap, err := mccuckoo.LoadFile(path)
+		if err != nil {
+			t.Errorf("LoadFile: %v", err)
+			return -1
+		}
+		snap.Range(func(k, v uint64) bool {
+			if v != k*3 {
+				t.Errorf("checkpoint holds %d=%d, never written", k, v)
+				return false
+			}
+			return true
+		})
+		return snap.Len()
 	}
-	if fmt.Sprint(l.Len()) != "1" {
-		t.Fatalf("Len = %d", l.Len())
+
+	const conns, perConn = 2, 1000
+	firstSaved := make(chan struct{})
+	stop := make(chan struct{})
+	saverDone := make(chan struct{})
+	go func() {
+		defer close(saverDone)
+		checkpoint()
+		close(firstSaved)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if checkpoint() < 0 {
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for g := 0; g < conns; g++ {
+		c := dialClient(t, addr, nil)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perConn; i++ {
+				if i == perConn/2 {
+					<-firstSaved // at least one checkpoint lands mid-traffic
+				}
+				k := uint64(g*perConn + i + 1)
+				if _, err := c.Put(k, k*3); err != nil {
+					t.Errorf("conn %d: put: %v", g, err)
+					return
+				}
+				if v, ok, err := c.Get(k); err != nil || !ok || v != k*3 {
+					t.Errorf("conn %d: get %d = (%d,%v,%v)", g, k, v, ok, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-saverDone
+	if n := checkpoint(); n != conns*perConn {
+		t.Fatalf("final checkpoint holds %d items, want %d", n, conns*perConn)
 	}
 }

@@ -130,9 +130,7 @@ func LoadSharded(r io.Reader, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, recordCorrupt(tel, err)
 	}
-	s := &Sharded{inner: inner}
-	s.attachTelemetry(tel)
-	return s, nil
+	return newSharded(inner, tel), nil
 }
 
 // LoadShardedFile restores a sharded table from a SaveFile snapshot,
@@ -147,9 +145,7 @@ func LoadShardedFile(path string, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, recordCorrupt(tel, err)
 	}
-	s := &Sharded{inner: inner}
-	s.attachTelemetry(tel)
-	return s, nil
+	return newSharded(inner, tel), nil
 }
 
 // Ensure the io import stays honest about what this file exposes.

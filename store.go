@@ -12,10 +12,10 @@ package mccuckoo
 // reason about occupancy.
 //
 // Implementations differ in their concurrency contract, not their method
-// set: Table and Blocked are single-goroutine structures, Concurrent is
-// one-writer-many-readers, and Sharded is safe for any number of
-// goroutines. See the package documentation's Concurrency section before
-// sharing a Store between goroutines.
+// set: Table and Blocked are single-goroutine structures, while Concurrent
+// and Sharded are safe for any number of goroutines. See the package
+// documentation's Concurrency section before sharing a Store between
+// goroutines.
 type Store interface {
 	// Insert stores key/value, replacing the value if key is already
 	// present (unless the table was built WithUniqueKeys).
@@ -41,10 +41,10 @@ type Store interface {
 // replay or serving loop can reuse its buffers across batches; the plain
 // forms allocate fresh result slices per call.
 //
-// Only Sharded amortizes lock traffic across a batch (each touched shard's
-// lock is taken once per batch); the other kinds execute batches as a
-// plain loop over the point operations, so the batch forms are a uniform
-// calling convention, not a speedup, there.
+// Sharded and Concurrent amortize lock traffic across a batch (each
+// touched shard's lock is taken once per batch); Table and Blocked execute
+// batches as a plain loop over the point operations, so the batch forms are
+// a uniform calling convention, not a speedup, there.
 type BatchStore interface {
 	Store
 	// InsertBatch stores every keys[i]/values[i] pair. len(values) must

@@ -263,62 +263,6 @@ func (t *Blocked) InsertPathwise(key, value uint64) InsertResult {
 	return fromOutcome(t.inner.InsertPathwise(key, value))
 }
 
-// Concurrent provides one-writer-many-readers access over a Table or
-// Blocked (§III.H): lookups run in parallel, mutations serialize.
-type Concurrent struct {
-	inner *core.Concurrent
-}
-
-// SingleWriter is the constraint NewConcurrent accepts: exactly the table
-// kinds that are NOT yet safe for concurrent use. Wrapping an
-// already-thread-safe store (Sharded, or a Concurrent itself) would stack a
-// redundant lock on top of its internal synchronization, so those kinds are
-// rejected at compile time — `NewConcurrent(sharded)` does not build.
-type SingleWriter interface {
-	*Table | *Blocked
-}
-
-// NewConcurrent wraps t for concurrent use; t must not be used directly
-// afterwards. t is the result of New or NewBlocked. The SingleWriter
-// constraint makes wrapping a thread-safe kind a compile error rather than
-// a silent double-locking bug.
-func NewConcurrent[T SingleWriter](t T) *Concurrent {
-	switch v := any(t).(type) {
-	case *Table:
-		return &Concurrent{inner: core.NewConcurrent(v.inner)}
-	case *Blocked:
-		return &Concurrent{inner: core.NewConcurrent(v.inner)}
-	default:
-		panic("mccuckoo: unreachable")
-	}
-}
-
-// Insert stores key/value under the write lock.
-func (c *Concurrent) Insert(key, value uint64) InsertResult {
-	return fromOutcome(c.inner.Insert(key, value))
-}
-
-// Lookup runs under a shared read lock; any number proceed in parallel.
-func (c *Concurrent) Lookup(key uint64) (uint64, bool) { return c.inner.Lookup(key) }
-
-// Delete removes key under the write lock.
-func (c *Concurrent) Delete(key uint64) bool { return c.inner.Delete(key) }
-
-// Len returns the number of live items.
-func (c *Concurrent) Len() int { return c.inner.Len() }
-
-// Capacity returns the wrapped table's total slot count.
-func (c *Concurrent) Capacity() int { return c.inner.Capacity() }
-
-// LoadRatio returns the current load ratio.
-func (c *Concurrent) LoadRatio() float64 { return c.inner.LoadRatio() }
-
-// StashLen returns the wrapped table's stash population.
-func (c *Concurrent) StashLen() int { return c.inner.StashLen() }
-
-// Stats returns merged operation counts.
-func (c *Concurrent) Stats() Stats { return fromStats(c.inner.Stats()) }
-
 // Compile-time checks that the public Status values mirror internal ones.
 var _ = [1]struct{}{}[Status(kv.Placed)-Placed]
 var _ = [1]struct{}{}[Status(kv.Updated)-Updated]
@@ -386,15 +330,6 @@ func LoadBlocked(r io.Reader, opts ...Option) (*Blocked, error) {
 	t := &Blocked{inner: inner}
 	t.attachTelemetry(tel)
 	return t, nil
-}
-
-// InsertPathwise inserts with bounded writer critical sections: the cuckoo
-// path executes one move at a time, releasing the write lock between moves
-// so readers interleave even during long relocation chains. Works for both
-// wrapped table kinds. Requires a single writer goroutine, like Insert and
-// Delete.
-func (c *Concurrent) InsertPathwise(key, value uint64) InsertResult {
-	return fromOutcome(c.inner.InsertPathwise(key, value))
 }
 
 // Range calls fn for every distinct live item (stash included) until fn
