@@ -180,13 +180,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // /metrics before a single SIGTERM drains all three nodes.
 func TestClusterServe(t *testing.T) {
 	addrs := make([]string, 3)
+	lns := make([]net.Listener, len(addrs))
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close() // the node re-binds the same port
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	// The nodes re-bind these ports. Each is closed only once all are
+	// picked: a port closed early can be handed out again.
+	for _, ln := range lns {
+		ln.Close()
 	}
 
 	lineChans := make([]chan string, 3)

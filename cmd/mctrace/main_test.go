@@ -172,12 +172,17 @@ func startReplayNode(t *testing.T, addr string, nodes []string, ringSeed uint64)
 func TestTracedClusterReplaySmoke(t *testing.T) {
 	const ringSeed = 7
 	addrs := make([]string, 2)
+	lns := make([]net.Listener, len(addrs))
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	// Closed only once all are picked: a port closed early can be handed
+	// out again.
+	for _, ln := range lns {
 		ln.Close()
 	}
 	nodes := make([]*replayNode, 2)

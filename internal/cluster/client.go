@@ -90,8 +90,12 @@ type Config struct {
 
 	// SeqSource overrides the write sequence-number source, for
 	// deterministic tests. Sequence numbers must be strictly increasing
-	// per client; the default is a hybrid clock (wall millis in the high
-	// bits, NodeID below, a counter in the low bits).
+	// per client and below 1<<63: replicas reject larger ones as invalid.
+	// The default is a hybrid clock (wall millis in the high bits, NodeID
+	// below, a counter in the low bits). Its millis<<22 crosses 1<<63 in
+	// September 2039, after which replicas would reject every write it
+	// stamps; the bit layout stays as is because clients on different
+	// layouts would no longer order each other's writes.
 	SeqSource func() uint64
 
 	// Trace, when non-nil, records client-side spans: one root per Get/

@@ -67,21 +67,27 @@ func startTestNode(t *testing.T, addr string, nodes []string, opt nodeOpts) *tes
 	go srv.Serve(ln)
 	n := &testNode{addr: addr, tab: tab, rep: rep, srv: srv}
 	if !opt.noReplicator {
-		n.r, err = NewReplicator(rep, ReplicatorConfig{
-			Self:      addr,
-			Nodes:     nodes,
-			Replicas:  2,
-			Seed:      testRingSeed,
-			RetryBase: 10 * time.Millisecond,
-			RetryMax:  250 * time.Millisecond,
-			Trace:     opt.trace,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.r.Start()
+		n.startReplicator(t, nodes, opt.trace)
 	}
 	return n
+}
+
+func (n *testNode) startReplicator(t *testing.T, nodes []string, tr *trace.Recorder) {
+	t.Helper()
+	var err error
+	n.r, err = NewReplicator(n.rep, ReplicatorConfig{
+		Self:      n.addr,
+		Nodes:     nodes,
+		Replicas:  2,
+		Seed:      testRingSeed,
+		RetryBase: 10 * time.Millisecond,
+		RetryMax:  250 * time.Millisecond,
+		Trace:     tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.r.Start()
 }
 
 func (n *testNode) stop() {
@@ -94,7 +100,8 @@ func (n *testNode) stop() {
 }
 
 // freeAddrs reserves n distinct loopback addresses so every node can know
-// the full ring before any node is up.
+// the full ring before any node is up. Every listener stays open until all
+// n are picked: a port closed early can be handed out again.
 func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
@@ -103,8 +110,8 @@ func freeAddrs(t *testing.T, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer ln.Close()
 		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
 	return addrs
 }
@@ -397,5 +404,31 @@ func TestClusterBootstrapFullSync(t *testing.T) {
 	}
 	if got := b.r.peerStates[addrs[0]].fullSyncs.Load(); got < 1 {
 		t.Errorf("bootstrap node recorded %d full syncs, want >= 1", got)
+	}
+}
+
+// TestClusterBootstrapIgnoresPushedSeq covers a race in the bootstrap
+// scenario above: a client push still in flight when the new node comes up
+// can land before its replicator subscribes. The node then holds one key at
+// the newest sequence number and none of the keys below it, so its
+// subscription must not resume from that sequence number: the peer has to
+// answer with a full dump.
+func TestClusterBootstrapIgnoresPushedSeq(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	a := startTestNode(t, addrs[0], addrs, nodeOpts{oplogSize: 8, noReplicator: true})
+	defer a.stop()
+	for k := uint64(1); k <= 100; k++ {
+		a.rep.ApplyPush([]wire.Entry{{Seq: k, Op: wire.OpPut, Key: k, Value: k * 3}}, nil)
+	}
+
+	b := startTestNode(t, addrs[1], addrs, nodeOpts{noReplicator: true})
+	defer b.stop()
+	b.rep.ApplyPush([]wire.Entry{{Seq: 100, Op: wire.OpPut, Key: 100, Value: 300}}, nil)
+	b.startReplicator(t, addrs, nil)
+	waitFor(t, 10*time.Second, "bootstrap node to converge", func() bool {
+		return b.rep.Digest() == a.rep.Digest() && b.rep.ReplicaStats().TrackedKeys == 100
+	})
+	if got := b.r.peerStates[addrs[0]].fullSyncs.Load(); got != 1 {
+		t.Errorf("bootstrap node recorded %d full syncs, want 1", got)
 	}
 }

@@ -54,12 +54,17 @@ type ReplicatorConfig struct {
 }
 
 // Replicator keeps one node's Replicated store converged with its peers: a
-// goroutine per peer subscribes to the peer's op log, resuming from this
-// node's applied sequence number, applies the streamed entries this node
-// owns, and reconnects with backoff when the peer goes away. A restarted
-// node needs no special bootstrap path — its first subscription resumes
-// from whatever its snapshot+sidecar restored, and the peer answers with a
-// full state dump when that point predates its op log.
+// goroutine per peer subscribes to the peer's op log, applies the streamed
+// entries this node owns, and reconnects with backoff when the peer goes
+// away. A restarted node needs no special bootstrap path — its first
+// subscription resumes from whatever its snapshot+sidecar restored, and the
+// peer answers with a full state dump when that point predates its op log.
+//
+// Each peer's resume point advances only when that peer's stream has
+// drained, never through pushes. A pushed entry (a client write or a
+// read-repair) can carry a sequence number far above entries this node has
+// not yet received, so resuming from the store's applied high-water mark
+// could skip the full dump those entries need.
 //
 //mcvet:lifecycle
 type Replicator struct {
@@ -162,13 +167,16 @@ func (r *Replicator) Close() {
 func (r *Replicator) peerLoop(addr string, st *peerState) {
 	defer r.wg.Done()
 	backoff := r.cfg.RetryBase
+	// resume starts at the state restored from disk (or seeded) and then
+	// follows the stream; see streamOnce.
+	resume := r.rep.ReplicaStats().BaseSeq
 	for {
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
-		err := r.streamOnce(addr, st)
+		err := r.streamOnce(addr, st, &resume)
 		if err == nil {
 			return // stopped
 		}
@@ -189,9 +197,13 @@ func (r *Replicator) peerLoop(addr string, st *peerState) {
 
 // streamOnce runs one subscription: dial, handshake, then apply stream
 // frames until the connection breaks (returned as an error) or Close (nil).
+// It subscribes after *resume and raises *resume to the newest sequence
+// number delivered whenever a keepalive (an empty frame) arrives: the peer
+// sends one only after its full dump and its op-log backlog, so by then
+// everything the peer holds has been delivered.
 //
 //mcvet:deadlined
-func (r *Replicator) streamOnce(addr string, st *peerState) error {
+func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) error {
 	dial := r.cfg.Dial
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -216,7 +228,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 		}
 	}()
 
-	fromSeq := r.rep.Applied()
+	fromSeq := *resume
 	sub := wire.AppendFrame(nil, wire.Frame{
 		Type:    wire.OpSub,
 		ID:      1,
@@ -287,6 +299,9 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 			return fmt.Errorf("malformed replicate frame")
 		}
 		ents = parsed
+		if len(ents) == 0 && seen > *resume {
+			*resume = seen
+		}
 		owned = owned[:0]
 		for _, e := range ents {
 			if e.Seq > seen {

@@ -9,9 +9,9 @@ package wire
 // The log has no lock of its own: every access happens under the owning
 // Replicated's mutex.
 type opLog struct {
-	ents []Entry
+	recs []opRec
 	// first and next are absolute positions: the retained window is
-	// [first, next), at most len(ents) wide.
+	// [first, next), at most len(recs) wide.
 	first uint64
 	next  uint64
 	// droppedSeqMax is the highest sequence number among entries that have
@@ -22,21 +22,29 @@ type opLog struct {
 	dropped       int64
 }
 
-func newOpLog(capacity int) *opLog {
-	return &opLog{ents: make([]Entry, capacity)}
+// opRec is one op-log record, 24 bytes: the public Entry pads its one-byte
+// Op to a 32-byte struct, while meta carries the op in its low bit. meta is
+// the seqs-map encoding, seq<<1 with the low bit set for a delete, which
+// is lossless because applyLocked rejects sequence numbers at or above
+// 1<<63. value is 0 for deletes.
+type opRec struct {
+	key, value, meta uint64
 }
 
-// append records e, evicting the oldest retained entry when full.
-func (l *opLog) append(e Entry) {
-	if l.next-l.first == uint64(len(l.ents)) {
-		old := l.ents[l.first%uint64(len(l.ents))]
-		if old.Seq > l.droppedSeqMax {
-			l.droppedSeqMax = old.Seq
+func newOpLog(capacity int) *opLog {
+	return &opLog{recs: make([]opRec, capacity)}
+}
+
+// append records rec, evicting the oldest retained record when full.
+func (l *opLog) append(rec opRec) {
+	if l.next-l.first == uint64(len(l.recs)) {
+		if seq := l.recs[l.first%uint64(len(l.recs))].meta >> 1; seq > l.droppedSeqMax {
+			l.droppedSeqMax = seq
 		}
 		l.first++
 		l.dropped++
 	}
-	l.ents[l.next%uint64(len(l.ents))] = e
+	l.recs[l.next%uint64(len(l.recs))] = rec
 	l.next++
 }
 
@@ -53,8 +61,13 @@ func (l *opLog) copySince(cursor uint64, dst []Entry) (_ []Entry, newCursor uint
 		n = cap(dst)
 	}
 	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		dst[i] = l.ents[(cursor+uint64(i))%uint64(len(l.ents))]
+	for i := range dst {
+		rec := l.recs[(cursor+uint64(i))%uint64(len(l.recs))]
+		op := OpPut
+		if rec.meta&1 == 1 {
+			op = OpDel
+		}
+		dst[i] = Entry{Seq: rec.meta >> 1, Op: op, Key: rec.key, Value: rec.value}
 	}
 	return dst, cursor + uint64(n), false
 }

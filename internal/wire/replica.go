@@ -30,6 +30,11 @@ type Ranger interface {
 	Range(fn func(key, value uint64) bool)
 }
 
+// seqLimit bounds valid sequence numbers: meta words hold seq<<1, so a
+// sequence number with bit 63 set would lose that bit. applyLocked rejects
+// such entries like Seq 0.
+const seqLimit = 1 << 63
+
 // seededSeq is the sequence number assigned to keys found in the store
 // before any tracked write: older than every real write (real sequence
 // numbers are hybrid-clock values), so any replicated entry supersedes
@@ -38,9 +43,10 @@ const seededSeq = 1
 
 // ReplicaConfig configures a Replicated. The zero value is usable.
 type ReplicaConfig struct {
-	// OplogSize is the op-log ring capacity in entries (default 65536). A
-	// subscriber that falls more than this many mutations behind is forced
-	// into a full resynchronization.
+	// OplogSize is the op-log ring capacity in entries (default 65536). The
+	// ring is allocated up front at 24 bytes per entry, 1.5 MiB at the
+	// default. A subscriber that falls more than this many mutations behind
+	// is forced into a full resynchronization.
 	OplogSize int
 }
 
@@ -235,12 +241,14 @@ func MetaOf(seq uint64, tomb bool) uint64 {
 
 // applyLocked is the single mutation path. It returns the apply status
 // plus the inner store's results for the caller-facing unversioned
-// wrappers.
+// wrappers. An invalid entry (Seq 0, Seq at or above seqLimit, or an op
+// other than PUT and DEL) is counted and answered as stale, never applied.
 //
 //mcvet:locked
 func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResult, removed bool) {
 	meta, seen := r.seqs[e.Key]
-	if e.Seq == 0 || (seen && e.Seq <= meta>>1) {
+	invalid := e.Seq == 0 || e.Seq >= seqLimit || (e.Op != OpPut && e.Op != OpDel)
+	if invalid || (seen && e.Seq <= meta>>1) {
 		r.entriesStale.Add(1)
 		return ApplyStale, res, false
 	}
@@ -284,7 +292,7 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 	if e.Seq > r.localSeq {
 		r.localSeq = e.Seq
 	}
-	r.log.append(e)
+	r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta})
 	r.notifyLocked()
 	r.entriesApplied.Add(1)
 	return ApplyApplied, res, removed

@@ -58,6 +58,36 @@ func TestReplicatedNewestWriteWins(t *testing.T) {
 	}
 }
 
+// TestReplicatedRejectsInvalidSeq pins that a sequence number with bit 63
+// set is rejected like Seq 0. Meta words hold seq<<1, so accepting one
+// would drop the top bit: the key would record seq 5 and a later write at
+// seq 10 would overwrite what was meant as the newest write.
+func TestReplicatedRejectsInvalidSeq(t *testing.T) {
+	r := newReplicated(t, 1<<12)
+	for _, e := range []Entry{
+		{Seq: 1<<63 | 5, Op: OpPut, Key: 7, Value: 1},
+		{Seq: 1<<64 - 1, Op: OpDel, Key: 7},
+		{Seq: 0, Op: OpPut, Key: 7, Value: 1},
+		{Seq: 3, Op: 0, Key: 7, Value: 1},
+	} {
+		if st := r.ApplyPush([]Entry{e}, nil); st[0] != ApplyStale {
+			t.Fatalf("invalid entry %+v: status %d, want stale", e, st[0])
+		}
+	}
+	if state, _, _ := r.VGet(7); state != VStateMissing {
+		t.Fatalf("VGet after invalid entries: state %d, want missing", state)
+	}
+	if st := r.ReplicaStats(); st.AppliedSeq != 0 || st.OplogLen != 0 || st.EntriesStale != 4 {
+		t.Fatalf("after invalid entries: applied %d, oplog %d, stale %d; want 0, 0, 4", st.AppliedSeq, st.OplogLen, st.EntriesStale)
+	}
+	if st := r.ApplyPush([]Entry{{Seq: 10, Op: OpPut, Key: 7, Value: 2}}, nil); st[0] != ApplyApplied {
+		t.Fatalf("valid write: status %d, want applied", st[0])
+	}
+	if state, v, seq := r.VGet(7); state != VStateLive || v != 2 || seq != 10 {
+		t.Fatalf("VGet: state=%d v=%d seq=%d, want live/2/10", state, v, seq)
+	}
+}
+
 func TestReplicatedTombstoneBlocksResurrection(t *testing.T) {
 	r := newReplicated(t, 1<<12)
 	r.ApplyPush([]Entry{{Seq: 1, Op: OpPut, Key: 7, Value: 70}}, nil)

@@ -306,10 +306,11 @@ func (s *Server) serveConn(nc net.Conn) {
 	out := make(chan []byte, s.cfg.QueueDepth)
 	// Buffer freelists, the zero-copy machinery (DESIGN.md §10): request
 	// buffers travel from the reader through work to the worker and come
-	// back via freeReq; response buffers travel from the worker through out
-	// to the writer and come back via freeResp. Capacities exceed the queue
-	// depths so a recycle never blocks; when a freelist is momentarily empty
-	// the taker allocates a fresh buffer, which then joins the cycle.
+	// back via freeReq; response buffers travel from the worker (or, on a
+	// subscribed connection, the op-log pump) through out to the writer and
+	// come back via freeResp. Capacities exceed the queue depths so a
+	// recycle never blocks; when a freelist is momentarily empty the taker
+	// allocates a fresh buffer, which then joins the cycle.
 	freeReq := make(chan []byte, s.cfg.QueueDepth+1)
 	freeResp := make(chan []byte, 2*s.cfg.QueueDepth+2)
 	connDone := make(chan struct{})
@@ -368,9 +369,9 @@ func (s *Server) serveConn(nc net.Conn) {
 				continue
 			}
 			s.bytesOut.Add(int64(len(b)))
-			// A written response buffer goes back to the worker's freelist.
-			// Subscription and BUSY frames join the cycle here too; that only
-			// seeds the freelist earlier.
+			// A written buffer goes back to the freelist its producer (the
+			// worker or the op-log pump) takes from. BUSY frames join the
+			// cycle here too; that only seeds the freelist earlier.
 			select {
 			case freeResp <- b:
 			default:
@@ -378,7 +379,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 	}()
 
-	s.readLoop(nc, work, out, connFailed, freeReq)
+	s.readLoop(nc, work, out, connFailed, freeReq, freeResp)
 	close(work)
 	pipe.Wait()
 	nc.Close()
@@ -392,7 +393,7 @@ func (s *Server) serveConn(nc net.Conn) {
 // connection or the server goes down.
 //
 //mcvet:deadlined
-func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, connFailed <-chan struct{}, freeReq <-chan []byte) {
+func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, connFailed <-chan struct{}, freeReq <-chan []byte, freeResp chan []byte) {
 	var buf []byte
 	for {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
@@ -463,7 +464,11 @@ func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, c
 				out <- s.errFrame(f.ID, "connection failed")
 				return
 			}
-			s.runSubscription(f.ID, fromSeq, out, connFailed)
+			// The pump encodes through its own handler and shares the
+			// response freelist with the worker, which has nothing left to
+			// take from it once the requests queued ahead of SUBSCRIBE are
+			// answered.
+			s.runSubscription(&connHandler{srv: s, freeResp: freeResp}, f.ID, fromSeq, out, connFailed)
 			return
 		}
 		// Zero-copy handoff: the payload aliases buf, so ownership of buf
@@ -497,20 +502,25 @@ const streamChunk = 1024
 // dump when the resume point predates the op log, then retained entries,
 // then new entries as they arrive, with keepalives in between. The worker
 // goroutine sits idle on an empty queue for the connection's lifetime.
-func (s *Server) runSubscription(id uint64, fromSeq uint64, out chan<- []byte, connFailed <-chan struct{}) {
+//
+// Frames are encoded through h like responses: each payload is built in
+// h.pbuf and each frame in a buffer from the freelist the writer refills, so
+// once the freelist is primed streaming allocates nothing (asserted by
+// TestSubscriptionStreamZeroAlloc).
+func (s *Server) runSubscription(h *connHandler, id uint64, fromSeq uint64, out chan<- []byte, connFailed <-chan struct{}) {
 	rep := s.rep
 	s.subs.Add(1)
 	defer s.subs.Add(-1)
 	sub, head, full, dumpKeys := rep.subscribe(fromSeq)
 	defer rep.unsubscribe(sub)
 
-	okPayload := appendU8(appendU64(make([]byte, 0, 9), head), boolByte(full))
-	if !s.streamSend(out, connFailed, respFrame(id, StatusOK, okPayload)) {
+	h.pbuf = appendU8(appendU64(h.pbuf[:0], head), boolByte(full))
+	if !s.streamSend(out, connFailed, h.respFrame(id, StatusOK, h.pbuf)) {
 		return
 	}
 	replicateFrame := func(head uint64, ents []Entry) []byte {
-		p := AppendReplicatePayload(make([]byte, 0, replicateHeadLen+len(ents)*entrySize), head, ents)
-		return AppendFrame(make([]byte, 0, FrameOverhead+len(p)), Frame{Type: OpReplicate, ID: id, Payload: p})
+		h.pbuf = AppendReplicatePayload(h.pbuf[:0], head, ents)
+		return h.frame(OpReplicate, id, h.pbuf)
 	}
 
 	scratch := make([]Entry, 0, streamChunk)
@@ -535,7 +545,7 @@ func (s *Server) runSubscription(id uint64, fromSeq uint64, out chan<- []byte, c
 				// The cursor fell behind the ring (the subscriber was sent
 				// entries slower than new ones arrived for longer than the
 				// ring retains). It must resubscribe and take a full dump.
-				s.streamSend(out, connFailed, s.errFrame(id, "oplog overrun; resubscribe"))
+				s.streamSend(out, connFailed, h.errFrame(id, "oplog overrun; resubscribe"))
 				return
 			}
 			if len(ents) == 0 {
@@ -607,9 +617,9 @@ type connHandler struct {
 	statuses []byte
 }
 
-// respFrame encodes one response frame into a freelist buffer when one is
-// available, a fresh one otherwise. payload may alias h.pbuf; it is copied.
-func (h *connHandler) respFrame(id uint64, status byte, payload []byte) []byte {
+// frame encodes one frame into a freelist buffer when one is available, a
+// fresh one otherwise. payload may alias h.pbuf; it is copied.
+func (h *connHandler) frame(typ byte, id uint64, payload []byte) []byte {
 	var b []byte
 	select {
 	case b = <-h.freeResp:
@@ -617,7 +627,12 @@ func (h *connHandler) respFrame(id uint64, status byte, payload []byte) []byte {
 	default:
 		b = make([]byte, 0, FrameOverhead+len(payload))
 	}
-	return AppendFrame(b, Frame{Type: respFlag | status, ID: id, Payload: payload})
+	return AppendFrame(b, Frame{Type: typ, ID: id, Payload: payload})
+}
+
+// respFrame encodes one response frame through h.frame.
+func (h *connHandler) respFrame(id uint64, status byte, payload []byte) []byte {
+	return h.frame(respFlag|status, id, payload)
 }
 
 func (h *connHandler) errFrame(id uint64, msg string) []byte {

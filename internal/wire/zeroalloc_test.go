@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"mccuckoo"
 )
@@ -74,5 +76,78 @@ func BenchmarkServePathGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Handle(f)
+	}
+}
+
+// TestSubscriptionStreamZeroAlloc pins allocation-free op-log streaming:
+// once a subscribed connection's response freelist is primed, each REPLICATE
+// chunk and each keepalive the pump sends allocates nothing: the pump
+// encodes every frame into a buffer the connection's writer handed back.
+//
+// AllocsPerRun counts the whole process, so each measured run also covers
+// the write that feeds the chunk, the writer goroutine and this test's
+// reads; none of those allocate in steady state either.
+func TestSubscriptionStreamZeroAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		keepalive time.Duration
+		write     bool
+	}{
+		{"chunk", time.Hour, true},
+		{"keepalive", time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := NewReplicated(newConcurrentTable(t, 1<<10), ReplicaConfig{})
+			rep.Insert(1, 1)
+			_, addr, shutdown := startServer(t, rep, func(c *Config) { c.SubKeepalive = tc.keepalive })
+			defer shutdown()
+
+			raw := dialRaw(t, addr)
+			raw.send(Frame{Type: OpSub, ID: 3, Payload: AppendSubscribePayload(nil, 0)})
+			if f := raw.recv(); !f.IsResponse() || f.Status() != StatusOK {
+				t.Fatalf("handshake: %+v", f)
+			}
+			if _, ents, _ := ParseReplicatePayload(raw.recv().Payload, nil); len(ents) != 1 {
+				t.Fatalf("retained entries: %+v, want the one write before subscribing", ents)
+			}
+			if err := raw.nc.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+				t.Fatal(err)
+			}
+			var (
+				buf  []byte
+				ents []Entry
+				v    uint64
+				bad  error
+			)
+			// step feeds one chunk (a single write) or waits out one
+			// keepalive, and reads the frame it produces.
+			step := func() {
+				if tc.write {
+					v++
+					rep.Insert(1, v)
+				}
+				var f Frame
+				var err error
+				f, buf, err = ReadFrame(raw.nc, DefaultMaxPayload, buf)
+				if err != nil {
+					bad = err
+					return
+				}
+				_, ents, _ = ParseReplicatePayload(f.Payload, ents)
+				if f.Type != OpReplicate || (tc.write && (len(ents) != 1 || ents[0].Value != v)) || (!tc.write && len(ents) != 0) {
+					bad = fmt.Errorf("frame type %d with entries %+v", f.Type, ents)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				step() // prime the freelist
+			}
+			n := testing.AllocsPerRun(200, step)
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if n != 0 {
+				t.Errorf("%v allocs per streamed frame, want 0", n)
+			}
+		})
 	}
 }
