@@ -81,72 +81,37 @@ func deleteBatch(s Store, keys []uint64) []bool {
 
 // InsertBatch stores every keys[i]/values[i] pair, one Insert at a time.
 // Results come back in input order. len(values) must equal len(keys).
-func (t *Table) InsertBatch(keys, values []uint64) []InsertResult {
-	return insertBatch(t, keys, values)
+func (s *singleStore) InsertBatch(keys, values []uint64) []InsertResult {
+	return insertBatch(s, keys, values)
 }
 
 // InsertBatchInto is InsertBatch writing outcomes into out, which must be
 // nil (discard outcomes) or exactly len(keys) long.
-func (t *Table) InsertBatchInto(keys, values []uint64, out []InsertResult) {
-	insertBatchInto(t, keys, values, out)
+func (s *singleStore) InsertBatchInto(keys, values []uint64, out []InsertResult) {
+	insertBatchInto(s, keys, values, out)
 }
 
 // LookupBatch answers every key. values[i], found[i] correspond to keys[i].
-func (t *Table) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	return lookupBatch(t, keys)
+func (s *singleStore) LookupBatch(keys []uint64) (values []uint64, found []bool) {
+	return lookupBatch(s, keys)
 }
 
 // LookupBatchInto is LookupBatch writing answers into values and found,
 // each of which must be exactly len(keys) long.
-func (t *Table) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
-	lookupBatchInto(t, keys, values, found)
+func (s *singleStore) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
+	lookupBatchInto(s, keys, values, found)
 }
 
 // DeleteBatch removes every key. removed[i] reports whether keys[i] was
 // present.
-func (t *Table) DeleteBatch(keys []uint64) (removed []bool) {
-	return deleteBatch(t, keys)
+func (s *singleStore) DeleteBatch(keys []uint64) (removed []bool) {
+	return deleteBatch(s, keys)
 }
 
 // DeleteBatchInto is DeleteBatch writing results into removed, which must
 // be nil (discard results) or exactly len(keys) long.
-func (t *Table) DeleteBatchInto(keys []uint64, removed []bool) {
-	deleteBatchInto(t, keys, removed)
-}
-
-// InsertBatch stores every keys[i]/values[i] pair, one Insert at a time.
-// Results come back in input order. len(values) must equal len(keys).
-func (t *Blocked) InsertBatch(keys, values []uint64) []InsertResult {
-	return insertBatch(t, keys, values)
-}
-
-// InsertBatchInto is InsertBatch writing outcomes into out, which must be
-// nil (discard outcomes) or exactly len(keys) long.
-func (t *Blocked) InsertBatchInto(keys, values []uint64, out []InsertResult) {
-	insertBatchInto(t, keys, values, out)
-}
-
-// LookupBatch answers every key. values[i], found[i] correspond to keys[i].
-func (t *Blocked) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	return lookupBatch(t, keys)
-}
-
-// LookupBatchInto is LookupBatch writing answers into values and found,
-// each of which must be exactly len(keys) long.
-func (t *Blocked) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
-	lookupBatchInto(t, keys, values, found)
-}
-
-// DeleteBatch removes every key. removed[i] reports whether keys[i] was
-// present.
-func (t *Blocked) DeleteBatch(keys []uint64) (removed []bool) {
-	return deleteBatch(t, keys)
-}
-
-// DeleteBatchInto is DeleteBatch writing results into removed, which must
-// be nil (discard results) or exactly len(keys) long.
-func (t *Blocked) DeleteBatchInto(keys []uint64, removed []bool) {
-	deleteBatchInto(t, keys, removed)
+func (s *singleStore) DeleteBatchInto(keys []uint64, removed []bool) {
+	deleteBatchInto(s, keys, removed)
 }
 
 // outcomeScratch pools the kv.Outcome buffers InsertBatchInto uses

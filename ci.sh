@@ -9,6 +9,12 @@
 # through sanctioned setters, and deterministic snapshot/repair paths. It
 # runs before the test suite because its findings are cheaper to read than
 # the test failures they predict.
+# Paper gate: `mcbench -exp all` at the RESULTS.txt settings (capacity
+# 147456, 5 runs, seed 1) must reproduce RESULTS.txt line for line once the
+# wall-clock "[... completed in ...]" lines are dropped. Kicks, off-chip and
+# on-chip accesses and stash counts are deterministic for a seed, so this is
+# a noise-free gate over every row of the paper's tables and figures: an
+# extra probe read or a moved kick fails it on any machine.
 # Race gate: the concurrency-bearing packages (internal/core's pathwise
 # inserts, internal/shard — the one lock layer, whose one-shard form is the
 # public Concurrent and whose N-shard form is Sharded — internal/faultinject
@@ -98,6 +104,18 @@ go build ./...
 
 say "go test: full suite"
 go test -shuffle=on ./...
+
+say "paper gate: mcbench -exp all vs RESULTS.txt"
+paper_dir="$(mktemp -d)"
+go run ./cmd/mcbench -exp all -capacity 147456 -runs 5 -seed 1 >"${paper_dir}/raw"
+grep -v '^\[.* completed in .*\]$' "${paper_dir}/raw" >"${paper_dir}/got"
+grep -v '^\[.* completed in .*\]$' RESULTS.txt >"${paper_dir}/want"
+if ! diff -u "${paper_dir}/want" "${paper_dir}/got"; then
+	printf 'paper gate: mcbench output drifted from RESULTS.txt (diff above)\n' >&2
+	rm -rf "${paper_dir}"
+	exit 1
+fi
+rm -rf "${paper_dir}"
 
 say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the trace subpackage, whose

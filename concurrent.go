@@ -5,7 +5,6 @@ import (
 
 	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/shard"
-	"mccuckoo/internal/telemetry"
 )
 
 // Concurrent shares a Table or Blocked between goroutines (§III.H): it is
@@ -24,6 +23,7 @@ type Concurrent struct {
 // rejected at compile time — `NewConcurrent(sharded)` does not build.
 type SingleWriter interface {
 	*Table | *Blocked
+	single() *singleStore
 }
 
 // NewConcurrent wraps t for concurrent use; t must not be used directly
@@ -32,20 +32,13 @@ type SingleWriter interface {
 // a silent double-locking bug. Telemetry attached to t carries over: every
 // operation is recorded, and the gauges become live.
 func NewConcurrent[T SingleWriter](t T) *Concurrent {
-	var tab shard.Inner
-	var sink *telemetry.Sink
-	switch v := any(t).(type) {
-	case *Table:
-		tab, sink = v.inner, v.sink
-	case *Blocked:
-		tab, sink = v.inner, v.sink
-	}
-	inner, err := shard.New(1, 0, func(int) (shard.Inner, error) { return tab, nil })
+	s := t.single()
+	inner, err := shard.New(1, 0, func(int) (shard.Inner, error) { return s.inner, nil })
 	if err != nil {
 		panic(err) // unreachable: one shard around a table New or NewBlocked built
 	}
 	c := &Concurrent{shardedStore{inner}}
-	c.attachTelemetry(sink)
+	c.attachTelemetry(s.sink)
 	return c
 }
 

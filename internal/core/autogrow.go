@@ -19,41 +19,20 @@ package core
 // re-entering the policy.
 
 // maybeAutoGrow runs the auto-grow policy after an insert stashed an item.
-func (t *Table) maybeAutoGrow() {
-	p := &t.cfg.AutoGrow
-	if !p.Enabled || t.growing || t.StashLen() <= p.StashThreshold {
+func (s *tableState) maybeAutoGrow() {
+	p := &s.cfg.AutoGrow
+	if !p.Enabled || s.growing || s.StashLen() <= p.StashThreshold {
 		return
 	}
-	t.growing = true
-	defer func() { t.growing = false }()
+	s.growing = true
+	defer func() { s.growing = false }()
 	factor := p.Factor
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		t.stats.GrowAttempts++
-		if err := t.Grow(factor); err != nil {
-			t.stats.GrowFailures++
-		} else if t.StashLen() <= p.StashThreshold {
-			t.stats.Grows++
-			return
-		}
-		factor *= p.Backoff
-	}
-}
-
-// maybeAutoGrow runs the auto-grow policy after an insert stashed an item.
-func (t *BlockedTable) maybeAutoGrow() {
-	p := &t.cfg.AutoGrow
-	if !p.Enabled || t.growing || t.StashLen() <= p.StashThreshold {
-		return
-	}
-	t.growing = true
-	defer func() { t.growing = false }()
-	factor := p.Factor
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		t.stats.GrowAttempts++
-		if err := t.Grow(factor); err != nil {
-			t.stats.GrowFailures++
-		} else if t.StashLen() <= p.StashThreshold {
-			t.stats.Grows++
+		s.stats.GrowAttempts++
+		if err := s.Grow(factor); err != nil {
+			s.stats.GrowFailures++
+		} else if s.StashLen() <= p.StashThreshold {
+			s.stats.Grows++
 			return
 		}
 		factor *= p.Backoff

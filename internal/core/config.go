@@ -51,8 +51,8 @@ type Config struct {
 	D int
 	// BucketsPerTable is the length of each subtable.
 	BucketsPerTable int
-	// Slots is the number of slots per bucket; used only by NewBlocked
-	// (paper: 3). New ignores it.
+	// Slots is the number of slots per bucket: NewBlocked takes 2–4
+	// (default and paper: 3), New requires 1 (0 means the default).
 	Slots int
 	// MaxLoop bounds the kick-out chain length (paper default: 500).
 	MaxLoop int

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"mccuckoo/internal/hashutil"
-	"mccuckoo/internal/kv"
-)
+import "mccuckoo/internal/hashutil"
 
 // Delete removes key. All copies are located using the lookup principles,
 // then only their on-chip counters are reset (ResetCounters) or marked
@@ -43,33 +40,4 @@ func (t *Table) Delete(key uint64) bool {
 		}
 	}
 	return false
-}
-
-// RefreshStashFlags clears every stash flag and reinserts all stashed items
-// through the normal insertion path, re-stashing (and re-flagging) those
-// that still do not fit (§III.F). It returns the number of items that moved
-// from the stash into the main table.
-func (t *Table) RefreshStashFlags() int {
-	if t.overflow == nil {
-		return 0
-	}
-	// Targeted clears: one off-chip write per flag that was set.
-	for i := 0; i < t.flags.Len(); i++ {
-		t.clearStashFlag(i)
-	}
-	items := t.overflow.Drain()
-	moved := 0
-	for _, e := range items {
-		var cand [hashutil.MaxD]int
-		t.family.Indexes(e.Key, cand[:])
-		if copies := t.place(e, cand[:t.cfg.D]); copies > 0 {
-			t.size++
-			moved++
-			continue
-		}
-		if out := t.resolveCollision(e, cand[:t.cfg.D]); out.Status == kv.Placed {
-			moved++
-		}
-	}
-	return moved
 }

@@ -7,132 +7,71 @@ package core
 // code paths never call them; the package is internal, so they are invisible
 // to library users.
 //
-// Index spaces: cells are the flat key/value slot indexes (table*n+bucket
-// for single-slot tables, (table*n+bucket)*l+slot for blocked ones);
-// counters share the cell index space; flags are per *bucket*, so for
-// blocked tables flag index = cell/l.
+// Index spaces: cells are the flat key/value slot indexes
+// ((table*n+bucket)*l+slot, so table*n+bucket on a single-slot Table);
+// counters share the cell index space; flags are per *bucket*, so flag
+// index = cell/l.
 
-// FaultNumCounters returns the number of on-chip copy counters.
-func (t *Table) FaultNumCounters() int { return t.counters.Len() }
+// FaultNumCounters returns the number of on-chip copy counters (one per
+// cell).
+func (s *tableState) FaultNumCounters() int { return s.counters.Len() }
 
 // FaultCounter reads counter i raw.
-func (t *Table) FaultCounter(i int) uint64 { return t.counters.Get(i) }
+func (s *tableState) FaultCounter(i int) uint64 { return s.counters.Get(i) }
 
 // FaultSetCounter overwrites counter i, invariants be damned — this is
 // the sanctioned corruption surface for the fault matrix.
 //
 //mcvet:setter counters
-func (t *Table) FaultSetCounter(i int, v uint64) { t.counters.Set(i, v) }
+func (s *tableState) FaultSetCounter(i int, v uint64) { s.counters.Set(i, v) }
 
 // FaultCounterMax returns the largest value a counter field can hold.
-func (t *Table) FaultCounterMax() uint64 { return t.counters.Max() }
+func (s *tableState) FaultCounterMax() uint64 { return s.counters.Max() }
 
-// FaultNumFlags returns the number of stash pre-screen flags.
-func (t *Table) FaultNumFlags() int { return t.flags.Len() }
+// FaultNumFlags returns the number of stash pre-screen flags (one per
+// bucket).
+func (s *tableState) FaultNumFlags() int { return s.flags.Len() }
 
 // FaultFlag reads stash flag i.
-func (t *Table) FaultFlag(i int) bool { return t.flags.Get(i) }
+func (s *tableState) FaultFlag(i int) bool { return s.flags.Get(i) }
 
 // FaultSetFlag forces stash flag i (sanctioned corruption surface).
 //
 //mcvet:setter flags
-func (t *Table) FaultSetFlag(i int, set bool) {
+func (s *tableState) FaultSetFlag(i int, set bool) {
 	if set {
-		t.flags.Set(i)
+		s.flags.Set(i)
 	} else {
-		t.flags.Clear(i)
+		s.flags.Clear(i)
 	}
 }
 
 // FaultNumCells returns the number of key/value cells.
-func (t *Table) FaultNumCells() int { return len(t.cells) }
+func (s *tableState) FaultNumCells() int { return len(s.cells) }
 
 // FaultCellKey reads the key stored in cell i.
-func (t *Table) FaultCellKey(i int) uint64 { return t.cells[i].Key }
+func (s *tableState) FaultCellKey(i int) uint64 { return s.cells[i].Key }
 
 // FaultSetCellKey overwrites the key stored in cell i (off-chip corruption).
-func (t *Table) FaultSetCellKey(i int, key uint64) { t.cells[i].Key = key }
+func (s *tableState) FaultSetCellKey(i int, key uint64) { s.cells[i].Key = key }
 
 // FaultCellValue reads the value stored in cell i.
-func (t *Table) FaultCellValue(i int) uint64 { return t.cells[i].Value }
+func (s *tableState) FaultCellValue(i int) uint64 { return s.cells[i].Value }
 
 // FaultSetCellValue overwrites the value stored in cell i.
-func (t *Table) FaultSetCellValue(i int, v uint64) { t.cells[i].Value = v }
-
-// FaultCellIsCandidate reports whether cell is one of key's d candidate
-// positions.
-func (t *Table) FaultCellIsCandidate(key uint64, cell int) bool {
-	n := t.cfg.BucketsPerTable
-	return t.family.Index(cell/n, key) == cell%n
-}
-
-// FaultTombstoneValue returns the tombstone counter value, 0 when tombstones
-// are disabled.
-func (t *Table) FaultTombstoneValue() uint64 { return t.tombstoneVal }
-
-// FaultArity returns the hash-function count d.
-func (t *Table) FaultArity() int { return t.cfg.D }
-
-// FaultNumCounters returns the number of on-chip copy counters (one per
-// slot).
-func (t *BlockedTable) FaultNumCounters() int { return t.counters.Len() }
-
-// FaultCounter reads counter i raw.
-func (t *BlockedTable) FaultCounter(i int) uint64 { return t.counters.Get(i) }
-
-// FaultSetCounter overwrites counter i, invariants be damned — the
-// sanctioned corruption surface for the fault matrix.
-//
-//mcvet:setter counters
-func (t *BlockedTable) FaultSetCounter(i int, v uint64) { t.counters.Set(i, v) }
-
-// FaultCounterMax returns the largest value a counter field can hold.
-func (t *BlockedTable) FaultCounterMax() uint64 { return t.counters.Max() }
-
-// FaultNumFlags returns the number of stash pre-screen flags (one per
-// bucket).
-func (t *BlockedTable) FaultNumFlags() int { return t.flags.Len() }
-
-// FaultFlag reads stash flag i.
-func (t *BlockedTable) FaultFlag(i int) bool { return t.flags.Get(i) }
-
-// FaultSetFlag forces stash flag i (sanctioned corruption surface).
-//
-//mcvet:setter flags
-func (t *BlockedTable) FaultSetFlag(i int, set bool) {
-	if set {
-		t.flags.Set(i)
-	} else {
-		t.flags.Clear(i)
-	}
-}
-
-// FaultNumCells returns the number of key/value cells (slots).
-func (t *BlockedTable) FaultNumCells() int { return len(t.keys) }
-
-// FaultCellKey reads the key stored in cell i.
-func (t *BlockedTable) FaultCellKey(i int) uint64 { return t.keys[i] }
-
-// FaultSetCellKey overwrites the key stored in cell i.
-func (t *BlockedTable) FaultSetCellKey(i int, key uint64) { t.keys[i] = key }
-
-// FaultCellValue reads the value stored in cell i.
-func (t *BlockedTable) FaultCellValue(i int) uint64 { return t.vals[i] }
-
-// FaultSetCellValue overwrites the value stored in cell i.
-func (t *BlockedTable) FaultSetCellValue(i int, v uint64) { t.vals[i] = v }
+func (s *tableState) FaultSetCellValue(i int, v uint64) { s.cells[i].Value = v }
 
 // FaultCellIsCandidate reports whether cell lies in one of key's d candidate
 // buckets (any slot of a candidate bucket qualifies).
-func (t *BlockedTable) FaultCellIsCandidate(key uint64, cell int) bool {
-	n, l := t.cfg.BucketsPerTable, t.cfg.Slots
-	bucket := cell / l
-	return t.family.Index(bucket/n, key) == bucket%n
+func (s *tableState) FaultCellIsCandidate(key uint64, cell int) bool {
+	n := s.cfg.BucketsPerTable
+	bucket := cell / s.cfg.Slots
+	return s.family.Index(bucket/n, key) == bucket%n
 }
 
 // FaultTombstoneValue returns the tombstone counter value, 0 when tombstones
 // are disabled.
-func (t *BlockedTable) FaultTombstoneValue() uint64 { return t.tombstoneVal }
+func (s *tableState) FaultTombstoneValue() uint64 { return s.tombstoneVal }
 
 // FaultArity returns the hash-function count d.
-func (t *BlockedTable) FaultArity() int { return t.cfg.D }
+func (s *tableState) FaultArity() int { return s.cfg.D }

@@ -52,14 +52,7 @@ func (t *Table) updateExisting(key, value uint64, cand []int) (kv.Outcome, bool)
 		t.stats.Updates++
 		return kv.Outcome{Status: kv.Updated}, true
 	}
-	if t.overflow != nil && t.overflow.Len() > 0 {
-		if _, ok := t.overflow.Lookup(key); ok {
-			t.overflow.Insert(key, value)
-			t.stats.Updates++
-			return kv.Outcome{Status: kv.Updated}, true
-		}
-	}
-	return kv.Outcome{}, false
+	return t.updateStash(key, value)
 }
 
 // place applies the insertion principles to e. It returns the number of
@@ -198,7 +191,7 @@ func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 		// Pick a candidate to evict per the configured policy,
 		// avoiding an immediate bounce back to the bucket cur was
 		// just evicted from.
-		r := t.pickVictimTable(curCand[:t.cfg.D], prevTable)
+		r := t.pickVictim(curCand[:t.cfg.D], prevTable)
 		victim := t.readEntry(r, curCand[r])
 		t.writeBucket(r, curCand[r], cur)
 		// The bucket's counter is already 1 (sole copy out, sole copy
@@ -218,19 +211,4 @@ func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 			return kv.Outcome{Status: kv.Placed, Kicks: kicks}
 		}
 	}
-}
-
-// overflowInsert stores the item the walk could not place into the stash and
-// sets the stash flags of its candidate buckets (one off-chip write each).
-func (t *Table) overflowInsert(cur kv.Entry, cand []int, kicks int) kv.Outcome {
-	if t.overflow == nil || !t.overflow.Insert(cur.Key, cur.Value) {
-		t.stats.Failures++
-		return kv.Outcome{Status: kv.Failed, Kicks: kicks}
-	}
-	for i := 0; i < t.cfg.D; i++ {
-		t.setStashFlag(t.bucketIndex(i, cand[i]))
-	}
-	t.stats.Stashed++
-	t.maybeAutoGrow()
-	return kv.Outcome{Status: kv.Stashed, Kicks: kicks}
 }

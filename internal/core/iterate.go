@@ -49,28 +49,6 @@ func (t *Table) Range(fn func(key, value uint64) bool) {
 	}
 }
 
-// CopyHistogram returns how many live items currently have 1, 2, ..., d
-// copies (index 0 is unused). The redundancy distribution is the quantity
-// Theorems 1 and 2 reason about; watching it drain toward all-ones shows a
-// table approaching its collision regime.
-func (t *Table) CopyHistogram() []int {
-	hist := make([]int, t.cfg.D+1)
-	seen := make(map[uint64]struct{}, t.size)
-	for idx := range t.cells {
-		c := t.counters.Get(idx)
-		if t.isFree(c) || c > uint64(t.cfg.D) {
-			continue
-		}
-		key := t.cells[idx].Key
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		hist[c]++
-	}
-	return hist
-}
-
 // Range calls fn for every distinct live item of the blocked table, exactly
 // as Table.Range. Copies are reported from their lowest (subtable, slot)
 // position using the stored slot hints.
@@ -79,7 +57,7 @@ func (t *BlockedTable) Range(fn func(key, value uint64) bool) {
 	for table := 0; table < d; table++ {
 		for bucket := 0; bucket < n; bucket++ {
 			for slot := 0; slot < l; slot++ {
-				idx := t.slotIndex(table, bucket, slot)
+				idx := t.cellIndex(table, bucket, slot)
 				c := t.counters.Get(idx)
 				if t.isFree(c) {
 					continue
@@ -97,7 +75,7 @@ func (t *BlockedTable) Range(fn func(key, value uint64) bool) {
 				if !first {
 					continue
 				}
-				if !fn(t.keys[idx], t.vals[idx]) {
+				if !fn(t.cells[idx].Key, t.cells[idx].Value) {
 					return
 				}
 			}
@@ -110,23 +88,4 @@ func (t *BlockedTable) Range(fn func(key, value uint64) bool) {
 			}
 		}
 	}
-}
-
-// CopyHistogram returns the redundancy distribution of the blocked table.
-func (t *BlockedTable) CopyHistogram() []int {
-	hist := make([]int, t.cfg.D+1)
-	seen := make(map[uint64]struct{}, t.size)
-	for idx := range t.keys {
-		c := t.counters.Get(idx)
-		if t.isFree(c) || c > uint64(t.cfg.D) {
-			continue
-		}
-		key := t.keys[idx]
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		hist[c]++
-	}
-	return hist
 }

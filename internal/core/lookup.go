@@ -16,14 +16,6 @@ type scanState struct {
 	earlyMiss bool                  // rule 1 fired: some counter was zero
 }
 
-// rule1Active reports whether a zero counter still proves "never inserted":
-// always in tombstone mode, and until the first deletion otherwise (§III.F).
-//
-//mcvet:hotpath
-func (t *Table) rule1Active() bool {
-	return t.cfg.Deletion == Tombstone || !t.deletedAny
-}
-
 // flagsAllSet reports whether every bucket in mask has its stash flag set.
 // The flags were fetched for free with the bucket reads that built mask
 // (§III.E), so consulting them afterwards charges nothing.

@@ -40,26 +40,32 @@ func TestConfigMatrixSingle(t *testing.T) {
 }
 
 // TestConfigMatrixBlocked does the same for the blocked table across
-// d × l × deletion × policy.
+// d × l × deletion × policy. RandomWalk rows keep their historical names;
+// MinCounter rows add a policy element.
 func TestConfigMatrixBlocked(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for _, l := range []int{2, 3, 4} {
 			for _, del := range []DeletionMode{ResetCounters, Tombstone} {
-				name := fmt.Sprintf("d=%d/l=%d/%v", d, l, del)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{
-						D: d, Slots: l, BucketsPerTable: 96,
-						Seed: uint64(d*10 + l), MaxLoop: 100,
-						Deletion: del, StashEnabled: true,
+				for _, pol := range []kv.KickPolicy{kv.RandomWalk, kv.MinCounter} {
+					name := fmt.Sprintf("d=%d/l=%d/%v", d, l, del)
+					if pol != kv.RandomWalk {
+						name += "/" + pol.String()
 					}
-					runMatrixWorkload(t, func() (kv.Table, func() error) {
-						tab, err := NewBlocked(cfg)
-						if err != nil {
-							t.Fatal(err)
+					t.Run(name, func(t *testing.T) {
+						cfg := Config{
+							D: d, Slots: l, BucketsPerTable: 96,
+							Seed: uint64(d*10 + l), MaxLoop: 100,
+							Deletion: del, Policy: pol, StashEnabled: true,
 						}
-						return tab, tab.CheckInvariants
+						runMatrixWorkload(t, func() (kv.Table, func() error) {
+							tab, err := NewBlocked(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return tab, tab.CheckInvariants
+						})
 					})
-				})
+				}
 			}
 		}
 	}

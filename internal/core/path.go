@@ -8,16 +8,19 @@ import (
 	"mccuckoo/internal/kv"
 )
 
-// PathMove is one hop of a cuckoo path: the item currently in (FromTable,
-// FromBucket) gains a copy in (ToTable, ToBucket) — its own candidate bucket
-// in another subtable — after which its FromBucket copy becomes redundant
-// and can be overwritten by the previous hop's item.
+// PathMove is one hop of a cuckoo path: the item currently in slot
+// FromSlot of (FromTable, FromBucket) gains a copy in slot ToSlot of
+// (ToTable, ToBucket) — its own candidate bucket in another subtable — after
+// which its From copy becomes redundant and can be overwritten by the
+// previous hop's item. The slots are always 0 on a single-slot Table.
 type PathMove struct {
 	Key        uint64
 	FromTable  int
 	FromBucket int
+	FromSlot   int
 	ToTable    int
 	ToBucket   int
+	ToSlot     int
 }
 
 // FindPath searches for a cuckoo path that frees one of key's candidate
@@ -137,33 +140,6 @@ func (t *Table) ApplyMove(m PathMove) error {
 	return nil
 }
 
-// TryPlace attempts principle-based placement (or an in-place update) of
-// key/value. done is false exactly when a real collision occurred and a
-// cuckoo path is needed. First stage of the pathwise insertion protocol.
-func (t *Table) TryPlace(key, value uint64) (out kv.Outcome, done bool) {
-	t.stats.Inserts++
-	var cand [hashutil.MaxD]int
-	t.family.Indexes(key, cand[:])
-	if !t.cfg.AssumeUniqueKeys {
-		if out, handled := t.updateExisting(key, value, cand[:t.cfg.D]); handled {
-			return out, true
-		}
-	}
-	if copies := t.place(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D]); copies > 0 {
-		t.size++
-		return kv.Outcome{Status: kv.Placed}, true
-	}
-	return kv.Outcome{}, false
-}
-
-// StashOverflow sends key/value to the stash after a failed path search.
-// Final stage of the pathwise protocol on the failure branch.
-func (t *Table) StashOverflow(key, value uint64) kv.Outcome {
-	var cand [hashutil.MaxD]int
-	t.family.Indexes(key, cand[:])
-	return t.overflowInsert(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D], 0)
-}
-
 // FinishPath installs key/value into the candidate bucket the path head
 // vacated (after every ApplyMove has executed, that bucket holds a
 // redundant copy of the head's item). Final stage of the pathwise protocol
@@ -178,23 +154,13 @@ func (t *Table) FinishPath(key, value uint64, head PathMove, pathLen int) kv.Out
 	return kv.Outcome{Status: kv.Placed, Kicks: pathLen}
 }
 
-// InsertPathwise inserts key/value using two-phase cuckoo-path execution:
-// the path is discovered first, then executed from its far end backwards,
-// so the table is a valid McCuckoo table after every step. Functionally
-// equivalent to Insert; the point is bounded mutation steps for a lock
-// layer (the package-level InsertPathwise interleaves readers between steps).
-func (t *Table) InsertPathwise(key, value uint64) kv.Outcome {
-	return pathwise[PathMove](noLock{}, t, key, value)
-}
-
-// pathwiseTable is the staged insertion protocol both table kinds expose,
-// generic over their path-move type.
-type pathwiseTable[M any] interface {
+// pathwiseTable is the staged insertion protocol both table kinds expose.
+type pathwiseTable interface {
 	TryPlace(key, value uint64) (kv.Outcome, bool)
-	FindPath(key uint64) ([]M, bool)
-	ApplyMove(m M) error
+	FindPath(key uint64) ([]PathMove, bool)
+	ApplyMove(m PathMove) error
 	StashOverflow(key, value uint64) kv.Outcome
-	FinishPath(key, value uint64, head M, pathLen int) kv.Outcome
+	FinishPath(key, value uint64, head PathMove, pathLen int) kv.Outcome
 }
 
 // noLock is the Locker of a table used by one goroutine alone.
@@ -213,20 +179,16 @@ func (noLock) Unlock() {}
 // to a table changed under it would fail. A tab that is neither *Table nor
 // *BlockedTable is inserted in one critical section.
 func InsertPathwise(mu sync.Locker, tab kv.Table, key, value uint64) kv.Outcome {
-	switch t := tab.(type) {
-	case *Table:
-		return pathwise[PathMove](mu, t, key, value)
-	case *BlockedTable:
-		return pathwise[BlockedPathMove](mu, t, key, value)
-	default:
-		mu.Lock()
-		defer mu.Unlock()
-		return tab.Insert(key, value)
+	if t, ok := tab.(pathwiseTable); ok {
+		return pathwise(mu, t, key, value)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	return tab.Insert(key, value)
 }
 
 // pathwise runs the staged protocol with mu released between path moves.
-func pathwise[M any, T pathwiseTable[M]](mu sync.Locker, t T, key, value uint64) kv.Outcome {
+func pathwise(mu sync.Locker, t pathwiseTable, key, value uint64) kv.Outcome {
 	mu.Lock()
 	out, done := t.TryPlace(key, value)
 	if done {

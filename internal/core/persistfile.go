@@ -10,9 +10,9 @@ import (
 // SaveFile writes a crash-safe snapshot of the table to path: temp file in
 // the same directory, fsync, atomic rename. A crash mid-save leaves the
 // previous file (or no file) intact, never a torn snapshot.
-func (t *Table) SaveFile(path string) error {
+func (s *tableState) SaveFile(path string) error {
 	return atomicio.WriteFile(path, func(f *os.File) error {
-		_, err := t.WriteTo(f)
+		_, err := s.WriteTo(f)
 		return err
 	})
 }
@@ -20,63 +20,33 @@ func (t *Table) SaveFile(path string) error {
 // LoadFile loads a single-slot table from a snapshot file written by
 // SaveFile. Beyond Load's stream validation it also rejects files with bytes
 // after the checksum trailer — a whole file either is a snapshot or is not.
-func LoadFile(path string) (*Table, error) {
-	var t *Table
-	err := loadSnapshotFile(path, "table", func(f *os.File) (int64, error) {
-		var n int64
-		var err error
-		t, n, err = loadTable(f)
-		return n, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// SaveFile writes a crash-safe snapshot of the blocked table to path, with
-// the same guarantees as Table.SaveFile.
-func (t *BlockedTable) SaveFile(path string) error {
-	return atomicio.WriteFile(path, func(f *os.File) error {
-		_, err := t.WriteTo(f)
-		return err
-	})
-}
+func LoadFile(path string) (*Table, error) { return loadFile(path, kindSingle, New) }
 
 // LoadBlockedFile loads a blocked table from a snapshot file written by
 // SaveFile, with the same rejection guarantees as LoadFile.
 func LoadBlockedFile(path string) (*BlockedTable, error) {
-	var t *BlockedTable
-	err := loadSnapshotFile(path, "blocked", func(f *os.File) (int64, error) {
-		var n int64
-		var err error
-		t, n, err = loadBlockedTable(f)
-		return n, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return loadFile(path, kindBlocked, NewBlocked)
 }
 
-// loadSnapshotFile opens path, runs the stream loader, and enforces that the
-// snapshot accounts for every byte of the file.
-func loadSnapshotFile(path, kind string, load func(f *os.File) (int64, error)) error {
+// loadFile opens path, loads the snapshot of the given kind, and enforces
+// that the snapshot accounts for every byte of the file.
+func loadFile[T restorer](path string, kind uint8, build func(Config) (T, error)) (T, error) {
+	var none T
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("core: open snapshot: %w", err)
+		return none, fmt.Errorf("core: open snapshot: %w", err)
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("core: stat snapshot: %w", err)
+		return none, fmt.Errorf("core: stat snapshot: %w", err)
 	}
-	n, err := load(f)
+	t, n, err := loadSnapshot(f, kind, build)
 	if err != nil {
-		return err
+		return none, err
 	}
 	if n != info.Size() {
-		return corruptf(kind, "trailer", n, "%d trailing bytes after snapshot end", info.Size()-n)
+		return none, corruptf(kindNames[kind], "trailer", n, "%d trailing bytes after snapshot end", info.Size()-n)
 	}
-	return nil
+	return t, nil
 }

@@ -97,7 +97,7 @@ func (t *BlockedTable) LookupReadOnlyTraced(key uint64) (value uint64, ok bool, 
 
 	flagAnd := true
 	for i := 0; i < d; i++ {
-		base := t.slotIndex(i, cand[i], 0)
+		base := t.cellIndex(i, cand[i], 0)
 		live := false
 		allZero := true
 		var cnt [8]uint64
@@ -117,10 +117,10 @@ func (t *BlockedTable) LookupReadOnlyTraced(key uint64) (value uint64, ok bool, 
 			continue
 		}
 		offReads++
-		flagAnd = flagAnd && t.flags.Get(t.bucketFlagIndex(i, cand[i]))
+		flagAnd = flagAnd && t.flags.Get(t.bucketIndex(i, cand[i]))
 		for s := 0; s < l; s++ {
-			if !t.isFree(cnt[s]) && t.keys[base+s] == key {
-				return t.vals[base+s], true, offReads
+			if !t.isFree(cnt[s]) && t.cells[base+s].Key == key {
+				return t.cells[base+s].Value, true, offReads
 			}
 		}
 	}

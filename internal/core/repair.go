@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"mccuckoo/internal/bitpack"
 	"mccuckoo/internal/hashutil"
 )
@@ -24,6 +26,9 @@ import (
 // case stale bucket content cannot exist and every stored key is live (K = 0
 // is excluded because an all-zero bucket is indistinguishable from a
 // never-written one; key 0 survives repair only through counter evidence).
+// Which slot of each candidate bucket holds a live key's copy is the kind's
+// call (repairCopies): the single-slot table has one, the blocked table
+// resolves several by evidence and hint vote.
 //
 // Consequences, documented rather than hidden:
 //
@@ -33,15 +38,15 @@ import (
 //     value. Conversely a key whose every copy counter was zeroed on a
 //     table that has deleted is indistinguishable from a deleted key and
 //     stays dead.
-//   - Aliens are cleared. A bucket whose stored key does not hash there
+//   - Aliens are cleared. A cell whose stored key does not hash there
 //     (off-chip corruption) cannot be a copy of anything; its counter is
 //     zeroed and the item survives through its sibling copies — the
 //     multi-copy redundancy doubling as fault tolerance.
 //   - Stash flags are resynchronized to the stash's current content,
 //     subsuming stale Bloom bits left by stash deletions.
-//   - In Tombstone mode every non-live slot still holding a key is re-marked
+//   - In Tombstone mode every non-live cell still holding a key is re-marked
 //     with the tombstone value: after on-chip loss it is unknowable which
-//     dead slots carried deletion marks, and under-marking would let the
+//     dead cells carried deletion marks, and under-marking would let the
 //     rule-1 lookup shortcut miss live keys whose candidate buckets filled
 //     up and later emptied.
 //
@@ -53,50 +58,47 @@ import (
 //
 //mcvet:setter counters
 //mcvet:deterministic
-func (t *Table) Repair() RepairReport {
-	d, n := t.cfg.D, t.cfg.BucketsPerTable
-	rep := RepairReport{SizeBefore: t.size, CopiesBefore: t.copiesTotal}
-	t.meter.ReadOff(int64(d * n))
+func (s *tableState) Repair() RepairReport {
+	d, n, l := s.cfg.D, s.cfg.BucketsPerTable, s.cfg.Slots
+	rep := RepairReport{SizeBefore: s.size, CopiesBefore: s.copiesTotal}
+	s.meter.ReadOff(int64(d * n))
 
-	// Pass 1: group valid-position bucket content by key, noting which
-	// copies the surviving counters corroborate.
-	type keyState struct {
-		tables   []int8 // subtables whose candidate bucket stores the key
-		evidence bool   // any of them has a non-free counter
-	}
-	found := make(map[uint64]*keyState, t.size)
+	// Pass 1: group valid-position cell content by key, noting which copies
+	// the surviving counters corroborate.
+	found := make(map[uint64]repairKey, s.size)
 	for j := 0; j < d; j++ {
 		for b := 0; b < n; b++ {
-			idx := t.bucketIndex(j, b)
-			key := t.cells[idx].Key
-			c := t.counters.Get(idx)
-			if t.family.Index(j, key) != b {
-				if !t.isFree(c) {
-					rep.AliensCleared++
+			for slot := 0; slot < l; slot++ {
+				idx := s.cellIndex(j, b, slot)
+				key := s.cells[idx].Key
+				c := s.counters.Get(idx)
+				if s.family.Index(j, key) != b {
+					if !s.isFree(c) {
+						rep.AliensCleared++
+					}
+					continue
 				}
-				continue
-			}
-			if key == 0 && t.isFree(c) {
-				continue // indistinguishable from a never-written bucket
-			}
-			ks := found[key]
-			if ks == nil {
-				ks = &keyState{}
-				found[key] = ks
-			}
-			ks.tables = append(ks.tables, int8(j))
-			if !t.isFree(c) {
-				ks.evidence = true
+				if key == 0 && s.isFree(c) {
+					continue // indistinguishable from a never-written cell
+				}
+				k := found[key]
+				k.slots[j] |= 1 << slot
+				if !s.isFree(c) {
+					k.evid[j] |= 1 << slot
+					k.evidence = true
+				}
+				found[key] = k
 			}
 		}
 	}
 
 	// Pass 2: rebuild counters for every live key; repair divergent values
-	// from an evidenced copy.
-	newCounters, err := bitpack.NewCounters(d*n, t.cfg.counterWidth())
+	// from an evidenced copy, and on blocked tables the hint vectors.
+	newCounters, err := bitpack.NewCounters(d*n*l, s.cfg.counterWidth())
 	if err != nil {
 		panic(err) // geometry already validated at construction
 	}
+	hints := s.algo.hintsRef()
 	live := make(map[uint64]struct{}, len(found))
 	newSize, newCopies := 0, 0
 	var cand [hashutil.MaxD]int
@@ -104,195 +106,12 @@ func (t *Table) Repair() RepairReport {
 	// across keys, so the per-key work commutes and the final state is
 	// iteration-order independent.
 	//mcvet:allow nodeterminism per-key rebuild touches disjoint slots; order-independent
-	for key, ks := range found {
-		if !ks.evidence && (t.deletedAny || key == 0) {
+	for key, k := range found {
+		if !k.evidence && (s.deletedAny || key == 0) {
 			continue // stale (or unknowable) content stays dead
 		}
-		t.family.Indexes(key, cand[:])
-		// Value consensus: majority vote over all copies, evidenced copies
-		// breaking ties — so a single corrupted value among three copies is
-		// outvoted, not propagated.
-		val := t.cells[t.bucketIndex(int(ks.tables[0]), cand[ks.tables[0]])].Value
-		if len(ks.tables) > 1 {
-			votes := make(map[uint64]int, len(ks.tables))
-			best := -1
-			for _, j := range ks.tables {
-				cv := t.cells[t.bucketIndex(int(j), cand[j])].Value
-				w := 2
-				if !t.isFree(t.counters.Get(t.bucketIndex(int(j), cand[j]))) {
-					w = 3 // evidenced copies outrank equally-split others
-				}
-				votes[cv] += w
-				if votes[cv] > best {
-					best = votes[cv]
-					val = cv
-				}
-			}
-		}
-		copies := len(ks.tables)
-		for _, j := range ks.tables {
-			idx := t.bucketIndex(int(j), cand[j])
-			newCounters.Set(idx, uint64(copies))
-			if t.cells[idx].Value != val {
-				t.cells[idx].Value = val
-				t.meter.WriteOff(1)
-				rep.ValuesFixed++
-			}
-		}
-		live[key] = struct{}{}
-		newSize++
-		newCopies += copies
-	}
-
-	// In Tombstone mode, re-mark every dead slot that still holds a key:
-	// conservative deletion marks keep the rule-1 shortcut sound (see the
-	// function comment).
-	if t.tombstoneVal != 0 {
-		for idx := range t.cells {
-			if t.cells[idx].Key != 0 && newCounters.Get(idx) == 0 {
-				newCounters.Set(idx, t.tombstoneVal)
-			}
-		}
-	}
-
-	rep.CountersFixed = installCounters(t.counters, newCounters, &t.meter)
-	t.counters = newCounters
-	rep.FlagsFixed, rep.StashDropped = t.rebuildStashState(live, cand[:])
-	t.size, t.copiesTotal = newSize, newCopies
-	rep.SizeAfter, rep.CopiesAfter = newSize, newCopies
-	if rep.AliensCleared > 0 {
-		// Clearing an alien frees a bucket a live key may have had a copy
-		// in — the same hole a deletion leaves, so the never-deleted
-		// shortcuts no longer hold.
-		t.deletedAny = true
-	}
-	return rep
-}
-
-// rebuildStashState drops stash entries shadowed by a live main-table copy
-// and resynchronizes the per-bucket stash flags to the surviving entries.
-//
-//mcvet:setter flags
-func (t *Table) rebuildStashState(live map[uint64]struct{}, cand []int) (flagsFixed, stashDropped int) {
-	newFlags, err := bitpack.NewBitset(t.flags.Len())
-	if err != nil {
-		panic(err)
-	}
-	if t.overflow != nil {
-		for _, e := range t.overflow.Entries() {
-			if _, dup := live[e.Key]; dup {
-				t.overflow.Delete(e.Key)
-				stashDropped++
-				continue
-			}
-			t.family.Indexes(e.Key, cand)
-			for j := 0; j < t.cfg.D; j++ {
-				newFlags.Set(t.bucketIndex(j, cand[j]))
-			}
-		}
-	}
-	flagsFixed = installFlags(t.flags, newFlags, &t.meter)
-	t.flags = newFlags
-	return flagsFixed, stashDropped
-}
-
-// Repair rebuilds the blocked table's derived state from the off-chip slots,
-// hints, and stash, with the same liveness rule and documented semantics as
-// Table.Repair.
-//
-// The blocked layout adds one ambiguity the single-slot table cannot have: a
-// candidate bucket may hold both a live copy of a key and a stale one (a
-// reinsertion after deletion may land in a different slot of the same
-// bucket). Per subtable the copy is resolved in order of trust: a single
-// counter-corroborated slot wins outright; among several, the hint vectors
-// of the key's corroborated copies in other subtables vote (hints are stored
-// off-chip with the items and survive on-chip loss); with no corroboration
-// at all, the hint vote alone decides, except on a never-deleted table where
-// stale slots cannot exist and the stored slot is taken as-is. Hint vectors
-// of all chosen copies are then rewritten to point exactly at each other.
-//
-//mcvet:setter counters
-//mcvet:deterministic
-func (t *BlockedTable) Repair() RepairReport {
-	d, n, l := t.cfg.D, t.cfg.BucketsPerTable, t.cfg.Slots
-	rep := RepairReport{SizeBefore: t.size, CopiesBefore: t.copiesTotal}
-	t.meter.ReadOff(int64(d * n))
-
-	type keyState struct {
-		slots    [hashutil.MaxD][]int8 // candidate-bucket slots holding the key
-		evid     [hashutil.MaxD][]int8 // the counter-corroborated subset
-		evidence bool
-	}
-	found := make(map[uint64]*keyState, t.size)
-	for j := 0; j < d; j++ {
-		for b := 0; b < n; b++ {
-			for s := 0; s < l; s++ {
-				idx := t.slotIndex(j, b, s)
-				key := t.keys[idx]
-				c := t.counters.Get(idx)
-				if t.family.Index(j, key) != b {
-					if !t.isFree(c) {
-						rep.AliensCleared++
-					}
-					continue
-				}
-				if key == 0 && t.isFree(c) {
-					continue
-				}
-				ks := found[key]
-				if ks == nil {
-					ks = &keyState{}
-					found[key] = ks
-				}
-				ks.slots[j] = append(ks.slots[j], int8(s))
-				if !t.isFree(c) {
-					ks.evid[j] = append(ks.evid[j], int8(s))
-					ks.evidence = true
-				}
-			}
-		}
-	}
-
-	newCounters, err := bitpack.NewCounters(d*n*l, t.cfg.counterWidth())
-	if err != nil {
-		panic(err)
-	}
-	live := make(map[uint64]struct{}, len(found))
-	newSize, newCopies := 0, 0
-	var cand [hashutil.MaxD]int
-	// Each key rebuilds only its own candidate slots, which are disjoint
-	// across keys, so the per-key work commutes and the final state is
-	// iteration-order independent.
-	//mcvet:allow nodeterminism per-key rebuild touches disjoint slots; order-independent
-	for key, ks := range found {
-		if !ks.evidence && (t.deletedAny || key == 0) {
-			continue
-		}
-		t.family.Indexes(key, cand[:])
-
-		// Resolve the copy slot per subtable: evidence, then hint vote,
-		// then (never-deleted tables only) the stored slot. Lanes beyond d
-		// stay noSlot, matching the stored hint-vector convention.
-		sel := [4]int8{noSlot, noSlot, noSlot, noSlot}
-		for j := 0; j < d; j++ {
-			slots, evid := ks.slots[j], ks.evid[j]
-			switch {
-			case len(evid) == 1:
-				sel[j] = evid[0]
-			case len(evid) > 1:
-				if v := t.hintVote(ks.evid[:], cand[:], j, evid); v != noSlot {
-					sel[j] = v
-				} else {
-					sel[j] = evid[0]
-				}
-			case len(slots) == 0:
-				// no copy in this subtable
-			case !t.deletedAny:
-				sel[j] = slots[0] // stale slots cannot exist
-			default:
-				sel[j] = t.hintVote(ks.evid[:], cand[:], j, slots)
-			}
-		}
+		s.family.Indexes(key, cand[:])
+		sel := s.algo.repairCopies(k, cand[:])
 		copies := 0
 		for j := 0; j < d; j++ {
 			if sel[j] != noSlot {
@@ -304,43 +123,51 @@ func (t *BlockedTable) Repair() RepairReport {
 		}
 
 		// Value consensus: majority vote over the chosen copies, evidenced
-		// copies breaking ties — a single corrupted value among three
-		// copies is outvoted, not propagated.
+		// copies breaking ties — so a single corrupted value among three
+		// copies is outvoted, not propagated. At most d distinct values
+		// compete, so they are tallied in place.
+		var vals [hashutil.MaxD]uint64
+		var votes [hashutil.MaxD]int
 		var val uint64
-		{
-			votes := make(map[uint64]int, copies)
-			best := -1
-			for j := 0; j < d; j++ {
-				if sel[j] == noSlot {
-					continue
-				}
-				idx := t.slotIndex(j, cand[j], int(sel[j]))
-				w := 2
-				if !t.isFree(t.counters.Get(idx)) {
-					w = 3
-				}
-				votes[t.vals[idx]] += w
-				if votes[t.vals[idx]] > best {
-					best = votes[t.vals[idx]]
-					val = t.vals[idx]
-				}
+		distinct, best := 0, -1
+		for j := 0; j < d; j++ {
+			if sel[j] == noSlot {
+				continue
+			}
+			idx := s.cellIndex(j, cand[j], int(sel[j]))
+			cv := s.cells[idx].Value
+			w := 2
+			if !s.isFree(s.counters.Get(idx)) {
+				w = 3 // evidenced copies outrank equally-split others
+			}
+			v := 0
+			for v < distinct && vals[v] != cv {
+				v++
+			}
+			if v == distinct {
+				vals[v] = cv
+				distinct++
+			}
+			votes[v] += w
+			if votes[v] > best {
+				best = votes[v]
+				val = cv
 			}
 		}
 		for j := 0; j < d; j++ {
 			if sel[j] == noSlot {
 				continue
 			}
-			idx := t.slotIndex(j, cand[j], int(sel[j]))
+			idx := s.cellIndex(j, cand[j], int(sel[j]))
 			newCounters.Set(idx, uint64(copies))
-			if t.vals[idx] != val {
-				t.vals[idx] = val
-				t.meter.WriteOff(1)
+			if s.cells[idx].Value != val {
+				s.cells[idx].Value = val
+				s.meter.WriteOff(1)
 				rep.ValuesFixed++
 			}
-			want := [4]int8{sel[0], sel[1], sel[2], sel[3]}
-			if t.hints[idx] != want {
-				t.hints[idx] = want
-				t.meter.WriteOff(1)
+			if hints != nil && (*hints)[idx] != sel {
+				(*hints)[idx] = sel
+				s.meter.WriteOff(1)
 				rep.HintsFixed++
 			}
 		}
@@ -349,49 +176,107 @@ func (t *BlockedTable) Repair() RepairReport {
 		newCopies += copies
 	}
 
-	if t.tombstoneVal != 0 {
-		for idx := range t.keys {
-			if t.keys[idx] != 0 && newCounters.Get(idx) == 0 {
-				newCounters.Set(idx, t.tombstoneVal)
+	// In Tombstone mode, re-mark every dead cell that still holds a key:
+	// conservative deletion marks keep the rule-1 shortcut sound (see the
+	// function comment).
+	if s.tombstoneVal != 0 {
+		for idx := range s.cells {
+			if s.cells[idx].Key != 0 && newCounters.Get(idx) == 0 {
+				newCounters.Set(idx, s.tombstoneVal)
 			}
 		}
 	}
 
-	rep.CountersFixed = installCounters(t.counters, newCounters, &t.meter)
-	t.counters = newCounters
-	rep.FlagsFixed, rep.StashDropped = t.rebuildStashState(live, cand[:])
-	t.size, t.copiesTotal = newSize, newCopies
+	rep.CountersFixed = installCounters(s.counters, newCounters, &s.meter)
+	s.counters = newCounters
+	rep.FlagsFixed, rep.StashDropped = s.rebuildStashState(live, cand[:])
+	s.size, s.copiesTotal = newSize, newCopies
 	rep.SizeAfter, rep.CopiesAfter = newSize, newCopies
 	if rep.AliensCleared > 0 {
-		// As in Table.Repair: a cleared alien leaves the hole a deletion
-		// would, so the never-deleted shortcuts no longer hold.
-		t.deletedAny = true
+		// Clearing an alien frees a cell a live key may have had a copy
+		// in — the same hole a deletion leaves, so the never-deleted
+		// shortcuts no longer hold.
+		s.deletedAny = true
 	}
 	return rep
 }
+
+// repairKey is what Repair's off-chip scan learned about one key: per
+// subtable, the bitmask of candidate-bucket slots storing it and the
+// counter-corroborated subset.
+type repairKey struct {
+	slots    [hashutil.MaxD]uint8
+	evid     [hashutil.MaxD]uint8
+	evidence bool
+}
+
+// repairCopies takes every subtable whose candidate bucket stores the key:
+// a single-slot bucket holds at most one candidate copy.
+func (t *Table) repairCopies(k repairKey, _ []int) [4]int8 {
+	sel := [4]int8{noSlot, noSlot, noSlot, noSlot}
+	for j := 0; j < t.cfg.D; j++ {
+		if k.slots[j] != 0 {
+			sel[j] = 0
+		}
+	}
+	return sel
+}
+
+// repairCopies resolves the copy slot per subtable. The blocked layout adds
+// one ambiguity the single-slot table cannot have: a candidate bucket may
+// hold both a live copy of a key and a stale one (a reinsertion after
+// deletion may land in a different slot of the same bucket). The copy is
+// resolved in order of trust: a single counter-corroborated slot wins
+// outright; among several, the hint vectors of the key's corroborated
+// copies in other subtables vote (hints are stored off-chip with the items
+// and survive on-chip loss); with no corroboration at all, the hint vote
+// alone decides, except on a never-deleted table where stale slots cannot
+// exist and the stored slot is taken as-is. Lanes beyond d stay noSlot,
+// matching the stored hint-vector convention, so Repair can write the
+// result back as every chosen copy's hint vector.
+func (t *BlockedTable) repairCopies(k repairKey, cand []int) [4]int8 {
+	sel := [4]int8{noSlot, noSlot, noSlot, noSlot}
+	for j := 0; j < t.cfg.D; j++ {
+		slots, evid := k.slots[j], k.evid[j]
+		switch {
+		case bits.OnesCount8(evid) == 1:
+			sel[j] = lowestSlot(evid)
+		case evid != 0:
+			if v := t.hintVote(k.evid, cand, j, evid); v != noSlot {
+				sel[j] = v
+			} else {
+				sel[j] = lowestSlot(evid)
+			}
+		case slots == 0:
+			// no copy in this subtable
+		case !t.deletedAny:
+			sel[j] = lowestSlot(slots) // stale slots cannot exist
+		default:
+			sel[j] = t.hintVote(k.evid, cand, j, slots)
+		}
+	}
+	return sel
+}
+
+// lowestSlot returns the lowest slot in a non-empty slot mask.
+func lowestSlot(mask uint8) int8 { return int8(bits.TrailingZeros8(mask)) }
 
 // hintVote tallies, among the key's counter-corroborated copies in subtables
 // other than j, what slot their stored hint vectors name for subtable j, and
 // returns the majority choice provided it is one of the allowed slots (ties
 // break to the lowest slot). noSlot means no usable vote.
-func (t *BlockedTable) hintVote(evid [][]int8, cand []int, j int, allowed []int8) int8 {
+func (t *BlockedTable) hintVote(evid [hashutil.MaxD]uint8, cand []int, j int, allowed uint8) int8 {
 	var votes [4]int
 	any := false
 	for k := 0; k < t.cfg.D; k++ {
 		if k == j {
 			continue
 		}
-		for _, s := range evid[k] {
-			h := t.hints[t.slotIndex(k, cand[k], int(s))][j]
-			if h == noSlot {
-				continue
-			}
-			for _, a := range allowed {
-				if a == h {
-					votes[h]++
-					any = true
-					break
-				}
+		for m := evid[k]; m != 0; m &= m - 1 {
+			h := t.hints[t.cellIndex(k, cand[k], int(lowestSlot(m)))][j]
+			if h != noSlot && allowed&(1<<h) != 0 {
+				votes[h]++
+				any = true
 			}
 		}
 	}
@@ -407,28 +292,29 @@ func (t *BlockedTable) hintVote(evid [][]int8, cand []int, j int, allowed []int8
 	return best
 }
 
-// rebuildStashState is the blocked-table variant: flags are per bucket.
+// rebuildStashState drops stash entries shadowed by a live main-table copy
+// and resynchronizes the per-bucket stash flags to the surviving entries.
 //
 //mcvet:setter flags
-func (t *BlockedTable) rebuildStashState(live map[uint64]struct{}, cand []int) (flagsFixed, stashDropped int) {
-	newFlags, err := bitpack.NewBitset(t.flags.Len())
+func (s *tableState) rebuildStashState(live map[uint64]struct{}, cand []int) (flagsFixed, stashDropped int) {
+	newFlags, err := bitpack.NewBitset(s.flags.Len())
 	if err != nil {
 		panic(err)
 	}
-	if t.overflow != nil {
-		for _, e := range t.overflow.Entries() {
+	if s.overflow != nil {
+		for _, e := range s.overflow.Entries() {
 			if _, dup := live[e.Key]; dup {
-				t.overflow.Delete(e.Key)
+				s.overflow.Delete(e.Key)
 				stashDropped++
 				continue
 			}
-			t.family.Indexes(e.Key, cand)
-			for j := 0; j < t.cfg.D; j++ {
-				newFlags.Set(t.bucketFlagIndex(j, cand[j]))
+			s.family.Indexes(e.Key, cand)
+			for j := 0; j < s.cfg.D; j++ {
+				newFlags.Set(s.bucketIndex(j, cand[j]))
 			}
 		}
 	}
-	flagsFixed = installFlags(t.flags, newFlags, &t.meter)
-	t.flags = newFlags
+	flagsFixed = installFlags(s.flags, newFlags, &s.meter)
+	s.flags = newFlags
 	return flagsFixed, stashDropped
 }

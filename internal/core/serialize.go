@@ -37,8 +37,6 @@ import (
 const (
 	snapshotMagic   = "MCCK"
 	snapshotVersion = 3
-	kindSingle      = 0
-	kindBlocked     = 1
 )
 
 // castagnoli is the CRC32C polynomial table shared by writers and readers.
@@ -330,15 +328,12 @@ type snapshotState struct {
 	stash           []kv.Entry
 }
 
-// geometry derives the array sizes a configuration implies. cells is the
-// number of counter cells (buckets for single-slot, slots for blocked);
-// flagBits is always the bucket count.
-func snapshotGeometry(cfg *Config, blocked bool) (cells, flagBits, counterWords, flagWords, kickWords uint64) {
+// geometry derives the array sizes a normalized configuration implies.
+// cells is the number of counter cells (buckets times slots); flagBits is
+// always the bucket count.
+func snapshotGeometry(cfg *Config) (cells, flagBits, counterWords, flagWords, kickWords uint64) {
 	buckets := uint64(cfg.D) * uint64(cfg.BucketsPerTable)
-	cells = buckets
-	if blocked {
-		cells *= uint64(cfg.Slots)
-	}
+	cells = buckets * uint64(cfg.Slots)
 	flagBits = buckets
 	perWord := 64 / uint64(cfg.counterWidth())
 	counterWords = (cells + perWord - 1) / perWord
@@ -409,7 +404,8 @@ func writeSnapshot(w io.Writer, st *snapshotState) (int64, error) {
 // any geometry-sized allocation happens, and every section must pass its
 // checksum. It returns the bytes consumed so file loaders can reject
 // trailing garbage.
-func readSnapshot(r io.Reader, kindName string, wantKind uint8, blocked bool) (*snapshotState, int64, error) {
+func readSnapshot(r io.Reader, wantKind uint8) (*snapshotState, int64, error) {
+	kindName, blocked := kindNames[wantKind], wantKind == kindBlocked
 	s := &snapReader{r: bufio.NewReader(r), kind: kindName}
 	st := &snapshotState{kind: wantKind}
 
@@ -439,7 +435,7 @@ func readSnapshot(r io.Reader, kindName string, wantKind uint8, blocked bool) (*
 			Reason: "invalid configuration", Err: err}
 	}
 	st.cfg = cfg
-	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(&cfg, blocked)
+	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(&cfg)
 
 	s.beginSection("bookkeeping")
 	size := s.u64()
@@ -532,30 +528,34 @@ func splitCells(cells []kv.Entry) (keys, vals []uint64) {
 // snapshot captures the table's complete logical state.
 //
 //mcvet:deterministic
-func (t *Table) snapshot() *snapshotState {
-	keys, vals := splitCells(t.cells)
-	return &snapshotState{
-		kind:            kindSingle,
-		cfg:             t.cfg,
-		size:            t.size,
-		copiesTotal:     t.copiesTotal,
-		redundantWrites: t.redundantWrites,
-		deletedAny:      t.deletedAny,
-		meter:           t.meter.Snapshot(),
+func (s *tableState) snapshot() *snapshotState {
+	keys, vals := splitCells(s.cells)
+	st := &snapshotState{
+		kind:            s.kind,
+		cfg:             s.cfg,
+		size:            s.size,
+		copiesTotal:     s.copiesTotal,
+		redundantWrites: s.redundantWrites,
+		deletedAny:      s.deletedAny,
+		meter:           s.meter.Snapshot(),
 		keys:            keys,
 		vals:            vals,
-		counterWords:    t.counters.Words(),
-		flagWords:       t.flags.Words(),
-		kickWords:       kickWordsOf(t.kickCounts),
-		stash:           stashEntriesOf(t.overflow),
+		counterWords:    s.counters.Words(),
+		flagWords:       s.flags.Words(),
+		kickWords:       kickWordsOf(s.kickCounts),
+		stash:           stashEntriesOf(s.overflow),
 	}
+	if hints := s.algo.hintsRef(); hints != nil {
+		st.hints = *hints
+	}
+	return st
 }
 
 // WriteTo serializes the table. It implements io.WriterTo.
 //
 //mcvet:deterministic
-func (t *Table) WriteTo(w io.Writer) (int64, error) {
-	return writeSnapshot(w, t.snapshot())
+func (s *tableState) WriteTo(w io.Writer) (int64, error) {
+	return writeSnapshot(w, s.snapshot())
 }
 
 // Load deserializes a single-slot table previously written with WriteTo.
@@ -563,116 +563,74 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 // with a *CorruptError; Load never panics on garbage and never returns a
 // table that fails CheckInvariants.
 func Load(r io.Reader) (*Table, error) {
-	t, _, err := loadTable(r)
+	t, _, err := loadSnapshot(r, kindSingle, New)
 	return t, err
-}
-
-func loadTable(r io.Reader) (*Table, int64, error) {
-	st, n, err := readSnapshot(r, "table", kindSingle, false)
-	if err != nil {
-		return nil, n, err
-	}
-	t, err := New(st.cfg)
-	if err != nil {
-		return nil, n, &CorruptError{Kind: "table", Section: "header", Offset: n,
-			Reason: "configuration rejected", Err: err}
-	}
-	t.size = st.size
-	t.copiesTotal = st.copiesTotal
-	t.redundantWrites = st.redundantWrites
-	t.deletedAny = st.deletedAny
-	t.meter = st.meter
-	for i := range t.cells {
-		t.cells[i] = kv.Entry{Key: st.keys[i], Value: st.vals[i]}
-	}
-	if err := restoreOnChip(st, t.counters, t.flags, t.kickCounts, uint64(t.cfg.D), t.tombstoneVal); err != nil {
-		return nil, n, &CorruptError{Kind: "table", Section: "onchip", Offset: n,
-			Reason: "on-chip state invalid", Err: err}
-	}
-	if t.overflow != nil {
-		if err := t.overflow.Restore(st.stash); err != nil {
-			return nil, n, &CorruptError{Kind: "table", Section: "stash", Offset: n,
-				Reason: "stash rejected", Err: err}
-		}
-	}
-	t.reseedRNG()
-	if err := t.CheckInvariants(); err != nil {
-		return nil, n, &CorruptError{Kind: "table", Section: "consistency", Offset: n,
-			Reason: "snapshot inconsistent", Err: err}
-	}
-	return t, n, nil
-}
-
-// snapshot captures the blocked table's complete logical state.
-//
-//mcvet:deterministic
-func (t *BlockedTable) snapshot() *snapshotState {
-	return &snapshotState{
-		kind:            kindBlocked,
-		cfg:             t.cfg,
-		size:            t.size,
-		copiesTotal:     t.copiesTotal,
-		redundantWrites: t.redundantWrites,
-		deletedAny:      t.deletedAny,
-		meter:           t.meter.Snapshot(),
-		keys:            t.keys,
-		vals:            t.vals,
-		hints:           t.hints,
-		counterWords:    t.counters.Words(),
-		flagWords:       t.flags.Words(),
-		kickWords:       kickWordsOf(t.kickCounts),
-		stash:           stashEntriesOf(t.overflow),
-	}
-}
-
-// WriteTo serializes the blocked table. It implements io.WriterTo.
-//
-//mcvet:deterministic
-func (t *BlockedTable) WriteTo(w io.Writer) (int64, error) {
-	return writeSnapshot(w, t.snapshot())
 }
 
 // LoadBlocked deserializes a blocked table previously written with WriteTo,
 // with the same rejection guarantees as Load.
 func LoadBlocked(r io.Reader) (*BlockedTable, error) {
-	t, _, err := loadBlockedTable(r)
+	t, _, err := loadSnapshot(r, kindBlocked, NewBlocked)
 	return t, err
 }
 
-func loadBlockedTable(r io.Reader) (*BlockedTable, int64, error) {
-	st, n, err := readSnapshot(r, "blocked", kindBlocked, true)
+// restorer is a freshly built table that a validated snapshot can be
+// restored into; both kinds implement it through their shared state.
+type restorer interface {
+	restore(st *snapshotState, offset int64) error
+}
+
+// loadSnapshot reads one snapshot of the given kind and restores it into the
+// table build makes from the snapshot's configuration. It returns the bytes
+// consumed.
+func loadSnapshot[T restorer](r io.Reader, kind uint8, build func(Config) (T, error)) (T, int64, error) {
+	var none T
+	st, n, err := readSnapshot(r, kind)
 	if err != nil {
-		return nil, n, err
+		return none, n, err
 	}
-	t, err := NewBlocked(st.cfg)
+	t, err := build(st.cfg)
 	if err != nil {
-		return nil, n, &CorruptError{Kind: "blocked", Section: "header", Offset: n,
+		return none, n, &CorruptError{Kind: kindNames[kind], Section: "header", Offset: n,
 			Reason: "configuration rejected", Err: err}
 	}
-	t.size = st.size
-	t.copiesTotal = st.copiesTotal
-	t.redundantWrites = st.redundantWrites
-	t.deletedAny = st.deletedAny
-	t.meter = st.meter
-	copy(t.keys, st.keys)
-	copy(t.vals, st.vals)
-	copy(t.hints, st.hints)
-	if err := restoreOnChip(st, t.counters, t.flags, t.kickCounts, uint64(t.cfg.D), t.tombstoneVal); err != nil {
-		return nil, n, &CorruptError{Kind: "blocked", Section: "onchip", Offset: n,
+	if err := t.restore(st, n); err != nil {
+		return none, n, err
+	}
+	return t, n, nil
+}
+
+// restore installs a validated snapshot into a freshly built table and
+// re-checks every invariant.
+func (s *tableState) restore(st *snapshotState, n int64) error {
+	kind := kindNames[s.kind]
+	s.size = st.size
+	s.copiesTotal = st.copiesTotal
+	s.redundantWrites = st.redundantWrites
+	s.deletedAny = st.deletedAny
+	s.meter = st.meter
+	for i := range s.cells {
+		s.cells[i] = kv.Entry{Key: st.keys[i], Value: st.vals[i]}
+	}
+	if hints := s.algo.hintsRef(); hints != nil {
+		copy(*hints, st.hints)
+	}
+	if err := restoreOnChip(st, s.counters, s.flags, s.kickCounts, uint64(s.cfg.D), s.tombstoneVal); err != nil {
+		return &CorruptError{Kind: kind, Section: "onchip", Offset: n,
 			Reason: "on-chip state invalid", Err: err}
 	}
-	if t.overflow != nil {
-		if err := t.overflow.Restore(st.stash); err != nil {
-			return nil, n, &CorruptError{Kind: "blocked", Section: "stash", Offset: n,
+	if s.overflow != nil {
+		if err := s.overflow.Restore(st.stash); err != nil {
+			return &CorruptError{Kind: kind, Section: "stash", Offset: n,
 				Reason: "stash rejected", Err: err}
 		}
 	}
-	t.reseedRNG()
-	if err := t.CheckInvariants(); err != nil {
-		return nil, n, &CorruptError{Kind: "blocked", Section: "consistency", Offset: n,
+	s.reseedRNG()
+	if err := s.CheckInvariants(); err != nil {
+		return &CorruptError{Kind: kind, Section: "consistency", Offset: n,
 			Reason: "snapshot inconsistent", Err: err}
 	}
-	return t, n, nil
+	return nil
 }
 
 // restoreOnChip loads the packed counter/flag/kick words into a freshly

@@ -106,6 +106,58 @@ func TestSnapshotBlockedRoundTrip(t *testing.T) {
 	checkBlockedInv(t, got)
 }
 
+// TestSnapshotBlockedMinCounterRoundTrip covers the kick-counter words of a
+// blocked snapshot: a MinCounter table that has kicked reloads to the same
+// bytes, kick words included.
+func TestSnapshotBlockedMinCounterRoundTrip(t *testing.T) {
+	tab := mustNewBlocked(t, Config{BucketsPerTable: 48, Seed: 131, MaxLoop: 100,
+		Policy: kv.MinCounter, Deletion: Tombstone, StashEnabled: true})
+	keys := fillKeys(132, tab.Capacity()+10)
+	for _, k := range keys {
+		tab.Insert(k, k^5)
+	}
+	for _, k := range keys[:40] {
+		tab.Delete(k)
+	}
+	if tab.Stats().Kicks == 0 {
+		t.Fatal("test needs kick-outs")
+	}
+	kicked := false
+	for _, w := range tab.kickCounts.Words() {
+		kicked = kicked || w != 0
+	}
+	if !kicked {
+		t.Fatal("test needs non-zero kick counters")
+	}
+	var buf bytes.Buffer
+	if _, err := tab.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadBlocked(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadBlocked: %v", err)
+	}
+	var again bytes.Buffer
+	if _, err := got.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("blocked MinCounter snapshot does not round-trip byte for byte")
+	}
+	for _, k := range keys[40:] {
+		if v, ok := got.Lookup(k); !ok || v != k^5 {
+			t.Fatalf("key %#x lost across blocked MinCounter snapshot", k)
+		}
+	}
+	// The restored kick counters keep steering the resolver.
+	for _, k := range fillKeys(133, 40) {
+		if got.Insert(k, k).Status == kv.Failed {
+			t.Fatal("post-load insert failed")
+		}
+	}
+	checkBlockedInv(t, got)
+}
+
 func TestSnapshotKindMismatch(t *testing.T) {
 	tab := mustNew(t, Config{BucketsPerTable: 16, Seed: 96})
 	tab.Insert(1, 1)

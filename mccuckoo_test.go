@@ -1,10 +1,12 @@
 package mccuckoo
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
+	"mccuckoo/internal/core"
 	"mccuckoo/internal/hashutil"
 )
 
@@ -23,6 +25,57 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := NewBlocked(100, WithSlots(5)); err == nil {
 		t.Error("slots=5 accepted")
+	}
+}
+
+// TestSingleSlotIgnoresWithSlots pins that WithSlots does not shrink the
+// single-slot kinds: New and NewSharded size their tables with l = 1.
+func TestSingleSlotIgnoresWithSlots(t *testing.T) {
+	plain, err := New(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []int{2, 3, 4} {
+		tab, err := New(1024, WithSlots(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Capacity() != plain.Capacity() {
+			t.Errorf("New(1024, WithSlots(%d)).Capacity() = %d, want %d", l, tab.Capacity(), plain.Capacity())
+		}
+		sh, err := NewSharded(1024, 4, WithSlots(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh.Capacity() < 1024 {
+			t.Errorf("NewSharded(1024, 4, WithSlots(%d)).Capacity() = %d, below the request", l, sh.Capacity())
+		}
+	}
+}
+
+// TestBlockedRejectsWithoutLookupPrescreen pins that NewBlocked refuses the
+// option it cannot honour instead of ignoring it, while a blocked snapshot
+// whose configuration carries the flag still loads.
+func TestBlockedRejectsWithoutLookupPrescreen(t *testing.T) {
+	if _, err := NewBlocked(900, WithoutLookupPrescreen()); err == nil {
+		t.Fatal("NewBlocked accepted WithoutLookupPrescreen")
+	}
+	inner, err := core.NewBlocked(core.Config{BucketsPerTable: 100, Seed: 5,
+		StashEnabled: true, DisablePrescreen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner.Insert(7, 70)
+	var buf bytes.Buffer
+	if _, err := inner.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := LoadBlocked(&buf)
+	if err != nil {
+		t.Fatalf("blocked snapshot with the prescreen flag rejected: %v", err)
+	}
+	if v, ok := tab.Lookup(7); !ok || v != 70 {
+		t.Fatalf("Lookup(7) = %d,%v after load", v, ok)
 	}
 }
 

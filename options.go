@@ -109,7 +109,8 @@ func WithHashFunctions(d int) Option {
 }
 
 // WithSlots sets the slots per bucket of a blocked table (2–4; default 3).
-// Ignored by New.
+// New and NewSharded build single-slot tables and ignore it: their capacity
+// does not depend on it.
 func WithSlots(l int) Option {
 	return func(c *config) error {
 		if l < 2 || l > 4 {
@@ -169,7 +170,8 @@ func WithMinCounterResolver() Option {
 
 // WithoutLookupPrescreen makes lookups read candidate buckets the
 // traditional way, ignoring the counters (the paper's §IV.F fallback for
-// platforms where counter checks are not cheap).
+// platforms where counter checks are not cheap). Single-slot tables only:
+// the blocked lookup always reads the counters, so NewBlocked rejects it.
 func WithoutLookupPrescreen() Option {
 	return func(c *config) error { c.noPre = true; return nil }
 }
@@ -226,7 +228,9 @@ func WithUniqueKeys() Option {
 }
 
 // buildConfig translates options into a core.Config for a table whose main
-// array should hold roughly `capacity` slots in total. The second result is
+// array should hold roughly `capacity` slots in total; a single-slot table
+// (blocked false) has one slot per bucket whatever WithSlots says, and a
+// blocked one refuses WithoutLookupPrescreen. The second result is
 // the telemetry attachment requested via WithTelemetry (nil when absent),
 // which lives outside core.Config because the collector wraps the table
 // rather than configuring it.
@@ -234,14 +238,16 @@ func buildConfig(capacity int, blocked bool, opts []Option) (core.Config, *Telem
 	if capacity < 8 {
 		return core.Config{}, nil, fmt.Errorf("mccuckoo: capacity must be at least 8, got %d", capacity)
 	}
-	c := config{d: 3, slots: 1, seed: 1}
-	if blocked {
-		c.slots = 3
-	}
+	c := config{d: 3, slots: 3, seed: 1}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return core.Config{}, nil, err
 		}
+	}
+	if !blocked {
+		c.slots = 1
+	} else if c.noPre {
+		return core.Config{}, nil, fmt.Errorf("mccuckoo: WithoutLookupPrescreen applies to single-slot tables only; the blocked lookup always reads the counters")
 	}
 	perTable := (capacity + c.d*c.slots - 1) / (c.d * c.slots)
 	return core.Config{

@@ -36,33 +36,23 @@ func recordCorrupt(tel *Telemetry, err error) error {
 }
 
 // Repair rebuilds the table's derived state — copy counters, stash flags,
-// size/copies bookkeeping — purely from the authoritative off-chip buckets
-// and stash. It is the recovery path for on-chip state loss (the counters
-// are the only record a deletion leaves, so deletions whose counters are
-// corrupted back to live may roll back; see DESIGN.md). The report says what
-// changed; an all-zero report means the table was already consistent. With
-// telemetry attached, the report is also recorded in the repair counters.
-func (t *Table) Repair() RepairReport {
-	rep := t.inner.Repair()
-	t.sink.RecordRepair(rep)
-	return rep
-}
-
-// Repair rebuilds the blocked table's derived state, additionally rebuilding
-// the per-copy slot-hint vectors. Semantics as Table.Repair.
-func (t *Blocked) Repair() RepairReport {
-	rep := t.inner.Repair()
-	t.sink.RecordRepair(rep)
+// size/copies bookkeeping, and on a Blocked table the per-copy slot-hint
+// vectors — purely from the authoritative off-chip buckets and stash. It is
+// the recovery path for on-chip state loss (the counters are the only
+// record a deletion leaves, so deletions whose counters are corrupted back
+// to live may roll back; see DESIGN.md). The report says what changed; an
+// all-zero report means the table was already consistent. With telemetry
+// attached, the report is also recorded in the repair counters.
+func (s *singleStore) Repair() RepairReport {
+	rep := s.inner.Repair()
+	s.sink.RecordRepair(rep)
 	return rep
 }
 
 // SaveFile writes a crash-safe snapshot to path: the bytes go to a temp file
 // in the same directory, are fsynced, and are atomically renamed over path.
 // A crash mid-save leaves the previous file intact, never a torn snapshot.
-func (t *Table) SaveFile(path string) error { return t.inner.SaveFile(path) }
-
-// SaveFile writes a crash-safe snapshot of the blocked table to path.
-func (t *Blocked) SaveFile(path string) error { return t.inner.SaveFile(path) }
+func (s *singleStore) SaveFile(path string) error { return s.inner.SaveFile(path) }
 
 // LoadFile restores a single-slot table from a SaveFile snapshot. On top of
 // Load's checksum and bounds validation it rejects trailing bytes after the
@@ -78,9 +68,7 @@ func LoadFile(path string, opts ...Option) (*Table, error) {
 	if err != nil {
 		return nil, recordCorrupt(tel, err)
 	}
-	t := &Table{inner: inner}
-	t.attachTelemetry(tel)
-	return t, nil
+	return &Table{newSingle(inner, tel)}, nil
 }
 
 // LoadBlockedFile restores a blocked table from a SaveFile snapshot. Options
@@ -94,9 +82,7 @@ func LoadBlockedFile(path string, opts ...Option) (*Blocked, error) {
 	if err != nil {
 		return nil, recordCorrupt(tel, err)
 	}
-	t := &Blocked{inner: inner}
-	t.attachTelemetry(tel)
-	return t, nil
+	return &Blocked{newSingle(inner, tel)}, nil
 }
 
 // Grow grows every shard by growFactor, each under its own write lock.

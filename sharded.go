@@ -120,7 +120,6 @@ func NewSharded(capacity, shards int, opts ...Option) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Slots = 1
 	baseSeed := cfg.Seed
 	inner, err := shard.New(shards, baseSeed, func(i int) (shard.Inner, error) {
 		scfg := cfg

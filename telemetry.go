@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 
-	"mccuckoo/internal/kv"
 	"mccuckoo/internal/telemetry"
 )
 
@@ -83,36 +82,22 @@ func WithTelemetry(tel *Telemetry) Option {
 	}
 }
 
-// singleGauges assembles a gauge snapshot from a single-writer table's
-// inspection surface. Must be called by the owning goroutine.
-func singleGauges(t interface {
-	Len() int
-	Capacity() int
-	LoadRatio() float64
-	StashLen() int
-	StashFlagDensity() float64
-	CopyHistogram() []int
-	Stats() Stats
-}) telemetry.Gauges {
-	hist := t.CopyHistogram()
+// gauges assembles a gauge snapshot from the table's inspection surface.
+// Must be called by the owning goroutine.
+func (s *singleStore) gauges() telemetry.Gauges {
+	hist := s.CopyHistogram()
 	copyHist := make([]int64, len(hist))
 	for v, n := range hist {
 		copyHist[v] = int64(n)
 	}
-	st := t.Stats()
 	return telemetry.Gauges{
-		Items:            t.Len(),
-		Capacity:         t.Capacity(),
-		LoadRatio:        t.LoadRatio(),
-		StashLen:         t.StashLen(),
-		StashFlagDensity: t.StashFlagDensity(),
+		Items:            s.Len(),
+		Capacity:         s.Capacity(),
+		LoadRatio:        s.LoadRatio(),
+		StashLen:         s.StashLen(),
+		StashFlagDensity: s.StashFlagDensity(),
 		CopyHist:         copyHist,
-		Ops: kv.Stats{
-			Inserts: st.Inserts, Updates: st.Updates, Kicks: st.Kicks,
-			Stashed: st.Stashed, Failures: st.Failures, Lookups: st.Lookups,
-			Hits: st.Hits, Deletes: st.Deletes, StashProbe: st.StashProbes,
-			GrowAttempts: st.GrowAttempts, Grows: st.Grows, GrowFailures: st.GrowFailures,
-		},
+		Ops:              s.inner.Stats(),
 	}
 }
 
@@ -121,18 +106,9 @@ func singleGauges(t interface {
 // attached telemetry. Call it from the goroutine that owns the table —
 // typically every few thousand operations, and once after a load phase.
 // No-op without attached telemetry.
-func (t *Table) SampleTelemetry() {
-	if t.sink == nil {
+func (s *singleStore) SampleTelemetry() {
+	if s.sink == nil {
 		return
 	}
-	t.sink.StoreGauges(singleGauges(t))
-}
-
-// SampleTelemetry pushes the blocked table's gauge values; see
-// Table.SampleTelemetry.
-func (t *Blocked) SampleTelemetry() {
-	if t.sink == nil {
-		return
-	}
-	t.sink.StoreGauges(singleGauges(t))
+	s.sink.StoreGauges(s.gauges())
 }
