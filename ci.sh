@@ -32,7 +32,9 @@
 # run with -shuffle=on so inter-test ordering dependencies cannot hide.
 # Benchmark module: benchmark/ is a nested Go module, so the root vet, mcvet
 # and test gates skip it; this gate runs them there so a public-API change
-# cannot break `bash benchmark/run.sh` unnoticed.
+# cannot break `bash benchmark/run.sh` unnoticed. Its tests run under the
+# race detector: the served workloads drive real servers, clients and
+# replicators end to end, buffer recycling included.
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
 # digest-equality) runs standalone so the fault-injection layer itself is
 # exercised — and visibly named — on every run.
@@ -122,8 +124,8 @@ say "go test -race: concurrency-bearing packages"
 # seqlock span ring and concurrent-scrape tests are race-gated here.
 go test -race -shuffle=on ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
 
-say "benchmark module: gofmt + vet + mcvet + tests"
-(cd benchmark && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/mcvet ./... && go test -shuffle=on ./...)
+say "benchmark module: gofmt + vet + mcvet + tests (-race)"
+(cd benchmark && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/mcvet ./... && go test -race -shuffle=on ./...)
 
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...

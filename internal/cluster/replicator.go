@@ -243,19 +243,23 @@ func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) erro
 		return fmt.Errorf("subscribe: %w", err)
 	}
 
+	// buf, ents and owned are parked between frames, so each obeys the keep
+	// rule (wire.Keep) before the next read blocks. The frame is returned,
+	// not captured, so no stale payload pins a dropped buffer either.
 	var buf []byte
-	var f wire.Frame
-	readFrame := func() error {
+	readFrame := func() (wire.Frame, error) {
 		if derr := nc.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout)); derr != nil {
-			return fmt.Errorf("set read deadline: %w", derr)
+			return wire.Frame{}, fmt.Errorf("set read deadline: %w", derr)
 		}
-		f, buf, err = wire.ReadFrame(nc, wire.DefaultMaxPayload, buf)
+		f, b, err := wire.ReadFrame(nc, wire.DefaultMaxPayload, buf)
+		buf = b
 		if err == nil {
 			st.lastFrame.Store(time.Now().UnixNano())
 		}
-		return err
+		return f, err
 	}
-	if err := readFrame(); err != nil {
+	f, err := readFrame()
+	if err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	if !f.IsResponse() || f.Status() != wire.StatusOK {
@@ -275,10 +279,11 @@ func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) erro
 	seen := uint64(0)
 	observeHead(st, head, seen)
 
-	var ents []wire.Entry
-	owned := make([]wire.Entry, 0, 256)
+	var ents, owned []wire.Entry
 	for {
-		if err := readFrame(); err != nil {
+		buf, ents, owned = wire.Keep(buf), wire.Keep(ents), wire.Keep(owned)
+		f, err := readFrame()
+		if err != nil {
 			select {
 			case <-r.stop:
 				return nil
@@ -302,7 +307,6 @@ func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) erro
 		if len(ents) == 0 && seen > *resume {
 			*resume = seen
 		}
-		owned = owned[:0]
 		for _, e := range ents {
 			if e.Seq > seen {
 				seen = e.Seq

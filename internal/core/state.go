@@ -423,6 +423,10 @@ func (s *tableState) InsertPathwise(key, value uint64) kv.Outcome {
 	return pathwise(noLock{}, s.algo, key, value)
 }
 
+// Kind returns the table kind byte its snapshot header records: 0 for a
+// Table, 1 for a BlockedTable.
+func (s *tableState) Kind() uint8 { return s.kind }
+
 // Len returns the number of distinct live items, stash included.
 func (s *tableState) Len() int { return s.size + s.StashLen() }
 

@@ -31,7 +31,9 @@ import (
 const (
 	shardMagic   = "MCSH"
 	shardVersion = 1
-	// innerSingle/innerBlocked name the shard table kind in the header.
+	// innerSingle/innerBlocked name the shard table kind in the header:
+	// the core tables' own kind bytes (core.Table.Kind and
+	// core.BlockedTable.Kind).
 	innerSingle  = 0
 	innerBlocked = 1
 )
@@ -50,10 +52,6 @@ const maxShardFrame = 1 << 36
 //
 //mcvet:deterministic
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	kind, err := s.innerKind()
-	if err != nil {
-		return 0, err
-	}
 	var head bytes.Buffer
 	head.WriteString(shardMagic)
 	head.WriteByte(shardVersion)
@@ -63,7 +61,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	head.Write(u32[:])
 	binary.LittleEndian.PutUint64(u64[:], s.seed)
 	head.Write(u64[:])
-	head.WriteByte(kind)
+	head.WriteByte(s.innerKind())
 	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(head.Bytes(), castagnoli))
 	head.Write(u32[:])
 
@@ -258,17 +256,13 @@ func loadInner(kind uint8, frame []byte) (Inner, error) {
 	return tab, nil
 }
 
-// innerKind classifies the shard tables for the snapshot header.
-func (s *Sharded) innerKind() (uint8, error) {
-	switch s.shards[0].tab.(type) { //mcvet:allow lockdiscipline tab's type identity is write-once at construction; only its state needs mu
-	case *core.Table:
-		return innerSingle, nil
-	case *core.BlockedTable:
-		return innerBlocked, nil
-	default:
-		//mcvet:allow lockdiscipline tab's type identity is write-once at construction; only its state needs mu
-		return 0, fmt.Errorf("shard: snapshotting unsupported inner table type %T", s.shards[0].tab)
-	}
+// innerKind is the shard tables' core kind byte, which the snapshot header
+// records as is.
+func (s *Sharded) innerKind() uint8 {
+	sh := &s.shards[0]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.tab.Kind()
 }
 
 func writeCounted(w io.Writer, b []byte) (int64, error) {

@@ -38,10 +38,12 @@ import (
 // pure read-only lookup path (so readers can run under the shard's read
 // lock), its traced variant and the observability gauges (so telemetry can
 // be fed from inside the critical sections), exactly-once iteration,
-// capacity growth, derived-state repair, and snapshot serialization. Both
-// core.Table and core.BlockedTable satisfy it.
+// capacity growth, derived-state repair, and snapshot serialization with
+// the core kind byte that names its loader. Both core.Table and
+// core.BlockedTable satisfy it.
 type Inner interface {
 	kv.Table
+	Kind() uint8
 	LookupReadOnly(key uint64) (uint64, bool)
 	LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offReads int64)
 	CopyHistogram() []int

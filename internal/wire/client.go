@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,7 +133,9 @@ func (c *Client) conn() (*clientConn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
-	slot := int(c.rr.Add(1)) % c.cfg.Conns
+	// Reduce before converting: int(counter) goes negative once the counter
+	// passes the int range.
+	slot := int(c.rr.Add(1) % uint64(c.cfg.Conns))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -480,6 +483,9 @@ type clientConn struct {
 	dead atomic.Bool
 
 	wmu sync.Mutex // serializes frame writes
+	// wbuf is the request-frame encoding buffer, reused under the keep rule.
+	//mcvet:guardedby wmu
+	wbuf []byte
 
 	mu sync.Mutex
 	//mcvet:guardedby mu
@@ -553,7 +559,6 @@ func (cc *clientConn) readLoop(maxPayload int) {
 		// Close/fail closing the conn is what unblocks it.
 		//mcvet:allow deadlinearm demux read is unbounded by design; bounded by conn close, not a timer
 		f, b, err := ReadFrame(cc.nc, maxPayload, buf)
-		buf = b
 		if err != nil {
 			cc.fail(fmt.Errorf("%w: %v", ErrConnFailed, err))
 			return
@@ -562,8 +567,10 @@ func (cc *clientConn) readLoop(maxPayload int) {
 			cc.fail(fmt.Errorf("%w: server sent a request frame", ErrConnFailed))
 			return
 		}
-		// The payload aliases buf; the waiter owns its copy.
+		// The payload aliases b; the waiter owns its copy, so b obeys the
+		// keep rule before the next read parks it.
 		cc.deliver(f.ID, result{status: f.Status(), payload: append([]byte(nil), f.Payload...)})
+		buf = Keep(b)
 	}
 }
 
@@ -575,15 +582,16 @@ func (cc *clientConn) roundTrip(id uint64, op byte, payload []byte, tc trace.Con
 	if err := cc.register(id, ch); err != nil {
 		return 0, nil, err
 	}
-	frame := AppendFrame(make([]byte, 0, FrameOverhead+trace.ContextSize+len(payload)),
-		Frame{Type: op, ID: id, Payload: payload, Trace: tc})
 	cc.wmu.Lock()
+	cc.wbuf = AppendFrame(slices.Grow(cc.wbuf[:0], FrameOverhead+trace.ContextSize+len(payload)),
+		Frame{Type: op, ID: id, Payload: payload, Trace: tc})
 	// A failed deadline arm is a connection failure: without it a dead
 	// peer could pin this write forever.
 	err := cc.nc.SetWriteDeadline(time.Now().Add(timeout))
 	if err == nil {
-		_, err = cc.nc.Write(frame)
+		_, err = cc.nc.Write(cc.wbuf)
 	}
+	cc.wbuf = Keep(cc.wbuf)
 	cc.wmu.Unlock()
 	if err != nil {
 		cc.unregister(id)

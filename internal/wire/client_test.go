@@ -165,6 +165,61 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
+// TestClientSlotAfterCounterWrap: the round-robin counter is reduced before
+// it is converted to int, so a counter past the int range still picks a
+// valid pool slot instead of a negative index.
+func TestClientSlotAfterCounterWrap(t *testing.T) {
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		return StatusOK, nil, true
+	})
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.rr.Store(1<<63 - 1)
+	for i := 0; i < 3; i++ {
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping %d: %v", i, err)
+		}
+	}
+}
+
+// TestClientCallAllocs pins what one call allocates over the recording
+// client's net.Pipe connection. AllocsPerRun counts the whole process, so
+// each count includes the scripted server's record and reply and net.Pipe's
+// deadline timer beside the client's waiter channel, request timer and
+// response copy. The payload is built on the stack and the request frame in
+// the connection's reused write buffer, not in a frame of its own.
+func TestClientCallAllocs(t *testing.T) {
+	cli, _ := newRecordingClient(t)
+	for _, tc := range []struct {
+		name string
+		want float64
+		call func() error
+	}{
+		{"Get", 14, func() error { _, _, err := cli.Get(5); return err }},
+		{"Put", 14, func() error { _, err := cli.Put(5, 6); return err }},
+		{"Del", 13, func() error { _, err := cli.Del(5); return err }},
+		{"VGet", 15, func() error { _, _, _, err := cli.VGet(5); return err }},
+	} {
+		var err error
+		call := func() {
+			if e := tc.call(); e != nil {
+				err = e
+			}
+		}
+		call() // dial and size the write buffer
+		n := testing.AllocsPerRun(200, call)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n != tc.want {
+			t.Errorf("%s: %v allocs per call, want %v", tc.name, n, tc.want)
+		}
+	}
+}
+
 func TestClientClosed(t *testing.T) {
 	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
 		return StatusOK, nil, true

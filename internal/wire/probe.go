@@ -34,9 +34,6 @@ func NewServeProbe(store mccuckoo.BatchStore) (*ServeProbe, error) {
 func (p *ServeProbe) Handle(f Frame) byte {
 	b := p.h.handle(f)
 	status := b[3] &^ respFlag
-	select {
-	case p.free <- b:
-	default:
-	}
+	recycle(p.free, b)
 	return status
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mccuckoo"
 	"mccuckoo/internal/hashutil"
@@ -36,7 +38,11 @@ type Config struct {
 	// QueueDepth bounds each connection's queue of decoded-but-unexecuted
 	// requests (default 128). A request arriving on a full queue is answered
 	// with BUSY instead of being buffered — backpressure is explicit and
-	// memory per connection stays bounded.
+	// memory per connection stays bounded: in flight, at most QueueDepth
+	// queued requests of at most MaxPayload each and QueueDepth queued
+	// responses; parked between frames, at most 3·QueueDepth+3 recycled
+	// frame buffers plus the handler's scratch slices, each at most 4 KiB
+	// (the keep rule, DESIGN.md §10).
 	QueueDepth int
 
 	// MaxPayload bounds a request frame's payload (default
@@ -310,7 +316,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	// subscribed connection, the op-log pump) through out to the writer and
 	// come back via freeResp. Capacities exceed the queue depths so a
 	// recycle never blocks; when a freelist is momentarily empty the taker
-	// allocates a fresh buffer, which then joins the cycle.
+	// allocates a fresh buffer, which then joins the cycle. Only buffers
+	// the keep rule allows (see Keep) go back.
 	freeReq := make(chan []byte, s.cfg.QueueDepth+1)
 	freeResp := make(chan []byte, 2*s.cfg.QueueDepth+2)
 	connDone := make(chan struct{})
@@ -341,12 +348,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			out <- h.handle(req.f)
 			// The request buffer is dead once handle returns (responses
 			// never alias the request payload); recycle it for the reader.
-			if req.buf != nil {
-				select {
-				case freeReq <- req.buf:
-				default:
-				}
-			}
+			recycle(freeReq, req.buf)
 		}
 		close(out)
 	}()
@@ -372,10 +374,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// A written buffer goes back to the freelist its producer (the
 			// worker or the op-log pump) takes from. BUSY frames join the
 			// cycle here too; that only seeds the freelist earlier.
-			select {
-			case freeResp <- b:
-			default:
-			}
+			recycle(freeResp, b)
 		}
 	}()
 
@@ -396,6 +395,9 @@ func (s *Server) serveConn(nc net.Conn) {
 func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, connFailed <-chan struct{}, freeReq <-chan []byte, freeResp chan []byte) {
 	var buf []byte
 	for {
+		// A buffer the reader kept (a BUSY or refused frame's) obeys the
+		// keep rule before the next read can park it.
+		buf = Keep(buf)
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			// A connection that cannot arm its idle deadline is failing;
 			// treat it like any other dead connection.
@@ -594,7 +596,8 @@ type connReq struct {
 // connHandler executes one connection's requests. The scratch slices are
 // reused across requests and response frames are encoded into freelist
 // buffers, so the steady-state serve path does not allocate per call
-// (asserted by TestServePathZeroAlloc).
+// (asserted by TestServePathZeroAlloc). Both obey the keep rule: a batch
+// that grows a scratch slice or a frame past 4 KiB leaves nothing behind.
 type connHandler struct {
 	srv *Server
 
@@ -618,16 +621,27 @@ type connHandler struct {
 }
 
 // frame encodes one frame into a freelist buffer when one is available, a
-// fresh one otherwise. payload may alias h.pbuf; it is copied.
+// fresh one otherwise; a frame too large to recycle gets a buffer of its
+// own, so it never displaces a kept one. payload may alias h.pbuf; it is
+// copied.
+//
+// Every frame a handler produces is its request's last use of the scratch,
+// so frame also applies the keep rule to the scratch slices before the
+// connection parks them until its next frame.
 func (h *connHandler) frame(typ byte, id uint64, payload []byte) []byte {
+	n := FrameOverhead + len(payload)
 	var b []byte
-	select {
-	case b = <-h.freeResp:
-		b = b[:0]
-	default:
-		b = make([]byte, 0, FrameOverhead+len(payload))
+	if n <= keepBytes {
+		select {
+		case b = <-h.freeResp:
+		default:
+		}
 	}
-	return AppendFrame(b, Frame{Type: typ, ID: id, Payload: payload})
+	b = AppendFrame(slices.Grow(b[:0], n), Frame{Type: typ, ID: id, Payload: payload})
+	h.pbuf, h.keys, h.vals = Keep(h.pbuf), Keep(h.keys), Keep(h.vals)
+	h.results, h.founds, h.removed = Keep(h.results), Keep(h.founds), Keep(h.removed)
+	h.ents, h.statuses = Keep(h.ents), Keep(h.statuses)
+	return b
 }
 
 // respFrame encodes one response frame through h.frame.
@@ -789,15 +803,15 @@ func (h *connHandler) handleBatch(f Frame) []byte {
 	if !ok {
 		return h.errFrame(f.ID, "malformed batch payload")
 	}
-	h.keys = growU64(h.keys, n)
+	h.keys = grow(h.keys, n)
 	c := cursor{b: records}
 	switch sub {
 	case OpGet:
 		for i := 0; i < n; i++ {
 			h.keys[i] = c.u64()
 		}
-		h.vals = growU64(h.vals, n)
-		h.founds = growBool(h.founds, n)
+		h.vals = grow(h.vals, n)
+		h.founds = grow(h.founds, n)
 		s.cfg.Store.LookupBatchInto(h.keys, h.vals, h.founds)
 		p := h.pbuf[:0]
 		p = appendU8(p, sub)
@@ -809,12 +823,12 @@ func (h *connHandler) handleBatch(f Frame) []byte {
 		h.pbuf = p
 		return h.respFrame(f.ID, StatusOK, p)
 	case OpPut:
-		h.vals = growU64(h.vals, n)
+		h.vals = grow(h.vals, n)
 		for i := 0; i < n; i++ {
 			h.keys[i] = c.u64()
 			h.vals[i] = c.u64()
 		}
-		h.results = growResults(h.results, n)
+		h.results = grow(h.results, n)
 		s.cfg.Store.InsertBatchInto(h.keys, h.vals, h.results)
 		p := h.pbuf[:0]
 		p = appendU8(p, sub)
@@ -829,7 +843,7 @@ func (h *connHandler) handleBatch(f Frame) []byte {
 		for i := 0; i < n; i++ {
 			h.keys[i] = c.u64()
 		}
-		h.removed = growBool(h.removed, n)
+		h.removed = grow(h.removed, n)
 		s.cfg.Store.DeleteBatchInto(h.keys, h.removed)
 		p := h.pbuf[:0]
 		p = appendU8(p, sub)
@@ -851,25 +865,41 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-func growU64(s []uint64, n int) []uint64 {
+// grow returns s resliced to n elements, reallocating when its capacity is
+// short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+// keepBytes is the keep rule's bound (DESIGN.md §10): the largest buffer a
+// connection parks between frames. Every single-key frame fits, as do a
+// 16-key batch and an op-log chunk of up to 162 entries, so steady traffic
+// recycles without allocating; a larger frame costs one buffer of its own.
+const keepBytes = 4 << 10
+
+// Keep applies the keep rule to a buffer a connection is about to park until
+// its next frame: it returns s emptied for reuse when its backing array is at
+// most 4 KiB, and nil otherwise, so a buffer grown for one large frame goes to
+// the GC instead of staying pinned for the connection's lifetime.
+func Keep[T any](s []T) []T {
+	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > keepBytes {
+		return nil
 	}
-	return s[:n]
+	return s[:0]
 }
 
-func growResults(s []mccuckoo.InsertResult, n int) []mccuckoo.InsertResult {
-	if cap(s) < n {
-		return make([]mccuckoo.InsertResult, n)
+// recycle returns b to the freelist free if the keep rule allows it and the
+// freelist has room; otherwise the GC reclaims it.
+func recycle(free chan<- []byte, b []byte) {
+	if b = Keep(b); b != nil {
+		select {
+		case free <- b:
+		default:
+		}
 	}
-	return s[:n]
 }
 
 // TableStats is the STATS response payload, JSON with the repo's snake_case

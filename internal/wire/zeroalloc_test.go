@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mccuckoo"
 )
@@ -64,6 +65,130 @@ func TestServePathZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { p.Handle(f) }); n != 0 {
 			t.Errorf("%s: %v allocs/op on the steady-state serve path, want 0", tc.name, n)
 		}
+	}
+}
+
+// TestKeepBound pins the keep rule's bound in bytes of backing array,
+// whatever the element type.
+func TestKeepBound(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		kept, want bool
+	}{
+		{"bytes at 4 KiB", Keep(make([]byte, 7, keepBytes)) != nil, true},
+		{"bytes past 4 KiB", Keep(make([]byte, 0, keepBytes+1)) != nil, false},
+		{"u64 at 4 KiB", Keep(make([]uint64, 0, keepBytes/8)) != nil, true},
+		{"u64 past 4 KiB", Keep(make([]uint64, 0, keepBytes/8+1)) != nil, false},
+	} {
+		if tc.kept != tc.want {
+			t.Errorf("%s: kept %v, want %v", tc.name, tc.kept, tc.want)
+		}
+	}
+	if b := Keep(make([]byte, 7, 16)); len(b) != 0 || cap(b) != 16 {
+		t.Errorf("kept buffer has len %d cap %d, want 0 and 16", len(b), cap(b))
+	}
+}
+
+// sizeOf is the byte size of s's backing array.
+func sizeOf[T any](s []T) int { return cap(s) * int(unsafe.Sizeof(*new(T))) }
+
+// batchPut encodes a BATCH PUT payload of n keys.
+func batchPut(n int) []byte {
+	p := batchReq(OpPut, n, 16)
+	for i := 0; i < n; i++ {
+		p = appendU64(appendU64(p, uint64(i)*2654435761+1), uint64(i))
+	}
+	return p
+}
+
+// TestServeProbeKeepRule: after a 4096-key BATCH PUT (a 64 KiB request and
+// a 20 KiB response) and one GET, neither the handler's scratch nor the
+// response freelist holds a buffer larger than keepBytes. Before the keep
+// rule both kept the batch-sized buffers for the connection's lifetime.
+func TestServeProbeKeepRule(t *testing.T) {
+	tab, err := mccuckoo.New(1<<14, mccuckoo.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewServeProbe(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Handle(Frame{Type: OpBatch, ID: 1, Payload: batchPut(4096)}); st != StatusOK {
+		t.Fatalf("batch put: status %d", st)
+	}
+	if st := p.Handle(Frame{Type: OpGet, ID: 2, Payload: appendU64(nil, 1)}); st != StatusOK {
+		t.Fatalf("get: status %d", st)
+	}
+	h := p.h
+	for _, s := range []struct {
+		name  string
+		bytes int
+	}{
+		{"pbuf", sizeOf(h.pbuf)},
+		{"keys", sizeOf(h.keys)},
+		{"vals", sizeOf(h.vals)},
+		{"results", sizeOf(h.results)},
+		{"founds", sizeOf(h.founds)},
+		{"removed", sizeOf(h.removed)},
+		{"ents", sizeOf(h.ents)},
+		{"statuses", sizeOf(h.statuses)},
+	} {
+		if s.bytes > keepBytes {
+			t.Errorf("handler scratch %s keeps %d bytes, want at most %d", s.name, s.bytes, keepBytes)
+		}
+	}
+	for len(p.free) > 0 {
+		if b := <-p.free; cap(b) > keepBytes {
+			t.Errorf("response freelist keeps a %d-byte buffer, want at most %d", cap(b), keepBytes)
+		}
+	}
+}
+
+// TestLoopbackGetZeroAllocAfterBatch: a server connection that carried a
+// 4096-key BATCH PUT, and the frame client that sent it, go back to
+// serving GETs with 0 allocations. The keep rule drops the batch-sized
+// buffers; the steady-state cycle refills with small ones. AllocsPerRun
+// counts the whole process: the client's write and read and the server
+// connection's reader, worker and writer.
+func TestLoopbackGetZeroAllocAfterBatch(t *testing.T) {
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1<<14), nil)
+	defer shutdown()
+	raw := dialRaw(t, addr)
+	raw.send(Frame{Type: OpBatch, ID: 1, Payload: batchPut(4096)})
+	if f := raw.recv(); f.Status() != StatusOK {
+		t.Fatalf("batch put: status %d", f.Status())
+	}
+	if err := raw.nc.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	req := AppendFrame(nil, Frame{Type: OpGet, ID: 2, Payload: appendU64(nil, 1)})
+	buf := raw.buf
+	var bad error
+	get := func() {
+		if _, err := raw.nc.Write(req); err != nil {
+			bad = err
+			return
+		}
+		f, b, err := ReadFrame(raw.nc, DefaultMaxPayload, buf)
+		if err != nil {
+			bad = err
+			return
+		}
+		if c := (cursor{b: f.Payload}); f.Status() != StatusOK || c.u8() != 1 || c.u64() != 0 {
+			bad = fmt.Errorf("get: status %d payload %x", f.Status(), f.Payload)
+		}
+		buf = Keep(b)
+	}
+	for i := 0; i < 8; i++ {
+		get() // refill the freelists
+	}
+	n := testing.AllocsPerRun(200, get)
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if n != 0 {
+		t.Errorf("%v allocs per GET after a 4096-key batch, want 0", n)
 	}
 }
 
