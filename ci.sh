@@ -38,6 +38,11 @@
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
 # digest-equality) runs standalone so the fault-injection layer itself is
 # exercised — and visibly named — on every run.
+# Replication smoke: the op-log catch-up tests (a subscription the ring
+# overtakes is caught up in place), the bootstrap full-sync drills and the
+# restart-from-drained-point test, 20 times each under the race detector.
+# Races in these paths have shown up only under repetition (a bootstrap
+# flake once in 50 runs), so one pass proves little.
 # Trace smoke: a traced mctrace replay against a live two-node replicated
 # pair, asserting the wire-propagated context yields a cross-node span
 # tree — the distributed-tracing tentpole end to end.
@@ -129,6 +134,9 @@ say "benchmark module: gofmt + vet + mcvet + tests (-race)"
 
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...
+
+say "replication smoke: catch-up, bootstrap and restart-resume, 20 runs each"
+go test -race -count=20 -run 'CatchUp|TestClusterBootstrap|TestClusterRestartResumes' ./internal/wire/ ./internal/cluster/
 
 say "trace smoke: traced replay over a two-node cluster"
 go test -race -short -count=1 -run 'TestTracedClusterReplaySmoke' ./cmd/mctrace

@@ -30,7 +30,10 @@
 // ring seeded by -seed, -vnodes virtual nodes — all of which must match on
 // every node and client). With -snapshot, a replication sidecar is
 // checkpointed next to the snapshot so a restart resumes its subscriptions
-// instead of taking a full resync. /metrics additionally exposes
+// from where every peer stream had last drained instead of taking a full
+// resync. A peer's op-log ring keeps its last 4,096 writes, so a node that
+// was down for more of a peer's writes than that takes a full dump from
+// that peer. /metrics additionally exposes
 // mccuckoo_replica_* and per-peer mccuckoo_peer_* series (replica lag,
 // repair counts, connects).
 //

@@ -240,7 +240,7 @@ func TestClusterServe(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"mccuckoo_replica_applied_seq", "mccuckoo_peer_replica_lag", "mccuckoo_server_subscriptions_active"} {
+	for _, want := range []string{"mccuckoo_replica_applied_seq", "mccuckoo_replica_catch_ups_total", "mccuckoo_peer_replica_lag", "mccuckoo_server_subscriptions_active"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s", want)
 		}

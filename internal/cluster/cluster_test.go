@@ -432,3 +432,66 @@ func TestClusterBootstrapIgnoresPushedSeq(t *testing.T) {
 		t.Errorf("bootstrap node recorded %d full syncs, want 1", got)
 	}
 }
+
+// TestClusterCatchUpAfterBurst overruns a live subscription: node B is
+// subscribed to node A when one push of 100 entries goes through A's
+// 8-entry ring. A catches B up in place on the same connection, so B
+// connects once, takes no full sync, and converges.
+func TestClusterCatchUpAfterBurst(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	a := startTestNode(t, addrs[0], addrs, nodeOpts{oplogSize: 8, noReplicator: true})
+	defer a.stop()
+	b := startTestNode(t, addrs[1], addrs, nodeOpts{})
+	defer b.stop()
+	waitFor(t, 10*time.Second, "node B to subscribe", func() bool {
+		return a.rep.ReplicaStats().Subscribers == 1
+	})
+
+	burst := make([]wire.Entry, 100)
+	for i := range burst {
+		k := uint64(i + 1)
+		burst[i] = wire.Entry{Seq: k, Op: wire.OpPut, Key: k, Value: k * 3}
+	}
+	a.rep.ApplyPush(burst, nil)
+	waitFor(t, 10*time.Second, "node B to converge", func() bool {
+		return b.rep.Digest() == a.rep.Digest() && b.rep.ReplicaStats().TrackedKeys == 100
+	})
+	st := b.r.peerStates[addrs[0]]
+	if c, f := st.connects.Load(), st.fullSyncs.Load(); c != 1 || f != 0 {
+		t.Errorf("node B connected %d times and took %d full syncs, want 1 and 0", c, f)
+	}
+	if got := a.rep.ReplicaStats().CatchUps; got < 1 {
+		t.Errorf("node A served %d catch-ups, want at least 1", got)
+	}
+}
+
+// TestClusterRestartResumesFromDrainedPoint restarts a node from a
+// checkpoint taken after a push ran ahead of its stream. Node B holds only
+// key 100 at sequence 100, pushed before its replicator ever ran, while node
+// A holds keys 1..100 at sequences 1..100 in an 8-entry ring. B's sidecar
+// records applied 100 but drained 0, so the restarted B resumes from 0,
+// takes A's full dump and converges with no sweeper. Resuming from the
+// applied 100 would replay only sequences 93..100.
+func TestClusterRestartResumesFromDrainedPoint(t *testing.T) {
+	dir := t.TempDir()
+	snap, side := filepath.Join(dir, "b.snap"), filepath.Join(dir, "b.snap.replica")
+	addrs := freeAddrs(t, 2)
+	a := startTestNode(t, addrs[0], addrs, nodeOpts{oplogSize: 8, noReplicator: true})
+	defer a.stop()
+	for k := uint64(1); k <= 100; k++ {
+		a.rep.ApplyPush([]wire.Entry{{Seq: k, Op: wire.OpPut, Key: k, Value: k * 3}}, nil)
+	}
+
+	b := startTestNode(t, addrs[1], addrs, nodeOpts{noReplicator: true})
+	b.rep.ApplyPush([]wire.Entry{{Seq: 100, Op: wire.OpPut, Key: 100, Value: 300}}, nil)
+	if err := b.rep.CheckpointWith(func() error { return b.tab.SaveFile(snap) }, side); err != nil {
+		t.Fatal(err)
+	}
+	b.stop()
+
+	b = startTestNode(t, addrs[1], addrs, nodeOpts{snap: snap, sidecar: side})
+	defer b.stop()
+	waitFor(t, 10*time.Second, "restarted node to converge", func() bool {
+		return b.rep.Digest() == a.rep.Digest() && b.rep.ReplicaStats().TrackedKeys == 100
+	})
+}

@@ -56,15 +56,19 @@ type ReplicatorConfig struct {
 // Replicator keeps one node's Replicated store converged with its peers: a
 // goroutine per peer subscribes to the peer's op log, applies the streamed
 // entries this node owns, and reconnects with backoff when the peer goes
-// away. A restarted node needs no special bootstrap path — its first
-// subscription resumes from whatever its snapshot+sidecar restored, and the
-// peer answers with a full state dump when that point predates its op log.
+// away. A stream that falls behind the peer's op-log ring is caught up in
+// place by the peer, on the same connection. A restarted node needs no
+// special bootstrap path: its subscriptions resume from the drained point
+// its snapshot+sidecar restored (ReplicaStats.DrainedSeq), and a peer answers
+// with a full state dump when that point is behind its ring.
 //
 // Each peer's resume point advances only when that peer's stream has
 // drained, never through pushes. A pushed entry (a client write or a
 // read-repair) can carry a sequence number far above entries this node has
 // not yet received, so resuming from the store's applied high-water mark
-// could skip the full dump those entries need.
+// could skip the full dump those entries need. The lowest resume point over
+// the peers is handed to the store on every advance, so a checkpoint
+// persists it.
 //
 //mcvet:lifecycle
 type Replicator struct {
@@ -80,8 +84,15 @@ type Replicator struct {
 	peerStates map[string]*peerState
 }
 
-// peerState is the per-peer telemetry the replica-lag metric reads.
+// peerState is one peer's resume point plus the per-peer telemetry the
+// replica-lag metric reads.
 type peerState struct {
+	// resume is the sequence number the next subscription to this peer
+	// resumes after: the store's drained point at Start, then the newest
+	// sequence number the stream had delivered when its latest keepalive
+	// arrived.
+	resume atomic.Uint64
+
 	// lag is the peer's advertised head minus the newest sequence number
 	// seen on its stream, clamped at zero. It is measured before the
 	// ownership filter — a node that skips entries it does not own is not
@@ -148,9 +159,12 @@ func (r *Replicator) logf(format string, args ...any) {
 	}
 }
 
-// Start launches one subscription loop per peer.
+// Start launches one subscription loop per peer, each resuming from the
+// store's drained point.
 func (r *Replicator) Start() {
+	from := r.rep.ReplicaStats().DrainedSeq
 	for addr, st := range r.peerStates {
+		st.resume.Store(from)
 		r.wg.Add(1)
 		go r.peerLoop(addr, st)
 	}
@@ -167,16 +181,13 @@ func (r *Replicator) Close() {
 func (r *Replicator) peerLoop(addr string, st *peerState) {
 	defer r.wg.Done()
 	backoff := r.cfg.RetryBase
-	// resume starts at the state restored from disk (or seeded) and then
-	// follows the stream; see streamOnce.
-	resume := r.rep.ReplicaStats().BaseSeq
 	for {
 		select {
 		case <-r.stop:
 			return
 		default:
 		}
-		err := r.streamOnce(addr, st, &resume)
+		err := r.streamOnce(addr, st)
 		if err == nil {
 			return // stopped
 		}
@@ -197,13 +208,14 @@ func (r *Replicator) peerLoop(addr string, st *peerState) {
 
 // streamOnce runs one subscription: dial, handshake, then apply stream
 // frames until the connection breaks (returned as an error) or Close (nil).
-// It subscribes after *resume and raises *resume to the newest sequence
+// It subscribes after st.resume and raises st.resume to the newest sequence
 // number delivered whenever a keepalive (an empty frame) arrives: the peer
-// sends one only after its full dump and its op-log backlog, so by then
-// everything the peer holds has been delivered.
+// sends one only after a pull of its op log came back empty, catch-ups
+// included, so by then everything the peer held at that pull has been
+// delivered.
 //
 //mcvet:deadlined
-func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) error {
+func (r *Replicator) streamOnce(addr string, st *peerState) error {
 	dial := r.cfg.Dial
 	if dial == nil {
 		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -228,7 +240,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) erro
 		}
 	}()
 
-	fromSeq := *resume
+	fromSeq := st.resume.Load()
 	sub := wire.AppendFrame(nil, wire.Frame{
 		Type:    wire.OpSub,
 		ID:      1,
@@ -291,21 +303,25 @@ func (r *Replicator) streamOnce(addr string, st *peerState, resume *uint64) erro
 			}
 			return fmt.Errorf("stream: %w", err)
 		}
-		if f.IsResponse() {
-			// The only in-band response after the handshake is the ERR the
-			// server sends when the subscription overran the op log.
-			return fmt.Errorf("stream ended: %s", handshakeReject(f))
-		}
-		if f.Type != wire.OpReplicate {
-			return fmt.Errorf("unexpected %s frame on subscription", wire.OpName(f.Type))
+		if f.IsResponse() || f.Type != wire.OpReplicate {
+			// After the handshake the server sends only REPLICATE frames;
+			// a stream that falls behind its ring is caught up in place.
+			return fmt.Errorf("unexpected frame on subscription: %s", handshakeReject(f))
 		}
 		head, parsed, ok := wire.ParseReplicatePayload(f.Payload, ents)
 		if !ok {
 			return fmt.Errorf("malformed replicate frame")
 		}
 		ents = parsed
-		if len(ents) == 0 && seen > *resume {
-			*resume = seen
+		if len(ents) == 0 && seen > st.resume.Load() {
+			// Drained: hand the store the lowest resume point over the
+			// peers, which a checkpoint persists for a restart.
+			st.resume.Store(seen)
+			low := seen
+			for _, p := range r.peerStates {
+				low = min(low, p.resume.Load())
+			}
+			r.rep.SetDrained(low)
 		}
 		for _, e := range ents {
 			if e.Seq > seen {

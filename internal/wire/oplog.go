@@ -2,9 +2,11 @@ package wire
 
 // opLog is the server-side replication log: a fixed-capacity ring of the
 // most recent sequence-numbered mutations, addressed by a monotonically
-// increasing absolute position so a subscriber's cursor survives wraps (a
-// cursor that falls behind the retained window is detected as an overrun,
-// not silently skipped).
+// increasing absolute position so a subscriber's cursor survives wraps. A
+// cursor never falls behind the retained window unnoticed: evicting a
+// record a subscriber has not been sent sets that subscriber's catch-up
+// floor (Replicated.notifyLocked), and the catch-up moves the cursor back
+// into the window before the next copy.
 //
 // The log has no lock of its own: every access happens under the owning
 // Replicated's mutex.
@@ -15,9 +17,10 @@ type opLog struct {
 	first uint64
 	next  uint64
 	// droppedSeqMax is the highest sequence number among entries that have
-	// fallen off the ring. A subscriber resuming from a sequence number
-	// below it cannot be caught up incrementally and needs a full state
-	// dump first.
+	// fallen off the ring. A new subscription resuming from below it may
+	// have missed an evicted entry, and sequence numbers cannot say which,
+	// so it starts with a full dump. A live subscription never consults it:
+	// its floor records exactly what it missed.
 	droppedSeqMax uint64
 	dropped       int64
 }
@@ -35,32 +38,28 @@ func newOpLog(capacity int) *opLog {
 	return &opLog{recs: make([]opRec, capacity)}
 }
 
-// append records rec, evicting the oldest retained record when full.
-func (l *opLog) append(rec opRec) {
+// append records rec, evicting the oldest retained record when full. It
+// returns the evicted record's sequence number, or 0 when nothing was
+// evicted (valid sequence numbers start at 1).
+func (l *opLog) append(rec opRec) (evicted uint64) {
 	if l.next-l.first == uint64(len(l.recs)) {
-		if seq := l.recs[l.first%uint64(len(l.recs))].meta >> 1; seq > l.droppedSeqMax {
-			l.droppedSeqMax = seq
-		}
+		evicted = l.recs[l.first%uint64(len(l.recs))].meta >> 1
+		l.droppedSeqMax = max(l.droppedSeqMax, evicted)
 		l.first++
 		l.dropped++
 	}
 	l.recs[l.next%uint64(len(l.recs))] = rec
 	l.next++
+	return evicted
 }
 
 // copySince copies up to cap(dst) retained entries starting at absolute
 // position cursor into dst, returning the filled slice and the advanced
-// cursor. overrun reports that cursor has fallen behind the retained
-// window; the subscriber must resynchronize with a full dump.
-func (l *opLog) copySince(cursor uint64, dst []Entry) (_ []Entry, newCursor uint64, overrun bool) {
-	if cursor < l.first {
-		return dst[:0], cursor, true
-	}
-	n := int(l.next - cursor)
-	if n > cap(dst) {
-		n = cap(dst)
-	}
-	dst = dst[:n]
+// cursor. cursor must lie in [first, next]; a subscriber whose cursor the
+// ring overtook has its floor set, and Replicated.pull catches it up, which
+// moves the cursor to first, before it copies again.
+func (l *opLog) copySince(cursor uint64, dst []Entry) (_ []Entry, newCursor uint64) {
+	dst = dst[:min(l.next-cursor, uint64(cap(dst)))]
 	for i := range dst {
 		rec := l.recs[(cursor+uint64(i))%uint64(len(l.recs))]
 		op := OpPut
@@ -69,5 +68,5 @@ func (l *opLog) copySince(cursor uint64, dst []Entry) (_ []Entry, newCursor uint
 		}
 		dst[i] = Entry{Seq: rec.meta >> 1, Op: op, Key: rec.key, Value: rec.value}
 	}
-	return dst, cursor + uint64(n), false
+	return dst, cursor + uint64(len(dst))
 }

@@ -13,6 +13,18 @@ func TestOpRecSize(t *testing.T) {
 	}
 }
 
+// TestOpLogDefaultSize pins the default ring: 4,096 records, 96 KiB per
+// replica, allocated up front.
+func TestOpLogDefaultSize(t *testing.T) {
+	r := NewReplicated(newConcurrentTable(t, 1<<10), ReplicaConfig{})
+	if n := len(r.log.recs); n != 4096 {
+		t.Fatalf("default ring holds %d records, want 4096", n)
+	}
+	if got := uintptr(cap(r.log.recs)) * unsafe.Sizeof(opRec{}); got != 96<<10 {
+		t.Fatalf("default ring is %d bytes, want 96 KiB", got)
+	}
+}
+
 // recOf packs an entry the way applyLocked does.
 func recOf(e Entry) opRec {
 	if e.Op == OpDel {
@@ -23,8 +35,8 @@ func recOf(e Entry) opRec {
 
 // TestOpLogWrapRoundTrip appends PUTs and DELs through several wraps of a
 // small ring and checks that copySince returns each one as it went in, that
-// droppedSeqMax is the largest sequence number evicted (not a meta word),
-// and that a cursor left behind the window reports an overrun.
+// append reports each evicted sequence number, and that droppedSeqMax is
+// the largest sequence number evicted (not a meta word).
 func TestOpLogWrapRoundTrip(t *testing.T) {
 	const capacity = 4
 	l := newOpLog(capacity)
@@ -38,8 +50,16 @@ func TestOpLogWrapRoundTrip(t *testing.T) {
 		if i%3 == 0 {
 			e.Op, e.Value = OpDel, 0
 		}
-		l.append(recOf(e))
+		evicted := l.append(recOf(e))
 		all = append(all, e)
+		if wantEvicted := uint64(0); len(all) > capacity {
+			wantEvicted = all[len(all)-capacity-1].Seq
+			if evicted != wantEvicted {
+				t.Fatalf("append %d evicted seq %d, want %d", len(all), evicted, wantEvicted)
+			}
+		} else if evicted != 0 {
+			t.Fatalf("append %d into a ring with room evicted seq %d", len(all), evicted)
+		}
 
 		first := max(0, len(all)-capacity)
 		if l.first != uint64(first) || l.next != uint64(len(all)) {
@@ -53,9 +73,9 @@ func TestOpLogWrapRoundTrip(t *testing.T) {
 			t.Fatalf("after %d appends: droppedSeqMax %d dropped %d, want %d and %d", len(all), l.droppedSeqMax, l.dropped, wantDropped, first)
 		}
 
-		got, cur, overrun := l.copySince(uint64(first), make([]Entry, 0, capacity))
-		if overrun || cur != uint64(len(all)) {
-			t.Fatalf("copySince(%d): cursor %d overrun %v, want %d and false", first, cur, overrun, len(all))
+		got, cur := l.copySince(uint64(first), make([]Entry, 0, capacity))
+		if cur != uint64(len(all)) {
+			t.Fatalf("copySince(%d): cursor %d, want %d", first, cur, len(all))
 		}
 		for j, e := range got {
 			if want := all[first+j]; e != want {
@@ -65,14 +85,11 @@ func TestOpLogWrapRoundTrip(t *testing.T) {
 	}
 
 	// A short dst pages through the window.
-	got, cur, _ := l.copySince(l.first, make([]Entry, 0, 3))
+	got, cur := l.copySince(l.first, make([]Entry, 0, 3))
 	if len(got) != 3 || cur != l.first+3 || got[0] != all[l.first] {
 		t.Fatalf("paged copy: %d entries to cursor %d, first %+v", len(got), cur, got[0])
 	}
-	if got, cur, overrun := l.copySince(l.next, make([]Entry, 0, 3)); len(got) != 0 || cur != l.next || overrun {
-		t.Fatalf("copy at head: %d entries, cursor %d, overrun %v", len(got), cur, overrun)
-	}
-	if _, cur, overrun := l.copySince(l.first-1, make([]Entry, 0, 3)); !overrun || cur != l.first-1 {
-		t.Fatalf("cursor behind the window: overrun %v cursor %d, want true and %d", overrun, cur, l.first-1)
+	if got, cur := l.copySince(l.next, make([]Entry, 0, 3)); len(got) != 0 || cur != l.next {
+		t.Fatalf("copy at head: %d entries, cursor %d", len(got), cur)
 	}
 }

@@ -43,10 +43,12 @@ const seededSeq = 1
 
 // ReplicaConfig configures a Replicated. The zero value is usable.
 type ReplicaConfig struct {
-	// OplogSize is the op-log ring capacity in entries (default 65536). The
-	// ring is allocated up front at 24 bytes per entry, 1.5 MiB at the
-	// default. A subscriber that falls more than this many mutations behind
-	// is forced into a full resynchronization.
+	// OplogSize is the op-log ring capacity in entries (default 4096),
+	// allocated up front at 24 bytes each: 96 KiB at the default. A live
+	// subscriber the ring overtakes catches up in place from the per-key
+	// sequence numbers, on the same connection. A new subscription resuming
+	// from behind the ring, such as a peer that was down for more writes
+	// than this, takes a full state dump.
 	OplogSize int
 }
 
@@ -76,6 +78,8 @@ type Replicated struct {
 	//mcvet:guardedby mu
 	baseSeq uint64 // mutations at or below this predate the op log
 	//mcvet:guardedby mu
+	drained uint64 // every peer stream had drained into this replica up to here
+	//mcvet:guardedby mu
 	digest uint64 // XOR of DigestTerm over every tracked key
 	//mcvet:guardedby mu
 	tombs int
@@ -94,6 +98,7 @@ type Replicated struct {
 	applyFailures  atomic.Int64
 	repairApplied  atomic.Int64
 	fullSyncs      atomic.Int64
+	catchUps       atomic.Int64
 	sidecarDrops   atomic.Int64
 }
 
@@ -105,7 +110,7 @@ var _ mccuckoo.BatchStore = (*Replicated)(nil)
 // afterwards replaces the seeded bookkeeping with the persisted one.
 func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 	if cfg.OplogSize <= 0 {
-		cfg.OplogSize = 1 << 16
+		cfg.OplogSize = 1 << 12
 	}
 	r := &Replicated{
 		inner: inner,
@@ -124,6 +129,7 @@ func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 		r.applied = seededSeq
 		r.localSeq = seededSeq
 		r.baseSeq = seededSeq
+		r.drained = seededSeq
 		r.mu.Unlock()
 	}
 	return r
@@ -132,12 +138,24 @@ func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 // Inner returns the wrapped store (for checkpointing by the owner).
 func (r *Replicated) Inner() mccuckoo.BatchStore { return r.inner }
 
-// Applied returns the highest sequence number applied so far — the resume
-// point a subscriber presents to its peers.
+// Applied returns the highest sequence number applied so far, pushes
+// included, so it is not a safe point to resume a subscription from; see
+// SetDrained.
 func (r *Replicated) Applied() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.applied
+}
+
+// SetDrained records the point the replicator resumes its peer
+// subscriptions from after a restart (ReplicaStats.DrainedSeq): the
+// lowest, over the peers, of the newest sequence number each stream had
+// delivered when that stream last drained. The sidecar persists it. It
+// only moves forward, so concurrent callers cannot move it back.
+func (r *Replicated) SetDrained(seq uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.drained = max(r.drained, seq)
 }
 
 // Digest returns the order-independent state checksum: XOR over every
@@ -292,15 +310,22 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 	if e.Seq > r.localSeq {
 		r.localSeq = e.Seq
 	}
-	r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta})
-	r.notifyLocked()
+	r.notifyLocked(r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta}))
 	r.entriesApplied.Add(1)
 	return ApplyApplied, res, removed
 }
 
+// notifyLocked pokes every subscriber after an append. evicted is the
+// sequence number of the record the append pushed off the ring, 0 if none.
+// A subscriber whose cursor is now behind the ring had not been sent that
+// record, so its catch-up floor drops to the record's sequence number.
+//
 //mcvet:locked
-func (r *Replicated) notifyLocked() {
+func (r *Replicated) notifyLocked(evicted uint64) {
 	for sub := range r.subs {
+		if evicted != 0 && sub.cursor < r.log.first {
+			sub.floor = min(sub.floor, evicted)
+		}
 		select {
 		case sub.notify <- struct{}{}:
 		default:
@@ -370,39 +395,42 @@ func (r *Replicated) VGet(key uint64) (state byte, value, seq uint64) {
 
 // --- op-log subscriptions ---
 
-// logSub is one subscriber's cursor into the op log. The cursor is owned
-// by the serving goroutine; notify (capacity 1) is poked on every append.
+// logSub is one subscriber's position in the op log. The serving goroutine
+// owns it and moves it only in pull, under the read lock; notifyLocked
+// lowers floor under the write lock, so the mutex orders every access.
+// notify (capacity 1) is poked on every append.
 type logSub struct {
 	cursor uint64
+	// floor is the lowest sequence number of a record the ring evicted
+	// before this subscriber was sent it, or noFloor when it missed
+	// nothing. Floor 0 asks for every key: the full dump of a subscription
+	// that starts behind the ring.
+	floor uint64
+	// keys holds the running catch-up's keys that are still to be sent.
+	keys   []uint64
 	notify chan struct{}
 }
 
-// subscribe registers a subscriber resuming after fromSeq. When fromSeq
-// predates what the op log retains, full is true and dumpKeys holds a
-// consistent snapshot of every tracked key: the subscriber gets a full
-// state dump (dumpEntries over those keys) before the incremental stream.
-// head is the replica's current high-water sequence number.
-func (r *Replicated) subscribe(fromSeq uint64) (sub *logSub, head uint64, full bool, dumpKeys []uint64) {
-	sub = &logSub{notify: make(chan struct{}, 1)}
+// noFloor is the floor of a subscriber that has missed nothing.
+const noFloor = ^uint64(0)
+
+// subscribe registers a subscriber resuming after fromSeq at the oldest
+// retained record; head is the replica's current high-water sequence
+// number. full reports that fromSeq is behind the ring: entries after it
+// may be evicted, and sequence numbers cannot say which, because pushes
+// land out of sequence order. The subscriber's floor is then 0, so its
+// first pull starts a catch-up over every tracked key, a full dump.
+func (r *Replicated) subscribe(fromSeq uint64) (sub *logSub, head uint64, full bool) {
+	sub = &logSub{floor: noFloor, notify: make(chan struct{}, 1)}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	bound := r.log.droppedSeqMax
-	if r.baseSeq > bound {
-		bound = r.baseSeq
-	}
-	full = fromSeq < bound
-	if full {
+	sub.cursor = r.log.first
+	if full = fromSeq < max(r.log.droppedSeqMax, r.baseSeq); full {
 		r.fullSyncs.Add(1)
-		sub.cursor = r.log.next
-		dumpKeys = make([]uint64, 0, len(r.seqs))
-		for k := range r.seqs {
-			dumpKeys = append(dumpKeys, k)
-		}
-	} else {
-		sub.cursor = r.log.first
+		sub.floor = 0
 	}
 	r.subs[sub] = struct{}{}
-	return sub, r.applied, full, dumpKeys
+	return sub, r.applied, full
 }
 
 func (r *Replicated) unsubscribe(sub *logSub) {
@@ -411,39 +439,52 @@ func (r *Replicated) unsubscribe(sub *logSub) {
 	delete(r.subs, sub)
 }
 
-// pull copies the next batch of op-log entries at the subscriber's cursor
-// into dst's capacity. overrun reports the cursor fell behind the ring —
-// the subscriber must resubscribe (and will be offered a full dump).
-func (r *Replicated) pull(sub *logSub, dst []Entry) (ents []Entry, head uint64, overrun bool) {
+// pull fills dst, up to its capacity (at least one entry), with what the
+// subscriber is owed next, and returns the replica's head. A subscriber
+// whose floor is set first catches up: it is sent, from seqs, the newest
+// state of every key whose sequence number is at or above the floor (live
+// keys as PUTs, tombstones as DELs), and then resumes from the oldest
+// record still in the ring. Every record it was not sent is covered: an
+// evicted one's key is at or above the floor, and a retained one, even an
+// out-of-order record below the floor, is still in the ring. Entries sent
+// twice cost only a stale apply. An empty result means the subscriber has
+// been sent everything appended so far.
+func (r *Replicated) pull(sub *logSub, dst []Entry) ([]Entry, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ents, sub.cursor, overrun = r.log.copySince(sub.cursor, dst)
-	return ents, r.applied, overrun
-}
-
-// dumpEntries renders a chunk of tracked keys as replication entries: live
-// keys as PUTs, tombstones as DELs, each carrying its recorded sequence
-// number. Keys whose value has since vanished are skipped; the incremental
-// stream that follows the dump carries their newer state.
-func (r *Replicated) dumpEntries(keys []uint64, dst []Entry) []Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, k := range keys {
-		meta, ok := r.seqs[k]
-		if !ok {
-			continue
+	if len(sub.keys) == 0 && sub.floor != noFloor {
+		if sub.floor > 0 {
+			r.catchUps.Add(1) // floor 0 is a full dump, counted by subscribe
 		}
-		if meta&1 == 1 {
-			dst = append(dst, Entry{Seq: meta >> 1, Op: OpDel, Key: k})
-			continue
+		for k, meta := range r.seqs {
+			if meta>>1 >= sub.floor {
+				sub.keys = append(sub.keys, k)
+			}
 		}
-		v, found := r.inner.Lookup(k)
-		if !found {
-			continue
-		}
-		dst = append(dst, Entry{Seq: meta >> 1, Op: OpPut, Key: k, Value: v})
+		sub.cursor, sub.floor = r.log.first, noFloor
 	}
-	return dst
+	dst = dst[:0]
+	for len(dst) == 0 && len(sub.keys) > 0 {
+		n := min(cap(dst), len(sub.keys))
+		for _, k := range sub.keys[:n] {
+			meta, ok := r.seqs[k]
+			if !ok {
+				continue // a tombstone compacted since the catch-up began
+			}
+			if meta&1 == 1 {
+				dst = append(dst, Entry{Seq: meta >> 1, Op: OpDel, Key: k})
+			} else if v, found := r.inner.Lookup(k); found {
+				dst = append(dst, Entry{Seq: meta >> 1, Op: OpPut, Key: k, Value: v})
+			}
+		}
+		if sub.keys = sub.keys[n:]; len(sub.keys) == 0 {
+			sub.keys = nil // release the key list
+		}
+	}
+	if len(dst) == 0 {
+		dst, sub.cursor = r.log.copySince(sub.cursor, dst)
+	}
+	return dst, r.applied
 }
 
 // --- the BatchStore surface ---
@@ -527,14 +568,16 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 // --- sidecar persistence ---
 
 // The sidecar file persists the replication bookkeeping next to the value
-// snapshot: applied seq plus every key's meta word, CRC32C-guarded like
-// every other on-disk artifact here (§7). A node restarted with both files
-// resumes its subscriptions from the persisted seq instead of a full
-// resynchronization.
+// snapshot: the applied and drained sequence numbers plus every key's meta
+// word, CRC32C-guarded like every other on-disk artifact here (§7). A node
+// restarted with both files resumes its subscriptions from the drained
+// point instead of a full resynchronization. Version 1 files lack the
+// drained point and are rejected, which makes the node resync fully.
 
 const (
 	sidecarMagic   = "MCRS"
-	sidecarVersion = 1
+	sidecarVersion = 2
+	sidecarHeader  = 32
 )
 
 // SidecarError is the typed rejection for a corrupt or mismatched sidecar
@@ -580,11 +623,12 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 	return atomicio.WriteFile(path, func(f *os.File) error {
 		crc := crc32.New(castagnoli)
 		w := bufio.NewWriter(io.MultiWriter(f, crc))
-		var hdr [24]byte
+		var hdr [sidecarHeader]byte
 		copy(hdr[0:4], sidecarMagic)
 		binary.LittleEndian.PutUint32(hdr[4:8], sidecarVersion)
 		binary.LittleEndian.PutUint64(hdr[8:16], r.applied)
-		binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(keys)))
+		binary.LittleEndian.PutUint64(hdr[16:24], r.drained)
+		binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(keys)))
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
@@ -617,7 +661,7 @@ func (r *Replicated) LoadSidecar(path string) error {
 	if err != nil {
 		return err
 	}
-	if len(raw) < 28 {
+	if len(raw) < sidecarHeader+4 {
 		return &SidecarError{Reason: "truncated file"}
 	}
 	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
@@ -631,8 +675,9 @@ func (r *Replicated) LoadSidecar(path string) error {
 		return &SidecarError{Reason: fmt.Sprintf("unsupported version %d", v)}
 	}
 	applied := binary.LittleEndian.Uint64(body[8:16])
-	count := binary.LittleEndian.Uint64(body[16:24])
-	if uint64(len(body)-24) != count*16 {
+	drained := binary.LittleEndian.Uint64(body[16:24])
+	count := binary.LittleEndian.Uint64(body[24:32])
+	if uint64(len(body)-sidecarHeader) != count*16 {
 		return &SidecarError{Reason: "record count disagrees with file size"}
 	}
 	r.mu.Lock()
@@ -641,7 +686,7 @@ func (r *Replicated) LoadSidecar(path string) error {
 	var digest uint64
 	tombs := 0
 	drops := int64(0)
-	off := 24
+	off := sidecarHeader
 	for i := uint64(0); i < count; i++ {
 		k := binary.LittleEndian.Uint64(body[off : off+8])
 		meta := binary.LittleEndian.Uint64(body[off+8 : off+16])
@@ -673,6 +718,7 @@ func (r *Replicated) LoadSidecar(path string) error {
 		r.localSeq = r.applied
 	}
 	r.baseSeq = r.applied
+	r.drained = drained
 	r.sidecarDrops.Add(drops)
 	return nil
 }
@@ -684,6 +730,7 @@ func (r *Replicated) LoadSidecar(path string) error {
 type ReplicaStats struct {
 	AppliedSeq     uint64 `json:"applied_seq"`
 	BaseSeq        uint64 `json:"base_seq"`
+	DrainedSeq     uint64 `json:"drained_seq"`
 	DigestHex      string `json:"digest_hex"`
 	TrackedKeys    int    `json:"tracked_keys"`
 	Tombstones     int    `json:"tombstones"`
@@ -695,6 +742,7 @@ type ReplicaStats struct {
 	ApplyFailures  int64  `json:"apply_failures"`
 	RepairApplied  int64  `json:"repair_applied"`
 	FullSyncs      int64  `json:"full_syncs"`
+	CatchUps       int64  `json:"catch_ups"`
 	SidecarDrops   int64  `json:"sidecar_drops"`
 }
 
@@ -705,6 +753,7 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 	return ReplicaStats{
 		AppliedSeq:     r.applied,
 		BaseSeq:        r.baseSeq,
+		DrainedSeq:     r.drained,
 		DigestHex:      fmt.Sprintf("%016x", r.digest),
 		TrackedKeys:    len(r.seqs),
 		Tombstones:     r.tombs,
@@ -716,6 +765,7 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 		ApplyFailures:  r.applyFailures.Load(),
 		RepairApplied:  r.repairApplied.Load(),
 		FullSyncs:      r.fullSyncs.Load(),
+		CatchUps:       r.catchUps.Load(),
 		SidecarDrops:   r.sidecarDrops.Load(),
 	}
 }
@@ -737,6 +787,7 @@ func (r *Replicated) WritePrometheus(w io.Writer) error {
 	p.simple("mccuckoo_replica_apply_failures_total", "Entries that lost to table capacity.", "counter", st.ApplyFailures)
 	p.simple("mccuckoo_replica_repair_applied_total", "Pushed entries (cluster writes and read-repair) applied.", "counter", st.RepairApplied)
 	p.simple("mccuckoo_replica_full_syncs_total", "Subscriptions that required a full state dump.", "counter", st.FullSyncs)
+	p.simple("mccuckoo_replica_catch_ups_total", "Catch-ups sent in place to live subscriptions the op-log ring overtook.", "counter", st.CatchUps)
 	p.simple("mccuckoo_replica_sidecar_drops_total", "Sidecar keys dropped for missing values at load.", "counter", st.SidecarDrops)
 	return p.err
 }

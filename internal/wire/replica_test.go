@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"net"
@@ -205,6 +206,8 @@ func TestReplicatedSidecarRoundTrip(t *testing.T) {
 		a.ApplyPush([]Entry{{Seq: k, Op: OpPut, Key: k, Value: k * 2}}, nil)
 	}
 	a.ApplyPush([]Entry{{Seq: 1000, Op: OpDel, Key: 5}}, nil)
+	a.SetDrained(400)
+	a.SetDrained(300) // the drained point never moves back
 	saved := false
 	if err := a.CheckpointWith(func() error {
 		saved = true
@@ -230,13 +233,16 @@ func TestReplicatedSidecarRoundTrip(t *testing.T) {
 	if b.Digest() != a.Digest() {
 		t.Fatalf("restored digest %016x, want %016x", b.Digest(), a.Digest())
 	}
+	if st := b.ReplicaStats(); st.DrainedSeq != 400 || st.BaseSeq != 1000 {
+		t.Fatalf("restored drained point %d and base seq %d, want 400 and the applied 1000", st.DrainedSeq, st.BaseSeq)
+	}
 	if state, _, seq := b.VGet(5); state != VStateTomb || seq != 1000 {
 		t.Fatalf("restored tombstone: state=%d seq=%d", state, seq)
 	}
 	// The restore marks everything as predating the op log, so a
 	// subscriber resuming below the restore point is forced into a full
 	// sync.
-	sub, _, full, _ := b.subscribe(10)
+	sub, _, full := b.subscribe(10)
 	b.unsubscribe(sub)
 	if !full {
 		t.Fatal("resume below the restore point should force a full sync")
@@ -267,6 +273,23 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	if b.Applied() != 0 {
 		t.Fatal("corrupt sidecar mutated the replica state")
 	}
+
+	// A version-1 file, which has no drained point, is rejected the same
+	// way, so the node takes a full resync rather than resuming from its
+	// push-inclusive applied sequence.
+	v1 := []byte(sidecarMagic)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 3) // applied
+	v1 = binary.LittleEndian.AppendUint64(v1, 1) // one record
+	v1 = binary.LittleEndian.AppendUint64(v1, 9)
+	v1 = binary.LittleEndian.AppendUint64(v1, MetaOf(3, false))
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
+	if err := os.WriteFile(side, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.LoadSidecar(side); !errors.As(err, &serr) || !strings.Contains(serr.Reason, "version 1") {
+		t.Fatalf("LoadSidecar on a version-1 file: %v, want *SidecarError naming version 1", err)
+	}
 }
 
 func TestOpLogOverrunAndFullSyncDecision(t *testing.T) {
@@ -280,25 +303,95 @@ func TestOpLogOverrunAndFullSyncDecision(t *testing.T) {
 	}
 	// Entries 1..12 fell off the 8-deep ring: resuming from below must be
 	// a full sync, resuming from the retained window must not.
-	sub, head, full, dumpKeys := r.subscribe(5)
-	r.unsubscribe(sub)
-	if !full || len(dumpKeys) != 20 || head != 20 {
-		t.Fatalf("resume 5: full=%v keys=%d head=%d, want full sync of 20 keys at head 20", full, len(dumpKeys), head)
+	sub, head, full := r.subscribe(5)
+	if !full || sub.floor != 0 || head != 20 {
+		t.Fatalf("resume 5: full=%v floor=%d head=%d, want a full sync (floor 0) at head 20", full, sub.floor, head)
 	}
-	sub, _, full, _ = r.subscribe(20)
-	if full {
-		t.Fatal("resume at head must be incremental")
+	// The full dump is a catch-up from floor 0: every key, then the
+	// retained window again.
+	var got []Entry
+	for {
+		ents, _ := r.pull(sub, make([]Entry, 0, 6))
+		if len(ents) == 0 {
+			break
+		}
+		got = append(got, ents...)
+	}
+	r.unsubscribe(sub)
+	if len(got) != 20+8 {
+		t.Fatalf("full sync sent %d entries, want 20 keys plus the 8 retained", len(got))
+	}
+	if st := r.ReplicaStats(); st.FullSyncs != 1 || st.CatchUps != 0 {
+		t.Fatalf("full syncs %d catch-ups %d, want 1 and 0", st.FullSyncs, st.CatchUps)
+	}
+
+	sub, _, full = r.subscribe(20)
+	defer r.unsubscribe(sub)
+	if full || sub.floor != noFloor {
+		t.Fatalf("resume at head: full=%v floor=%d, want incremental", full, sub.floor)
 	}
 	// Drain the retained window through the cursor.
-	ents, _, overrun := r.pull(sub, make([]Entry, 0, 32))
-	if overrun || len(ents) != 8 {
-		t.Fatalf("pull: %d entries overrun=%v, want the 8 retained", len(ents), overrun)
+	if ents, _ := r.pull(sub, make([]Entry, 0, 32)); len(ents) != 8 || ents[0].Seq != 13 {
+		t.Fatalf("pull: %d entries, want the 8 retained from seq 13", len(ents))
 	}
-	r.unsubscribe(sub)
-	// A cursor that fell behind the retained window must report overrun.
-	stale := &logSub{cursor: 0, notify: make(chan struct{}, 1)}
-	if _, _, overrun := r.pull(stale, make([]Entry, 0, 4)); !overrun {
-		t.Fatal("cursor behind the ring must report overrun")
+}
+
+// TestCatchUpFloorIsLowestEvictedUnsent drives one subscriber through an
+// overrun by hand. Its floor must become the lowest sequence number the
+// ring evicted before the subscriber was sent it: not the highest evicted,
+// which droppedSeqMax tracks, and not one it had already been sent. The
+// catch-up then clears the floor, moves the cursor to the oldest retained
+// record, and delivers every key's newest state, including a retained
+// out-of-order record whose sequence number is below the floor.
+func TestCatchUpFloorIsLowestEvictedUnsent(t *testing.T) {
+	tab, err := mccuckoo.NewSharded(1<<12, 4, mccuckoo.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicated(tab, ReplicaConfig{OplogSize: 8})
+	put := func(key, seq uint64) Entry { return Entry{Seq: seq, Op: OpPut, Key: key, Value: key * 10} }
+	r.ApplyPush([]Entry{put(1, 5), put(2, 6), put(3, 103), put(4, 104)}, nil)
+	sub, _, full := r.subscribe(0)
+	defer r.unsubscribe(sub)
+	if full {
+		t.Fatal("subscription from an intact ring took a full sync")
+	}
+	if ents, _ := r.pull(sub, make([]Entry, 0, 2)); len(ents) != 2 || ents[1].Seq != 6 {
+		t.Fatalf("first pull: %+v, want seqs 5 and 6", ents)
+	}
+
+	// Ten more records evict positions 0..5: seqs 5 and 6 were sent, seqs
+	// 103, 104, 500 and 30 were not. Key 15 stays in the ring at seq 3.
+	burst := []Entry{put(11, 500), put(12, 30), put(13, 700), put(14, 40), put(15, 3),
+		put(16, 800), put(17, 900), put(18, 950), put(19, 960), put(20, 970)}
+	r.ApplyPush(burst, nil)
+	if sub.floor != 30 || r.log.droppedSeqMax != 500 {
+		t.Fatalf("floor %d droppedSeqMax %d, want 30 and 500", sub.floor, r.log.droppedSeqMax)
+	}
+
+	got := make(map[uint64]Entry)
+	ents, _ := r.pull(sub, make([]Entry, 0, 4))
+	if sub.floor != noFloor || sub.cursor != r.log.first {
+		t.Fatalf("after the catch-up began: floor %d cursor %d, want cleared and %d", sub.floor, sub.cursor, r.log.first)
+	}
+	for len(ents) > 0 {
+		for _, e := range ents {
+			if old, ok := got[e.Key]; !ok || e.Seq > old.Seq {
+				got[e.Key] = e
+			}
+		}
+		ents, _ = r.pull(sub, make([]Entry, 0, 4))
+	}
+	for _, e := range append([]Entry{put(3, 103), put(4, 104)}, burst...) {
+		if got[e.Key] != e {
+			t.Errorf("key %d: got %+v, want %+v", e.Key, got[e.Key], e)
+		}
+	}
+	if _, ok := got[1]; ok {
+		t.Error("catch-up resent key 1, which is below the floor and was already sent")
+	}
+	if st := r.ReplicaStats(); st.CatchUps != 1 || st.FullSyncs != 0 {
+		t.Errorf("catch-ups %d full syncs %d, want 1 and 0", st.CatchUps, st.FullSyncs)
 	}
 }
 
@@ -320,9 +413,10 @@ func TestReplicatedSeedsFromPreloadedStore(t *testing.T) {
 		t.Fatalf("write over seeded key: status %d, want applied", st[0])
 	}
 	// And a subscriber must take a full sync (the seeds predate any log).
-	_, _, full, dumpKeys := r.subscribe(0)
-	if !full || len(dumpKeys) != 50 {
-		t.Fatalf("subscribe over seeded store: full=%v keys=%d", full, len(dumpKeys))
+	sub, _, full := r.subscribe(0)
+	defer r.unsubscribe(sub)
+	if ents, _ := r.pull(sub, make([]Entry, 0, 64)); !full || len(ents) != 50 {
+		t.Fatalf("subscribe over seeded store: full=%v dumped %d keys", full, len(ents))
 	}
 }
 
@@ -523,6 +617,74 @@ func TestServerSubscriptionStream(t *testing.T) {
 	collect(101)
 	if got[777] != 7770 {
 		t.Fatal("live tail entry never arrived")
+	}
+}
+
+// TestSubscriptionCatchUpInPlace overruns a live subscription: after it
+// has drained (one keepalive read), a single push of 100 out-of-order
+// entries goes through an 8-entry ring. The lowest sequence number is
+// evicted unsent and another low one stays in the ring. The same
+// connection must deliver every key's newest state and then a keepalive,
+// with no ERR frame, counted as one catch-up and no full sync.
+func TestSubscriptionCatchUpInPlace(t *testing.T) {
+	tab, err := mccuckoo.NewSharded(1<<12, 4, mccuckoo.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReplicated(tab, ReplicaConfig{OplogSize: 8})
+	_, addr, shutdown := startServer(t, rep, func(c *Config) { c.SubKeepalive = 20 * time.Millisecond })
+	defer shutdown()
+
+	raw := dialRaw(t, addr)
+	if err := raw.nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	raw.send(Frame{Type: OpSub, ID: 4, Payload: AppendSubscribePayload(nil, 0)})
+	if f := raw.recv(); !f.IsResponse() || f.Status() != StatusOK {
+		t.Fatalf("handshake: %+v", f)
+	}
+	// next reads one stream frame; an ERR response fails the test.
+	next := func() []Entry {
+		t.Helper()
+		f := raw.recv()
+		if f.IsResponse() || f.Type != OpReplicate || f.ID != 4 {
+			t.Fatalf("stream frame: type %#02x response %v payload %q", f.Type, f.IsResponse(), f.Payload)
+		}
+		_, ents, ok := ParseReplicatePayload(f.Payload, nil)
+		if !ok {
+			t.Fatal("malformed stream frame")
+		}
+		return ents
+	}
+	if ents := next(); len(ents) != 0 {
+		t.Fatalf("first frame on an empty replica: %+v, want a keepalive", ents)
+	}
+
+	// Keys 1..100 at a permutation of seqs 1000..1099, except key 1, the
+	// first record and so evicted, at seq 1 (the lowest) and key 96, one
+	// of the 8 retained, at seq 2.
+	burst := make([]Entry, 100)
+	for i := range burst {
+		burst[i] = Entry{Seq: 1000 + uint64(i*37%100), Op: OpPut, Key: uint64(i + 1), Value: uint64(i+1) * 7}
+	}
+	burst[0].Seq, burst[95].Seq = 1, 2
+	rep.ApplyPush(burst, nil)
+
+	got := make(map[uint64]Entry)
+	for ents := next(); len(ents) > 0; ents = next() {
+		for _, e := range ents {
+			if old, ok := got[e.Key]; !ok || e.Seq > old.Seq {
+				got[e.Key] = e
+			}
+		}
+	}
+	for _, e := range burst {
+		if got[e.Key] != e {
+			t.Fatalf("key %d before the keepalive: got %+v, want %+v", e.Key, got[e.Key], e)
+		}
+	}
+	if st := rep.ReplicaStats(); st.CatchUps != 1 || st.FullSyncs != 0 {
+		t.Fatalf("catch-ups %d full syncs %d, want 1 and 0", st.CatchUps, st.FullSyncs)
 	}
 }
 

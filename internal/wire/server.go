@@ -500,10 +500,13 @@ const streamChunk = 1024
 // runSubscription is the op-log pump for one subscribed connection. It runs
 // on the connection's read goroutine (which has stopped reading — a
 // subscribed client sends nothing more) and pushes REPLICATE frames, each
-// echoing the subscribe request id, through the writer: first a full state
-// dump when the resume point predates the op log, then retained entries,
-// then new entries as they arrive, with keepalives in between. The worker
-// goroutine sits idle on an empty queue for the connection's lifetime.
+// echoing the subscribe request id, through the writer: whatever
+// Replicated.pull hands it, which is a catch-up from the per-key sequence
+// numbers when the subscriber started behind the ring (a full dump) or the
+// ring overtook it, and op-log entries otherwise. A keepalive goes out only
+// after a pull came back empty, so it tells the subscriber it has been sent
+// everything appended before that pull. The worker goroutine sits idle on
+// an empty queue for the connection's lifetime.
 //
 // Frames are encoded through h like responses: each payload is built in
 // h.pbuf and each frame in a buffer from the freelist the writer refills, so
@@ -513,7 +516,7 @@ func (s *Server) runSubscription(h *connHandler, id uint64, fromSeq uint64, out 
 	rep := s.rep
 	s.subs.Add(1)
 	defer s.subs.Add(-1)
-	sub, head, full, dumpKeys := rep.subscribe(fromSeq)
+	sub, head, full := rep.subscribe(fromSeq)
 	defer rep.unsubscribe(sub)
 
 	h.pbuf = appendU8(appendU64(h.pbuf[:0], head), boolByte(full))
@@ -526,30 +529,11 @@ func (s *Server) runSubscription(h *connHandler, id uint64, fromSeq uint64, out 
 	}
 
 	scratch := make([]Entry, 0, streamChunk)
-	for len(dumpKeys) > 0 {
-		n := min(streamChunk, len(dumpKeys))
-		ents := rep.dumpEntries(dumpKeys[:n], scratch[:0])
-		dumpKeys = dumpKeys[n:]
-		if len(ents) == 0 {
-			continue
-		}
-		if !s.streamSend(out, connFailed, replicateFrame(head, ents)) {
-			return
-		}
-	}
-
 	keepalive := time.NewTicker(s.cfg.SubKeepalive)
 	defer keepalive.Stop()
 	for {
 		for {
-			ents, head, overrun := rep.pull(sub, scratch[:0])
-			if overrun {
-				// The cursor fell behind the ring (the subscriber was sent
-				// entries slower than new ones arrived for longer than the
-				// ring retains). It must resubscribe and take a full dump.
-				s.streamSend(out, connFailed, h.errFrame(id, "oplog overrun; resubscribe"))
-				return
-			}
+			ents, head := rep.pull(sub, scratch)
 			if len(ents) == 0 {
 				break
 			}
