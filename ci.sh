@@ -46,11 +46,14 @@
 # Trace smoke: a traced mctrace replay against a live two-node replicated
 # pair, asserting the wire-propagated context yields a cross-node span
 # tree — the distributed-tracing tentpole end to end.
-# Fuzz smoke: short bounded runs of the snapshot-loader and wire-frame
-# fuzzers so format changes that break the rejection paths fail in CI,
-# not in a long background fuzz. The wire-frame corpus includes traced
-# frames (flag bit 0x40 + 16-byte context prefix) and their rejection
-# cases.
+# Fuzz smoke: short bounded runs of the snapshot-loader, wire-frame and
+# replica-sidecar (FuzzLoadSidecar) fuzzers so format changes that break
+# the rejection paths fail in CI, not in a long background fuzz. The
+# wire-frame corpus includes traced frames (flag bit 0x40 + 16-byte
+# context prefix) and their rejection cases. The sidecar harness fixes up
+# each input's CRC, so it reaches the record checks (keys strictly
+# ascending, sequence numbers nonzero) and checks that whatever loads
+# saves back byte for byte.
 # Benchmark smoke: the telemetry and trace benchmarks run once so the
 # disabled-path zero-allocation claims and the enabled-path overheads stay
 # measurable (the hard allocation assertions live in
@@ -146,6 +149,9 @@ go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
 
 say "fuzz smoke: wire frame decoder"
 go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
+
+say "fuzz smoke: replica sidecar loader"
+go test -run='^$' -fuzz=FuzzLoadSidecar -fuzztime=5s ./internal/wire
 
 say "benchmark smoke: telemetry overhead"
 go test -run='^$' -bench=Telemetry -benchtime=1x ./internal/telemetry

@@ -27,9 +27,9 @@ type opLog struct {
 
 // opRec is one op-log record, 24 bytes: the public Entry pads its one-byte
 // Op to a 32-byte struct, while meta carries the op in its low bit. meta is
-// the seqs-map encoding, seq<<1 with the low bit set for a delete, which
-// is lossless because applyLocked rejects sequence numbers at or above
-// 1<<63. value is 0 for deletes.
+// the per-key index's encoding, seq<<1 with the low bit set for a delete,
+// which is lossless because applyLocked rejects sequence numbers at or
+// above 1<<63. value is 0 for deletes.
 type opRec struct {
 	key, value, meta uint64
 }

@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand/v2"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,7 +72,7 @@ type Replicated struct {
 
 	mu sync.RWMutex
 	//mcvet:guardedby mu
-	seqs map[uint64]uint64 // key -> meta: seq<<1 | tombstone bit
+	seqs seqIndex // key -> meta: seq<<1 | tombstone bit
 	//mcvet:guardedby mu
 	applied uint64 // highest sequence number applied
 	//mcvet:guardedby mu
@@ -114,7 +116,7 @@ func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 	}
 	r := &Replicated{
 		inner: inner,
-		seqs:  make(map[uint64]uint64),
+		seqs:  newSeqIndex(rand.Uint64(), inner.Len()),
 		log:   newOpLog(cfg.OplogSize),
 		subs:  make(map[*logSub]struct{}),
 	}
@@ -122,7 +124,7 @@ func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 		r.mu.Lock()
 		meta := uint64(seededSeq) << 1
 		rng.Range(func(key, value uint64) bool {
-			r.seqs[key] = meta
+			r.seqs.set(key, meta)
 			r.digest ^= DigestTerm(key, value, meta)
 			return true
 		})
@@ -199,12 +201,9 @@ func (r *Replicated) DigestRange(peer string, lo, hi uint64, maxKeys int) (diges
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for k, meta := range r.seqs {
-		if k < lo || k > hi {
-			continue
-		}
-		if r.filter != nil && !r.filter(peer, k) {
-			continue
+	r.seqs.each(func(k, meta uint64) {
+		if k < lo || k > hi || (r.filter != nil && !r.filter(peer, k)) {
+			return
 		}
 		var val uint64
 		if meta&1 == 0 {
@@ -217,7 +216,7 @@ func (r *Replicated) DigestRange(peer string, lo, hi uint64, maxKeys int) (diges
 		if maxKeys > 0 && len(keys) < maxKeys {
 			keys = append(keys, DigestEntry{Key: k, Meta: meta})
 		}
-	}
+	})
 	if uint64(len(keys)) < count {
 		// The range overflowed the enumeration budget: the caller must
 		// bisect, so a partial listing is only misleading.
@@ -235,15 +234,14 @@ func (r *Replicated) DigestRange(peer string, lo, hi uint64, maxKeys int) (diges
 func (r *Replicated) CompactTombstones(beforeSeq uint64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for k, meta := range r.seqs {
-		if meta&1 == 1 && meta>>1 < beforeSeq {
-			r.digest ^= DigestTerm(k, 0, meta)
-			delete(r.seqs, k)
-			r.tombs--
-			n++
+	n := r.seqs.deleteFunc(func(k, meta uint64) bool {
+		if meta&1 == 0 || meta>>1 >= beforeSeq {
+			return false
 		}
-	}
+		r.digest ^= DigestTerm(k, 0, meta)
+		return true
+	})
+	r.tombs -= n
 	return n
 }
 
@@ -264,7 +262,8 @@ func MetaOf(seq uint64, tomb bool) uint64 {
 //
 //mcvet:locked
 func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResult, removed bool) {
-	meta, seen := r.seqs[e.Key]
+	pos, meta := r.seqs.probe(e.Key)
+	seen := meta != 0
 	invalid := e.Seq == 0 || e.Seq >= seqLimit || (e.Op != OpPut && e.Op != OpDel)
 	if invalid || (seen && e.Seq <= meta>>1) {
 		r.entriesStale.Add(1)
@@ -302,7 +301,7 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 	} else if wasTomb && !isTomb {
 		r.tombs--
 	}
-	r.seqs[e.Key] = newMeta
+	r.seqs.update(pos, e.Key, newMeta)
 	r.digest ^= oldTerm ^ DigestTerm(e.Key, newVal, newMeta)
 	if e.Seq > r.applied {
 		r.applied = e.Seq
@@ -376,7 +375,7 @@ func (r *Replicated) ApplyStream(ents []Entry) (applied, stale, failed int) {
 func (r *Replicated) VGet(key uint64) (state byte, value, seq uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	meta, ok := r.seqs[key]
+	meta, ok := r.seqs.get(key)
 	if !ok {
 		return VStateMissing, 0, 0
 	}
@@ -456,18 +455,18 @@ func (r *Replicated) pull(sub *logSub, dst []Entry) ([]Entry, uint64) {
 		if sub.floor > 0 {
 			r.catchUps.Add(1) // floor 0 is a full dump, counted by subscribe
 		}
-		for k, meta := range r.seqs {
+		r.seqs.each(func(k, meta uint64) {
 			if meta>>1 >= sub.floor {
 				sub.keys = append(sub.keys, k)
 			}
-		}
+		})
 		sub.cursor, sub.floor = r.log.first, noFloor
 	}
 	dst = dst[:0]
 	for len(dst) == 0 && len(sub.keys) > 0 {
 		n := min(cap(dst), len(sub.keys))
 		for _, k := range sub.keys[:n] {
-			meta, ok := r.seqs[k]
+			meta, ok := r.seqs.get(k)
 			if !ok {
 				continue // a tombstone compacted since the catch-up began
 			}
@@ -615,11 +614,9 @@ func (r *Replicated) SaveSidecar(path string) error {
 //mcvet:locked
 //mcvet:deterministic
 func (r *Replicated) saveSidecarLocked(path string) error {
-	keys := make([]uint64, 0, len(r.seqs))
-	for k := range r.seqs { //mcvet:allow nodeterminism keys are sorted before writing
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	recs := make([]seqSlot, 0, r.seqs.len())
+	r.seqs.each(func(key, meta uint64) { recs = append(recs, seqSlot{key, meta}) })
+	slices.SortFunc(recs, func(a, b seqSlot) int { return cmp.Compare(a.key, b.key) })
 	return atomicio.WriteFile(path, func(f *os.File) error {
 		crc := crc32.New(castagnoli)
 		w := bufio.NewWriter(io.MultiWriter(f, crc))
@@ -628,14 +625,14 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 		binary.LittleEndian.PutUint32(hdr[4:8], sidecarVersion)
 		binary.LittleEndian.PutUint64(hdr[8:16], r.applied)
 		binary.LittleEndian.PutUint64(hdr[16:24], r.drained)
-		binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(keys)))
+		binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(recs)))
 		if _, err := w.Write(hdr[:]); err != nil {
 			return err
 		}
 		var rec [16]byte
-		for _, k := range keys {
-			binary.LittleEndian.PutUint64(rec[0:8], k)
-			binary.LittleEndian.PutUint64(rec[8:16], r.seqs[k])
+		for _, sl := range recs {
+			binary.LittleEndian.PutUint64(rec[0:8], sl.key)
+			binary.LittleEndian.PutUint64(rec[8:16], sl.meta)
 			if _, err := w.Write(rec[:]); err != nil {
 				return err
 			}
@@ -655,7 +652,8 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 // (a sidecar older than the values snapshot) are dropped from tracking and
 // counted, so they read as missing and heal through read-repair and the
 // catch-up stream. Corrupt files are rejected with a *SidecarError and
-// leave the state untouched.
+// leave the state untouched, as are files whose records are not in
+// strictly ascending key order or carry sequence number 0.
 func (r *Replicated) LoadSidecar(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -677,20 +675,25 @@ func (r *Replicated) LoadSidecar(path string) error {
 	applied := binary.LittleEndian.Uint64(body[8:16])
 	drained := binary.LittleEndian.Uint64(body[16:24])
 	count := binary.LittleEndian.Uint64(body[24:32])
-	if uint64(len(body)-sidecarHeader) != count*16 {
+	recs := body[sidecarHeader:]
+	if len(recs)%16 != 0 || uint64(len(recs)/16) != count {
 		return &SidecarError{Reason: "record count disagrees with file size"}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seqs := make(map[uint64]uint64, count)
+	seqs := newSeqIndex(r.seqs.seed, len(recs)/16)
 	var digest uint64
 	tombs := 0
 	drops := int64(0)
-	off := sidecarHeader
-	for i := uint64(0); i < count; i++ {
-		k := binary.LittleEndian.Uint64(body[off : off+8])
-		meta := binary.LittleEndian.Uint64(body[off+8 : off+16])
-		off += 16
+	for off := 0; off < len(recs); off += 16 {
+		k := binary.LittleEndian.Uint64(recs[off:])
+		meta := binary.LittleEndian.Uint64(recs[off+8:])
+		if off > 0 && k <= binary.LittleEndian.Uint64(recs[off-16:]) {
+			return &SidecarError{Reason: fmt.Sprintf("record %d: key %d repeats or breaks ascending order", off/16, k)}
+		}
+		if meta < 2 {
+			return &SidecarError{Reason: fmt.Sprintf("record %d: key %d has sequence number 0", off/16, k)}
+		}
 		var val uint64
 		if meta&1 == 0 {
 			v, ok := r.inner.Lookup(k)
@@ -705,7 +708,7 @@ func (r *Replicated) LoadSidecar(path string) error {
 		} else {
 			tombs++
 		}
-		seqs[k] = meta
+		seqs.set(k, meta)
 		digest ^= DigestTerm(k, val, meta)
 	}
 	r.seqs = seqs
@@ -755,7 +758,7 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 		BaseSeq:        r.baseSeq,
 		DrainedSeq:     r.drained,
 		DigestHex:      fmt.Sprintf("%016x", r.digest),
-		TrackedKeys:    len(r.seqs),
+		TrackedKeys:    r.seqs.len(),
 		Tombstones:     r.tombs,
 		OplogLen:       int(r.log.next - r.log.first),
 		OplogDropped:   r.log.dropped,

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 	"mccuckoo"
 )
 
-func newReplicated(t *testing.T, capacity int) *Replicated {
+func newReplicated(t testing.TB, capacity int) *Replicated {
 	t.Helper()
 	tab, err := mccuckoo.NewSharded(capacity, 4, mccuckoo.WithSeed(11))
 	if err != nil {
@@ -290,6 +291,173 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	if err := b.LoadSidecar(side); !errors.As(err, &serr) || !strings.Contains(serr.Reason, "version 1") {
 		t.Fatalf("LoadSidecar on a version-1 file: %v, want *SidecarError naming version 1", err)
 	}
+}
+
+// sidecarBody encodes a version-2 sidecar without its trailing CRC: the
+// header (count from len(recs)) and one {key, meta} record per pair.
+func sidecarBody(applied, drained uint64, recs ...[2]uint64) []byte {
+	b := []byte(sidecarMagic)
+	b = binary.LittleEndian.AppendUint32(b, sidecarVersion)
+	b = binary.LittleEndian.AppendUint64(b, applied)
+	b = binary.LittleEndian.AppendUint64(b, drained)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(recs)))
+	for _, rec := range recs {
+		b = binary.LittleEndian.AppendUint64(b, rec[0])
+		b = binary.LittleEndian.AppendUint64(b, rec[1])
+	}
+	return b
+}
+
+// writeSidecar writes body plus the CRC32C it needs to a file in dir.
+func writeSidecar(t *testing.T, dir string, body []byte) string {
+	t.Helper()
+	path := filepath.Join(dir, "sidecar")
+	file := binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.Checksum(body, castagnoli))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadSidecarRejectsMalformedRecords: a CRC-valid sidecar whose records
+// repeat a key, break ascending key order, carry meta below 2 (sequence
+// number 0) or claim more records than the file holds is rejected with a
+// *SidecarError and leaves the replica as it was. Repeated keys used to
+// load: key 7 live twice and key 9 tombstoned twice gave 2 tombstones and
+// a digest of 0, the duplicate terms XORed away.
+func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
+	live, tomb := MetaOf(3, false), MetaOf(4, true)
+	overflow := sidecarBody(5, 5)
+	binary.LittleEndian.PutUint64(overflow[24:32], 1<<60) // count*16 wraps to 0
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"repeated keys", sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb})},
+		{"descending keys", sidecarBody(5, 5, [2]uint64{9, tomb}, [2]uint64{7, live})},
+		{"live sequence 0", sidecarBody(5, 5, [2]uint64{7, 0}, [2]uint64{9, tomb})},
+		{"tombstone sequence 0", sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, 1})},
+		{"count overflows", overflow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newReplicated(t, 1<<12)
+			r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
+			before := r.ReplicaStats()
+			var serr *SidecarError
+			if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) {
+				t.Fatalf("LoadSidecar: %v, want *SidecarError", err)
+			}
+			if after := r.ReplicaStats(); after != before {
+				t.Fatalf("rejected sidecar changed the replica: %+v, was %+v", after, before)
+			}
+		})
+	}
+
+	// The same records, once each and in order, load.
+	r := newReplicated(t, 1<<12)
+	r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
+	if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb}))); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.ReplicaStats(); st.TrackedKeys != 2 || st.Tombstones != 1 {
+		t.Fatalf("loaded %d keys and %d tombstones, want 2 and 1", st.TrackedKeys, st.Tombstones)
+	}
+	if want := DigestTerm(7, 70, live) ^ DigestTerm(9, 0, tomb); r.Digest() != want {
+		t.Fatalf("digest %016x, want %016x", r.Digest(), want)
+	}
+}
+
+// FuzzLoadSidecar feeds LoadSidecar arbitrary sidecar bodies. The harness
+// appends the CRC each body needs, so mutations reach the header and record
+// checks instead of stopping at the checksum. A file that loads must track
+// exactly the distinct keys it kept (its tombstones and the live keys the
+// store holds), its digest must be the XOR of DigestTerm over VGet of each
+// kept key, and save, load, save must give byte-identical files.
+func FuzzLoadSidecar(f *testing.F) {
+	tab, err := mccuckoo.NewSharded(1<<10, 2, mccuckoo.WithSeed(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for k := uint64(1); k <= 16; k++ {
+		tab.Insert(k, k*10)
+	}
+
+	// A saved sidecar of a replica whose keys the store holds, plus
+	// tombstones, and the crafted rejections above.
+	src := newReplicated(f, 1<<10)
+	for k := uint64(1); k <= 20; k++ {
+		src.ApplyPush([]Entry{{Seq: 10 + k, Op: OpPut, Key: k, Value: k}}, nil)
+	}
+	src.ApplyPush([]Entry{{Seq: 40, Op: OpDel, Key: 3}, {Seq: 41, Op: OpDel, Key: 30}}, nil)
+	src.SetDrained(25)
+	dir := f.TempDir()
+	if err := src.SaveSidecar(filepath.Join(dir, "seed")); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "seed"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw[:len(raw)-4])
+	live, tomb := MetaOf(3, false), MetaOf(4, true)
+	f.Add(sidecarBody(0, 0))
+	f.Add(sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb}))
+	f.Add(sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb}))
+	f.Add(sidecarBody(5, 5, [2]uint64{9, tomb}, [2]uint64{7, live}))
+	f.Add(sidecarBody(5, 5, [2]uint64{7, 0}, [2]uint64{9, 1}))
+	f.Add([]byte(sidecarMagic))
+
+	// Iterations run one at a time in each worker, so they share dir, and
+	// a one-record op log keeps each fresh replica small.
+	cfg := ReplicaConfig{OplogSize: 1}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := NewReplicated(tab, cfg)
+		if err := r.LoadSidecar(writeSidecar(t, dir, body)); err != nil {
+			var serr *SidecarError
+			if !errors.As(err, &serr) {
+				t.Fatalf("LoadSidecar: %v, want nil or *SidecarError", err)
+			}
+			return
+		}
+		kept := make(map[uint64]bool)
+		for off := sidecarHeader; off < len(body); off += 16 {
+			k := binary.LittleEndian.Uint64(body[off:])
+			if _, ok := tab.Lookup(k); ok || binary.LittleEndian.Uint64(body[off+8:])&1 == 1 {
+				kept[k] = true
+			}
+		}
+		if n := r.ReplicaStats().TrackedKeys; n != len(kept) {
+			t.Fatalf("tracks %d keys, the file kept %d", n, len(kept))
+		}
+		var digest uint64
+		for k := range kept {
+			state, v, seq := r.VGet(k)
+			if state == VStateMissing {
+				t.Fatalf("kept key %d reads as missing", k)
+			}
+			digest ^= DigestTerm(k, v, MetaOf(seq, state == VStateTomb))
+		}
+		if digest != r.Digest() {
+			t.Fatalf("digest %016x, VGets give %016x", r.Digest(), digest)
+		}
+
+		first, second := filepath.Join(dir, "first"), filepath.Join(dir, "second")
+		if err := r.SaveSidecar(first); err != nil {
+			t.Fatal(err)
+		}
+		r2 := NewReplicated(tab, cfg)
+		if err := r2.LoadSidecar(first); err != nil {
+			t.Fatalf("reloading a saved sidecar: %v", err)
+		}
+		if err := r2.SaveSidecar(second); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(first)
+		b, errB := os.ReadFile(second)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("save, load, save changed the file (%v, %v)", errA, errB)
+		}
+	})
 }
 
 func TestOpLogOverrunAndFullSyncDecision(t *testing.T) {

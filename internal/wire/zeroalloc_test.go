@@ -276,3 +276,52 @@ func TestSubscriptionStreamZeroAlloc(t *testing.T) {
 		})
 	}
 }
+
+// TestApplyPushZeroAlloc pins the apply path: pushing or streaming entries
+// for keys the replica already tracks allocates nothing. Each one is a
+// probe of the per-key index and an update in place; only a new key can
+// grow a segment.
+func TestApplyPushZeroAlloc(t *testing.T) {
+	r := newReplicated(t, 1<<12)
+	const keys = 256
+	seq := uint64(1)
+	for k := uint64(0); k < keys; k++ {
+		r.ApplyPush([]Entry{{Seq: seq, Op: OpPut, Key: k, Value: k}}, nil)
+		seq++
+	}
+	push := make([]Entry, 4)
+	stream := make([]Entry, 4)
+	statuses := make([]byte, len(push))
+	// fill gives ents newer entries for tracked keys; op alternates PUT
+	// and DEL so tombstones flip both ways.
+	fill := func(ents []Entry) {
+		for i := range ents {
+			op := OpPut
+			if seq%2 == 0 {
+				op = OpDel
+			}
+			ents[i] = Entry{Seq: seq, Op: op, Key: seq % keys, Value: seq}
+			seq++
+		}
+	}
+	before := r.ReplicaStats()
+	if n := testing.AllocsPerRun(200, func() {
+		fill(push)
+		statuses = r.ApplyPush(push, statuses)
+	}); n != 0 {
+		t.Errorf("ApplyPush: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		fill(stream)
+		r.ApplyStream(stream)
+	}); n != 0 {
+		t.Errorf("ApplyStream: %v allocs/op, want 0", n)
+	}
+	after := r.ReplicaStats()
+	if applied := after.EntriesApplied - before.EntriesApplied; applied != 2*201*4 || after.EntriesStale != before.EntriesStale {
+		t.Fatalf("applied %d entries (%d stale), want every one of %d applied", applied, after.EntriesStale-before.EntriesStale, 2*201*4)
+	}
+	if after.TrackedKeys != keys {
+		t.Fatalf("tracks %d keys, want %d", after.TrackedKeys, keys)
+	}
+}
