@@ -15,6 +15,12 @@
 # on-chip accesses and stash counts are deterministic for a seed, so this is
 # a noise-free gate over every row of the paper's tables and figures: an
 # extra probe read or a moved kick fails it on any machine.
+# 32-bit leg: the network-facing packages (internal/wire, internal/cluster
+# and cmd/mcserved) are vetted and internal/wire and internal/cluster
+# tested with GOARCH=386, where int is 32 bits, so a hostile count whose
+# product wraps an int fails here rather than on a 32-bit node. The rest of
+# the tree has 64-bit constants (internal/workload, internal/bench) and
+# does not build for 386.
 # Race gate: the concurrency-bearing packages (internal/core's pathwise
 # inserts, internal/shard — the one lock layer, whose one-shard form is the
 # public Concurrent and whose N-shard form is Sharded — internal/faultinject
@@ -114,6 +120,10 @@ go build ./...
 
 say "go test: full suite"
 go test -shuffle=on ./...
+
+say "32-bit leg: GOARCH=386 vet + tests of the network-facing packages"
+GOARCH=386 go vet ./internal/wire/ ./internal/cluster/ ./cmd/mcserved/
+GOARCH=386 go test -shuffle=on ./internal/wire/ ./internal/cluster/
 
 say "paper gate: mcbench -exp all vs RESULTS.txt"
 paper_dir="$(mktemp -d)"

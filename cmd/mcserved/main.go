@@ -1,7 +1,7 @@
 // Command mcserved serves a McCuckoo table over TCP with the wire protocol
-// (DESIGN.md §10): pipelined GET/PUT/DEL/BATCH/STATS/PING with explicit
-// BUSY backpressure, per-connection limits, and graceful drain on
-// SIGTERM/SIGINT.
+// (DESIGN.md §10): pipelined GET/PUT/DEL/BATCH/STATS/PING, one goroutine
+// per connection with TCP flow control as the backpressure, a connection
+// limit, and graceful drain on SIGTERM/SIGINT.
 //
 // The table kind is chosen with -kind (sharded by default; single and
 // blocked are served through mccuckoo.NewConcurrent, so reads run in
@@ -17,8 +17,8 @@
 //
 // With -trace the node keeps a flight recorder of request spans (DESIGN.md
 // §13): incoming frames carrying a trace context get server-side spans
-// (queue wait, table op, kick-chain length), head-sampled traces started
-// here get 1-in-N sampling (-tracesample), and any op slower than
+// (request execution, table op, kick-chain length), head-sampled traces
+// started here get 1-in-N sampling (-tracesample), and any op slower than
 // -traceslow is captured regardless of sampling. The recorder is dumped at
 // /debug/mccuckoo/trace (filters: ?trace=<hex id>, ?minns=<dur>,
 // ?limit=<n>) and its counters join /metrics.
@@ -98,7 +98,6 @@ func run(args []string, stdout io.Writer) error {
 		snapshot   = fs.String("snapshot", "", "checkpoint the table to this path")
 		checkpoint = fs.Duration("checkpoint", 0, "periodic checkpoint interval (0 disables; needs -snapshot)")
 		maxConns   = fs.Int("maxconns", 256, "maximum simultaneous connections")
-		queue      = fs.Int("queue", 128, "per-connection work-queue depth (BUSY beyond it)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-drain budget on shutdown")
 		peers      = fs.String("peers", "", "comma-separated addresses of the other cluster nodes (enables replication)")
 		self       = fs.String("self", "", "this node's address in the cluster ring (default -addr)")
@@ -200,11 +199,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	srv, err := wire.NewServer(wire.Config{
-		Store:      store,
-		MaxConns:   *maxConns,
-		QueueDepth: *queue,
-		Logf:       logger.Printf,
-		Trace:      rec,
+		Store:    store,
+		MaxConns: *maxConns,
+		Logf:     logger.Printf,
+		Trace:    rec,
 	})
 	if err != nil {
 		return err

@@ -1,8 +1,9 @@
 // Serving: McCuckoo over the network. An in-process wire server binds a
 // sharded table behind the Store interface, then a fleet of clients talks
-// to it over real TCP: pipelined point ops, batched round trips, BUSY
-// backpressure handled by the client's jittered retries, and a graceful
-// drain at the end. The same protocol is served standalone by cmd/mcserved.
+// to it over real TCP: pipelined point ops and batched round trips, each
+// connection served by one server goroutine with TCP flow control as the
+// backpressure, and a graceful drain at the end. The same protocol is
+// served standalone by cmd/mcserved.
 //
 //	go run ./examples/serving
 package main

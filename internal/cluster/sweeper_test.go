@@ -232,7 +232,7 @@ func TestSweeperBreakerSkipsDeadPeer(t *testing.T) {
 	sw, err := NewSweeper(a.rep, SweeperConfig{
 		Self: addrs[0], Nodes: addrs, Replicas: 2, Seed: testRingSeed,
 		BreakerFailures: 2, BreakerProbe: time.Hour, Logf: t.Logf,
-		Wire: wire.ClientConfig{DialTimeout: 200 * time.Millisecond, RetryBase: time.Millisecond},
+		Wire: wire.ClientConfig{DialTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

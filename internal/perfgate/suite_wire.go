@@ -17,9 +17,9 @@ const wireScale = 1000
 
 // WireSuite measures the serving layer twice over a seeded sharded store:
 // the in-process serve path (wire.ServeProbe — decode-to-response execution
-// with the connection worker's buffer cycle, where the zero-copy framing
-// must show 0 allocs/op) and full loopback-TCP round trips through the
-// pooled client.
+// into a served connection's reused output buffer, where the zero-copy
+// framing must show 0 allocs/op) and full loopback-TCP round trips through
+// the pooled client.
 func WireSuite(o SuiteOptions) (*Report, error) {
 	if err := o.normalize(); err != nil {
 		return nil, err

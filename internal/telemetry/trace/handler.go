@@ -222,7 +222,7 @@ func Trees(spans []Span) []*Node {
 //
 //	client_op put 412µs trace=9f3a… key=ab12…
 //	  replica_rtt replicate 397µs peer=1a2b3c4d
-//	    server_op replicate 121µs hop=1 wait=8µs
+//	    server_op replicate 121µs hop=1
 //	      repl_apply replicate 96µs kicks=1
 func (n *Node) Write(w io.Writer, indent int) error {
 	sp := n.Span

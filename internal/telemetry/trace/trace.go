@@ -1,8 +1,8 @@
 // Package trace is the distributed-tracing layer of the cluster tier
 // (DESIGN.md §13): a zero-dependency, allocation-disciplined span recorder
 // that follows one client request across the client fan-out, the per-replica
-// round trips, the server queue, the table operation (kick chain included),
-// the replication apply, and the anti-entropy repairs.
+// round trips, the server's execution, the table operation (kick chain
+// included), the replication apply, and the anti-entropy repairs.
 //
 // A trace begins at the client with Begin, which applies 1-in-N head
 // sampling and mints a Context: 16 bytes — trace id, parent span id, hop
@@ -107,8 +107,8 @@ const (
 	KindClientOp Kind = 1 + iota
 	// KindReplicaRTT is one replica's round trip within a fan-out.
 	KindReplicaRTT
-	// KindServerOp is a server-side request execution; Wait carries the
-	// queue wait (decode to handler start).
+	// KindServerOp is a server-side request execution, from the decoded
+	// frame to its encoded response.
 	KindServerOp
 	// KindTableOp is the table operation under a server op; Kicks carries
 	// the kick-chain length for inserts.
@@ -176,8 +176,8 @@ type Span struct {
 	Start int64
 	// Dur is the span duration in nanoseconds, set by Finish.
 	Dur int64
-	// Wait is kind-dependent: queue-wait nanoseconds (server ops), stream
-	// lag in entries (replication applies).
+	// Wait is kind-dependent: stream lag in entries (replication applies),
+	// zero otherwise.
 	Wait int64
 
 	rec *Recorder

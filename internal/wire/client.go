@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
 	"slices"
 	"sync"
@@ -16,11 +15,6 @@ import (
 
 	"encoding/json"
 )
-
-// ErrBusy is returned when the server answered BUSY on every retry: the
-// connection's work queue stayed full for the whole backoff schedule. The
-// request was never executed.
-var ErrBusy = errors.New("wire: server busy")
 
 // ErrClientClosed is returned by every call after Close.
 var ErrClientClosed = errors.New("wire: client closed")
@@ -58,14 +52,6 @@ type ClientConfig struct {
 	// RequestTimeout bounds one request/response round trip (default 10s).
 	RequestTimeout time.Duration
 
-	// BusyRetries is how many times a BUSY response is retried before
-	// giving up with ErrBusy (default 8).
-	BusyRetries int
-
-	// RetryBase is the first retry backoff; each retry doubles it and
-	// applies ±50% jitter (default 1ms).
-	RetryBase time.Duration
-
 	// MaxPayload bounds response payloads (default DefaultMaxPayload).
 	MaxPayload int
 }
@@ -99,12 +85,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.BusyRetries <= 0 {
-		cfg.BusyRetries = 8
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = time.Millisecond
 	}
 	if cfg.MaxPayload <= 0 {
 		cfg.MaxPayload = DefaultMaxPayload
@@ -177,8 +157,7 @@ func (c *Client) WritePrometheus(w io.Writer) error {
 	return p.err
 }
 
-// do performs one untraced request with retry-on-BUSY and returns the OK
-// payload.
+// do performs one untraced request and returns the OK payload.
 func (c *Client) do(op byte, payload []byte) ([]byte, error) {
 	return c.doCtx(trace.Context{}, op, payload)
 }
@@ -187,33 +166,21 @@ func (c *Client) do(op byte, payload []byte) ([]byte, error) {
 // is flagged and prefixed so the server can continue the trace. The zero
 // context produces a byte-identical untraced frame.
 func (c *Client) doCtx(tc trace.Context, op byte, payload []byte) ([]byte, error) {
-	backoff := c.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		cc, err := c.conn()
-		if err != nil {
-			return nil, err
-		}
-		status, resp, err := cc.roundTrip(c.nextID.Add(1), op, payload, tc, c.cfg.RequestTimeout)
-		if err != nil {
-			return nil, err
-		}
-		switch status {
-		case StatusOK:
-			return resp, nil
-		case StatusBusy:
-			if attempt >= c.cfg.BusyRetries {
-				return nil, ErrBusy
-			}
-			// Jittered exponential backoff: sleep backoff ±50%, then
-			// double. Jitter decorrelates a fleet of retrying clients.
-			d := backoff/2 + rand.N(backoff)
-			time.Sleep(d)
-			backoff *= 2
-		case StatusErr:
-			return nil, &ServerError{Msg: string(resp)}
-		default:
-			return nil, protoErrf("unknown response status %d", status)
-		}
+	cc, err := c.conn()
+	if err != nil {
+		return nil, err
+	}
+	status, resp, err := cc.roundTrip(c.nextID.Add(1), op, payload, tc, c.cfg.RequestTimeout)
+	if err != nil {
+		return nil, err
+	}
+	switch status {
+	case StatusOK:
+		return resp, nil
+	case StatusErr:
+		return nil, &ServerError{Msg: string(resp)}
+	default:
+		return nil, protoErrf("unknown response status %d", status)
 	}
 }
 

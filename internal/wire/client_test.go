@@ -4,7 +4,6 @@ import (
 	"errors"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,46 +60,6 @@ func (fs *fakeServer) serve(nc net.Conn) {
 		if fs.closeAfter > 0 && responded >= fs.closeAfter {
 			return
 		}
-	}
-}
-
-func TestClientRetryOnBusy(t *testing.T) {
-	var calls atomic.Int64
-	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
-		if calls.Add(1) <= 2 {
-			return StatusBusy, nil, true
-		}
-		return StatusOK, nil, true
-	})
-	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, BusyRetries: 5, RetryBase: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping despite retries: %v", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want 3 (2 BUSY + 1 OK)", got)
-	}
-}
-
-func TestClientBusyExhausted(t *testing.T) {
-	var calls atomic.Int64
-	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
-		calls.Add(1)
-		return StatusBusy, nil, true
-	})
-	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, BusyRetries: 2, RetryBase: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); !errors.Is(err, ErrBusy) {
-		t.Fatalf("ping: %v, want ErrBusy", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d requests, want 3 (initial + 2 retries)", got)
 	}
 }
 

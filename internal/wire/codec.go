@@ -22,7 +22,6 @@ import "encoding/binary"
 //	      records of seq u64, op u8 (OpPut|OpDel), key u64, value u64
 //	REPLICATE response (requests only): count u32, then count apply
 //	      statuses (u8 each: ApplyStale, ApplyApplied, ApplyFailed)
-//	BUSY  response: empty
 //	ERR   response: UTF-8 message
 //
 // Counts are validated against the actual payload length, so a hostile
@@ -111,12 +110,13 @@ func parseBatchHeader(p []byte) (sub byte, count int, records []byte, ok bool) {
 		return 0, 0, nil, false
 	}
 	sub = p[0]
-	n := int(binary.LittleEndian.Uint32(p[1:5]))
 	size := batchItemSize(sub)
-	if size == 0 || n < 0 || len(p)-5 != n*size {
+	// Compare by division: the count times the record size can wrap a
+	// 32-bit int to the payload length.
+	if size == 0 || (len(p)-5)%size != 0 || uint64((len(p)-5)/size) != uint64(binary.LittleEndian.Uint32(p[1:5])) {
 		return 0, 0, nil, false
 	}
-	return sub, n, p[5:], true
+	return sub, (len(p) - 5) / size, p[5:], true
 }
 
 // Versioned-key states, carried in VGET responses. A tombstone is a deleted
@@ -186,10 +186,12 @@ func ParseReplicatePayload(p []byte, ents []Entry) (head uint64, _ []Entry, ok b
 		return 0, nil, false
 	}
 	head = binary.LittleEndian.Uint64(p[0:8])
-	n := int(binary.LittleEndian.Uint32(p[8:12]))
-	if n < 0 || len(p)-replicateHeadLen != n*entrySize {
+	// Compare by division, as in parseBatchHeader.
+	n := len(p) - replicateHeadLen
+	if n%entrySize != 0 || uint64(n/entrySize) != uint64(binary.LittleEndian.Uint32(p[8:12])) {
 		return 0, nil, false
 	}
+	n /= entrySize
 	if cap(ents) < n {
 		ents = make([]Entry, n)
 	}

@@ -1,7 +1,7 @@
 // Package wire is the network serving layer of the McCuckoo tables: a
 // stdlib-only length-prefixed binary protocol (DESIGN.md §10), a pipelined
-// TCP server that binds any mccuckoo.Store, and a pooled client with
-// retry-on-BUSY.
+// TCP server that binds any mccuckoo.Store and serves each connection on one
+// goroutine, and a pooled, pipelining client.
 //
 // # Frame layout
 //
@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
+	"slices"
 
 	"mccuckoo/internal/telemetry/trace"
 )
@@ -117,10 +117,10 @@ const flagTraced byte = 0x40
 const (
 	// StatusOK carries the operation's result payload.
 	StatusOK byte = 0
-	// StatusBusy is the backpressure signal: the connection's work queue
-	// was full when the request arrived. The request was NOT executed;
-	// retry after a backoff.
-	StatusBusy byte = 1
+	// Status 1 is retired and must never be reused: older clients read it
+	// as BUSY, a signal to retry the request. Clients now reject it as an
+	// unknown status.
+
 	// StatusErr carries a human-readable error string as payload. The
 	// connection remains usable.
 	StatusErr byte = 2
@@ -140,10 +140,6 @@ type Frame struct {
 	// traced-frame prefix (zero for untraced frames); on encode a valid
 	// context on a request sets the flag bit and writes the prefix.
 	Trace trace.Context
-
-	// recvAt is when the server's read loop decoded the frame, the basis of
-	// the queue-wait measurement in server spans. Zero when untraced.
-	recvAt time.Time
 }
 
 // IsResponse reports whether the frame is a response.
@@ -295,38 +291,24 @@ func DecodeFrame(b []byte, max int) (Frame, int, error) {
 // is reused (and grown) across calls; the returned slice is the buffer to
 // pass to the next call, and the frame's payload aliases it.
 func ReadFrame(r io.Reader, max int, buf []byte) (Frame, []byte, error) {
-	need := headerLen
-	if cap(buf) < need {
+	if cap(buf) < headerLen {
 		buf = make([]byte, headerLen, headerLen+512)
 	}
 	buf = buf[:headerLen]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Frame{}, buf, err
 	}
-	typ, id, n, err := parseHeader(buf, max)
+	_, _, n, err := parseHeader(buf, max)
 	if err != nil {
 		return Frame{}, buf, err
 	}
-	total := headerLen + n + crcLen
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, buf[:headerLen])
-		buf = grown
-	}
-	buf = buf[:total]
+	buf = slices.Grow(buf, n+crcLen)[:headerLen+n+crcLen]
 	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, buf, err
 	}
-	want := binary.LittleEndian.Uint32(buf[headerLen+n:])
-	if got := crc32.Checksum(buf[:headerLen+n], castagnoli); got != want {
-		return Frame{}, buf, protoErrf("checksum mismatch: computed %08x, frame says %08x", got, want)
-	}
-	f, err := assembleFrame(typ, id, buf[headerLen:headerLen+n])
-	if err != nil {
-		return Frame{}, buf, err
-	}
-	return f, buf, nil
+	f, _, err := DecodeFrame(buf, max)
+	return f, buf, err
 }

@@ -77,7 +77,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: OpPing, ID: 0},
 		{Type: OpGet, ID: 1, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{Type: respFlag | StatusOK, ID: 1 << 60, Payload: bytes.Repeat([]byte{0xab}, 4096)},
-		{Type: respFlag | StatusBusy, ID: ^uint64(0)},
+		{Type: respFlag | StatusErr, ID: ^uint64(0)},
 		{Type: OpVGet, ID: 2, Payload: bytes.Repeat([]byte{9}, 8)},
 		{Type: OpSub, ID: 3, Payload: AppendSubscribePayload(nil, 12345)},
 		{Type: OpReplicate, ID: 4, Payload: AppendReplicatePayload(nil, 77, []Entry{

@@ -2,18 +2,17 @@ package wire
 
 import "mccuckoo"
 
-// ServeProbe drives one connection worker's serve path in-process, bypassing
-// the network: each Handle call executes a decoded request frame exactly as a
-// connection's worker goroutine would, including the response-buffer freelist
-// cycle the connection's writer performs. It exists so the perf gate's wire
-// series and the zero-allocation assertions measure the serve path itself,
-// not loopback TCP.
+// ServeProbe drives one connection's serve path in-process, bypassing the
+// network: each Handle call executes a decoded request frame exactly as a
+// served connection would, appending the response to the connection's
+// output buffer, then empties the buffer as a write does. It exists so the
+// perf gate's wire series and the zero-allocation assertions measure the
+// serve path itself, not loopback TCP.
 //
-// A ServeProbe is not safe for concurrent use — like a connection worker, it
-// is single-threaded by construction.
+// A ServeProbe is not safe for concurrent use — like a served connection,
+// it is single-threaded by construction.
 type ServeProbe struct {
-	h    *connHandler
-	free chan []byte
+	h *connHandler
 }
 
 // NewServeProbe returns a probe serving store with default server
@@ -24,16 +23,14 @@ func NewServeProbe(store mccuckoo.BatchStore) (*ServeProbe, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := make(chan []byte, 4)
-	return &ServeProbe{h: &connHandler{srv: srv, freeResp: free}, free: free}, nil
+	return &ServeProbe{h: &connHandler{srv: srv}}, nil
 }
 
-// Handle executes one request frame and returns the response status, after
-// recycling the response buffer the way a connection writer would once the
-// bytes were on the wire.
+// Handle executes one request frame into the output buffer and returns the
+// response status, then empties the buffer under the keep rule the way a
+// connection does once the bytes are on the wire.
 func (p *ServeProbe) Handle(f Frame) byte {
-	b := p.h.handle(f)
-	status := b[3] &^ respFlag
-	recycle(p.free, b)
+	status := p.h.handle(f)
+	p.h.out = Keep(p.h.out)
 	return status
 }

@@ -58,7 +58,7 @@ func TestSeqIndexMatchesMap(t *testing.T) {
 		const ops = 100000
 		compactions := 0
 		for op := 0; op < ops; op++ {
-			k := pool[rng.next()%uint64(2+op*len(pool)/ops)]
+			k := pool[rng.next()%(2+uint64(op)*uint64(len(pool))/ops)]
 			switch r := rng.next() % 100; {
 			case r < 55:
 				meta := 2 + rng.next()%(1<<40)

@@ -35,16 +35,6 @@ type Config struct {
 	// connection beyond the cap receives one ERR frame and is closed.
 	MaxConns int
 
-	// QueueDepth bounds each connection's queue of decoded-but-unexecuted
-	// requests (default 128). A request arriving on a full queue is answered
-	// with BUSY instead of being buffered — backpressure is explicit and
-	// memory per connection stays bounded: in flight, at most QueueDepth
-	// queued requests of at most MaxPayload each and QueueDepth queued
-	// responses; parked between frames, at most 3·QueueDepth+3 recycled
-	// frame buffers plus the handler's scratch slices, each at most 4 KiB
-	// (the keep rule, DESIGN.md §10).
-	QueueDepth int
-
 	// MaxPayload bounds a request frame's payload (default
 	// DefaultMaxPayload).
 	MaxPayload int
@@ -53,8 +43,9 @@ type Config struct {
 	// (default 2m).
 	IdleTimeout time.Duration
 
-	// WriteTimeout bounds each response write (default 10s). A client that
-	// stops reading is disconnected rather than allowed to pin a writer.
+	// WriteTimeout bounds each write (default 10s). A client that stops
+	// reading stalls its connection's goroutine in a write once TCP flow
+	// control fills the socket buffers; the deadline disconnects it.
 	WriteTimeout time.Duration
 
 	// SubKeepalive is how often an idle op-log subscription sends an empty
@@ -67,19 +58,18 @@ type Config struct {
 	// (protocol errors, panics, write failures).
 	Logf func(format string, args ...any)
 
-	// Trace, when non-nil, records server-side spans (request execution
-	// with queue wait, table ops with kick counts, replication applies,
-	// recovered panics) for requests carrying a sampled trace context —
-	// plus slow and panicking requests regardless of context, per the
-	// recorder's options. Nil disables tracing at zero cost.
+	// Trace, when non-nil, records server-side spans (request execution,
+	// table ops with kick counts, replication applies, recovered panics)
+	// for requests carrying a sampled trace context — plus slow and
+	// panicking requests regardless of context, per the recorder's options.
+	// Nil disables tracing at zero cost.
 	Trace *trace.Recorder
 }
 
-// Server serves the wire protocol over TCP (or any net.Listener). Requests
-// on one connection are decoded by a reader goroutine, executed in order by
-// a worker goroutine, and written by a writer goroutine, so a client may
-// pipeline any number of requests; responses carry the request id and may
-// be matched out of order with other connections' work.
+// Server serves the wire protocol over TCP (or any net.Listener). Each
+// connection is served by one goroutine that reads, executes and writes, so
+// a client may pipeline any number of requests: they run in order, and
+// responses carry the request id. TCP flow control is the backpressure.
 //
 //mcvet:lifecycle
 type Server struct {
@@ -98,15 +88,15 @@ type Server struct {
 	//mcvet:guardedby mu
 	draining bool
 
-	// drain is closed when Shutdown begins; per-connection watchers use it
-	// to interrupt blocked reads.
+	// drain is closed when Shutdown begins, before the read deadlines of
+	// the registered connections expire; a connection checks it between
+	// arming its idle deadline and reading, so it cannot miss both.
 	drain chan struct{}
 	wg    sync.WaitGroup
 
 	// Metrics. ops is indexed by request opcode.
 	ops       [16]atomic.Int64
 	subs      atomic.Int64
-	busy      atomic.Int64
 	errored   atomic.Int64
 	panics    atomic.Int64
 	badFrames atomic.Int64
@@ -125,9 +115,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 256
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 128
 	}
 	if cfg.MaxPayload <= 0 {
 		cfg.MaxPayload = DefaultMaxPayload
@@ -185,9 +172,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown drains the server: listeners stop accepting, every connection's
-// in-flight and already-queued requests are executed and their responses
-// written, then connections close. If ctx expires first, remaining
+// Shutdown drains the server: listeners stop accepting, every connection
+// executes the requests whose bytes it has already read and writes their
+// responses, then connections close. If ctx expires first, remaining
 // connections are force-closed and ctx.Err is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginDrain()
@@ -238,6 +225,14 @@ func (s *Server) beginDrain() {
 	close(s.drain)
 	for ln := range s.listeners {
 		ln.Close()
+	}
+	// Interrupt blocked reads so the drain does not wait out IdleTimeout.
+	for nc := range s.conns {
+		if err := nc.SetReadDeadline(time.Now()); err != nil {
+			// Cannot interrupt the read by deadline; closing the
+			// connection interrupts it the hard way.
+			nc.Close()
+		}
 	}
 }
 
@@ -293,130 +288,77 @@ func respFrame(id uint64, status byte, payload []byte) []byte {
 	})
 }
 
-func (s *Server) errFrame(id uint64, msg string) []byte {
-	s.errored.Add(1)
-	return respFrame(id, StatusErr, []byte(msg))
-}
-
-// serveConn owns one connection: it runs the read loop and shepherds the
-// worker and writer goroutines. Close cascade: the reader stops and closes
-// work; the worker finishes queued requests and closes out; the writer
-// flushes and returns; then the connection closes.
+// serveConn serves one connection on one goroutine (DESIGN.md §10): it
+// reads requests into the connection's read buffer, executes each complete
+// one in order, and appends its response to the output buffer. The output
+// buffer is written whenever no complete request is left to decode, or once
+// it passes keepBytes, so the goroutine never blocks on a read while holding
+// unwritten responses, and pipelined responses share one write. A client
+// that stops reading stalls the goroutine in a write: TCP flow control is
+// the backpressure, and WriteTimeout frees the connection.
 //
 //mcvet:deadlined
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer s.unregisterConn(nc)
-
-	work := make(chan connReq, s.cfg.QueueDepth)
-	out := make(chan []byte, s.cfg.QueueDepth)
-	// Buffer freelists, the zero-copy machinery (DESIGN.md §10): request
-	// buffers travel from the reader through work to the worker and come
-	// back via freeReq; response buffers travel from the worker (or, on a
-	// subscribed connection, the op-log pump) through out to the writer and
-	// come back via freeResp. Capacities exceed the queue depths so a
-	// recycle never blocks; when a freelist is momentarily empty the taker
-	// allocates a fresh buffer, which then joins the cycle. Only buffers
-	// the keep rule allows (see Keep) go back.
-	freeReq := make(chan []byte, s.cfg.QueueDepth+1)
-	freeResp := make(chan []byte, 2*s.cfg.QueueDepth+2)
-	connDone := make(chan struct{})
-	// connFailed is closed by the writer on a write failure, so a
-	// subscription pump blocked on an idle op log learns the peer is gone.
-	connFailed := make(chan struct{})
-
-	// Drain watcher: a blocked read is interrupted by expiring its
-	// deadline, so graceful shutdown does not wait out IdleTimeout.
-	go func() {
-		select {
-		case <-s.drain:
-			if err := nc.SetReadDeadline(time.Now()); err != nil {
-				// Cannot interrupt the read by deadline; closing the
-				// connection interrupts it the hard way.
-				nc.Close()
+	defer nc.Close()
+	h := &connHandler{srv: s}
+	var (
+		in   []byte // read buffer: in[off:] is read but not yet executed
+		off  int
+		rerr error // the last read's error, acted on once its bytes are executed
+	)
+	for {
+		for {
+			f, n, err := DecodeFrame(in[off:], s.cfg.MaxPayload)
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				break // no complete request left
 			}
-		case <-connDone:
-		}
-	}()
-
-	var pipe sync.WaitGroup
-	pipe.Add(2)
-	go func() {
-		defer pipe.Done()
-		h := &connHandler{srv: s, freeResp: freeResp}
-		for req := range work {
-			out <- h.handle(req.f)
-			// The request buffer is dead once handle returns (responses
-			// never alias the request payload); recycle it for the reader.
-			recycle(freeReq, req.buf)
-		}
-		close(out)
-	}()
-	go func() {
-		defer pipe.Done()
-		failed := false
-		for b := range out {
-			if failed {
-				continue // drain so the worker never blocks forever
-			}
-			err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			if err == nil {
-				_, err = nc.Write(b)
+			if err == nil && f.IsResponse() {
+				err = errors.New("received a response frame")
 			}
 			if err != nil {
-				s.logf("wire: %s: write: %v", nc.RemoteAddr(), err)
-				failed = true
-				close(connFailed)
-				nc.Close() // unblock the reader too
-				continue
+				s.badFrames.Add(1)
+				s.logf("wire: %s: read: %v", nc.RemoteAddr(), err)
+				h.flush(nc) // answer the requests ahead of it
+				return
 			}
-			s.bytesOut.Add(int64(len(b)))
-			// A written buffer goes back to the freelist its producer (the
-			// worker or the op-log pump) takes from. BUSY frames join the
-			// cycle here too; that only seeds the freelist earlier.
-			recycle(freeResp, b)
+			off += n
+			if f.Type == OpSub {
+				s.ops[OpSub].Add(1)
+				c := cursor{b: f.Payload}
+				fromSeq := c.u64()
+				if !c.ok() {
+					h.errFrame(f.ID, "malformed subscribe payload")
+					continue
+				}
+				if s.rep == nil {
+					h.errFrame(f.ID, "store is not replicated")
+					continue
+				}
+				// A subscribed client sends nothing more: the goroutine
+				// becomes the op-log pump until the connection or the
+				// server goes down.
+				s.runSubscription(nc, h, f.ID, fromSeq)
+				return
+			}
+			h.handle(f)
+			if len(h.out) > keepBytes && !h.flush(nc) {
+				return
+			}
 		}
-	}()
-
-	s.readLoop(nc, work, out, connFailed, freeReq, freeResp)
-	close(work)
-	pipe.Wait()
-	nc.Close()
-	close(connDone)
-}
-
-// readLoop decodes requests and feeds the work queue. When the queue is
-// full the request is answered with BUSY immediately — never buffered. A
-// SUBSCRIBE request flips the connection into streaming mode: the read
-// goroutine stops decoding requests and becomes the op-log pump until the
-// connection or the server goes down.
-//
-//mcvet:deadlined
-func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, connFailed <-chan struct{}, freeReq <-chan []byte, freeResp chan []byte) {
-	var buf []byte
-	for {
-		// A buffer the reader kept (a BUSY or refused frame's) obeys the
-		// keep rule before the next read can park it.
-		buf = Keep(buf)
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-			// A connection that cannot arm its idle deadline is failing;
-			// treat it like any other dead connection.
-			s.logf("wire: %s: set read deadline: %v", nc.RemoteAddr(), err)
+		if !h.flush(nc) {
 			return
 		}
-		select {
-		case <-s.drain:
-			return
-		default:
-		}
-		f, b, err := ReadFrame(nc, s.cfg.MaxPayload, buf)
-		buf = b
-		if err != nil {
+		if rerr != nil {
+			if errors.Is(rerr, io.EOF) && off < len(in) {
+				rerr = io.ErrUnexpectedEOF
+			}
 			var ne net.Error
 			switch {
-			case errors.Is(err, io.EOF):
+			case errors.Is(rerr, io.EOF):
 				// Clean disconnect between frames.
-			case errors.As(err, &ne) && ne.Timeout():
+			case errors.As(rerr, &ne) && ne.Timeout():
 				select {
 				case <-s.drain:
 					// Interrupted by shutdown: graceful exit.
@@ -425,72 +367,53 @@ func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, c
 				}
 			default:
 				s.badFrames.Add(1)
-				s.logf("wire: %s: read: %v", nc.RemoteAddr(), err)
+				s.logf("wire: %s: read: %v", nc.RemoteAddr(), rerr)
 			}
 			return
 		}
-		n := len(f.Payload) + FrameOverhead
-		if f.Trace.Valid() {
-			// The decoder stripped the trace prefix from the payload; the
-			// wire still carried it.
-			n += trace.ContextSize
-		}
-		s.bytesIn.Add(int64(n))
-		if s.cfg.Trace.Enabled() {
-			// Stamp arrival so the handler can report queue wait.
-			f.recvAt = time.Now()
-		}
-		if f.IsResponse() {
-			s.badFrames.Add(1)
-			s.logf("wire: %s: received a response frame", nc.RemoteAddr())
-			return
-		}
-		if f.Type == OpSub {
-			s.ops[OpSub].Add(1)
-			c := cursor{b: f.Payload}
-			fromSeq := c.u64()
-			if !c.ok() {
-				out <- s.errFrame(f.ID, "malformed subscribe payload")
-				continue
-			}
-			if s.rep == nil {
-				out <- s.errFrame(f.ID, "store is not replicated")
-				continue
-			}
-			// The read deadline was armed for the next request frame; a
-			// subscribed connection sends nothing more, so disarm it. If
-			// that fails the deadline would kill the stream spuriously, so
-			// refuse the subscription instead.
-			if err := nc.SetReadDeadline(time.Time{}); err != nil {
-				s.logf("wire: %s: disarm read deadline: %v", nc.RemoteAddr(), err)
-				out <- s.errFrame(f.ID, "connection failed")
+		// The idle deadline is rearmed only once a frame has completed, so a
+		// trickle of bytes that never completes one does not keep the
+		// connection alive.
+		if off > 0 || len(in) == 0 {
+			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+				// A connection that cannot arm its idle deadline is failing;
+				// treat it like any other dead connection.
+				s.logf("wire: %s: set read deadline: %v", nc.RemoteAddr(), err)
 				return
 			}
-			// The pump encodes through its own handler and shares the
-			// response freelist with the worker, which has nothing left to
-			// take from it once the requests queued ahead of SUBSCRIBE are
-			// answered.
-			s.runSubscription(&connHandler{srv: s, freeResp: freeResp}, f.ID, fromSeq, out, connFailed)
-			return
 		}
-		// Zero-copy handoff: the payload aliases buf, so ownership of buf
-		// moves to the worker along with the frame and the reader continues
-		// with a recycled buffer (or nil, making the next ReadFrame allocate
-		// one that then joins the cycle). The old copy-per-request here was
-		// the serve path's last steady-state allocation.
 		select {
-		case work <- connReq{f: f, buf: buf}:
-			select {
-			case buf = <-freeReq:
-			default:
-				buf = nil
-			}
+		case <-s.drain:
+			return
 		default:
-			// BUSY: the frame was not queued, so buf stays with the reader.
-			s.busy.Add(1)
-			out <- respFrame(f.ID, StatusBusy, nil)
 		}
+		in, off = readRoom(in, off, s.cfg.MaxPayload), 0
+		var n int
+		n, rerr = nc.Read(in[len(in):cap(in)])
+		in = in[:len(in)+n]
+		s.bytesIn.Add(int64(n))
 	}
+}
+
+// readRoom returns the read buffer for the next read: the unexecuted bytes
+// in[off:] moved to the front, with room after them for at least the rest
+// of the frame they begin. A buffer grown for one large frame is dropped
+// once no large frame is pending (the keep rule).
+func readRoom(in []byte, off, maxPayload int) []byte {
+	rest := in[off:]
+	need := keepBytes
+	if len(rest) >= headerLen {
+		// DecodeFrame has accepted this header, so its length is in bounds.
+		_, _, n, _ := parseHeader(rest, maxPayload)
+		need = max(need, headerLen+n+crcLen)
+	}
+	if need == keepBytes {
+		in = Keep(in)
+	}
+	if cap(in) < need {
+		in = make([]byte, 0, need)
+	}
+	return append(in[:0], rest...)
 }
 
 // streamChunk is how many op-log entries a subscription pump packs into
@@ -498,34 +421,35 @@ func (s *Server) readLoop(nc net.Conn, work chan<- connReq, out chan<- []byte, c
 const streamChunk = 1024
 
 // runSubscription is the op-log pump for one subscribed connection. It runs
-// on the connection's read goroutine (which has stopped reading — a
-// subscribed client sends nothing more) and pushes REPLICATE frames, each
-// echoing the subscribe request id, through the writer: whatever
-// Replicated.pull hands it, which is a catch-up from the per-key sequence
-// numbers when the subscriber started behind the ring (a full dump) or the
-// ring overtook it, and op-log entries otherwise. A keepalive goes out only
-// after a pull came back empty, so it tells the subscriber it has been sent
-// everything appended before that pull. The worker goroutine sits idle on
-// an empty queue for the connection's lifetime.
+// on the connection's goroutine and writes REPLICATE frames, each echoing
+// the subscribe request id: whatever Replicated.pull hands it, which is a
+// catch-up from the per-key sequence numbers when the subscriber started
+// behind the ring (a full dump) or the ring overtook it, and op-log entries
+// otherwise. A keepalive goes out only after a pull came back empty, so it
+// tells the subscriber it has been sent everything appended before that
+// pull.
 //
 // Frames are encoded through h like responses: each payload is built in
-// h.pbuf and each frame in a buffer from the freelist the writer refills, so
-// once the freelist is primed streaming allocates nothing (asserted by
-// TestSubscriptionStreamZeroAlloc).
-func (s *Server) runSubscription(h *connHandler, id uint64, fromSeq uint64, out chan<- []byte, connFailed <-chan struct{}) {
+// h.pbuf and each frame in the connection's output buffer, so streaming
+// allocates nothing (asserted by TestSubscriptionStreamZeroAlloc).
+func (s *Server) runSubscription(nc net.Conn, h *connHandler, id uint64, fromSeq uint64) {
 	rep := s.rep
 	s.subs.Add(1)
 	defer s.subs.Add(-1)
 	sub, head, full := rep.subscribe(fromSeq)
 	defer rep.unsubscribe(sub)
 
+	// The handshake shares a write with the responses to any requests
+	// pipelined ahead of SUBSCRIBE.
 	h.pbuf = appendU8(appendU64(h.pbuf[:0], head), boolByte(full))
-	if !s.streamSend(out, connFailed, h.respFrame(id, StatusOK, h.pbuf)) {
+	h.respFrame(id, StatusOK, h.pbuf)
+	if !h.flush(nc) {
 		return
 	}
-	replicateFrame := func(head uint64, ents []Entry) []byte {
+	send := func(head uint64, ents []Entry) bool {
 		h.pbuf = AppendReplicatePayload(h.pbuf[:0], head, ents)
-		return h.frame(OpReplicate, id, h.pbuf)
+		h.frame(OpReplicate, id, h.pbuf)
+		return h.flush(nc)
 	}
 
 	scratch := make([]Entry, 0, streamChunk)
@@ -537,61 +461,35 @@ func (s *Server) runSubscription(h *connHandler, id uint64, fromSeq uint64, out 
 			if len(ents) == 0 {
 				break
 			}
-			if !s.streamSend(out, connFailed, replicateFrame(head, ents)) {
+			if !send(head, ents) {
 				return
 			}
 		}
 		select {
 		case <-sub.notify:
 		case <-keepalive.C:
-			if !s.streamSend(out, connFailed, replicateFrame(rep.Applied(), nil)) {
+			if !send(rep.Applied(), nil) {
 				return
 			}
 		case <-s.drain:
-			return
-		case <-connFailed:
 			return
 		}
 	}
 }
 
-// streamSend queues one frame for the writer, giving up when the
-// connection has failed or the server is draining. The writer drains out
-// even after a failure, so the send itself cannot wedge.
-func (s *Server) streamSend(out chan<- []byte, connFailed <-chan struct{}, b []byte) bool {
-	select {
-	case out <- b:
-		return true
-	case <-connFailed:
-		return false
-	case <-s.drain:
-		return false
-	}
-}
-
-// connReq is one queued request: the decoded frame plus the read buffer its
-// payload aliases. The worker recycles buf to the reader once the request is
-// handled.
-type connReq struct {
-	f   Frame
-	buf []byte
-}
-
-// connHandler executes one connection's requests. The scratch slices are
-// reused across requests and response frames are encoded into freelist
-// buffers, so the steady-state serve path does not allocate per call
-// (asserted by TestServePathZeroAlloc). Both obey the keep rule: a batch
-// that grows a scratch slice or a frame past 4 KiB leaves nothing behind.
+// connHandler executes one connection's requests. Responses are appended to
+// the output buffer and the scratch slices are reused across requests, so
+// the steady-state serve path does not allocate per call (asserted by
+// TestServePathZeroAlloc). Both obey the keep rule: a batch that grows a
+// scratch slice or the output buffer past 4 KiB leaves nothing behind.
 type connHandler struct {
 	srv *Server
 
-	// freeResp supplies response buffers; the connection's writer returns
-	// each one after the bytes are on the wire. Nil (as in some tests) just
-	// means every response allocates.
-	freeResp chan []byte
+	// out is the output buffer: encoded frames not yet written.
+	out []byte
 
 	// pbuf is the response-payload scratch: payloads are built here, then
-	// copied into the response frame by AppendFrame, so it is free for the
+	// copied into the output buffer by AppendFrame, so it is free for the
 	// next request as soon as respFrame returns.
 	pbuf []byte
 
@@ -604,47 +502,64 @@ type connHandler struct {
 	statuses []byte
 }
 
-// frame encodes one frame into a freelist buffer when one is available, a
-// fresh one otherwise; a frame too large to recycle gets a buffer of its
-// own, so it never displaces a kept one. payload may alias h.pbuf; it is
-// copied.
+// frame appends one encoded frame to the output buffer. payload may alias
+// h.pbuf; it is copied.
 //
 // Every frame a handler produces is its request's last use of the scratch,
 // so frame also applies the keep rule to the scratch slices before the
 // connection parks them until its next frame.
-func (h *connHandler) frame(typ byte, id uint64, payload []byte) []byte {
-	n := FrameOverhead + len(payload)
-	var b []byte
-	if n <= keepBytes {
-		select {
-		case b = <-h.freeResp:
-		default:
-		}
-	}
-	b = AppendFrame(slices.Grow(b[:0], n), Frame{Type: typ, ID: id, Payload: payload})
+func (h *connHandler) frame(typ byte, id uint64, payload []byte) {
+	h.out = AppendFrame(slices.Grow(h.out, FrameOverhead+len(payload)), Frame{Type: typ, ID: id, Payload: payload})
 	h.pbuf, h.keys, h.vals = Keep(h.pbuf), Keep(h.keys), Keep(h.vals)
 	h.results, h.founds, h.removed = Keep(h.results), Keep(h.founds), Keep(h.removed)
 	h.ents, h.statuses = Keep(h.ents), Keep(h.statuses)
-	return b
 }
 
-// respFrame encodes one response frame through h.frame.
-func (h *connHandler) respFrame(id uint64, status byte, payload []byte) []byte {
-	return h.frame(respFlag|status, id, payload)
+// respFrame appends one response frame through h.frame and returns its
+// status.
+func (h *connHandler) respFrame(id uint64, status byte, payload []byte) byte {
+	h.frame(respFlag|status, id, payload)
+	return status
 }
 
-func (h *connHandler) errFrame(id uint64, msg string) []byte {
+func (h *connHandler) errFrame(id uint64, msg string) byte {
 	h.srv.errored.Add(1)
 	return h.respFrame(id, StatusErr, []byte(msg))
 }
 
-// handle executes one request and returns the encoded response frame. A
-// panic in the store is isolated to this request: it is answered with ERR,
-// counted in mccuckoo_server_panics_total, flight-recorded with the opcode,
-// and the connection keeps serving.
-func (h *connHandler) handle(f Frame) (resp []byte) {
+// flush writes the output buffer, if it holds anything, under a fresh write
+// deadline, then empties it under the keep rule. It reports whether the
+// connection is still usable.
+//
+//mcvet:deadlined
+func (h *connHandler) flush(nc net.Conn) bool {
+	if len(h.out) == 0 {
+		return true
+	}
+	s := h.srv
+	err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	if err == nil {
+		_, err = nc.Write(h.out)
+	}
+	if err != nil {
+		s.logf("wire: %s: write: %v", nc.RemoteAddr(), err)
+		return false
+	}
+	s.bytesOut.Add(int64(len(h.out)))
+	h.out = Keep(h.out)
+	return true
+}
+
+// handle executes one request, appends its response frame to the output
+// buffer and returns the response status. A panic in the store is isolated
+// to this request: the output buffer is cut back to where the request
+// began, the request is answered with ERR, counted in
+// mccuckoo_server_panics_total and flight-recorded with the opcode, and the
+// connection keeps serving.
+func (h *connHandler) handle(f Frame) (status byte) {
 	s := h.srv
 	tr := s.cfg.Trace
+	start := len(h.out)
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
@@ -654,7 +569,8 @@ func (h *connHandler) handle(f Frame) (resp []byte) {
 			psp.Op = f.Type
 			psp.FinishForced()
 			s.logf("wire: panic serving %s request: %v", OpName(f.Type), r)
-			resp = h.errFrame(f.ID, fmt.Sprintf("internal error: %v", r))
+			h.out = h.out[:start]
+			status = h.errFrame(f.ID, fmt.Sprintf("internal error: %v", r))
 		}
 	}()
 	if f.Type >= 1 && f.Type < byte(len(s.ops)) {
@@ -662,9 +578,6 @@ func (h *connHandler) handle(f Frame) (resp []byte) {
 	}
 	sp := tr.Start(f.Trace, trace.KindServerOp)
 	sp.Op = f.Type
-	if !f.recvAt.IsZero() {
-		sp.Wait = time.Since(f.recvAt).Nanoseconds()
-	}
 	defer sp.Finish()
 	store := s.cfg.Store
 	c := cursor{b: f.Payload}
@@ -781,7 +694,7 @@ func (h *connHandler) handle(f Frame) (resp []byte) {
 // handleBatch decodes a BATCH request into the handler's scratch slices,
 // runs the matching BatchStore Into method, and encodes the per-item
 // results.
-func (h *connHandler) handleBatch(f Frame) []byte {
+func (h *connHandler) handleBatch(f Frame) byte {
 	s := h.srv
 	sub, n, records, ok := parseBatchHeader(f.Payload)
 	if !ok {
@@ -861,7 +774,8 @@ func grow[T any](s []T, n int) []T {
 // keepBytes is the keep rule's bound (DESIGN.md §10): the largest buffer a
 // connection parks between frames. Every single-key frame fits, as do a
 // 16-key batch and an op-log chunk of up to 162 entries, so steady traffic
-// recycles without allocating; a larger frame costs one buffer of its own.
+// reuses its buffers without allocating; a larger frame costs a buffer of
+// its own.
 const keepBytes = 4 << 10
 
 // Keep applies the keep rule to a buffer a connection is about to park until
@@ -873,17 +787,6 @@ func Keep[T any](s []T) []T {
 		return nil
 	}
 	return s[:0]
-}
-
-// recycle returns b to the freelist free if the keep rule allows it and the
-// freelist has room; otherwise the GC reclaims it.
-func recycle(free chan<- []byte, b []byte) {
-	if b = Keep(b); b != nil {
-		select {
-		case free <- b:
-		default:
-		}
-	}
 }
 
 // TableStats is the STATS response payload, JSON with the repo's snake_case
@@ -940,13 +843,12 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.printf("mccuckoo_server_requests_total{op=%q} %d\n", OpName(op), s.ops[op].Load())
 	}
 	p.simple("mccuckoo_server_subscriptions_active", "Op-log subscriptions currently streaming.", "gauge", s.subs.Load())
-	p.simple("mccuckoo_server_busy_total", "Requests rejected with BUSY backpressure.", "counter", s.busy.Load())
 	p.simple("mccuckoo_server_errors_total", "Requests answered with ERR.", "counter", s.errored.Load())
 	p.simple("mccuckoo_server_panics_total", "Request handlers recovered from a panic.", "counter", s.panics.Load())
 	p.simple("mccuckoo_server_bad_frames_total", "Connections dropped for protocol violations.", "counter", s.badFrames.Load())
 	p.simple("mccuckoo_server_connections_accepted_total", "Connections accepted.", "counter", s.accepted.Load())
 	p.simple("mccuckoo_server_connections_rejected_total", "Connections rejected at the MaxConns limit.", "counter", s.rejected.Load())
-	p.simple("mccuckoo_server_bytes_read_total", "Request bytes received (frame overhead included).", "counter", s.bytesIn.Load())
+	p.simple("mccuckoo_server_bytes_read_total", "Request bytes read from connections (frame overhead included).", "counter", s.bytesIn.Load())
 	p.simple("mccuckoo_server_bytes_written_total", "Response bytes written.", "counter", s.bytesOut.Load())
 	p.simple("mccuckoo_server_connections_active", "Connections currently served.", "gauge", s.active.Load())
 	return p.err

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,9 +199,7 @@ func TestServerPipelined(t *testing.T) {
 	for i := 0; i < preload; i++ {
 		store.Insert(uint64(i), uint64(i)*3+1)
 	}
-	// QueueDepth must exceed the in-flight depth so that backpressure never
-	// converts load into BUSY here; the BUSY path has its own test.
-	_, addr, shutdown := startServer(t, store, func(c *Config) { c.QueueDepth = 512 })
+	_, addr, shutdown := startServer(t, store, nil)
 	defer shutdown()
 
 	const conns = 4
@@ -268,7 +268,7 @@ func TestServerPipelined(t *testing.T) {
 }
 
 // gatedStore blocks every Lookup until the gate opens, letting tests hold a
-// server worker mid-request deterministically.
+// served connection mid-request deterministically.
 type gatedStore struct {
 	mccuckoo.BatchStore
 	gate chan struct{}
@@ -279,69 +279,12 @@ func (g *gatedStore) Lookup(key uint64) (uint64, bool) {
 	return g.BatchStore.Lookup(key)
 }
 
-// TestServerBusy fills a tiny work queue behind a blocked worker: the
-// overflow must be answered BUSY immediately — not buffered, not deadlocked
-// — and the queued requests must still complete once the store unblocks.
-func TestServerBusy(t *testing.T) {
-	gate := make(chan struct{})
-	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
-	srv, addr, shutdown := startServer(t, store, func(c *Config) { c.QueueDepth = 2 })
-	defer shutdown()
-
-	rc := dialRaw(t, addr)
-	const n = 32
-	frames := make([]Frame, n)
-	for i := range frames {
-		frames[i] = Frame{Type: OpGet, ID: uint64(i + 1), Payload: appendU64(nil, 7)}
-	}
-	rc.send(frames...)
-
-	// While the gate is closed at most 1 (worker) + QueueDepth (2) requests
-	// can be admitted; every other request must come back BUSY.
-	busy := 0
-	seen := make(map[uint64]bool, n)
-	for busy < n-3 {
-		f := rc.recv()
-		if f.Status() != StatusBusy {
-			t.Fatalf("got status %d with gate closed, want BUSY", f.Status())
-		}
-		if seen[f.ID] {
-			t.Fatalf("duplicate BUSY for id %d", f.ID)
-		}
-		seen[f.ID] = true
-		busy++
-	}
-	close(gate)
-	ok := 0
-	for len(seen) < n {
-		f := rc.recv()
-		if seen[f.ID] {
-			t.Fatalf("duplicate response for id %d", f.ID)
-		}
-		seen[f.ID] = true
-		switch f.Status() {
-		case StatusOK:
-			ok++
-		case StatusBusy:
-			busy++
-		default:
-			t.Fatalf("status %d for id %d", f.Status(), f.ID)
-		}
-	}
-	if ok < 2 || ok > 3 || busy != n-ok {
-		t.Fatalf("ok=%d busy=%d, want 2-3 admitted and the rest BUSY", ok, busy)
-	}
-	if got := srv.busy.Load(); got != int64(busy) {
-		t.Fatalf("server busy counter %d, want %d", got, busy)
-	}
-}
-
 // TestServerDrain: queued requests survive Shutdown — the drain completes
 // them and flushes their responses before the connection closes.
 func TestServerDrain(t *testing.T) {
 	gate := make(chan struct{})
 	store := &gatedStore{BatchStore: newConcurrentTable(t, 1024), gate: gate}
-	srv, addr, _ := startServer(t, store, func(c *Config) { c.QueueDepth = 8 })
+	srv, addr, _ := startServer(t, store, nil)
 
 	tab := store.BatchStore
 	tab.Insert(7, 77)
@@ -393,6 +336,124 @@ func TestServerDrain(t *testing.T) {
 	if _, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
 	}
+}
+
+// TestServerOneGoroutinePerConn: a served connection runs on exactly one
+// goroutine, the one running serveConn, which reads, executes and writes.
+// Goroutines are read from the goroutine profile so that unrelated ones
+// (the test's, the listener's) do not count.
+func TestServerOneGoroutinePerConn(t *testing.T) {
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), nil)
+	defer shutdown()
+	rc := dialRaw(t, addr)
+	rc.send(Frame{Type: OpPing, ID: 1})
+	if f := rc.recv(); f.Status() != StatusOK {
+		t.Fatalf("ping: status %d", f.Status())
+	}
+	var prof bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&prof, 2); err != nil {
+		t.Fatal(err)
+	}
+	// debug=2 prints one stack per goroutine, separated by blank lines;
+	// a frame line starts with the function's qualified name.
+	n := 0
+	for _, stack := range strings.Split(prof.String(), "\n\n") {
+		for _, line := range strings.Split(stack, "\n") {
+			if strings.HasPrefix(line, "mccuckoo/internal/wire.(*Server).serveConn") {
+				n++
+				break
+			}
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d goroutines run serveConn or a closure inside it, want 1:\n%s", n, prof.String())
+	}
+}
+
+// TestServerTimeouts: IdleTimeout closes a connection that sends nothing or
+// never completes a frame, and WriteTimeout drops one whose client stopped
+// reading; with one goroutine per connection the write deadline is the only
+// thing that frees the last. Each time the connection's goroutine exits, so
+// the active-connections gauge returns to 0 and Shutdown stays clean.
+func TestServerTimeouts(t *testing.T) {
+	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), func(c *Config) {
+		c.IdleTimeout = 300 * time.Millisecond
+		c.WriteTimeout = 200 * time.Millisecond
+	})
+	defer shutdown()
+	// served waits for the connection to be admitted (want 1) or released
+	// (want 0).
+	served := func(want int64, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.active.Load() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d connections active, want %d", what, srv.active.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The server arms the idle deadline after the dial begins, so the
+	// connection cannot close sooner than IdleTimeout after start.
+	start := time.Now()
+	idle := dialRaw(t, addr)
+	served(1, "idle connection")
+	if err := idle.nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFrame(idle.nc, DefaultMaxPayload, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("idle connection: read %v, want EOF from the server closing it", err)
+	}
+	if d := time.Since(start); d < 300*time.Millisecond {
+		t.Fatalf("idle connection closed after %v, before the 300ms IdleTimeout", d)
+	}
+	served(0, "after the idle timeout")
+
+	// A frame trickled a byte per 50ms takes a second to complete. The idle
+	// deadline is rearmed only by a completed frame, so the trickle does
+	// not keep the connection alive and the PING is never answered.
+	trickle := dialRaw(t, addr)
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		for _, b := range AppendFrame(nil, Frame{Type: OpPing, ID: 2}) {
+			if _, err := trickle.nc.Write([]byte{b}); err != nil {
+				return // the server dropped the connection
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+	}()
+	if err := trickle.nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := ReadFrame(trickle.nc, DefaultMaxPayload, nil); err == nil {
+		t.Fatalf("trickled connection answered %+v; the trickle kept it alive", f)
+	}
+	served(0, "after the trickled frame timed out")
+	<-trickled
+
+	// Each 4096-key BATCH GET answers with 36 KiB, so 400 of them overflow
+	// the socket buffers of a client that never reads.
+	stalled := dialRaw(t, addr)
+	served(1, "stalled connection")
+	keys := batchReq(OpGet, 4096, 8)
+	for i := 0; i < 4096; i++ {
+		keys = appendU64(keys, uint64(i))
+	}
+	req := AppendFrame(nil, Frame{Type: OpBatch, ID: 1, Payload: keys})
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for i := 0; i < 400; i++ {
+			if _, err := stalled.nc.Write(req); err != nil {
+				return // the server dropped the connection
+			}
+		}
+	}()
+	served(0, "after the write timeout")
+	stalled.nc.Close()
+	<-written
 }
 
 // panicStore panics on one magic key.

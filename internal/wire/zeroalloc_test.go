@@ -10,7 +10,7 @@ import (
 )
 
 // newProbeHarness builds a ServeProbe over a populated single-writer table.
-// The probe is single-threaded, matching a connection worker, so a plain
+// The probe is single-threaded, matching a served connection, so a plain
 // *mccuckoo.Table is a valid store here.
 func newProbeHarness(tb testing.TB) (*ServeProbe, []uint64) {
 	tb.Helper()
@@ -32,11 +32,11 @@ func newProbeHarness(tb testing.TB) (*ServeProbe, []uint64) {
 	return p, keys
 }
 
-// TestServePathZeroAlloc pins the zero-copy serve path: once the buffer
-// freelists are primed, handling GET / update-PUT / miss-DEL / PING / batch
-// GET requests allocates nothing. This is the property the pooled request
-// and response buffers exist for — the old path copied every request payload
-// and allocated every response frame.
+// TestServePathZeroAlloc pins the zero-copy serve path: once the output
+// buffer and the handler's scratch are sized, handling GET / update-PUT /
+// miss-DEL / PING / batch GET requests allocates nothing. Requests are
+// executed in place in the read buffer and responses are appended to the
+// reused output buffer.
 func TestServePathZeroAlloc(t *testing.T) {
 	p, keys := newProbeHarness(t)
 
@@ -102,9 +102,9 @@ func batchPut(n int) []byte {
 }
 
 // TestServeProbeKeepRule: after a 4096-key BATCH PUT (a 64 KiB request and
-// a 20 KiB response) and one GET, neither the handler's scratch nor the
-// response freelist holds a buffer larger than keepBytes. Before the keep
-// rule both kept the batch-sized buffers for the connection's lifetime.
+// a 20 KiB response) and one GET, neither the handler's scratch nor its
+// output buffer holds a buffer larger than keepBytes. Before the keep rule
+// the connection kept the batch-sized buffers for its lifetime.
 func TestServeProbeKeepRule(t *testing.T) {
 	tab, err := mccuckoo.New(1<<14, mccuckoo.WithSeed(11))
 	if err != nil {
@@ -125,6 +125,7 @@ func TestServeProbeKeepRule(t *testing.T) {
 		name  string
 		bytes int
 	}{
+		{"out", sizeOf(h.out)},
 		{"pbuf", sizeOf(h.pbuf)},
 		{"keys", sizeOf(h.keys)},
 		{"vals", sizeOf(h.vals)},
@@ -135,12 +136,7 @@ func TestServeProbeKeepRule(t *testing.T) {
 		{"statuses", sizeOf(h.statuses)},
 	} {
 		if s.bytes > keepBytes {
-			t.Errorf("handler scratch %s keeps %d bytes, want at most %d", s.name, s.bytes, keepBytes)
-		}
-	}
-	for len(p.free) > 0 {
-		if b := <-p.free; cap(b) > keepBytes {
-			t.Errorf("response freelist keeps a %d-byte buffer, want at most %d", cap(b), keepBytes)
+			t.Errorf("handler buffer %s keeps %d bytes, want at most %d", s.name, s.bytes, keepBytes)
 		}
 	}
 }
@@ -148,9 +144,9 @@ func TestServeProbeKeepRule(t *testing.T) {
 // TestLoopbackGetZeroAllocAfterBatch: a server connection that carried a
 // 4096-key BATCH PUT, and the frame client that sent it, go back to
 // serving GETs with 0 allocations. The keep rule drops the batch-sized
-// buffers; the steady-state cycle refills with small ones. AllocsPerRun
-// counts the whole process: the client's write and read and the server
-// connection's reader, worker and writer.
+// buffers; the steady state reuses small ones. AllocsPerRun counts the
+// whole process: the client's write and read and the server connection's
+// read, execution and write.
 func TestLoopbackGetZeroAllocAfterBatch(t *testing.T) {
 	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1<<14), nil)
 	defer shutdown()
@@ -181,7 +177,7 @@ func TestLoopbackGetZeroAllocAfterBatch(t *testing.T) {
 		buf = Keep(b)
 	}
 	for i := 0; i < 8; i++ {
-		get() // refill the freelists
+		get() // size the steady-state buffers
 	}
 	n := testing.AllocsPerRun(200, get)
 	if bad != nil {
@@ -205,12 +201,12 @@ func BenchmarkServePathGet(b *testing.B) {
 }
 
 // TestSubscriptionStreamZeroAlloc pins allocation-free op-log streaming:
-// once a subscribed connection's response freelist is primed, each REPLICATE
+// once a subscribed connection's output buffer is sized, each REPLICATE
 // chunk and each keepalive the pump sends allocates nothing: the pump
-// encodes every frame into a buffer the connection's writer handed back.
+// encodes every frame into the connection's reused output buffer.
 //
 // AllocsPerRun counts the whole process, so each measured run also covers
-// the write that feeds the chunk, the writer goroutine and this test's
+// the write that feeds the chunk, the pump's socket write and this test's
 // reads; none of those allocate in steady state either.
 func TestSubscriptionStreamZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
@@ -264,7 +260,7 @@ func TestSubscriptionStreamZeroAlloc(t *testing.T) {
 				}
 			}
 			for i := 0; i < 8; i++ {
-				step() // prime the freelist
+				step() // size the steady-state buffers
 			}
 			n := testing.AllocsPerRun(200, step)
 			if bad != nil {
