@@ -1,10 +1,6 @@
 package mccuckoo
 
-import (
-	"sync"
-
-	"mccuckoo/internal/kv"
-)
+import "mccuckoo/internal/shard"
 
 // Batched operations for the single-goroutine kinds, and the Into variants
 // of the lock layer behind Sharded and Concurrent. Table and Blocked execute
@@ -114,34 +110,13 @@ func (s *singleStore) DeleteBatchInto(keys []uint64, removed []bool) {
 	deleteBatchInto(s, keys, removed)
 }
 
-// outcomeScratch pools the kv.Outcome buffers InsertBatchInto uses
-// to translate internal outcomes into public InsertResults without a fresh
-// allocation per batch.
-var outcomeScratch sync.Pool
-
 // InsertBatchInto is InsertBatch writing outcomes into out, which must be
-// nil (discard outcomes) or exactly len(keys) long. Like the other Into
-// variants it performs no allocation of its own in steady state; the shard
-// grouping buffers and the outcome translation buffer are pooled.
+// nil (discard outcomes) or exactly len(keys) long. Each touched shard's
+// write lock is taken once, and each outcome is converted into out as its
+// shard produces it, so the call allocates nothing of its own in steady
+// state.
 func (s *shardedStore) InsertBatchInto(keys, values []uint64, out []InsertResult) {
-	if out == nil {
-		s.inner.InsertBatchInto(keys, values, nil)
-		return
-	}
-	if len(out) != len(keys) {
-		panic("mccuckoo: batch result slice has wrong length")
-	}
-	buf, _ := outcomeScratch.Get().(*[]kv.Outcome)
-	if buf == nil || cap(*buf) < len(keys) {
-		b := make([]kv.Outcome, len(keys))
-		buf = &b
-	}
-	oc := (*buf)[:len(keys)]
-	s.inner.InsertBatchInto(keys, values, oc)
-	for i, o := range oc {
-		out[i] = fromOutcome(o)
-	}
-	outcomeScratch.Put(buf)
+	shard.InsertBatchAs(s.inner, keys, values, out, fromOutcome)
 }
 
 // LookupBatchInto is LookupBatch writing answers into values and found,

@@ -18,9 +18,11 @@
 # 32-bit leg: the network-facing packages (internal/wire, internal/cluster
 # and cmd/mcserved) are vetted and internal/wire and internal/cluster
 # tested with GOARCH=386, where int is 32 bits, so a hostile count whose
-# product wraps an int fails here rather than on a 32-bit node. The rest of
-# the tree has 64-bit constants (internal/workload, internal/bench) and
-# does not build for 386.
+# product wraps an int fails here rather than on a 32-bit node. The lock
+# layer (internal/shard) and the keep rule (internal/keep) are tested there
+# too: the batch grouping's int32 positions and the keep bound's byte
+# arithmetic must hold under a 32-bit int. The rest of the tree has 64-bit
+# constants (internal/workload, internal/bench) and does not build for 386.
 # Race gate: the concurrency-bearing packages (internal/core's pathwise
 # inserts, internal/shard — the one lock layer, whose one-shard form is the
 # public Concurrent and whose N-shard form is Sharded — internal/faultinject
@@ -121,9 +123,9 @@ go build ./...
 say "go test: full suite"
 go test -shuffle=on ./...
 
-say "32-bit leg: GOARCH=386 vet + tests of the network-facing packages"
+say "32-bit leg: GOARCH=386 vet + tests of the network-facing packages, the lock layer and the keep rule"
 GOARCH=386 go vet ./internal/wire/ ./internal/cluster/ ./cmd/mcserved/
-GOARCH=386 go test -shuffle=on ./internal/wire/ ./internal/cluster/
+GOARCH=386 go test -shuffle=on ./internal/wire/ ./internal/cluster/ ./internal/shard/ ./internal/keep/
 
 say "paper gate: mcbench -exp all vs RESULTS.txt"
 paper_dir="$(mktemp -d)"

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mccuckoo/internal/keep"
 	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
 )
@@ -256,7 +257,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 	}
 
 	// buf, ents and owned are parked between frames, so each obeys the keep
-	// rule (wire.Keep) before the next read blocks. The frame is returned,
+	// rule (keep.Slice) before the next read blocks. The frame is returned,
 	// not captured, so no stale payload pins a dropped buffer either.
 	var buf []byte
 	readFrame := func() (wire.Frame, error) {
@@ -293,7 +294,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 
 	var ents, owned []wire.Entry
 	for {
-		buf, ents, owned = wire.Keep(buf), wire.Keep(ents), wire.Keep(owned)
+		buf, ents, owned = keep.Slice(buf), keep.Slice(ents), keep.Slice(owned)
 		f, err := readFrame()
 		if err != nil {
 			select {

@@ -363,7 +363,10 @@ func TestChaosPartitionWritesSurviveAndSweepHeals(t *testing.T) {
 
 	// Heal, then converge by anti-entropy alone: the diverged keys are
 	// never read through the client, so read-repair cannot be what heals
-	// them — Repairs staying zero proves it.
+	// them — Repairs staying zero proves it. The client is closed first: a
+	// W=1 push to the victim still running in the background would
+	// otherwise land once the link heals and leave the sweep less to do.
+	c.Close()
 	chaos.HealAll()
 	swVictim := startSweeper(t, victim, addrs, 16, chaos.Dialer(victim.addr))
 	swUp := startSweeper(t, up, addrs, 16, chaos.Dialer(up.addr))

@@ -208,6 +208,11 @@ func TestSuitesSmoke(t *testing.T) {
 			t.Errorf("%s allocates %.3f/op; the zero-copy serve path must be allocation-free", name, s.AllocsPerOp)
 		}
 	}
+	for _, name := range []string{"wire/rtt/get", "wire/rtt/echo", "wire/pipe/get"} {
+		if s, ok := wire.Find(name); !ok || s.NsPerOp <= 0 {
+			t.Errorf("wire suite series %s: %+v, present %v", name, s, ok)
+		}
+	}
 
 	// A suite compared against itself is never failing: verdicts are all
 	// noise/improved (identical numbers → delta 0).

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/keep"
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/telemetry"
 )
@@ -15,8 +16,11 @@ import (
 //
 // The Into variants write results through caller-owned slices so a replay
 // loop can reuse its buffers across batches; the plain forms allocate fresh
-// result slices per call. The int32 working buffers come from a per-table
-// sync.Pool, so steady-state batching performs no allocations of its own.
+// result slices per call. The grouping buffer obeys the keep rule
+// (internal/keep): a batch whose buffer fits keep.Bytes, about 500 keys at 8
+// shards, reuses one from a per-table sync.Pool and allocates nothing, and a
+// larger batch allocates a buffer of its own that the GC takes back once the
+// call returns, so no batch-sized buffer outlives its batch.
 
 // Telemetry: when a sink is attached, every batched key is recorded as its
 // own event (kind, outcome, off-chip accesses, shard) so the histograms and
@@ -24,22 +28,37 @@ import (
 // Batched events carry Nanos == 0 — individual keys inside a batch are not
 // timed, so they contribute to every histogram except latency.
 
-// scratch returns a pooled buffer with capacity at least need.
+// groupInts is the length of a pooled grouping buffer: the keep bound's
+// worth of int32s.
+const groupInts = keep.Bytes / 4
+
+// scratch returns a grouping buffer with room for need int32s: a pooled one
+// when need fits the keep bound, else one of the batch's own.
 //
 //mcvet:hotpath
 func (s *Sharded) scratch(need int) *[]int32 {
-	p, _ := s.scratchPool.Get().(*[]int32)
-	if p == nil || cap(*p) < need {
-		b := make([]int32, need) //mcvet:allow hotpathalloc pool miss; amortized to zero allocations in steady state
+	var p *[]int32
+	if need <= groupInts {
+		p, _ = s.scratchPool.Get().(*[]int32)
+	}
+	if p == nil {
+		b := make([]int32, max(need, groupInts)) //mcvet:allow hotpathalloc pool miss or a batch past the keep bound; zero allocations in steady state
 		p = &b
 	}
 	return p
 }
 
+// release returns a grouping buffer to the pool if the keep rule keeps it.
+func (s *Sharded) release(p *[]int32) {
+	if keep.Slice(*p) != nil {
+		s.scratchPool.Put(p)
+	}
+}
+
 // groupByShard bucket-sorts the positions of keys by destination shard.
 // order holds key positions grouped by shard; shard i owns positions
-// order[start[i]:start[i+1]]. Both returned slices alias the pooled buffer,
-// which the caller must release with scratchPool.Put when done.
+// order[start[i]:start[i+1]]. Both returned slices alias buf, which the
+// caller hands back to release when done.
 //
 //mcvet:hotpath
 func (s *Sharded) groupByShard(keys []uint64, buf *[]int32) (order []int32, start []int32) {
@@ -82,9 +101,19 @@ func (s *Sharded) InsertBatch(keys, values []uint64) []kv.Outcome {
 
 // InsertBatchInto is InsertBatch writing outcomes into out, which must be
 // nil (discard outcomes) or exactly len(keys) long.
+func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
+	InsertBatchAs(s, keys, values, out, sameOutcome)
+}
+
+// sameOutcome is InsertBatchInto's conv: the outcome as it is.
+func sameOutcome(o kv.Outcome) kv.Outcome { return o }
+
+// InsertBatchAs is InsertBatchInto for a caller whose results are not
+// kv.Outcomes: conv turns each outcome into out's element type as the shard
+// produces it, so no outcome buffer stands between the shard and out.
 //
 //mcvet:hotpath
-func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
+func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(kv.Outcome) R) {
 	if len(keys) != len(values) {
 		panic("shard: InsertBatch called with mismatched key/value lengths")
 	}
@@ -113,7 +142,7 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 			sh.mu.Unlock()
 		}
 		if out != nil {
-			out[0] = o
+			out[0] = conv(o)
 		}
 		return
 	}
@@ -132,7 +161,7 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 			for _, i := range order[lo:hi] {
 				o := sh.tab.Insert(keys[i], values[i])
 				if out != nil {
-					out[i] = o
+					out[i] = conv(o)
 				}
 			}
 			sh.mu.Unlock()
@@ -146,12 +175,12 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 			o := sh.tab.Insert(keys[i], values[i])
 			s.recordInsert(shi, keys[i], o, offTotal(m)-before)
 			if out != nil {
-				out[i] = o
+				out[i] = conv(o)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	s.scratchPool.Put(buf)
+	s.release(buf)
 }
 
 // recordInsert emits one batched-insert telemetry event.
@@ -228,7 +257,7 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		sh.mu.RUnlock()
 		sh.hits.Add(hits)
 	}
-	s.scratchPool.Put(buf)
+	s.release(buf)
 }
 
 // recordLookup emits one batched-lookup telemetry event (no-op when no sink
@@ -319,7 +348,7 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 		}
 		sh.mu.Unlock()
 	}
-	s.scratchPool.Put(buf)
+	s.release(buf)
 }
 
 // recordDelete emits one batched-delete telemetry event.

@@ -101,9 +101,10 @@ type Sharded struct {
 	// refreshed on each call.
 	agg memmodel.Meter
 
-	// scratchPool recycles the int32 working buffers of the batched
-	// operations (see groupByShard) so steady-state batching allocates
-	// nothing.
+	// scratchPool recycles the batched operations' int32 grouping buffers
+	// (see groupByShard) under the keep rule: it holds only buffers of at
+	// most keep.Bytes, so steady small batches allocate nothing and no
+	// batch-sized buffer is parked.
 	scratchPool sync.Pool
 
 	// sink, when non-nil, receives one telemetry event per operation. The

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/keep"
 	"mccuckoo/internal/telemetry/trace"
 
 	"encoding/json"
@@ -57,18 +58,15 @@ type ClientConfig struct {
 }
 
 // Client is a pooled, pipelining client. All methods are safe for
-// concurrent use: in-flight requests are matched to responses by id, so any
-// number of goroutines can share one Client (and one connection).
+// concurrent use: any number of goroutines can share one Client (and one
+// connection), and each connection matches responses to requests in order.
 type Client struct {
 	cfg        ClientConfig
-	nextID     atomic.Uint64
 	rr         atomic.Uint64
 	closed     atomic.Bool
 	reconnects atomic.Int64
-
-	mu sync.Mutex
-	//mcvet:guardedby mu
-	conns []*clientConn
+	conns      []atomic.Pointer[clientConn] // read without a lock
+	dialing    []sync.Mutex                 // one redial per slot at a time
 }
 
 // Dial validates cfg and returns a Client. Connections are established
@@ -89,64 +87,62 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.MaxPayload <= 0 {
 		cfg.MaxPayload = DefaultMaxPayload
 	}
-	return &Client{cfg: cfg, conns: make([]*clientConn, cfg.Conns)}, nil
+	if cfg.Dial == nil {
+		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	return &Client{cfg: cfg, conns: make([]atomic.Pointer[clientConn], cfg.Conns), dialing: make([]sync.Mutex, cfg.Conns)}, nil
 }
 
 // Close closes every pooled connection. In-flight requests fail with
 // ErrClientClosed.
 func (c *Client) Close() error {
 	c.closed.Store(true)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, cc := range c.conns {
-		if cc != nil {
+	for i := range c.conns {
+		if cc := c.conns[i].Swap(nil); cc != nil {
 			cc.fail(ErrClientClosed)
-			c.conns[i] = nil
 		}
 	}
 	return nil
 }
 
-// conn returns a live pooled connection, dialing a replacement for a dead
-// slot.
+// conn returns a live pooled connection. A live slot is read without a
+// lock; a dead one is redialed under its own slot's mutex, so a slow dial
+// stalls only the calls that landed on that slot.
 func (c *Client) conn() (*clientConn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
 	// Reduce before converting: int(counter) goes negative once the counter
 	// passes the int range.
-	slot := int(c.rr.Add(1) % uint64(c.cfg.Conns))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return nil, ErrClientClosed
-	}
-	cc := c.conns[slot]
-	if cc != nil && !cc.dead.Load() {
+	i := int(c.rr.Add(1) % uint64(len(c.conns)))
+	if cc := c.conns[i].Load(); cc != nil && !cc.dead.Load() {
 		return cc, nil
 	}
-	dial := c.cfg.Dial
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
+	c.dialing[i].Lock()
+	defer c.dialing[i].Unlock()
+	old := c.conns[i].Load()
+	if old != nil && !old.dead.Load() {
+		return old, nil // another call redialed the slot meanwhile
 	}
-	nc, err := dial(c.cfg.Addr, c.cfg.DialTimeout)
+	nc, err := c.cfg.Dial(c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", c.cfg.Addr, err)
 	}
-	if cc != nil {
-		// The slot held a connection that died: this dial is a reconnect,
-		// not pool warm-up.
-		c.reconnects.Add(1)
+	if old != nil {
+		c.reconnects.Add(1) // a dead slot's redial, not pool warm-up
 	}
-	cc = newClientConn(nc, c.cfg.MaxPayload)
-	c.conns[slot] = cc
+	cc := newClientConn(nc, c.cfg.MaxPayload, c.cfg.RequestTimeout)
+	c.conns[i].Store(cc)
+	if c.closed.Load() {
+		cc.fail(ErrClientClosed) // Close ran during the dial and may have missed cc
+		return nil, ErrClientClosed
+	}
 	return cc, nil
 }
 
-// Reconnects reports how many times a pooled connection died and was
-// redialed.
+// Reconnects reports how many dead pooled connections were redialed.
 func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 
 // WritePrometheus writes the client's own metrics in Prometheus text
@@ -157,36 +153,32 @@ func (c *Client) WritePrometheus(w io.Writer) error {
 	return p.err
 }
 
-// do performs one untraced request and returns the OK payload.
-func (c *Client) do(op byte, payload []byte) ([]byte, error) {
-	return c.doCtx(trace.Context{}, op, payload)
-}
-
-// doCtx is do carrying a trace context: when tc is valid the request frame
-// is flagged and prefixed so the server can continue the trace. The zero
-// context produces a byte-identical untraced frame.
-func (c *Client) doCtx(tc trace.Context, op byte, payload []byte) ([]byte, error) {
+// doCtx performs one request, traced when tc is valid (the zero context
+// sends an untraced frame). An OK payload is returned in w.resp, which the
+// caller decodes before it releases w.
+func (c *Client) doCtx(tc trace.Context, op byte, payload []byte) (w *waiter, err error) {
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	status, resp, err := cc.roundTrip(c.nextID.Add(1), op, payload, tc, c.cfg.RequestTimeout)
-	if err != nil {
-		return nil, err
+	if w, err = cc.roundTrip(op, payload, tc); err != nil || w.status == StatusOK {
+		return w, err
 	}
-	switch status {
-	case StatusOK:
-		return resp, nil
-	case StatusErr:
-		return nil, &ServerError{Msg: string(resp)}
-	default:
-		return nil, protoErrf("unknown response status %d", status)
+	if w.status == StatusErr {
+		err = &ServerError{Msg: string(w.resp)}
+	} else {
+		err = protoErrf("unknown response status %d", w.status)
 	}
+	w.release()
+	return nil, err
 }
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping() error {
-	_, err := c.do(OpPing, nil)
+	w, err := c.doCtx(trace.Context{}, OpPing, nil)
+	if err == nil {
+		w.release()
+	}
 	return err
 }
 
@@ -197,11 +189,12 @@ func (c *Client) Get(key uint64) (value uint64, found bool, err error) {
 
 // GetCtx is Get carrying a trace context.
 func (c *Client) GetCtx(tc trace.Context, key uint64) (value uint64, found bool, err error) {
-	resp, err := c.doCtx(tc, OpGet, appendU64(make([]byte, 0, 8), key))
+	w, err := c.doCtx(tc, OpGet, appendU64(make([]byte, 0, 8), key))
 	if err != nil {
 		return 0, false, err
 	}
-	cur := cursor{b: resp}
+	defer w.release()
+	cur := cursor{b: w.resp}
 	f, v := cur.u8(), cur.u64()
 	if !cur.ok() {
 		return 0, false, protoErrf("malformed get response")
@@ -216,13 +209,12 @@ func (c *Client) Put(key, value uint64) (mccuckoo.InsertResult, error) {
 
 // PutCtx is Put carrying a trace context.
 func (c *Client) PutCtx(tc trace.Context, key, value uint64) (mccuckoo.InsertResult, error) {
-	p := appendU64(make([]byte, 0, 16), key)
-	p = appendU64(p, value)
-	resp, err := c.doCtx(tc, OpPut, p)
+	w, err := c.doCtx(tc, OpPut, appendU64(appendU64(make([]byte, 0, 16), key), value))
 	if err != nil {
 		return mccuckoo.InsertResult{}, err
 	}
-	cur := cursor{b: resp}
+	defer w.release()
+	cur := cursor{b: w.resp}
 	st, kicks := cur.u8(), cur.u32()
 	if !cur.ok() {
 		return mccuckoo.InsertResult{}, protoErrf("malformed put response")
@@ -237,11 +229,12 @@ func (c *Client) Del(key uint64) (bool, error) {
 
 // DelCtx is Del carrying a trace context.
 func (c *Client) DelCtx(tc trace.Context, key uint64) (bool, error) {
-	resp, err := c.doCtx(tc, OpDel, appendU64(make([]byte, 0, 8), key))
+	w, err := c.doCtx(tc, OpDel, appendU64(make([]byte, 0, 8), key))
 	if err != nil {
 		return false, err
 	}
-	cur := cursor{b: resp}
+	defer w.release()
+	cur := cursor{b: w.resp}
 	removed := cur.u8()
 	if !cur.ok() {
 		return false, protoErrf("malformed del response")
@@ -249,39 +242,34 @@ func (c *Client) DelCtx(tc trace.Context, key uint64) (bool, error) {
 	return removed != 0, nil
 }
 
-// batchReq builds a BATCH request payload header.
-func batchReq(sub byte, n, recordSize int) []byte {
-	p := make([]byte, 0, 5+n*recordSize)
-	p = appendU8(p, sub)
-	p = appendU32(p, uint32(n))
-	return p
-}
-
-// checkBatchResp validates a BATCH response's echo of sub-op and count and
-// returns the record bytes.
-func checkBatchResp(resp []byte, sub byte, n int) (cursor, error) {
-	c := cursor{b: resp}
-	gotSub, gotN := c.u8(), c.u32()
-	if c.bad || gotSub != sub || int(gotN) != n {
-		return cursor{}, protoErrf("malformed batch response header")
+// doBatch round-trips a BATCH request over keys, paired with values when
+// they are given, and checks that the response echoes its sub-op and count;
+// cur is positioned at the response records, in w.resp.
+func (c *Client) doBatch(sub byte, keys, values []uint64) (w *waiter, cur cursor, err error) {
+	p := appendU32(appendU8(make([]byte, 0, 5+8*(len(keys)+len(values))), sub), uint32(len(keys)))
+	for i, k := range keys {
+		if p = appendU64(p, k); values != nil {
+			p = appendU64(p, values[i])
+		}
 	}
-	return c, nil
+	if w, err = c.doCtx(trace.Context{}, OpBatch, p); err != nil {
+		return nil, cur, err
+	}
+	cur = cursor{b: w.resp}
+	if gotSub, gotN := cur.u8(), cur.u32(); cur.bad || gotSub != sub || int(gotN) != len(keys) {
+		w.release()
+		return nil, cur, protoErrf("malformed batch response header")
+	}
+	return w, cur, nil
 }
 
 // GetBatch looks up many keys in one round trip.
 func (c *Client) GetBatch(keys []uint64) (values []uint64, found []bool, err error) {
-	p := batchReq(OpGet, len(keys), 8)
-	for _, k := range keys {
-		p = appendU64(p, k)
-	}
-	resp, err := c.do(OpBatch, p)
+	w, cur, err := c.doBatch(OpGet, keys, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	cur, err := checkBatchResp(resp, OpGet, len(keys))
-	if err != nil {
-		return nil, nil, err
-	}
+	defer w.release()
 	values = make([]uint64, len(keys))
 	found = make([]bool, len(keys))
 	for i := range keys {
@@ -299,19 +287,11 @@ func (c *Client) PutBatch(keys, values []uint64) ([]mccuckoo.InsertResult, error
 	if len(keys) != len(values) {
 		panic("wire: PutBatch called with mismatched key/value lengths")
 	}
-	p := batchReq(OpPut, len(keys), 16)
-	for i, k := range keys {
-		p = appendU64(p, k)
-		p = appendU64(p, values[i])
-	}
-	resp, err := c.do(OpBatch, p)
+	w, cur, err := c.doBatch(OpPut, keys, values)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := checkBatchResp(resp, OpPut, len(keys))
-	if err != nil {
-		return nil, err
-	}
+	defer w.release()
 	out := make([]mccuckoo.InsertResult, len(keys))
 	for i := range out {
 		st, kicks := cur.u8(), cur.u32()
@@ -325,18 +305,11 @@ func (c *Client) PutBatch(keys, values []uint64) ([]mccuckoo.InsertResult, error
 
 // DelBatch deletes many keys in one round trip.
 func (c *Client) DelBatch(keys []uint64) ([]bool, error) {
-	p := batchReq(OpDel, len(keys), 8)
-	for _, k := range keys {
-		p = appendU64(p, k)
-	}
-	resp, err := c.do(OpBatch, p)
+	w, cur, err := c.doBatch(OpDel, keys, nil)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := checkBatchResp(resp, OpDel, len(keys))
-	if err != nil {
-		return nil, err
-	}
+	defer w.release()
 	out := make([]bool, len(keys))
 	for i := range out {
 		out[i] = cur.u8() != 0
@@ -349,12 +322,13 @@ func (c *Client) DelBatch(keys []uint64) ([]bool, error) {
 
 // Stats fetches the server's table statistics.
 func (c *Client) Stats() (TableStats, error) {
-	resp, err := c.do(OpStats, nil)
+	w, err := c.doCtx(trace.Context{}, OpStats, nil)
 	if err != nil {
 		return TableStats{}, err
 	}
+	defer w.release()
 	var st TableStats
-	if err := json.Unmarshal(resp, &st); err != nil {
+	if err := json.Unmarshal(w.resp, &st); err != nil {
 		return TableStats{}, protoErrf("malformed stats response: %v", err)
 	}
 	return st, nil
@@ -369,11 +343,12 @@ func (c *Client) VGet(key uint64) (state byte, value, seq uint64, err error) {
 
 // VGetCtx is VGet carrying a trace context.
 func (c *Client) VGetCtx(tc trace.Context, key uint64) (state byte, value, seq uint64, err error) {
-	resp, err := c.doCtx(tc, OpVGet, appendU64(make([]byte, 0, 8), key))
+	w, err := c.doCtx(tc, OpVGet, appendU64(make([]byte, 0, 8), key))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	cur := cursor{b: resp}
+	defer w.release()
+	cur := cursor{b: w.resp}
 	state, value, seq = cur.u8(), cur.u64(), cur.u64()
 	if !cur.ok() || state > VStateTomb {
 		return 0, 0, 0, protoErrf("malformed vget response")
@@ -392,17 +367,18 @@ func (c *Client) Replicate(head uint64, ents []Entry) ([]byte, error) {
 // ReplicateCtx is Replicate carrying a trace context.
 func (c *Client) ReplicateCtx(tc trace.Context, head uint64, ents []Entry) ([]byte, error) {
 	p := AppendReplicatePayload(make([]byte, 0, replicateHeadLen+len(ents)*entrySize), head, ents)
-	resp, err := c.doCtx(tc, OpReplicate, p)
+	w, err := c.doCtx(tc, OpReplicate, p)
 	if err != nil {
 		return nil, err
 	}
-	cur := cursor{b: resp}
+	defer w.release()
+	cur := cursor{b: w.resp}
 	n := int(cur.u32())
-	if cur.bad || n != len(ents) || len(resp)-4 != n {
+	if cur.bad || n != len(ents) || len(w.resp)-4 != n {
 		return nil, protoErrf("malformed replicate response")
 	}
 	statuses := make([]byte, n)
-	copy(statuses, resp[4:])
+	copy(statuses, w.resp[4:])
 	for _, st := range statuses {
 		if st > ApplyFailed {
 			return nil, protoErrf("malformed replicate response")
@@ -422,81 +398,144 @@ func (c *Client) DigestRange(name string, lo, hi uint64, maxKeys int) (digest, c
 // DigestRangeCtx is DigestRange carrying a trace context.
 func (c *Client) DigestRangeCtx(tc trace.Context, name string, lo, hi uint64, maxKeys int) (digest, count uint64, keys []DigestEntry, err error) {
 	p := AppendDigestRequest(make([]byte, 0, 24+len(name)), lo, hi, maxKeys, name)
-	resp, err := c.doCtx(tc, OpDigest, p)
+	w, err := c.doCtx(tc, OpDigest, p)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	digest, count, keys, ok := ParseDigestResponse(resp)
+	defer w.release()
+	digest, count, keys, ok := ParseDigestResponse(w.resp)
 	if !ok {
 		return 0, 0, nil, protoErrf("malformed digest response")
 	}
 	return digest, count, keys, nil
 }
 
-// result is one demultiplexed response.
-type result struct {
-	status  byte
-	payload []byte
-	err     error
+// maxIdleWaiters bounds the waiters a connection keeps for reuse. Steady
+// traffic has a few calls in flight per connection; a deeper burst's extra
+// waiters are dropped after use, so the burst leaves nothing parked.
+const maxIdleWaiters = 16
+
+// waiter is one request's place in its connection's queue. A nil signal on
+// done hands it to the caller, which releases it once resp is decoded. A
+// timed-out waiter stays queued until its late response; a failed one is dropped.
+type waiter struct {
+	cc       *clientConn
+	op       byte
+	id       uint64
+	deadline time.Time
+	timedOut bool // guarded by cc.mu while queued
+	done     chan error
+	status   byte
+	resp     []byte
 }
 
-// clientConn is one pooled connection. A single readLoop goroutine
-// demultiplexes responses to waiting callers by request id; writes are
-// serialized by wmu.
+// release hands w back to its connection, resp under the keep rule.
+func (w *waiter) release() {
+	w.resp = keep.Slice(w.resp)
+	select {
+	case w.cc.free <- w:
+	default:
+	}
+}
+
+// clientConn is one pooled connection. A server answers a connection's
+// requests in order (DESIGN.md §10), so requests are queued in wire order
+// and readLoop hands each response to the oldest waiter. One timer, armed
+// for the oldest pending deadline, times requests out.
 //
 //mcvet:lifecycle
 type clientConn struct {
-	nc   net.Conn
-	dead atomic.Bool
+	nc      net.Conn
+	dead    atomic.Bool
+	timeout time.Duration
+	timer   *time.Timer  // set once by newClientConn
+	free    chan *waiter // idle waiters, buffered to maxIdleWaiters
 
-	wmu sync.Mutex // serializes frame writes
+	wmu sync.Mutex // serializes frame writes and so the queue order
 	// wbuf is the request-frame encoding buffer, reused under the keep rule.
 	//mcvet:guardedby wmu
 	wbuf []byte
 
 	mu sync.Mutex
 	//mcvet:guardedby mu
-	pending map[uint64]chan result
+	queue []*waiter // written requests not yet answered, oldest first
+	//mcvet:guardedby mu
+	nextID uint64
+	//mcvet:guardedby mu
+	armed bool // the timer is set for the oldest pending deadline
 	//mcvet:guardedby mu
 	failure error
 }
 
-func newClientConn(nc net.Conn, maxPayload int) *clientConn {
-	cc := &clientConn{nc: nc, pending: make(map[uint64]chan result)}
+func newClientConn(nc net.Conn, maxPayload int, timeout time.Duration) *clientConn {
+	cc := &clientConn{nc: nc, timeout: timeout, free: make(chan *waiter, maxIdleWaiters), armed: true}
+	cc.timer = time.AfterFunc(timeout, cc.expire)
 	//mcvet:allow goroutinelifecycle readLoop's lifetime is the conn's: fail/Close closes nc and the blocked ReadFrame returns
 	go cc.readLoop(maxPayload)
 	return cc
 }
 
-// register adds a waiter unless the connection already failed.
-func (cc *clientConn) register(id uint64, ch chan result) error {
+// enqueue queues a waiter for the next request id unless the connection
+// failed. The caller holds wmu, so queue order is wire order, and deadline
+// order too.
+func (cc *clientConn) enqueue(op byte) (*waiter, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.failure != nil {
-		return cc.failure
+		return nil, cc.failure
 	}
-	cc.pending[id] = ch
-	return nil
+	var w *waiter
+	select {
+	case w = <-cc.free:
+	default:
+		w = &waiter{cc: cc, done: make(chan error, 1)}
+	}
+	cc.nextID++
+	w.op, w.id, w.deadline, w.timedOut = op, cc.nextID, time.Now().Add(cc.timeout), false
+	cc.queue = append(cc.queue, w)
+	if !cc.armed {
+		cc.armed = true
+		cc.timer.Reset(cc.timeout)
+	}
+	return w, nil
 }
 
-func (cc *clientConn) unregister(id uint64) {
+// expire times out each queued request whose deadline passed, alone, and
+// rearms the timer for the oldest one left.
+func (cc *clientConn) expire() {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	delete(cc.pending, id)
+	cc.armed = false
+	now := time.Now()
+	for _, w := range cc.queue {
+		if d := w.deadline.Sub(now); d > 0 {
+			cc.armed = true
+			cc.timer.Reset(d)
+			return
+		}
+		if !w.timedOut {
+			w.timedOut = true
+			w.done <- fmt.Errorf("wire: request %d (%s) timed out after %v", w.id, OpName(w.op), cc.timeout)
+		}
+	}
 }
 
-// deliver hands a response to its waiter; a response nobody waits for
-// (timed-out request) is dropped.
-func (cc *clientConn) deliver(id uint64, r result) {
+// dequeue pops the waiter a response to id answers: the oldest one, after
+// dropping timed-out requests the server never answered. It returns nil if
+// id answers none.
+func (cc *clientConn) dequeue(id uint64) *waiter {
 	cc.mu.Lock()
-	ch, ok := cc.pending[id]
-	if ok {
-		delete(cc.pending, id)
+	defer cc.mu.Unlock()
+	for len(cc.queue) > 0 {
+		w := cc.queue[0]
+		if w.id != id && !w.timedOut {
+			return nil
+		}
+		if cc.queue = cc.queue[:copy(cc.queue, cc.queue[1:])]; w.id == id {
+			return w
+		}
 	}
-	cc.mu.Unlock()
-	if ok {
-		ch <- r // buffered; never blocks
-	}
+	return nil
 }
 
 // fail marks the connection dead and errors out every pending request.
@@ -508,71 +547,72 @@ func (cc *clientConn) fail(err error) {
 	if cc.failure == nil {
 		cc.failure = err
 	}
-	for id, ch := range cc.pending {
-		delete(cc.pending, id)
-		ch <- result{err: cc.failure}
+	for _, w := range cc.queue {
+		if !w.timedOut {
+			w.done <- cc.failure
+		}
 	}
+	cc.queue = nil
 }
 
-// readLoop demultiplexes responses to their waiters until the connection
-// dies.
+// readLoop hands each response to its waiter until the connection dies.
 //
 //mcvet:deadlined
 func (cc *clientConn) readLoop(maxPayload int) {
 	var buf []byte
 	for {
 		// The demux read deliberately has no deadline: it must outlive any
-		// single request, and per-request timeouts live in roundTrip.
-		// Close/fail closing the conn is what unblocks it.
+		// single request, and request timeouts live in the connection's
+		// timer. Close/fail closing the conn is what unblocks it.
 		//mcvet:allow deadlinearm demux read is unbounded by design; bounded by conn close, not a timer
 		f, b, err := ReadFrame(cc.nc, maxPayload, buf)
-		if err != nil {
+		var w *waiter
+		if err == nil && f.IsResponse() {
+			w = cc.dequeue(f.ID)
+		}
+		if w == nil {
+			if err == nil {
+				err = fmt.Errorf("frame %d of type %#x answers no pending request", f.ID, f.Type)
+			}
 			cc.fail(fmt.Errorf("%w: %v", ErrConnFailed, err))
 			return
 		}
-		if !f.IsResponse() {
-			cc.fail(fmt.Errorf("%w: server sent a request frame", ErrConnFailed))
-			return
+		if w.timedOut {
+			w.release() // a late response
+		} else {
+			w.status, w.resp = f.Status(), append(w.resp[:0], f.Payload...) // a copy: f.Payload aliases b
+			w.done <- nil
 		}
-		// The payload aliases b; the waiter owns its copy, so b obeys the
-		// keep rule before the next read parks it.
-		cc.deliver(f.ID, result{status: f.Status(), payload: append([]byte(nil), f.Payload...)})
-		buf = Keep(b)
+		buf = keep.Slice(b)
 	}
 }
 
-// roundTrip sends one request and waits for its response or the timeout.
+// roundTrip sends one request and waits for its response, its timeout or
+// the connection's failure.
 //
 //mcvet:deadlined
-func (cc *clientConn) roundTrip(id uint64, op byte, payload []byte, tc trace.Context, timeout time.Duration) (byte, []byte, error) {
-	ch := make(chan result, 1)
-	if err := cc.register(id, ch); err != nil {
-		return 0, nil, err
-	}
+func (cc *clientConn) roundTrip(op byte, payload []byte, tc trace.Context) (*waiter, error) {
 	cc.wmu.Lock()
-	cc.wbuf = AppendFrame(slices.Grow(cc.wbuf[:0], FrameOverhead+trace.ContextSize+len(payload)),
-		Frame{Type: op, ID: id, Payload: payload, Trace: tc})
-	// A failed deadline arm is a connection failure: without it a dead
-	// peer could pin this write forever.
-	err := cc.nc.SetWriteDeadline(time.Now().Add(timeout))
-	if err == nil {
-		_, err = cc.nc.Write(cc.wbuf)
+	w, err := cc.enqueue(op)
+	if w != nil {
+		cc.wbuf = AppendFrame(slices.Grow(cc.wbuf[:0], FrameOverhead+trace.ContextSize+len(payload)),
+			Frame{Type: op, ID: w.id, Payload: payload, Trace: tc})
+		// A failed deadline arm is a connection failure: without it a dead
+		// peer could pin this write forever.
+		if err = cc.nc.SetWriteDeadline(w.deadline); err == nil {
+			_, err = cc.nc.Write(cc.wbuf)
+		}
+		cc.wbuf = keep.Slice(cc.wbuf)
 	}
-	cc.wbuf = Keep(cc.wbuf)
 	cc.wmu.Unlock()
+	if w == nil {
+		return nil, err
+	}
 	if err != nil {
-		cc.unregister(id)
-		err = fmt.Errorf("%w: write: %v", ErrConnFailed, err)
-		cc.fail(err)
-		return 0, nil, err
+		cc.fail(fmt.Errorf("%w: write: %v", ErrConnFailed, err)) // signals w
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.status, r.payload, r.err
-	case <-timer.C:
-		cc.unregister(id)
-		return 0, nil, fmt.Errorf("wire: request %d (%s) timed out after %v", id, OpName(op), timeout)
+	if err := <-w.done; err != nil {
+		return nil, err
 	}
+	return w, nil
 }

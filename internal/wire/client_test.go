@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -78,6 +80,134 @@ func TestClientTimeout(t *testing.T) {
 	}
 }
 
+// TestClientTimeoutFailsAlone: a request the server swallows times out
+// alone. The connection survives, the next request on it succeeds, and
+// the pool redials nothing.
+func TestClientTimeoutFailsAlone(t *testing.T) {
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		return StatusOK, nil, f.ID != 1 // swallow the first request
+	})
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, RequestTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("swallowed ping: %v, want timeout", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := c.Ping(); err != nil {
+			t.Fatalf("ping %d after the timeout: %v", i, err)
+		}
+	}
+	if n := c.Reconnects(); n != 0 {
+		t.Fatalf("Reconnects() = %d, want 0", n)
+	}
+}
+
+// TestClientPipelinedTimeoutsKeepOrder: goroutines pipeline GETs on one
+// connection to a server that answers in order but stalls past the request
+// timeout on each goroutine's tenth key. The stalled calls and those queued
+// behind them time out; every call that succeeds gets its own key's
+// answer, late responses are dropped, and the connection is never redialed.
+func TestClientPipelinedTimeoutsKeepOrder(t *testing.T) {
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		k := (&cursor{b: f.Payload}).u64()
+		if k%100 == 10 {
+			time.Sleep(80 * time.Millisecond)
+		}
+		return StatusOK, appendU64(appendU8(nil, 1), k), true
+	})
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, RequestTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	var ok, timedOut atomic.Int64
+	for g := uint64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := g * 100; k < g*100+30; k++ {
+				v, found, err := c.Get(k)
+				switch {
+				case err == nil && found && v == k:
+					ok.Add(1)
+				case err != nil && strings.Contains(err.Error(), "timed out"):
+					timedOut.Add(1)
+				default:
+					t.Errorf("get %d: %d, %v, %v", k, v, found, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ok.Load() == 0 || timedOut.Load() == 0 || c.Reconnects() != 0 {
+		t.Fatalf("%d answered, %d timed out, %d reconnects; want some of each and none", ok.Load(), timedOut.Load(), c.Reconnects())
+	}
+}
+
+// TestClientRedialStallsOnlyItsSlot: while one slot's redial blocks in
+// the Dial hook, a call landing on a healthy slot still returns.
+func TestClientRedialStallsOnlyItsSlot(t *testing.T) {
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		return StatusOK, nil, true
+	})
+	var (
+		mu      sync.Mutex
+		dialed  []net.Conn
+		entered = make(chan struct{})
+		unblock = make(chan struct{})
+	)
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 2, Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+		mu.Lock()
+		n := len(dialed)
+		mu.Unlock()
+		if n == 2 { // the redial of slot 0
+			close(entered)
+			<-unblock
+		}
+		nc, err := net.DialTimeout("tcp", addr, timeout)
+		mu.Lock()
+		dialed = append(dialed, nc)
+		mu.Unlock()
+		return nc, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer close(unblock)
+	c.rr.Store(1) // the next calls land on slots 0, 1, 0, 1, ...
+	for i := 0; i < 2; i++ {
+		if err := c.Ping(); err != nil {
+			t.Fatalf("warm-up ping %d: %v", i, err)
+		}
+	}
+	dialed[0].Close()
+	for cc := c.conns[0].Load(); !cc.dead.Load(); {
+		time.Sleep(time.Millisecond)
+	}
+	stuck := make(chan error, 1)
+	go func() { stuck <- c.Ping() }() // slot 0: redials, and blocks
+	<-entered
+	healthy := make(chan error, 1)
+	go func() { healthy <- c.Ping() }() // slot 1
+	select {
+	case err := <-healthy:
+		if err != nil {
+			t.Fatalf("ping on the healthy slot: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call on the healthy slot waited for slot 0's redial")
+	}
+	unblock <- struct{}{}
+	if err := <-stuck; err != nil {
+		t.Fatalf("ping on the redialed slot: %v", err)
+	}
+}
+
 func TestClientServerError(t *testing.T) {
 	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
 		return StatusErr, []byte("nope"), true
@@ -113,9 +243,8 @@ func TestClientReconnect(t *testing.T) {
 		// instead of racing the write against the close.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			c.mu.Lock()
-			dead := c.conns[0] != nil && c.conns[0].dead.Load()
-			c.mu.Unlock()
+			cc := c.conns[0].Load()
+			dead := cc != nil && cc.dead.Load()
 			if dead || time.Now().After(deadline) {
 				break
 			}
@@ -145,11 +274,12 @@ func TestClientSlotAfterCounterWrap(t *testing.T) {
 }
 
 // TestClientCallAllocs pins what one call allocates over the recording
-// client's net.Pipe connection. AllocsPerRun counts the whole process, so
-// each count includes the scripted server's record and reply and net.Pipe's
-// deadline timer beside the client's waiter channel, request timer and
-// response copy. The payload is built on the stack and the request frame in
-// the connection's reused write buffer, not in a frame of its own.
+// client's net.Pipe connection. AllocsPerRun counts the whole process, and
+// every count here is the scripted server's record and reply and net.Pipe's
+// per-call deadline timer: the client itself allocates nothing per call
+// (TestClientCallZeroAlloc). The payload is built on the stack, the request
+// frame in the connection's reused write buffer, and the response lands in
+// a reused waiter's buffer.
 func TestClientCallAllocs(t *testing.T) {
 	cli, _ := newRecordingClient(t)
 	for _, tc := range []struct {
@@ -157,10 +287,10 @@ func TestClientCallAllocs(t *testing.T) {
 		want float64
 		call func() error
 	}{
-		{"Get", 14, func() error { _, _, err := cli.Get(5); return err }},
-		{"Put", 14, func() error { _, err := cli.Put(5, 6); return err }},
-		{"Del", 13, func() error { _, err := cli.Del(5); return err }},
-		{"VGet", 15, func() error { _, _, _, err := cli.VGet(5); return err }},
+		{"Get", 8, func() error { _, _, err := cli.Get(5); return err }},
+		{"Put", 8, func() error { _, err := cli.Put(5, 6); return err }},
+		{"Del", 7, func() error { _, err := cli.Del(5); return err }},
+		{"VGet", 9, func() error { _, _, _, err := cli.VGet(5); return err }},
 	} {
 		var err error
 		call := func() {

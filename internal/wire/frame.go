@@ -18,10 +18,9 @@
 //	16+N    4     CRC32C over bytes [0, 16+N) — the Castagnoli polynomial,
 //	              the same convention as the snapshot format (§7)
 //
-// Requests and responses are matched by id, never by order: a client may
-// pipeline any number of requests on one connection and the server may
-// answer them as they complete. Payload encodings per opcode are documented
-// on the codec functions below and in DESIGN.md §10.
+// A client may pipeline any number of requests on one connection; the
+// server answers them in order, and each response echoes its request's id.
+// Payload encodings are documented on the codec functions and in §10.
 //
 // # Traced frames
 //

@@ -1,6 +1,9 @@
 package wire
 
-import "mccuckoo"
+import (
+	"mccuckoo"
+	"mccuckoo/internal/keep"
+)
 
 // ServeProbe drives one connection's serve path in-process, bypassing the
 // network: each Handle call executes a decoded request frame exactly as a
@@ -31,6 +34,6 @@ func NewServeProbe(store mccuckoo.BatchStore) (*ServeProbe, error) {
 // connection does once the bytes are on the wire.
 func (p *ServeProbe) Handle(f Frame) byte {
 	status := p.h.handle(f)
-	p.h.out = Keep(p.h.out)
+	p.h.out = keep.Slice(p.h.out)
 	return status
 }

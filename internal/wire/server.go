@@ -11,10 +11,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"mccuckoo"
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/keep"
 	"mccuckoo/internal/telemetry/trace"
 )
 
@@ -292,7 +292,7 @@ func respFrame(id uint64, status byte, payload []byte) []byte {
 // reads requests into the connection's read buffer, executes each complete
 // one in order, and appends its response to the output buffer. The output
 // buffer is written whenever no complete request is left to decode, or once
-// it passes keepBytes, so the goroutine never blocks on a read while holding
+// it passes keep.Bytes, so the goroutine never blocks on a read while holding
 // unwritten responses, and pipelined responses share one write. A client
 // that stops reading stalls the goroutine in a write: TCP flow control is
 // the backpressure, and WriteTimeout frees the connection.
@@ -343,7 +343,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				return
 			}
 			h.handle(f)
-			if len(h.out) > keepBytes && !h.flush(nc) {
+			if len(h.out) > keep.Bytes && !h.flush(nc) {
 				return
 			}
 		}
@@ -401,14 +401,14 @@ func (s *Server) serveConn(nc net.Conn) {
 // once no large frame is pending (the keep rule).
 func readRoom(in []byte, off, maxPayload int) []byte {
 	rest := in[off:]
-	need := keepBytes
+	need := keep.Bytes
 	if len(rest) >= headerLen {
 		// DecodeFrame has accepted this header, so its length is in bounds.
 		_, _, n, _ := parseHeader(rest, maxPayload)
 		need = max(need, headerLen+n+crcLen)
 	}
-	if need == keepBytes {
-		in = Keep(in)
+	if need == keep.Bytes {
+		in = keep.Slice(in)
 	}
 	if cap(in) < need {
 		in = make([]byte, 0, need)
@@ -441,8 +441,7 @@ func (s *Server) runSubscription(nc net.Conn, h *connHandler, id uint64, fromSeq
 
 	// The handshake shares a write with the responses to any requests
 	// pipelined ahead of SUBSCRIBE.
-	h.pbuf = appendU8(appendU64(h.pbuf[:0], head), boolByte(full))
-	h.respFrame(id, StatusOK, h.pbuf)
+	h.okFrame(id, appendU8(appendU64(h.pbuf[:0], head), boolByte(full)))
 	if !h.flush(nc) {
 		return
 	}
@@ -510,9 +509,9 @@ type connHandler struct {
 // connection parks them until its next frame.
 func (h *connHandler) frame(typ byte, id uint64, payload []byte) {
 	h.out = AppendFrame(slices.Grow(h.out, FrameOverhead+len(payload)), Frame{Type: typ, ID: id, Payload: payload})
-	h.pbuf, h.keys, h.vals = Keep(h.pbuf), Keep(h.keys), Keep(h.vals)
-	h.results, h.founds, h.removed = Keep(h.results), Keep(h.founds), Keep(h.removed)
-	h.ents, h.statuses = Keep(h.ents), Keep(h.statuses)
+	h.pbuf, h.keys, h.vals = keep.Slice(h.pbuf), keep.Slice(h.keys), keep.Slice(h.vals)
+	h.results, h.founds, h.removed = keep.Slice(h.results), keep.Slice(h.founds), keep.Slice(h.removed)
+	h.ents, h.statuses = keep.Slice(h.ents), keep.Slice(h.statuses)
 }
 
 // respFrame appends one response frame through h.frame and returns its
@@ -520,6 +519,13 @@ func (h *connHandler) frame(typ byte, id uint64, payload []byte) {
 func (h *connHandler) respFrame(id uint64, status byte, payload []byte) byte {
 	h.frame(respFlag|status, id, payload)
 	return status
+}
+
+// okFrame appends an OK response whose payload p was built in h.pbuf,
+// keeping p's buffer as h.pbuf.
+func (h *connHandler) okFrame(id uint64, p []byte) byte {
+	h.pbuf = p
+	return h.respFrame(id, StatusOK, p)
 }
 
 func (h *connHandler) errFrame(id uint64, msg string) byte {
@@ -546,7 +552,7 @@ func (h *connHandler) flush(nc net.Conn) bool {
 		return false
 	}
 	s.bytesOut.Add(int64(len(h.out)))
-	h.out = Keep(h.out)
+	h.out = keep.Slice(h.out)
 	return true
 }
 
@@ -596,11 +602,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 		v, found := store.Lookup(k)
 		tsp.Op, tsp.Key = f.Type, hashutil.Mix64(k)
 		tsp.Finish()
-		p := h.pbuf[:0]
-		p = appendU8(p, boolByte(found))
-		p = appendU64(p, v)
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, appendU64(appendU8(h.pbuf[:0], boolByte(found)), v))
 	case OpPut:
 		k, v := c.u64(), c.u64()
 		if !c.ok() {
@@ -610,11 +612,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 		r := store.Insert(k, v)
 		tsp.Op, tsp.Key, tsp.Kicks = f.Type, hashutil.Mix64(k), int32(r.Kicks)
 		tsp.Finish()
-		p := h.pbuf[:0]
-		p = appendU8(p, byte(r.Status))
-		p = appendU32(p, uint32(r.Kicks))
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, appendU32(appendU8(h.pbuf[:0], byte(r.Status)), uint32(r.Kicks)))
 	case OpDel:
 		k := c.u64()
 		if !c.ok() {
@@ -624,9 +622,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 		removed := store.Delete(k)
 		tsp.Op, tsp.Key = f.Type, hashutil.Mix64(k)
 		tsp.Finish()
-		p := appendU8(h.pbuf[:0], boolByte(removed))
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, appendU8(h.pbuf[:0], boolByte(removed)))
 	case OpBatch:
 		return h.handleBatch(f)
 	case OpVGet:
@@ -641,12 +637,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 		state, v, seq := s.rep.VGet(k)
 		tsp.Op, tsp.Key = f.Type, hashutil.Mix64(k)
 		tsp.Finish()
-		p := h.pbuf[:0]
-		p = appendU8(p, state)
-		p = appendU64(p, v)
-		p = appendU64(p, seq)
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, appendU64(appendU64(appendU8(h.pbuf[:0], state), v), seq))
 	case OpReplicate:
 		_, ents, ok := ParseReplicatePayload(f.Payload, h.ents)
 		if !ok {
@@ -660,11 +651,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 		h.statuses = s.rep.ApplyPush(ents, h.statuses)
 		asp.Op, asp.Kicks = f.Type, int32(len(ents))
 		asp.Finish()
-		p := h.pbuf[:0]
-		p = appendU32(p, uint32(len(h.statuses)))
-		p = append(p, h.statuses...)
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, append(appendU32(h.pbuf[:0], uint32(len(h.statuses))), h.statuses...))
 	case OpDigest:
 		lo, hi, maxKeys, name, ok := ParseDigestRequest(f.Payload)
 		if !ok {
@@ -674,9 +661,7 @@ func (h *connHandler) handle(f Frame) (status byte) {
 			return h.errFrame(f.ID, "store is not replicated")
 		}
 		digest, count, keys := s.rep.DigestRange(name, lo, hi, maxKeys)
-		p := AppendDigestResponse(h.pbuf[:0], digest, count, keys)
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, AppendDigestResponse(h.pbuf[:0], digest, count, keys))
 	case OpStats:
 		if len(f.Payload) != 0 {
 			return h.errFrame(f.ID, "malformed stats payload")
@@ -710,15 +695,12 @@ func (h *connHandler) handleBatch(f Frame) byte {
 		h.vals = grow(h.vals, n)
 		h.founds = grow(h.founds, n)
 		s.cfg.Store.LookupBatchInto(h.keys, h.vals, h.founds)
-		p := h.pbuf[:0]
-		p = appendU8(p, sub)
-		p = appendU32(p, uint32(n))
+		p := appendU32(appendU8(h.pbuf[:0], sub), uint32(n))
 		for i := 0; i < n; i++ {
 			p = appendU8(p, boolByte(h.founds[i]))
 			p = appendU64(p, h.vals[i])
 		}
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, p)
 	case OpPut:
 		h.vals = grow(h.vals, n)
 		for i := 0; i < n; i++ {
@@ -727,29 +709,23 @@ func (h *connHandler) handleBatch(f Frame) byte {
 		}
 		h.results = grow(h.results, n)
 		s.cfg.Store.InsertBatchInto(h.keys, h.vals, h.results)
-		p := h.pbuf[:0]
-		p = appendU8(p, sub)
-		p = appendU32(p, uint32(n))
+		p := appendU32(appendU8(h.pbuf[:0], sub), uint32(n))
 		for i := 0; i < n; i++ {
 			p = appendU8(p, byte(h.results[i].Status))
 			p = appendU32(p, uint32(h.results[i].Kicks))
 		}
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, p)
 	case OpDel:
 		for i := 0; i < n; i++ {
 			h.keys[i] = c.u64()
 		}
 		h.removed = grow(h.removed, n)
 		s.cfg.Store.DeleteBatchInto(h.keys, h.removed)
-		p := h.pbuf[:0]
-		p = appendU8(p, sub)
-		p = appendU32(p, uint32(n))
+		p := appendU32(appendU8(h.pbuf[:0], sub), uint32(n))
 		for i := 0; i < n; i++ {
 			p = appendU8(p, boolByte(h.removed[i]))
 		}
-		h.pbuf = p
-		return h.respFrame(f.ID, StatusOK, p)
+		return h.okFrame(f.ID, p)
 	default:
 		return h.errFrame(f.ID, "unknown batch sub-op")
 	}
@@ -769,24 +745,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// keepBytes is the keep rule's bound (DESIGN.md §10): the largest buffer a
-// connection parks between frames. Every single-key frame fits, as do a
-// 16-key batch and an op-log chunk of up to 162 entries, so steady traffic
-// reuses its buffers without allocating; a larger frame costs a buffer of
-// its own.
-const keepBytes = 4 << 10
-
-// Keep applies the keep rule to a buffer a connection is about to park until
-// its next frame: it returns s emptied for reuse when its backing array is at
-// most 4 KiB, and nil otherwise, so a buffer grown for one large frame goes to
-// the GC instead of staying pinned for the connection's lifetime.
-func Keep[T any](s []T) []T {
-	if uintptr(cap(s))*unsafe.Sizeof(*new(T)) > keepBytes {
-		return nil
-	}
-	return s[:0]
 }
 
 // TableStats is the STATS response payload, JSON with the repo's snake_case

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"mccuckoo"
+	"mccuckoo/internal/keep"
 )
 
 // newProbeHarness builds a ServeProbe over a populated single-writer table.
@@ -68,29 +69,13 @@ func TestServePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestKeepBound pins the keep rule's bound in bytes of backing array,
-// whatever the element type.
-func TestKeepBound(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		kept, want bool
-	}{
-		{"bytes at 4 KiB", Keep(make([]byte, 7, keepBytes)) != nil, true},
-		{"bytes past 4 KiB", Keep(make([]byte, 0, keepBytes+1)) != nil, false},
-		{"u64 at 4 KiB", Keep(make([]uint64, 0, keepBytes/8)) != nil, true},
-		{"u64 past 4 KiB", Keep(make([]uint64, 0, keepBytes/8+1)) != nil, false},
-	} {
-		if tc.kept != tc.want {
-			t.Errorf("%s: kept %v, want %v", tc.name, tc.kept, tc.want)
-		}
-	}
-	if b := Keep(make([]byte, 7, 16)); len(b) != 0 || cap(b) != 16 {
-		t.Errorf("kept buffer has len %d cap %d, want 0 and 16", len(b), cap(b))
-	}
-}
-
 // sizeOf is the byte size of s's backing array.
 func sizeOf[T any](s []T) int { return cap(s) * int(unsafe.Sizeof(*new(T))) }
+
+// batchReq starts a BATCH request payload of n records of recordSize bytes.
+func batchReq(sub byte, n, recordSize int) []byte {
+	return appendU32(appendU8(make([]byte, 0, 5+n*recordSize), sub), uint32(n))
+}
 
 // batchPut encodes a BATCH PUT payload of n keys.
 func batchPut(n int) []byte {
@@ -103,7 +88,7 @@ func batchPut(n int) []byte {
 
 // TestServeProbeKeepRule: after a 4096-key BATCH PUT (a 64 KiB request and
 // a 20 KiB response) and one GET, neither the handler's scratch nor its
-// output buffer holds a buffer larger than keepBytes. Before the keep rule
+// output buffer holds a buffer larger than keep.Bytes. Before the keep rule
 // the connection kept the batch-sized buffers for its lifetime.
 func TestServeProbeKeepRule(t *testing.T) {
 	tab, err := mccuckoo.New(1<<14, mccuckoo.WithSeed(11))
@@ -135,8 +120,8 @@ func TestServeProbeKeepRule(t *testing.T) {
 		{"ents", sizeOf(h.ents)},
 		{"statuses", sizeOf(h.statuses)},
 	} {
-		if s.bytes > keepBytes {
-			t.Errorf("handler buffer %s keeps %d bytes, want at most %d", s.name, s.bytes, keepBytes)
+		if s.bytes > keep.Bytes {
+			t.Errorf("handler buffer %s keeps %d bytes, want at most %d", s.name, s.bytes, keep.Bytes)
 		}
 	}
 }
@@ -174,7 +159,7 @@ func TestLoopbackGetZeroAllocAfterBatch(t *testing.T) {
 		if c := (cursor{b: f.Payload}); f.Status() != StatusOK || c.u8() != 1 || c.u64() != 0 {
 			bad = fmt.Errorf("get: status %d payload %x", f.Status(), f.Payload)
 		}
-		buf = Keep(b)
+		buf = keep.Slice(b)
 	}
 	for i := 0; i < 8; i++ {
 		get() // size the steady-state buffers
@@ -185,6 +170,56 @@ func TestLoopbackGetZeroAllocAfterBatch(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("%v allocs per GET after a 4096-key batch, want 0", n)
+	}
+}
+
+// TestClientCallZeroAlloc: the pooled client's Get, Put and Del against a
+// real Server over loopback allocate nothing once warm, also after a
+// 4096-key batch. A call reuses a waiter, its response buffer and the
+// connection's write buffer, and the connection's one timer is armed for
+// the oldest pending deadline, not once per call. AllocsPerRun counts the
+// whole process: the client's write, the server connection's read,
+// execution and write, and the client's read and handoff.
+func TestClientCallZeroAlloc(t *testing.T) {
+	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1<<14), nil)
+	defer shutdown()
+	c := dialClient(t, addr, func(cc *ClientConfig) { cc.Conns = 1 })
+	keys := make([]uint64, 4096)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	if _, err := c.PutBatch(keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Get", func() error {
+			if v, ok, err := c.Get(7); err != nil || !ok || v != 7 {
+				return fmt.Errorf("got %d, %v, %v", v, ok, err)
+			}
+			return nil
+		}},
+		{"Put", func() error { _, err := c.Put(7, 7); return err }},
+		{"Del", func() error { _, err := c.Del(1 << 40); return err }},
+	} {
+		var bad error
+		call := func() {
+			if err := tc.call(); err != nil {
+				bad = err
+			}
+		}
+		for i := 0; i < 8; i++ {
+			call() // size the steady-state buffers
+		}
+		n := testing.AllocsPerRun(200, call)
+		if bad != nil {
+			t.Fatalf("%s: %v", tc.name, bad)
+		}
+		if n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, n)
+		}
 	}
 }
 

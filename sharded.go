@@ -47,11 +47,8 @@ func (s *shardedStore) Delete(key uint64) bool { return s.inner.Delete(key) }
 // and taking each touched shard's write lock once for the whole batch.
 // Results come back in input order. len(values) must equal len(keys).
 func (s *shardedStore) InsertBatch(keys, values []uint64) []InsertResult {
-	outcomes := s.inner.InsertBatch(keys, values)
-	res := make([]InsertResult, len(outcomes))
-	for i, o := range outcomes {
-		res[i] = fromOutcome(o)
-	}
+	res := make([]InsertResult, len(keys))
+	s.InsertBatchInto(keys, values, res)
 	return res
 }
 

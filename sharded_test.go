@@ -1,6 +1,7 @@
 package mccuckoo
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -106,6 +107,80 @@ func TestShardedBatchAPI(t *testing.T) {
 	}
 	if s.Len() != n-100 {
 		t.Fatalf("Len = %d, want %d", s.Len(), n-100)
+	}
+}
+
+// batchFixture is a Sharded table with n keys and caller-owned result
+// slices for the Into variants.
+type batchFixture struct {
+	s          *Sharded
+	keys, vals []uint64
+	out        []InsertResult
+	found      []bool
+	removed    []bool
+}
+
+func newBatchFixture(t *testing.T, n int) *batchFixture {
+	t.Helper()
+	s, err := NewSharded(1<<14, 8, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &batchFixture{s: s, keys: make([]uint64, n), vals: make([]uint64, n),
+		out: make([]InsertResult, n), found: make([]bool, n), removed: make([]bool, n)}
+	for i := range f.keys {
+		f.keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+		f.vals[i] = uint64(i)
+	}
+	return f
+}
+
+// roundTrip inserts, looks up and deletes every key in three batches and
+// checks the results.
+func (f *batchFixture) roundTrip(t *testing.T) {
+	f.s.InsertBatchInto(f.keys, f.vals, f.out)
+	f.s.LookupBatchInto(f.keys, f.vals, f.found)
+	f.s.DeleteBatchInto(f.keys, f.removed)
+	for i := range f.keys {
+		if f.out[i].Status != Placed || !f.found[i] || f.vals[i] != uint64(i) || !f.removed[i] {
+			t.Fatalf("key %d: insert %v, found %v (%d), removed %v", i, f.out[i].Status, f.found[i], f.vals[i], f.removed[i])
+		}
+	}
+}
+
+// TestBatchScratchDoesNotOutliveBatch: a 4096-key batch leaves no
+// batch-sized buffer behind in the lock layer. Its grouping buffer is past
+// the keep bound, so it is the call's own, and outcomes are converted into
+// the caller's slice as each shard produces them. After the batches and one
+// GC the live heap is back where it was; a grouping or outcome buffer
+// parked in a sync.Pool (32 and 64 KiB here) would still be reachable.
+func TestBatchScratchDoesNotOutliveBatch(t *testing.T) {
+	f := newBatchFixture(t, 4096)
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	runtime.GC() // retire pooled buffers left by earlier tests
+	before := live()
+	f.roundTrip(t)
+	grew := live() - before
+	runtime.KeepAlive(f)
+	if grew > 16<<10 {
+		t.Errorf("live heap grew %d bytes across 4096-key batches, want at most 16 KiB", grew)
+	}
+}
+
+// TestSmallBatchZeroAlloc: a 16-key batch reuses a pooled grouping buffer
+// within the keep bound, so the Into variants allocate nothing.
+func TestSmallBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under -race")
+	}
+	f := newBatchFixture(t, 16)
+	if n := testing.AllocsPerRun(200, func() { f.roundTrip(t) }); n != 0 {
+		t.Errorf("%v allocs per 16-key insert, lookup and delete batch, want 0", n)
 	}
 }
 
