@@ -45,7 +45,11 @@
 # replicators end to end, buffer recycling included.
 # Chaos smoke: the short-mode netchaos drill (seeded partition + heal +
 # digest-equality) runs standalone so the fault-injection layer itself is
-# exercised — and visibly named — on every run.
+# exercised — and visibly named — on every run. Its TestChaos pattern also
+# picks up TestChaosSilentPeerTripsBreaker: a peer that never answers, or
+# whose dial hangs, trips its breaker and costs a cluster call at most one
+# OpTimeout; and TestChaosSlowPeerDoesNotDelayCalls: a slow link to one
+# replica delays no call's legs to the others.
 # Replication smoke: the op-log catch-up tests (a subscription the ring
 # overtakes is caught up in place), the bootstrap full-sync drills and the
 # restart-from-drained-point test, 20 times each under the race detector.

@@ -11,7 +11,7 @@
 //   - a name is declared by exactly one writer across all packages in the
 //     run — MergedHandler writers must not share series
 //
-// The exporters are ad-hoc Fprintf helpers rather than a registry, so
+// The exporters are telemetry.PromWriter calls, not a registry, so
 // declarations are recognized syntactically: a call or composite-literal
 // row that carries both a name-shaped string constant and a Prometheus
 // type constant ("counter"/"gauge"/"histogram") declares that series; a
@@ -205,9 +205,9 @@ func rowStrings(pass *analysis.Pass, exprs []ast.Expr) row {
 	return r
 }
 
-// calleeType resolves a call's metric type from its callee: a hardcoded
-// histogram for telemetry.WriteHistogram, else an in-package function,
-// method, or closure whose body embeds a literal `# TYPE %s <type>`.
+// calleeType resolves a call's metric type from its callee: an in-package
+// function, method, or closure whose body embeds a literal
+// `# TYPE %s <type>`.
 func calleeType(pass *analysis.Pass, call *ast.CallExpr, closures map[types.Object]*ast.FuncLit) string {
 	var body ast.Node
 	switch fun := call.Fun.(type) {
@@ -219,9 +219,6 @@ func calleeType(pass *analysis.Pass, call *ast.CallExpr, closures map[types.Obje
 			body = decl.Body
 		}
 	case *ast.SelectorExpr:
-		if fun.Sel.Name == "WriteHistogram" {
-			return "histogram"
-		}
 		if decl := funcDeclOf(pass, pass.TypesInfo.ObjectOf(fun.Sel)); decl != nil {
 			body = decl.Body
 		}

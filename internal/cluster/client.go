@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/keep"
 	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
@@ -30,10 +31,10 @@ var ErrAllReplicasFailed = errors.New("cluster: all replicas failed")
 // timeout until a half-open probe succeeds.
 var errBreakerOpen = errors.New("cluster: peer breaker open")
 
-// errFanDeadline marks replicas that had not answered when the per-op
-// fan-out deadline expired; their round trips keep running in the
-// background and still feed the breakers.
-var errFanDeadline = errors.New("cluster: fan-out deadline expired")
+// errTableFull marks a push a replica answered with ApplyFailed: its table
+// had no room. It is the replica's verdict, not a transport failure, so it
+// does not count against the peer's breaker.
+var errTableFull = errors.New("cluster: replica table full")
 
 // Config configures a cluster Client. Nodes is required; every other field
 // has a usable zero value.
@@ -67,10 +68,12 @@ type Config struct {
 	// writers in the same millisecond (8 bits used).
 	NodeID uint64
 
-	// OpTimeout bounds one fan-out (a write push, a read's VGET round, a
-	// repair push) end to end (default 5s). A hung peer costs at most this
-	// long; replicas that answered within the deadline still satisfy the
-	// quorum, and the laggard's reply feeds its breaker when it arrives.
+	// OpTimeout bounds every round trip to a replica (default 5s): it is
+	// the wire deadline of each request a cluster call sends, in place of
+	// Wire.RequestTimeout. A replica that has not answered by then, hung,
+	// silent or still dialing, fails, and the failure counts against its
+	// breaker. A call therefore waits at most OpTimeout, and the replicas
+	// that answered in time still satisfy the quorum.
 	OpTimeout time.Duration
 
 	// BreakerFailures is how many consecutive transport failures trip a
@@ -83,9 +86,9 @@ type Config struct {
 	// Seed and the peer address.
 	BreakerProbe time.Duration
 
-	// Wire is the per-node client template; Addr is overridden per node.
-	// Wire.Dial is where the fault-injection layer (internal/netchaos)
-	// interposes for chaos tests.
+	// Wire is the per-node client template; Addr is overridden per node,
+	// and RequestTimeout by OpTimeout. Wire.Dial is where the
+	// fault-injection layer (internal/netchaos) interposes for chaos tests.
 	Wire wire.ClientConfig
 
 	// SeqSource overrides the write sequence-number source, for
@@ -110,8 +113,6 @@ type Config struct {
 // the replicas in ring order, answer from the newest copy, and push that
 // copy back to any stale replica (read-repair). All methods are safe for
 // concurrent use.
-//
-//mcvet:lifecycle
 type Client struct {
 	cfg  Config
 	ring *Ring
@@ -122,6 +123,7 @@ type Client struct {
 	lastSeq atomic.Uint64
 	seqSrc  func() uint64
 	tr      *trace.Recorder
+	fans    chan *fan // idle fans, buffered to maxIdleFans
 
 	reads          atomic.Int64
 	readErrors     atomic.Int64
@@ -140,25 +142,12 @@ type Client struct {
 
 // peer is one node's wire client plus its health tracking.
 type peer struct {
-	wc *wire.Client
-	br *breaker
+	addr string
+	wc   *wire.Client
+	br   *breaker
 	// hash identifies the peer in trace spans (trace.PeerHash of the addr).
 	hash  uint32
 	trips atomic.Int64
-}
-
-// call performs one round trip against the peer, feeding the breaker with
-// the transport outcome. fn returns the transport error only; server-side
-// apply failures are the caller's to interpret and do not open the breaker.
-func (p *peer) call(fn func(wc *wire.Client) error) error {
-	p.trips.Add(1)
-	err := fn(p.wc)
-	if err != nil {
-		p.br.onFailure()
-	} else {
-		p.br.onSuccess()
-	}
-	return err
 }
 
 // New validates cfg, builds the ring, and dials nothing (wire clients
@@ -192,15 +181,16 @@ func New(cfg Config) (*Client, error) {
 	if cfg.BreakerProbe <= 0 {
 		cfg.BreakerProbe = 500 * time.Millisecond
 	}
-	c := &Client{cfg: cfg, ring: ring, peers: make(map[string]*peer, len(ring.Nodes()))}
+	c := &Client{cfg: cfg, ring: ring, peers: make(map[string]*peer, len(ring.Nodes())), fans: make(chan *fan, maxIdleFans)}
 	for _, addr := range ring.Nodes() {
 		wcfg := cfg.Wire
-		wcfg.Addr = addr
+		wcfg.Addr, wcfg.RequestTimeout = addr, cfg.OpTimeout
 		wc, err := wire.Dial(wcfg)
 		if err != nil {
 			return nil, err
 		}
 		c.peers[addr] = &peer{
+			addr: addr,
 			wc:   wc,
 			br:   newBreaker(cfg.BreakerFailures, cfg.BreakerProbe, breakerSeed(cfg.Seed, addr)),
 			hash: trace.PeerHash(addr),
@@ -244,12 +234,6 @@ func (c *Client) nextSeq() uint64 {
 	}
 }
 
-// replicasOf returns key's replica addresses in ring order.
-func (c *Client) replicasOf(key uint64) []string {
-	var buf [8]string
-	return c.ring.Replicas(key, c.cfg.Replicas, buf[:0])
-}
-
 // Put writes key/value to all replicas, succeeding once WriteQuorum
 // replicas acknowledged.
 func (c *Client) Put(key, value uint64) error {
@@ -267,352 +251,359 @@ func (c *Client) write(e wire.Entry) error {
 	e.Seq = c.nextSeq()
 	root := c.tr.Start(c.tr.Begin(), trace.KindClientOp)
 	root.Op, root.Key = e.Op, hashutil.Mix64(e.Key)
-	replicas := c.replicasOf(e.Key)
-	acks, err := c.fanPush(replicas, e.Seq, []wire.Entry{e}, c.cfg.WriteQuorum, root)
+	f := c.newFan(wire.OpReplicate)
+	defer f.unref()
+	ents := [1]wire.Entry{e}
+	f.payload = wire.AppendReplicatePayload(f.payload, e.Seq, ents[:])
+	f.toReplicas(e.Key, c.cfg.Replicas)
+	f.skew = len(f.legs) > 1
+	acks := c.fanOut(f, c.cfg.WriteQuorum, &root)
 	root.Finish()
 	if acks >= c.cfg.WriteQuorum {
 		return nil
 	}
 	c.quorumFailures.Add(1)
-	return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, acks, c.cfg.WriteQuorum, e.Key, err)
+	return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, acks, c.cfg.WriteQuorum, e.Key, f.errs())
 }
 
-// fanPush sends one REPLICATE push to every replica concurrently, skipping
-// peers with an open breaker. It returns as soon as need replicas
-// acknowledged durably (applied or already-newer); need <= 0 waits for
-// every launched push. Replicas still silent when OpTimeout expires are
-// abandoned — their goroutines only write to a buffered channel, the
-// breaker, and the ack-skew histogram, so a hung peer costs one deadline,
-// never a stall. The returned error joins every per-replica failure
-// observed, so a multi-peer outage is diagnosable from one log line.
-//
-// root is the caller's span, passed BY VALUE: each replica goroutine opens
-// a replica_rtt child from its own copy, so an abandoned goroutine never
-// races the caller's Finish. Durable acks of a multi-replica push feed the
-// ack-skew histogram even when they arrive after the quorum returned — the
-// consistency window is exactly the part the caller no longer waits for.
-func (c *Client) fanPush(replicas []string, head uint64, ents []wire.Entry, need int, root trace.Span) (int, error) {
-	ch := make(chan error, len(replicas))
-	launched := 0
-	var errs []error
-	var firstAck atomic.Int64
-	multi := len(replicas) > 1
-	for _, addr := range replicas {
-		p := c.peers[addr]
-		if !p.br.allow() {
-			errs = append(errs, fmt.Errorf("%w: %s", errBreakerOpen, addr))
-			continue
-		}
-		launched++
-		go func(p *peer, addr string) {
-			rsp := root.StartChild(trace.KindReplicaRTT)
-			rsp.Op, rsp.Peer = wire.OpReplicate, p.hash
-			var statuses []byte
-			err := p.call(func(wc *wire.Client) error {
-				var err error
-				statuses, err = wc.ReplicateCtx(rsp.Context(), head, ents)
-				return err
-			})
-			if err == nil {
-				for _, st := range statuses {
-					if st == wire.ApplyFailed {
-						err = fmt.Errorf("cluster: %s: replica table full", addr)
-						break
-					}
-				}
-			}
-			rsp.Finish()
-			if err == nil && multi {
-				now := time.Now().UnixNano()
-				if firstAck.CompareAndSwap(0, now) {
-					c.ackSkew.Observe(0)
-				} else {
-					// Observe clamps the rare negative from two CAS races.
-					c.ackSkew.Observe(now - firstAck.Load())
-				}
-			}
-			ch <- err
-		}(p, addr)
-	}
-	acks := 0
-	timer := time.NewTimer(c.cfg.OpTimeout)
-	defer timer.Stop()
-	for done := 0; done < launched; done++ {
-		select {
-		case err := <-ch:
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			acks++
-			if need > 0 && acks >= need {
-				return acks, nil
-			}
-		case <-timer.C:
-			errs = append(errs, fmt.Errorf("%w after %v (%d/%d replies)", errFanDeadline, c.cfg.OpTimeout, done, launched))
-			return acks, errors.Join(errs...)
-		}
-	}
-	return acks, errors.Join(errs...)
-}
-
-// vread is one replica's VGET answer.
-type vread struct {
-	state byte
-	value uint64
-	seq   uint64
-	err   error
-}
-
-// Get reads key: all consulted replicas are queried concurrently, the
-// newest copy wins, and any stale (or missing) replica that answered is
-// repaired with the winning copy before Get returns. Peers with an open
-// breaker are skipped and peers still silent at OpTimeout are abandoned;
-// a read that succeeds without a full fan-out counts as degraded. Get
-// fails only when every consulted replica failed.
+// Get reads key: all consulted replicas are queried at once, the newest
+// copy wins, and any stale (or missing) replica that answered is repaired
+// with the winning copy before Get returns. Peers with an open breaker are
+// skipped and peers silent at OpTimeout fail; a read that succeeds without
+// hearing from every consulted replica counts as degraded. Get fails only
+// when every consulted replica failed.
 func (c *Client) Get(key uint64) (value uint64, found bool, err error) {
 	c.reads.Add(1)
 	root := c.tr.Start(c.tr.Begin(), trace.KindClientOp)
 	root.Op, root.Key = wire.OpGet, hashutil.Mix64(key)
 	defer root.Finish()
-	var buf [8]string
-	replicas := c.ring.Replicas(key, c.cfg.ReadFanout, buf[:0])
-	reads := make([]vread, len(replicas))
-	type rres struct {
-		i int
-		r vread
-	}
-	// Results travel through a buffered channel: a goroutine abandoned at
-	// the deadline writes only here and to its breaker, never to state the
-	// caller still reads. Each goroutine traces from its own copy of root.
-	ch := make(chan rres, len(replicas))
-	launched := 0
-	for i, addr := range replicas {
-		p := c.peers[addr]
-		if !p.br.allow() {
-			reads[i].err = fmt.Errorf("%w: %s", errBreakerOpen, addr)
-			continue
-		}
-		// Overwritten on arrival; left standing for replicas that miss the
-		// deadline.
-		reads[i].err = fmt.Errorf("%w: %s", errFanDeadline, addr)
-		launched++
-		go func(i int, p *peer) {
-			rsp := root.StartChild(trace.KindReplicaRTT)
-			rsp.Op, rsp.Peer = wire.OpVGet, p.hash
-			var r vread
-			r.err = p.call(func(wc *wire.Client) error {
-				var err error
-				r.state, r.value, r.seq, err = wc.VGetCtx(rsp.Context(), key)
-				return err
-			})
-			rsp.Finish()
-			ch <- rres{i, r}
-		}(i, p)
-	}
-	timer := time.NewTimer(c.cfg.OpTimeout)
-	defer timer.Stop()
-collect:
-	for done := 0; done < launched; done++ {
-		select {
-		case rr := <-ch:
-			reads[rr.i] = rr.r
-		case <-timer.C:
-			break collect
-		}
-	}
-
-	best := -1
+	f := c.newFan(wire.OpVGet)
+	defer f.unref()
+	f.payload = wire.AppendVGetRequest(f.payload, key)
+	f.toReplicas(key, c.cfg.ReadFanout)
+	c.fanOut(f, 0, &root)
+	var win *leg
 	answered := 0
-	for i := range reads {
-		if reads[i].err != nil {
+	for i := range f.legs {
+		l := &f.legs[i]
+		if l.err != nil {
 			c.readErrors.Add(1)
 			continue
 		}
 		answered++
-		if best < 0 || reads[i].seq > reads[best].seq {
-			best = i
+		if win == nil || l.seq > win.seq {
+			win = l
 		}
 	}
-	if answered == 0 {
-		return 0, false, fmt.Errorf("%w (key %d): %w", ErrAllReplicasFailed, key, errors.Join(readErrsOf(reads)...))
+	if win == nil {
+		return 0, false, fmt.Errorf("%w (key %d): %w", ErrAllReplicasFailed, key, f.errs())
 	}
-	if answered < len(replicas) {
+	if answered < len(f.legs) {
 		c.degradedReads.Add(1)
 	}
-	win := reads[best]
-	c.repair(key, replicas, reads, win, root)
+	c.repair(key, f, win, &root)
 	if win.state == wire.VStateLive {
 		return win.value, true, nil
 	}
 	return 0, false, nil
 }
 
-// readErrsOf collects the per-replica failures of a read fan-out.
-func readErrsOf(reads []vread) []error {
-	var errs []error
-	for i := range reads {
-		if reads[i].err != nil {
-			errs = append(errs, reads[i].err)
-		}
-	}
-	return errs
-}
-
-// repair pushes the winning copy to every replica that answered with an
-// older one. Repairs are synchronous — the read returns only after the
+// repair pushes the winning copy to every replica that answered read with
+// an older one. Repairs are synchronous — the read returns only after the
 // disagreeing replicas converged — and best-effort: a failed repair is not
 // a read failure. The repair pushes trace as children of the read's root
 // span, so a trace shows which read triggered which repair.
-func (c *Client) repair(key uint64, replicas []string, reads []vread, win vread, root trace.Span) {
+func (c *Client) repair(key uint64, read *fan, win *leg, root *trace.Span) {
 	if win.state == wire.VStateMissing {
 		return // nobody has ever seen the key; nothing to propagate
 	}
-	ent := wire.Entry{Seq: win.seq, Key: key}
-	switch win.state {
-	case wire.VStateLive:
-		ent.Op = wire.OpPut
-		ent.Value = win.value
-	case wire.VStateTomb:
-		ent.Op = wire.OpDel
+	ents := [1]wire.Entry{{Seq: win.seq, Op: wire.OpPut, Key: key, Value: win.value}}
+	if win.state == wire.VStateTomb {
+		ents[0].Op, ents[0].Value = wire.OpDel, 0
 	}
-	var stale []string
-	for i := range reads {
-		if reads[i].err != nil {
+	var f *fan
+	for i := range read.legs {
+		l := &read.legs[i]
+		if l.err != nil || (l.seq >= win.seq && l.state != wire.VStateMissing) {
 			continue
 		}
-		if reads[i].seq < win.seq || reads[i].state == wire.VStateMissing {
-			stale = append(stale, replicas[i])
+		if f == nil {
+			f = c.newFan(wire.OpReplicate)
+			f.payload = wire.AppendReplicatePayload(f.payload, win.seq, ents[:])
 		}
+		f.add(l.p, 0, 1)
 	}
-	if len(stale) == 0 {
+	if f == nil {
 		return
 	}
-	c.repairs.Add(int64(len(stale)))
-	c.fanPush(stale, win.seq, []wire.Entry{ent}, 0, root)
+	defer f.unref()
+	c.repairs.Add(int64(len(f.legs)))
+	f.skew = len(f.legs) > 1
+	c.fanOut(f, 0, root)
 }
 
-// PutBatch writes every pair, grouping the per-replica pushes into one
-// REPLICATE frame per node. It fails (with the first per-key error) if any
-// key misses its write quorum; all other keys are still written.
+// PutBatch writes every pair, sending each node one REPLICATE push of the
+// entries it replicates, and waits for every push. It fails if any key
+// missed its write quorum, naming the first such key and joining every
+// per-node error; all other keys are still written. Batch pushes are
+// untraced: one frame carries many keys, so no single-request span tree
+// fits — the per-op path (Put/Del/Get) is the traced one.
 func (c *Client) PutBatch(keys, values []uint64) error {
 	if len(keys) != len(values) {
 		panic("cluster: PutBatch called with mismatched key/value lengths")
 	}
+	c.writes.Add(int64(len(keys)))
 	ents := make([]wire.Entry, len(keys))
+	idx := make(map[string][]int) // per node, the entries it replicates
+	var owners []string
 	for i, k := range keys {
 		ents[i] = wire.Entry{Seq: c.nextSeq(), Op: wire.OpPut, Key: k, Value: values[i]}
-	}
-	return c.writeBatch(ents)
-}
-
-// DelBatch deletes every key, grouped like PutBatch.
-func (c *Client) DelBatch(keys []uint64) error {
-	ents := make([]wire.Entry, len(keys))
-	for i, k := range keys {
-		ents[i] = wire.Entry{Seq: c.nextSeq(), Op: wire.OpDel, Key: k}
-	}
-	return c.writeBatch(ents)
-}
-
-// writeBatch distributes entries to their replicas, one push per node, and
-// verifies every entry reached its write quorum. Nodes with an open
-// breaker are skipped; nodes silent at OpTimeout are abandoned. A quorum
-// failure reports every per-node error joined. Batch pushes are untraced:
-// one frame carries many keys, so no single-request span tree fits — the
-// per-op path (Put/Del/Get) is the traced one.
-func (c *Client) writeBatch(ents []wire.Entry) error {
-	c.writes.Add(int64(len(ents)))
-	perNode := make(map[string][]wire.Entry)
-	perNodeIdx := make(map[string][]int)
-	for i := range ents {
-		for _, addr := range c.replicasOf(ents[i].Key) {
-			perNode[addr] = append(perNode[addr], ents[i])
-			perNodeIdx[addr] = append(perNodeIdx[addr], i)
+		owners = c.ring.Replicas(k, c.cfg.Replicas, owners[:0])
+		for _, addr := range owners {
+			idx[addr] = append(idx[addr], i)
 		}
 	}
-	type bres struct {
-		addr     string
-		statuses []byte
-		err      error
-	}
-	ch := make(chan bres, len(perNode))
-	launched := 0
-	var errs []error
-	for addr, batch := range perNode {
-		p := c.peers[addr]
-		if !p.br.allow() {
-			errs = append(errs, fmt.Errorf("%w: %s", errBreakerOpen, addr))
+	f := c.newFan(wire.OpReplicate)
+	defer f.unref()
+	f.batch = true
+	var batch []wire.Entry
+	for _, addr := range c.ring.Nodes() {
+		if len(idx[addr]) == 0 {
 			continue
 		}
-		launched++
-		go func(addr string, p *peer, batch []wire.Entry) {
-			var statuses []byte
-			err := p.call(func(wc *wire.Client) error {
-				var err error
-				statuses, err = wc.Replicate(batch[len(batch)-1].Seq, batch)
-				return err
-			})
-			ch <- bres{addr, statuses, err}
-		}(addr, p, batch)
+		batch = batch[:0]
+		for _, i := range idx[addr] {
+			batch = append(batch, ents[i])
+		}
+		lo := len(f.payload)
+		f.payload = wire.AppendReplicatePayload(f.payload, batch[len(batch)-1].Seq, batch)
+		f.add(c.peers[addr], lo, len(batch))
 	}
+	c.fanOut(f, 0, &trace.Span{})
 	acks := make([]int, len(ents))
-	timer := time.NewTimer(c.cfg.OpTimeout)
-	defer timer.Stop()
-collect:
-	for done := 0; done < launched; done++ {
-		select {
-		case r := <-ch:
-			if r.err != nil {
-				errs = append(errs, fmt.Errorf("cluster: %s: %w", r.addr, r.err))
+	errs := []error{f.errs()}
+	for i := range f.legs {
+		l := &f.legs[i]
+		for j, st := range l.statuses {
+			if st == wire.ApplyFailed {
+				errs = append(errs, fmt.Errorf("%s: %w (key %d)", l.p.addr, errTableFull, ents[idx[l.p.addr][j]].Key))
 				continue
 			}
-			for j, st := range r.statuses {
-				if st == wire.ApplyFailed {
-					errs = append(errs, fmt.Errorf("cluster: %s: replica table full (key %d)", r.addr, perNode[r.addr][j].Key))
-					continue
-				}
-				acks[perNodeIdx[r.addr][j]]++
-			}
-		case <-timer.C:
-			errs = append(errs, fmt.Errorf("%w after %v (%d/%d replies)", errFanDeadline, c.cfg.OpTimeout, done, launched))
-			break collect
+			acks[idx[l.p.addr][j]]++
 		}
 	}
-	joined := errors.Join(errs...)
 	for i, n := range acks {
 		if n < c.cfg.WriteQuorum {
 			c.quorumFailures.Add(1)
-			return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, n, c.cfg.WriteQuorum, ents[i].Key, joined)
+			return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, n, c.cfg.WriteQuorum, ents[i].Key, errors.Join(errs...))
 		}
 	}
 	return nil
 }
 
-// GetBatch reads every key with the same replica fan-out and read-repair
-// as Get, a bounded number of keys in flight at once.
-func (c *Client) GetBatch(keys []uint64) (values []uint64, found []bool, err error) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	errs := make([]error, len(keys))
-	sem := make(chan struct{}, 16)
-	var wg sync.WaitGroup
-	for i, k := range keys {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, k uint64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			values[i], found[i], errs[i] = c.Get(k)
-		}(i, k)
+// maxIdleFans bounds the fans a client keeps for reuse: steady traffic has
+// a few calls in flight, and a burst leaves its extra fans to the GC.
+const maxIdleFans = 16
+
+// fan is one cluster call's fan-out: a leg per replica, added by the caller,
+// then sent and awaited by fanOut. Each leg completes into the fan on the
+// goroutine that ends its round trip: the peer connection's reader, its
+// timer at OpTimeout, or a failure path. A pooled fan goes back to the pool
+// only once the caller and every leg are done with it.
+type fan struct {
+	c    *Client
+	done chan struct{} // buffered 1: the leg that satisfies the waiting caller wakes it
+	refs atomic.Int32  // the caller, plus each leg in flight
+
+	// Written by the caller before it waits; legs read them after.
+	op      byte
+	batch   bool // legs keep their apply statuses for per-entry accounting
+	skew    bool // durable acks feed the ack-skew histogram
+	need    int
+	sent    int
+	payload []byte // every leg's request (keep rule)
+	legs    []leg  // all added before any is sent, so a sent leg never moves
+
+	mu sync.Mutex
+	//mcvet:guardedby mu
+	answered int
+	//mcvet:guardedby mu
+	acks int
+	//mcvet:guardedby mu
+	waiting bool
+	//mcvet:guardedby mu
+	stopped bool // the caller took its answers; later legs leave their outcome unwritten
+	//mcvet:guardedby mu
+	firstAck int64
+}
+
+// leg is one replica's round trip in a fan. It holds no reference to its
+// caller's entries or payload: its request is f.payload[lo:hi], which the
+// peer connection copies when the leg is sent.
+type leg struct {
+	f      *fan
+	p      *peer
+	lo, hi int
+	n      int // entries pushed
+	span   trace.Span
+
+	// The outcome, written before the caller stops waiting and read by the
+	// caller after. A leg skipped by its breaker fails at once.
+	done     bool
+	err      error
+	state    byte // a VGET answer
+	value    uint64
+	seq      uint64
+	statuses []byte // a batch push's apply statuses
+}
+
+// newFan takes a fan for one call of op from the pool.
+func (c *Client) newFan(op byte) *fan {
+	var f *fan
+	select {
+	case f = <-c.fans:
+	default:
+		f = &fan{c: c, done: make(chan struct{}, 1)}
 	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return values, found, e
+	f.op = op
+	f.refs.Store(1)
+	return f
+}
+
+// add adds a leg to p that sends f.payload[lo:], n entries.
+func (f *fan) add(p *peer, lo, n int) {
+	f.legs = append(f.legs, leg{f: f, p: p, lo: lo, hi: len(f.payload), n: n})
+}
+
+// toReplicas adds a leg to each of key's first n replicas, in ring order,
+// each sending the whole payload.
+func (f *fan) toReplicas(key uint64, n int) {
+	var buf [8]string
+	for _, addr := range f.c.ring.Replicas(key, n, buf[:0]) {
+		f.add(f.c.peers[addr], 0, 1)
+	}
+}
+
+// fanOut sends every leg of f from the caller's goroutine, skipping peers
+// whose breaker is open, and waits until need legs succeeded or every sent
+// leg answered (need <= 0 waits for all); it returns the successes by then.
+// A send only buffers the leg's request for its peer connection's writer,
+// so a stalled peer delays none of the legs after it. fanOut needs no
+// goroutine and no timer: OpTimeout is each request's wire deadline, so a
+// leg that misses it fails and counts against its breaker.
+// Legs still out when fanOut returns complete into f later and feed their
+// breaker, their replica_rtt span and the ack-skew histogram all the same.
+func (c *Client) fanOut(f *fan, need int, root *trace.Span) int {
+	f.need = need
+	for i := range f.legs {
+		l := &f.legs[i]
+		if !l.p.br.allow() {
+			l.done, l.err = true, errBreakerOpen
+			continue
+		}
+		l.span = root.StartChild(trace.KindReplicaRTT)
+		l.span.Op, l.span.Peer = f.op, l.p.hash
+		l.p.trips.Add(1)
+		f.sent++
+		f.refs.Add(1)
+		l.p.wc.Send(l.span.Context(), f.op, f.payload[l.lo:l.hi], l)
+	}
+	f.mu.Lock()
+	wait := !f.satisfied()
+	f.waiting, f.stopped = wait, !wait
+	f.mu.Unlock()
+	if wait {
+		<-f.done
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.acks
+}
+
+// satisfied reports whether the caller has the answers it waits for.
+//
+//mcvet:locked
+func (f *fan) satisfied() bool {
+	return f.answered == f.sent || (f.need > 0 && f.acks >= f.need)
+}
+
+// Done completes the leg with its round trip's outcome (a wire.Sink).
+func (l *leg) Done(resp []byte, err error) {
+	f := l.f
+	var state byte
+	var value, seq uint64
+	var statuses []byte
+	if err == nil && f.op == wire.OpVGet {
+		state, value, seq, err = wire.ParseVGetResponse(resp)
+	} else if err == nil {
+		statuses, err = wire.ParseReplicateResponse(resp, l.n)
+	}
+	// The breaker counts transport outcomes only.
+	if err != nil {
+		l.p.br.onFailure()
+	} else {
+		l.p.br.onSuccess()
+	}
+	l.span.Finish()
+	if err == nil && !f.batch && slices.Contains(statuses, wire.ApplyFailed) {
+		err = errTableFull
+	}
+	f.mu.Lock()
+	if !f.stopped {
+		l.done, l.err, l.state, l.value, l.seq = true, err, state, value, seq
+		if f.batch {
+			l.statuses = append(l.statuses, statuses...) // a copy: statuses aliases resp
+		}
+		f.answered++
+		if err == nil {
+			f.acks++
+		}
+		if f.waiting && f.satisfied() {
+			f.waiting, f.stopped = false, true
+			f.done <- struct{}{}
 		}
 	}
-	return values, found, nil
+	if err == nil && f.skew {
+		// Each durable ack's delay behind the push's first, observed also
+		// after the caller returned: that tail is the consistency window.
+		now := time.Now().UnixNano()
+		if f.firstAck == 0 {
+			f.firstAck = now
+		}
+		f.c.ackSkew.Observe(now - f.firstAck)
+	}
+	f.mu.Unlock()
+	f.unref()
+}
+
+// errs joins the errors of f's failed legs, each naming its peer. Only a
+// failed call builds it.
+func (f *fan) errs() error {
+	var errs []error
+	for i := range f.legs {
+		if l := &f.legs[i]; l.done && l.err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", l.p.addr, l.err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// unref drops one reference to f. The last one pools f, keeping nothing
+// beyond the keep rule.
+func (f *fan) unref() {
+	if f.refs.Add(-1) != 0 {
+		return
+	}
+	clear(f.legs)
+	f.legs, f.payload = keep.Slice(f.legs), keep.Slice(f.payload)
+	f.op, f.batch, f.skew, f.need, f.sent = 0, false, false, 0, 0
+	f.mu.Lock()
+	f.answered, f.acks, f.waiting, f.stopped, f.firstAck = 0, 0, false, false, 0
+	f.mu.Unlock()
+	select {
+	case f.c.fans <- f:
+	default:
+	}
 }
 
 // Metrics is a snapshot of the client's counters.
@@ -668,49 +659,35 @@ func (c *Client) MetricsSnapshot() Metrics {
 // exposition under the mccuckoo_cluster_ prefix.
 func (c *Client) WritePrometheus(w io.Writer) error {
 	m := c.MetricsSnapshot()
-	var err error
-	pf := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
+	p := telemetry.NewPromWriter(w)
+	p.Simple("mccuckoo_cluster_reads_total", "Cluster reads issued.", "counter", m.Reads)
+	p.Simple("mccuckoo_cluster_read_errors_total", "Per-replica read failures.", "counter", m.ReadErrors)
+	p.Simple("mccuckoo_cluster_read_repairs_total", "Stale replicas repaired by reads.", "counter", m.Repairs)
+	p.Simple("mccuckoo_cluster_writes_total", "Cluster writes issued.", "counter", m.Writes)
+	p.Simple("mccuckoo_cluster_quorum_failures_total", "Writes that missed their quorum.", "counter", m.QuorumFailures)
+	p.Simple("mccuckoo_cluster_degraded_reads_total", "Reads that succeeded without a full replica fan-out.", "counter", m.DegradedReads)
+	open := make(map[string]int64, len(m.BreakerOpen))
+	for addr, o := range m.BreakerOpen {
+		if o {
+			open[addr] = 1
 		}
 	}
-	simple := func(name, help string, v int64) {
-		pf("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	simple("mccuckoo_cluster_reads_total", "Cluster reads issued.", m.Reads)
-	simple("mccuckoo_cluster_read_errors_total", "Per-replica read failures.", m.ReadErrors)
-	simple("mccuckoo_cluster_read_repairs_total", "Stale replicas repaired by reads.", m.Repairs)
-	simple("mccuckoo_cluster_writes_total", "Cluster writes issued.", m.Writes)
-	simple("mccuckoo_cluster_quorum_failures_total", "Writes that missed their quorum.", m.QuorumFailures)
-	simple("mccuckoo_cluster_degraded_reads_total", "Reads that succeeded without a full replica fan-out.", m.DegradedReads)
-	addrs := make([]string, 0, len(m.PeerTrips))
-	for addr := range m.PeerTrips {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	perPeer := func(name, help, typ string, v func(addr string) int64) {
-		pf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, addr := range addrs {
-			pf("%s{peer=%q} %d\n", name, addr, v(addr))
+	for _, s := range []struct {
+		name, help, typ string
+		v               map[string]int64
+	}{
+		{"mccuckoo_cluster_peer_trips_total", "Round trips per peer.", "counter", m.PeerTrips},
+		{"mccuckoo_cluster_breaker_open", "1 while the peer's breaker rejects requests.", "gauge", open},
+		{"mccuckoo_cluster_breaker_trips_total", "Breaker closed-to-open transitions per peer.", "counter", m.BreakerTrips},
+		{"mccuckoo_cluster_breaker_skips_total", "Requests skipped by an open breaker per peer.", "counter", m.BreakerSkips},
+	} {
+		p.Header(s.name, s.help, s.typ)
+		for _, addr := range c.ring.Nodes() {
+			p.Int(s.name, telemetry.Label("peer", addr), s.v[addr])
 		}
 	}
-	perPeer("mccuckoo_cluster_peer_trips_total", "Round trips per peer.", "counter",
-		func(addr string) int64 { return m.PeerTrips[addr] })
-	perPeer("mccuckoo_cluster_breaker_open", "1 while the peer's breaker rejects requests.", "gauge",
-		func(addr string) int64 {
-			if m.BreakerOpen[addr] {
-				return 1
-			}
-			return 0
-		})
-	perPeer("mccuckoo_cluster_breaker_trips_total", "Breaker closed-to-open transitions per peer.", "counter",
-		func(addr string) int64 { return m.BreakerTrips[addr] })
-	perPeer("mccuckoo_cluster_breaker_skips_total", "Requests skipped by an open breaker per peer.", "counter",
-		func(addr string) int64 { return m.BreakerSkips[addr] })
-	if err != nil {
-		return err
-	}
-	return telemetry.WriteHistogram(w, "mccuckoo_cluster_ack_skew_seconds",
-		"Per-replica durable-ack delay behind a multi-replica push's first ack: the W>1 consistency window.",
-		"", m.AckSkew, 1e9)
+	p.Header("mccuckoo_cluster_ack_skew_seconds",
+		"Per-replica durable-ack delay behind a multi-replica push's first ack: the W>1 consistency window.", "histogram")
+	p.Hist("mccuckoo_cluster_ack_skew_seconds", "", m.AckSkew, 1e9)
+	return p.Err()
 }

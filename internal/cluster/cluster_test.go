@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +15,7 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/netchaos"
 	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
 )
@@ -329,7 +334,7 @@ func TestClusterReadRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wa.Close()
-	if _, err := wa.Replicate(1000, []wire.Entry{{Seq: 1000, Op: wire.OpPut, Key: key, Value: 999}}); err != nil {
+	if _, err := wa.Replicate(trace.Context{}, 1000, []wire.Entry{{Seq: 1000, Op: wire.OpPut, Key: key, Value: 999}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -346,7 +351,7 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 
 	// Tombstones repair the same way.
-	if _, err := wa.Replicate(2000, []wire.Entry{{Seq: 2000, Op: wire.OpDel, Key: key}}); err != nil {
+	if _, err := wa.Replicate(trace.Context{}, 2000, []wire.Entry{{Seq: 2000, Op: wire.OpDel, Key: key}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, found, err := c.Get(key); err != nil || found {
@@ -357,6 +362,248 @@ func TestClusterReadRepair(t *testing.T) {
 	}
 	if st, _, seq := b.rep.VGet(key); st != wire.VStateTomb || seq != 2000 {
 		t.Fatalf("repaired tombstone: state=%d seq=%d, want tomb @2000", st, seq)
+	}
+}
+
+// TestClusterCallZeroAlloc: a warm cluster Put, Get and Del on a two-node
+// loopback cluster allocate nothing, at W=1 and at W=2. AllocsPerRun
+// counts the whole process: the fan-out, both peer connections, both
+// servers, and at W=1 the leg that completes after the call returned.
+func TestClusterCallZeroAlloc(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	for _, addr := range addrs {
+		n := startTestNode(t, addr, addrs, nodeOpts{noReplicator: true})
+		defer n.stop()
+	}
+	for _, w := range []int{1, 2} {
+		c, err := New(Config{Nodes: addrs, Replicas: 2, WriteQuorum: w, Seed: testRingSeed, Wire: wire.ClientConfig{Conns: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for _, tc := range []struct {
+			name string
+			call func() error
+		}{
+			{"Put", func() error { return c.Put(7, 7) }},
+			{"Get", func() error {
+				if v, ok, err := c.Get(7); err != nil || !ok || v != 7 {
+					return fmt.Errorf("got %d, %v, %v", v, ok, err)
+				}
+				return nil
+			}},
+			{"Del", func() error { return c.Del(1 << 40) }},
+		} {
+			var bad error
+			// A W=1 write returns at its first ack, and its second leg
+			// completes into its fan later. AllocsPerRun runs at GOMAXPROCS
+			// 1, where the scheduler may run many calls before the slower
+			// replica's reader, and each call still out holds a fan of its
+			// own. So a call ends once its fan is back in the pool: the late
+			// leg's work is counted, and every call finds an idle fan. A call
+			// that found the pool empty made a fan, and waits for one.
+			call := func() {
+				idle := max(len(c.fans), 1)
+				if err := tc.call(); err != nil {
+					bad = err
+				}
+				for len(c.fans) < idle {
+					runtime.Gosched()
+				}
+			}
+			for i := 0; i < 8; i++ {
+				call() // dial and size the steady-state buffers
+			}
+			n := testing.AllocsPerRun(200, call)
+			if bad != nil {
+				t.Fatalf("W=%d %s: %v", w, tc.name, bad)
+			}
+			if n != 0 {
+				t.Errorf("W=%d %s: %v allocs per call, want 0", w, tc.name, n)
+			}
+		}
+	}
+}
+
+// TestChaosSilentPeerTripsBreaker: a peer that never answers, or whose
+// dial hangs, costs a call at most OpTimeout and trips its breaker, after
+// which calls skip it without waiting. R=2, W=1 and ReadFanout 2 over two
+// nodes, so every read consults the dead peer until its breaker opens and
+// is answered, degraded, by the live one.
+func TestChaosSilentPeerTripsBreaker(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			nc, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				io.Copy(io.Discard, nc) // reads every request, answers none
+			}()
+		}
+	}()
+	addrs := []string{freeAddrs(t, 1)[0], silent.Addr().String()}
+	live := startTestNode(t, addrs[0], addrs, nodeOpts{noReplicator: true})
+	defer live.stop()
+	dead := addrs[1]
+	newClient := func(dial func(string, time.Duration) (net.Conn, error)) *Client {
+		c, err := New(Config{
+			Nodes: addrs, Replicas: 2, WriteQuorum: 1, ReadFanout: 2, Seed: testRingSeed,
+			OpTimeout: 300 * time.Millisecond, BreakerFailures: 3, BreakerProbe: time.Hour,
+			Wire: wire.ClientConfig{Conns: 1, Dial: dial},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	hangingDial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		if addr == dead {
+			time.Sleep(time.Second)
+			return nil, errors.New("dial hung")
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	t.Run("silent_peer", func(t *testing.T) { drillDeadPeer(t, newClient(nil), dead, 1) })
+	t.Run("hanging_dial_1_caller", func(t *testing.T) { drillDeadPeer(t, newClient(hangingDial), dead, 1) })
+	t.Run("hanging_dial_4_callers", func(t *testing.T) { drillDeadPeer(t, newClient(hangingDial), dead, 4) })
+}
+
+// TestChaosSlowPeerDoesNotDelayCalls: every write on the link to one
+// replica is delayed by a second, past OpTimeout. A W=1 Put is still
+// answered in the fast replica's round trip when the slow replica comes
+// first in ring order, because a call only buffers its requests for each
+// connection's writer; a Get waits for the slow replica at most OpTimeout;
+// the slow peer's breaker trips, after which calls skip it.
+func TestChaosSlowPeerDoesNotDelayCalls(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	for _, addr := range addrs {
+		n := startTestNode(t, addr, addrs, nodeOpts{noReplicator: true})
+		defer n.stop()
+	}
+	chaos := netchaos.New(0x510e)
+	c, err := New(Config{
+		Nodes: addrs, Replicas: 2, WriteQuorum: 1, ReadFanout: 2, Seed: testRingSeed,
+		OpTimeout: 300 * time.Millisecond, BreakerFailures: 3, BreakerProbe: time.Hour,
+		Wire: wire.ClientConfig{Conns: 1, Dial: chaos.Dialer("client")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	slow := addrs[1]
+	var keys []uint64 // keys whose first replica is the slow one
+	for k := uint64(1); len(keys) < 5; k++ {
+		if c.Ring().Replicas(k, 2, nil)[0] == slow {
+			keys = append(keys, k)
+		}
+	}
+	// A Get waits for both replicas, so both connections are up and idle
+	// before the link slows down.
+	if _, _, err := c.Get(keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	chaos.SetLink("client", slow, netchaos.Profile{Latency: time.Second})
+
+	fast := c.cfg.OpTimeout / 3 // far above a loopback round trip
+	timed := func(what string, k uint64, limit time.Duration, call func() error) {
+		start := time.Now()
+		err := call()
+		if d := time.Since(start); d > limit {
+			t.Errorf("%s %d took %v, want at most %v", what, k, d, limit)
+		}
+		if err != nil {
+			t.Errorf("%s %d: %v", what, k, err)
+		}
+	}
+	put := func(k uint64) func() error { return func() error { return c.Put(k, k*7) } }
+	get := func(k uint64) func() error {
+		return func() error {
+			if v, ok, err := c.Get(k); err != nil || !ok || v != k*7 {
+				return fmt.Errorf("got %d, %v, %v; want %d", v, ok, err, k*7)
+			}
+			return nil
+		}
+	}
+	for _, k := range keys {
+		timed("put", k, fast, put(k))
+	}
+	// The first Get's slow leg fails at OpTimeout, after the five Puts'
+	// slow legs, so the breaker has tripped by the time it returns.
+	timed("first get", keys[0], c.cfg.OpTimeout+200*time.Millisecond, get(keys[0]))
+	m := c.MetricsSnapshot()
+	if m.BreakerTrips[slow] != 1 || !m.BreakerOpen[slow] {
+		t.Fatalf("slow peer's breaker: %d trips, open %v; want 1 trip and open", m.BreakerTrips[slow], m.BreakerOpen[slow])
+	}
+	for _, k := range keys[1:] {
+		timed("get", k, fast, get(k))
+	}
+	if m := c.MetricsSnapshot(); m.DegradedReads != int64(len(keys)) || m.BreakerSkips[slow] < int64(len(keys)-1) {
+		t.Fatalf("%d degraded reads and %d breaker skips, want %d and at least %d", m.DegradedReads, m.BreakerSkips[slow], len(keys), len(keys)-1)
+	}
+}
+
+// drillDeadPeer runs callers goroutines, each making five Puts and then
+// five Gets of its own keys, against a cluster in which dead never answers.
+func drillDeadPeer(t *testing.T, c *Client, dead string, callers int) {
+	limit := c.cfg.OpTimeout + 200*time.Millisecond
+	timed := func(what string, k uint64, call func() error) time.Duration {
+		start := time.Now()
+		err := call()
+		d := time.Since(start)
+		if err != nil {
+			t.Errorf("%s %d: %v", what, k, err)
+		}
+		if d > limit {
+			t.Errorf("%s %d took %v, want at most OpTimeout plus slack, %v", what, k, d, limit)
+		}
+		return d
+	}
+	put := func(k uint64) func() error { return func() error { return c.Put(k, k*7) } }
+	get := func(k uint64) func() error {
+		return func() error {
+			if v, ok, err := c.Get(k); err != nil || !ok || v != k*7 {
+				return fmt.Errorf("got %d, %v, %v; want %d", v, ok, err, k*7)
+			}
+			return nil
+		}
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < uint64(callers); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := g*100 + 1; k <= g*100+5; k++ {
+				timed("put", k, put(k))
+			}
+			for k := g*100 + 1; k <= g*100+5; k++ {
+				timed("get", k, get(k))
+			}
+		}()
+	}
+	wg.Wait()
+	m := c.MetricsSnapshot()
+	if m.BreakerTrips[dead] != 1 || !m.BreakerOpen[dead] {
+		t.Fatalf("dead peer's breaker: %d trips, open %v; want 1 trip and open", m.BreakerTrips[dead], m.BreakerOpen[dead])
+	}
+	if m.DegradedReads != int64(5*callers) || m.ReadErrors != int64(5*callers) {
+		t.Fatalf("%d degraded reads and %d read errors, want %d each", m.DegradedReads, m.ReadErrors, 5*callers)
+	}
+	// The open breaker skips the dead peer: no call waits on it.
+	for _, call := range []func() error{put(1), get(1)} {
+		if d := timed("call after the trip on key", 1, call); d > c.cfg.OpTimeout/2 {
+			t.Errorf("a call with the breaker open took %v", d)
+		}
+	}
+	if got := c.MetricsSnapshot().BreakerSkips[dead]; got < m.BreakerSkips[dead]+2 {
+		t.Fatalf("breaker skips %d after two more calls, want at least %d", got, m.BreakerSkips[dead]+2)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mccuckoo/internal/keep"
+	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
 )
@@ -409,38 +410,36 @@ func (r *Replicator) WritePrometheus(w io.Writer) error {
 		addrs = append(addrs, addr)
 	}
 	sort.Strings(addrs)
-	var err error
-	pf := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	series := func(name, help, typ string, get func(*peerState) int64) {
-		pf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	p := telemetry.NewPromWriter(w)
+	for _, s := range []struct {
+		name, help, typ string
+		get             func(*peerState) int64
+	}{
+		{"mccuckoo_peer_replica_lag", "Peer head minus newest streamed sequence number.", "gauge",
+			func(st *peerState) int64 { return st.lag.Load() }},
+		{"mccuckoo_peer_entries_applied_total", "Streamed entries applied from this peer.", "counter",
+			func(st *peerState) int64 { return st.applied.Load() }},
+		{"mccuckoo_peer_entries_stale_total", "Streamed entries ignored as stale.", "counter",
+			func(st *peerState) int64 { return st.stale.Load() }},
+		{"mccuckoo_peer_entries_failed_total", "Streamed entries that lost to table capacity.", "counter",
+			func(st *peerState) int64 { return st.failed.Load() }},
+		{"mccuckoo_peer_connects_total", "Subscription connections established to this peer.", "counter",
+			func(st *peerState) int64 { return st.connects.Load() }},
+		{"mccuckoo_peer_errors_total", "Subscription failures for this peer.", "counter",
+			func(st *peerState) int64 { return st.errors.Load() }},
+		{"mccuckoo_peer_full_syncs_total", "Subscriptions that required a full state dump.", "counter",
+			func(st *peerState) int64 { return st.fullSyncs.Load() }},
+	} {
+		p.Header(s.name, s.help, s.typ)
 		for _, addr := range addrs {
-			pf("%s{peer=%q} %d\n", name, addr, get(r.peerStates[addr]))
+			p.Int(s.name, telemetry.Label("peer", addr), s.get(r.peerStates[addr]))
 		}
 	}
-	series("mccuckoo_peer_replica_lag", "Peer head minus newest streamed sequence number.", "gauge",
-		func(st *peerState) int64 { return st.lag.Load() })
-	series("mccuckoo_peer_entries_applied_total", "Streamed entries applied from this peer.", "counter",
-		func(st *peerState) int64 { return st.applied.Load() })
-	series("mccuckoo_peer_entries_stale_total", "Streamed entries ignored as stale.", "counter",
-		func(st *peerState) int64 { return st.stale.Load() })
-	series("mccuckoo_peer_entries_failed_total", "Streamed entries that lost to table capacity.", "counter",
-		func(st *peerState) int64 { return st.failed.Load() })
-	series("mccuckoo_peer_connects_total", "Subscription connections established to this peer.", "counter",
-		func(st *peerState) int64 { return st.connects.Load() })
-	series("mccuckoo_peer_errors_total", "Subscription failures for this peer.", "counter",
-		func(st *peerState) int64 { return st.errors.Load() })
-	series("mccuckoo_peer_full_syncs_total", "Subscriptions that required a full state dump.", "counter",
-		func(st *peerState) int64 { return st.fullSyncs.Load() })
 	ages := r.StreamAges()
-	pf("# HELP %s %s\n# TYPE %s %s\n", "mccuckoo_peer_stream_age_seconds",
-		"Seconds since the last subscription frame from this peer (-1: never connected).",
-		"mccuckoo_peer_stream_age_seconds", "gauge")
+	p.Header("mccuckoo_peer_stream_age_seconds",
+		"Seconds since the last subscription frame from this peer (-1: never connected).", "gauge")
 	for _, addr := range addrs {
-		pf("%s{peer=%q} %g\n", "mccuckoo_peer_stream_age_seconds", addr, ages[addr])
+		p.Float("mccuckoo_peer_stream_age_seconds", telemetry.Label("peer", addr), ages[addr])
 	}
-	return err
+	return p.Err()
 }

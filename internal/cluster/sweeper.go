@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
 )
@@ -254,7 +255,7 @@ func (s *Sweeper) sweepPeer(addr string, wc *wire.Client) (repaired int, err err
 		budget--
 		s.ranges.Add(1)
 
-		rd, rc, rkeys, err := wc.DigestRangeCtx(tc, s.cfg.Self, rg.lo, rg.hi, s.cfg.LeafKeys)
+		rd, rc, rkeys, err := wc.DigestRange(tc, s.cfg.Self, rg.lo, rg.hi, s.cfg.LeafKeys)
 		if err != nil {
 			return repaired, fmt.Errorf("digest [%d,%d]: %w", rg.lo, rg.hi, err)
 		}
@@ -322,7 +323,7 @@ func (s *Sweeper) reconcileLeaf(tc trace.Context, addr string, wc *wire.Client, 
 		}
 	}
 	if len(push) > 0 {
-		if _, err := wc.ReplicateCtx(tc, push[len(push)-1].Seq, push); err != nil {
+		if _, err := wc.Replicate(tc, push[len(push)-1].Seq, push); err != nil {
 			return repaired, fmt.Errorf("push %d repairs: %w", len(push), err)
 		}
 		repaired += len(push)
@@ -340,7 +341,7 @@ func (s *Sweeper) pullKey(tc trace.Context, wc *wire.Client, re wire.DigestEntry
 		s.pulled.Add(1)
 		return 1, nil
 	}
-	state, value, seq, err := wc.VGetCtx(tc, re.Key)
+	state, value, seq, err := wc.VGet(tc, re.Key)
 	if err != nil {
 		return 0, fmt.Errorf("pull key %d: %w", re.Key, err)
 	}
@@ -405,22 +406,14 @@ func (s *Sweeper) StatsSnapshot() SweepStats {
 // under the mccuckoo_sweep_ prefix.
 func (s *Sweeper) WritePrometheus(w io.Writer) error {
 	st := s.StatsSnapshot()
-	var err error
-	pf := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	simple := func(name, help string, v int64) {
-		pf("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	simple("mccuckoo_sweep_sweeps_total", "Anti-entropy sweeps completed.", st.Sweeps)
-	simple("mccuckoo_sweep_ranges_total", "Digest ranges compared.", st.Ranges)
-	simple("mccuckoo_sweep_mismatched_ranges_total", "Digest ranges that disagreed.", st.MismatchedRanges)
-	simple("mccuckoo_sweep_keys_pulled_total", "Divergent keys pulled from peers.", st.KeysPulled)
-	simple("mccuckoo_sweep_keys_pushed_total", "Divergent keys pushed to peers.", st.KeysPushed)
-	simple("mccuckoo_sweep_ranges_truncated_total", "Ranges dropped at the per-sweep budget.", st.RangesTruncated)
-	simple("mccuckoo_sweep_errors_total", "Per-peer sweep failures.", st.Errors)
-	simple("mccuckoo_sweep_peers_skipped_total", "Peer sweeps skipped by an open breaker.", st.PeersSkipped)
-	return err
+	p := telemetry.NewPromWriter(w)
+	p.Simple("mccuckoo_sweep_sweeps_total", "Anti-entropy sweeps completed.", "counter", st.Sweeps)
+	p.Simple("mccuckoo_sweep_ranges_total", "Digest ranges compared.", "counter", st.Ranges)
+	p.Simple("mccuckoo_sweep_mismatched_ranges_total", "Digest ranges that disagreed.", "counter", st.MismatchedRanges)
+	p.Simple("mccuckoo_sweep_keys_pulled_total", "Divergent keys pulled from peers.", "counter", st.KeysPulled)
+	p.Simple("mccuckoo_sweep_keys_pushed_total", "Divergent keys pushed to peers.", "counter", st.KeysPushed)
+	p.Simple("mccuckoo_sweep_ranges_truncated_total", "Ranges dropped at the per-sweep budget.", "counter", st.RangesTruncated)
+	p.Simple("mccuckoo_sweep_errors_total", "Per-peer sweep failures.", "counter", st.Errors)
+	p.Simple("mccuckoo_sweep_peers_skipped_total", "Peer sweeps skipped by an open breaker.", "counter", st.PeersSkipped)
+	return p.Err()
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -58,11 +57,10 @@ func WriteRuntimeMetrics(w io.Writer) error {
 		{"mccuckoo_go_gc_runs_total", "Completed GC cycles.", "counter", float64(ms.NumGC)},
 		{"mccuckoo_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", "counter", float64(ms.PauseTotalNs) / 1e9},
 	}
+	p := NewPromWriter(w)
 	for _, m := range metrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n",
-			m.name, m.help, m.name, m.typ, m.name, m.v); err != nil {
-			return err
-		}
+		p.Header(m.name, m.help, m.typ)
+		p.Float(m.name, "", m.v)
 	}
-	return nil
+	return p.Err()
 }

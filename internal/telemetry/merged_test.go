@@ -54,7 +54,10 @@ func TestWriteHistogram(t *testing.T) {
 	h.Observe(1500) // ns
 	h.Observe(3_000_000)
 	var sb strings.Builder
-	if err := WriteHistogram(&sb, "test_seconds", "help text", `peer="a"`, h.Snapshot(), 1e9); err != nil {
+	p := NewPromWriter(&sb)
+	p.Header("test_seconds", "help text", "histogram")
+	p.Hist("test_seconds", `peer="a"`, h.Snapshot(), 1e9)
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

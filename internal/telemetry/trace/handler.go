@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"mccuckoo/internal/telemetry"
 )
 
 // opNamer decodes wire opcodes into names for the JSON dump and span trees.
@@ -142,22 +144,13 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	lines := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"mccuckoo_trace_begun_total", "Traces begun (before head sampling).", r.traces.Load()},
-		{"mccuckoo_trace_sampled_total", "Traces chosen by head sampling.", r.sampled.Load()},
-		{"mccuckoo_trace_spans_total", "Spans recorded to the flight recorder.", uint64(r.spans.Load())},
-		{"mccuckoo_trace_slow_spans_total", "Spans recorded only because they cleared the slow threshold.", uint64(r.slowRec.Load())},
-		{"mccuckoo_trace_forced_spans_total", "Spans recorded unconditionally (panic path).", uint64(r.forced.Load())},
-	}
-	for _, l := range lines {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", l.name, l.help, l.name, l.name, l.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	p := telemetry.NewPromWriter(w)
+	p.Simple("mccuckoo_trace_begun_total", "Traces begun (before head sampling).", "counter", int64(r.traces.Load()))
+	p.Simple("mccuckoo_trace_sampled_total", "Traces chosen by head sampling.", "counter", int64(r.sampled.Load()))
+	p.Simple("mccuckoo_trace_spans_total", "Spans recorded to the flight recorder.", "counter", r.spans.Load())
+	p.Simple("mccuckoo_trace_slow_spans_total", "Spans recorded only because they cleared the slow threshold.", "counter", r.slowRec.Load())
+	p.Simple("mccuckoo_trace_forced_spans_total", "Spans recorded unconditionally (panic path).", "counter", r.forced.Load())
+	return p.Err()
 }
 
 // Node is one span plus its children in a reassembled trace tree.

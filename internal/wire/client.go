@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"mccuckoo"
 	"mccuckoo/internal/keep"
+	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
 
 	"encoding/json"
@@ -50,7 +52,8 @@ type ClientConfig struct {
 	// tests can cut, slow, or reset individual peer links.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 
-	// RequestTimeout bounds one request/response round trip (default 10s).
+	// RequestTimeout bounds one request/response round trip, a wait for
+	// the connection's dial included (default 10s).
 	RequestTimeout time.Duration
 
 	// MaxPayload bounds response payloads (default DefaultMaxPayload).
@@ -66,7 +69,7 @@ type Client struct {
 	closed     atomic.Bool
 	reconnects atomic.Int64
 	conns      []atomic.Pointer[clientConn] // read without a lock
-	dialing    []sync.Mutex                 // one redial per slot at a time
+	free       chan *waiter                 // idle waiters, buffered to maxIdleWaiters
 }
 
 // Dial validates cfg and returns a Client. Connections are established
@@ -92,7 +95,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	return &Client{cfg: cfg, conns: make([]atomic.Pointer[clientConn], cfg.Conns), dialing: make([]sync.Mutex, cfg.Conns)}, nil
+	return &Client{cfg: cfg, conns: make([]atomic.Pointer[clientConn], cfg.Conns), free: make(chan *waiter, maxIdleWaiters)}, nil
 }
 
 // Close closes every pooled connection. In-flight requests fail with
@@ -107,39 +110,38 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// conn returns a live pooled connection. A live slot is read without a
-// lock; a dead one is redialed under its own slot's mutex, so a slow dial
-// stalls only the calls that landed on that slot.
+// conn returns the pooled connection for the next request. A live slot is
+// read without a lock. An empty or dead one gets a new connection, which
+// dials on its own goroutine, so conn never waits for the network.
 func (c *Client) conn() (*clientConn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
-	// Reduce before converting: int(counter) goes negative once the counter
-	// passes the int range.
-	i := int(c.rr.Add(1) % uint64(len(c.conns)))
-	if cc := c.conns[i].Load(); cc != nil && !cc.dead.Load() {
+	// Index by the reduced counter: int(counter) goes negative once the
+	// counter passes the int range.
+	slot := &c.conns[c.rr.Add(1)%uint64(len(c.conns))]
+	for {
+		old := slot.Load()
+		if old != nil && !old.dead.Load() {
+			return old, nil
+		}
+		cc := &clientConn{cfg: &c.cfg, kick: make(chan struct{}, 1), armed: true}
+		cc.timer = time.AfterFunc(c.cfg.RequestTimeout, cc.expire)
+		if old != nil && (old.up.Load() || old.redials != nil) {
+			cc.redials = &c.reconnects // a dead slot's redial, not pool warm-up
+		}
+		if !slot.CompareAndSwap(old, cc) {
+			cc.timer.Stop()
+			continue // another call refilled the slot first
+		}
+		//mcvet:allow goroutinelifecycle the conn's goroutine ends with the conn: a dial returns within DialTimeout, and fail/Close closes nc so the blocked ReadFrame returns
+		go cc.run()
+		if c.closed.Load() {
+			cc.fail(ErrClientClosed) // Close ran meanwhile and may have missed cc
+			return nil, ErrClientClosed
+		}
 		return cc, nil
 	}
-	c.dialing[i].Lock()
-	defer c.dialing[i].Unlock()
-	old := c.conns[i].Load()
-	if old != nil && !old.dead.Load() {
-		return old, nil // another call redialed the slot meanwhile
-	}
-	nc, err := c.cfg.Dial(c.cfg.Addr, c.cfg.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", c.cfg.Addr, err)
-	}
-	if old != nil {
-		c.reconnects.Add(1) // a dead slot's redial, not pool warm-up
-	}
-	cc := newClientConn(nc, c.cfg.MaxPayload, c.cfg.RequestTimeout)
-	c.conns[i].Store(cc)
-	if c.closed.Load() {
-		cc.fail(ErrClientClosed) // Close ran during the dial and may have missed cc
-		return nil, ErrClientClosed
-	}
-	return cc, nil
 }
 
 // Reconnects reports how many dead pooled connections were redialed.
@@ -148,34 +150,81 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // WritePrometheus writes the client's own metrics in Prometheus text
 // exposition, under the mccuckoo_client_ prefix.
 func (c *Client) WritePrometheus(w io.Writer) error {
-	p := &serverPromWriter{w: w}
-	p.simple("mccuckoo_client_reconnects_total", "Pooled connections redialed after dying.", "counter", c.reconnects.Load())
-	return p.err
+	p := telemetry.NewPromWriter(w)
+	p.Simple("mccuckoo_client_reconnects_total", "Pooled connections redialed after dying.", "counter", c.reconnects.Load())
+	return p.Err()
 }
 
-// doCtx performs one request, traced when tc is valid (the zero context
-// sends an untraced frame). An OK payload is returned in w.resp, which the
-// caller decodes before it releases w.
-func (c *Client) doCtx(tc trace.Context, op byte, payload []byte) (w *waiter, err error) {
+// Sink receives the outcome of a request sent with Send. Done runs exactly
+// once, outside the connection's locks, on the goroutine that completes
+// the request: the reader (an OK payload, valid only until Done returns,
+// or a *ServerError), the timer (a timeout) or a failure path, Send itself
+// included. It must not block: the responses behind it wait for it.
+type Sink interface {
+	Done(resp []byte, err error)
+}
+
+// Send sends one request without waiting for it, traced when tc is valid
+// (the zero context sends an untraced frame): it buffers the frame for the
+// connection's writer and never waits for the network. payload is copied
+// before Send returns. The request's outcome goes to s.Done.
+func (c *Client) Send(tc trace.Context, op byte, payload []byte, s Sink) {
 	cc, err := c.conn()
 	if err != nil {
+		s.Done(nil, err)
+		return
+	}
+	cc.send(tc, op, payload, s)
+}
+
+// maxIdleWaiters bounds the waiters a client keeps for reuse: a burst
+// deeper than steady traffic leaves nothing parked.
+const maxIdleWaiters = 16
+
+// waiter is the Sink of a call that waits: Done copies an OK payload into
+// resp and wakes the caller, which decodes resp, then releases the waiter.
+type waiter struct {
+	c    *Client
+	done chan error
+	resp []byte
+}
+
+func (w *waiter) Done(resp []byte, err error) {
+	if err == nil {
+		w.resp = append(w.resp[:0], resp...) // a copy: resp aliases the read buffer
+	}
+	w.done <- err
+}
+
+// release hands w back to its client, resp under the keep rule.
+func (w *waiter) release() {
+	w.resp = keep.Slice(w.resp)
+	select {
+	case w.c.free <- w:
+	default:
+	}
+}
+
+// do sends one request and waits for its outcome. An OK payload is
+// returned in w.resp, which the caller decodes before it releases w.
+func (c *Client) do(tc trace.Context, op byte, payload []byte) (*waiter, error) {
+	var w *waiter
+	select {
+	case w = <-c.free:
+	default:
+		w = &waiter{c: c, done: make(chan error, 1)}
+	}
+	c.Send(tc, op, payload, w)
+	if err := <-w.done; err != nil {
+		w.release()
 		return nil, err
 	}
-	if w, err = cc.roundTrip(op, payload, tc); err != nil || w.status == StatusOK {
-		return w, err
-	}
-	if w.status == StatusErr {
-		err = &ServerError{Msg: string(w.resp)}
-	} else {
-		err = protoErrf("unknown response status %d", w.status)
-	}
-	w.release()
-	return nil, err
+	return w, nil
 }
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping() error {
-	w, err := c.doCtx(trace.Context{}, OpPing, nil)
+	w, err := c.do(trace.Context{}, OpPing, nil)
 	if err == nil {
 		w.release()
 	}
@@ -184,12 +233,7 @@ func (c *Client) Ping() error {
 
 // Get looks up key.
 func (c *Client) Get(key uint64) (value uint64, found bool, err error) {
-	return c.GetCtx(trace.Context{}, key)
-}
-
-// GetCtx is Get carrying a trace context.
-func (c *Client) GetCtx(tc trace.Context, key uint64) (value uint64, found bool, err error) {
-	w, err := c.doCtx(tc, OpGet, appendU64(make([]byte, 0, 8), key))
+	w, err := c.do(trace.Context{}, OpGet, appendU64(make([]byte, 0, 8), key))
 	if err != nil {
 		return 0, false, err
 	}
@@ -204,12 +248,7 @@ func (c *Client) GetCtx(tc trace.Context, key uint64) (value uint64, found bool,
 
 // Put inserts or updates key.
 func (c *Client) Put(key, value uint64) (mccuckoo.InsertResult, error) {
-	return c.PutCtx(trace.Context{}, key, value)
-}
-
-// PutCtx is Put carrying a trace context.
-func (c *Client) PutCtx(tc trace.Context, key, value uint64) (mccuckoo.InsertResult, error) {
-	w, err := c.doCtx(tc, OpPut, appendU64(appendU64(make([]byte, 0, 16), key), value))
+	w, err := c.do(trace.Context{}, OpPut, appendU64(appendU64(make([]byte, 0, 16), key), value))
 	if err != nil {
 		return mccuckoo.InsertResult{}, err
 	}
@@ -224,12 +263,7 @@ func (c *Client) PutCtx(tc trace.Context, key, value uint64) (mccuckoo.InsertRes
 
 // Del deletes key, reporting whether it was present.
 func (c *Client) Del(key uint64) (bool, error) {
-	return c.DelCtx(trace.Context{}, key)
-}
-
-// DelCtx is Del carrying a trace context.
-func (c *Client) DelCtx(tc trace.Context, key uint64) (bool, error) {
-	w, err := c.doCtx(tc, OpDel, appendU64(make([]byte, 0, 8), key))
+	w, err := c.do(trace.Context{}, OpDel, appendU64(make([]byte, 0, 8), key))
 	if err != nil {
 		return false, err
 	}
@@ -252,7 +286,7 @@ func (c *Client) doBatch(sub byte, keys, values []uint64) (w *waiter, cur cursor
 			p = appendU64(p, values[i])
 		}
 	}
-	if w, err = c.doCtx(trace.Context{}, OpBatch, p); err != nil {
+	if w, err = c.do(trace.Context{}, OpBatch, p); err != nil {
 		return nil, cur, err
 	}
 	cur = cursor{b: w.resp}
@@ -322,7 +356,7 @@ func (c *Client) DelBatch(keys []uint64) ([]bool, error) {
 
 // Stats fetches the server's table statistics.
 func (c *Client) Stats() (TableStats, error) {
-	w, err := c.doCtx(trace.Context{}, OpStats, nil)
+	w, err := c.do(trace.Context{}, OpStats, nil)
 	if err != nil {
 		return TableStats{}, err
 	}
@@ -334,71 +368,39 @@ func (c *Client) Stats() (TableStats, error) {
 	return st, nil
 }
 
-// VGet fetches key's replication state: missing, live (value and last-write
-// sequence number), or tombstone (deletion sequence number). The server
-// must run a *Replicated store.
-func (c *Client) VGet(key uint64) (state byte, value, seq uint64, err error) {
-	return c.VGetCtx(trace.Context{}, key)
-}
-
-// VGetCtx is VGet carrying a trace context.
-func (c *Client) VGetCtx(tc trace.Context, key uint64) (state byte, value, seq uint64, err error) {
-	w, err := c.doCtx(tc, OpVGet, appendU64(make([]byte, 0, 8), key))
+// VGet fetches key's replication state, traced when tc is valid: missing,
+// live (value and last-write sequence number), or tombstone (deletion
+// sequence number). The server must run a *Replicated store.
+func (c *Client) VGet(tc trace.Context, key uint64) (state byte, value, seq uint64, err error) {
+	w, err := c.do(tc, OpVGet, AppendVGetRequest(make([]byte, 0, 8), key))
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer w.release()
-	cur := cursor{b: w.resp}
-	state, value, seq = cur.u8(), cur.u64(), cur.u64()
-	if !cur.ok() || state > VStateTomb {
-		return 0, 0, 0, protoErrf("malformed vget response")
-	}
-	return state, value, seq, nil
+	return ParseVGetResponse(w.resp)
 }
 
-// Replicate pushes sequence-numbered entries (a cluster write or a
-// read-repair) and returns the per-entry apply statuses. head is the
-// sender's high-water sequence number. The server must run a *Replicated
-// store.
-func (c *Client) Replicate(head uint64, ents []Entry) ([]byte, error) {
-	return c.ReplicateCtx(trace.Context{}, head, ents)
-}
-
-// ReplicateCtx is Replicate carrying a trace context.
-func (c *Client) ReplicateCtx(tc trace.Context, head uint64, ents []Entry) ([]byte, error) {
+// Replicate pushes sequence-numbered entries (a repair), traced when tc is
+// valid, and returns the per-entry apply statuses. head is the sender's
+// high-water sequence number. The server must run a *Replicated store.
+func (c *Client) Replicate(tc trace.Context, head uint64, ents []Entry) ([]byte, error) {
 	p := AppendReplicatePayload(make([]byte, 0, replicateHeadLen+len(ents)*entrySize), head, ents)
-	w, err := c.doCtx(tc, OpReplicate, p)
+	w, err := c.do(tc, OpReplicate, p)
 	if err != nil {
 		return nil, err
 	}
 	defer w.release()
-	cur := cursor{b: w.resp}
-	n := int(cur.u32())
-	if cur.bad || n != len(ents) || len(w.resp)-4 != n {
-		return nil, protoErrf("malformed replicate response")
-	}
-	statuses := make([]byte, n)
-	copy(statuses, w.resp[4:])
-	for _, st := range statuses {
-		if st > ApplyFailed {
-			return nil, protoErrf("malformed replicate response")
-		}
-	}
-	return statuses, nil
+	statuses, err := ParseReplicateResponse(w.resp, len(ents))
+	return slices.Clone(statuses), err // nil on error
 }
 
 // DigestRange fetches the server's XOR digest over keys in [lo, hi] that
-// the named requester co-owns with the server, plus the matched-key count;
-// when the count is at most maxKeys the keys are enumerated. The server
-// must run a *Replicated store.
-func (c *Client) DigestRange(name string, lo, hi uint64, maxKeys int) (digest, count uint64, keys []DigestEntry, err error) {
-	return c.DigestRangeCtx(trace.Context{}, name, lo, hi, maxKeys)
-}
-
-// DigestRangeCtx is DigestRange carrying a trace context.
-func (c *Client) DigestRangeCtx(tc trace.Context, name string, lo, hi uint64, maxKeys int) (digest, count uint64, keys []DigestEntry, err error) {
+// the named requester co-owns with the server, plus the matched-key count,
+// traced when tc is valid; when the count is at most maxKeys the keys are
+// enumerated. The server must run a *Replicated store.
+func (c *Client) DigestRange(tc trace.Context, name string, lo, hi uint64, maxKeys int) (digest, count uint64, keys []DigestEntry, err error) {
 	p := AppendDigestRequest(make([]byte, 0, 24+len(name)), lo, hi, maxKeys, name)
-	w, err := c.doCtx(tc, OpDigest, p)
+	w, err := c.do(tc, OpDigest, p)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -410,55 +412,40 @@ func (c *Client) DigestRangeCtx(tc trace.Context, name string, lo, hi uint64, ma
 	return digest, count, keys, nil
 }
 
-// maxIdleWaiters bounds the waiters a connection keeps for reuse. Steady
-// traffic has a few calls in flight per connection; a deeper burst's extra
-// waiters are dropped after use, so the burst leaves nothing parked.
-const maxIdleWaiters = 16
-
-// waiter is one request's place in its connection's queue. A nil signal on
-// done hands it to the caller, which releases it once resp is decoded. A
-// timed-out waiter stays queued until its late response; a failed one is dropped.
-type waiter struct {
-	cc       *clientConn
-	op       byte
+type pending struct {
+	sink     Sink // nil once the request timed out
 	id       uint64
 	deadline time.Time
-	timedOut bool // guarded by cc.mu while queued
-	done     chan error
-	status   byte
-	resp     []byte
+	op       byte
 }
 
-// release hands w back to its connection, resp under the keep rule.
-func (w *waiter) release() {
-	w.resp = keep.Slice(w.resp)
-	select {
-	case w.cc.free <- w:
-	default:
-	}
-}
-
-// clientConn is one pooled connection. A server answers a connection's
-// requests in order (DESIGN.md §10), so requests are queued in wire order
-// and readLoop hands each response to the oldest waiter. One timer, armed
-// for the oldest pending deadline, times requests out.
+// clientConn is one pooled connection and its two goroutines. The first
+// dials, starts the writer, then reads; no caller touches the socket. A
+// server answers a connection's requests in order (DESIGN.md §10), so
+// requests are queued in wire order and the reader completes the oldest
+// pending request with each response. One timer, armed for the oldest
+// pending deadline, times requests out.
 //
 //mcvet:lifecycle
 type clientConn struct {
-	nc      net.Conn
-	dead    atomic.Bool
-	timeout time.Duration
-	timer   *time.Timer  // set once by newClientConn
-	free    chan *waiter // idle waiters, buffered to maxIdleWaiters
-
-	wmu sync.Mutex // serializes frame writes and so the queue order
-	// wbuf is the request-frame encoding buffer, reused under the keep rule.
-	//mcvet:guardedby wmu
-	wbuf []byte
+	cfg   *ClientConfig
+	dead  atomic.Bool
+	up    atomic.Bool   // the dial succeeded
+	timer *time.Timer   // set once, before the conn is shared
+	kick  chan struct{} // buffered 1: frames wait in wbuf; closed by fail
+	// redials counts this connection's dial when the slot's earlier
+	// connection, or one before it, had dialed; nil otherwise.
+	redials *atomic.Int64
 
 	mu sync.Mutex
 	//mcvet:guardedby mu
-	queue []*waiter // written requests not yet answered, oldest first
+	nc net.Conn // nil while the connection dials
+	//mcvet:guardedby mu
+	wbuf []byte // frames the writer has not taken, in id order (keep rule)
+	//mcvet:guardedby mu
+	wdeadline time.Time // the newest buffered request's deadline
+	//mcvet:guardedby mu
+	queue []pending // sent requests not yet answered, oldest first
 	//mcvet:guardedby mu
 	nextID uint64
 	//mcvet:guardedby mu
@@ -467,152 +454,198 @@ type clientConn struct {
 	failure error
 }
 
-func newClientConn(nc net.Conn, maxPayload int, timeout time.Duration) *clientConn {
-	cc := &clientConn{nc: nc, timeout: timeout, free: make(chan *waiter, maxIdleWaiters), armed: true}
-	cc.timer = time.AfterFunc(timeout, cc.expire)
-	//mcvet:allow goroutinelifecycle readLoop's lifetime is the conn's: fail/Close closes nc and the blocked ReadFrame returns
-	go cc.readLoop(maxPayload)
-	return cc
+// run is the connection's first goroutine: it dials, starts the writer,
+// which sends the requests buffered during the dial, then reads responses
+// until the connection dies.
+func (cc *clientConn) run() {
+	nc, err := cc.cfg.Dial(cc.cfg.Addr, cc.cfg.DialTimeout)
+	if err != nil {
+		cc.fail(fmt.Errorf("wire: dial %s: %w", cc.cfg.Addr, err))
+		return
+	}
+	cc.mu.Lock()
+	cc.nc = nc
+	closed := cc.failure != nil // the client closed during the dial
+	cc.mu.Unlock()
+	if closed {
+		nc.Close()
+		return
+	}
+	cc.up.Store(true)
+	if cc.redials != nil {
+		cc.redials.Add(1)
+	}
+	go cc.writeLoop(nc)
+	cc.readLoop(nc)
 }
 
-// enqueue queues a waiter for the next request id unless the connection
-// failed. The caller holds wmu, so queue order is wire order, and deadline
-// order too.
-func (cc *clientConn) enqueue(op byte) (*waiter, error) {
+// send queues s for the next request id and buffers its request frame for
+// the writer, unless the connection failed: then s completes at once. It
+// never waits for the network.
+func (cc *clientConn) send(tc trace.Context, op byte, payload []byte, s Sink) {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.failure != nil {
-		return nil, cc.failure
+	err := cc.failure
+	if err == nil {
+		cc.nextID++
+		deadline := time.Now().Add(cc.cfg.RequestTimeout)
+		cc.queue = append(cc.queue, pending{sink: s, id: cc.nextID, deadline: deadline, op: op})
+		if !cc.armed {
+			cc.armed = true
+			cc.timer.Reset(cc.cfg.RequestTimeout)
+		}
+		cc.wbuf = AppendFrame(slices.Grow(cc.wbuf, FrameOverhead+trace.ContextSize+len(payload)),
+			Frame{Type: op, ID: cc.nextID, Payload: payload, Trace: tc})
+		cc.wdeadline = deadline
+		select {
+		case cc.kick <- struct{}{}:
+		default: // the writer is already due
+		}
 	}
-	var w *waiter
-	select {
-	case w = <-cc.free:
-	default:
-		w = &waiter{cc: cc, done: make(chan error, 1)}
+	cc.mu.Unlock()
+	if err != nil {
+		s.Done(nil, err)
 	}
-	cc.nextID++
-	w.op, w.id, w.deadline, w.timedOut = op, cc.nextID, time.Now().Add(cc.timeout), false
-	cc.queue = append(cc.queue, w)
-	if !cc.armed {
-		cc.armed = true
-		cc.timer.Reset(cc.timeout)
+}
+
+// writeLoop is the connection's writer: at each kick it takes every
+// buffered frame and writes them, under the newest one's deadline. A
+// failed deadline arm is a write failure: without it a dead peer could pin
+// the write forever.
+//
+//mcvet:deadlined
+func (cc *clientConn) writeLoop(nc net.Conn) {
+	var buf []byte
+	for range cc.kick {
+		cc.mu.Lock()
+		buf, cc.wbuf = cc.wbuf, buf
+		deadline := cc.wdeadline
+		cc.mu.Unlock()
+		if len(buf) == 0 {
+			continue
+		}
+		err := nc.SetWriteDeadline(deadline)
+		if err == nil {
+			_, err = nc.Write(buf)
+		}
+		buf = keep.Slice(buf)
+		if err != nil {
+			cc.fail(fmt.Errorf("%w: write: %v", ErrConnFailed, err))
+			return
+		}
 	}
-	return w, nil
 }
 
 // expire times out each queued request whose deadline passed, alone, and
-// rearms the timer for the oldest one left.
+// rearms the timer for the oldest one left. A timed-out request stays
+// queued without its sink until its late response arrives and is dropped.
 func (cc *clientConn) expire() {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	cc.armed = false
-	now := time.Now()
-	for _, w := range cc.queue {
-		if d := w.deadline.Sub(now); d > 0 {
-			cc.armed = true
-			cc.timer.Reset(d)
-			return
-		}
-		if !w.timedOut {
-			w.timedOut = true
-			w.done <- fmt.Errorf("wire: request %d (%s) timed out after %v", w.id, OpName(w.op), cc.timeout)
-		}
+	for s, err := cc.nextExpired(); s != nil; s, err = cc.nextExpired() {
+		s.Done(nil, err)
 	}
 }
 
-// dequeue pops the waiter a response to id answers: the oldest one, after
-// dropping timed-out requests the server never answered. It returns nil if
-// id answers none.
-func (cc *clientConn) dequeue(id uint64) *waiter {
+// nextExpired takes the sink of the oldest overdue request, or rearms the
+// timer for the oldest pending deadline and returns nil. An overdue
+// request whose frame the writer has not taken is never sent: deadlines
+// follow id order, so that frame is the oldest one buffered.
+func (cc *clientConn) nextExpired() (Sink, error) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	now := time.Now()
+	for i := range cc.queue {
+		p := &cc.queue[i]
+		if d := p.deadline.Sub(now); d > 0 {
+			cc.timer.Reset(d)
+			return nil, nil
+		}
+		if s := p.sink; s != nil {
+			p.sink = nil
+			if b := cc.wbuf; len(b) >= headerLen && binary.LittleEndian.Uint64(b[4:12]) == p.id {
+				cc.wbuf = b[:copy(b, b[headerLen+int(binary.LittleEndian.Uint32(b[12:16]))+crcLen:])]
+			}
+			return s, fmt.Errorf("wire: request %d (%s) timed out after %v", p.id, OpName(p.op), cc.cfg.RequestTimeout)
+		}
+	}
+	cc.armed = false
+	return nil, nil
+}
+
+// dequeue pops the request a response to id answers: the oldest one, after
+// dropping timed-out requests the server never answered. ok is false if id
+// answers none; s is nil if the request timed out.
+func (cc *clientConn) dequeue(id uint64) (s Sink, ok bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	for len(cc.queue) > 0 {
-		w := cc.queue[0]
-		if w.id != id && !w.timedOut {
-			return nil
+		p := cc.queue[0]
+		if p.id != id && p.sink != nil {
+			return nil, false
 		}
-		if cc.queue = cc.queue[:copy(cc.queue, cc.queue[1:])]; w.id == id {
-			return w
+		n := copy(cc.queue, cc.queue[1:])
+		cc.queue[n] = pending{}
+		if cc.queue = cc.queue[:n]; p.id == id {
+			return p.sink, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
-// fail marks the connection dead and errors out every pending request.
+// fail marks the connection dead, stops its writer and fails every pending
+// request.
 func (cc *clientConn) fail(err error) {
 	cc.dead.Store(true)
-	cc.nc.Close()
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
 	if cc.failure == nil {
 		cc.failure = err
+		close(cc.kick)
 	}
-	for _, w := range cc.queue {
-		if !w.timedOut {
-			w.done <- cc.failure
+	cc.timer.Stop()
+	err, nc, queue := cc.failure, cc.nc, cc.queue
+	cc.queue, cc.wbuf = nil, nil
+	cc.mu.Unlock()
+	if nc != nil {
+		nc.Close()
+	}
+	for _, p := range queue {
+		if p.sink != nil {
+			p.sink.Done(nil, err)
 		}
 	}
-	cc.queue = nil
 }
 
-// readLoop hands each response to its waiter until the connection dies.
+// readLoop completes each pending request with its response until the
+// connection dies.
 //
 //mcvet:deadlined
-func (cc *clientConn) readLoop(maxPayload int) {
+func (cc *clientConn) readLoop(nc net.Conn) {
 	var buf []byte
 	for {
 		// The demux read deliberately has no deadline: it must outlive any
 		// single request, and request timeouts live in the connection's
 		// timer. Close/fail closing the conn is what unblocks it.
 		//mcvet:allow deadlinearm demux read is unbounded by design; bounded by conn close, not a timer
-		f, b, err := ReadFrame(cc.nc, maxPayload, buf)
-		var w *waiter
+		f, b, err := ReadFrame(nc, cc.cfg.MaxPayload, buf)
+		var s Sink
+		ok := false
 		if err == nil && f.IsResponse() {
-			w = cc.dequeue(f.ID)
+			s, ok = cc.dequeue(f.ID)
 		}
-		if w == nil {
+		if !ok {
 			if err == nil {
 				err = fmt.Errorf("frame %d of type %#x answers no pending request", f.ID, f.Type)
 			}
 			cc.fail(fmt.Errorf("%w: %v", ErrConnFailed, err))
 			return
 		}
-		if w.timedOut {
-			w.release() // a late response
-		} else {
-			w.status, w.resp = f.Status(), append(w.resp[:0], f.Payload...) // a copy: f.Payload aliases b
-			w.done <- nil
+		switch {
+		case s == nil: // a late response to a timed-out request
+		case f.Status() == StatusOK:
+			s.Done(f.Payload, nil)
+		case f.Status() == StatusErr:
+			s.Done(nil, &ServerError{Msg: string(f.Payload)})
+		default:
+			s.Done(nil, protoErrf("unknown response status %d", f.Status()))
 		}
 		buf = keep.Slice(b)
 	}
-}
-
-// roundTrip sends one request and waits for its response, its timeout or
-// the connection's failure.
-//
-//mcvet:deadlined
-func (cc *clientConn) roundTrip(op byte, payload []byte, tc trace.Context) (*waiter, error) {
-	cc.wmu.Lock()
-	w, err := cc.enqueue(op)
-	if w != nil {
-		cc.wbuf = AppendFrame(slices.Grow(cc.wbuf[:0], FrameOverhead+trace.ContextSize+len(payload)),
-			Frame{Type: op, ID: w.id, Payload: payload, Trace: tc})
-		// A failed deadline arm is a connection failure: without it a dead
-		// peer could pin this write forever.
-		if err = cc.nc.SetWriteDeadline(w.deadline); err == nil {
-			_, err = cc.nc.Write(cc.wbuf)
-		}
-		cc.wbuf = keep.Slice(cc.wbuf)
-	}
-	cc.wmu.Unlock()
-	if w == nil {
-		return nil, err
-	}
-	if err != nil {
-		cc.fail(fmt.Errorf("%w: write: %v", ErrConnFailed, err)) // signals w
-	}
-	if err := <-w.done; err != nil {
-		return nil, err
-	}
-	return w, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mccuckoo/internal/telemetry/trace"
 )
 
 // fakeServer speaks raw frames and delegates each request to fn; fn
@@ -63,6 +66,25 @@ func (fs *fakeServer) serve(nc net.Conn) {
 			return
 		}
 	}
+}
+
+// chanSink is a test Sink that hands each outcome, its payload copied, to
+// a channel.
+type chanSink chan sinkResult
+
+type sinkResult struct {
+	resp []byte
+	err  error
+}
+
+func (s chanSink) Done(resp []byte, err error) { s <- sinkResult{bytes.Clone(resp), err} }
+
+// sendWait sends one request through Send and waits for its outcome.
+func sendWait(c *Client, tc trace.Context, op byte, payload []byte) ([]byte, error) {
+	s := make(chanSink, 1)
+	c.Send(tc, op, payload, s)
+	r := <-s
+	return r.resp, r.err
 }
 
 func TestClientTimeout(t *testing.T) {
@@ -253,6 +275,112 @@ func TestClientReconnect(t *testing.T) {
 	}
 }
 
+// TestClientReconnectsCountRedials: Reconnects counts a dead connection
+// redialed, not dial attempts. Failed dials before the first connection
+// count nothing; after it dies, failed dials count nothing and the one
+// that succeeds counts once.
+func TestClientReconnectsCountRedials(t *testing.T) {
+	addr, _ := startFake(t, 1, func(f Frame) (byte, []byte, bool) {
+		return StatusOK, nil, true
+	})
+	var failDials atomic.Int32
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+		if failDials.Add(-1) >= 0 {
+			return nil, errors.New("refused")
+		}
+		return net.DialTimeout("tcp", addr, timeout)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for round, want := range []int64{0, 1} {
+		failDials.Store(2)
+		for i := 0; i < 2; i++ {
+			if err := c.Ping(); err == nil || !strings.Contains(err.Error(), "refused") {
+				t.Fatalf("round %d: ping over a refused dial: %v", round, err)
+			}
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("round %d: ping: %v", round, err)
+		}
+		if n := c.Reconnects(); n != want {
+			t.Fatalf("round %d: Reconnects() = %d, want %d", round, n, want)
+		}
+		for cc := c.conns[0].Load(); !cc.dead.Load(); { // the server closed it
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestClientNeverSendsRequestExpiredInDial: a request that times out while
+// its connection dials is dropped from the write buffer, so the server
+// never sees a request its client gave up on; the next one goes through.
+func TestClientNeverSendsRequestExpiredInDial(t *testing.T) {
+	seen := make(chan uint64, 4)
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		seen <- f.ID
+		return StatusOK, nil, true
+	})
+	unblock := make(chan struct{})
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, RequestTimeout: 200 * time.Millisecond,
+		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			<-unblock
+			return net.DialTimeout("tcp", addr, timeout)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("ping during the dial: %v, want timeout", err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- c.Ping() }()
+	for cc := c.conns[0].Load(); ; time.Sleep(time.Millisecond) {
+		cc.mu.Lock()
+		n := len(cc.queue)
+		cc.mu.Unlock()
+		if n == 2 { // the second ping is buffered behind the first
+			break
+		}
+	}
+	close(unblock)
+	if err := <-second; err != nil {
+		t.Fatalf("ping after the dial: %v", err)
+	}
+	if id := <-seen; id != 2 {
+		t.Fatalf("server saw request %d first, want only request 2", id)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if id := <-seen; id != 3 {
+		t.Fatalf("server saw request %d, want 3", id)
+	}
+}
+
+// TestClientCloseStopsTimer: closing a client stops each connection's
+// request timer. A pending timer would keep the closed connection and all
+// it references reachable until it fired, a RequestTimeout later.
+func TestClientCloseStopsTimer(t *testing.T) {
+	addr, _ := startFake(t, 0, func(f Frame) (byte, []byte, bool) {
+		return StatusOK, nil, true
+	})
+	c, err := Dial(ClientConfig{Addr: addr, Conns: 1, RequestTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	cc := c.conns[0].Load()
+	c.Close()
+	if cc.timer.Stop() {
+		t.Fatal("the closed connection's request timer was still armed")
+	}
+}
+
 // TestClientSlotAfterCounterWrap: the round-robin counter is reduced before
 // it is converted to int, so a counter past the int range still picks a
 // valid pool slot instead of a negative index.
@@ -290,7 +418,7 @@ func TestClientCallAllocs(t *testing.T) {
 		{"Get", 8, func() error { _, _, err := cli.Get(5); return err }},
 		{"Put", 8, func() error { _, err := cli.Put(5, 6); return err }},
 		{"Del", 7, func() error { _, err := cli.Del(5); return err }},
-		{"VGet", 9, func() error { _, _, _, err := cli.VGet(5); return err }},
+		{"VGet", 9, func() error { _, _, _, err := cli.VGet(trace.Context{}, 5); return err }},
 	} {
 		var err error
 		call := func() {

@@ -212,6 +212,34 @@ func ParseReplicatePayload(p []byte, ents []Entry) (head uint64, _ []Entry, ok b
 	return head, ents, true
 }
 
+// AppendVGetRequest appends a VGET request payload, the key, to dst.
+func AppendVGetRequest(dst []byte, key uint64) []byte { return appendU64(dst, key) }
+
+// ParseVGetResponse decodes a VGET response payload.
+func ParseVGetResponse(p []byte) (state byte, value, seq uint64, err error) {
+	c := cursor{b: p}
+	state, value, seq = c.u8(), c.u64(), c.u64()
+	if !c.ok() || state > VStateTomb {
+		return 0, 0, 0, protoErrf("malformed vget response")
+	}
+	return state, value, seq, nil
+}
+
+// ParseReplicateResponse decodes the response to a REPLICATE push of n
+// entries: one apply status per entry, aliasing p.
+func ParseReplicateResponse(p []byte, n int) (statuses []byte, err error) {
+	c := cursor{b: p}
+	if got := c.u32(); c.bad || uint64(got) != uint64(n) || len(p)-4 != n {
+		return nil, protoErrf("malformed replicate response")
+	}
+	for _, st := range p[4:] {
+		if st > ApplyFailed {
+			return nil, protoErrf("malformed replicate response")
+		}
+	}
+	return p[4:], nil
+}
+
 // DigestEntry is one (key, meta) pair enumerated by a DIGEST response when
 // the requested range is small enough; the anti-entropy sweeper's bisection
 // bottoms out on these.

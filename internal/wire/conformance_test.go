@@ -96,71 +96,69 @@ func newRecordingClient(t *testing.T) (*Client, *recordingServer) {
 	return cli, rs
 }
 
-// TestCtxDelegatesPinIdenticalFrames pins the API contract behind the
-// Ctx/non-Ctx collapse: every non-Ctx client method is a one-line delegate
-// passing the zero trace context, and the zero context produces a request
-// frame byte-identical to the non-Ctx call — no traced flag, no trace
-// prefix, same op, same payload.
+// TestCtxDelegatesPinIdenticalFrames pins the one-method-per-request
+// surface. Every request sent with the zero trace context (Get, Put and Del
+// take none) puts on the wire exactly the untraced frame AppendFrame builds
+// for its op and payload: no traced flag, no context prefix. The same
+// request with a valid context, through its method or through Send, adds
+// the traced flag and the context prefix and nothing else.
 func TestCtxDelegatesPinIdenticalFrames(t *testing.T) {
 	cli, rs := newRecordingClient(t)
-
 	ents := []Entry{{Seq: 3, Op: OpPut, Key: 11, Value: 22}}
-	pairs := []struct {
-		name  string
-		plain func() error
-		ctx   func() error
-	}{
-		{"Get",
-			func() error { _, _, err := cli.Get(5); return err },
-			func() error { _, _, err := cli.GetCtx(trace.Context{}, 5); return err }},
-		{"Put",
-			func() error { _, err := cli.Put(5, 6); return err },
-			func() error { _, err := cli.PutCtx(trace.Context{}, 5, 6); return err }},
-		{"Del",
-			func() error { _, err := cli.Del(5); return err },
-			func() error { _, err := cli.DelCtx(trace.Context{}, 5); return err }},
-		{"VGet",
-			func() error { _, _, _, err := cli.VGet(5); return err },
-			func() error { _, _, _, err := cli.VGetCtx(trace.Context{}, 5); return err }},
-		{"Replicate",
-			func() error { _, err := cli.Replicate(3, ents); return err },
-			func() error { _, err := cli.ReplicateCtx(trace.Context{}, 3, ents); return err }},
-		{"DigestRange",
-			func() error { _, _, _, err := cli.DigestRange("peer", 1, 100, 8); return err },
-			func() error { _, _, _, err := cli.DigestRangeCtx(trace.Context{}, "peer", 1, 100, 8); return err }},
-	}
-
-	for _, p := range pairs {
-		before := len(rs.recorded())
-		if err := p.plain(); err != nil {
-			t.Fatalf("%s: %v", p.name, err)
-		}
-		if err := p.ctx(); err != nil {
-			t.Fatalf("%sCtx: %v", p.name, err)
-		}
-		got := rs.recorded()
-		if len(got) != before+2 {
-			t.Fatalf("%s: recorded %d frames, want %d", p.name, len(got), before+2)
-		}
-		plain, withCtx := got[before], got[before+1]
-		if !bytes.Equal(plain, withCtx) {
-			t.Errorf("%s: non-Ctx and zero-Ctx request frames differ\n plain: %x\n   ctx: %x", p.name, plain, withCtx)
-		}
-	}
-
-	// A valid trace context must NOT be byte-identical: the frame grows the
-	// traced flag and the context prefix. This guards against the delegate
-	// collapse accidentally dropping the trace path.
 	tc := trace.Context{TraceID: 0xfeed, SpanID: 7, Flags: trace.FlagSampled}
-	before := len(rs.recorded())
-	if _, _, err := cli.GetCtx(tc, 5); err != nil {
-		t.Fatalf("traced GetCtx: %v", err)
+	sent := func(tc trace.Context, op byte, payload []byte) error {
+		_, err := sendWait(cli, tc, op, payload)
+		return err
 	}
-	if _, _, err := cli.Get(5); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	got := rs.recorded()
-	if bytes.Equal(got[before], got[before+1]) {
-		t.Errorf("traced frame is byte-identical to untraced frame; trace context was dropped")
+	for _, r := range []struct {
+		name    string
+		op      byte
+		payload []byte
+		call    func(tc trace.Context) error
+	}{
+		{"Get", OpGet, appendU64(nil, 5), func(trace.Context) error { _, _, err := cli.Get(5); return err }},
+		{"Put", OpPut, appendU64(appendU64(nil, 5), 6), func(trace.Context) error { _, err := cli.Put(5, 6); return err }},
+		{"Del", OpDel, appendU64(nil, 5), func(trace.Context) error { _, err := cli.Del(5); return err }},
+		{"VGet", OpVGet, AppendVGetRequest(nil, 5),
+			func(tc trace.Context) error { _, _, _, err := cli.VGet(tc, 5); return err }},
+		{"Replicate", OpReplicate, AppendReplicatePayload(nil, 3, ents),
+			func(tc trace.Context) error { _, err := cli.Replicate(tc, 3, ents); return err }},
+		{"DigestRange", OpDigest, AppendDigestRequest(nil, 1, 100, 8, "peer"),
+			func(tc trace.Context) error { _, _, _, err := cli.DigestRange(tc, "peer", 1, 100, 8); return err }},
+	} {
+		untraced := AppendFrame(nil, Frame{Type: r.op, Payload: r.payload})
+		traced := AppendFrame(nil, Frame{Type: r.op, Payload: r.payload, Trace: tc})
+		if traced[3]&flagTraced == 0 || len(traced) != len(untraced)+trace.ContextSize {
+			t.Fatalf("%s: traced frame %x lacks the traced flag or the context prefix", r.name, traced)
+		}
+		calls := []struct {
+			how  string
+			send func() error
+			want []byte
+		}{
+			{"zero context", func() error { return r.call(trace.Context{}) }, untraced},
+			{"Send, zero context", func() error { return sent(trace.Context{}, r.op, r.payload) }, untraced},
+			{"Send, valid context", func() error { return sent(tc, r.op, r.payload) }, traced},
+		}
+		if r.op != OpGet && r.op != OpPut && r.op != OpDel {
+			calls = append(calls, struct {
+				how  string
+				send func() error
+				want []byte
+			}{"valid context", func() error { return r.call(tc) }, traced})
+		}
+		for _, c := range calls {
+			before := len(rs.recorded())
+			if err := c.send(); err != nil {
+				t.Fatalf("%s, %s: %v", r.name, c.how, err)
+			}
+			got := rs.recorded()
+			if len(got) != before+1 {
+				t.Fatalf("%s, %s: recorded %d frames, want 1", r.name, c.how, len(got)-before)
+			}
+			if !bytes.Equal(got[before], c.want) {
+				t.Errorf("%s, %s: request frame\n got: %x\nwant: %x", r.name, c.how, got[before], c.want)
+			}
+		}
 	}
 }

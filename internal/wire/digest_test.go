@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mccuckoo/internal/telemetry/trace"
 )
 
 // digestRand is a splitmix64 stream for seed-deterministic property tests.
@@ -161,7 +163,7 @@ func TestServerDigestRoundTrip(t *testing.T) {
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 
-	digest, count, keys, err := c.DigestRange("peer", 0, ^uint64(0), 16)
+	digest, count, keys, err := c.DigestRange(trace.Context{}, "peer", 0, ^uint64(0), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestServerDigestRequiresReplicatedStore(t *testing.T) {
 	_, addr, shutdown := startServer(t, newConcurrentTable(t, 1<<10), nil)
 	defer shutdown()
 	c := dialClient(t, addr, nil)
-	_, _, _, err := c.DigestRange("peer", 0, ^uint64(0), 0)
+	_, _, _, err := c.DigestRange(trace.Context{}, "peer", 0, ^uint64(0), 0)
 	var se *ServerError
 	if !errors.As(err, &se) || !strings.Contains(se.Msg, "not replicated") {
 		t.Fatalf("digest against a plain store: %v, want server error", err)

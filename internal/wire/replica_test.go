@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/telemetry/trace"
 )
 
 func newReplicated(t testing.TB, capacity int) *Replicated {
@@ -662,7 +663,7 @@ func TestServerVGetAndReplicate(t *testing.T) {
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 
-	statuses, err := c.Replicate(2, []Entry{
+	statuses, err := c.Replicate(trace.Context{}, 2, []Entry{
 		{Seq: 1, Op: OpPut, Key: 10, Value: 100},
 		{Seq: 2, Op: OpPut, Key: 20, Value: 200},
 	})
@@ -674,12 +675,12 @@ func TestServerVGetAndReplicate(t *testing.T) {
 			t.Fatalf("entry %d: status %d, want applied", i, st)
 		}
 	}
-	state, v, seq, err := c.VGet(10)
+	state, v, seq, err := c.VGet(trace.Context{}, 10)
 	if err != nil || state != VStateLive || v != 100 || seq != 1 {
 		t.Fatalf("VGet: state=%d v=%d seq=%d err=%v", state, v, seq, err)
 	}
 	// Stale push answers stale, and STATS carries the replica section.
-	statuses, err = c.Replicate(2, []Entry{{Seq: 1, Op: OpPut, Key: 10, Value: 1}})
+	statuses, err = c.Replicate(trace.Context{}, 2, []Entry{{Seq: 1, Op: OpPut, Key: 10, Value: 1}})
 	if err != nil || statuses[0] != ApplyStale {
 		t.Fatalf("stale push: statuses=%v err=%v", statuses, err)
 	}
@@ -701,10 +702,10 @@ func TestServerReplicationOpsNeedReplicatedStore(t *testing.T) {
 	defer shutdown()
 	c := dialClient(t, addr, nil)
 	var se *ServerError
-	if _, _, _, err := c.VGet(1); !errors.As(err, &se) {
+	if _, _, _, err := c.VGet(trace.Context{}, 1); !errors.As(err, &se) {
 		t.Fatalf("VGet on plain store: %v, want ServerError", err)
 	}
-	if _, err := c.Replicate(1, []Entry{{Seq: 1, Op: OpPut, Key: 1}}); !errors.As(err, &se) {
+	if _, err := c.Replicate(trace.Context{}, 1, []Entry{{Seq: 1, Op: OpPut, Key: 1}}); !errors.As(err, &se) {
 		t.Fatalf("Replicate on plain store: %v, want ServerError", err)
 	}
 }

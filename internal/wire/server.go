@@ -15,6 +15,7 @@ import (
 	"mccuckoo"
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/keep"
+	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
 )
 
@@ -795,40 +796,19 @@ func statsOf(store mccuckoo.Store) TableStats {
 // exposition, under the mccuckoo_server_ prefix. It complements (and is
 // mounted next to) the table telemetry exposition.
 func (s *Server) WritePrometheus(w io.Writer) error {
-	p := &serverPromWriter{w: w}
-	p.header("mccuckoo_server_requests_total", "Requests served, by opcode.", "counter")
+	p := telemetry.NewPromWriter(w)
+	p.Header("mccuckoo_server_requests_total", "Requests served, by opcode.", "counter")
 	for op := byte(OpGet); op <= OpDigest; op++ {
-		p.printf("mccuckoo_server_requests_total{op=%q} %d\n", OpName(op), s.ops[op].Load())
+		p.Int("mccuckoo_server_requests_total", telemetry.Label("op", OpName(op)), s.ops[op].Load())
 	}
-	p.simple("mccuckoo_server_subscriptions_active", "Op-log subscriptions currently streaming.", "gauge", s.subs.Load())
-	p.simple("mccuckoo_server_errors_total", "Requests answered with ERR.", "counter", s.errored.Load())
-	p.simple("mccuckoo_server_panics_total", "Request handlers recovered from a panic.", "counter", s.panics.Load())
-	p.simple("mccuckoo_server_bad_frames_total", "Connections dropped for protocol violations.", "counter", s.badFrames.Load())
-	p.simple("mccuckoo_server_connections_accepted_total", "Connections accepted.", "counter", s.accepted.Load())
-	p.simple("mccuckoo_server_connections_rejected_total", "Connections rejected at the MaxConns limit.", "counter", s.rejected.Load())
-	p.simple("mccuckoo_server_bytes_read_total", "Request bytes read from connections (frame overhead included).", "counter", s.bytesIn.Load())
-	p.simple("mccuckoo_server_bytes_written_total", "Response bytes written.", "counter", s.bytesOut.Load())
-	p.simple("mccuckoo_server_connections_active", "Connections currently served.", "gauge", s.active.Load())
-	return p.err
-}
-
-type serverPromWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (p *serverPromWriter) printf(format string, args ...any) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = fmt.Fprintf(p.w, format, args...)
-}
-
-func (p *serverPromWriter) header(name, help, typ string) {
-	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (p *serverPromWriter) simple(name, help, typ string, v int64) {
-	p.header(name, help, typ)
-	p.printf("%s %d\n", name, v)
+	p.Simple("mccuckoo_server_subscriptions_active", "Op-log subscriptions currently streaming.", "gauge", s.subs.Load())
+	p.Simple("mccuckoo_server_errors_total", "Requests answered with ERR.", "counter", s.errored.Load())
+	p.Simple("mccuckoo_server_panics_total", "Request handlers recovered from a panic.", "counter", s.panics.Load())
+	p.Simple("mccuckoo_server_bad_frames_total", "Connections dropped for protocol violations.", "counter", s.badFrames.Load())
+	p.Simple("mccuckoo_server_connections_accepted_total", "Connections accepted.", "counter", s.accepted.Load())
+	p.Simple("mccuckoo_server_connections_rejected_total", "Connections rejected at the MaxConns limit.", "counter", s.rejected.Load())
+	p.Simple("mccuckoo_server_bytes_read_total", "Request bytes read from connections (frame overhead included).", "counter", s.bytesIn.Load())
+	p.Simple("mccuckoo_server_bytes_written_total", "Response bytes written.", "counter", s.bytesOut.Load())
+	p.Simple("mccuckoo_server_connections_active", "Connections currently served.", "gauge", s.active.Load())
+	return p.Err()
 }

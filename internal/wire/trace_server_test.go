@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -17,11 +18,11 @@ func TestServerTracedSpans(t *testing.T) {
 	c := dialClient(t, addr, nil)
 
 	tc := trace.Context{TraceID: 0xfeed, SpanID: 31, Hop: 1, Flags: trace.FlagSampled}
-	if _, err := c.PutCtx(tc, 5, 50); err != nil {
+	if _, err := sendWait(c, tc, OpPut, appendU64(appendU64(nil, 5), 50)); err != nil {
 		t.Fatalf("traced put: %v", err)
 	}
-	if v, ok, err := c.GetCtx(tc, 5); err != nil || !ok || v != 50 {
-		t.Fatalf("traced get: %d %v %v", v, ok, err)
+	if resp, err := sendWait(c, tc, OpGet, appendU64(nil, 5)); err != nil || !bytes.Equal(resp, appendU64(appendU8(nil, 1), 50)) {
+		t.Fatalf("traced get: %x %v", resp, err)
 	}
 	// An untraced request on the same server records nothing.
 	if _, err := c.Put(6, 60); err != nil {
