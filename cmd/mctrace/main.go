@@ -43,7 +43,6 @@ import (
 
 	"mccuckoo/internal/bench"
 	"mccuckoo/internal/cluster"
-	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/memmodel"
 	"mccuckoo/internal/telemetry"
@@ -181,7 +180,7 @@ func runReplay(args []string, out io.Writer) error {
 
 	var sink *telemetry.Sink
 	if *metrics != "" {
-		sink = telemetry.New(telemetry.Options{})
+		sink = telemetry.New()
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			return fmt.Errorf("replay: -metrics: %w", err)
@@ -192,33 +191,35 @@ func runReplay(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	// The meter is snapshotted around every operation and the delta is
+	// The meter is snapshotted after every operation and the delta is
 	// credited to that operation's phase, so the summary can report the
 	// paper's per-op access counts separately for the insert and the query
-	// (lookup/delete) phases of the trace.
+	// (lookup/delete) phases of the trace. charge books one operation and
+	// returns its off-chip accesses for the telemetry record.
 	meter := tab.Meter()
 	var phases [3]memmodel.Meter
 	var counts [3]int
 	prev := meter.Snapshot()
+	charge := func(kind workload.OpKind) int64 {
+		cur := meter.Snapshot()
+		d := cur.Sub(prev)
+		prev = cur
+		phases[kind] = phases[kind].Add(d)
+		counts[kind]++
+		return d.OffChipReads + d.OffChipWrites
+	}
 
 	start := time.Now()
 	var hits, misses, failed int64
 	for i, op := range stream {
-		var (
-			opStart time.Time
-			ev      telemetry.Event
-		)
-		if sink != nil {
-			opStart = time.Now()
-			ev = telemetry.Event{Shard: -1, KeyHash: hashutil.Mix64(op.Key)}
-		}
+		opStart := sink.Start()
 		switch op.Kind {
 		case workload.OpInsert:
 			o := tab.Insert(op.Key, op.Key)
 			if o.Status == kv.Failed {
 				failed++
 			}
-			ev.Op, ev.Status, ev.Kicks = telemetry.OpInsert, uint8(o.Status), int32(o.Kicks)
+			sink.RecordInsert(-1, op.Key, o, charge(op.Kind), opStart)
 		case workload.OpLookup:
 			_, ok := tab.Lookup(op.Key)
 			if ok {
@@ -226,28 +227,17 @@ func runReplay(args []string, out io.Writer) error {
 			} else {
 				misses++
 			}
-			ev.Op, ev.Hit = telemetry.OpLookup, ok
+			sink.RecordLookup(-1, op.Key, ok, charge(op.Kind), opStart)
 		case workload.OpDelete:
-			ev.Op, ev.Hit = telemetry.OpDelete, tab.Delete(op.Key)
+			ok := tab.Delete(op.Key)
+			sink.RecordDelete(-1, op.Key, ok, charge(op.Kind), opStart)
 		}
-		cur := meter.Snapshot()
-		d := cur.Sub(prev)
-		prev = cur
-		phases[op.Kind] = phases[op.Kind].Add(d)
-		counts[op.Kind]++
-		if sink != nil {
-			ev.OffChip = d.OffChipReads + d.OffChipWrites
-			ev.Nanos = time.Since(opStart).Nanoseconds()
-			sink.Record(ev)
-			if (i+1)%gaugeSampleEvery == 0 {
-				sink.StoreGauges(replayGauges(tab))
-			}
+		if (i+1)%gaugeSampleEvery == 0 {
+			sink.SampleGauges(tab)
 		}
 	}
 	elapsed := time.Since(start)
-	if sink != nil {
-		sink.StoreGauges(replayGauges(tab))
-	}
+	sink.SampleGauges(tab)
 
 	st := tab.Stats()
 	m := tab.Meter().Snapshot()
@@ -408,31 +398,6 @@ func splitNodes(s string) []string {
 		}
 	}
 	return nodes
-}
-
-// replayGauges samples the table for the telemetry gauges. The kv.Table
-// interface covers the basics; the copy histogram and stash-flag density are
-// picked up when the scheme provides them (the McCuckoo tables do, the
-// baselines do not).
-func replayGauges(tab kv.Table) telemetry.Gauges {
-	g := telemetry.Gauges{
-		Items:     tab.Len(),
-		Capacity:  tab.Capacity(),
-		LoadRatio: tab.LoadRatio(),
-		StashLen:  tab.StashLen(),
-		Ops:       tab.Stats(),
-	}
-	if ch, ok := tab.(interface{ CopyHistogram() []int }); ok {
-		hist := ch.CopyHistogram()
-		g.CopyHist = make([]int64, len(hist))
-		for v, n := range hist {
-			g.CopyHist[v] = int64(n)
-		}
-	}
-	if sf, ok := tab.(interface{ StashFlagDensity() float64 }); ok {
-		g.StashFlagDensity = sf.StashFlagDensity()
-	}
-	return g
 }
 
 func perOp(n int64, ops int) float64 {

@@ -14,8 +14,6 @@ func (p *peer) Send(payload []byte) error { return nil }
 
 func (p *peer) SendCtx(tc trace.Context, payload []byte) error { return nil } // want `trace context parameter tc is never used`
 
-func (p *peer) Ping() error { return nil }
-
 // threaded is the accepted idiom: the received context reaches the
 // outbound Ctx call.
 func (c *client) threaded(p *peer, tc trace.Context, payload []byte) error {
@@ -23,40 +21,21 @@ func (c *client) threaded(p *peer, tc trace.Context, payload []byte) error {
 }
 
 func (c *client) dropped(p *peer, tc trace.Context, payload []byte) error { // want `trace context parameter tc is never used`
-	return p.Send(payload) // want `calls p\.Send while a trace context is in scope`
+	return p.Send(payload)
 }
 
-// explicitDrop declares it holds no context; the non-Ctx call is its
+// explicitDrop declares it holds no context; the untraced call is its
 // intent.
 func (c *client) explicitDrop(p *peer, _ trace.Context, payload []byte) error {
 	return p.Send(payload)
 }
 
-// untraced never materializes a trace value, so the plain Send is out of
-// scope by construction (the deliberately untraced bulk path).
-func (c *client) untraced(p *peer, payload []byte) error {
-	return p.Send(payload)
-}
-
-func (c *client) spanScoped(p *peer, payload []byte) error {
-	root := c.tr.Start(c.tr.Begin(), trace.KindClientOp)
-	defer root.Finish()
-	return p.Send(payload) // want `calls p\.Send while a trace context is in scope`
-}
-
-// spanThreaded is the traced fan-out shape: span context into the Ctx
-// variant, span finished.
+// spanThreaded is the traced fan-out shape: span context threaded into the
+// outbound call, span finished.
 func (c *client) spanThreaded(p *peer, payload []byte) error {
 	root := c.tr.Start(c.tr.Begin(), trace.KindClientOp)
 	defer root.Finish()
 	return p.SendCtx(root.Context(), payload)
-}
-
-// allowedUntraced is the escape hatch: trace in scope, plain call excused.
-func (c *client) allowedUntraced(p *peer, tc trace.Context, payload []byte) error {
-	_ = tc
-	//mcvet:allow tracepropagation fixture: background path is deliberately untraced
-	return p.Send(payload)
 }
 
 func (c *client) discards() {

@@ -1,25 +1,20 @@
 // Package tracepropagation keeps the distributed-tracing tier honest: a
 // span tree is only as complete as its weakest hop, and a single call site
 // that drops the 16-byte context silently truncates every trace that flows
-// through it. Three rules, all scoped to code where a trace value is
+// through it. Two rules, both scoped to code where a trace value is
 // actually present so untraced fast paths stay untouched:
 //
 //   - A trace.Context parameter that is never used is a dropped context:
 //     the caller paid to propagate it and this function silently discards
 //     it. Rename the parameter to _ (an explicit drop) or thread it.
-//   - In a function with a trace context or span in scope (a parameter, or
-//     a span/context obtained from a call), calling a method M on a value
-//     whose type also has M+"Ctx" drops the context at the wire boundary —
-//     the traced variant exists and was not used.
 //   - A span returned by Start/StartChild/StartForced must reach a sink:
 //     a Finish/FinishForced call, a return, or a handoff as a call
 //     argument. A discarded span is recorded as begun and never completed,
 //     which reads as a lost hop in every trace it belongs to.
 //
-// Deliberately untraced paths (bulk replication, background loops) either
-// never materialize a trace value — out of scope by construction — or
-// carry an //mcvet:allow tracepropagation with the reason. The trace
-// package itself is exempt: it is the machinery these rules protect.
+// Deliberately untraced paths (bulk replication, background loops) never
+// materialize a trace value, so they are out of scope by construction. The
+// trace package itself is exempt: it is the machinery these rules protect.
 package tracepropagation
 
 import (
@@ -33,7 +28,7 @@ import (
 // Analyzer is the tracepropagation check.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracepropagation",
-	Doc:  "trace contexts must be threaded into *Ctx calls and spans must reach Finish",
+	Doc:  "trace context parameters must be used and spans must reach Finish",
 	Run:  run,
 }
 
@@ -49,9 +44,6 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			checkDroppedParams(pass, fn)
-			if traceInScope(pass, fn) {
-				checkCtxSiblings(pass, fn)
-			}
 			checkSpanSinks(pass, fn, parents)
 		}
 	}
@@ -77,63 +69,6 @@ func checkDroppedParams(pass *analysis.Pass, fn *ast.FuncDecl) {
 			pass.Reportf(name.Pos(), "trace context parameter %s is never used: thread it into the outbound calls or rename it to _ as an explicit drop", name.Name)
 		}
 	}
-}
-
-// traceInScope reports whether fn has a trace value in hand: a
-// context/span parameter, or a span/context obtained from a call in the
-// body. Composite literals (an explicit zero context) do not count.
-func traceInScope(pass *analysis.Pass, fn *ast.FuncDecl) bool {
-	for _, field := range fn.Type.Params.List {
-		t := pass.TypesInfo.TypeOf(field.Type)
-		if !isTraceType(t, "Context") && !isTraceType(t, "Span") {
-			continue
-		}
-		// A parameter named _ is an explicit drop: the function declared it
-		// holds no context, so non-Ctx calls are its intent.
-		for _, name := range field.Names {
-			if name.Name != "_" {
-				return true
-			}
-		}
-	}
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if t := pass.TypesInfo.TypeOf(call); isTraceType(t, "Span") || isTraceType(t, "Context") {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// checkCtxSiblings flags calls to a method M whose receiver also offers
-// M+"Ctx" — the traced variant exists and the in-scope context was not
-// threaded into it.
-func checkCtxSiblings(pass *analysis.Pass, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selection := pass.TypesInfo.Selections[sel]
-		if selection == nil || selection.Kind() != types.MethodVal {
-			return true
-		}
-		name := sel.Sel.Name
-		sibling, _, _ := types.LookupFieldOrMethod(selection.Recv(), true, pass.Pkg, name+"Ctx")
-		if f, ok := sibling.(*types.Func); ok && f != nil {
-			pass.Reportf(call.Pos(), "calls %s.%s while a trace context is in scope; thread it through %sCtx", analysis.ExprString(sel.X), name, name)
-		}
-		return true
-	})
 }
 
 // checkSpanSinks flags spans that never reach a Finish, return, or

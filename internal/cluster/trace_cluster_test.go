@@ -46,7 +46,7 @@ func TestTracedClusterScrapeUnderTraffic(t *testing.T) {
 	recs := make([]*trace.Recorder, 3)
 	nodes := make([]*testNode, 3)
 	for i, addr := range addrs {
-		recs[i] = trace.New(trace.Options{Capacity: 1 << 12, Sample: 1})
+		recs[i] = trace.New(trace.Options{Sample: 1})
 		nodes[i] = startTestNode(t, addr, addrs, nodeOpts{trace: recs[i]})
 	}
 	defer func() {
@@ -55,7 +55,7 @@ func TestTracedClusterScrapeUnderTraffic(t *testing.T) {
 		}
 	}()
 
-	ctr := trace.New(trace.Options{Capacity: 1 << 12, Sample: 1})
+	ctr := trace.New(trace.Options{Sample: 1})
 	c, err := New(Config{
 		Nodes:       addrs,
 		Replicas:    2,

@@ -2,20 +2,15 @@ package core
 
 import "mccuckoo/internal/hashutil"
 
-// LookupReadOnly answers a lookup without mutating any table state — no
-// meter charges, no stats. It applies exactly the same principles as Lookup
-// and exists so that many readers can run in parallel under a read lock
-// (see internal/shard). Property tests assert it always agrees with Lookup.
-func (t *Table) LookupReadOnly(key uint64) (uint64, bool) {
-	v, ok, _ := t.LookupReadOnlyTraced(key)
-	return v, ok
-}
-
-// LookupReadOnlyTraced is LookupReadOnly additionally reporting the off-chip
-// reads the lookup would have charged to the meter (bucket reads plus stash
-// group probes). The count feeds the telemetry off-chip-accesses-per-lookup
-// histograms from the concurrent read path, where the shared meter cannot be
-// touched; it matches what Lookup charges for the same table state.
+// LookupReadOnlyTraced answers a lookup without mutating any table state —
+// no meter charges, no stats — and reports the off-chip reads the lookup
+// would have charged to the meter (bucket reads plus stash group probes).
+// It applies exactly the same principles as Lookup and exists so that many
+// readers can run in parallel under a read lock (see internal/shard);
+// property tests assert it always agrees with Lookup. The count feeds the
+// telemetry off-chip-accesses-per-lookup histograms from that concurrent
+// read path, where the shared meter cannot be touched; it matches what
+// Lookup charges for the same table state.
 func (t *Table) LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offReads int64) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
@@ -79,12 +74,6 @@ func (t *Table) LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offRead
 		}
 	}
 	return 0, false, offReads
-}
-
-// LookupReadOnly is the blocked-table counterpart of Table.LookupReadOnly.
-func (t *BlockedTable) LookupReadOnly(key uint64) (uint64, bool) {
-	v, ok, _ := t.LookupReadOnlyTraced(key)
-	return v, ok
 }
 
 // LookupReadOnlyTraced is the blocked-table counterpart of

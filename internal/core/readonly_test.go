@@ -22,7 +22,7 @@ func TestReadOnlyLookupAgreesWithLookup(t *testing.T) {
 		case 3:
 			tab.Delete(key)
 		case 4:
-			v1, ok1 := tab.LookupReadOnly(key)
+			v1, ok1, _ := tab.LookupReadOnlyTraced(key)
 			v2, ok2 := tab.Lookup(key)
 			if ok1 != ok2 || (ok1 && v1 != v2) {
 				t.Fatalf("op %d: read-only (%d,%v) vs lookup (%d,%v)", i, v1, ok1, v2, ok2)
@@ -44,7 +44,7 @@ func TestBlockedReadOnlyLookupAgrees(t *testing.T) {
 		case 3:
 			tab.Delete(key)
 		case 4:
-			v1, ok1 := tab.LookupReadOnly(key)
+			v1, ok1, _ := tab.LookupReadOnlyTraced(key)
 			v2, ok2 := tab.Lookup(key)
 			if ok1 != ok2 || (ok1 && v1 != v2) {
 				t.Fatalf("op %d: read-only (%d,%v) vs lookup (%d,%v)", i, v1, ok1, v2, ok2)

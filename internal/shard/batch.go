@@ -1,10 +1,10 @@
 package shard
 
 import (
-	"mccuckoo/internal/hashutil"
+	"time"
+
 	"mccuckoo/internal/keep"
 	"mccuckoo/internal/kv"
-	"mccuckoo/internal/telemetry"
 )
 
 // Batched operations amortize lock traffic: keys are bucket-sorted by
@@ -25,8 +25,9 @@ import (
 // Telemetry: when a sink is attached, every batched key is recorded as its
 // own event (kind, outcome, off-chip accesses, shard) so the histograms and
 // the flight recorder see batched traffic exactly like single-op traffic.
-// Batched events carry Nanos == 0 — individual keys inside a batch are not
-// timed, so they contribute to every histogram except latency.
+// Batched keys are recorded with the zero start time, so their events carry
+// Nanos == 0 — individual keys inside a batch are not timed, and they
+// contribute to every histogram except latency.
 
 // groupInts is the length of a pooled grouping buffer: the keep bound's
 // worth of int32s.
@@ -123,24 +124,18 @@ func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(
 	if len(keys) == 0 {
 		return
 	}
+	sink := s.sink
 	if len(keys) == 1 {
 		si := s.shardIndex(keys[0])
 		sh := &s.shards[si]
 		sh.batchWriteOps.Add(1)
 		sh.batchWriteAcqs.Add(1)
 		sh.mu.Lock()
-		var before int64
-		if s.sink != nil {
-			before = offTotal(sh.tab.Meter())
-		}
+		before := sink.OffChip(sh.meter)
 		o := sh.tab.Insert(keys[0], values[0])
-		if s.sink != nil {
-			off := offTotal(sh.tab.Meter()) - before
-			sh.mu.Unlock()
-			s.recordInsert(si, keys[0], o, off)
-		} else {
-			sh.mu.Unlock()
-		}
+		off := sink.OffChip(sh.meter) - before
+		sh.mu.Unlock()
+		sink.RecordInsert(si, keys[0], o, off, time.Time{})
 		if out != nil {
 			out[0] = conv(o)
 		}
@@ -157,23 +152,10 @@ func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(
 		sh.batchWriteOps.Add(int64(hi - lo))
 		sh.batchWriteAcqs.Add(1)
 		sh.mu.Lock()
-		if s.sink == nil {
-			for _, i := range order[lo:hi] {
-				o := sh.tab.Insert(keys[i], values[i])
-				if out != nil {
-					out[i] = conv(o)
-				}
-			}
-			sh.mu.Unlock()
-			continue
-		}
-		//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
-		m := sh.tab.Meter()
 		for _, i := range order[lo:hi] {
-			before := offTotal(m)
-			//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
+			before := sink.OffChip(sh.meter)
 			o := sh.tab.Insert(keys[i], values[i])
-			s.recordInsert(shi, keys[i], o, offTotal(m)-before)
+			sink.RecordInsert(shi, keys[i], o, sink.OffChip(sh.meter)-before, time.Time{})
 			if out != nil {
 				out[i] = conv(o)
 			}
@@ -181,14 +163,6 @@ func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(
 		sh.mu.Unlock()
 	}
 	s.release(buf)
-}
-
-// recordInsert emits one batched-insert telemetry event.
-func (s *Sharded) recordInsert(shard int, key uint64, o kv.Outcome, off int64) {
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(o.Status), Shard: int32(shard),
-		Kicks: int32(o.Kicks), OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }
 
 // LookupBatch answers every key, taking each touched shard's read lock
@@ -211,23 +185,20 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 	if len(keys) == 0 {
 		return
 	}
+	sink := s.sink
 	if len(keys) == 1 {
 		si := s.shardIndex(keys[0])
 		sh := &s.shards[si]
 		sh.batchLookups.Add(1)
 		sh.batchReadAcqs.Add(1)
-		var off int64
 		sh.mu.RLock()
-		if s.sink != nil {
-			values[0], found[0], off = sh.tab.LookupReadOnlyTraced(keys[0])
-		} else {
-			values[0], found[0] = sh.tab.LookupReadOnly(keys[0])
-		}
+		v, ok, off := sh.tab.LookupReadOnlyTraced(keys[0])
 		sh.mu.RUnlock()
-		if found[0] {
+		values[0], found[0] = v, ok
+		if ok {
 			sh.hits.Add(1)
 		}
-		s.recordLookup(si, keys[0], found[0], off)
+		sink.RecordLookup(si, keys[0], ok, off, time.Time{})
 		return
 	}
 	buf := s.scratch(2*len(keys) + 2*len(s.shards) + 1)
@@ -243,14 +214,10 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		hits := int64(0)
 		sh.mu.RLock()
 		for _, i := range order[lo:hi] {
-			if s.sink != nil {
-				var off int64
-				values[i], found[i], off = sh.tab.LookupReadOnlyTraced(keys[i])
-				s.recordLookup(shi, keys[i], found[i], off)
-			} else {
-				values[i], found[i] = sh.tab.LookupReadOnly(keys[i])
-			}
-			if found[i] {
+			v, ok, off := sh.tab.LookupReadOnlyTraced(keys[i])
+			sink.RecordLookup(shi, keys[i], ok, off, time.Time{})
+			values[i], found[i] = v, ok
+			if ok {
 				hits++
 			}
 		}
@@ -258,18 +225,6 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		sh.hits.Add(hits)
 	}
 	s.release(buf)
-}
-
-// recordLookup emits one batched-lookup telemetry event (no-op when no sink
-// is attached).
-func (s *Sharded) recordLookup(shard int, key uint64, hit bool, off int64) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpLookup, Hit: hit, Shard: int32(shard),
-		OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }
 
 // DeleteBatch removes every key, taking each touched shard's write lock
@@ -291,24 +246,18 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 	if len(keys) == 0 {
 		return
 	}
+	sink := s.sink
 	if len(keys) == 1 {
 		si := s.shardIndex(keys[0])
 		sh := &s.shards[si]
 		sh.batchWriteOps.Add(1)
 		sh.batchWriteAcqs.Add(1)
 		sh.mu.Lock()
-		var before int64
-		if s.sink != nil {
-			before = offTotal(sh.tab.Meter())
-		}
+		before := sink.OffChip(sh.meter)
 		ok := sh.tab.Delete(keys[0])
-		if s.sink != nil {
-			off := offTotal(sh.tab.Meter()) - before
-			sh.mu.Unlock()
-			s.recordDelete(si, keys[0], ok, off)
-		} else {
-			sh.mu.Unlock()
-		}
+		off := sink.OffChip(sh.meter) - before
+		sh.mu.Unlock()
+		sink.RecordDelete(si, keys[0], ok, off, time.Time{})
 		if removed != nil {
 			removed[0] = ok
 		}
@@ -325,23 +274,10 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 		sh.batchWriteOps.Add(int64(hi - lo))
 		sh.batchWriteAcqs.Add(1)
 		sh.mu.Lock()
-		if s.sink == nil {
-			for _, i := range order[lo:hi] {
-				ok := sh.tab.Delete(keys[i])
-				if removed != nil {
-					removed[i] = ok
-				}
-			}
-			sh.mu.Unlock()
-			continue
-		}
-		//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
-		m := sh.tab.Meter()
 		for _, i := range order[lo:hi] {
-			before := offTotal(m)
-			//mcvet:allow lockdiscipline still locked here; the sink==nil branch above unlocks and continues
+			before := sink.OffChip(sh.meter)
 			ok := sh.tab.Delete(keys[i])
-			s.recordDelete(shi, keys[i], ok, offTotal(m)-before)
+			sink.RecordDelete(shi, keys[i], ok, sink.OffChip(sh.meter)-before, time.Time{})
 			if removed != nil {
 				removed[i] = ok
 			}
@@ -349,12 +285,4 @@ func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
 		sh.mu.Unlock()
 	}
 	s.release(buf)
-}
-
-// recordDelete emits one batched-delete telemetry event.
-func (s *Sharded) recordDelete(shard int, key uint64, removed bool, off int64) {
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpDelete, Hit: removed, Shard: int32(shard),
-		OffChip: off, KeyHash: hashutil.Mix64(key),
-	})
 }

@@ -25,7 +25,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/hashutil"
@@ -35,16 +34,15 @@ import (
 )
 
 // Inner is the table one shard wraps: a single-writer table exposing the
-// pure read-only lookup path (so readers can run under the shard's read
-// lock), its traced variant and the observability gauges (so telemetry can
-// be fed from inside the critical sections), exactly-once iteration,
+// pure read-only lookup path, which counts its off-chip reads without
+// touching the meter (so readers can run under the shard's read lock and
+// still feed telemetry), the observability gauges, exactly-once iteration,
 // capacity growth, derived-state repair, and snapshot serialization with
 // the core kind byte that names its loader. Both core.Table and
 // core.BlockedTable satisfy it.
 type Inner interface {
 	kv.Table
 	Kind() uint8
-	LookupReadOnly(key uint64) (uint64, bool)
 	LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offReads int64)
 	CopyHistogram() []int
 	StashFlags() (set, total int)
@@ -69,6 +67,11 @@ type state struct {
 	//
 	//mcvet:guardedby mu
 	tab Inner
+	// meter is tab's meter, cached by New so that recording an operation
+	// reads it without a call through tab. The pointer never changes (Grow
+	// and Repair rebuild a core table in place); the counts behind it are
+	// written under mu's write lock.
+	meter *memmodel.Meter
 
 	// Read-path counters, updated atomically so readers need no extra
 	// synchronization. The single-op mutation path needs no counters at
@@ -107,9 +110,9 @@ type Sharded struct {
 	// batch-sized buffer is parked.
 	scratchPool sync.Pool
 
-	// sink, when non-nil, receives one telemetry event per operation. The
-	// nil check is the whole disabled path: no timing, no meter snapshots,
-	// no allocation (see BenchmarkTelemetryDisabled*).
+	// sink, when non-nil, receives one telemetry event per operation. Its
+	// recording calls inline to nil checks, so the disabled path reads no
+	// clock and allocates nothing (see BenchmarkTelemetryDisabled*).
 	sink *telemetry.Sink
 }
 
@@ -138,6 +141,7 @@ func New(shards int, seed uint64, build func(shard int) (Inner, error)) (*Sharde
 			return nil, fmt.Errorf("shard: build returned nil table for shard %d", i)
 		}
 		s.shards[i].tab = tab //mcvet:allow lockdiscipline construction precedes publication; no reader can hold a shard lock yet
+		s.shards[i].meter = tab.Meter()
 	}
 	return s, nil
 }
@@ -166,36 +170,20 @@ func (s *Sharded) shardFor(key uint64) *state {
 // by design, to keep the per-op check a plain load). A nil sink detaches.
 func (s *Sharded) AttachTelemetry(sink *telemetry.Sink) { s.sink = sink }
 
-// offTotal reads the inner table's accumulated off-chip accesses. Callers
-// must hold the shard's write lock (the meter is not atomic).
-//
-//mcvet:hotpath
-func offTotal(m *memmodel.Meter) int64 { return m.OffChipReads + m.OffChipWrites }
-
 // Insert stores key/value under the owning shard's write lock.
 //
 //mcvet:hotpath
 func (s *Sharded) Insert(key, value uint64) kv.Outcome {
 	si := s.shardIndex(key)
 	sh := &s.shards[si]
-	if s.sink == nil {
-		sh.mu.Lock()
-		out := sh.tab.Insert(key, value)
-		sh.mu.Unlock()
-		return out
-	}
-	start := time.Now()
+	sink := s.sink
+	start := sink.Start()
 	sh.mu.Lock()
-	m := sh.tab.Meter()
-	before := offTotal(m)
+	before := sink.OffChip(sh.meter)
 	out := sh.tab.Insert(key, value)
-	off := offTotal(m) - before
+	off := sink.OffChip(sh.meter) - before
 	sh.mu.Unlock()
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(out.Status), Shard: int32(si),
-		Kicks: int32(out.Kicks), OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordInsert(si, key, out, off, start)
 	return out
 }
 
@@ -206,24 +194,13 @@ func (s *Sharded) Insert(key, value uint64) kv.Outcome {
 func (s *Sharded) InsertPathwise(key, value uint64) kv.Outcome {
 	si := s.shardIndex(key)
 	sh := &s.shards[si]
+	sink := s.sink
+	start := sink.Start()
+	before := sink.OffChipLocked(&sh.mu, sh.meter)
 	//mcvet:allow lockdiscipline tab is write-once at construction; InsertPathwise takes mu around every stage
-	tab := sh.tab
-	if s.sink == nil {
-		return core.InsertPathwise(&sh.mu, tab, key, value)
-	}
-	start := time.Now()
-	sh.mu.Lock()
-	before := offTotal(sh.tab.Meter())
-	sh.mu.Unlock()
-	out := core.InsertPathwise(&sh.mu, tab, key, value)
-	sh.mu.Lock()
-	off := offTotal(sh.tab.Meter()) - before
-	sh.mu.Unlock()
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(out.Status), Shard: int32(si),
-		Kicks: int32(out.Kicks), OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	out := core.InsertPathwise(&sh.mu, sh.tab, key, value)
+	off := sink.OffChipLocked(&sh.mu, sh.meter) - before
+	sink.RecordInsert(si, key, out, off, start)
 	return out
 }
 
@@ -235,17 +212,8 @@ func (s *Sharded) InsertPathwise(key, value uint64) kv.Outcome {
 func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 	si := s.shardIndex(key)
 	sh := &s.shards[si]
-	if s.sink == nil {
-		sh.singleLookups.Add(1)
-		sh.mu.RLock()
-		v, ok := sh.tab.LookupReadOnly(key)
-		sh.mu.RUnlock()
-		if ok {
-			sh.hits.Add(1)
-		}
-		return v, ok
-	}
-	start := time.Now()
+	sink := s.sink
+	start := sink.Start()
 	sh.singleLookups.Add(1)
 	sh.mu.RLock()
 	v, ok, off := sh.tab.LookupReadOnlyTraced(key)
@@ -253,11 +221,7 @@ func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 	if ok {
 		sh.hits.Add(1)
 	}
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpLookup, Hit: ok, Shard: int32(si),
-		OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordLookup(si, key, ok, off, start)
 	return v, ok
 }
 
@@ -267,24 +231,14 @@ func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 func (s *Sharded) Delete(key uint64) bool {
 	si := s.shardIndex(key)
 	sh := &s.shards[si]
-	if s.sink == nil {
-		sh.mu.Lock()
-		ok := sh.tab.Delete(key)
-		sh.mu.Unlock()
-		return ok
-	}
-	start := time.Now()
+	sink := s.sink
+	start := sink.Start()
 	sh.mu.Lock()
-	m := sh.tab.Meter()
-	before := offTotal(m)
+	before := sink.OffChip(sh.meter)
 	ok := sh.tab.Delete(key)
-	off := offTotal(m) - before
+	off := sink.OffChip(sh.meter) - before
 	sh.mu.Unlock()
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpDelete, Hit: ok, Shard: int32(si),
-		OffChip: off, Nanos: int64(time.Since(start)),
-		KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordDelete(si, key, ok, off, start)
 	return ok
 }
 
@@ -335,8 +289,8 @@ func (s *Sharded) StashLen() int {
 }
 
 // Stats merges the writer-side stats of every shard with the atomically
-// counted concurrent lookups (the read path goes through LookupReadOnly,
-// which by design charges no inner stats).
+// counted concurrent lookups (the read path goes through
+// LookupReadOnlyTraced, which by design charges no inner stats).
 func (s *Sharded) Stats() kv.Stats {
 	var total kv.Stats
 	for i := range s.shards {
@@ -444,31 +398,17 @@ func (s *Sharded) StashFlagDensity() float64 {
 	return float64(set) / float64(total)
 }
 
-// Gauges assembles the telemetry gauge snapshot: aggregate population and
-// load, stash state, the copy-count distribution, the shard-balance extremes,
-// and the merged lifetime stats, with the full per-shard breakdown as
-// Detail. It is safe for concurrent use (everything is read under the shard
-// locks) and is what NewSharded registers as the sink's live gauge source.
+// Gauges assembles the telemetry gauge snapshot: telemetry.GaugesOf the
+// whole table (population, load, stash state, the merged copy-count
+// distribution and lifetime stats) plus the shard count, the shard-balance
+// extremes, and the full per-shard breakdown as Detail. It is safe for
+// concurrent use (everything is read under the shard locks) and is what
+// NewSharded registers as the sink's live gauge source.
 func (s *Sharded) Gauges() telemetry.Gauges {
 	st := s.ShardStats()
-	hist := s.CopyHistogram()
-	copyHist := make([]int64, len(hist))
-	for v, n := range hist {
-		copyHist[v] = int64(n)
-	}
-	return telemetry.Gauges{
-		Items:            st.Items,
-		Capacity:         st.Capacity,
-		LoadRatio:        st.LoadRatio,
-		StashLen:         st.StashLen,
-		StashFlagDensity: s.StashFlagDensity(),
-		CopyHist:         copyHist,
-		Shards:           len(s.shards),
-		MinShardLoad:     st.MinLoad,
-		MaxShardLoad:     st.MaxLoad,
-		Ops:              s.Stats(),
-		Detail:           st,
-	}
+	g := telemetry.GaugesOf(s)
+	g.Shards, g.MinShardLoad, g.MaxShardLoad, g.Detail = len(s.shards), st.MinLoad, st.MaxLoad, st
+	return g
 }
 
 // Meter returns the element-wise sum of all shard meters, refreshed at call

@@ -25,7 +25,7 @@ type ShardStat struct {
 	// locking keeps short and local.
 	Ops kv.Stats `json:"ops"`
 
-	// Lookups/Hits count the concurrent read path (LookupReadOnly runs
+	// Lookups/Hits count the concurrent read path (LookupReadOnlyTraced runs
 	// stat-free inside the table, so the shard counts it here).
 	Lookups int64 `json:"lookups"`
 	Hits    int64 `json:"hits"`

@@ -19,7 +19,7 @@ import (
 // recorder are data-race-free against real traffic.
 func TestTelemetryConcurrentScrape(t *testing.T) {
 	s := newSharded(t, 8, 256, 21)
-	sink := telemetry.New(telemetry.Options{EventBuffer: 256})
+	sink := telemetry.New()
 	s.AttachTelemetry(sink)
 	sink.SetGaugeSource(s.Gauges)
 
@@ -201,5 +201,28 @@ func TestCopyHistogramMerged(t *testing.T) {
 	}
 	if want := s.Len() - s.StashLen(); total != want {
 		t.Fatalf("copy histogram sums to %d items, want %d (main-table items)", total, want)
+	}
+}
+
+// TestCachedMeterSurvivesGrowAndRepair: every shard's cached meter pointer
+// is still its table's meter after Grow and Repair rebuild the table in
+// place, so recorded off-chip costs keep counting.
+func TestCachedMeterSurvivesGrowAndRepair(t *testing.T) {
+	s := newSharded(t, 4, 64, 3)
+	for k := uint64(1); k <= 300; k++ {
+		s.Insert(k, k)
+	}
+	if err := s.Grow(2); err != nil {
+		t.Fatal(err)
+	}
+	s.Repair()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		same := sh.meter == sh.tab.Meter()
+		sh.mu.RUnlock()
+		if !same {
+			t.Fatalf("shard %d: cached meter is not its table's after Grow and Repair", i)
+		}
 	}
 }

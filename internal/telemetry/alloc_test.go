@@ -1,13 +1,16 @@
 package telemetry_test
 
-// The disabled-path guarantee: a table without telemetry pays one nil check
-// per operation and allocates nothing. TestDisabledPathZeroAlloc asserts it
-// with testing.AllocsPerRun; the BenchmarkTelemetry* pair keeps the
-// enabled-path overhead measurable (ci.sh runs them as a smoke).
+// The allocation guarantees: a table without telemetry pays an inlined nil
+// check per recording call and allocates nothing, and a table with
+// telemetry allocates nothing to record either. TestDisabledPathZeroAlloc
+// and its siblings assert both with testing.AllocsPerRun for the lock
+// layer and the single-writer tables; the BenchmarkTelemetry* pair keeps
+// the enabled-path overhead measurable (ci.sh runs them as a smoke).
 
 import (
 	"testing"
 
+	"mccuckoo"
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/shard"
@@ -37,23 +40,86 @@ func populate(s *shard.Sharded, n int) {
 	}
 }
 
-func TestDisabledPathZeroAlloc(t *testing.T) {
-	s := newSharded(t, 4, 512, 11)
+// lockLayerAllocs returns the average allocations of one round of every
+// lock-layer operation against a populated table: the point operations and
+// the one-key batches. Batches over several shards record through the same
+// calls, but their grouping buffer comes from a sync.Pool, which drops
+// buffers at random under -race; TestSmallBatchZeroAlloc covers it.
+func lockLayerAllocs(s *shard.Sharded) float64 {
 	populate(s, 3000)
-
-	if got := testing.AllocsPerRun(200, func() {
+	key, value, found := []uint64{778}, make([]uint64, 1), make([]bool, 1)
+	return testing.AllocsPerRun(200, func() {
 		s.Lookup(1234)        // positive
 		s.Lookup(99_999_999)  // negative
 		s.Insert(777, 1)      // update of a live key
 		s.Delete(123_456_789) // miss
-	}); got != 0 {
-		t.Fatalf("disabled telemetry single-op path allocates %v allocs/op, want 0", got)
+		s.InsertBatchInto(key, key, nil)
+		s.LookupBatchInto(key, value, found)
+		s.DeleteBatchInto(key, nil)
+	})
+}
+
+func TestDisabledPathZeroAlloc(t *testing.T) {
+	if got := lockLayerAllocs(newSharded(t, 4, 512, 11)); got != 0 {
+		t.Fatalf("disabled telemetry lock-layer path allocates %v allocs/op, want 0", got)
+	}
+}
+
+// TestEnabledPathZeroAlloc: with a sink attached, the lock layer records
+// every operation without allocating — the event is a value and the ring's
+// slots are preallocated.
+func TestEnabledPathZeroAlloc(t *testing.T) {
+	s := newSharded(t, 4, 512, 11)
+	sink := telemetry.New()
+	s.AttachTelemetry(sink)
+	if got := lockLayerAllocs(s); got != 0 {
+		t.Fatalf("enabled telemetry lock-layer path allocates %v allocs/op, want 0", got)
+	}
+	if len(sink.Events()) == 0 {
+		t.Fatal("flight recorder empty")
+	}
+}
+
+// TestSingleWriterZeroAlloc: the bare Table and Blocked point operations
+// allocate nothing, with or without telemetry attached.
+func TestSingleWriterZeroAlloc(t *testing.T) {
+	type single interface {
+		Insert(key, value uint64) mccuckoo.InsertResult
+		Lookup(key uint64) (uint64, bool)
+		Delete(key uint64) bool
+	}
+	build := map[string]func(opts ...mccuckoo.Option) (single, error){
+		"table":   func(opts ...mccuckoo.Option) (single, error) { return mccuckoo.New(4096, opts...) },
+		"blocked": func(opts ...mccuckoo.Option) (single, error) { return mccuckoo.NewBlocked(4096, opts...) },
+	}
+	for name, newTab := range build {
+		for _, tel := range []*mccuckoo.Telemetry{nil, mccuckoo.NewTelemetry()} {
+			var opts []mccuckoo.Option
+			if tel != nil {
+				opts = append(opts, mccuckoo.WithTelemetry(tel))
+			}
+			tab, err := newTab(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(1); k <= 3000; k++ {
+				tab.Insert(k, k)
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				tab.Lookup(1234)        // positive
+				tab.Lookup(99_999_999)  // negative
+				tab.Insert(777, 1)      // update of a live key
+				tab.Delete(123_456_789) // miss
+			}); got != 0 {
+				t.Errorf("%s with telemetry %v allocates %v allocs/op, want 0", name, tel != nil, got)
+			}
+		}
 	}
 }
 
 func TestEnabledPathRecords(t *testing.T) {
 	s := newSharded(t, 4, 512, 11)
-	sink := telemetry.New(telemetry.Options{EventBuffer: 64})
+	sink := telemetry.New()
 	s.AttachTelemetry(sink)
 	sink.SetGaugeSource(s.Gauges)
 	populate(s, 500)
@@ -100,7 +166,7 @@ func BenchmarkTelemetryDisabledLookup(b *testing.B) {
 
 func BenchmarkTelemetryEnabledLookup(b *testing.B) {
 	s := newSharded(b, 8, 2048, 5)
-	s.AttachTelemetry(telemetry.New(telemetry.Options{}))
+	s.AttachTelemetry(telemetry.New())
 	populate(s, 20_000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -122,7 +188,7 @@ func BenchmarkTelemetryDisabledInsertDelete(b *testing.B) {
 
 func BenchmarkTelemetryEnabledInsertDelete(b *testing.B) {
 	s := newSharded(b, 8, 2048, 5)
-	s.AttachTelemetry(telemetry.New(telemetry.Options{}))
+	s.AttachTelemetry(telemetry.New())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,116 +1,100 @@
 package telemetry
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
-// Ring is the flight recorder: a fixed-size lock-free ring holding the last
-// N operations. Writers claim a slot with one atomic increment and publish
-// through a per-slot sequence word (seqlock): the sequence goes odd while the
-// slot is being written and even when stable, and every event field is stored
-// in its own atomic word, so concurrent writers and snapshot readers never
-// race and a reader can detect (and discard) a slot it caught mid-write.
+// Ring is the flight recorder both recorders share: a fixed-size lock-free
+// ring holding the last N fixed-width records of uint64 words. The Sink
+// keeps its events in one (4 words each), trace.Recorder its spans (8
+// words each).
+//
+// Writers claim a slot with one atomic increment of the cursor and publish
+// through the slot's sequence word (seqlock): the writer moves the sequence
+// from even to odd with a compare-and-swap, stores the record, and makes it
+// even again. Every word is its own atomic, so writers and snapshot readers
+// never race, and a reader that sees the sequence odd or changed across its
+// loads drops the slot. The compare-and-swap makes writers of one slot take
+// turns: a writer that laps the ring while an earlier writer of the same
+// slot is still mid-record waits for it instead of interleaving stores with
+// it, so no reader ever sees a record built from two writers.
 //
 // The recorder exists for post-hoc debugging — "what were the last thousand
-// operations before the stall / the failure burst" — so it deliberately keeps
-// raw per-op records (kind, key hash, shard, kick count, off-chip accesses,
-// outcome, latency) rather than aggregates.
+// operations before the stall / the failure burst" — so it deliberately
+// keeps raw per-op records rather than aggregates.
 type Ring struct {
-	mask   uint64
+	width  int    // words per record
+	mask   uint64 // slots - 1
 	cursor atomic.Uint64
-	slots  []ringSlot
+	// words holds the slots back to back: slot i is its sequence word
+	// words[i*(width+1)] followed by its record's width words. A sequence of
+	// 0 marks a slot never written; odd, one mid-write.
+	words []atomic.Uint64
 }
 
-// ringSlot stores one packed event. seq even = stable, odd = mid-write; a
-// slot written w full wraps after a reader loaded seq is detected by the
-// seq re-check after the field loads.
-type ringSlot struct {
-	seq     atomic.Uint64
-	keyHash atomic.Uint64
-	nanos   atomic.Int64
-	offChip atomic.Int64
-	packed  atomic.Uint64 // kicks(32) | shard+1(18) | status(4) | op(3) | hit(1)
-}
-
-// newRing creates a ring with capacity rounded up to a power of two, minimum
-// 16.
-func newRing(n int) *Ring {
+// NewRing creates a ring of slots records of width words each, with slots
+// rounded up to a power of two, minimum 16.
+func NewRing(slots, width int) *Ring {
 	size := 16
-	for size < n {
+	for size < slots {
 		size <<= 1
 	}
-	return &Ring{mask: uint64(size - 1), slots: make([]ringSlot, size)}
+	return &Ring{width: width, mask: uint64(size - 1), words: make([]atomic.Uint64, size*(width+1))}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
+// Cap returns the ring capacity in records.
+func (r *Ring) Cap() int { return int(r.mask + 1) }
 
-func packEvent(e Event) uint64 {
-	var hit uint64
-	if e.Hit {
-		hit = 1
-	}
-	// Shard is stored as shard+1 in 18 bits so that -1 (unsharded) packs to
-	// 0 and the full MaxShards index range (0..65535) survives the round
-	// trip.
-	return uint64(uint32(e.Kicks))<<26 |
-		uint64(uint32(e.Shard+1)&0x3ffff)<<8 |
-		uint64(e.Status&0xf)<<4 |
-		uint64(e.Op&0x7)<<1 |
-		hit
+// slot returns record i's slot: its sequence word, then its record.
+func (r *Ring) slot(i uint64) []atomic.Uint64 {
+	at := int(i&r.mask) * (r.width + 1)
+	return r.words[at : at+r.width+1]
 }
 
-func unpackEvent(keyHash uint64, nanos, offChip int64, packed uint64) Event {
-	return Event{
-		Op:      Op(packed >> 1 & 0x7),
-		Status:  uint8(packed >> 4 & 0xf),
-		Hit:     packed&1 != 0,
-		Shard:   int32(packed>>8&0x3ffff) - 1,
-		Kicks:   int32(uint32(packed >> 26)),
-		OffChip: offChip,
-		Nanos:   nanos,
-		KeyHash: keyHash,
-	}
-}
-
-// add records one event. Multiple writers may add concurrently; each claims
-// a distinct slot unless the ring wraps a full lap mid-write, in which case
-// the later writer's sequence bumps make the torn slot detectable and a
-// snapshot drops it.
-func (r *Ring) add(e Event) {
-	i := r.cursor.Add(1) - 1
-	s := &r.slots[i&r.mask]
-	s.seq.Add(1) // odd: write in progress
-	s.keyHash.Store(e.KeyHash)
-	s.nanos.Store(e.Nanos)
-	s.offChip.Store(e.OffChip)
-	s.packed.Store(packEvent(e))
-	s.seq.Add(1) // even: stable
-}
-
-// Events returns the recorded operations, oldest first, skipping any slot
-// caught mid-write. The result holds at most Cap() events and fewer when the
-// ring has not filled or writers tore slots during the read.
-func (r *Ring) Events() []Event {
-	n := r.cursor.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]Event, 0, n-start)
-	for i := start; i < n; i++ {
-		s := &r.slots[i&r.mask]
-		seq := s.seq.Load()
-		if seq&1 != 0 {
-			continue // mid-write
+// Add records rec, which must hold exactly the ring's record width in
+// words. Any number of writers may add concurrently.
+//
+//mcvet:hotpath
+func (r *Ring) Add(rec []uint64) {
+	s := r.slot(r.cursor.Add(1) - 1)
+	for {
+		seq := s[0].Load()
+		if seq&1 == 0 && s[0].CompareAndSwap(seq, seq+1) {
+			break
 		}
-		keyHash := s.keyHash.Load()
-		nanos := s.nanos.Load()
-		offChip := s.offChip.Load()
-		packed := s.packed.Load()
-		if s.seq.Load() != seq {
+		runtime.Gosched() // a writer a full lap behind still holds the slot
+	}
+	for j, w := range rec {
+		s[1+j].Store(w)
+	}
+	s[0].Add(1) // even: stable
+}
+
+// Each calls fn with every whole record, oldest first, skipping slots
+// never written or caught mid-write. It visits at most Cap() records, fewer
+// when the ring has not filled or writers tore slots during the read. rec
+// is reused between calls; fn must copy what it keeps.
+func (r *Ring) Each(fn func(rec []uint64)) {
+	n := r.cursor.Load()
+	start := n - min(n, r.mask+1)
+	rec := make([]uint64, r.width)
+	for i := start; i < n; i++ {
+		s := r.slot(i)
+		seq := s[0].Load()
+		if seq == 0 || seq&1 != 0 {
+			continue // never written, or mid-write
+		}
+		for j := range rec {
+			rec[j] = s[1+j].Load()
+		}
+		if s[0].Load() != seq {
 			continue // torn by a wrap during the read
 		}
-		out = append(out, unpackEvent(keyHash, nanos, offChip, packed))
+		fn(rec)
 	}
-	return out
 }
+
+// Len returns how many records a read would visit at most: the records
+// added, up to Cap().
+func (r *Ring) Len() int { return int(min(r.cursor.Load(), r.mask+1)) }

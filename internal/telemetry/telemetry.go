@@ -7,23 +7,24 @@
 //
 // Design constraints, in order:
 //
-//  1. A nil *Sink is the disabled state. Every method is nil-safe and the
-//     owning tables branch on the nil before doing any work, so a table
-//     without telemetry pays one predictable branch and zero allocations on
-//     its hot path (asserted by TestDisabledPathZeroAlloc and the
-//     BenchmarkTelemetry* gate in ci.sh).
+//  1. A nil *Sink is the disabled state. Every method is nil-safe, and the
+//     recording calls a table makes around each operation (Start, OffChip,
+//     RecordInsert/RecordLookup/RecordDelete) inline to a nil check, so a
+//     table without telemetry reads no clock, hashes no key and allocates
+//     nothing on its hot path (asserted by TestDisabledPathZeroAlloc and
+//     kept measurable by the BenchmarkTelemetry* smoke in ci.sh).
 //  2. An enabled Sink is lock-free on the record path: counters and
-//     histogram buckets are atomics, the flight recorder is a seqlock ring,
+//     histogram buckets are atomics, the flight recorder is a seqlock Ring,
 //     and Event is a value — recording allocates nothing either.
 //  3. Gauges (load ratio, copy-count distribution, stash depth/flag density)
-//     are pulled at scrape time from a source the owning table registers, or
-//     pushed explicitly via StoreGauges by single-writer tables that cannot
-//     be sampled concurrently.
+//     come from GaugesOf, pulled at scrape time from a source the owning
+//     table registers, or pushed by SampleGauges from single-writer tables
+//     that cannot be read concurrently.
 //
 // The package sits below the public API and beside internal/shard: shard
-// feeds a Sink from inside its per-shard critical sections, the public
-// wrappers feed it for the single-writer tables, and cmd/mctrace feeds it
-// from its replay loop.
+// records from its lock layer, the public wrappers record for the
+// single-writer tables, and cmd/mctrace records from its replay loop — each
+// with one recording call per operation.
 package telemetry
 
 import (
@@ -32,7 +33,9 @@ import (
 	"time"
 
 	"mccuckoo/internal/core"
+	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
+	"mccuckoo/internal/memmodel"
 )
 
 // Op is the operation kind of one recorded event.
@@ -84,7 +87,7 @@ type Event struct {
 
 // Gauges is the point-in-time state a scrape reports alongside the
 // accumulated counters. The owning table supplies it, either live through
-// SetGaugeSource (thread-safe tables) or pushed through StoreGauges
+// SetGaugeSource (thread-safe tables) or pushed through SampleGauges
 // (single-writer tables).
 type Gauges struct {
 	Items    int `json:"items"`
@@ -113,12 +116,34 @@ type Gauges struct {
 	Detail any `json:"detail,omitempty"`
 }
 
-// Options configures a Sink.
-type Options struct {
-	// EventBuffer is the flight-recorder capacity (rounded up to a power of
-	// two; default 1024, minimum 16).
-	EventBuffer int
+// GaugesOf samples tab's gauges: population, load, stash depth and
+// lifetime stats from the kv.Table surface, plus the copy-count histogram
+// and the stash-flag density when tab reports them (the McCuckoo tables do,
+// the baselines do not). It reads tab through its own methods, so it is as
+// safe for concurrent use as they are.
+func GaugesOf(tab kv.Table) Gauges {
+	g := Gauges{
+		Items:     tab.Len(),
+		Capacity:  tab.Capacity(),
+		LoadRatio: tab.LoadRatio(),
+		StashLen:  tab.StashLen(),
+		Ops:       tab.Stats(),
+	}
+	if ch, ok := tab.(interface{ CopyHistogram() []int }); ok {
+		hist := ch.CopyHistogram()
+		g.CopyHist = make([]int64, len(hist))
+		for v, n := range hist {
+			g.CopyHist[v] = int64(n)
+		}
+	}
+	if sf, ok := tab.(interface{ StashFlagDensity() float64 }); ok {
+		g.StashFlagDensity = sf.StashFlagDensity()
+	}
+	return g
 }
+
+// eventRing is the flight-recorder capacity in events.
+const eventRing = 1024
 
 // Sink accumulates telemetry. All methods are safe for concurrent use and
 // safe on a nil receiver (the disabled state).
@@ -145,7 +170,7 @@ type Sink struct {
 
 	mu     sync.RWMutex
 	source func() Gauges // live gauge source, nil when gauges are pushed
-	cached Gauges        // last StoreGauges push
+	cached Gauges        // last SampleGauges push
 
 	started time.Time
 }
@@ -154,27 +179,88 @@ type Sink struct {
 var repairKinds = [6]string{"counters", "flags", "hints", "aliens", "values", "stash_dropped"}
 
 // New creates an enabled Sink.
-func New(opts Options) *Sink {
-	n := opts.EventBuffer
-	if n <= 0 {
-		n = 1024
-	}
-	return &Sink{ring: newRing(n), started: time.Now()}
+func New() *Sink {
+	return &Sink{ring: NewRing(eventRing, eventWords), started: time.Now()}
 }
 
 // Enabled reports whether the sink records anything (false on nil).
 func (s *Sink) Enabled() bool { return s != nil }
 
-// Record accumulates one operation event: counters, the relevant histograms,
-// and the flight recorder. It is lock-free and allocation-free.
-func (s *Sink) Record(e Event) {
+// Start returns the start time of an operation the caller times: the zero
+// time on a nil sink, so the disabled path reads no clock.
+func (s *Sink) Start() time.Time {
 	if s == nil {
-		return
+		return time.Time{}
 	}
+	return time.Now()
+}
+
+// OffChip returns m's off-chip accesses so far (reads plus writes), or 0 on
+// a nil sink; its difference across an operation is that operation's
+// off-chip cost. The caller holds whatever lock guards m.
+func (s *Sink) OffChip(m *memmodel.Meter) int64 {
+	if s == nil {
+		return 0
+	}
+	return m.OffChipReads + m.OffChipWrites
+}
+
+// OffChipLocked is OffChip for a caller that does not hold mu, the lock
+// guarding m: it reads m under mu. A nil sink takes no lock.
+func (s *Sink) OffChipLocked(mu sync.Locker, m *memmodel.Meter) int64 {
+	if s == nil {
+		return 0
+	}
+	mu.Lock()
+	n := m.OffChipReads + m.OffChipWrites
+	mu.Unlock()
+	return n
+}
+
+// RecordInsert records one insert of key on shard (-1 for an unsharded
+// table) with outcome o and offChip off-chip accesses. start is the
+// operation's Start, or the zero time for an untimed operation (a key
+// inside a batch). Like RecordLookup and RecordDelete, it is a nil check
+// that inlines into the caller; the work happens in record.
+func (s *Sink) RecordInsert(shard int, key uint64, o kv.Outcome, offChip int64, start time.Time) {
+	if s != nil {
+		s.record(OpInsert, uint8(o.Status), false, o.Kicks, shard, key, offChip, start)
+	}
+}
+
+// RecordLookup records one lookup of key on shard; hit reports a found key.
+// The other arguments are RecordInsert's.
+func (s *Sink) RecordLookup(shard int, key uint64, hit bool, offChip int64, start time.Time) {
+	if s != nil {
+		s.record(OpLookup, 0, hit, 0, shard, key, offChip, start)
+	}
+}
+
+// RecordDelete records one delete of key on shard; hit reports a removed
+// key. The other arguments are RecordInsert's.
+func (s *Sink) RecordDelete(shard int, key uint64, hit bool, offChip int64, start time.Time) {
+	if s != nil {
+		s.record(OpDelete, 0, hit, 0, shard, key, offChip, start)
+	}
+}
+
+// record builds the operation's Event — latency measured from a nonzero
+// start, before the key is hashed — and accumulates it.
+func (s *Sink) record(op Op, status uint8, hit bool, kicks, shard int, key uint64, offChip int64, start time.Time) {
+	var nanos int64
+	if !start.IsZero() {
+		nanos = time.Since(start).Nanoseconds()
+	}
+	s.add(Event{
+		Op: op, Status: status, Hit: hit, Shard: int32(shard), Kicks: int32(kicks),
+		OffChip: offChip, Nanos: nanos, KeyHash: hashutil.Mix64(key),
+	})
+}
+
+// add accumulates one operation event: counters, the relevant histograms,
+// and the flight recorder. It is lock-free and allocation-free.
+func (s *Sink) add(e Event) {
 	op := e.Op
-	if op >= opCount {
-		return
-	}
 	s.ops[op].Add(1)
 	switch op {
 	case OpInsert:
@@ -200,7 +286,8 @@ func (s *Sink) Record(e Event) {
 	if e.Nanos > 0 {
 		s.latency[op].Observe(e.Nanos)
 	}
-	s.ring.add(e)
+	rec := packEvent(e)
+	s.ring.Add(rec[:])
 }
 
 // RecordCorruptLoad counts one snapshot-load rejection (*core.CorruptError).
@@ -240,13 +327,14 @@ func (s *Sink) SetGaugeSource(fn func() Gauges) {
 	s.mu.Unlock()
 }
 
-// StoreGauges pushes a gauge snapshot, for single-writer tables whose state
+// SampleGauges pushes GaugesOf(tab), for single-writer tables whose state
 // cannot be read concurrently: the owning goroutine samples, scrapes serve
-// the last sample.
-func (s *Sink) StoreGauges(g Gauges) {
+// the last sample. A nil sink reads nothing from tab.
+func (s *Sink) SampleGauges(tab kv.Table) {
 	if s == nil {
 		return
 	}
+	g := GaugesOf(tab)
 	s.mu.Lock()
 	s.cached = g
 	s.mu.Unlock()
@@ -270,7 +358,45 @@ func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil
 	}
-	return s.ring.Events()
+	out := make([]Event, 0, s.ring.Len())
+	s.ring.Each(func(rec []uint64) { out = append(out, unpackEvent(rec)) })
+	return out
+}
+
+// eventWords is the width of an event's ring record: key hash, latency,
+// off-chip accesses, and the packed remaining fields.
+const eventWords = 4
+
+// packEvent lays e out as its ring record.
+func packEvent(e Event) [eventWords]uint64 {
+	var hit uint64
+	if e.Hit {
+		hit = 1
+	}
+	// Shard is stored as shard+1 in 18 bits so that -1 (unsharded) packs to
+	// 0 and the full MaxShards index range (0..65535) survives the round
+	// trip.
+	packed := uint64(uint32(e.Kicks))<<26 |
+		uint64(uint32(e.Shard+1)&0x3ffff)<<8 |
+		uint64(e.Status&0xf)<<4 |
+		uint64(e.Op&0x7)<<1 |
+		hit
+	return [eventWords]uint64{e.KeyHash, uint64(e.Nanos), uint64(e.OffChip), packed}
+}
+
+// unpackEvent is packEvent's inverse.
+func unpackEvent(rec []uint64) Event {
+	packed := rec[3]
+	return Event{
+		Op:      Op(packed >> 1 & 0x7),
+		Status:  uint8(packed >> 4 & 0xf),
+		Hit:     packed&1 != 0,
+		Shard:   int32(packed>>8&0x3ffff) - 1,
+		Kicks:   int32(uint32(packed >> 26)),
+		OffChip: int64(rec[2]),
+		Nanos:   int64(rec[1]),
+		KeyHash: rec[0],
+	}
 }
 
 // counterSnapshot is the JSON view of the accumulated counters.

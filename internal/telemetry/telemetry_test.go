@@ -7,9 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mccuckoo/internal/core"
+	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
+	"mccuckoo/internal/memmodel"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -61,45 +64,81 @@ func TestHistBuckets(t *testing.T) {
 func TestEventPackRoundTrip(t *testing.T) {
 	cases := []Event{
 		{},
-		{Op: OpInsert, Status: uint8(kv.Stashed), Shard: -1, Kicks: 500},
-		{Op: OpLookup, Hit: true, Shard: 65535},
-		{Op: OpDelete, Hit: true, Shard: 0, Kicks: 1<<31 - 1},
+		{Op: OpInsert, Status: uint8(kv.Stashed), Shard: -1, Kicks: 500, OffChip: 7, Nanos: 1234, KeyHash: 1<<64 - 1},
+		{Op: OpLookup, Hit: true, Shard: 65535, OffChip: 1<<63 - 1, KeyHash: 0xdead},
+		{Op: OpDelete, Hit: true, Shard: 0, Kicks: 1<<31 - 1, Nanos: 1<<63 - 1},
 		{Op: OpInsert, Status: uint8(kv.Failed), Shard: 12345},
 	}
 	for _, e := range cases {
-		got := unpackEvent(e.KeyHash, e.Nanos, e.OffChip, packEvent(e))
-		if got != e {
+		rec := packEvent(e)
+		if got := unpackEvent(rec[:]); got != e {
 			t.Errorf("round trip %+v -> %+v", e, got)
 		}
 	}
 }
 
+// each collects a ring's records, oldest first.
+func each(r *Ring) [][]uint64 {
+	var out [][]uint64
+	r.Each(func(rec []uint64) { out = append(out, append([]uint64(nil), rec...)) })
+	return out
+}
+
 func TestRingWrapOldestFirst(t *testing.T) {
-	r := newRing(10)
+	r := NewRing(10, 3)
 	if r.Cap() != 16 {
 		t.Fatalf("cap %d, want 16 (rounded up)", r.Cap())
 	}
-	for i := 0; i < 40; i++ {
-		r.add(Event{Op: OpLookup, KeyHash: uint64(i)})
+	if got := each(r); len(got) != 0 || r.Len() != 0 {
+		t.Fatalf("empty ring reads %v (Len %d)", got, r.Len())
 	}
-	evs := r.Events()
-	if len(evs) != 16 {
-		t.Fatalf("got %d events, want 16", len(evs))
+	for i := uint64(0); i < 5; i++ {
+		r.Add([]uint64{i, i + 100, i + 200})
+	}
+	if got := each(r); len(got) != 5 || r.Len() != 5 {
+		t.Fatalf("partly filled ring reads %d records (Len %d), want 5", len(got), r.Len())
+	}
+	for i := uint64(5); i < 40; i++ {
+		r.Add([]uint64{i, i + 100, i + 200})
+	}
+	recs := each(r)
+	if len(recs) != 16 || r.Len() != 16 {
+		t.Fatalf("got %d records (Len %d), want 16", len(recs), r.Len())
+	}
+	for i, rec := range recs {
+		want := uint64(40 - 16 + i)
+		if rec[0] != want || rec[1] != want+100 || rec[2] != want+200 {
+			t.Fatalf("record %d is %v, want [%d %d %d] (oldest first)", i, rec, want, want+100, want+200)
+		}
+	}
+}
+
+// TestSinkRingSize pins the flight recorder's fixed capacity: the last
+// eventRing events, oldest first.
+func TestSinkRingSize(t *testing.T) {
+	s := New()
+	const n = eventRing + 100
+	for i := 0; i < n; i++ {
+		s.RecordLookup(-1, uint64(i), false, 0, time.Time{})
+	}
+	evs := s.Events()
+	if len(evs) != eventRing {
+		t.Fatalf("flight recorder holds %d events, want %d", len(evs), eventRing)
 	}
 	for i, e := range evs {
-		if want := uint64(40 - 16 + i); e.KeyHash != want {
-			t.Fatalf("event %d has KeyHash %d, want %d (oldest first)", i, e.KeyHash, want)
+		if want := hashutil.Mix64(uint64(n - eventRing + i)); e.KeyHash != want {
+			t.Fatalf("event %d has key hash %x, want %x (oldest first)", i, e.KeyHash, want)
 		}
 	}
 }
 
 func TestSinkRecordAndSnapshot(t *testing.T) {
-	s := New(Options{EventBuffer: 16})
-	s.Record(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 3, OffChip: 5, Nanos: 100, Shard: -1})
-	s.Record(Event{Op: OpInsert, Status: uint8(kv.Stashed), OffChip: 9, Nanos: 50, Shard: 2})
-	s.Record(Event{Op: OpLookup, Hit: true, OffChip: 1, Nanos: 10})
-	s.Record(Event{Op: OpLookup, Hit: false, OffChip: 3})
-	s.Record(Event{Op: OpDelete, Hit: true, OffChip: 0, Nanos: 5})
+	s := New()
+	s.add(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 3, OffChip: 5, Nanos: 100, Shard: -1})
+	s.add(Event{Op: OpInsert, Status: uint8(kv.Stashed), OffChip: 9, Nanos: 50, Shard: 2})
+	s.add(Event{Op: OpLookup, Hit: true, OffChip: 1, Nanos: 10})
+	s.add(Event{Op: OpLookup, Hit: false, OffChip: 3})
+	s.add(Event{Op: OpDelete, Hit: true, OffChip: 0, Nanos: 5})
 	s.RecordCorruptLoad()
 	s.RecordRepair(core.RepairReport{CountersFixed: 2, SizeBefore: 4, SizeAfter: 4, CopiesBefore: 6, CopiesAfter: 6})
 	s.RecordRepair(core.RepairReport{})
@@ -144,11 +183,20 @@ func TestNilSinkIsSafeAndDisabled(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil sink reports enabled")
 	}
-	s.Record(Event{Op: OpInsert})
+	if !s.Start().IsZero() || s.OffChip(&memmodel.Meter{OffChipReads: 3}) != 0 {
+		t.Fatal("nil sink read the clock or the meter")
+	}
+	var mu lockCounter
+	if s.OffChipLocked(&mu, &memmodel.Meter{OffChipReads: 3}) != 0 || mu != 0 {
+		t.Fatalf("nil sink read the meter or took its lock (%d locks)", mu)
+	}
+	s.RecordInsert(0, 1, kv.Outcome{}, 1, time.Now())
+	s.RecordLookup(0, 1, true, 1, time.Now())
+	s.RecordDelete(0, 1, true, 1, time.Now())
 	s.RecordCorruptLoad()
 	s.RecordRepair(core.RepairReport{CountersFixed: 1})
 	s.SetGaugeSource(func() Gauges { return Gauges{} })
-	s.StoreGauges(Gauges{Items: 1})
+	s.SampleGauges(nil) // reads nothing from the table
 	if evs := s.Events(); evs != nil {
 		t.Fatalf("nil sink events: %v", evs)
 	}
@@ -157,9 +205,22 @@ func TestNilSinkIsSafeAndDisabled(t *testing.T) {
 	}
 }
 
+// lockCounter is a sync.Locker that counts its Lock calls.
+type lockCounter int
+
+func (c *lockCounter) Lock()   { *c++ }
+func (c *lockCounter) Unlock() {}
+
 func TestGaugeSourceOverridesPush(t *testing.T) {
-	s := New(Options{})
-	s.StoreGauges(Gauges{Items: 7})
+	s := New()
+	tab, err := core.New(core.Config{BucketsPerTable: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 7; k++ {
+		tab.Insert(k, k)
+	}
+	s.SampleGauges(tab)
 	if got := s.Snapshot().Gauges.Items; got != 7 {
 		t.Fatalf("pushed gauges not served: %d", got)
 	}
@@ -174,17 +235,19 @@ func TestGaugeSourceOverridesPush(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	s := New(Options{})
-	s.Record(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 2, OffChip: 4, Nanos: 1500})
-	s.Record(Event{Op: OpLookup, Hit: true, OffChip: 1, Nanos: 300})
-	s.Record(Event{Op: OpLookup, Hit: false, OffChip: 3, Nanos: 200})
-	s.Record(Event{Op: OpDelete, Hit: true, Nanos: 100})
+	s := New()
+	s.add(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 2, OffChip: 4, Nanos: 1500})
+	s.add(Event{Op: OpLookup, Hit: true, OffChip: 1, Nanos: 300})
+	s.add(Event{Op: OpLookup, Hit: false, OffChip: 3, Nanos: 200})
+	s.add(Event{Op: OpDelete, Hit: true, Nanos: 100})
 	s.RecordCorruptLoad()
-	s.StoreGauges(Gauges{
-		Items: 10, Capacity: 100, LoadRatio: 0.1, StashLen: 2, StashFlagDensity: 0.03,
-		CopyHist: []int64{0, 6, 3, 1},
-		Shards:   4, MinShardLoad: 0.05, MaxShardLoad: 0.2,
-		Ops: kv.Stats{GrowAttempts: 3, Grows: 2, GrowFailures: 1, Kicks: 2, StashProbe: 5},
+	s.SetGaugeSource(func() Gauges {
+		return Gauges{
+			Items: 10, Capacity: 100, LoadRatio: 0.1, StashLen: 2, StashFlagDensity: 0.03,
+			CopyHist: []int64{0, 6, 3, 1},
+			Shards:   4, MinShardLoad: 0.05, MaxShardLoad: 0.2,
+			Ops: kv.Stats{GrowAttempts: 3, Grows: 2, GrowFailures: 1, Kicks: 2, StashProbe: 5},
+		}
 	})
 
 	var b strings.Builder
@@ -240,8 +303,8 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	s := New(Options{EventBuffer: 16})
-	s.Record(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 1, OffChip: 2, Nanos: 10, Shard: 3, KeyHash: 0xdead})
+	s := New()
+	s.add(Event{Op: OpInsert, Status: uint8(kv.Placed), Kicks: 1, OffChip: 2, Nanos: 10, Shard: 3, KeyHash: 0xdead})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -301,7 +364,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestPublishDedup(t *testing.T) {
-	s := New(Options{})
+	s := New()
 	const name = "mccuckoo_test_publish_dedup"
 	if err := s.Publish(name); err != nil {
 		t.Fatalf("first publish: %v", err)

@@ -8,9 +8,10 @@
 // sampling and mints a Context: 16 bytes — trace id, parent span id, hop
 // count, flags — that the wire protocol carries as an optional payload
 // prefix gated by a flag bit in the frame type byte (internal/wire). Each
-// hop calls Start/Finish around its work; finished spans land in a seqlock
-// flight-recorder ring exactly like the telemetry event ring, so recording
-// is a handful of atomic stores and never blocks or allocates.
+// hop calls Start/Finish around its work; finished spans land in the same
+// seqlock flight-recorder ring type as the telemetry events
+// (telemetry.Ring), so recording is a handful of atomic stores and never
+// allocates.
 //
 // Two capture rules decide whether a finished span is kept:
 //
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/telemetry"
 )
 
 // ContextSize is the wire size of an encoded Context: the fixed-length
@@ -184,12 +186,16 @@ type Span struct {
 	t0  time.Time
 }
 
+// spanRing is the flight-recorder capacity in spans.
+const spanRing = 4096
+
+// spanWords is the width of a span's ring record: trace id, span and parent
+// ids, start, duration, wait, key hash, peer and kicks, and the packed
+// kind/hop/op/flags bytes.
+const spanWords = 8
+
 // Options configures a Recorder.
 type Options struct {
-	// Capacity is the span ring size, rounded up to a power of two
-	// (default 4096).
-	Capacity int
-
 	// Sample is the head-sampling rate: Begin marks 1 in Sample traces as
 	// sampled. 0 and 1 sample everything.
 	Sample int
@@ -204,7 +210,6 @@ type Options struct {
 type Recorder struct {
 	sample uint64
 	slow   int64
-	mask   uint64
 
 	traces  atomic.Uint64
 	sampled atomic.Uint64
@@ -213,34 +218,12 @@ type Recorder struct {
 	slowRec atomic.Int64
 	forced  atomic.Int64
 
-	cursor atomic.Uint64
-	slots  []spanSlot
-}
-
-// spanSlot is one seqlock slot (the telemetry.Ring discipline: seq odd =
-// mid-write, even = stable, every field its own atomic word).
-type spanSlot struct {
-	seq     atomic.Uint64
-	traceID atomic.Uint64
-	ids     atomic.Uint64 // spanID(32) | parent(32)
-	start   atomic.Int64
-	dur     atomic.Int64
-	wait    atomic.Int64
-	key     atomic.Uint64
-	meta    atomic.Uint64 // peer(32) | kicks(32)
-	packed  atomic.Uint64 // kind(8) | hop(8) | op(8) | flags(8)
+	ring *telemetry.Ring
 }
 
 // New builds a Recorder. To disable tracing entirely, use a nil *Recorder
 // instead — every method tolerates it.
 func New(o Options) *Recorder {
-	size := 16
-	if o.Capacity <= 0 {
-		o.Capacity = 4096
-	}
-	for size < o.Capacity {
-		size <<= 1
-	}
 	if o.Sample < 1 {
 		o.Sample = 1
 	}
@@ -250,8 +233,7 @@ func New(o Options) *Recorder {
 	r := &Recorder{
 		sample: uint64(o.Sample),
 		slow:   o.SlowNanos,
-		mask:   uint64(size - 1),
-		slots:  make([]spanSlot, size),
+		ring:   telemetry.NewRing(spanRing, spanWords),
 	}
 	// Span ids count from a per-process random offset so two nodes in the
 	// same trace are unlikely to mint colliding ids (ids only need to be
@@ -268,7 +250,7 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
 // Begin starts a new trace at its origin, applying head sampling. It
@@ -392,66 +374,43 @@ func (sp *Span) FinishForced() {
 //mcvet:hotpath
 func (r *Recorder) record(sp *Span) {
 	r.spans.Add(1)
-	i := r.cursor.Add(1) - 1
-	s := &r.slots[i&r.mask]
-	s.seq.Add(1) // odd: write in progress
-	s.traceID.Store(sp.TraceID)
-	s.ids.Store(uint64(sp.SpanID)<<32 | uint64(sp.Parent))
-	s.start.Store(sp.Start)
-	s.dur.Store(sp.Dur)
-	s.wait.Store(sp.Wait)
-	s.key.Store(sp.Key)
-	s.meta.Store(uint64(sp.Peer)<<32 | uint64(uint32(sp.Kicks)))
-	s.packed.Store(uint64(sp.Kind) | uint64(sp.Hop)<<8 | uint64(sp.Op)<<16 | uint64(sp.Flags)<<24)
-	s.seq.Add(1) // even: stable
+	rec := [spanWords]uint64{
+		sp.TraceID,
+		uint64(sp.SpanID)<<32 | uint64(sp.Parent),
+		uint64(sp.Start),
+		uint64(sp.Dur),
+		uint64(sp.Wait),
+		sp.Key,
+		uint64(sp.Peer)<<32 | uint64(uint32(sp.Kicks)),
+		uint64(sp.Kind) | uint64(sp.Hop)<<8 | uint64(sp.Op)<<16 | uint64(sp.Flags)<<24,
+	}
+	r.ring.Add(rec[:])
 }
 
 // Spans returns the recorded spans, oldest first, skipping slots caught
-// mid-write (the same torn-slot rules as the telemetry event ring). Nil-safe.
+// mid-write (telemetry.Ring's torn-slot rules). Nil-safe.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	n := r.cursor.Load()
-	size := uint64(len(r.slots))
-	start := uint64(0)
-	if n > size {
-		start = n - size
-	}
-	out := make([]Span, 0, n-start)
-	for i := start; i < n; i++ {
-		s := &r.slots[i&r.mask]
-		seq := s.seq.Load()
-		if seq&1 != 0 {
-			continue // mid-write
-		}
-		traceID := s.traceID.Load()
-		ids := s.ids.Load()
-		startNs := s.start.Load()
-		dur := s.dur.Load()
-		wait := s.wait.Load()
-		key := s.key.Load()
-		meta := s.meta.Load()
-		packed := s.packed.Load()
-		if s.seq.Load() != seq {
-			continue // torn by a wrap during the read
-		}
+	out := make([]Span, 0, r.ring.Len())
+	r.ring.Each(func(rec []uint64) {
 		out = append(out, Span{
-			TraceID: traceID,
-			SpanID:  uint32(ids >> 32),
-			Parent:  uint32(ids),
-			Kind:    Kind(packed & 0xff),
-			Hop:     uint8(packed >> 8),
-			Op:      uint8(packed >> 16),
-			Flags:   uint8(packed >> 24),
-			Kicks:   int32(uint32(meta)),
-			Peer:    uint32(meta >> 32),
-			Key:     key,
-			Start:   startNs,
-			Dur:     dur,
-			Wait:    wait,
+			TraceID: rec[0],
+			SpanID:  uint32(rec[1] >> 32),
+			Parent:  uint32(rec[1]),
+			Start:   int64(rec[2]),
+			Dur:     int64(rec[3]),
+			Wait:    int64(rec[4]),
+			Key:     rec[5],
+			Kicks:   int32(uint32(rec[6])),
+			Peer:    uint32(rec[6] >> 32),
+			Kind:    Kind(rec[7] & 0xff),
+			Hop:     uint8(rec[7] >> 8),
+			Op:      uint8(rec[7] >> 16),
+			Flags:   uint8(rec[7] >> 24),
 		})
-	}
+	})
 	return out
 }
 

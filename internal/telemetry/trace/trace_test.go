@@ -69,7 +69,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 }
 
 func TestSamplingAndSpanRecording(t *testing.T) {
-	r := New(Options{Capacity: 64, Sample: 4})
+	r := New(Options{Sample: 4})
 	sampled := 0
 	for i := 0; i < 40; i++ {
 		tc := r.Begin()
@@ -126,7 +126,7 @@ func TestSamplingAndSpanRecording(t *testing.T) {
 }
 
 func TestSlowCaptureWithoutSampling(t *testing.T) {
-	r := New(Options{Capacity: 64, Sample: 1 << 30, SlowNanos: int64(2 * time.Millisecond)})
+	r := New(Options{Sample: 1 << 30, SlowNanos: int64(2 * time.Millisecond)})
 	// Fast untraced op: dropped.
 	sp := r.Start(Context{}, KindServerOp)
 	sp.Finish()
@@ -156,7 +156,7 @@ func TestSlowCaptureWithoutSampling(t *testing.T) {
 }
 
 func TestForcedSpanAlwaysRecords(t *testing.T) {
-	r := New(Options{Capacity: 16, Sample: 1 << 30}) // sampler will never pick
+	r := New(Options{Sample: 1 << 30}) // sampler will never pick
 	sp := r.StartForced(Context{}, KindPanic)
 	sp.Op = 9
 	sp.FinishForced()
@@ -167,26 +167,27 @@ func TestForcedSpanAlwaysRecords(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	r := New(Options{Capacity: 16, Sample: 1})
-	for i := 0; i < 100; i++ {
+	r := New(Options{Sample: 1})
+	const n = spanRing + 84
+	for i := 0; i < n; i++ {
 		tc := r.Begin()
 		sp := r.Start(tc, KindTableOp)
 		sp.Kicks = int32(i)
 		sp.Finish()
 	}
 	spans := r.Spans()
-	if len(spans) != 16 {
-		t.Fatalf("ring holds %d spans, want 16", len(spans))
+	if len(spans) != spanRing || r.Cap() != spanRing {
+		t.Fatalf("ring holds %d spans with capacity %d, want %d", len(spans), r.Cap(), spanRing)
 	}
 	for i, sp := range spans {
-		if want := int32(100 - 16 + i); sp.Kicks != want {
+		if want := int32(n - spanRing + i); sp.Kicks != want {
 			t.Fatalf("span %d kicks=%d, want %d (oldest-first order)", i, sp.Kicks, want)
 		}
 	}
 }
 
 func TestHandlerFilters(t *testing.T) {
-	r := New(Options{Capacity: 64, Sample: 1})
+	r := New(Options{Sample: 1})
 	tcA := r.Begin()
 	spA := r.Start(tcA, KindClientOp)
 	spA.Finish()
@@ -245,7 +246,7 @@ func TestHandlerFilters(t *testing.T) {
 }
 
 func TestTrees(t *testing.T) {
-	r := New(Options{Capacity: 64, Sample: 1})
+	r := New(Options{Sample: 1})
 	tc := r.Begin()
 	root := r.Start(tc, KindClientOp)
 	rtt := root.StartChild(KindReplicaRTT)
@@ -324,7 +325,7 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 		t.Fatalf("nil-recorder path allocates %v per op, want 0", n)
 	}
 
-	r := New(Options{Capacity: 16, Sample: 1 << 30}) // sampler never fires, slow off
+	r := New(Options{Sample: 1 << 30}) // sampler never fires, slow off
 	if n := testing.AllocsPerRun(200, func() {
 		tc := r.Begin()
 		sp := r.Start(tc, KindClientOp)
@@ -338,7 +339,7 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 
 	// Even the recording path itself is allocation-free (ring slots are
 	// preallocated); only Spans()/Handler() allocate, off the hot path.
-	rs := New(Options{Capacity: 16, Sample: 1})
+	rs := New(Options{Sample: 1})
 	if n := testing.AllocsPerRun(200, func() {
 		tc := rs.Begin()
 		sp := rs.Start(tc, KindClientOp)
@@ -359,7 +360,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 }
 
 func BenchmarkTraceUnsampled(b *testing.B) {
-	r := New(Options{Capacity: 4096, Sample: 1 << 30})
+	r := New(Options{Sample: 1 << 30})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tc := r.Begin()
@@ -369,7 +370,7 @@ func BenchmarkTraceUnsampled(b *testing.B) {
 }
 
 func BenchmarkTraceSampled(b *testing.B) {
-	r := New(Options{Capacity: 4096, Sample: 1})
+	r := New(Options{Sample: 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tc := r.Begin()

@@ -12,7 +12,7 @@ import (
 // to the client's context, each with a table_op child carrying the opcode
 // (and the kick count for the put).
 func TestServerTracedSpans(t *testing.T) {
-	rec := trace.New(trace.Options{Capacity: 128, Sample: 1})
+	rec := trace.New(trace.Options{Sample: 1})
 	_, addr, shutdown := startServer(t, newConcurrentTable(t, 4096), func(c *Config) { c.Trace = rec })
 	defer shutdown()
 	c := dialClient(t, addr, nil)
@@ -71,7 +71,7 @@ func TestServerTracedSpans(t *testing.T) {
 // the flight recorder with the opcode even though the request was untraced,
 // alongside the existing panics counter.
 func TestServerPanicFlightRecorded(t *testing.T) {
-	rec := trace.New(trace.Options{Capacity: 32, Sample: 1 << 30}) // sampler never fires
+	rec := trace.New(trace.Options{Sample: 1 << 30}) // sampler never fires
 	store := &panicStore{BatchStore: newConcurrentTable(t, 1024)}
 	srv, addr, shutdown := startServer(t, store, func(c *Config) { c.Trace = rec })
 	defer shutdown()

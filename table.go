@@ -2,11 +2,10 @@ package mccuckoo
 
 import (
 	"io"
-	"time"
 
 	"mccuckoo/internal/core"
-	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
+	"mccuckoo/internal/memmodel"
 	"mccuckoo/internal/shard"
 	"mccuckoo/internal/telemetry"
 )
@@ -111,8 +110,12 @@ type coreTable interface {
 // records each point operation.
 type singleStore struct {
 	inner coreTable
-	// sink is the attached telemetry collector; nil means telemetry is off
-	// and every operation takes the plain path (one nil check, no
+	// meter is inner's meter, cached so that recording an operation reads
+	// it without a call through inner. Grow and Repair rebuild the core
+	// table in place, so the pointer stays valid for the table's life.
+	meter *memmodel.Meter
+	// sink is the attached telemetry collector; nil means telemetry is off,
+	// and every recording call is one inlined nil check (no clock read, no
 	// allocation).
 	sink *telemetry.Sink
 }
@@ -120,7 +123,7 @@ type singleStore struct {
 // newSingle wraps inner and attaches tel (nil for none). The gauges of a
 // single-writer table are pushed, not pulled — see SampleTelemetry.
 func newSingle(inner coreTable, tel *Telemetry) singleStore {
-	s := singleStore{inner: inner}
+	s := singleStore{inner: inner, meter: inner.Meter()}
 	if tel != nil {
 		s.sink = tel.sink
 		s.SampleTelemetry()
@@ -132,58 +135,32 @@ func newSingle(inner coreTable, tel *Telemetry) singleStore {
 // it.
 func (s *singleStore) single() *singleStore { return s }
 
-// offChip returns the table's lifetime off-chip access count; deltas around
-// an operation give that operation's off-chip cost. Single-writer, so
-// reading the meter between operations is safe.
-func (s *singleStore) offChip() int64 {
-	m := s.inner.Meter()
-	return m.OffChipReads + m.OffChipWrites
-}
-
 // Insert stores key/value, replacing the value if key is already present
 // (unless WithUniqueKeys was set).
 func (s *singleStore) Insert(key, value uint64) InsertResult {
-	if s.sink == nil {
-		return fromOutcome(s.inner.Insert(key, value))
-	}
-	before, start := s.offChip(), time.Now()
+	sink := s.sink
+	before, start := sink.OffChip(s.meter), sink.Start()
 	o := s.inner.Insert(key, value)
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpInsert, Status: uint8(o.Status), Shard: -1,
-		Kicks: int32(o.Kicks), OffChip: s.offChip() - before,
-		Nanos: time.Since(start).Nanoseconds(), KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordInsert(-1, key, o, sink.OffChip(s.meter)-before, start)
 	return fromOutcome(o)
 }
 
 // Lookup returns the value stored for key.
 func (s *singleStore) Lookup(key uint64) (uint64, bool) {
-	if s.sink == nil {
-		return s.inner.Lookup(key)
-	}
-	before, start := s.offChip(), time.Now()
+	sink := s.sink
+	before, start := sink.OffChip(s.meter), sink.Start()
 	v, ok := s.inner.Lookup(key)
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpLookup, Hit: ok, Shard: -1,
-		OffChip: s.offChip() - before,
-		Nanos:   time.Since(start).Nanoseconds(), KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordLookup(-1, key, ok, sink.OffChip(s.meter)-before, start)
 	return v, ok
 }
 
 // Delete removes key, reporting whether it was present. Deletion resets
 // counters only — it performs zero off-chip writes.
 func (s *singleStore) Delete(key uint64) bool {
-	if s.sink == nil {
-		return s.inner.Delete(key)
-	}
-	before, start := s.offChip(), time.Now()
+	sink := s.sink
+	before, start := sink.OffChip(s.meter), sink.Start()
 	ok := s.inner.Delete(key)
-	s.sink.Record(telemetry.Event{
-		Op: telemetry.OpDelete, Hit: ok, Shard: -1,
-		OffChip: s.offChip() - before,
-		Nanos:   time.Since(start).Nanoseconds(), KeyHash: hashutil.Mix64(key),
-	})
+	sink.RecordDelete(-1, key, ok, sink.OffChip(s.meter)-before, start)
 	return ok
 }
 

@@ -20,8 +20,8 @@ import (
 //	// curl localhost:8080/metrics
 //
 // Recording is lock-free and allocation-free; a table without telemetry pays
-// one nil check per operation and allocates nothing (the disabled path is
-// gated by benchmark in ci.sh).
+// a few inlined nil checks per operation, reads no clock, hashes no key and
+// allocates nothing (the disabled path is gated by benchmark in ci.sh).
 //
 // A Telemetry observes one table: attaching it to several merges their event
 // streams but the gauges report only the last table attached.
@@ -29,22 +29,10 @@ type Telemetry struct {
 	sink *telemetry.Sink
 }
 
-// TelemetryOption configures NewTelemetry.
-type TelemetryOption func(*telemetry.Options)
-
-// WithEventBuffer sets the flight-recorder capacity (rounded up to a power
-// of two; default 1024).
-func WithEventBuffer(n int) TelemetryOption {
-	return func(o *telemetry.Options) { o.EventBuffer = n }
-}
-
-// NewTelemetry creates an enabled telemetry collector.
-func NewTelemetry(opts ...TelemetryOption) *Telemetry {
-	var o telemetry.Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return &Telemetry{sink: telemetry.New(o)}
+// NewTelemetry creates an enabled telemetry collector. Its flight recorder
+// holds the last 1024 operations.
+func NewTelemetry() *Telemetry {
+	return &Telemetry{sink: telemetry.New()}
 }
 
 // Handler returns the HTTP scrape surface:
@@ -82,33 +70,9 @@ func WithTelemetry(tel *Telemetry) Option {
 	}
 }
 
-// gauges assembles a gauge snapshot from the table's inspection surface.
-// Must be called by the owning goroutine.
-func (s *singleStore) gauges() telemetry.Gauges {
-	hist := s.CopyHistogram()
-	copyHist := make([]int64, len(hist))
-	for v, n := range hist {
-		copyHist[v] = int64(n)
-	}
-	return telemetry.Gauges{
-		Items:            s.Len(),
-		Capacity:         s.Capacity(),
-		LoadRatio:        s.LoadRatio(),
-		StashLen:         s.StashLen(),
-		StashFlagDensity: s.StashFlagDensity(),
-		CopyHist:         copyHist,
-		Ops:              s.inner.Stats(),
-	}
-}
-
 // SampleTelemetry pushes the table's current gauge values (load, copy-count
 // distribution, stash depth and flag density, lifetime stats) to the
 // attached telemetry. Call it from the goroutine that owns the table —
 // typically every few thousand operations, and once after a load phase.
 // No-op without attached telemetry.
-func (s *singleStore) SampleTelemetry() {
-	if s.sink == nil {
-		return
-	}
-	s.sink.StoreGauges(s.gauges())
-}
+func (s *singleStore) SampleTelemetry() { s.sink.SampleGauges(s.inner) }

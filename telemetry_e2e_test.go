@@ -13,7 +13,7 @@ import (
 // scrapes the Prometheus endpoint, asserting every metric family ISSUE'd for
 // this milestone is actually served.
 func TestTelemetryEndToEndSharded(t *testing.T) {
-	tel := NewTelemetry(WithEventBuffer(128))
+	tel := NewTelemetry()
 	s, err := NewSharded(4096, 4, WithSeed(7), WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
@@ -149,4 +149,30 @@ func TestTelemetrySingleTableSample(t *testing.T) {
 	}
 	b.Insert(1, 1)
 	b.SampleTelemetry() // must not panic and must reflect the blocked table
+}
+
+// TestSingleCachedMeterSurvivesGrowAndRepair: the single-writer wrapper's
+// cached meter pointer is still its table's meter after Grow and Repair
+// rebuild the table in place.
+func TestSingleCachedMeterSurvivesGrowAndRepair(t *testing.T) {
+	tab, err := New(512, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBlocked(512, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*singleStore{"table": &tab.singleStore, "blocked": &b.singleStore} {
+		for k := uint64(1); k <= 400; k++ {
+			s.Insert(k, k)
+		}
+		if err := s.Grow(2); err != nil {
+			t.Fatal(err)
+		}
+		s.Repair()
+		if s.meter != s.inner.Meter() {
+			t.Fatalf("%s: cached meter is not its table's after Grow and Repair", name)
+		}
+	}
 }
