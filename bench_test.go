@@ -435,30 +435,3 @@ func BenchmarkExtPipeline(b *testing.B) {
 	b.ReportMetric(metricAt(b, res[0], "Cuckoo", 8), "cuckoo-miss-mops@d8")
 	b.ReportMetric(metricAt(b, res[0], "McCuckoo", 8), "mccuckoo-miss-mops@d8")
 }
-
-// BenchmarkShardedVsGlobalLock runs the concurrent throughput sweep at
-// reduced scale — the goroutines × shards matrix of mcbench's concurrent
-// mode — and reports wall-clock Mops/s for every variant at every goroutine
-// count. Wall-clock throughput is machine-dependent, so no baseline is
-// recorded; the gated series live in the perf suites (DESIGN.md §14).
-func BenchmarkShardedVsGlobalLock(b *testing.B) {
-	o := bench.DefaultConcurrentOptions()
-	o.Capacity = 3 * 16384
-	o.Ops = 150_000
-	o.Goroutines = []int{1, 4, 8}
-	o.Shards = []int{4, 16}
-	var results []*bench.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = bench.ConcurrentSweep(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, s := range results[0].Table.Series {
-		for _, g := range o.Goroutines {
-			b.ReportMetric(metricAt(b, results[0], s.Name, float64(g)),
-				fmt.Sprintf("%s@%dg-Mops", s.Name, g))
-		}
-	}
-}

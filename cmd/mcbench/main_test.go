@@ -69,31 +69,3 @@ func TestRunCSVOutput(t *testing.T) {
 		t.Error("CSV mode should not print timing lines")
 	}
 }
-
-func TestRunConcurrentMode(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-mode", "concurrent", "-capacity", "3072", "-ops", "20000",
-		"-goroutines", "1,2", "-shards", "2", "-seed", "3"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"mode=concurrent", "global-lock", "sharded/2", "Per-shard statistics", "completed in"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("concurrent output missing %q", want)
-		}
-	}
-}
-
-func TestRunConcurrentModeBadFlags(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-mode", "concurrent", "-shards", "3"}, &sb); err == nil {
-		t.Error("non-power-of-two shard count accepted")
-	}
-	if err := run([]string{"-mode", "concurrent", "-goroutines", "x"}, &sb); err == nil {
-		t.Error("bad goroutine list accepted")
-	}
-	if err := run([]string{"-mode", "bogus"}, &sb); err == nil {
-		t.Error("unknown mode accepted")
-	}
-}

@@ -1,18 +1,18 @@
 // Command mcperf records and checks performance baselines (DESIGN.md §14).
 //
-// Record a baseline (full scale; writes the versioned BENCH schema):
+// Record a baseline (writes the versioned BENCH schema):
 //
 //	mcperf record -suite core -out BENCH_core.json
 //	mcperf record -suite wire -out BENCH_wire.json -note "post zero-copy framing"
 //
-// Check the current tree against a committed baseline (ci.sh runs this at
-// reduced scale on every pass; exit status 1 on any regression beyond the
-// per-scale noise band, with a one-line verdict per series):
+// Check the current tree against a committed baseline (ci.sh runs this on
+// every pass). Record and check run the same configuration, so every count
+// must equal the baseline's; exit status 1 on any count that differs, with a
+// one-line verdict per series that also prints its ns/op, unjudged:
 //
-//	mcperf check -suite core -baseline BENCH_core.json -quick
+//	mcperf check -suite core -baseline BENCH_core.json
 //
-// Show any BENCH file (legacy pre-schema files are described with a
-// warning):
+// Show a BENCH file:
 //
 //	mcperf show BENCH_core.json
 package main
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"mccuckoo/internal/perfgate"
@@ -51,45 +50,7 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// suiteFlags registers the flags shared by record and check.
-func suiteFlags(fs *flag.FlagSet) (suite *string, quick *bool, ops, reps *int, scales *string, seed *uint64) {
-	suite = fs.String("suite", "", "suite to run: core or wire (required)")
-	quick = fs.Bool("quick", false, "reduced scale (the ci.sh gate configuration)")
-	ops = fs.Int("ops", 0, "override iterations per rep")
-	reps = fs.Int("reps", 0, "override rep count (best-of)")
-	scales = fs.String("scales", "", "override scales, comma-separated (default 10,100,1000,10000)")
-	seed = fs.Uint64("seed", 0, "override base seed (default 1)")
-	return
-}
-
-func buildOptions(quick bool, ops, reps int, scales string, seed uint64) (perfgate.SuiteOptions, error) {
-	o := perfgate.DefaultSuiteOptions()
-	if quick {
-		o = perfgate.QuickSuiteOptions()
-	}
-	if ops > 0 {
-		o.Ops = ops
-	}
-	if reps > 0 {
-		o.Reps = reps
-	}
-	if seed != 0 {
-		o.Seed = seed
-	}
-	if scales != "" {
-		o.Scales = o.Scales[:0]
-		for _, p := range strings.Split(scales, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return o, fmt.Errorf("-scales: bad value %q", p)
-			}
-			o.Scales = append(o.Scales, v)
-		}
-	}
-	return o, nil
-}
-
-func runSuite(name string, o perfgate.SuiteOptions) (*perfgate.Report, error) {
+func runSuite(name string) (*perfgate.Report, error) {
 	suite, ok := perfgate.Suites[name]
 	if !ok {
 		names := make([]string, 0, len(perfgate.Suites))
@@ -98,12 +59,12 @@ func runSuite(name string, o perfgate.SuiteOptions) (*perfgate.Report, error) {
 		}
 		return nil, fmt.Errorf("unknown suite %q (have: %s)", name, strings.Join(names, ", "))
 	}
-	return suite(o)
+	return suite(perfgate.DefaultSuiteOptions())
 }
 
 func runRecord(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mcperf record", flag.ContinueOnError)
-	suite, quick, ops, reps, scales, seed := suiteFlags(fs)
+	suite := fs.String("suite", "", "suite to run: core or wire (required)")
 	outPath := fs.String("out", "", "output BENCH file (required)")
 	note := fs.String("note", "", "free-form note appended to the report")
 	if err := fs.Parse(args); err != nil {
@@ -112,11 +73,7 @@ func runRecord(args []string, out io.Writer) error {
 	if *suite == "" || *outPath == "" {
 		return fmt.Errorf("record: -suite and -out are required")
 	}
-	o, err := buildOptions(*quick, *ops, *reps, *scales, *seed)
-	if err != nil {
-		return err
-	}
-	r, err := runSuite(*suite, o)
+	r, err := runSuite(*suite)
 	if err != nil {
 		return err
 	}
@@ -134,7 +91,7 @@ func runRecord(args []string, out io.Writer) error {
 
 func runCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mcperf check", flag.ContinueOnError)
-	suite, quick, ops, reps, scales, seed := suiteFlags(fs)
+	suite := fs.String("suite", "", "suite to run: core or wire (required)")
 	basePath := fs.String("baseline", "", "baseline BENCH file to compare against (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -146,11 +103,7 @@ func runCheck(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
-	o, err := buildOptions(*quick, *ops, *reps, *scales, *seed)
-	if err != nil {
-		return err
-	}
-	current, err := runSuite(*suite, o)
+	current, err := runSuite(*suite)
 	if err != nil {
 		return err
 	}
@@ -162,7 +115,7 @@ func runCheck(args []string, out io.Writer) error {
 		fmt.Fprintln(out, sv.Line())
 	}
 	if bad := perfgate.Failing(verdicts); len(bad) > 0 {
-		return fmt.Errorf("check: %d of %d series failed the gate against %s (refresh deliberately with REFRESH_BASELINE=1 ./ci.sh)",
+		return fmt.Errorf("check: %d of %d series failed the gate against %s (a change that moves a count on purpose re-records it: REFRESH_BASELINE=1 ./ci.sh)",
 			len(bad), len(verdicts), *basePath)
 	}
 	fmt.Fprintf(out, "perf gate clean: %d series vs %s (recorded %s)\n", len(verdicts), *basePath, baseline.Recorded)
@@ -174,22 +127,16 @@ func runShow(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: mcperf show <BENCH file>")
 	}
 	r, err := perfgate.Load(args[0])
-	var legacy *perfgate.LegacyError
 	if err != nil {
-		le, ok := err.(*perfgate.LegacyError)
-		if !ok {
-			return err
-		}
-		legacy = le
+		return err
 	}
 	fmt.Fprintf(out, "%s: schema v%d, benchmark %q, recorded %s\n", args[0], r.SchemaVersion, r.Benchmark, r.Recorded)
-	if legacy != nil {
-		fmt.Fprintf(out, "warning: %v\n", legacy)
-		return nil
-	}
 	for _, s := range r.Series {
-		fmt.Fprintf(out, "  %-32s %10.1f ns/op  %8.3f allocs/op  (n=%d, %d x %d ops)\n",
-			s.Name, s.NsPerOp, s.AllocsPerOp, s.Scale, s.Reps, s.Ops)
+		fmt.Fprintf(out, "  %-30s", s.Name)
+		if s.OffChip != nil {
+			fmt.Fprintf(out, " offchip_reads=%v offchip_writes=%v", s.OffChip.Reads, s.OffChip.Writes)
+		}
+		fmt.Fprintf(out, " allocs=%v  (%d ops)\n", s.AllocsPerOp, s.Ops)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(out, "  note: %s\n", n)

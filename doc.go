@@ -58,7 +58,10 @@
 // Every table counts its memory traffic — off-chip bucket reads/writes and
 // on-chip counter accesses — mirroring the paper's target platform where the
 // main table lives in slow external memory and the counters in on-chip SRAM.
-// Traffic and operation statistics are available through the Traffic and
-// Stats methods; cmd/mcbench regenerates every figure and table of the
-// paper's evaluation from the same counters.
+// Table, Blocked, Map and MultiMap expose it through Traffic; every kind
+// reports operation statistics through Stats. Concurrent and Sharded have
+// no Traffic: their lookups run under a read lock and leave the shared
+// meter alone, so they count their off-chip reads into telemetry (see
+// WithTelemetry) rather than into the meter. cmd/mcbench regenerates every
+// figure and table of the paper's evaluation from the same counters.
 package mccuckoo

@@ -5,7 +5,8 @@ import "mccuckoo/internal/hashutil"
 // LookupReadOnlyTraced answers a lookup without mutating any table state —
 // no meter charges, no stats — and reports the off-chip reads the lookup
 // would have charged to the meter (bucket reads plus stash group probes).
-// It applies exactly the same principles as Lookup and exists so that many
+// It applies exactly the same principles as Lookup, the counter pre-screen
+// or (with DisablePrescreen) the in-order scan, and exists so that many
 // readers can run in parallel under a read lock (see internal/shard);
 // property tests assert it always agrees with Lookup. The count feeds the
 // telemetry off-chip-accesses-per-lookup histograms from that concurrent
@@ -24,47 +25,58 @@ func (t *Table) LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offRead
 			anyZero = true
 		}
 	}
-	if anyZero && t.rule1Active() {
-		return 0, false, 0
-	}
 	flagAnd := true
-	for v := uint64(d); v >= 1; v-- {
-		var group [hashutil.MaxD]int
-		s := 0
+	if t.cfg.DisablePrescreen {
+		// scanAll: every candidate in order until a live copy matches.
 		for i := 0; i < d; i++ {
-			if cnt[i] == v {
-				group[s] = i
-				s++
-			}
-		}
-		if s == 0 || s < int(v) {
-			continue
-		}
-		budget := s - int(v) + 1
-		for k := 0; k < s && budget > 0; k++ {
-			i := group[k]
-			budget--
 			idx := t.bucketIndex(i, cand[i])
 			offReads++
 			flagAnd = flagAnd && t.flags.Get(idx)
-			if t.cells[idx].Key == key {
+			if t.cells[idx].Key == key && !t.isFree(cnt[i]) {
 				return t.cells[idx].Value, true, offReads
+			}
+		}
+	} else {
+		if anyZero && t.rule1Active() {
+			return 0, false, 0
+		}
+		for v := uint64(d); v >= 1; v-- {
+			var group [hashutil.MaxD]int
+			s := 0
+			for i := 0; i < d; i++ {
+				if cnt[i] == v {
+					group[s] = i
+					s++
+				}
+			}
+			if s == 0 || s < int(v) {
+				continue
+			}
+			budget := s - int(v) + 1
+			for k := 0; k < s && budget > 0; k++ {
+				i := group[k]
+				budget--
+				idx := t.bucketIndex(i, cand[i])
+				offReads++
+				flagAnd = flagAnd && t.flags.Get(idx)
+				if t.cells[idx].Key == key {
+					return t.cells[idx].Value, true, offReads
+				}
 			}
 		}
 	}
 	if t.overflow == nil || t.overflow.Len() == 0 {
 		return 0, false, offReads
 	}
-	probe := false
-	if !t.deletedAny {
-		probe = flagAnd
+	// shouldProbeStash: the flags of the buckets read, and before any
+	// deletion under the pre-screen, all-1 counters too.
+	probe := flagAnd
+	if !t.cfg.DisablePrescreen && !t.deletedAny {
 		for i := 0; i < d; i++ {
 			if cnt[i] != 1 {
 				probe = false
 			}
 		}
-	} else {
-		probe = flagAnd
 	}
 	if probe {
 		v, ok, stashReads := t.overflow.PeekTraced(key)

@@ -1,18 +1,20 @@
 package perfgate
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Verdict classifies one series of a current run against its baseline.
 type Verdict int
 
 const (
-	// VerdictNoise: the delta is within the scale's noise band.
-	VerdictNoise Verdict = iota
-	// VerdictImproved: faster than the baseline by more than the band.
-	VerdictImproved
-	// VerdictRegressed: slower than the baseline by more than the band, or
-	// a zero-alloc baseline series started allocating. Fails the gate.
-	VerdictRegressed
+	// VerdictSame: every count equals the baseline's.
+	VerdictSame Verdict = iota
+	// VerdictChanged: a count differs from the baseline, in either
+	// direction. Fails the gate: a change that moves a count on purpose
+	// re-records the baseline in the same diff.
+	VerdictChanged
 	// VerdictMissing: the baseline series is absent from the current run
 	// (a renamed or dropped benchmark). Fails the gate — baselines must be
 	// refreshed deliberately (REFRESH_BASELINE=1), not by omission.
@@ -25,12 +27,10 @@ const (
 // String returns the gate log's verdict tag.
 func (v Verdict) String() string {
 	switch v {
-	case VerdictNoise:
-		return "noise"
-	case VerdictImproved:
-		return "improved"
-	case VerdictRegressed:
-		return "REGRESSED"
+	case VerdictSame:
+		return "same"
+	case VerdictChanged:
+		return "CHANGED"
 	case VerdictMissing:
 		return "MISSING"
 	case VerdictNew:
@@ -44,51 +44,22 @@ func (v Verdict) String() string {
 type SeriesVerdict struct {
 	Name    string
 	Verdict Verdict
-	// Baseline and Current are ns/op (0 for missing/new series).
-	Baseline float64
-	Current  float64
-	// Delta is the relative change: (current-baseline)/baseline. Positive
-	// is slower.
-	Delta float64
-	// Band is the noise band applied, as a fraction.
-	Band float64
-	// AllocBreak is set when a zero-alloc baseline series allocated.
-	AllocBreak bool
+	// Baseline and Current are the two sides' series; a missing series has
+	// no Current and a new one no Baseline.
+	Baseline, Current Series
 }
 
-// Line renders the one-line-per-series gate summary.
+// Line renders the one-line-per-series gate summary: the counts (baseline
+// -> current where they differ) and the current run's ns/op.
 func (sv SeriesVerdict) Line() string {
 	switch sv.Verdict {
 	case VerdictMissing:
-		return fmt.Sprintf("%-9s %s (baseline %.1f ns/op; series absent from this run)", sv.Verdict, sv.Name, sv.Baseline)
-	case VerdictNew:
-		return fmt.Sprintf("%-9s %s (%.1f ns/op; not in baseline)", sv.Verdict, sv.Name, sv.Current)
+		return fmt.Sprintf("%-9s %s (baseline %s; series absent from this run)", sv.Verdict, sv.Name, sv.Baseline.countsString())
+	case VerdictChanged:
+		return fmt.Sprintf("%-9s %-30s %s -> %s  %.1f ns/op", sv.Verdict, sv.Name,
+			sv.Baseline.countsString(), sv.Current.countsString(), sv.Current.NsPerOp)
 	}
-	line := fmt.Sprintf("%-9s %s %.1f -> %.1f ns/op (%+.1f%%, band ±%.0f%%)",
-		sv.Verdict, sv.Name, sv.Baseline, sv.Current, sv.Delta*100, sv.Band*100)
-	if sv.AllocBreak {
-		line += " [zero-alloc series now allocates]"
-	}
-	return line
-}
-
-// NoiseBand returns the relative band within which a delta is classified as
-// noise, per scale. Small working sets run entirely in cache and finish a
-// rep in microseconds, so scheduler jitter on a shared CI machine is a
-// larger fraction of their time; the bands widen accordingly. The values
-// were set from observed best-of-reps spread on the 1-CPU container the
-// baselines were recorded on (DESIGN.md §14).
-func NoiseBand(scale int) float64 {
-	switch {
-	case scale <= 10:
-		return 0.40
-	case scale <= 100:
-		return 0.35
-	case scale <= 1000:
-		return 0.30
-	default:
-		return 0.25
-	}
+	return fmt.Sprintf("%-9s %-30s %s  %.1f ns/op", sv.Verdict, sv.Name, sv.Current.countsString(), sv.Current.NsPerOp)
 }
 
 // VersionError reports a schema mismatch between baseline and current run;
@@ -103,59 +74,42 @@ func (e *VersionError) Error() string {
 }
 
 // Compare judges every baseline series against the current run, then lists
-// series new in the current run. It returns a *VersionError when the schema
-// versions differ.
+// series new in the current run. A series passes only if each of its counts
+// equals the baseline's: off-chip reads and writes per op exactly, and
+// allocations per op as whole numbers. It returns a *VersionError when the
+// schema versions differ.
 func Compare(baseline, current *Report) ([]SeriesVerdict, error) {
 	if baseline.SchemaVersion != current.SchemaVersion {
 		return nil, &VersionError{baseline.SchemaVersion, current.SchemaVersion}
 	}
 	verdicts := make([]SeriesVerdict, 0, len(baseline.Series)+4)
 	for _, b := range baseline.Series {
+		sv := SeriesVerdict{Name: b.Name, Baseline: b}
 		c, ok := current.Find(b.Name)
-		if !ok {
-			verdicts = append(verdicts, SeriesVerdict{Name: b.Name, Verdict: VerdictMissing, Baseline: b.NsPerOp})
-			continue
-		}
-		band := NoiseBand(b.Scale)
-		sv := SeriesVerdict{
-			Name:     b.Name,
-			Baseline: b.NsPerOp,
-			Current:  c.NsPerOp,
-			Band:     band,
-		}
-		if b.NsPerOp > 0 {
-			sv.Delta = (c.NsPerOp - b.NsPerOp) / b.NsPerOp
-		}
 		switch {
-		case sv.Delta > band:
-			sv.Verdict = VerdictRegressed
-		case sv.Delta < -band:
-			sv.Verdict = VerdictImproved
+		case !ok:
+			sv.Verdict = VerdictMissing
+		case !slices.Equal(b.counts(), c.counts()):
+			sv.Verdict, sv.Current = VerdictChanged, c
 		default:
-			sv.Verdict = VerdictNoise
-		}
-		// Allocation regressions are deterministic, so no band applies: a
-		// series recorded allocation-free must stay allocation-free.
-		if b.AllocsPerOp == 0 && c.AllocsPerOp >= 1 {
-			sv.Verdict = VerdictRegressed
-			sv.AllocBreak = true
+			sv.Verdict, sv.Current = VerdictSame, c
 		}
 		verdicts = append(verdicts, sv)
 	}
 	for _, c := range current.Series {
 		if _, ok := baseline.Find(c.Name); !ok {
-			verdicts = append(verdicts, SeriesVerdict{Name: c.Name, Verdict: VerdictNew, Current: c.NsPerOp})
+			verdicts = append(verdicts, SeriesVerdict{Name: c.Name, Verdict: VerdictNew, Current: c})
 		}
 	}
 	return verdicts, nil
 }
 
-// Failing returns the verdicts that fail the gate (regressions and missing
+// Failing returns the verdicts that fail the gate (changed and missing
 // series).
 func Failing(verdicts []SeriesVerdict) []SeriesVerdict {
 	var bad []SeriesVerdict
 	for _, sv := range verdicts {
-		if sv.Verdict == VerdictRegressed || sv.Verdict == VerdictMissing {
+		if sv.Verdict == VerdictChanged || sv.Verdict == VerdictMissing {
 			bad = append(bad, sv)
 		}
 	}

@@ -1,17 +1,18 @@
-// Package perfgate is the performance-regression gate: a scale-graded,
-// seeded benchmark suite over the public table kinds and the wire serve
-// path, a versioned on-disk result schema (the BENCH_*.json files at the
-// repo root), and a comparator that classifies each series against a stored
-// baseline as improved, noise, or regressed within a per-scale noise band.
-// ci.sh runs the suite at reduced scale on every verification pass and fails
-// on a regression beyond the band; DESIGN.md §14 documents the baseline
-// protocol (when to refresh, how the bands were set, what the machine block
-// means).
+// Package perfgate is the performance-regression gate: a seeded benchmark
+// suite over the public table kinds, the wire serve path and trace spans, a
+// versioned on-disk result schema (the BENCH_*.json files at the repo root),
+// and a comparator that fails any series whose counts differ from the
+// stored baseline. The counts are the table meter's off-chip reads and
+// writes per op, the paper's cost metric, and whole heap allocations per op;
+// both repeat exactly for a seed, so the gate gives the same verdict on any
+// host. Wall time per op is measured and printed beside each verdict, but
+// nothing judges it. DESIGN.md §14 documents the baseline protocol.
 package perfgate
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -19,13 +20,12 @@ import (
 	"time"
 )
 
-// SchemaVersion is the current BENCH file schema. Version 1 retroactively
-// names the ad-hoc pre-gate shapes of BENCH_shard.json and BENCH_trace.json;
-// version 2 is the first comparator-parseable schema.
-const SchemaVersion = 2
+// SchemaVersion is the current BENCH file schema. Version 2 carried ns/op
+// and the scale that selected a noise band; version 3 carries counts only.
+const SchemaVersion = 3
 
-// Report is one BENCH_*.json artifact: a set of measured series plus enough
-// environment to judge whether a comparison across files is meaningful.
+// Report is one BENCH_*.json artifact: a set of measured series plus the
+// environment that recorded it (informational: no count depends on it).
 type Report struct {
 	SchemaVersion int `json:"schema_version"`
 	// Benchmark names the suite ("core", "wire", ...).
@@ -39,8 +39,8 @@ type Report struct {
 	Notes       []string    `json:"notes,omitempty"`
 }
 
-// Environment is the machine block. BENCH_shard.json's 1-CPU caveat used to
-// live in a free-text note; CPUs and GOMAXPROCS make it structural.
+// Environment is the machine block: the toolchain, CPU count and GOMAXPROCS
+// a report was measured with.
 type Environment struct {
 	Go         string `json:"go"`
 	OS         string `json:"os"`
@@ -50,24 +50,55 @@ type Environment struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
-// Series is one measured configuration. NsPerOp and AllocsPerOp are the
-// best (minimum-time) rep's numbers: on shared CI machines the minimum over
-// fixed-iteration reps estimates the uncontended cost far more stably than
-// the mean (DESIGN.md §14).
+// Series is one measured configuration: counts over every measured op of
+// every rep, which the comparator judges exactly, and the fastest rep's
+// wall time, which is printed but never judged or written to a file.
 type Series struct {
 	Name string `json:"name"`
-	// Scale is the resident key count, which selects the comparator's
-	// noise band.
-	Scale int `json:"scale"`
-	// Ops is the iteration count of each rep; Reps how many reps ran.
-	Ops  int64 `json:"ops"`
-	Reps int   `json:"reps"`
-	// NsPerOp is wall time per operation of the best rep.
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is heap allocations per operation of the best rep. A
-	// baseline of 0 is a hard promise: the comparator fails any run where
-	// a zero-alloc series starts allocating, noise band or not.
+	// Ops is how many operations the counts cover.
+	Ops int64 `json:"ops"`
+	// OffChip is the table meter's off-chip traffic per op. Only the
+	// metered kinds (Table and Blocked) carry it: the lock layer's lookups
+	// leave the meter alone (DESIGN.md §8).
+	OffChip *OffChip `json:"offchip,omitempty"`
+	// AllocsPerOp is heap allocations per op, compared as a whole number:
+	// the fraction is allocation by other goroutines (GC, timers) that
+	// wanders from run to run.
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// NsPerOp is the fastest rep's wall time per op.
+	NsPerOp float64 `json:"-"`
+}
+
+// OffChip is off-chip bucket and stash accesses per op (internal/memmodel).
+type OffChip struct {
+	Reads  float64 `json:"reads_per_op"`
+	Writes float64 `json:"writes_per_op"`
+}
+
+// counts lists the series' judged counts in print order.
+func (s Series) counts() []count {
+	cs := make([]count, 0, 3)
+	if s.OffChip != nil {
+		cs = append(cs, count{"offchip_reads", s.OffChip.Reads}, count{"offchip_writes", s.OffChip.Writes})
+	}
+	return append(cs, count{"allocs", math.Round(s.AllocsPerOp)})
+}
+
+type count struct {
+	name  string
+	value float64
+}
+
+// countsString renders the judged counts, e.g. "offchip_reads=1.5 allocs=0".
+func (s Series) countsString() string {
+	var b strings.Builder
+	for i, c := range s.counts() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%v", c.name, c.value)
+	}
+	return b.String()
 }
 
 // CurrentEnvironment captures the running machine's environment block.
@@ -133,41 +164,12 @@ func (r *Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// LegacyError marks a BENCH file that predates the versioned schema (no
-// schema_version field). Load still returns the envelope fields it could
-// recover; callers surface the error as a warning and skip comparison.
-type LegacyError struct {
-	Path string
-}
-
-func (e *LegacyError) Error() string {
-	return fmt.Sprintf("perfgate: %s has no schema_version (legacy pre-gate BENCH file); re-record it with cmd/mcperf to make it comparator-parseable", e.Path)
-}
-
-// Load reads a BENCH report. A legacy file (one written before the schema
-// existed) yields a best-effort Report with SchemaVersion 1 and a
-// *LegacyError the caller should treat as a warning, not a failure.
+// Load reads a BENCH report. A file of another schema version loads as far
+// as its fields allow; Compare refuses it with a *VersionError.
 func Load(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	var probe struct {
-		SchemaVersion int    `json:"schema_version"`
-		Benchmark     string `json:"benchmark"`
-		Recorded      string `json:"recorded"`
-		Command       string `json:"command"`
-	}
-	if err := json.Unmarshal(b, &probe); err != nil {
-		return nil, fmt.Errorf("perfgate: %s: %w", path, err)
-	}
-	if probe.SchemaVersion == 0 {
-		return &Report{
-			SchemaVersion: 1,
-			Benchmark:     probe.Benchmark,
-			Recorded:      probe.Recorded,
-			Command:       probe.Command,
-		}, &LegacyError{Path: path}
 	}
 	var r Report
 	if err := json.Unmarshal(b, &r); err != nil {

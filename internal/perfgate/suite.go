@@ -11,64 +11,39 @@ import (
 )
 
 // SuiteOptions parameterizes one suite run. The zero value is invalid; use
-// DefaultSuiteOptions (baseline recording) or QuickSuiteOptions (the reduced
-// scale ci.sh gates at).
+// DefaultSuiteOptions, the one configuration baselines are recorded and
+// checked at (tests run the suites smaller).
 type SuiteOptions struct {
 	// Scales are the resident key counts swept (default 10/100/1k/10k).
 	Scales []int
 	// Ops is the iteration count of one rep. Fixed — never time-targeted —
-	// so every rep and every run does identical work and minima are
-	// comparable across runs.
+	// so every run does identical work and its counts repeat exactly.
 	Ops int
-	// Reps is how many reps each series runs; the best (minimum time) rep
-	// is recorded.
+	// Reps is how many reps each series runs; the counts cover all of
+	// them, the printed ns/op is the fastest.
 	Reps int
 	// WireOps is the per-rep iteration count of the loopback round-trip
 	// series, which cost microseconds per op rather than nanoseconds.
 	WireOps int
-	// Seed derives every key set and table seed.
-	Seed uint64
 }
 
-// DefaultSuiteOptions is the baseline-recording configuration.
+// seed derives every key set and table seed.
+const seed = 1
+
+// DefaultSuiteOptions is the configuration `mcperf record` and `mcperf
+// check` both run.
 func DefaultSuiteOptions() SuiteOptions {
 	return SuiteOptions{
 		Scales:  []int{10, 100, 1000, 10000},
 		Ops:     200_000,
 		Reps:    10,
 		WireOps: 2_000,
-		Seed:    1,
 	}
 }
 
-// QuickSuiteOptions is the reduced-scale configuration ci.sh gates at: same
-// scales and seed (the per-op work is identical, so minima stay comparable
-// to a DefaultSuiteOptions baseline), fewer iterations and reps.
-func QuickSuiteOptions() SuiteOptions {
-	return SuiteOptions{
-		Scales:  []int{10, 100, 1000, 10000},
-		Ops:     50_000,
-		Reps:    5,
-		WireOps: 500,
-		Seed:    1,
-	}
-}
-
-func (o *SuiteOptions) normalize() error {
-	if len(o.Scales) == 0 {
-		o.Scales = []int{10, 100, 1000, 10000}
-	}
-	if o.Ops <= 0 || o.Reps <= 0 {
-		return fmt.Errorf("perfgate: Ops and Reps must be positive")
-	}
-	if o.WireOps <= 0 {
-		o.WireOps = o.Ops / 100
-		if o.WireOps < 100 {
-			o.WireOps = 100
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
+func (o SuiteOptions) validate() error {
+	if o.Ops <= 0 || o.Reps <= 0 || o.WireOps <= 0 {
+		return fmt.Errorf("perfgate: Ops, Reps and WireOps must be positive")
 	}
 	for _, s := range o.Scales {
 		if s < 1 {
@@ -88,40 +63,10 @@ var Suites = map[string]func(SuiteOptions) (*Report, error){
 // sink defeats dead-code elimination of measured loops.
 var sink uint64
 
-// measure times fn(Ops) Reps times and returns the best rep's ns/op and
-// allocs/op. fn is called once with a small n first to warm caches and grow
-// scratch, so first-use allocations are not charged to rep 1. Allocations
-// are the runtime's Mallocs delta around the rep; sub-1% residue (GC
-// bookkeeping on other goroutines) is rounded away so a genuinely
-// allocation-free loop records exactly 0.
-func measure(o SuiteOptions, fn func(n int)) (nsPerOp, allocsPerOp float64) {
-	warm := o.Ops / 10
-	if warm < 64 {
-		warm = 64
-	}
-	fn(warm)
-	best := math.MaxFloat64
-	var ms0, ms1 runtime.MemStats
-	for r := 0; r < o.Reps; r++ {
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		fn(o.Ops)
-		dur := time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&ms1)
-		ns := float64(dur) / float64(o.Ops)
-		if ns < best {
-			best = ns
-			allocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(o.Ops)
-		}
-	}
-	allocsPerOp = math.Round(allocsPerOp*1000) / 1000
-	return best, allocsPerOp
-}
-
-// keysFor derives the deterministic key set of one (suite, scale) pair.
+// keysFor derives the deterministic key set of one scale.
 // Keys are nonzero and distinct; the high bit is kept clear so `k | 1<<63`
 // is always an absent key for miss series.
-func keysFor(seed uint64, scale int) []uint64 {
+func keysFor(scale int) []uint64 {
 	keys := make([]uint64, scale)
 	for i := range keys {
 		k := hashutil.Mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
@@ -216,9 +161,10 @@ func mixLoop(st mccuckoo.Store, keys []uint64) func(int) {
 
 // CoreSuite measures the four public table kinds: single-thread lookup-hit,
 // lookup-miss (Table only — the paper's headline metric), and the fixed op
-// mix, at every scale.
+// mix, at every scale. Table and Blocked series carry off-chip counts;
+// Concurrent and Sharded, which expose no meter, carry allocations only.
 func CoreSuite(o SuiteOptions) (*Report, error) {
-	if err := o.normalize(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	r := NewReport("core", "go run ./cmd/mcperf record -suite core")
@@ -227,25 +173,25 @@ func CoreSuite(o SuiteOptions) (*Report, error) {
 		build func(capacity int) (mccuckoo.Store, error)
 	}{
 		{"table", func(c int) (mccuckoo.Store, error) {
-			return mccuckoo.New(c, mccuckoo.WithSeed(o.Seed))
+			return mccuckoo.New(c, mccuckoo.WithSeed(seed))
 		}},
 		{"blocked", func(c int) (mccuckoo.Store, error) {
-			return mccuckoo.NewBlocked(c, mccuckoo.WithSeed(o.Seed))
+			return mccuckoo.NewBlocked(c, mccuckoo.WithSeed(seed))
 		}},
 		{"concurrent", func(c int) (mccuckoo.Store, error) {
-			t, err := mccuckoo.New(c, mccuckoo.WithSeed(o.Seed))
+			t, err := mccuckoo.New(c, mccuckoo.WithSeed(seed))
 			if err != nil {
 				return nil, err
 			}
 			return mccuckoo.NewConcurrent(t), nil
 		}},
 		{"sharded", func(c int) (mccuckoo.Store, error) {
-			return mccuckoo.NewSharded(c, 4, mccuckoo.WithSeed(o.Seed))
+			return mccuckoo.NewSharded(c, 4, mccuckoo.WithSeed(seed))
 		}},
 	}
 	for _, kind := range kinds {
 		for _, scale := range o.Scales {
-			keys := keysFor(o.Seed, scale)
+			keys := keysFor(scale)
 			st, err := kind.build(capacityFor(scale))
 			if err != nil {
 				return nil, fmt.Errorf("perfgate: build %s at scale %d: %w", kind.name, scale, err)
@@ -253,25 +199,53 @@ func CoreSuite(o SuiteOptions) (*Report, error) {
 			if err := seedStore(st, keys); err != nil {
 				return nil, err
 			}
-			r.addSeries(fmt.Sprintf("%s/lookup_hit/n=%d", kind.name, scale), scale, o, lookupHitLoop(st, keys))
+			m, _ := st.(metered)
+			r.addSeries(fmt.Sprintf("%s/lookup_hit/n=%d", kind.name, scale), o, m, lookupHitLoop(st, keys))
 			if kind.name == "table" {
-				r.addSeries(fmt.Sprintf("%s/lookup_miss/n=%d", kind.name, scale), scale, o, lookupMissLoop(st, keys))
+				r.addSeries(fmt.Sprintf("%s/lookup_miss/n=%d", kind.name, scale), o, m, lookupMissLoop(st, keys))
 			}
-			r.addSeries(fmt.Sprintf("%s/mix/n=%d", kind.name, scale), scale, o, mixLoop(st, keys))
+			r.addSeries(fmt.Sprintf("%s/mix/n=%d", kind.name, scale), o, m, mixLoop(st, keys))
 		}
 	}
 	return r, nil
 }
 
-// addSeries measures one loop and appends the series.
-func (r *Report) addSeries(name string, scale int, o SuiteOptions, fn func(int)) {
-	ns, allocs := measure(o, fn)
-	r.Series = append(r.Series, Series{
+// metered is the kinds with a traffic meter (Table and Blocked).
+type metered interface{ Traffic() mccuckoo.Traffic }
+
+// addSeries measures one loop and appends the series. fn is called once
+// with a small n first to warm caches and grow scratch, so first-use
+// allocations and misses are not counted; then Reps reps of Ops each run,
+// and the counts are the deltas over all of them: the runtime's Mallocs and,
+// when m is non-nil, m's off-chip traffic.
+func (r *Report) addSeries(name string, o SuiteOptions, m metered, fn func(n int)) {
+	fn(max(o.Ops/10, 64))
+	var t0 mccuckoo.Traffic
+	if m != nil {
+		t0 = m.Traffic()
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	best := int64(math.MaxInt64)
+	for rep := 0; rep < o.Reps; rep++ {
+		start := time.Now()
+		fn(o.Ops)
+		best = min(best, time.Since(start).Nanoseconds())
+	}
+	runtime.ReadMemStats(&ms1)
+	ops := int64(o.Ops) * int64(o.Reps)
+	s := Series{
 		Name:        name,
-		Scale:       scale,
-		Ops:         int64(o.Ops),
-		Reps:        o.Reps,
-		NsPerOp:     ns,
-		AllocsPerOp: allocs,
-	})
+		Ops:         ops,
+		AllocsPerOp: math.Round(float64(ms1.Mallocs-ms0.Mallocs) / float64(ops)),
+		NsPerOp:     float64(best) / float64(o.Ops),
+	}
+	if m != nil {
+		t1 := m.Traffic()
+		s.OffChip = &OffChip{
+			Reads:  float64(t1.OffChipReads-t0.OffChipReads) / float64(ops),
+			Writes: float64(t1.OffChipWrites-t0.OffChipWrites) / float64(ops),
+		}
+	}
+	r.Series = append(r.Series, s)
 }

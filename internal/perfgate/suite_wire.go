@@ -10,31 +10,33 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/telemetry/trace"
 	"mccuckoo/internal/wire"
 )
 
-// wireScale is the resident key count of the wire series; it selects the
-// 1k noise band.
+// wireScale is the resident key count of the wire series.
 const wireScale = 1000
 
 // WireSuite measures the serving layer over a seeded sharded store: the
 // in-process serve path (wire.ServeProbe — decode-to-response execution
 // into a served connection's reused output buffer, where the zero-copy
 // framing must show 0 allocs/op), full loopback-TCP round trips through
-// the pooled client, and two series that attribute a round trip's cost:
+// the pooled client, two series that attribute a round trip's cost —
 // wire/rtt/echo, a bare echo over loopback TCP (the syscall floor), and
-// wire/pipe/get, the client and server over net.Pipe (no syscalls).
+// wire/pipe/get, the client and server over net.Pipe (no syscalls) — and
+// the cost of a trace span at a span site. Every series carries
+// allocations only: the sharded store exposes no meter.
 func WireSuite(o SuiteOptions) (*Report, error) {
-	if err := o.normalize(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	r := NewReport("wire", "go run ./cmd/mcperf record -suite wire")
 
-	store, err := mccuckoo.NewSharded(4*wireScale, 4, mccuckoo.WithSeed(o.Seed))
+	store, err := mccuckoo.NewSharded(4*wireScale, 4, mccuckoo.WithSeed(seed))
 	if err != nil {
 		return nil, err
 	}
-	keys := keysFor(o.Seed, wireScale)
+	keys := keysFor(wireScale)
 	if err := seedStore(store, keys); err != nil {
 		return nil, err
 	}
@@ -51,6 +53,7 @@ func WireSuite(o SuiteOptions) (*Report, error) {
 	if err := wirePipeSeries(r, o, store, keys); err != nil {
 		return nil, err
 	}
+	traceSpanSeries(r, o)
 	return r, nil
 }
 
@@ -82,22 +85,22 @@ func wireServeSeries(r *Report, o SuiteOptions, store mccuckoo.BatchStore, keys 
 	batch = append(batch, u64le(keys[:rot]...)...)
 	batchF := wire.Frame{Type: wire.OpBatch, ID: 3, Payload: batch}
 
-	r.addSeries("wire/serve/get", wireScale, o, func(n int) {
+	r.addSeries("wire/serve/get", o, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			sink += uint64(probe.Handle(getF[i&(rot-1)]))
 		}
 	})
-	r.addSeries("wire/serve/put_update", wireScale, o, func(n int) {
+	r.addSeries("wire/serve/put_update", o, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			sink += uint64(probe.Handle(putF))
 		}
 	})
-	r.addSeries("wire/serve/del_miss", wireScale, o, func(n int) {
+	r.addSeries("wire/serve/del_miss", o, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			sink += uint64(probe.Handle(delF))
 		}
 	})
-	r.addSeries(fmt.Sprintf("wire/serve/batch_get/n=%d", rot), wireScale, o, func(n int) {
+	r.addSeries(fmt.Sprintf("wire/serve/batch_get/n=%d", rot), o, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			sink += uint64(probe.Handle(batchF))
 		}
@@ -136,8 +139,7 @@ func wireRTTSeries(r *Report, o SuiteOptions, store mccuckoo.BatchStore, keys []
 	ow := o
 	ow.Ops = o.WireOps
 	var rttErr error
-	ow2 := ow
-	r.addSeries("wire/rtt/get", wireScale, ow, func(n int) {
+	r.addSeries("wire/rtt/get", ow, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			v, _, err := cli.Get(keys[i%wireScale])
 			if err != nil && rttErr == nil {
@@ -148,7 +150,7 @@ func wireRTTSeries(r *Report, o SuiteOptions, store mccuckoo.BatchStore, keys []
 	})
 	const bn = 64
 	bkeys := keys[:bn]
-	r.addSeries(fmt.Sprintf("wire/rtt/batch_get/n=%d", bn), wireScale, ow2, func(n int) {
+	r.addSeries(fmt.Sprintf("wire/rtt/batch_get/n=%d", bn), ow, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			vs, _, err := cli.GetBatch(bkeys)
 			if err != nil && rttErr == nil {
@@ -201,7 +203,7 @@ func wireEchoSeries(r *Report, o SuiteOptions) error {
 	ow.Ops = o.WireOps
 	var b [echoFrame]byte
 	var echoErr error
-	r.addSeries("wire/rtt/echo", wireScale, ow, func(n int) {
+	r.addSeries("wire/rtt/echo", ow, nil, func(n int) {
 		for i := 0; i < n && echoErr == nil; i++ {
 			b[0] = byte(i)
 			if _, echoErr = nc.Write(b[:]); echoErr == nil {
@@ -271,7 +273,7 @@ func wirePipeSeries(r *Report, o SuiteOptions, store mccuckoo.BatchStore, keys [
 	ow := o
 	ow.Ops = o.WireOps
 	var pipeErr error
-	r.addSeries("wire/pipe/get", wireScale, ow, func(n int) {
+	r.addSeries("wire/pipe/get", ow, nil, func(n int) {
 		for i := 0; i < n; i++ {
 			v, _, err := cli.Get(keys[i%wireScale])
 			if err != nil && pipeErr == nil {
@@ -281,4 +283,30 @@ func wirePipeSeries(r *Report, o SuiteOptions, store mccuckoo.BatchStore, keys [
 		}
 	})
 	return pipeErr
+}
+
+// traceSpanSeries measures one span and a child span opened and finished at
+// a span site: with tracing off (a nil recorder), on but unsampled, and
+// sampled, where both spans are written to the recorder's ring. All three
+// paths are allocation-free.
+func traceSpanSeries(r *Report, o SuiteOptions) {
+	for _, c := range []struct {
+		name string
+		rec  *trace.Recorder
+	}{
+		{"disabled", nil},
+		{"unsampled", trace.New(trace.Options{Sample: 1 << 30})},
+		{"sampled", trace.New(trace.Options{Sample: 1})},
+	} {
+		rec := c.rec
+		r.addSeries("trace/span/"+c.name, o, nil, func(n int) {
+			for i := 0; i < n; i++ {
+				sp := rec.Start(rec.Begin(), trace.KindClientOp)
+				child := sp.StartChild(trace.KindTableOp)
+				child.Finish()
+				sp.Finish()
+				sink += uint64(child.SpanID)
+			}
+		})
+	}
 }

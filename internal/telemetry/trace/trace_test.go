@@ -348,35 +348,3 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 		t.Fatalf("sampled record path allocates %v per op, want 0", n)
 	}
 }
-
-func BenchmarkTraceDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tc := r.Begin()
-		sp := r.Start(tc, KindClientOp)
-		sp.Finish()
-	}
-}
-
-func BenchmarkTraceUnsampled(b *testing.B) {
-	r := New(Options{Sample: 1 << 30})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tc := r.Begin()
-		sp := r.Start(tc, KindClientOp)
-		sp.Finish()
-	}
-}
-
-func BenchmarkTraceSampled(b *testing.B) {
-	r := New(Options{Sample: 1})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tc := r.Begin()
-		sp := r.Start(tc, KindClientOp)
-		child := sp.StartChild(KindTableOp)
-		child.Finish()
-		sp.Finish()
-	}
-}
