@@ -2,7 +2,10 @@
 # ci.sh — the repo's verification gate.
 #
 # Tier-1 (every PR must keep this green): formatting + module hygiene +
-# vet + mcvet + build + full test suite.
+# vet + mcvet + build + full test suite. The full-suite step also fails when
+# any test reports SKIP, and lists those tests: a test that skips on every
+# run checks nothing while looking green. Skips outside that step (the
+# race gate's, and -short runs) are not judged.
 # mcvet gate: the repo-specific analyzers (cmd/mcvet) enforce McCuckoo's
 # own invariants — zero-allocation hot paths, lock discipline around the
 # shard tables, no mixed atomic/plain access, counter/flag writes only
@@ -130,8 +133,24 @@ rm -f "${mcvet_out}"
 say "go build: compiling all packages"
 go build ./...
 
-say "go test: full suite"
-go test -shuffle=on ./...
+say "go test: full suite (a skipped test fails it)"
+# -v prints a "--- SKIP" line for every skipped test. A skip in this step is
+# a test that checked nothing, so the gate lists the skipped tests and fails.
+test_log="$(mktemp)"
+test_rc=0
+go test -shuffle=on -v ./... >"${test_log}" 2>&1 || test_rc=$?
+if [ "${test_rc}" -ne 0 ]; then
+	cat "${test_log}" >&2
+	rm -f "${test_log}"
+	exit "${test_rc}"
+fi
+grep -E '^(ok|\?) ' "${test_log}" || true
+skipped="$(grep -E '^ *--- SKIP: ' "${test_log}" || true)"
+rm -f "${test_log}"
+if [ -n "${skipped}" ]; then
+	printf 'go test: skipped tests fail this gate:\n%s\n' "${skipped}" >&2
+	exit 1
+fi
 
 say "32-bit leg: GOARCH=386 vet + tests of the network-facing packages, the lock layer and the keep rule"
 GOARCH=386 go vet ./internal/wire/ ./internal/cluster/ ./cmd/mcserved/

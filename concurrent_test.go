@@ -2,6 +2,7 @@ package mccuckoo
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -96,6 +97,75 @@ func TestConcurrentSaveFileMatchesWriteTo(t *testing.T) {
 			}
 			if !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("SaveFile wrote %d bytes that differ from the table's %d-byte WriteTo", len(got), want.Len())
+			}
+		})
+	}
+}
+
+// TestConcurrentStatsMatchTable: a Concurrent around a Table or Blocked and
+// a bare one built with the same options, fed one sequence with stash
+// pressure, misses, deletes and batched lookups, answer alike and report the
+// same Stats field by field. The lock layer's readers run the table's own
+// probe, so their lookups, hits and stash probes count as Lookup's do.
+func TestConcurrentStatsMatchTable(t *testing.T) {
+	opts := []Option{WithSeed(7), WithMaxLoop(4)}
+	for name, pair := range map[string]func(t *testing.T) (bare, conc BatchStore, inserts int){
+		"single": func(t *testing.T) (BatchStore, BatchStore, int) {
+			a, err1 := New(300, opts...)
+			b, err2 := New(300, opts...)
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+			return a, NewConcurrent(b), 320
+		},
+		"blocked": func(t *testing.T) (BatchStore, BatchStore, int) {
+			a, err1 := NewBlocked(270, opts...)
+			b, err2 := NewBlocked(270, opts...)
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+			return a, NewConcurrent(b), 280
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bare, conc, n := pair(t)
+			lookups := func(keys []uint64) {
+				for _, k := range keys {
+					v1, ok1 := bare.Lookup(k)
+					v2, ok2 := conc.Lookup(k)
+					if ok1 != ok2 || v1 != v2 {
+						t.Fatalf("Lookup(%d): table (%d,%v), concurrent (%d,%v)", k, v1, ok1, v2, ok2)
+					}
+				}
+				for _, s := range []BatchStore{bare, conc} {
+					s.LookupBatchInto(keys[:1], make([]uint64, 1), make([]bool, 1))
+					s.LookupBatchInto(keys, make([]uint64, len(keys)), make([]bool, len(keys)))
+				}
+			}
+			all := keyRange(1, uint64(2*n)) // the upper half misses
+			for _, s := range []BatchStore{bare, conc} {
+				for _, k := range all[:n] {
+					s.Insert(k, k*3)
+				}
+			}
+			if bare.StashLen() == 0 {
+				t.Fatal("no item was stashed: the sequence lost its stash pressure")
+			}
+			lookups(all)
+			for _, s := range []BatchStore{bare, conc} {
+				for _, k := range all[:n] {
+					if k%5 == 0 {
+						s.Delete(k)
+					}
+				}
+			}
+			lookups(all)
+			got, want := conc.Stats(), bare.Stats()
+			if want.StashProbes == 0 {
+				t.Fatal("no lookup probed the stash")
+			}
+			if got != want {
+				t.Fatalf("Stats differ:\nconcurrent %+v\ntable      %+v", got, want)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
+	"mccuckoo/internal/memmodel"
 )
 
 // noSlot marks an absent copy in a slot-hint entry.
@@ -67,9 +68,8 @@ func (t *BlockedTable) setSlotCounter(table, bucket, slot int, v uint64) {
 // (all slots plus the stash flag).
 //
 //mcvet:hotpath
-func (t *BlockedTable) readBucketAccess(table, bucket int) (flag bool) {
+func (t *BlockedTable) readBucketAccess() {
 	t.meter.ReadOff(1)
-	return t.flags.Get(t.bucketIndex(table, bucket))
 }
 
 // writeSlot stores an entry with hints into one slot, charging one off-chip
@@ -109,7 +109,7 @@ func (t *BlockedTable) Insert(key, value uint64) kv.Outcome {
 //
 //mcvet:hotpath
 func (t *BlockedTable) updateExisting(key, value uint64, cand []int) (kv.Outcome, bool) {
-	if st := t.scanBuckets(key, cand); st.foundTable >= 0 {
+	if st := t.scanBuckets(key, cand, &t.meter); st.foundTable >= 0 {
 		table, slot := st.foundTable, st.foundSlot
 		idx := t.cellIndex(table, cand[table], slot)
 		hints := t.hints[idx]
@@ -221,7 +221,7 @@ func (t *BlockedTable) commitPlacement(e kv.Entry, cand []int, ownedSlot []int8,
 //
 //mcvet:hotpath
 func (t *BlockedTable) overwriteVictim(table, bucket, slot int, v uint64) {
-	t.readBucketAccess(table, bucket)
+	t.readBucketAccess()
 	idx := t.cellIndex(table, bucket, slot)
 	victimKey := t.cells[idx].Key
 	hints := t.hints[idx]
@@ -266,7 +266,7 @@ func (t *BlockedTable) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 		}
 		r := t.pickVictim(curCand[:t.cfg.D], prevTable)
 		s := t.rng.IntN(t.cfg.Slots)
-		t.readBucketAccess(r, curCand[r])
+		t.readBucketAccess()
 		idx := t.cellIndex(r, curCand[r], s)
 		victim := t.cells[idx]
 		// Victims in a real collision are sole copies (all candidate
@@ -294,7 +294,6 @@ func (t *BlockedTable) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 type blockedScan struct {
 	foundTable int
 	foundSlot  int
-	readAny    bool
 	flagAnd    bool
 	earlyMiss  bool // an all-zero bucket proved the key was never inserted
 }
@@ -302,18 +301,21 @@ type blockedScan struct {
 // scanBuckets implements Algorithm 2's main-table walk: a candidate bucket
 // whose counters are all free is skipped without an off-chip access (and,
 // when all-zero with rule 1 active, proves a definite miss); every other
-// candidate bucket is read once and its slots searched.
+// candidate bucket is read once and its slots searched. Each bucket's
+// counter read and bucket read are charged to m as they happen.
 //
 //mcvet:hotpath
-func (t *BlockedTable) scanBuckets(key uint64, cand []int) blockedScan {
+func (t *BlockedTable) scanBuckets(key uint64, cand []int, m *memmodel.Meter) blockedScan {
 	st := blockedScan{foundTable: -1, flagAnd: true}
 	d, l := t.cfg.D, t.cfg.Slots
 	var cnt [8]uint64
 	for i := 0; i < d; i++ {
-		t.bucketCounters(i, cand[i], cnt[:l])
+		base := t.cellIndex(i, cand[i], 0)
+		m.ReadOn(1) // a bucket's l counters share one SRAM word
 		live := false
 		allZero := true
 		for s := 0; s < l; s++ {
+			cnt[s] = t.counters.Get(base + s)
 			if !t.isFree(cnt[s]) {
 				live = true
 			}
@@ -328,10 +330,8 @@ func (t *BlockedTable) scanBuckets(key uint64, cand []int) blockedScan {
 			}
 			continue
 		}
-		flag := t.readBucketAccess(i, cand[i])
-		st.readAny = true
-		st.flagAnd = st.flagAnd && flag
-		base := t.cellIndex(i, cand[i], 0)
+		m.ReadOff(1) // the whole bucket, its stash flag included
+		st.flagAnd = st.flagAnd && t.flags.Get(t.bucketIndex(i, cand[i]))
 		for s := 0; s < l; s++ {
 			if !t.isFree(cnt[s]) && t.cells[base+s].Key == key {
 				st.foundTable, st.foundSlot = i, s
@@ -357,26 +357,50 @@ func (t *BlockedTable) shouldProbeStash(st blockedScan) bool {
 	return st.flagAnd
 }
 
+// probe is the blocked table's one lookup: the bucket scan, then the stash
+// when every flag the scan saw is set. Like Table.probe it charges every
+// access to m in program order, reports whether it consulted the stash and
+// writes nothing else.
+//
+//mcvet:hotpath
+func (t *BlockedTable) probe(key uint64, m *memmodel.Meter) (value uint64, ok, stashProbed bool) {
+	var cand [hashutil.MaxD]int
+	t.family.Indexes(key, cand[:])
+	st := t.scanBuckets(key, cand[:t.cfg.D], m)
+	if st.foundTable >= 0 {
+		return t.cells[t.cellIndex(st.foundTable, cand[st.foundTable], st.foundSlot)].Value, true, false
+	}
+	if !t.shouldProbeStash(st) {
+		return 0, false, false
+	}
+	value, ok, offReads := t.overflow.Find(key)
+	m.ReadOff(offReads)
+	return value, ok, true
+}
+
 // Lookup returns the value stored for key.
 //
 //mcvet:hotpath
 func (t *BlockedTable) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
-	var cand [hashutil.MaxD]int
-	t.family.Indexes(key, cand[:])
-	st := t.scanBuckets(key, cand[:t.cfg.D])
-	if st.foundTable >= 0 {
-		t.stats.Hits++
-		return t.cells[t.cellIndex(st.foundTable, cand[st.foundTable], st.foundSlot)].Value, true
-	}
-	if t.shouldProbeStash(st) {
+	v, ok, stashProbed := t.probe(key, &t.meter)
+	if stashProbed {
 		t.stats.StashProbe++
-		if v, ok := t.overflow.Lookup(key); ok {
-			t.stats.Hits++
-			return v, true
-		}
 	}
-	return 0, false
+	if ok {
+		t.stats.Hits++
+	}
+	return v, ok
+}
+
+// LookupReadOnlyTraced is Table.LookupReadOnlyTraced for the blocked table:
+// the same probe as Lookup against a meter on its own stack.
+//
+//mcvet:hotpath
+func (t *BlockedTable) LookupReadOnlyTraced(key uint64) (value uint64, ok, stashProbed bool, offReads int64) {
+	var m memmodel.Meter
+	value, ok, stashProbed = t.probe(key, &m)
+	return value, ok, stashProbed, m.OffChipReads
 }
 
 // Delete removes key (Algorithm 3): the first live copy's slot hints reveal
@@ -388,7 +412,7 @@ func (t *BlockedTable) Delete(key uint64) bool {
 	t.stats.Deletes++
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
-	st := t.scanBuckets(key, cand[:t.cfg.D])
+	st := t.scanBuckets(key, cand[:t.cfg.D], &t.meter)
 	if st.foundTable >= 0 {
 		idx := t.cellIndex(st.foundTable, cand[st.foundTable], st.foundSlot)
 		hints := t.hints[idx]

@@ -7,9 +7,11 @@ import (
 	"mccuckoo/internal/kv"
 )
 
-// FindPath searches for a cuckoo path at slot granularity without mutating
-// the table, mirroring Table.FindPath. Paths are bucket-disjoint. ok is
-// false when no path within MaxLoop hops exists.
+// FindPath searches for a cuckoo path at slot granularity, mirroring
+// Table.FindPath. Paths are bucket-disjoint. ok is false when no path
+// within MaxLoop hops exists. Like Table.FindPath it charges its counter
+// and bucket reads to the table's meter and draws from the table's RNG, so
+// pathwise holds the write lock during discovery.
 func (t *BlockedTable) FindPath(key uint64) ([]PathMove, bool) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
@@ -21,7 +23,7 @@ func (t *BlockedTable) FindPath(key uint64) ([]PathMove, bool) {
 	visited := map[int]bool{t.bucketIndex(curTable, curBucket): true}
 	var cnt [8]uint64
 	for hop := 0; hop < t.cfg.MaxLoop; hop++ {
-		t.readBucketAccess(curTable, curBucket)
+		t.readBucketAccess()
 		victim := t.cells[t.cellIndex(curTable, curBucket, curSlot)].Key
 		var vcand [hashutil.MaxD]int
 		t.family.Indexes(victim, vcand[:])

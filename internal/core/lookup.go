@@ -1,6 +1,9 @@
 package core
 
-import "mccuckoo/internal/hashutil"
+import (
+	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/memmodel"
+)
 
 // scanState carries what a counter-guided candidate scan learned, which the
 // stash pre-screen needs afterwards. Stash flags are not captured here: the
@@ -38,18 +41,18 @@ func (t *Table) flagsAllSet(cand []int, mask uint8) bool {
 //  3. a surviving partition of size S needs at most S-V+1 bucket reads.
 //
 // Partitions are visited in decreasing counter value: items with more copies
-// are found with fewer reads.
+// are found with fewer reads. Every access is charged to m.
 //
 // The walk is batch-probed: all d candidate cells are touched up front, so
 // their (cache-missing) loads issue independently instead of serializing
-// behind the counter examination and each key compare. The meter is then
-// charged with what the sequential walk would have read — reads stop at the
-// matching bucket, skipped partitions charge nothing — keeping access counts
-// and readMask identical to the paper's algorithm; the extra touches are
+// behind the counter examination and each key compare. m is then charged
+// with what the sequential walk would have read — reads stop at the matching
+// bucket, skipped partitions charge nothing — keeping access counts and
+// readMask identical to the paper's algorithm; the extra touches are
 // speculation the model's wide off-chip word would fetch anyway.
 //
 //mcvet:hotpath
-func (t *Table) scan(key uint64, cand []int, st *scanState) {
+func (t *Table) scan(key uint64, cand []int, st *scanState, m *memmodel.Meter) {
 	st.readMask = 0
 	st.found = -1
 	st.earlyMiss = false
@@ -65,7 +68,7 @@ func (t *Table) scan(key uint64, cand []int, st *scanState) {
 	}
 	// One batched on-chip charge for the d counter reads (the meter hook
 	// expands it into d accesses, so simulated streams are unchanged).
-	t.meter.ReadOn(int64(d))
+	m.ReadOn(int64(d))
 	anyZero := false
 	for i := 0; i < d; i++ {
 		c := t.counters.Get(idx[i])
@@ -100,7 +103,7 @@ func (t *Table) scan(key uint64, cand []int, st *scanState) {
 		if match >= 0 {
 			reads = match + 1
 		}
-		t.meter.ReadOff(int64(reads))
+		m.ReadOff(int64(reads))
 		for k := 0; k < reads; k++ {
 			st.readMask |= 1 << uint(group[k])
 		}
@@ -115,21 +118,23 @@ func (t *Table) scan(key uint64, cand []int, st *scanState) {
 }
 
 // scanAll is the traditional lookup used when the counter pre-screen is
-// disabled (§IV.F ablation): read candidates in order until found.
+// disabled (§IV.F ablation): read candidates in order until found, charging
+// each bucket read to m.
 //
 //mcvet:hotpath
-func (t *Table) scanAll(key uint64, cand []int, st *scanState) {
+func (t *Table) scanAll(key uint64, cand []int, st *scanState, m *memmodel.Meter) {
 	st.readMask = 0
 	st.found = -1
 	st.earlyMiss = false
 	for i := 0; i < t.cfg.D; i++ {
-		gotKey := t.readBucket(i, cand[i])
+		m.ReadOff(1)
+		idx := t.bucketIndex(i, cand[i])
 		st.readMask |= 1 << uint(i)
 		// Liveness comes from a valid bit that a counter-less
 		// implementation would keep inside the bucket record, so it is
 		// read with the bucket at no extra charge.
-		if gotKey == key && !t.isFree(t.counters.Get(t.bucketIndex(i, cand[i]))) {
-			st.value = t.cells[t.bucketIndex(i, cand[i])].Value
+		if t.cells[idx].Key == key && !t.isFree(t.counters.Get(idx)) {
+			st.value = t.cells[idx].Value
 			st.found = i
 			return
 		}
@@ -169,33 +174,61 @@ func (t *Table) shouldProbeStash(st *scanState, cand []int) bool {
 	return t.flagsAllSet(cand, st.readMask)
 }
 
+// probe is the table's one lookup: the counter-guided scan (the in-order
+// scan with DisablePrescreen), then the stash when the pre-screen cannot
+// rule it out. It charges every access to m, in program order, reports
+// whether it consulted the stash, and writes nothing else, so Lookup hands
+// it the table's meter and LookupReadOnlyTraced one of its own.
+//
+//mcvet:hotpath
+func (t *Table) probe(key uint64, m *memmodel.Meter) (value uint64, ok, stashProbed bool) {
+	var cand [hashutil.MaxD]int
+	t.family.Indexes(key, cand[:])
+
+	var st scanState
+	if t.cfg.DisablePrescreen {
+		t.scanAll(key, cand[:t.cfg.D], &st, m)
+	} else {
+		t.scan(key, cand[:t.cfg.D], &st, m)
+	}
+	if st.found >= 0 {
+		return st.value, true, false
+	}
+	if !t.shouldProbeStash(&st, cand[:t.cfg.D]) {
+		return 0, false, false
+	}
+	value, ok, offReads := t.overflow.Find(key)
+	m.ReadOff(offReads)
+	return value, ok, true
+}
+
 // Lookup returns the value stored for key, checking the stash only when the
 // pre-screen cannot rule it out.
 //
 //mcvet:hotpath
 func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
-	var cand [hashutil.MaxD]int
-	t.family.Indexes(key, cand[:])
-
-	var st scanState
-	if t.cfg.DisablePrescreen {
-		t.scanAll(key, cand[:t.cfg.D], &st)
-	} else {
-		t.scan(key, cand[:t.cfg.D], &st)
-	}
-	if st.found >= 0 {
-		t.stats.Hits++
-		return st.value, true
-	}
-	if t.shouldProbeStash(&st, cand[:t.cfg.D]) {
+	v, ok, stashProbed := t.probe(key, &t.meter)
+	if stashProbed {
 		t.stats.StashProbe++
-		if v, ok := t.overflow.Lookup(key); ok {
-			t.stats.Hits++
-			return v, true
-		}
 	}
-	return 0, false
+	if ok {
+		t.stats.Hits++
+	}
+	return v, ok
+}
+
+// LookupReadOnlyTraced is Lookup for readers that share the table under a
+// read lock (internal/shard): it runs the same probe against a meter on its
+// own stack, so it touches neither the table's meter nor its stats. It
+// reports the off-chip reads Lookup would charge and whether the probe
+// consulted the stash, for the caller to count.
+//
+//mcvet:hotpath
+func (t *Table) LookupReadOnlyTraced(key uint64) (value uint64, ok, stashProbed bool, offReads int64) {
+	var m memmodel.Meter
+	value, ok, stashProbed = t.probe(key, &m)
+	return value, ok, stashProbed, m.OffChipReads
 }
 
 // locateCopies finds every subtable holding a copy of key. It fills st with
@@ -211,7 +244,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 //
 //mcvet:hotpath
 func (t *Table) locateCopies(key uint64, cand []int, buf *[hashutil.MaxD]int, st *scanState) ([]int, bool) {
-	t.scan(key, cand, st)
+	t.scan(key, cand, st, &t.meter)
 	if st.found < 0 {
 		return nil, false
 	}

@@ -24,7 +24,7 @@ type PathMove struct {
 }
 
 // FindPath searches for a cuckoo path that frees one of key's candidate
-// buckets without mutating the table (§III.H: MemC3 introduced cuckoo-path
+// buckets, moving nothing (§III.H: MemC3 introduced cuckoo-path
 // insertion but "did not develop efficient method to quickly find one";
 // McCuckoo's counters do exactly that — the walk ends at the first bucket
 // whose counter is not 1, i.e. free or redundantly occupied).
@@ -32,9 +32,10 @@ type PathMove struct {
 // The returned path is ordered from key's bucket outward: path[0] moves the
 // item that currently blocks key, path[len-1] ends in a usable bucket.
 // ok is false when no path within MaxLoop hops exists; the caller should
-// stash key. FindPath only reads (buckets along the path are read to learn
-// victim keys; the traffic is charged), so a concurrent wrapper may run it
-// under a read lock.
+// stash key. FindPath leaves the cells, counters and flags alone, but it
+// charges its bucket and counter reads to the table's meter and draws from
+// the table's RNG to pick where the walk goes: both belong to the writer,
+// so pathwise runs discovery under the write lock, never a read lock.
 func (t *Table) FindPath(key uint64) ([]PathMove, bool) {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])

@@ -192,11 +192,14 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		sh.batchLookups.Add(1)
 		sh.batchReadAcqs.Add(1)
 		sh.mu.RLock()
-		v, ok, off := sh.tab.LookupReadOnlyTraced(keys[0])
+		v, ok, probed, off := sh.tab.LookupReadOnlyTraced(keys[0])
 		sh.mu.RUnlock()
 		values[0], found[0] = v, ok
 		if ok {
 			sh.hits.Add(1)
+		}
+		if probed {
+			sh.stashProbes.Add(1)
 		}
 		sink.RecordLookup(si, keys[0], ok, off, time.Time{})
 		return
@@ -211,18 +214,22 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 		sh := &s.shards[shi]
 		sh.batchLookups.Add(int64(hi - lo))
 		sh.batchReadAcqs.Add(1)
-		hits := int64(0)
+		hits, probes := int64(0), int64(0)
 		sh.mu.RLock()
 		for _, i := range order[lo:hi] {
-			v, ok, off := sh.tab.LookupReadOnlyTraced(keys[i])
+			v, ok, probed, off := sh.tab.LookupReadOnlyTraced(keys[i])
 			sink.RecordLookup(shi, keys[i], ok, off, time.Time{})
 			values[i], found[i] = v, ok
 			if ok {
 				hits++
 			}
+			if probed {
+				probes++
+			}
 		}
 		sh.mu.RUnlock()
 		sh.hits.Add(hits)
+		sh.stashProbes.Add(probes)
 	}
 	s.release(buf)
 }

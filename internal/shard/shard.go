@@ -33,17 +33,17 @@ import (
 	"mccuckoo/internal/telemetry"
 )
 
-// Inner is the table one shard wraps: a single-writer table exposing the
-// pure read-only lookup path, which counts its off-chip reads without
-// touching the meter (so readers can run under the shard's read lock and
-// still feed telemetry), the observability gauges, exactly-once iteration,
-// capacity growth, derived-state repair, and snapshot serialization with
-// the core kind byte that names its loader. Both core.Table and
-// core.BlockedTable satisfy it.
+// Inner is the table one shard wraps: a single-writer table exposing its
+// read-only lookup (the probe Lookup runs, charged to a meter on the
+// reader's stack; it reports the off-chip reads and whether it consulted
+// the stash, which the shard counts, so readers share the read lock), the
+// observability gauges, exactly-once iteration, capacity growth,
+// derived-state repair, and snapshot serialization with the core kind byte
+// that names its loader. Both core.Table and core.BlockedTable satisfy it.
 type Inner interface {
 	kv.Table
 	Kind() uint8
-	LookupReadOnlyTraced(key uint64) (value uint64, ok bool, offReads int64)
+	LookupReadOnlyTraced(key uint64) (value uint64, ok, stashProbed bool, offReads int64)
 	CopyHistogram() []int
 	StashFlags() (set, total int)
 	Range(fn func(key, value uint64) bool)
@@ -63,7 +63,7 @@ const MaxShards = 1 << 16
 type state struct {
 	mu sync.RWMutex
 	// tab is installed once by New and never reassigned; every call into it
-	// must hold mu (read lock suffices for the pure read-only lookup path).
+	// must hold mu (read lock suffices for LookupReadOnlyTraced).
 	//
 	//mcvet:guardedby mu
 	tab Inner
@@ -81,6 +81,7 @@ type state struct {
 	// sharding win even when lock contention is absent.
 	singleLookups atomic.Int64 // per-op Lookup calls; each is one read-lock acquisition
 	hits          atomic.Int64 // read-path hits, single and batched
+	stashProbes   atomic.Int64 // read-path lookups that consulted the stash
 
 	// Batch-path bookkeeping (off the per-key hot path: one update per
 	// touched shard per batch).
@@ -89,7 +90,7 @@ type state struct {
 	batchWriteOps  atomic.Int64 // keys mutated through InsertBatch/DeleteBatch
 	batchWriteAcqs atomic.Int64 // write-lock acquisitions by InsertBatch/DeleteBatch
 
-	_ [40]byte
+	_ [32]byte
 }
 
 // Sharded is the partitioned table. All methods are safe for concurrent
@@ -112,7 +113,7 @@ type Sharded struct {
 
 	// sink, when non-nil, receives one telemetry event per operation. Its
 	// recording calls inline to nil checks, so the disabled path reads no
-	// clock and allocates nothing (see BenchmarkTelemetryDisabled*).
+	// clock and allocates nothing (TestDisabledPathZeroAlloc).
 	sink *telemetry.Sink
 }
 
@@ -204,9 +205,9 @@ func (s *Sharded) InsertPathwise(key, value uint64) kv.Outcome {
 	return out
 }
 
-// Lookup runs under the owning shard's read lock via the pure read-only
-// path; lookups on different shards never contend, and lookups on the same
-// shard share the lock.
+// Lookup runs the table's probe under the owning shard's read lock; lookups
+// on different shards never contend, and lookups on the same shard share the
+// lock.
 //
 //mcvet:hotpath
 func (s *Sharded) Lookup(key uint64) (uint64, bool) {
@@ -216,10 +217,13 @@ func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 	start := sink.Start()
 	sh.singleLookups.Add(1)
 	sh.mu.RLock()
-	v, ok, off := sh.tab.LookupReadOnlyTraced(key)
+	v, ok, probed, off := sh.tab.LookupReadOnlyTraced(key)
 	sh.mu.RUnlock()
 	if ok {
 		sh.hits.Add(1)
+	}
+	if probed {
+		sh.stashProbes.Add(1)
 	}
 	sink.RecordLookup(si, key, ok, off, start)
 	return v, ok
@@ -289,8 +293,8 @@ func (s *Sharded) StashLen() int {
 }
 
 // Stats merges the writer-side stats of every shard with the atomically
-// counted concurrent lookups (the read path goes through
-// LookupReadOnlyTraced, which by design charges no inner stats).
+// counted read path: its lookups, hits and stash probes (LookupReadOnlyTraced
+// charges no inner stats, so the shard counts them).
 func (s *Sharded) Stats() kv.Stats {
 	var total kv.Stats
 	for i := range s.shards {
@@ -312,6 +316,7 @@ func (s *Sharded) Stats() kv.Stats {
 		total.GrowFailures += st.GrowFailures
 		total.Lookups += sh.singleLookups.Load() + sh.batchLookups.Load()
 		total.Hits += sh.hits.Load()
+		total.StashProbe += sh.stashProbes.Load()
 	}
 	return total
 }

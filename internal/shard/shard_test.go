@@ -225,6 +225,31 @@ func TestRange(t *testing.T) {
 	}
 }
 
+// TestReadPathStashProbesCounted: lookups through the read path, single and
+// batched, count their stash probes; the shards' Ops.StashProbe sum to
+// Stats().StashProbe.
+func TestReadPathStashProbesCounted(t *testing.T) {
+	s := newSharded(t, 4, 16, 17)
+	keys := make([]uint64, 400) // more keys than the 192 buckets: the rest stash
+	for i := range keys {
+		keys[i] = uint64(i)
+		s.Insert(keys[i], keys[i])
+	}
+	for _, k := range keys {
+		s.Lookup(k)
+	}
+	single := s.Stats().StashProbe
+	s.LookupBatch(keys)
+	total, perShard := s.Stats().StashProbe, int64(0)
+	for _, sh := range s.ShardStats().Shards {
+		perShard += sh.Ops.StashProbe
+	}
+	if single == 0 || total != 2*single || perShard != total {
+		t.Fatalf("stash probes: %d after single lookups, %d after the same batch (want twice), %d summed over shards",
+			single, total, perShard)
+	}
+}
+
 // TestShardStats checks per-shard aggregation: totals match the flat view
 // and lock/lookup counters add up.
 func TestShardStats(t *testing.T) {

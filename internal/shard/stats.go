@@ -20,13 +20,16 @@ type ShardStat struct {
 	// telemetry gauge aggregates).
 	StashFlagDensity float64 `json:"stash_flag_density"`
 
-	// Ops are the inner table's lifetime counts (writer side). Ops.Kicks
+	// Ops are the inner table's lifetime counts (writer side), except that
+	// Ops.StashProbe also counts the read path's stash probes, so the
+	// shards' Ops.StashProbe sum to Sharded.Stats().StashProbe. Ops.Kicks
 	// is the shard's total kick-path length — the quantity per-shard
 	// locking keeps short and local.
 	Ops kv.Stats `json:"ops"`
 
-	// Lookups/Hits count the concurrent read path (LookupReadOnlyTraced runs
-	// stat-free inside the table, so the shard counts it here).
+	// Lookups/Hits count the concurrent read path. It runs the table's one
+	// probe against a meter on the reader's stack, so it charges neither
+	// the table's meter nor its stats, and the shard counts it here.
 	Lookups int64 `json:"lookups"`
 	Hits    int64 `json:"hits"`
 
@@ -82,6 +85,7 @@ func (s *Sharded) ShardStats() ShardStats {
 		if totalFlags > 0 {
 			st.StashFlagDensity = float64(set) / float64(totalFlags)
 		}
+		st.Ops.StashProbe += sh.stashProbes.Load()
 		singles := sh.singleLookups.Load()
 		st.Lookups = singles + sh.batchLookups.Load()
 		st.Hits = sh.hits.Load()

@@ -93,21 +93,31 @@ func (s *Stash) Insert(key, value uint64) bool {
 	return true
 }
 
-// Lookup searches for key.
-func (s *Stash) Lookup(key uint64) (uint64, bool) {
+// Find searches for key without charging memory traffic and reports the
+// off-chip reads the probe costs: the groups of the key's chain read up to
+// the match, the whole chain on a miss, one read for an empty chain. It is
+// the stash's one probe; the McCuckoo tables charge offReads to the meter
+// their own probe was handed.
+//
+//mcvet:hotpath
+func (s *Stash) Find(key uint64) (value uint64, ok bool, offReads int64) {
 	chain := s.buckets[s.slot(key)]
 	for i := range chain {
 		if chain[i].Key == key {
-			s.meter.ReadOff(groups(i))
-			return chain[i].Value, true
+			return chain[i].Value, true, groups(i)
 		}
 	}
 	if len(chain) > 0 {
-		s.meter.ReadOff(groups(len(chain) - 1))
-	} else {
-		s.meter.ReadOff(1) // empty group still costs the probe
+		return 0, false, groups(len(chain) - 1)
 	}
-	return 0, false
+	return 0, false, 1 // empty group still costs the probe
+}
+
+// Lookup searches for key, charging the probe to the stash's meter.
+func (s *Stash) Lookup(key uint64) (uint64, bool) {
+	v, ok, offReads := s.Find(key)
+	s.meter.ReadOff(offReads)
+	return v, ok
 }
 
 // Delete removes key, reporting whether it was present.
@@ -147,34 +157,6 @@ func (s *Stash) Drain() []kv.Entry {
 	}
 	s.size = 0
 	return out
-}
-
-// Peek searches for key without charging memory traffic. It supports the
-// read-only lookup path used for concurrent readers.
-func (s *Stash) Peek(key uint64) (uint64, bool) {
-	for _, e := range s.buckets[s.slot(key)] {
-		if e.Key == key {
-			return e.Value, true
-		}
-	}
-	return 0, false
-}
-
-// PeekTraced is Peek additionally reporting the off-chip reads the probe
-// would have cost (the same group count Lookup charges to the meter). It lets
-// the concurrent read path report per-lookup access counts to telemetry
-// without mutating the shared meter.
-func (s *Stash) PeekTraced(key uint64) (value uint64, ok bool, offReads int64) {
-	chain := s.buckets[s.slot(key)]
-	for i := range chain {
-		if chain[i].Key == key {
-			return chain[i].Value, true, groups(i)
-		}
-	}
-	if len(chain) > 0 {
-		return 0, false, groups(len(chain) - 1)
-	}
-	return 0, false, 1 // empty group still costs the probe
 }
 
 // Entries returns a copy of all entries without mutating the stash and

@@ -185,20 +185,29 @@ func TestQuickModelEquivalence(t *testing.T) {
 	}
 }
 
-func TestPeekMatchesLookupWithoutTraffic(t *testing.T) {
+// TestFindMatchesLookupWithoutTraffic: Find answers as Lookup does, charges
+// nothing, and reports exactly the off-chip reads Lookup charges.
+func TestFindMatchesLookupWithoutTraffic(t *testing.T) {
 	s, m := newTestStash(t, 0)
 	for i := uint64(0); i < 40; i++ {
 		s.Insert(i, i*3)
 	}
-	before := m.Snapshot()
 	for i := uint64(0); i < 80; i++ {
-		pv, pok := s.Peek(i)
-		if pok != (i < 40) || (pok && pv != i*3) {
-			t.Fatalf("Peek(%d) = (%d,%v)", i, pv, pok)
+		before := m.Snapshot()
+		fv, fok, off := s.Find(i)
+		if fok != (i < 40) || (fok && fv != i*3) {
+			t.Fatalf("Find(%d) = (%d,%v)", i, fv, fok)
 		}
-	}
-	if delta := m.Snapshot().Sub(before); delta.OffChipReads != 0 || delta.OffChipWrites != 0 {
-		t.Fatalf("Peek charged traffic: %+v", delta)
+		if delta := m.Snapshot().Sub(before); !delta.Same(memmodel.Meter{}) {
+			t.Fatalf("Find(%d) charged traffic: %+v", i, delta)
+		}
+		lv, lok := s.Lookup(i)
+		if lok != fok || lv != fv {
+			t.Fatalf("Lookup(%d) = (%d,%v), Find (%d,%v)", i, lv, lok, fv, fok)
+		}
+		if delta := m.Snapshot().Sub(before); !delta.Same(memmodel.Meter{OffChipReads: off}) {
+			t.Fatalf("Lookup(%d) charged %+v, Find reported %d off-chip reads", i, delta, off)
+		}
 	}
 }
 

@@ -4,8 +4,7 @@ package telemetry_test
 // check per recording call and allocates nothing, and a table with
 // telemetry allocates nothing to record either. TestDisabledPathZeroAlloc
 // and its siblings assert both with testing.AllocsPerRun for the lock
-// layer and the single-writer tables; the BenchmarkTelemetry* pair keeps
-// the enabled-path overhead measurable (ci.sh runs them as a smoke).
+// layer and the single-writer tables.
 
 import (
 	"testing"
@@ -151,49 +150,5 @@ func TestEnabledPathRecords(t *testing.T) {
 	}
 	if len(sink.Events()) == 0 {
 		t.Fatal("flight recorder empty")
-	}
-}
-
-func BenchmarkTelemetryDisabledLookup(b *testing.B) {
-	s := newSharded(b, 8, 2048, 5)
-	populate(s, 20_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Lookup(uint64(i%20_000) + 1)
-	}
-}
-
-func BenchmarkTelemetryEnabledLookup(b *testing.B) {
-	s := newSharded(b, 8, 2048, 5)
-	s.AttachTelemetry(telemetry.New())
-	populate(s, 20_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Lookup(uint64(i%20_000) + 1)
-	}
-}
-
-func BenchmarkTelemetryDisabledInsertDelete(b *testing.B) {
-	s := newSharded(b, 8, 2048, 5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i) + 1
-		s.Insert(k, k)
-		s.Delete(k)
-	}
-}
-
-func BenchmarkTelemetryEnabledInsertDelete(b *testing.B) {
-	s := newSharded(b, 8, 2048, 5)
-	s.AttachTelemetry(telemetry.New())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i) + 1
-		s.Insert(k, k)
-		s.Delete(k)
 	}
 }

@@ -11,8 +11,7 @@
 //     recording calls a table makes around each operation (Start, OffChip,
 //     RecordInsert/RecordLookup/RecordDelete) inline to a nil check, so a
 //     table without telemetry reads no clock, hashes no key and allocates
-//     nothing on its hot path (asserted by TestDisabledPathZeroAlloc and
-//     kept measurable by the BenchmarkTelemetry* smoke in ci.sh).
+//     nothing on its hot path (asserted by TestDisabledPathZeroAlloc).
 //  2. An enabled Sink is lock-free on the record path: counters and
 //     histogram buckets are atomics, the flight recorder is a seqlock Ring,
 //     and Event is a value — recording allocates nothing either.

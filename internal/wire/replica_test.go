@@ -130,10 +130,10 @@ func TestReplicatedLocalWritesAreSequenced(t *testing.T) {
 }
 
 func TestReplicatedApplyFailedKeepsSeq(t *testing.T) {
-	// A tiny single-slot table fills up fast; a replicated PUT that loses
-	// to capacity must NOT advance the key's sequence number, so a retry
-	// can still land it.
-	tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3))
+	// A tiny single-slot table with a one-item stash fills up fast; a
+	// replicated PUT that loses to capacity must NOT advance the key's
+	// sequence number, so a retry can still land it.
+	tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestReplicatedApplyFailedKeepsSeq(t *testing.T) {
 		}
 	}
 	if failedKey == 0 {
-		t.Skip("table absorbed every insert; cannot exercise ApplyFailed")
+		t.Fatal("table absorbed every insert; ApplyFailed never exercised")
 	}
 	if state, _, _ := r.VGet(failedKey); state != VStateMissing {
 		t.Fatalf("failed key state %d, want missing", state)

@@ -21,7 +21,8 @@ import (
 //
 // Recording is lock-free and allocation-free; a table without telemetry pays
 // a few inlined nil checks per operation, reads no clock, hashes no key and
-// allocates nothing (the disabled path is gated by benchmark in ci.sh).
+// allocates nothing (TestDisabledPathZeroAlloc and TestSingleWriterZeroAlloc
+// assert it).
 //
 // A Telemetry observes one table: attaching it to several merges their event
 // streams but the gauges report only the last table attached.
