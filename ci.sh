@@ -12,6 +12,15 @@
 # through sanctioned setters, and deterministic snapshot/repair paths. It
 # runs before the test suite because its findings are cheaper to read than
 # the test failures they predict.
+# Unjudged-code gate: every program in the tree runs under a gate that
+# checks its result. So the root module holds no Go benchmark (a testing.B
+# function, whose numbers nothing compares) and no package main outside
+# cmd/, whose five programs these gates run: mcvet, the paper gate
+# (mcbench), the perf gate (mcperf), and the tests and smokes of mcserved
+# and mctrace. A timing worth keeping becomes a perf-suite series with
+# exact counts, and a demonstration an Example whose output go test
+# checks. The nested benchmark/ module is outside the root module's ./...
+# and keeps its own gate.
 # Paper gate: `mcbench -exp all` at the RESULTS.txt settings (capacity
 # 147456, 5 runs, seed 1) must reproduce RESULTS.txt line for line once the
 # wall-clock "[... completed in ...]" lines are dropped. Kicks, off-chip and
@@ -132,6 +141,17 @@ rm -f "${mcvet_out}"
 
 say "go build: compiling all packages"
 go build ./...
+
+say "unjudged code: no Go benchmark, no package main outside cmd/"
+unjudged="$(
+	go list -f '{{if eq .Name "main"}}{{.ImportPath}}: package main outside cmd/{{end}}' ./... | grep -Ev '^(mccuckoo/cmd/|$)' || true
+	go list -f '{{range .TestGoFiles}}{{$.Dir}}/{{.}} {{end}}{{range .XTestGoFiles}}{{$.Dir}}/{{.}} {{end}}' ./... |
+		xargs grep -Hn '^func Benchmark' || true
+)"
+if [ -n "${unjudged}" ]; then
+	printf 'unjudged code: nothing runs these and checks what they show:\n%s\n' "${unjudged}" >&2
+	exit 1
+fi
 
 say "go test: full suite (a skipped test fails it)"
 # -v prints a "--- SKIP" line for every skipped test. A skip in this step is

@@ -2,6 +2,7 @@ package mccuckoo_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"log"
 
@@ -139,4 +140,91 @@ func ExampleNewConcurrent() {
 	// Output:
 	// reader saw key 1: true
 	// items: 2
+}
+
+// A Sharded table groups a batch's keys by shard, so loading it costs one
+// write lock per shard per batch rather than one per key.
+func ExampleNewSharded() {
+	table, err := mccuckoo.NewSharded(120_000, 16, mccuckoo.WithSeed(42))
+	if err != nil {
+		log.Fatal(err)
+	}
+	const batch = 4096
+	n := uint64(0.70 * float64(table.Capacity()))
+	keys := make([]uint64, 0, batch)
+	vals := make([]uint64, 0, batch)
+	for k := uint64(1); k <= n; k++ {
+		keys = append(keys, k)
+		vals = append(vals, k*10)
+		if len(keys) == batch || k == n {
+			for _, r := range table.InsertBatch(keys, vals) {
+				if r.Status == mccuckoo.Failed {
+					log.Fatal("batched insert failed")
+				}
+			}
+			keys, vals = keys[:0], vals[:0]
+		}
+	}
+	v, _ := table.Lookup(123)
+	st := table.ShardStats()
+	fmt.Println("items:", table.Len(), "lookup(123):", v)
+	fmt.Printf("write locks: %d for %d batches\n", st.WriteLocks, (n+batch-1)/batch)
+	fmt.Printf("shard load: min %.1f%% max %.1f%%\n", st.MinLoad*100, st.MaxLoad*100)
+	// Output:
+	// items: 84000 lookup(123): 1230
+	// write locks: 336 for 21 batches
+	// shard load: min 68.9% max 71.6%
+}
+
+// A lookup of an absent key reads off-chip only the candidate buckets
+// whose counters do not rule the key out. Without the counter pre-screen
+// it reads all three.
+func ExampleTable_Lookup() {
+	for _, opts := range [][]mccuckoo.Option{
+		{mccuckoo.WithSeed(42)},
+		{mccuckoo.WithSeed(42), mccuckoo.WithoutLookupPrescreen()},
+	} {
+		table, err := mccuckoo.New(30_000, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		n := uint64(0.80 * float64(table.Capacity()))
+		for k := uint64(1); k <= n; k++ {
+			table.Insert(k, k*10)
+		}
+		before := table.Traffic()
+		for k := n + 1; k <= n+10_000; k++ {
+			table.Lookup(k)
+		}
+		reads := table.Traffic().OffChipReads - before.OffChipReads
+		fmt.Printf("%.3f off-chip reads per miss\n", float64(reads)/10_000)
+	}
+	// Output:
+	// 1.830 off-chip reads per miss
+	// 3.000 off-chip reads per miss
+}
+
+// A snapshot with one flipped bit fails its checksum, and Load rejects it
+// with a *CorruptError naming the damaged section.
+func ExampleCorruptError() {
+	table, err := mccuckoo.New(3000, mccuckoo.WithSeed(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for k := uint64(1); k <= 500; k++ {
+		table.Insert(k, k*2)
+	}
+	var snapshot bytes.Buffer
+	if _, err := table.WriteTo(&snapshot); err != nil {
+		log.Fatal(err)
+	}
+	raw := snapshot.Bytes()
+	raw[len(raw)/2] ^= 0x04
+	_, err = mccuckoo.Load(bytes.NewReader(raw))
+	var ce *mccuckoo.CorruptError
+	if errors.As(err, &ce) {
+		fmt.Printf("rejected: corrupt %s snapshot, %s section\n", ce.Kind, ce.Section)
+	}
+	// Output:
+	// rejected: corrupt table snapshot, buckets section
 }

@@ -50,9 +50,6 @@ func (s Scheme) String() string {
 // Blocked reports whether the scheme stores multiple slots per bucket.
 func (s Scheme) Blocked() bool { return s == SchemeBCHT || s == SchemeBMcCuckoo }
 
-// MultiCopy reports whether the scheme is one of the paper's contributions.
-func (s Scheme) MultiCopy() bool { return s == SchemeMcCuckoo || s == SchemeBMcCuckoo }
-
 // MaxLoad is the highest load ratio the sweeps push the scheme to: the
 // single-slot schemes top out near the d=3 cuckoo threshold (~91.8%), the
 // blocked ones close to full.

@@ -1,9 +1,22 @@
 package bitpack
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// wantPanic runs fn and checks that it panics with a value that prints as
+// want under %v, as the wire server's recover logs it.
+func wantPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if got := fmt.Sprintf("%v", recover()); got != want {
+			t.Errorf("panic %q, want %q", got, want)
+		}
+	}()
+	fn()
+}
 
 func TestCountersValidation(t *testing.T) {
 	if _, err := NewCounters(-1, 2); err == nil {
@@ -51,35 +64,18 @@ func TestCountersDec(t *testing.T) {
 	if c.Get(2) != 2 {
 		t.Fatalf("counter = %d after Dec, want 2", c.Get(2))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Dec of zero counter did not panic")
-		}
-	}()
-	c.Dec(0)
+	wantPanic(t, "bitpack: decrement of zero counter", func() { c.Dec(0) })
 }
 
 func TestCountersSetOverflowPanics(t *testing.T) {
 	c, _ := NewCounters(4, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Set(_, 4) on 2-bit counter did not panic")
-		}
-	}()
-	c.Set(0, 4)
+	wantPanic(t, "bitpack: value 4 exceeds 2-bit counter", func() { c.Set(0, 4) })
 }
 
 func TestCountersOutOfRangePanics(t *testing.T) {
 	c, _ := NewCounters(4, 2)
 	for _, i := range []int{-1, 4} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Get(%d) did not panic", i)
-				}
-			}()
-			c.Get(i)
-		}()
+		wantPanic(t, fmt.Sprintf("bitpack: counter index %d out of range [0,4)", i), func() { c.Get(i) })
 	}
 }
 
@@ -170,12 +166,7 @@ func TestBitsetValidation(t *testing.T) {
 		t.Error("negative length accepted")
 	}
 	b, _ := NewBitset(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range Set did not panic")
-		}
-	}()
-	b.Set(8)
+	wantPanic(t, "bitpack: bit index 8 out of range [0,8)", func() { b.Set(8) })
 }
 
 // Property: Bitset matches a []bool model.
@@ -209,15 +200,6 @@ func TestBitsetQuickEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkCountersGetSet(b *testing.B) {
-	c, _ := NewCounters(1<<20, 2)
-	for i := 0; i < b.N; i++ {
-		idx := i & (1<<20 - 1)
-		c.Set(idx, uint64(i)&3)
-		_ = c.Get(idx)
 	}
 }
 
@@ -262,10 +244,5 @@ func TestBitsetWordsRoundTrip(t *testing.T) {
 
 func TestBitsetClearOutOfRange(t *testing.T) {
 	b, _ := NewBitset(8)
-	defer func() {
-		if recover() == nil {
-			t.Error("Clear(-1) did not panic")
-		}
-	}()
-	b.Clear(-1)
+	wantPanic(t, "bitpack: bit index -1 out of range [0,8)", func() { b.Clear(-1) })
 }

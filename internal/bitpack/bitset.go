@@ -61,7 +61,7 @@ func (b *Bitset) Count() int {
 
 func (b *Bitset) check(i int) {
 	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitpack: bit index %d out of range [0,%d)", i, b.n))
+		panic(indexError{"bit", i, b.n})
 	}
 }
 

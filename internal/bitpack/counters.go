@@ -71,7 +71,7 @@ func (c *Counters) Get(i int) uint64 {
 // Set stores v into counter i. v must fit in the counter width.
 func (c *Counters) Set(i int, v uint64) {
 	if v > c.mask {
-		panic(fmt.Sprintf("bitpack: value %d exceeds %d-bit counter", v, c.width))
+		panic(valueError{v, c.width})
 	}
 	word, shift := c.locate(i)
 	c.words[word] = c.words[word]&^(c.mask<<shift) | v<<shift
@@ -102,12 +102,33 @@ func (c *Counters) SizeBytes() int { return len(c.words) * 8 }
 
 func (c *Counters) locate(i int) (word int, shift uint) {
 	if uint(i) >= uint(c.n) {
-		panic(fmt.Sprintf("bitpack: counter index %d out of range [0,%d)", i, c.n))
+		panic(indexError{"counter", i, c.n})
 	}
 	if c.log2PerWord >= 0 {
 		return i >> uint(c.log2PerWord), uint(i&(c.perWord-1)) * c.width
 	}
 	return i / c.perWord, uint(i%c.perWord) * c.width
+}
+
+// indexError and valueError are the accessors' panic values. They format
+// their message only when printed, which keeps fmt out of the accessors and
+// the accessors small enough to inline.
+type indexError struct {
+	what string
+	i, n int
+}
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitpack: %s index %d out of range [0,%d)", e.what, e.i, e.n)
+}
+
+type valueError struct {
+	v     uint64
+	width uint
+}
+
+func (e valueError) Error() string {
+	return fmt.Sprintf("bitpack: value %d exceeds %d-bit counter", e.v, e.width)
 }
 
 // Words exposes the packed backing array for serialization. The returned

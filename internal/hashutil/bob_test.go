@@ -195,22 +195,6 @@ func TestFamilyIndexes(t *testing.T) {
 	}
 }
 
-func BenchmarkBOB64Key(b *testing.B) {
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= BOB64Key(uint64(i), 7)
-	}
-	_ = sink
-}
-
-func BenchmarkFamilyIndexes(b *testing.B) {
-	f, _ := NewFamily(3, 1<<20, 7)
-	var dst [8]int
-	for i := 0; i < b.N; i++ {
-		f.Indexes(uint64(i), dst[:])
-	}
-}
-
 func TestDoubleHashedFamily(t *testing.T) {
 	f, err := NewDoubleHashedFamily(4, 1000, 5)
 	if err != nil {

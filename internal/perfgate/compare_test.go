@@ -188,7 +188,7 @@ func TestSuitesSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CoreSuite: %v", err)
 	}
-	if len(core.Series) != 2*4*2+2 {
+	if len(core.Series) != 2*4*2+2+2 {
 		t.Fatalf("core suite produced %d series", len(core.Series))
 	}
 	for _, s := range core.Series {

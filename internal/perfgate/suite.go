@@ -161,8 +161,9 @@ func mixLoop(st mccuckoo.Store, keys []uint64) func(int) {
 
 // CoreSuite measures the four public table kinds: single-thread lookup-hit,
 // lookup-miss (Table only — the paper's headline metric), and the fixed op
-// mix, at every scale. Table and Blocked series carry off-chip counts;
-// Concurrent and Sharded, which expose no meter, carry allocations only.
+// mix, at every scale, then a Table's fill to 85% and to 90% load. Table
+// and Blocked series carry off-chip counts; Concurrent and Sharded, which
+// expose no meter, carry allocations only.
 func CoreSuite(o SuiteOptions) (*Report, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -207,8 +208,49 @@ func CoreSuite(o SuiteOptions) (*Report, error) {
 			r.addSeries(fmt.Sprintf("%s/mix/n=%d", kind.name, scale), o, m, mixLoop(st, keys))
 		}
 	}
+	keys := keysFor(o.Ops)
+	for _, load := range []int{85, 90} {
+		f := &fillLoop{capacity: (o.Ops*100 + load - 1) / load, keys: keys}
+		r.addSeries(fmt.Sprintf("table/fill/load=%d", load), o, f, f.fill)
+		if f.err != nil {
+			return nil, fmt.Errorf("perfgate: table/fill/load=%d: %w", load, f.err)
+		}
+	}
 	return r, nil
 }
+
+// fillLoop is the fill series' loop: the paper's insertion cost (Fig. 9/10)
+// and what a table workload's setup runs. Each call builds a fresh seeded
+// Table, sized so that Ops inserts reach the series' load, and inserts its
+// first n keys through Insert, the upsert path. Traffic sums the meters of
+// every table it filled, so addSeries reads a fill's cost as one store's.
+type fillLoop struct {
+	capacity int
+	keys     []uint64
+	traffic  mccuckoo.Traffic
+	err      error
+}
+
+func (f *fillLoop) fill(n int) {
+	tab, err := mccuckoo.New(f.capacity, mccuckoo.WithSeed(seed))
+	if err != nil {
+		f.err = err
+		return
+	}
+	for _, k := range f.keys[:min(n, len(f.keys))] {
+		if tab.Insert(k, k).Status == mccuckoo.Failed {
+			f.err = fmt.Errorf("insert failed at %d/%d keys", tab.Len(), n)
+			return
+		}
+	}
+	t := tab.Traffic()
+	f.traffic.OffChipReads += t.OffChipReads
+	f.traffic.OffChipWrites += t.OffChipWrites
+	f.traffic.OnChipReads += t.OnChipReads
+	f.traffic.OnChipWrites += t.OnChipWrites
+}
+
+func (f *fillLoop) Traffic() mccuckoo.Traffic { return f.traffic }
 
 // metered is the kinds with a traffic meter (Table and Blocked).
 type metered interface{ Traffic() mccuckoo.Traffic }

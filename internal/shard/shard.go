@@ -159,13 +159,6 @@ func (s *Sharded) shardIndex(key uint64) int {
 	return int(hashutil.Mix64(key^s.salt) >> s.shift)
 }
 
-// shardFor returns the shard owning key.
-//
-//mcvet:hotpath
-func (s *Sharded) shardFor(key uint64) *state {
-	return &s.shards[s.shardIndex(key)]
-}
-
 // AttachTelemetry wires a sink into every operation path and must be called
 // before the table sees concurrent traffic (the field write is unsynchronized
 // by design, to keep the per-op check a plain load). A nil sink detaches.

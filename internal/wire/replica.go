@@ -226,26 +226,6 @@ func (r *Replicated) DigestRange(peer string, lo, hi uint64, maxKeys int) (diges
 	return digest, count, keys
 }
 
-// CompactTombstones drops tombstones whose deletion sequence number is
-// strictly below beforeSeq, returning how many were reclaimed. The caller
-// owns the safety argument: a tombstone may only be dropped once every
-// replica has applied past its sequence number, otherwise a partitioned
-// replica's stale PUT could resurrect the key. Digest terms are XORed out,
-// so two replicas compacting at the same watermark keep equal digests.
-func (r *Replicated) CompactTombstones(beforeSeq uint64) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.seqs.deleteFunc(func(k, meta uint64) bool {
-		if meta&1 == 0 || meta>>1 >= beforeSeq {
-			return false
-		}
-		r.digest ^= DigestTerm(k, 0, meta)
-		return true
-	})
-	r.tombs -= n
-	return n
-}
-
 // MetaOf rebuilds the internal meta word from a VGET response, for digest
 // computations: seq<<1, low bit set when the state is a tombstone.
 func MetaOf(seq uint64, tomb bool) uint64 {
@@ -469,7 +449,7 @@ func (r *Replicated) pull(sub *logSub, dst []Entry) ([]Entry, uint64) {
 		for _, k := range sub.keys[:n] {
 			meta, ok := r.seqs.get(k)
 			if !ok {
-				continue // a tombstone compacted since the catch-up began
+				continue // untracked by a LoadSidecar since the catch-up began
 			}
 			if meta&1 == 1 {
 				dst = append(dst, Entry{Seq: meta >> 1, Op: OpDel, Key: k})
@@ -601,14 +581,6 @@ func (r *Replicated) CheckpointWith(saveValues func() error, sidecarPath string)
 	return r.saveSidecarLocked(sidecarPath)
 }
 
-// SaveSidecar writes the bookkeeping sidecar on its own (for tests and
-// callers that quiesce writes themselves).
-func (r *Replicated) SaveSidecar(path string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.saveSidecarLocked(path)
-}
-
 // saveSidecarLocked writes the sidecar: header, sorted (key, meta) pairs,
 // trailing CRC32C over everything before it.
 //
@@ -648,7 +620,7 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 	})
 }
 
-// LoadSidecar restores the bookkeeping written by SaveSidecar, replacing
+// LoadSidecar restores the bookkeeping written by CheckpointWith, replacing
 // any seeded state. Live keys whose value is absent from the wrapped store
 // (a sidecar older than the values snapshot) are dropped from tracking and
 // counted, so they read as missing and heal through read-repair and the

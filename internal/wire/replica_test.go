@@ -26,6 +26,10 @@ func newReplicated(t testing.TB, capacity int) *Replicated {
 	return NewReplicated(tab, ReplicaConfig{})
 }
 
+// noValues is a CheckpointWith values step that saves nothing, for tests
+// that write the sidecar alone.
+func noValues() error { return nil }
+
 func TestReplicatedNewestWriteWins(t *testing.T) {
 	r := newReplicated(t, 1<<12)
 
@@ -256,7 +260,7 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	side := filepath.Join(dir, "sidecar")
 	a := newReplicated(t, 1<<12)
 	a.ApplyPush([]Entry{{Seq: 3, Op: OpPut, Key: 9, Value: 90}}, nil)
-	if err := a.SaveSidecar(side); err != nil {
+	if err := a.CheckpointWith(noValues, side); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(side)
@@ -392,7 +396,7 @@ func FuzzLoadSidecar(f *testing.F) {
 	src.ApplyPush([]Entry{{Seq: 40, Op: OpDel, Key: 3}, {Seq: 41, Op: OpDel, Key: 30}}, nil)
 	src.SetDrained(25)
 	dir := f.TempDir()
-	if err := src.SaveSidecar(filepath.Join(dir, "seed")); err != nil {
+	if err := src.CheckpointWith(noValues, filepath.Join(dir, "seed")); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "seed"))
@@ -443,14 +447,14 @@ func FuzzLoadSidecar(f *testing.F) {
 		}
 
 		first, second := filepath.Join(dir, "first"), filepath.Join(dir, "second")
-		if err := r.SaveSidecar(first); err != nil {
+		if err := r.CheckpointWith(noValues, first); err != nil {
 			t.Fatal(err)
 		}
 		r2 := NewReplicated(tab, cfg)
 		if err := r2.LoadSidecar(first); err != nil {
 			t.Fatalf("reloading a saved sidecar: %v", err)
 		}
-		if err := r2.SaveSidecar(second); err != nil {
+		if err := r2.CheckpointWith(noValues, second); err != nil {
 			t.Fatal(err)
 		}
 		a, errA := os.ReadFile(first)

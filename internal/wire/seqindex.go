@@ -147,47 +147,3 @@ func (x *seqIndex) each(fn func(key, meta uint64)) {
 		}
 	}
 }
-
-// deleteFunc removes every key for which del returns true, and returns how
-// many it removed. del may be called again for a key it kept.
-func (x *seqIndex) deleteFunc(del func(key, meta uint64) bool) int {
-	removed := 0
-	for si := range x.segs {
-		s := &x.segs[si]
-		for i := 0; i < len(s.slots); {
-			// A removal can shift a later key into slot i, so i is looked
-			// at again. A key del already kept reaches a later slot only by
-			// wrapping past the end, so del may see it twice.
-			if sl := s.slots[i]; sl.meta == 0 || !del(sl.key, sl.meta) {
-				i++
-				continue
-			}
-			x.removeAt(s, i)
-			removed++
-		}
-	}
-	return removed
-}
-
-// removeAt empties slot i of s by backward shift: each later key of the
-// probe run moves into the hole unless its home lies cyclically in
-// (hole, its slot], so every key stays reachable from its home.
-func (x *seqIndex) removeAt(s *seqSegment, i int) {
-	for j := i; ; {
-		if j++; j == len(s.slots) {
-			j = 0
-		}
-		sl := s.slots[j]
-		if sl.meta == 0 {
-			break
-		}
-		h := s.home(x.hash(sl.key))
-		if (i < j && (h <= i || h > j)) || (j < i && h <= i && h > j) {
-			s.slots[i] = sl
-			i = j
-		}
-	}
-	s.slots[i] = seqSlot{}
-	s.n--
-	x.n--
-}

@@ -40,8 +40,8 @@ func (x *seqIndex) checkAgainst(t *testing.T, model map[uint64]uint64) {
 	}
 }
 
-// TestSeqIndexMatchesMap runs seeded random sequences of set, get and
-// compaction against a map[uint64]uint64 model. The key pool widens as
+// TestSeqIndexMatchesMap runs seeded random sequences of set and get
+// against a map[uint64]uint64 model. The key pool widens as
 // the sequence runs, so every segment grows from its minimum length
 // through each ×1.25 step past 512 slots, about twenty growths, and the
 // pool holds keys 0 and 2^64-1.
@@ -56,11 +56,9 @@ func TestSeqIndexMatchesMap(t *testing.T) {
 		}
 		pool[0], pool[1] = 0, ^uint64(0)
 		const ops = 100000
-		compactions := 0
 		for op := 0; op < ops; op++ {
 			k := pool[rng.next()%(2+uint64(op)*uint64(len(pool))/ops)]
-			switch r := rng.next() % 100; {
-			case r < 55:
+			if rng.next()%100 < 55 {
 				meta := 2 + rng.next()%(1<<40)
 				p, old := x.probe(k)
 				if want := model[k]; old != want {
@@ -68,35 +66,17 @@ func TestSeqIndexMatchesMap(t *testing.T) {
 				}
 				x.update(p, k, meta)
 				model[k] = meta
-			case r < 99 || rng.next()%100 != 0:
+			} else {
 				got, ok := x.get(k)
 				if want, present := model[k]; ok != present || got != want {
 					t.Fatalf("seed %d op %d: get %#x = %d %v, model %d %v", seed, op, k, got, ok, want, present)
 				}
-			default:
-				// Drop about a third of the keys, tombstone or not.
-				cut := rng.next() % 3
-				want := 0
-				for k, meta := range model {
-					if meta%3 == cut {
-						delete(model, k)
-						want++
-					}
-				}
-				if got := x.deleteFunc(func(_, meta uint64) bool { return meta%3 == cut }); got != want {
-					t.Fatalf("seed %d op %d: deleteFunc removed %d, model %d", seed, op, got, want)
-				}
-				x.checkAgainst(t, model)
-				compactions++
 			}
 			if x.len() != len(model) {
 				t.Fatalf("seed %d op %d: len %d, model %d", seed, op, x.len(), len(model))
 			}
 		}
 		x.checkAgainst(t, model)
-		if compactions == 0 {
-			t.Fatalf("seed %d: no compaction ran", seed)
-		}
 		for i := range x.segs {
 			if n := len(x.segs[i].slots); n <= 512 {
 				t.Fatalf("seed %d: segment %d ended at %d slots; the sequence must grow it past 512", seed, i, n)

@@ -223,18 +223,6 @@ func TestClientCallZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkServePathGet is the in-process serve-path benchmark backing the
-// perf gate's wire/serve series; with -benchmem it should report 0 B/op.
-func BenchmarkServePathGet(b *testing.B) {
-	p, keys := newProbeHarness(b)
-	f := Frame{Type: OpGet, ID: 1, Payload: appendU64(nil, keys[3])}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Handle(f)
-	}
-}
-
 // TestSubscriptionStreamZeroAlloc pins allocation-free op-log streaming:
 // once a subscribed connection's output buffer is sized, each REPLICATE
 // chunk and each keepalive the pump sends allocates nothing: the pump

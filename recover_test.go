@@ -1,9 +1,12 @@
 package mccuckoo
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mccuckoo/internal/hashutil"
@@ -103,6 +106,56 @@ func TestPublicShardedSaveLoadFile(t *testing.T) {
 		if v, ok := got.Lookup(k); !ok || v != k^5 {
 			t.Fatalf("key %#x lost across sharded file round trip", k)
 		}
+	}
+}
+
+// TestPublicShardedSnapshotReader covers the reader form of sharded
+// snapshots: WriteTo and LoadSharded round-trip a seeded table, and a
+// truncated copy is rejected as a *CorruptError that unwraps to the
+// underlying io error and counts as one corrupt load.
+func TestPublicShardedSnapshotReader(t *testing.T) {
+	tab, err := NewSharded(2000, 8, WithSeed(35))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := uint64(36)
+	keys := make([]uint64, 1200)
+	for i := range keys {
+		keys[i] = hashutil.SplitMix64(&s)
+		tab.Insert(keys[i], keys[i]^7)
+	}
+	var snap bytes.Buffer
+	if _, err := tab.WriteTo(&snap); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	got, err := LoadSharded(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadSharded: %v", err)
+	}
+	if got.Len() != tab.Len() {
+		t.Fatalf("Len %d after the round trip, want %d", got.Len(), tab.Len())
+	}
+	for _, k := range keys {
+		if v, ok := got.Lookup(k); !ok || v != k^7 {
+			t.Fatalf("key %#x reads (%d, %v) after the round trip", k, v, ok)
+		}
+	}
+
+	tel := NewTelemetry()
+	_, err = LoadSharded(bytes.NewReader(snap.Bytes()[:snap.Len()/2]), WithTelemetry(tel))
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("truncated snapshot: %v, want *CorruptError", err)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated snapshot: %v does not unwrap to io.ErrUnexpectedEOF", err)
+	}
+	var out strings.Builder
+	if err := tel.WriteMetrics(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "mccuckoo_corrupt_loads_total 1\n") {
+		t.Fatalf("truncated load not counted once:\n%s", out.String())
 	}
 }
 
