@@ -1,7 +1,5 @@
 package mccuckoo
 
-import "mccuckoo/internal/shard"
-
 // Batched operations for the single-goroutine kinds, and the Into variants
 // of the lock layer behind Sharded and Concurrent. Table and Blocked execute
 // a batch as a loop over the point operations — there is no lock to
@@ -112,11 +110,10 @@ func (s *singleStore) DeleteBatchInto(keys []uint64, removed []bool) {
 
 // InsertBatchInto is InsertBatch writing outcomes into out, which must be
 // nil (discard outcomes) or exactly len(keys) long. Each touched shard's
-// write lock is taken once, and each outcome is converted into out as its
-// shard produces it, so the call allocates nothing of its own in steady
-// state.
+// write lock is taken once, and the call allocates nothing of its own in
+// steady state.
 func (s *shardedStore) InsertBatchInto(keys, values []uint64, out []InsertResult) {
-	shard.InsertBatchAs(s.inner, keys, values, out, fromOutcome)
+	s.inner.InsertBatchInto(keys, values, out)
 }
 
 // LookupBatchInto is LookupBatch writing answers into values and found,

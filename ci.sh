@@ -35,13 +35,14 @@
 # too: the batch grouping's int32 positions and the keep bound's byte
 # arithmetic must hold under a 32-bit int. The rest of the tree has 64-bit
 # constants (internal/workload, internal/bench) and does not build for 386.
-# Race gate: the concurrency-bearing packages (internal/core's pathwise
-# inserts, internal/shard — the one lock layer, whose one-shard form is the
-# public Concurrent and whose N-shard form is Sharded — internal/faultinject
-# which drives both, internal/wire's pipelined
-# server/client — TestServerUnderTrafficWithScrape is the
+# Race gate: the concurrency-bearing packages (the public package, whose
+# tests drive Concurrent and Sharded from several goroutines;
+# internal/core's pathwise inserts; internal/shard — the one lock layer,
+# whose one-shard form is the public Concurrent and whose N-shard form is
+# Sharded — and internal/faultinject, which drives both; internal/wire's
+# pipelined server/client — TestServerUnderTrafficWithScrape is the
 # server-under-traffic smoke, a client fleet hammering a telemetry-scraped
-# sharded table — internal/netchaos's fault-injecting conn wrappers, and
+# sharded table; internal/netchaos's fault-injecting conn wrappers; and
 # internal/cluster, whose TestClusterKillNodeConvergence runs a 3-node
 # replicated cluster through mixed traffic, a mid-run node kill with zero
 # failed reads, and a snapshot-restart catch-up, and whose
@@ -91,7 +92,8 @@
 # op on the metered table kinds, and whole allocations per op everywhere.
 # The counts repeat exactly for a seed, so any difference fails the build
 # on the first run, on any host; ns/op is printed and never judged.
-# REFRESH_BASELINE=1 re-records the baselines instead of checking.
+# REFRESH_BASELINE=1 re-records the baselines instead of checking; each
+# suite stamps its own note into the file it records.
 set -eu
 
 # say prints the gate banner and, for every gate after the first, the
@@ -192,7 +194,7 @@ say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the shared seqlock ring and
 # the trace subpackage, whose span recorder and concurrent-scrape tests are
 # race-gated here.
-go test -race -shuffle=on ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
+go test -race -shuffle=on . ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
 
 say "benchmark module: gofmt + vet + mcvet + tests (-race)"
 (cd benchmark && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/mcvet ./... && go test -race -shuffle=on ./...)

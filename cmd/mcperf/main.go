@@ -3,7 +3,7 @@
 // Record a baseline (writes the versioned BENCH schema):
 //
 //	mcperf record -suite core -out BENCH_core.json
-//	mcperf record -suite wire -out BENCH_wire.json -note "post zero-copy framing"
+//	mcperf record -suite wire -out BENCH_wire.json
 //
 // Check the current tree against a committed baseline (ci.sh runs this on
 // every pass). Record and check run the same configuration, so every count
@@ -66,7 +66,6 @@ func runRecord(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mcperf record", flag.ContinueOnError)
 	suite := fs.String("suite", "", "suite to run: core or wire (required)")
 	outPath := fs.String("out", "", "output BENCH file (required)")
-	note := fs.String("note", "", "free-form note appended to the report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -76,9 +75,6 @@ func runRecord(args []string, out io.Writer) error {
 	r, err := runSuite(*suite)
 	if err != nil {
 		return err
-	}
-	if *note != "" {
-		r.Notes = append(r.Notes, *note)
 	}
 	if err := r.WriteFile(*outPath); err != nil {
 		return err

@@ -247,7 +247,7 @@ func runReplay(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "final: %d items at %.1f%% load, %d stashed, %d failed inserts\n",
 		tab.Len(), tab.LoadRatio()*100, tab.StashLen(), failed)
 	fmt.Fprintf(out, "lookups: %d hits, %d misses; stash probed %d times\n",
-		hits, misses, st.StashProbe)
+		hits, misses, st.StashProbes)
 	fmt.Fprintf(out, "traffic: %.3f off-chip reads/op, %.3f writes/op, %.3f counter accesses/op\n",
 		perOp(m.OffChipReads, len(stream)), perOp(m.OffChipWrites, len(stream)),
 		perOp(m.OnChipReads+m.OnChipWrites, len(stream)))

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -88,6 +89,39 @@ func TestReplayDeterministicAcrossSchemesTraffic(t *testing.T) {
 	}
 	if a, b := replay(), replay(); a != b {
 		t.Fatalf("replays differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestReplayGolden pins every line mctrace replay prints except the timing
+// line, for one fixed trace against every in-process scheme. The trace
+// leaves 4407 live keys in 4590 slots (96% load), so the single-slot
+// schemes stash items and probe their stashes.
+func TestReplayGolden(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "golden.trace")
+	var sb strings.Builder
+	if err := run([]string{"gen", "-out", trace, "-ops", "20000", "-keyspace", "7000",
+		"-mix", "3:5:1", "-negshare", "0.25", "-seed", "9"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, scheme := range []string{"cuckoo", "mccuckoo", "bcht", "bmccuckoo", "sharded", "concurrent"} {
+		var rb strings.Builder
+		if err := run([]string{"replay", "-in", trace, "-scheme", scheme,
+			"-capacity", "4590", "-seed", "4", "-shards", "4"}, &rb); err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		timing, rest, _ := strings.Cut(rb.String(), "\n")
+		if !strings.HasPrefix(timing, "replayed 20000 ops in ") || !strings.HasSuffix(timing, " against "+scheme) {
+			t.Fatalf("%s: first line is not the timing line: %q", scheme, timing)
+		}
+		got.WriteString("== " + scheme + "\n" + rest)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "replay.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("replay output differs from testdata/replay.golden\ngot:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

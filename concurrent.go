@@ -48,7 +48,7 @@ func NewConcurrent[T SingleWriter](t T) *Concurrent {
 // overlap another mutation (Insert, Delete, a batch, or another
 // InsertPathwise).
 func (c *Concurrent) InsertPathwise(key, value uint64) InsertResult {
-	return fromOutcome(c.inner.InsertPathwise(key, value))
+	return c.inner.InsertPathwise(key, value)
 }
 
 // SaveFile writes a crash-safe snapshot of the wrapped table to path, in

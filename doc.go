@@ -58,10 +58,13 @@
 // Every table counts its memory traffic — off-chip bucket reads/writes and
 // on-chip counter accesses — mirroring the paper's target platform where the
 // main table lives in slow external memory and the counters in on-chip SRAM.
-// Table, Blocked, Map and MultiMap expose it through Traffic; every kind
-// reports operation statistics through Stats. Concurrent and Sharded have
-// no Traffic: their lookups run under a read lock and leave the shared
-// meter alone, so they count their off-chip reads into telemetry (see
-// WithTelemetry) rather than into the meter. cmd/mcbench regenerates every
-// figure and table of the paper's evaluation from the same counters.
+// Table, Blocked, Map and MultiMap expose it through Traffic. Concurrent
+// and Sharded have no Traffic: their lookups run under a read lock and
+// leave the shared meter alone, so they count their off-chip reads into
+// telemetry (see WithTelemetry) rather than into the meter. Every kind
+// reports operation statistics through Stats, which marshals to JSON with
+// the snake_case names of the telemetry endpoint /debug/mccuckoo/stats,
+// and every insert returns an InsertResult: a Status and the kick-outs it
+// took. cmd/mcbench regenerates every figure and table of the paper's
+// evaluation from the same counters.
 package mccuckoo

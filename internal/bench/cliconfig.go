@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"mccuckoo"
-	"mccuckoo/internal/core"
-	"mccuckoo/internal/cuckoo"
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/memmodel"
 )
@@ -100,8 +98,8 @@ func (c *CLIConfig) Options() Options {
 // BuildScheme constructs one of the evaluated tables by name. Upsert
 // semantics are kept (traces may re-insert live keys). The sharded and
 // concurrent schemes go through the public Store interface via storeTable;
-// the rest are the internal experiment tables with full memory-traffic
-// accounting.
+// the rest are the experiment tables build constructs, with full
+// memory-traffic accounting.
 func (c *CLIConfig) BuildScheme(name string) (kv.Table, error) {
 	capacity, maxLoop := c.Capacity, c.MaxLoop
 	if capacity <= 0 {
@@ -124,36 +122,23 @@ func (c *CLIConfig) BuildScheme(name string) (kv.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &storeTable{s: s}, nil
+		return &storeTable{Store: s}, nil
 	case "concurrent":
 		t, err := mccuckoo.New(capacity, pubOpts...)
 		if err != nil {
 			return nil, err
 		}
-		return &storeTable{s: mccuckoo.NewConcurrent(t)}, nil
-	case "cuckoo":
-		return cuckoo.New(cuckoo.Config{
-			D: 3, Slots: 1, BucketsPerTable: capacity / 3,
-			MaxLoop: maxLoop, Seed: c.Seed, StashEnabled: true, StashMax: c.StashMax,
-		})
-	case "bcht":
-		return cuckoo.New(cuckoo.Config{
-			D: 3, Slots: 3, BucketsPerTable: capacity / 9,
-			MaxLoop: maxLoop, Seed: c.Seed, StashEnabled: true, StashMax: c.StashMax,
-		})
-	case "mccuckoo":
-		return core.New(core.Config{
-			D: 3, BucketsPerTable: capacity / 3,
-			MaxLoop: maxLoop, Seed: c.Seed, StashEnabled: true, StashMax: c.StashMax,
-		})
-	case "bmccuckoo":
-		return core.NewBlocked(core.Config{
-			D: 3, Slots: 3, BucketsPerTable: capacity / 9,
-			MaxLoop: maxLoop, Seed: c.Seed, StashEnabled: true, StashMax: c.StashMax,
-		})
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", name)
+		return &storeTable{Store: mccuckoo.NewConcurrent(t)}, nil
 	}
+	// The experiment schemes' names are their paper names without the
+	// hyphen: cuckoo, mccuckoo, bcht, bmccuckoo.
+	for _, s := range AllSchemes {
+		if strings.EqualFold(name, strings.ReplaceAll(s.String(), "-", "")) {
+			return build(s, Options{Capacity: capacity, MaxLoop: maxLoop}, c.Seed,
+				tableConfig{stash: true, stashMax: c.StashMax, upsert: true})
+		}
+	}
+	return nil, fmt.Errorf("unknown scheme %q", name)
 }
 
 // storeTable adapts a public mccuckoo.Store to the kv.Table surface the
@@ -162,29 +147,8 @@ func (c *CLIConfig) BuildScheme(name string) (kv.Table, error) {
 // replay's traffic lines read zero for these schemes; throughput, load,
 // and operation statistics are fully reported.
 type storeTable struct {
-	s     mccuckoo.Store
+	mccuckoo.Store
 	meter memmodel.Meter
 }
 
-func (t *storeTable) Insert(key, value uint64) kv.Outcome {
-	r := t.s.Insert(key, value)
-	return kv.Outcome{Status: kv.Status(r.Status), Kicks: r.Kicks}
-}
-
-func (t *storeTable) Lookup(key uint64) (uint64, bool) { return t.s.Lookup(key) }
-func (t *storeTable) Delete(key uint64) bool           { return t.s.Delete(key) }
-func (t *storeTable) Len() int                         { return t.s.Len() }
-func (t *storeTable) Capacity() int                    { return t.s.Capacity() }
-func (t *storeTable) LoadRatio() float64               { return t.s.LoadRatio() }
-func (t *storeTable) StashLen() int                    { return t.s.StashLen() }
-func (t *storeTable) Meter() *memmodel.Meter           { return &t.meter }
-
-func (t *storeTable) Stats() kv.Stats {
-	st := t.s.Stats()
-	return kv.Stats{
-		Inserts: st.Inserts, Updates: st.Updates, Kicks: st.Kicks,
-		Stashed: st.Stashed, Failures: st.Failures, Lookups: st.Lookups,
-		Hits: st.Hits, Deletes: st.Deletes, StashProbe: st.StashProbes,
-		GrowAttempts: st.GrowAttempts, Grows: st.Grows, GrowFailures: st.GrowFailures,
-	}
-}
+func (t *storeTable) Meter() *memmodel.Meter { return &t.meter }

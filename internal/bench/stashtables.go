@@ -80,12 +80,12 @@ func stashPoint(s Scheme, o Options, run int, load float64, maxloop int) (stashS
 		share: float64(tab.StashLen()) / float64(target),
 	}
 	negatives := workload.Negative(seed, o.Queries, keys)
-	probesBefore := tab.Stats().StashProbe
+	probesBefore := tab.Stats().StashProbes
 	for _, k := range negatives {
 		if _, ok := tab.Lookup(k); ok {
 			return stashStats{}, fmt.Errorf("bench: phantom hit in stash table")
 		}
 	}
-	st.visitRate = float64(tab.Stats().StashProbe-probesBefore) / float64(len(negatives))
+	st.visitRate = float64(tab.Stats().StashProbes-probesBefore) / float64(len(negatives))
 	return st, nil
 }

@@ -54,6 +54,15 @@ func insertSweep(s Scheme, o Options, run int, loads []float64) ([]insertPoint, 
 // insertSweepTC is insertSweep with an explicit table configuration, used by
 // the ablations.
 func insertSweepTC(s Scheme, o Options, run int, loads []float64, tc tableConfig) ([]insertPoint, error) {
+	return insertSweepKeys(s, o, run, loads, tc, uniqueKeys)
+}
+
+// uniqueKeys is workload.Unique as a key source.
+func uniqueKeys(seed uint64, n int) ([]uint64, error) { return workload.Unique(seed, n), nil }
+
+// insertSweepKeys is insertSweepTC with a pluggable key source: gen returns
+// n distinct keys for a run's seed.
+func insertSweepKeys(s Scheme, o Options, run int, loads []float64, tc tableConfig, gen func(seed uint64, n int) ([]uint64, error)) ([]insertPoint, error) {
 	seed := o.runSeed(run)
 	tc.stash = true
 	tab, err := build(s, o, seed, tc)
@@ -61,7 +70,10 @@ func insertSweepTC(s Scheme, o Options, run int, loads []float64, tc tableConfig
 		return nil, err
 	}
 	capacity := tab.Capacity()
-	keys := workload.Unique(seed, int(float64(capacity)*loads[len(loads)-1])+1)
+	keys, err := gen(seed, int(float64(capacity)*loads[len(loads)-1])+1)
+	if err != nil {
+		return nil, err
+	}
 	window := windowOps(capacity)
 
 	points := make([]insertPoint, 0, len(loads))

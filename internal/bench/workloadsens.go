@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
-	"mccuckoo/internal/kv"
 	"mccuckoo/internal/metrics"
 	"mccuckoo/internal/workload"
 )
@@ -24,9 +21,7 @@ func ExtWorkloadSensitivity(o Options) ([]*Result, error) {
 		name string
 		gen  func(seed uint64, n int) ([]uint64, error)
 	}{
-		{"uniform", func(seed uint64, n int) ([]uint64, error) {
-			return workload.Unique(seed, n), nil
-		}},
+		{"uniform", uniqueKeys},
 		{"docwords", func(seed uint64, n int) ([]uint64, error) {
 			// NYTimes-ish shape: ~300k docs, ~102k-word vocabulary.
 			return workload.DocWords(seed, n, 300_000, 102_000)
@@ -39,7 +34,7 @@ func ExtWorkloadSensitivity(o Options) ([]*Result, error) {
 			sr := metrics.NewSeries(s.String() + "/" + kind.name)
 			series = append(series, sr)
 			for run := 0; run < o.Runs; run++ {
-				points, err := insertSweepKeys(s, o, run, loads, kind.gen)
+				points, err := insertSweepKeys(s, o, run, loads, tableConfig{}, kind.gen)
 				if err != nil {
 					return nil, err
 				}
@@ -60,57 +55,4 @@ func ExtWorkloadSensitivity(o Options) ([]*Result, error) {
 		},
 		Notes: []string{"matching columns validate the dataset substitution of DESIGN.md §3: hashed keys erase workload shape"},
 	}}, nil
-}
-
-// insertSweepKeys is insertSweep with a pluggable key source.
-func insertSweepKeys(s Scheme, o Options, run int, loads []float64, gen func(uint64, int) ([]uint64, error)) ([]insertPoint, error) {
-	seed := o.runSeed(run)
-	tab, err := build(s, o, seed, tableConfig{stash: true})
-	if err != nil {
-		return nil, err
-	}
-	capacity := tab.Capacity()
-	keys, err := gen(seed, int(float64(capacity)*loads[len(loads)-1])+1)
-	if err != nil {
-		return nil, err
-	}
-	window := windowOps(capacity)
-	points := make([]insertPoint, 0, len(loads))
-	next := 0
-	insertTo := func(target int) (kicks int64, err error) {
-		for next < target {
-			out := tab.Insert(keys[next], keys[next]+1)
-			if out.Status == kv.Failed {
-				return 0, fmt.Errorf("bench: %s insert failed at load %.3f", s, tab.LoadRatio())
-			}
-			kicks += int64(out.Kicks)
-			next++
-		}
-		return kicks, nil
-	}
-	for _, load := range loads {
-		target := int(load * float64(capacity))
-		warm := target - window
-		if warm < next {
-			warm = next
-		}
-		if _, err := insertTo(warm); err != nil {
-			return points, err
-		}
-		start := next
-		kicks, err := insertTo(target)
-		if err != nil {
-			return points, err
-		}
-		ops := int64(next - start)
-		if ops == 0 {
-			continue
-		}
-		points = append(points, insertPoint{
-			load:  load,
-			ops:   ops,
-			kicks: float64(kicks) / float64(ops),
-		})
-	}
-	return points, nil
 }

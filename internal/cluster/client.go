@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -64,10 +65,6 @@ type Config struct {
 	VNodes int
 	Seed   uint64
 
-	// NodeID distinguishes this writer's sequence numbers from other
-	// writers in the same millisecond (8 bits used).
-	NodeID uint64
-
 	// OpTimeout bounds every round trip to a replica (default 5s): it is
 	// the wire deadline of each request a cluster call sends, in place of
 	// Wire.RequestTimeout. A replica that has not answered by then, hung,
@@ -94,11 +91,12 @@ type Config struct {
 	// SeqSource overrides the write sequence-number source, for
 	// deterministic tests. Sequence numbers must be strictly increasing
 	// per client and below 1<<63: replicas reject larger ones as invalid.
-	// The default is a hybrid clock (wall millis in the high bits, NodeID
-	// below, a counter in the low bits). Its millis<<22 crosses 1<<63 in
-	// September 2039, after which replicas would reject every write it
-	// stamps; the bit layout stays as is because clients on different
-	// layouts would no longer order each other's writes.
+	// The default is a hybrid clock (wall millis in the high bits, an
+	// 8-bit id drawn at random per Client below, a counter in the low
+	// bits). Its millis<<22 crosses 1<<63 in September 2039, after which
+	// replicas would reject every write it stamps; the bit layout stays as
+	// is because clients on different layouts would no longer order each
+	// other's writes.
 	SeqSource func() uint64
 
 	// Trace, when non-nil, records client-side spans: one root per Get/
@@ -199,7 +197,10 @@ func New(cfg Config) (*Client, error) {
 	c.tr = cfg.Trace
 	c.seqSrc = cfg.SeqSource
 	if c.seqSrc == nil {
-		id := (cfg.NodeID & 0xff) << 14
+		// The id keeps two clients writing in the same millisecond from
+		// minting equal sequence numbers, which replicas could resolve
+		// differently; two clients still share an id with chance 1/256.
+		id := rand.Uint64N(256) << 14
 		c.seqSrc = func() uint64 {
 			return uint64(time.Now().UnixMilli())<<22 | id
 		}

@@ -742,3 +742,24 @@ func TestClusterRestartResumesFromDrainedPoint(t *testing.T) {
 		return b.rep.Digest() == a.rep.Digest() && b.rep.ReplicaStats().TrackedKeys == 100
 	})
 }
+
+// TestDefaultClientsDrawIDs checks that default clients stamp their
+// sequence numbers with an id drawn per client: clients that share an id
+// and write in the same millisecond mint equal sequence numbers, and two
+// replicas that receive two equal-sequence PUTs in opposite orders keep
+// different values. A fresh client's first sequence number carries its id
+// in bits 14–21.
+func TestDefaultClientsDrawIDs(t *testing.T) {
+	ids := map[uint64]bool{}
+	for range 32 {
+		c, err := New(Config{Nodes: []string{"127.0.0.1:1", "127.0.0.1:2"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[c.nextSeq()>>14&0xff] = true
+		c.Close()
+	}
+	if len(ids) < 2 {
+		t.Fatalf("32 default clients all stamp id %v", ids)
+	}
+}

@@ -16,6 +16,11 @@ import (
 	"mccuckoo/internal/wire"
 )
 
+// streamReadTimeout bounds the wait for a subscription's next stream frame:
+// comfortably above the server's keepalive cadence, so an expiry means a
+// dead peer.
+const streamReadTimeout = 10 * time.Second
+
 // ReplicatorConfig configures a node-side Replicator.
 type ReplicatorConfig struct {
 	// Self is this node's address as it appears in Nodes — entries for
@@ -29,11 +34,8 @@ type ReplicatorConfig struct {
 	VNodes   int
 	Seed     uint64
 
-	// DialTimeout bounds each peer dial (default 5s); ReadTimeout bounds
-	// the wait for the next stream frame (default 10s — comfortably above
-	// the server's keepalive cadence, so an expiry means a dead peer).
+	// DialTimeout bounds each peer dial (default 5s).
 	DialTimeout time.Duration
-	ReadTimeout time.Duration
 
 	// Dial, when non-nil, replaces net.DialTimeout for peer subscriptions.
 	// The fault-injection layer (internal/netchaos) interposes here.
@@ -128,9 +130,6 @@ func NewReplicator(rep *wire.Replicated, cfg ReplicatorConfig) (*Replicator, err
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 10 * time.Second
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
@@ -262,7 +261,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 	// not captured, so no stale payload pins a dropped buffer either.
 	var buf []byte
 	readFrame := func() (wire.Frame, error) {
-		if derr := nc.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout)); derr != nil {
+		if derr := nc.SetReadDeadline(time.Now().Add(streamReadTimeout)); derr != nil {
 			return wire.Frame{}, fmt.Errorf("set read deadline: %w", derr)
 		}
 		f, b, err := wire.ReadFrame(nc, wire.DefaultMaxPayload, buf)

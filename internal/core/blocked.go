@@ -385,7 +385,7 @@ func (t *BlockedTable) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
 	v, ok, stashProbed := t.probe(key, &t.meter)
 	if stashProbed {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 	}
 	if ok {
 		t.stats.Hits++
@@ -435,7 +435,7 @@ func (t *BlockedTable) Delete(key uint64) bool {
 		return true
 	}
 	if t.shouldProbeStash(st) {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 		if t.overflow.Delete(key) {
 			t.deletedAny = true
 			return true

@@ -30,7 +30,7 @@ func (t *Table) Delete(key uint64) bool {
 		return true
 	}
 	if t.shouldProbeStash(&st, cand[:t.cfg.D]) {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 		if t.overflow.Delete(key) {
 			// Flags are intentionally left set (they behave like a
 			// Bloom filter and do not support deletion, §III.F);

@@ -247,7 +247,7 @@ func goldenRun(t *testing.T, row goldenRow) uint32 {
 	st := tab.Stats()
 	sum.put(uint64(st.Inserts), uint64(st.Updates), uint64(st.Kicks), uint64(st.Stashed),
 		uint64(st.Failures), uint64(st.Lookups), uint64(st.Hits), uint64(st.Deletes),
-		uint64(st.StashProbe), uint64(st.GrowAttempts), uint64(st.Grows), uint64(st.GrowFailures))
+		uint64(st.StashProbes), uint64(st.GrowAttempts), uint64(st.Grows), uint64(st.GrowFailures))
 	for _, c := range tab.CopyHistogram() {
 		sum.put(uint64(c))
 	}
@@ -269,7 +269,7 @@ func goldenRun(t *testing.T, row goldenRow) uint32 {
 		if st.Grows == 0 {
 			t.Fatalf("auto-grow row never grew: %+v", st)
 		}
-	} else if st.StashProbe == 0 {
+	} else if st.StashProbes == 0 {
 		t.Fatalf("script never probed the stash: %+v", st)
 	}
 	if st.Stashed == 0 {

@@ -210,7 +210,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 	t.stats.Lookups++
 	v, ok, stashProbed := t.probe(key, &t.meter)
 	if stashProbed {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 	}
 	if ok {
 		t.stats.Hits++

@@ -18,7 +18,7 @@ type lookupPaths interface {
 // and fails unless the read path left the table's meter and stats exactly
 // as they were, and both answered alike: the same value, the read path's
 // off-chip count equal to what Lookup charged the meter, and its
-// stash-probed result equal to Lookup's StashProbe delta. It returns that
+// stash-probed result equal to Lookup's StashProbes delta. It returns that
 // result.
 func checkReadPathAgrees(t *testing.T, op int, tab lookupPaths, key uint64) (stashProbed bool) {
 	t.Helper()
@@ -37,8 +37,8 @@ func checkReadPathAgrees(t *testing.T, op int, tab lookupPaths, key uint64) (sta
 	if charged := tab.Meter().Snapshot().Sub(meter).OffChipReads; off != charged {
 		t.Fatalf("op %d: read-only reported %d off-chip reads, Lookup charged %d", op, off, charged)
 	}
-	if delta := tab.Stats().StashProbe - stats.StashProbe; probed != (delta == 1) {
-		t.Fatalf("op %d: read-only stash-probed %v, Lookup's StashProbe delta %d", op, probed, delta)
+	if delta := tab.Stats().StashProbes - stats.StashProbes; probed != (delta == 1) {
+		t.Fatalf("op %d: read-only stash-probed %v, Lookup's StashProbes delta %d", op, probed, delta)
 	}
 	return probed
 }

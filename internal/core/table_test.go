@@ -358,7 +358,7 @@ func TestStashPrescreenSkipsMisses(t *testing.T) {
 	for _, k := range misses {
 		tab.Lookup(k)
 	}
-	probes := tab.Stats().StashProbe - statsBefore.StashProbe
+	probes := tab.Stats().StashProbes - statsBefore.StashProbes
 	rate := float64(probes) / float64(len(misses))
 	if rate > 0.02 {
 		t.Fatalf("stash probed on %.2f%% of negative lookups, want <2%%", rate*100)

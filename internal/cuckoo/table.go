@@ -319,7 +319,7 @@ func (t *Table) Lookup(key uint64) (uint64, bool) {
 		return t.vals[idx], true
 	}
 	if t.overflow != nil && t.overflow.Len() > 0 {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 		if v, ok := t.overflow.Lookup(key); ok {
 			t.stats.Hits++
 			return v, true
@@ -353,7 +353,7 @@ func (t *Table) Delete(key uint64) bool {
 		return true
 	}
 	if t.overflow != nil && t.overflow.Len() > 0 {
-		t.stats.StashProbe++
+		t.stats.StashProbes++
 		if t.overflow.Delete(key) {
 			t.removeFromFilter(key)
 			return true

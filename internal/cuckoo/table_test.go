@@ -183,7 +183,7 @@ func TestStashCatchesOverflow(t *testing.T) {
 			t.Fatalf("key %#x lost (stashed items must stay findable)", k)
 		}
 	}
-	if tab.Stats().StashProbe == 0 {
+	if tab.Stats().StashProbes == 0 {
 		t.Fatal("stash never probed")
 	}
 }

@@ -93,15 +93,15 @@ type Outcome struct {
 // the rarely-populated fields are omitempty so an idle table serializes
 // compactly.
 type Stats struct {
-	Inserts    int64 `json:"inserts"`            // insertion attempts
-	Updates    int64 `json:"updates,omitempty"`  // inserts that replaced an existing key
-	Kicks      int64 `json:"kicks,omitempty"`    // total kick-outs across all inserts
-	Stashed    int64 `json:"stashed,omitempty"`  // inserts that overflowed into the stash
-	Failures   int64 `json:"failures,omitempty"` // inserts that failed outright
-	Lookups    int64 `json:"lookups"`
-	Hits       int64 `json:"hits"`
-	Deletes    int64 `json:"deletes"`
-	StashProbe int64 `json:"stash_probes,omitempty"` // lookups/deletes that had to consult the stash
+	Inserts     int64 `json:"inserts"`            // insertion attempts
+	Updates     int64 `json:"updates,omitempty"`  // inserts that replaced an existing key
+	Kicks       int64 `json:"kicks,omitempty"`    // total kick-outs across all inserts
+	Stashed     int64 `json:"stashed,omitempty"`  // inserts that overflowed into the stash
+	Failures    int64 `json:"failures,omitempty"` // inserts that failed outright
+	Lookups     int64 `json:"lookups"`
+	Hits        int64 `json:"hits"`
+	Deletes     int64 `json:"deletes"`
+	StashProbes int64 `json:"stash_probes,omitempty"` // lookups/deletes that had to consult the stash
 
 	// Auto-grow outcomes (core.AutoGrowPolicy): GrowAttempts counts
 	// individual Grow calls made by the policy, Grows the triggers that

@@ -10,7 +10,7 @@ import (
 
 // fixtureReport builds a synthetic baseline.
 func fixtureReport(series ...Series) *Report {
-	r := NewReport("fixture", "test")
+	r := NewReport("fixture", "test", "a synthetic baseline")
 	r.Series = append(r.Series, series...)
 	return r
 }
@@ -174,6 +174,20 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBaselineNotesMatchSuites checks that each committed baseline carries
+// exactly the note its suite stamps, so a re-record keeps the notes.
+func TestBaselineNotesMatchSuites(t *testing.T) {
+	for suite, note := range map[string]string{"core": coreNote, "wire": wireNote} {
+		r, err := Load(filepath.Join("..", "..", "BENCH_"+suite+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.Notes, []string{note}) {
+			t.Errorf("BENCH_%s.json notes %q, want the %s suite's %q", suite, r.Notes, suite, note)
+		}
+	}
+}
+
 // TestSuitesSmoke runs both suites at a small size: series are produced,
 // the metered kinds carry off-chip counts and the lock layer does not, the
 // serve path and the span sites honor their zero-alloc promise, and two
@@ -203,6 +217,9 @@ func TestSuitesSmoke(t *testing.T) {
 			t.Errorf("series %s reads nothing off-chip: %+v", s.Name, s.OffChip)
 		}
 	}
+	if !slices.Equal(core.Notes, []string{coreNote}) {
+		t.Errorf("core suite notes %q", core.Notes)
+	}
 	again, err := CoreSuite(o)
 	if err != nil {
 		t.Fatalf("CoreSuite (second run): %v", err)
@@ -220,6 +237,9 @@ func TestSuitesSmoke(t *testing.T) {
 	wire, err := WireSuite(o)
 	if err != nil {
 		t.Fatalf("WireSuite: %v", err)
+	}
+	if !slices.Equal(wire.Notes, []string{wireNote}) {
+		t.Errorf("wire suite notes %q", wire.Notes)
 	}
 	for _, name := range []string{"wire/serve/get", "wire/serve/put_update", "wire/serve/del_miss",
 		"trace/span/disabled", "trace/span/unsampled", "trace/span/sampled"} {

@@ -143,14 +143,16 @@ func (r *Report) Sort() {
 	sort.Slice(r.Series, func(i, j int) bool { return r.Series[i].Name < r.Series[j].Name })
 }
 
-// NewReport stamps a report skeleton for the named suite.
-func NewReport(benchmark, command string) *Report {
+// NewReport stamps a report skeleton for the named suite, with the note
+// that explains the suite's series to a reader of its baseline file.
+func NewReport(benchmark, command, note string) *Report {
 	return &Report{
 		SchemaVersion: SchemaVersion,
 		Benchmark:     benchmark,
 		Recorded:      time.Now().UTC().Format("2006-01-02"),
 		Command:       command,
 		Environment:   CurrentEnvironment(),
+		Notes:         []string{note},
 	}
 }
 

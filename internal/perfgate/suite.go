@@ -159,6 +159,9 @@ func mixLoop(st mccuckoo.Store, keys []uint64) func(int) {
 	}
 }
 
+// coreNote is the note CoreSuite stamps into its report.
+const coreNote = "schema v3 holds counts only: off-chip reads and writes per op from the table meter on table/* and blocked/*, whole allocations per op on every series; the counts cover every measured op, so they repeat exactly on any host. ns/op is printed by mcperf check and never recorded (DESIGN.md §14)."
+
 // CoreSuite measures the four public table kinds: single-thread lookup-hit,
 // lookup-miss (Table only — the paper's headline metric), and the fixed op
 // mix, at every scale, then a Table's fill to 85% and to 90% load. Table
@@ -168,7 +171,7 @@ func CoreSuite(o SuiteOptions) (*Report, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	r := NewReport("core", "go run ./cmd/mcperf record -suite core")
+	r := NewReport("core", "go run ./cmd/mcperf record -suite core", coreNote)
 	kinds := []struct {
 		name  string
 		build func(capacity int) (mccuckoo.Store, error)

@@ -17,6 +17,9 @@ import (
 // wireScale is the resident key count of the wire series.
 const wireScale = 1000
 
+// wireNote is the note WireSuite stamps into its report.
+const wireNote = "every series carries whole allocations per op only (the sharded store exposes no meter). wire/serve/* and trace/span/* are the 0 allocs/op promises; wire/pipe/get's 6 are net.Pipe's per-deadline timers; trace/span/* (a span and a child at a span site: nil recorder, unsampled, sampled) replace the ungated BENCH_trace.json."
+
 // WireSuite measures the serving layer over a seeded sharded store: the
 // in-process serve path (wire.ServeProbe — decode-to-response execution
 // into a served connection's reused output buffer, where the zero-copy
@@ -30,7 +33,7 @@ func WireSuite(o SuiteOptions) (*Report, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	r := NewReport("wire", "go run ./cmd/mcperf record -suite wire")
+	r := NewReport("wire", "go run ./cmd/mcperf record -suite wire", wireNote)
 
 	store, err := mccuckoo.NewSharded(4*wireScale, 4, mccuckoo.WithSeed(seed))
 	if err != nil {

@@ -102,19 +102,9 @@ func (s *Sharded) InsertBatch(keys, values []uint64) []kv.Outcome {
 
 // InsertBatchInto is InsertBatch writing outcomes into out, which must be
 // nil (discard outcomes) or exactly len(keys) long.
-func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
-	InsertBatchAs(s, keys, values, out, sameOutcome)
-}
-
-// sameOutcome is InsertBatchInto's conv: the outcome as it is.
-func sameOutcome(o kv.Outcome) kv.Outcome { return o }
-
-// InsertBatchAs is InsertBatchInto for a caller whose results are not
-// kv.Outcomes: conv turns each outcome into out's element type as the shard
-// produces it, so no outcome buffer stands between the shard and out.
 //
 //mcvet:hotpath
-func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(kv.Outcome) R) {
+func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 	if len(keys) != len(values) {
 		panic("shard: InsertBatch called with mismatched key/value lengths")
 	}
@@ -137,7 +127,7 @@ func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(
 		sh.mu.Unlock()
 		sink.RecordInsert(si, keys[0], o, off, time.Time{})
 		if out != nil {
-			out[0] = conv(o)
+			out[0] = o
 		}
 		return
 	}
@@ -157,7 +147,7 @@ func InsertBatchAs[R any](s *Sharded, keys, values []uint64, out []R, conv func(
 			o := sh.tab.Insert(keys[i], values[i])
 			sink.RecordInsert(shi, keys[i], o, sink.OffChip(sh.meter)-before, time.Time{})
 			if out != nil {
-				out[i] = conv(o)
+				out[i] = o
 			}
 		}
 		sh.mu.Unlock()

@@ -303,13 +303,13 @@ func (s *Sharded) Stats() kv.Stats {
 		total.Lookups += st.Lookups
 		total.Hits += st.Hits
 		total.Deletes += st.Deletes
-		total.StashProbe += st.StashProbe
+		total.StashProbes += st.StashProbes
 		total.GrowAttempts += st.GrowAttempts
 		total.Grows += st.Grows
 		total.GrowFailures += st.GrowFailures
 		total.Lookups += sh.singleLookups.Load() + sh.batchLookups.Load()
 		total.Hits += sh.hits.Load()
-		total.StashProbe += sh.stashProbes.Load()
+		total.StashProbes += sh.stashProbes.Load()
 	}
 	return total
 }

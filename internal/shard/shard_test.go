@@ -226,8 +226,8 @@ func TestRange(t *testing.T) {
 }
 
 // TestReadPathStashProbesCounted: lookups through the read path, single and
-// batched, count their stash probes; the shards' Ops.StashProbe sum to
-// Stats().StashProbe.
+// batched, count their stash probes; the shards' Ops.StashProbes sum to
+// Stats().StashProbes.
 func TestReadPathStashProbesCounted(t *testing.T) {
 	s := newSharded(t, 4, 16, 17)
 	keys := make([]uint64, 400) // more keys than the 192 buckets: the rest stash
@@ -238,11 +238,11 @@ func TestReadPathStashProbesCounted(t *testing.T) {
 	for _, k := range keys {
 		s.Lookup(k)
 	}
-	single := s.Stats().StashProbe
+	single := s.Stats().StashProbes
 	s.LookupBatch(keys)
-	total, perShard := s.Stats().StashProbe, int64(0)
+	total, perShard := s.Stats().StashProbes, int64(0)
 	for _, sh := range s.ShardStats().Shards {
-		perShard += sh.Ops.StashProbe
+		perShard += sh.Ops.StashProbes
 	}
 	if single == 0 || total != 2*single || perShard != total {
 		t.Fatalf("stash probes: %d after single lookups, %d after the same batch (want twice), %d summed over shards",

@@ -21,8 +21,8 @@ type ShardStat struct {
 	StashFlagDensity float64 `json:"stash_flag_density"`
 
 	// Ops are the inner table's lifetime counts (writer side), except that
-	// Ops.StashProbe also counts the read path's stash probes, so the
-	// shards' Ops.StashProbe sum to Sharded.Stats().StashProbe. Ops.Kicks
+	// Ops.StashProbes also counts the read path's stash probes, so the
+	// shards' Ops.StashProbes sum to Sharded.Stats().StashProbes. Ops.Kicks
 	// is the shard's total kick-path length — the quantity per-shard
 	// locking keeps short and local.
 	Ops kv.Stats `json:"ops"`
@@ -85,7 +85,7 @@ func (s *Sharded) ShardStats() ShardStats {
 		if totalFlags > 0 {
 			st.StashFlagDensity = float64(set) / float64(totalFlags)
 		}
-		st.Ops.StashProbe += sh.stashProbes.Load()
+		st.Ops.StashProbes += sh.stashProbes.Load()
 		singles := sh.singleLookups.Load()
 		st.Lookups = singles + sh.batchLookups.Load()
 		st.Hits = sh.hits.Load()

@@ -154,7 +154,7 @@ func (s *Sink) WritePrometheus(w io.Writer) error {
 	p.Simple("mccuckoo_autogrow_attempts_total", "Grow calls made by the auto-grow policy.", "counter", ops.GrowAttempts)
 	p.Simple("mccuckoo_autogrow_success_total", "Auto-grow episodes that drained the stash under threshold.", "counter", ops.Grows)
 	p.Simple("mccuckoo_autogrow_failures_total", "Grow calls that returned an error.", "counter", ops.GrowFailures)
-	p.Simple("mccuckoo_stash_probes_total", "Lookups/deletes that had to consult the stash.", "counter", ops.StashProbe)
+	p.Simple("mccuckoo_stash_probes_total", "Lookups/deletes that had to consult the stash.", "counter", ops.StashProbes)
 	p.Simple("mccuckoo_table_kicks_total", "Total kick-outs performed by inserts.", "counter", ops.Kicks)
 
 	p.Header("mccuckoo_op_latency_seconds", "Per-operation latency (timed single ops).", "histogram")

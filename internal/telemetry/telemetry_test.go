@@ -246,7 +246,7 @@ func TestWritePrometheus(t *testing.T) {
 			Items: 10, Capacity: 100, LoadRatio: 0.1, StashLen: 2, StashFlagDensity: 0.03,
 			CopyHist: []int64{0, 6, 3, 1},
 			Shards:   4, MinShardLoad: 0.05, MaxShardLoad: 0.2,
-			Ops: kv.Stats{GrowAttempts: 3, Grows: 2, GrowFailures: 1, Kicks: 2, StashProbe: 5},
+			Ops: kv.Stats{GrowAttempts: 3, Grows: 2, GrowFailures: 1, Kicks: 2, StashProbes: 5},
 		}
 	})
 

@@ -55,9 +55,6 @@ type ClientConfig struct {
 	// RequestTimeout bounds one request/response round trip, a wait for
 	// the connection's dial included (default 10s).
 	RequestTimeout time.Duration
-
-	// MaxPayload bounds response payloads (default DefaultMaxPayload).
-	MaxPayload int
 }
 
 // Client is a pooled, pipelining client. All methods are safe for
@@ -86,9 +83,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
-	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
 	}
 	if cfg.Dial == nil {
 		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -624,7 +618,7 @@ func (cc *clientConn) readLoop(nc net.Conn) {
 		// single request, and request timeouts live in the connection's
 		// timer. Close/fail closing the conn is what unblocks it.
 		//mcvet:allow deadlinearm demux read is unbounded by design; bounded by conn close, not a timer
-		f, b, err := ReadFrame(nc, cc.cfg.MaxPayload, buf)
+		f, b, err := ReadFrame(nc, DefaultMaxPayload, buf)
 		var s Sink
 		ok := false
 		if err == nil && f.IsResponse() {

@@ -36,10 +36,6 @@ type Config struct {
 	// connection beyond the cap receives one ERR frame and is closed.
 	MaxConns int
 
-	// MaxPayload bounds a request frame's payload (default
-	// DefaultMaxPayload).
-	MaxPayload int
-
 	// IdleTimeout closes a connection that sends no frame for this long
 	// (default 2m).
 	IdleTimeout time.Duration
@@ -116,9 +112,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 256
-	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 2 * time.Minute
@@ -311,7 +304,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	)
 	for {
 		for {
-			f, n, err := DecodeFrame(in[off:], s.cfg.MaxPayload)
+			f, n, err := DecodeFrame(in[off:], DefaultMaxPayload)
 			if errors.Is(err, io.ErrUnexpectedEOF) {
 				break // no complete request left
 			}
@@ -388,7 +381,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			return
 		default:
 		}
-		in, off = readRoom(in, off, s.cfg.MaxPayload), 0
+		in, off = readRoom(in, off, DefaultMaxPayload), 0
 		var n int
 		n, rerr = nc.Read(in[len(in):cap(in)])
 		in = in[:len(in)+n]

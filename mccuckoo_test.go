@@ -2,6 +2,7 @@ package mccuckoo
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -157,6 +158,18 @@ func TestStatusString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("Status(%d).String() = %q, want %q", s, s.String(), want)
 		}
+	}
+}
+
+// TestStatsJSONNames pins the JSON names of the public Stats: the
+// snake_case names of the ops object /debug/mccuckoo/stats serves.
+func TestStatsJSONNames(t *testing.T) {
+	b, err := json.Marshal(Stats{Inserts: 3, Kicks: 2, StashProbes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"inserts":3,"kicks":2,"lookups":0,"hits":0,"deletes":0,"stash_probes":1}`; string(b) != want {
+		t.Errorf("Stats marshals as %s, want %s", b, want)
 	}
 }
 

@@ -8,34 +8,24 @@ import (
 )
 
 // Status classifies how an insertion ended.
-type Status uint8
+type Status = kv.Status
 
 const (
 	// Placed means the item now lives in the main table.
-	Placed Status = iota
+	Placed = kv.Placed
 	// Updated means the key already existed and its value was replaced.
-	Updated
+	Updated = kv.Updated
 	// Stashed means collision resolution failed and the item went to the
 	// stash (it remains fully findable).
-	Stashed
+	Stashed = kv.Stashed
 	// Failed means the insertion could not be completed: the table is
 	// effectively full and no stash (or a full one) was available.
-	Failed
+	Failed = kv.Failed
 )
 
-// String returns a human-readable status name.
-func (s Status) String() string { return kv.Status(s).String() }
-
-// InsertResult reports what an insertion did.
-type InsertResult struct {
-	Status Status
-	// Kicks is the number of item relocations this insertion performed.
-	Kicks int
-}
-
-func fromOutcome(o kv.Outcome) InsertResult {
-	return InsertResult{Status: Status(o.Status), Kicks: o.Kicks}
-}
+// InsertResult reports what an insertion did: its Status and Kicks, the
+// number of item relocations it performed.
+type InsertResult = kv.Outcome
 
 // Traffic is the memory-access footprint of a table: accesses to the
 // off-chip main table (buckets, stash) and to the on-chip counter array.
@@ -46,51 +36,17 @@ type Traffic struct {
 	OnChipWrites  int64
 }
 
-// Stats aggregates lifetime operation counts.
-type Stats struct {
-	Inserts     int64
-	Updates     int64
-	Kicks       int64
-	Stashed     int64
-	Failures    int64
-	Lookups     int64
-	Hits        int64
-	Deletes     int64
-	StashProbes int64
+// Stats aggregates lifetime operation counts, auto-grow activity included
+// (see WithAutoGrow). It marshals to JSON with the snake_case names of the
+// telemetry endpoint /debug/mccuckoo/stats.
+type Stats = kv.Stats
 
-	// Auto-grow activity (see WithAutoGrow). GrowAttempts counts individual
-	// Grow calls made by the policy, Grows counts auto-grow episodes that
-	// brought the stash back under the threshold, GrowFailures counts Grow
-	// calls that returned an error.
-	GrowAttempts int64
-	Grows        int64
-	GrowFailures int64
-}
-
-func fromStats(s kv.Stats) Stats {
-	return Stats{
-		Inserts: s.Inserts, Updates: s.Updates, Kicks: s.Kicks,
-		Stashed: s.Stashed, Failures: s.Failures, Lookups: s.Lookups,
-		Hits: s.Hits, Deletes: s.Deletes, StashProbes: s.StashProbe,
-		GrowAttempts: s.GrowAttempts, Grows: s.Grows, GrowFailures: s.GrowFailures,
-	}
-}
-
-// config collects option state before it is translated to a core.Config.
+// config is the option state: the core.Config a table is built from, plus
+// the telemetry attachment, which wraps the table rather than configuring
+// it.
 type config struct {
-	d          int
-	slots      int
-	maxLoop    int
-	seed       uint64
-	policy     kv.KickPolicy
-	deletion   core.DeletionMode
-	noStash    bool
-	stashMax   int
-	noPre      bool
-	unique     bool
-	doubleHash bool
-	autoGrow   core.AutoGrowPolicy
-	tel        *Telemetry
+	core.Config
+	tel *Telemetry
 }
 
 // Option customizes a table.
@@ -103,7 +59,7 @@ func WithHashFunctions(d int) Option {
 		if d < 2 || d > 4 {
 			return fmt.Errorf("mccuckoo: d must be in [2,4], got %d", d)
 		}
-		c.d = d
+		c.D = d
 		return nil
 	}
 }
@@ -116,7 +72,7 @@ func WithSlots(l int) Option {
 		if l < 2 || l > 4 {
 			return fmt.Errorf("mccuckoo: slots must be in [2,4], got %d", l)
 		}
-		c.slots = l
+		c.Slots = l
 		return nil
 	}
 }
@@ -127,21 +83,21 @@ func WithMaxLoop(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("mccuckoo: maxloop must be positive, got %d", n)
 		}
-		c.maxLoop = n
+		c.MaxLoop = n
 		return nil
 	}
 }
 
 // WithSeed fixes the hash seeds and the random walk for reproducibility.
 func WithSeed(seed uint64) Option {
-	return func(c *config) error { c.seed = seed; return nil }
+	return func(c *config) error { c.Seed = seed; return nil }
 }
 
 // WithoutStash disables the overflow stash: insertions that cannot be placed
 // return Failed instead of Stashed. The stash is on by default and unbounded
 // (it lives in abundant off-chip memory, the paper's §III.E point).
 func WithoutStash() Option {
-	return func(c *config) error { c.noStash = true; return nil }
+	return func(c *config) error { c.StashEnabled = false; return nil }
 }
 
 // WithStashLimit caps the stash population; inserts beyond it Fail.
@@ -150,7 +106,7 @@ func WithStashLimit(max int) Option {
 		if max < 1 {
 			return fmt.Errorf("mccuckoo: stash limit must be positive, got %d", max)
 		}
-		c.stashMax = max
+		c.StashMax = max
 		return nil
 	}
 }
@@ -159,13 +115,13 @@ func WithStashLimit(max int) Option {
 // counters, preserving the never-inserted shortcut for negative lookups at
 // the cost of one extra counter bit (§III.B.3).
 func WithTombstoneDeletion() Option {
-	return func(c *config) error { c.deletion = core.Tombstone; return nil }
+	return func(c *config) error { c.Deletion = core.Tombstone; return nil }
 }
 
 // WithMinCounterResolver switches collision resolution from the paper's
 // random walk to MinCounter-style victim selection.
 func WithMinCounterResolver() Option {
-	return func(c *config) error { c.policy = kv.MinCounter; return nil }
+	return func(c *config) error { c.Policy = kv.MinCounter; return nil }
 }
 
 // WithoutLookupPrescreen makes lookups read candidate buckets the
@@ -173,14 +129,14 @@ func WithMinCounterResolver() Option {
 // platforms where counter checks are not cheap). Single-slot tables only:
 // the blocked lookup always reads the counters, so NewBlocked rejects it.
 func WithoutLookupPrescreen() Option {
-	return func(c *config) error { c.noPre = true; return nil }
+	return func(c *config) error { c.DisablePrescreen = true; return nil }
 }
 
 // WithDoubleHashing derives all d bucket indexes from two hash computations
 // (h1 + i·h2 mod n), the construction of the paper's reference [21]: cheaper
 // hashing with provably unchanged cuckoo load thresholds.
 func WithDoubleHashing() Option {
-	return func(c *config) error { c.doubleHash = true; return nil }
+	return func(c *config) error { c.DoubleHashing = true; return nil }
 }
 
 // AutoGrowPolicy configures graceful degradation under stash pressure; see
@@ -209,7 +165,7 @@ type AutoGrowPolicy struct {
 // are surfaced in Stats.
 func WithAutoGrow(policy AutoGrowPolicy) Option {
 	return func(c *config) error {
-		c.autoGrow = core.AutoGrowPolicy{
+		c.AutoGrow = core.AutoGrowPolicy{
 			Enabled:        true,
 			StashThreshold: policy.StashThreshold,
 			Factor:         policy.Factor,
@@ -224,47 +180,32 @@ func WithAutoGrow(policy AutoGrowPolicy) Option {
 // duplicate-key scan on insert. Inserting an existing key with this option
 // corrupts the table; use it only for bulk loads of deduplicated data.
 func WithUniqueKeys() Option {
-	return func(c *config) error { c.unique = true; return nil }
+	return func(c *config) error { c.AssumeUniqueKeys = true; return nil }
 }
 
-// buildConfig translates options into a core.Config for a table whose main
-// array should hold roughly `capacity` slots in total; a single-slot table
-// (blocked false) has one slot per bucket whatever WithSlots says, and a
-// blocked one refuses WithoutLookupPrescreen. The second result is
-// the telemetry attachment requested via WithTelemetry (nil when absent),
-// which lives outside core.Config because the collector wraps the table
-// rather than configuring it.
+// buildConfig applies opts to the defaults and returns the core.Config of a
+// table whose main array should hold roughly `capacity` slots in total; a
+// single-slot table (blocked false) has one slot per bucket whatever
+// WithSlots says, and a blocked one refuses WithoutLookupPrescreen. The
+// second result is the telemetry attachment requested via WithTelemetry
+// (nil when absent).
 func buildConfig(capacity int, blocked bool, opts []Option) (core.Config, *Telemetry, error) {
 	if capacity < 8 {
 		return core.Config{}, nil, fmt.Errorf("mccuckoo: capacity must be at least 8, got %d", capacity)
 	}
-	c := config{d: 3, slots: 3, seed: 1}
+	c := config{Config: core.Config{D: 3, Slots: 3, Seed: 1, StashEnabled: true}}
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return core.Config{}, nil, err
 		}
 	}
 	if !blocked {
-		c.slots = 1
-	} else if c.noPre {
+		c.Slots = 1
+	} else if c.DisablePrescreen {
 		return core.Config{}, nil, fmt.Errorf("mccuckoo: WithoutLookupPrescreen applies to single-slot tables only; the blocked lookup always reads the counters")
 	}
-	perTable := (capacity + c.d*c.slots - 1) / (c.d * c.slots)
-	return core.Config{
-		D:                c.d,
-		Slots:            c.slots,
-		BucketsPerTable:  perTable,
-		MaxLoop:          c.maxLoop,
-		Seed:             c.seed,
-		Policy:           c.policy,
-		Deletion:         c.deletion,
-		StashEnabled:     !c.noStash,
-		StashMax:         c.stashMax,
-		DisablePrescreen: c.noPre,
-		AssumeUniqueKeys: c.unique,
-		DoubleHashing:    c.doubleHash,
-		AutoGrow:         c.autoGrow,
-	}, c.tel, nil
+	c.BucketsPerTable = (capacity + c.D*c.Slots - 1) / (c.D * c.Slots)
+	return c.Config, c.tel, nil
 }
 
 // loadOptions applies opts for a Load call. A snapshot carries its own
@@ -272,7 +213,7 @@ func buildConfig(capacity int, blocked bool, opts []Option) (core.Config, *Telem
 // options are accepted but have no effect there; only attachment options —
 // WithTelemetry — are meaningful, and the requested telemetry is returned.
 func loadOptions(opts []Option) (*Telemetry, error) {
-	c := config{d: 3, slots: 1, seed: 1}
+	var c config
 	for _, opt := range opts {
 		if err := opt(&c); err != nil {
 			return nil, err

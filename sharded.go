@@ -31,9 +31,7 @@ func (s *shardedStore) attachTelemetry(sink *telemetry.Sink) {
 
 // Insert stores key/value under the owning shard's write lock, replacing
 // the value if key is already present (unless WithUniqueKeys was set).
-func (s *shardedStore) Insert(key, value uint64) InsertResult {
-	return fromOutcome(s.inner.Insert(key, value))
-}
+func (s *shardedStore) Insert(key, value uint64) InsertResult { return s.inner.Insert(key, value) }
 
 // Lookup returns the value stored for key under the owning shard's read
 // lock: lookups on different shards never contend, and lookups on the same
@@ -47,9 +45,7 @@ func (s *shardedStore) Delete(key uint64) bool { return s.inner.Delete(key) }
 // and taking each touched shard's write lock once for the whole batch.
 // Results come back in input order. len(values) must equal len(keys).
 func (s *shardedStore) InsertBatch(keys, values []uint64) []InsertResult {
-	res := make([]InsertResult, len(keys))
-	s.InsertBatchInto(keys, values, res)
-	return res
+	return s.inner.InsertBatch(keys, values)
 }
 
 // LookupBatch answers every key, taking each touched shard's read lock
@@ -77,7 +73,7 @@ func (s *shardedStore) LoadRatio() float64 { return s.inner.LoadRatio() }
 func (s *shardedStore) StashLen() int { return s.inner.StashLen() }
 
 // Stats returns operation counts aggregated over all shards.
-func (s *shardedStore) Stats() Stats { return fromStats(s.inner.Stats()) }
+func (s *shardedStore) Stats() Stats { return s.inner.Stats() }
 
 // Range calls fn for every distinct live item until fn returns false. Each
 // shard is iterated under its read lock, so every shard's view is

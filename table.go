@@ -86,12 +86,6 @@ func LoadBlocked(r io.Reader, opts ...Option) (*Blocked, error) {
 	return &Blocked{newSingle(inner, tel)}, nil
 }
 
-// Compile-time checks that the public Status values mirror internal ones.
-var _ = [1]struct{}{}[Status(kv.Placed)-Placed]
-var _ = [1]struct{}{}[Status(kv.Updated)-Updated]
-var _ = [1]struct{}{}[Status(kv.Stashed)-Stashed]
-var _ = [1]struct{}{}[Status(kv.Failed)-Failed]
-
 // coreTable is the core table a singleStore forwards to: core.Table or
 // core.BlockedTable.
 type coreTable interface {
@@ -142,7 +136,7 @@ func (s *singleStore) Insert(key, value uint64) InsertResult {
 	before, start := sink.OffChip(s.meter), sink.Start()
 	o := s.inner.Insert(key, value)
 	sink.RecordInsert(-1, key, o, sink.OffChip(s.meter)-before, start)
-	return fromOutcome(o)
+	return o
 }
 
 // Lookup returns the value stored for key.
@@ -197,7 +191,7 @@ func (s *singleStore) Traffic() Traffic {
 }
 
 // Stats returns lifetime operation counts.
-func (s *singleStore) Stats() Stats { return fromStats(s.inner.Stats()) }
+func (s *singleStore) Stats() Stats { return s.inner.Stats() }
 
 // Grow rebuilds the table with a fresh hash family and growFactor times the
 // capacity (>= 1; Grow(1) rehashes in place and re-absorbs the stash). This
@@ -211,7 +205,7 @@ func (s *singleStore) Grow(growFactor float64) error { return s.inner.Grow(growF
 // Functionally equivalent to Insert; Concurrent.InsertPathwise exploits the
 // bounded steps to interleave readers during long relocation chains.
 func (s *singleStore) InsertPathwise(key, value uint64) InsertResult {
-	return fromOutcome(s.inner.InsertPathwise(key, value))
+	return s.inner.InsertPathwise(key, value)
 }
 
 // WriteTo serializes the table as a versioned binary snapshot (implements
