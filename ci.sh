@@ -85,7 +85,10 @@
 # context prefix) and their rejection cases. The sidecar harness fixes up
 # each input's CRC, so it reaches the record checks (keys strictly
 # ascending, sequence numbers nonzero) and checks that whatever loads
-# saves back byte for byte.
+# saves back byte for byte. The replica key index fuzzer (FuzzSeqIndex)
+# drives set, get and probe-then-update on an index small enough that
+# random walks and segment rebuilds run, checking every result against a
+# map: a cuckoo table loses keys in exactly those paths.
 # Perf gate: cmd/mcperf reruns the seeded core and wire suites and compares
 # every series' counts against the committed BENCH_core.json /
 # BENCH_wire.json baselines (DESIGN.md §14): off-chip reads and writes per
@@ -219,6 +222,9 @@ go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
 
 say "fuzz smoke: replica sidecar loader"
 go test -run='^$' -fuzz=FuzzLoadSidecar -fuzztime=5s ./internal/wire
+
+say "fuzz smoke: replica key index"
+go test -run='^$' -fuzz=FuzzSeqIndex -fuzztime=5s ./internal/wire
 
 # Perf gate (DESIGN.md §14): one check per suite. Record and check run the
 # same configuration, so a count that moves is a behaviour change: a change

@@ -112,8 +112,9 @@ func (r *Ring) Replicas(key uint64, n int, dst []string) []string {
 	if n <= 0 {
 		return dst
 	}
+	pt := r.point(key)
 	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= r.point(key)
+		return r.points[i].hash >= pt
 	})
 	var seen uint64 // node-index bitmap; rings are far smaller than 64 nodes
 	for i := 0; i < len(r.points) && n > 0; i++ {

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
+
+	"mccuckoo/internal/hashutil"
 )
 
 func testNodes(n int) []string {
@@ -93,6 +97,46 @@ func TestRingReplicasDistinctAndOwned(t *testing.T) {
 	var buf [8]string
 	if got := r.Replicas(7, 100, buf[:0]); len(got) != 5 {
 		t.Fatalf("over-asked replicas: got %d, want 5", len(got))
+	}
+}
+
+// TestRingReplicasMatchClockwiseWalk checks Replicas against a brute-force
+// reading of the ring. A node's distance from a key is the clockwise gap
+// from the key's point to the node's first point at or after it, wrapping
+// past the top of the circle; the replicas are the n nearest nodes, an
+// exact tie going to the lower node index as the ring sorts it. Small rings
+// put many keys past the last point, so the wrap is exercised.
+func TestRingReplicasMatchClockwiseWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, c := range []struct{ nodes, vnodes int }{{1, 1}, {2, 1}, {3, 2}, {5, 16}, {2, 128}, {7, 128}} {
+		r, err := NewRing(testNodes(c.nodes), c.vnodes, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := make([]int, c.nodes)
+		gap := make([]uint64, c.nodes)
+		for range 3000 {
+			key := rng.Uint64()
+			pt := hashutil.BOB64Key(key, r.seed)
+			for i := range gap {
+				order[i], gap[i] = i, ^uint64(0)
+			}
+			for _, p := range r.points {
+				gap[p.node] = min(gap[p.node], p.hash-pt) // unsigned: wraps past the top
+			}
+			slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(gap[a], gap[b]), cmp.Compare(a, b)) })
+			for n := 1; n <= c.nodes+1; n++ {
+				got := r.Replicas(key, n, nil)
+				if len(got) != min(n, c.nodes) {
+					t.Fatalf("%d nodes × %d: key %#x: %d replicas for n=%d", c.nodes, c.vnodes, key, len(got), n)
+				}
+				for i, addr := range got {
+					if want := r.nodes[order[i]]; addr != want {
+						t.Fatalf("%d nodes × %d: key %#x n=%d: replica %d is %s, want %s", c.nodes, c.vnodes, key, n, i, addr, want)
+					}
+				}
+			}
+		}
 	}
 }
 

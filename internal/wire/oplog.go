@@ -5,7 +5,7 @@ package wire
 // increasing absolute position so a subscriber's cursor survives wraps. A
 // cursor never falls behind the retained window unnoticed: evicting a
 // record a subscriber has not been sent sets that subscriber's catch-up
-// floor (Replicated.notifyLocked), and the catch-up moves the cursor back
+// floor (Replicated.applyLocked), and the catch-up moves the cursor back
 // into the window before the next copy.
 //
 // The log has no lock of its own: every access happens under the owning

@@ -26,13 +26,6 @@ import (
 // SUBSCRIBE streams, and an order-independent state digest that lets two
 // replicas prove byte-identical convergence over the wire.
 
-// Ranger is the iteration capability of the concrete table kinds; a
-// Replicated over a Ranger seeds its per-key bookkeeping from preloaded
-// data (a -load snapshot) that predates sequence tracking.
-type Ranger interface {
-	Range(fn func(key, value uint64) bool)
-}
-
 // seqLimit bounds valid sequence numbers: meta words hold seq<<1, so a
 // sequence number with bit 63 set would lose that bit. applyLocked rejects
 // such entries like Seq 0.
@@ -90,6 +83,8 @@ type Replicated struct {
 	log *opLog
 	//mcvet:guardedby mu
 	subs map[*logSub]struct{}
+	//mcvet:guardedby mu
+	appended bool // the log grew since the subscribers were last poked
 	// filter restricts DigestRange to keys the requesting peer co-owns
 	// with this node (set by the cluster tier; nil means no restriction).
 	// Kept ring-agnostic: package wire never imports the ring.
@@ -121,7 +116,9 @@ func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 		log:   newOpLog(cfg.OplogSize),
 		subs:  make(map[*logSub]struct{}),
 	}
-	if rng, ok := inner.(Ranger); ok && inner.Len() > 0 {
+	if rng, ok := inner.(interface {
+		Range(func(key, value uint64) bool)
+	}); ok && inner.Len() > 0 {
 		r.mu.Lock()
 		meta := uint64(seededSeq) << 1
 		rng.Range(func(key, value uint64) bool {
@@ -290,22 +287,30 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 	if e.Seq > r.localSeq {
 		r.localSeq = e.Seq
 	}
-	r.notifyLocked(r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta}))
+	if evicted := r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta}); evicted != 0 {
+		// A subscriber whose cursor is now behind the ring had not been
+		// sent the evicted record: its floor drops to that sequence.
+		for sub := range r.subs {
+			if sub.cursor < r.log.first {
+				sub.floor = min(sub.floor, evicted)
+			}
+		}
+	}
+	r.appended = true
 	r.entriesApplied.Add(1)
 	return ApplyApplied, res, removed
 }
 
-// notifyLocked pokes every subscriber after an append. evicted is the
-// sequence number of the record the append pushed off the ring, 0 if none.
-// A subscriber whose cursor is now behind the ring had not been sent that
-// record, so its catch-up floor drops to the record's sequence number.
+// notifyLocked pokes every subscriber once if the log grew since the last
+// poke. Each mutating call runs it once, before it releases the lock.
 //
 //mcvet:locked
-func (r *Replicated) notifyLocked(evicted uint64) {
+func (r *Replicated) notifyLocked() {
+	if !r.appended {
+		return
+	}
+	r.appended = false
 	for sub := range r.subs {
-		if evicted != 0 && sub.cursor < r.log.first {
-			sub.floor = min(sub.floor, evicted)
-		}
 		select {
 		case sub.notify <- struct{}{}:
 		default:
@@ -329,6 +334,7 @@ func (r *Replicated) ApplyPush(ents []Entry, statuses []byte) []byte {
 			r.repairApplied.Add(1)
 		}
 	}
+	r.notifyLocked()
 	return statuses
 }
 
@@ -347,6 +353,7 @@ func (r *Replicated) ApplyStream(ents []Entry) (applied, stale, failed int) {
 			failed++
 		}
 	}
+	r.notifyLocked()
 	return applied, stale, failed
 }
 
@@ -376,9 +383,9 @@ func (r *Replicated) VGet(key uint64) (state byte, value, seq uint64) {
 // --- op-log subscriptions ---
 
 // logSub is one subscriber's position in the op log. The serving goroutine
-// owns it and moves it only in pull, under the read lock; notifyLocked
+// owns it and moves it only in pull, under the read lock; applyLocked
 // lowers floor under the write lock, so the mutex orders every access.
-// notify (capacity 1) is poked on every append.
+// notify (capacity 1) is poked once per mutating call that appended.
 type logSub struct {
 	cursor uint64
 	// floor is the lowest sequence number of a record the ring evicted
@@ -482,6 +489,7 @@ func (r *Replicated) Insert(key, value uint64) mccuckoo.InsertResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: key, Value: value})
+	r.notifyLocked()
 	return res
 }
 
@@ -489,6 +497,7 @@ func (r *Replicated) Delete(key uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, _, removed := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: key})
+	r.notifyLocked()
 	return removed
 }
 
@@ -518,6 +527,7 @@ func (r *Replicated) InsertBatchInto(keys, values []uint64, out []mccuckoo.Inser
 			out[i] = res
 		}
 	}
+	r.notifyLocked()
 }
 
 func (r *Replicated) LookupBatch(keys []uint64) ([]uint64, []bool) {
@@ -543,6 +553,7 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 			removed[i] = rm
 		}
 	}
+	r.notifyLocked()
 }
 
 // --- sidecar persistence ---
@@ -587,7 +598,7 @@ func (r *Replicated) CheckpointWith(saveValues func() error, sidecarPath string)
 //mcvet:locked
 //mcvet:deterministic
 func (r *Replicated) saveSidecarLocked(path string) error {
-	recs := make([]seqSlot, 0, r.seqs.len())
+	recs := make([]seqSlot, 0, r.seqs.n)
 	r.seqs.each(func(key, meta uint64) { recs = append(recs, seqSlot{key, meta}) })
 	slices.SortFunc(recs, func(a, b seqSlot) int { return cmp.Compare(a.key, b.key) })
 	return atomicio.WriteFile(path, func(f *os.File) error {
@@ -731,7 +742,7 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 		BaseSeq:        r.baseSeq,
 		DrainedSeq:     r.drained,
 		DigestHex:      fmt.Sprintf("%016x", r.digest),
-		TrackedKeys:    r.seqs.len(),
+		TrackedKeys:    r.seqs.n,
 		Tombstones:     r.tombs,
 		OplogLen:       int(r.log.next - r.log.first),
 		OplogDropped:   r.log.dropped,

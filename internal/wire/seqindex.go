@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math/bits"
+	"slices"
 
 	"mccuckoo/internal/hashutil"
 )
@@ -11,76 +12,109 @@ import (
 // meta 0 marks an empty slot: every tracked meta is at least 2, because
 // sequence numbers start at 1.
 //
-// The slots sit in seqSegments linear-probing segments. A key's segment is
-// the top bits of Mix64(key ^ seed), its home slot the rest scaled to the
-// segment's length. The seed is drawn per replica, so no fixed key set
-// clusters on every node. A segment grows ×1.25 once it passes 7/8 full,
-// so the index holds 16/0.875 ≈ 18.3 to 16/0.7 ≈ 22.9 bytes per key, and
-// a growth rehashes one segment: about a sixteenth of the keys.
+// Four slots make a 64-byte bucket, and the buckets sit in seqSegments
+// segments. Mix64(key ^ seed), with the seed drawn per replica, picks a
+// key's segment and two buckets there, distinct once it has two, so a
+// lookup reads at most two. An insert takes the first empty slot of the
+// first bucket, else of the second; when both are full, a bounded random
+// walk moves records to their other bucket. No key is removed and a walk
+// refills every slot it empties, so a key sits in its second bucket only
+// while its first is full, and a lookup stops at the first empty slot it
+// meets. A segment rebuilds with a sixteenth more buckets, rounded up to
+// what the allocator hands out, once it passes 15/16 full or a walk
+// fails: a rebuild rehashes about a twelfth of the keys.
 //
 // The index has no lock of its own: every access happens under the owning
 // Replicated's mutex.
 type seqIndex struct {
 	seed uint64
-	n    int // tracked keys
+	rng  uint64 // the walks' random state, started from seed
+	n    int    // tracked keys
 	segs [seqSegments]seqSegment
 }
 
 type seqSegment struct {
-	slots []seqSlot
-	n     int
+	buckets []seqBucket
+	n       int
 }
+
+type seqBucket [seqWays]seqSlot
 
 type seqSlot struct{ key, meta uint64 }
 
-// seqPos is a slot located by probe: the one holding the key, or the
-// empty slot an insert of the key takes.
+// seqPos is a slot located by probe: the one holding the key, or the empty
+// slot an insert of the key takes, or nil when both its buckets are full.
 type seqPos struct {
 	seg *seqSegment
-	i   int
+	sl  *seqSlot
 }
 
 const (
-	seqSegBits  = 4
-	seqSegments = 1 << seqSegBits
-	// seqMinSlots is a segment's smallest length; ×1.25 growth must add
-	// at least one slot.
-	seqMinSlots = 8
+	seqWays = 4
+	// seqSegments is chosen by measurement (DESIGN.md §11): cluster-rw's
+	// 32,768 keys per node fill 48 KiB segments, a fine step of the
+	// allocator's sizes.
+	seqSegments  = 12
+	seqWalkSteps = 128 // evictions before a walk gives up
 )
 
-// newSeqIndex returns an index sized for hint keys at about 4/5 load.
+// newSeqIndex returns an index sized for hint keys: each segment gets the
+// allocator's first capacity that holds its share at 15/16 occupancy.
 func newSeqIndex(seed uint64, hint int) seqIndex {
-	x := seqIndex{seed: seed}
-	per := max(seqMinSlots, (hint+seqSegments-1)/seqSegments*5/4)
+	x := seqIndex{seed: seed, rng: seed}
+	slots := ((hint+seqSegments-1)/seqSegments*16 + 14) / 15
 	for i := range x.segs {
-		x.segs[i].slots = make([]seqSlot, per)
+		x.segs[i].buckets = allocBuckets((slots + seqWays - 1) / seqWays)
 	}
 	return x
 }
 
-func (x *seqIndex) hash(key uint64) uint64 { return hashutil.Mix64(key ^ x.seed) }
-
-// home is the first slot a key with hash h probes in s.
-func (s *seqSegment) home(h uint64) int {
-	hi, _ := bits.Mul64(h<<seqSegBits, uint64(len(s.slots)))
-	return int(hi)
+// allocBuckets returns at least n buckets, and at least one: all that the
+// allocation the allocator rounds them up to holds.
+func allocBuckets(n int) []seqBucket {
+	b := slices.Grow([]seqBucket(nil), max(n, 1))
+	return b[:cap(b)]
 }
 
-// probe locates key's slot. meta is 0 when the key is untracked.
+// home returns key's segment and its two buckets there.
+func (x *seqIndex) home(key uint64) (s *seqSegment, b1, b2 int) {
+	si, h := bits.Mul64(hashutil.Mix64(key^x.seed), seqSegments)
+	s = &x.segs[si]
+	nb := uint64(len(s.buckets))
+	hi, h := bits.Mul64(h, nb)
+	off, _ := bits.Mul64(h, nb-1)
+	if off += hi + 1; off >= nb {
+		off -= nb
+	}
+	return s, int(hi), int(off)
+}
+
+// find returns the index of bk's slot holding key, else of bk's first
+// empty slot, else seqWays.
+func (bk *seqBucket) find(key uint64) int {
+	for i := range bk {
+		if bk[i].meta == 0 || bk[i].key == key {
+			return i
+		}
+	}
+	return seqWays
+}
+
+// probe locates key's slot: the one holding it, else the first empty one
+// of its first bucket, else of its second. meta is 0 when the key is
+// untracked.
 //
 //mcvet:hotpath
 func (x *seqIndex) probe(key uint64) (p seqPos, meta uint64) {
-	h := x.hash(key)
-	s := &x.segs[h>>(64-seqSegBits)]
-	i := s.home(h)
-	for {
-		if sl := s.slots[i]; sl.meta == 0 || sl.key == key {
-			return seqPos{s, i}, sl.meta
-		}
-		if i++; i == len(s.slots) {
-			i = 0
+	s, b, b2 := x.home(key)
+	i := s.buckets[b].find(key)
+	if i == seqWays {
+		b = b2
+		if i = s.buckets[b].find(key); i == seqWays {
+			return seqPos{seg: s}, 0
 		}
 	}
+	return seqPos{s, &s.buckets[b][i]}, s.buckets[b][i].meta
 }
 
 // get returns key's meta word.
@@ -96,16 +130,21 @@ func (x *seqIndex) get(key uint64) (meta uint64, ok bool) {
 //
 //mcvet:hotpath
 func (x *seqIndex) update(p seqPos, key, meta uint64) {
-	sl := &p.seg.slots[p.i]
-	if sl.meta != 0 {
-		sl.meta = meta
+	if p.sl != nil && p.sl.meta != 0 {
+		p.sl.meta = meta
 		return
 	}
-	*sl = seqSlot{key, meta}
-	p.seg.n++
+	s := p.seg
+	s.n++
 	x.n++
-	if p.seg.n*8 > len(p.seg.slots)*7 {
-		x.grow(p.seg)
+	sl := seqSlot{key, meta}
+	if p.sl != nil {
+		*p.sl, sl = sl, seqSlot{}
+	} else {
+		sl = x.place(sl) // the record left without a slot, if any
+	}
+	if sl.meta != 0 || s.n*16 > len(s.buckets)*seqWays*15 {
+		x.grow(s, sl)
 	}
 }
 
@@ -115,34 +154,66 @@ func (x *seqIndex) set(key, meta uint64) {
 	x.update(p, key, meta)
 }
 
-// grow rehashes s into 1.25 times as many slots.
-func (x *seqIndex) grow(s *seqSegment) {
-	old := s.slots
-	s.slots = make([]seqSlot, len(old)+len(old)/4)
-	for _, sl := range old {
-		if sl.meta == 0 {
-			continue
-		}
-		i := s.home(x.hash(sl.key))
-		for s.slots[i].meta != 0 {
-			if i++; i == len(s.slots) {
-				i = 0
-			}
-		}
-		s.slots[i] = sl
+// place puts sl, whose key the index does not hold, into the slot probe
+// finds for it, else by a random walk. The walk puts the record in hand
+// into a random slot of a full bucket and takes up the record it evicts,
+// whose other bucket it tries next. place returns the record in hand if
+// the walk gives up after seqWalkSteps evictions, else a zero slot.
+func (x *seqIndex) place(sl seqSlot) seqSlot {
+	if p, _ := x.probe(sl.key); p.sl != nil {
+		*p.sl = sl
+		return seqSlot{}
 	}
+	s, b, b2 := x.home(sl.key)
+	if hashutil.SplitMix64(&x.rng)&1 == 1 {
+		b = b2
+	}
+	for range seqWalkSteps {
+		j := hashutil.SplitMix64(&x.rng) % seqWays
+		sl, s.buckets[b][j] = s.buckets[b][j], sl
+		_, c1, c2 := x.home(sl.key)
+		b = c1 + c2 - b
+		if i := s.buckets[b].find(sl.key); i < seqWays {
+			s.buckets[b][i] = sl
+			return seqSlot{}
+		}
+	}
+	return sl
 }
 
-// len returns the number of tracked keys.
-func (x *seqIndex) len() int { return x.n }
+// grow rebuilds s with at least a sixteenth more buckets, and one more
+// each time a walk fails, holding its records plus extra unless extra is a
+// zero slot. Only s's records move.
+func (x *seqIndex) grow(s *seqSegment, extra seqSlot) {
+	old := s.buckets
+	n := len(old) + max(1, len(old)/16)
+rebuild:
+	for {
+		s.buckets = allocBuckets(n)
+		n = len(s.buckets) + 1
+		if extra.meta != 0 && x.place(extra).meta != 0 {
+			continue
+		}
+		for _, bk := range old {
+			for _, sl := range bk {
+				if sl.meta != 0 && x.place(sl).meta != 0 {
+					continue rebuild
+				}
+			}
+		}
+		return
+	}
+}
 
 // each calls fn for every tracked key, in an order that depends on the
 // seed. fn must not change the index.
 func (x *seqIndex) each(fn func(key, meta uint64)) {
 	for si := range x.segs {
-		for _, sl := range x.segs[si].slots {
-			if sl.meta != 0 {
-				fn(sl.key, sl.meta)
+		for _, bk := range x.segs[si].buckets {
+			for _, sl := range bk {
+				if sl.meta != 0 {
+					fn(sl.key, sl.meta)
+				}
 			}
 		}
 	}
