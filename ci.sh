@@ -97,6 +97,10 @@
 # on the first run, on any host; ns/op is printed and never judged.
 # REFRESH_BASELINE=1 re-records the baselines instead of checking; each
 # suite stamps its own note into the file it records.
+# Line count: the last step prints the net non-test Go line count every
+# change reports (ROADMAP.md): tracked *.go files minus _test.go files and
+# testdata/, with benchmark/'s share beside it. It is a report, not a gate:
+# no count fails the build, and outside a git checkout it is skipped.
 set -eu
 
 # say prints the gate banner and, for every gate after the first, the
@@ -240,6 +244,16 @@ else
 	go run ./cmd/mcperf check -suite core -baseline BENCH_core.json
 	say "perf gate: wire suite vs BENCH_wire.json"
 	go run ./cmd/mcperf check -suite wire -baseline BENCH_wire.json
+fi
+
+say "line count: net non-test Go lines (a report, not a gate)"
+go_lines() {
+	git ls-files -- "$@" | grep -Ev '_test\.go$|(^|/)testdata/' | xargs cat | wc -l
+}
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	printf 'net non-test Go lines: %s (benchmark/: %s)\n' "$(go_lines '*.go')" "$(go_lines 'benchmark/*.go')"
+else
+	printf 'line count: not a git checkout, skipped\n'
 fi
 
 say "ci.sh: all gates green ($(($(date +%s) - ci_start))s total)"

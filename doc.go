@@ -25,10 +25,11 @@
 // 3×3 by default), which trades slightly weaker lookup filtering for load
 // ratios close to 100%. Both are single-writer structures; NewSharded
 // builds an N-way hash-partitioned table whose shards lock independently,
-// with batched operations (InsertBatch/LookupBatch/DeleteBatch) that take
-// each touched shard's lock once per batch, and NewConcurrent puts a Table
-// or Blocked behind the same lock layer as one shard. Map adapts the table
-// into a generic key/value map for arbitrary comparable key types.
+// with batched operations (InsertBatchInto/LookupBatchInto/DeleteBatchInto)
+// that write into the caller's slices and take each touched shard's lock
+// once per batch, and NewConcurrent puts a Table or Blocked behind the same
+// lock layer as one shard. Map adapts the table into a generic key/value
+// map for arbitrary comparable key types.
 //
 // All four kinds satisfy the Store and BatchStore interfaces, so consumers
 // — including the network serving layer in cmd/mcserved — are written once

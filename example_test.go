@@ -153,11 +153,13 @@ func ExampleNewSharded() {
 	n := uint64(0.70 * float64(table.Capacity()))
 	keys := make([]uint64, 0, batch)
 	vals := make([]uint64, 0, batch)
+	out := make([]mccuckoo.InsertResult, batch)
 	for k := uint64(1); k <= n; k++ {
 		keys = append(keys, k)
 		vals = append(vals, k*10)
 		if len(keys) == batch || k == n {
-			for _, r := range table.InsertBatch(keys, vals) {
+			table.InsertBatchInto(keys, vals, out[:len(keys)])
+			for _, r := range out[:len(keys)] {
 				if r.Status == mccuckoo.Failed {
 					log.Fatal("batched insert failed")
 				}

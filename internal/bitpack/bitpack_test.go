@@ -55,18 +55,6 @@ func TestCountersBasics(t *testing.T) {
 	}
 }
 
-func TestCountersDec(t *testing.T) {
-	c, _ := NewCounters(4, 2)
-	c.Set(2, 3)
-	if v := c.Dec(2); v != 2 {
-		t.Fatalf("Dec returned %d, want 2", v)
-	}
-	if c.Get(2) != 2 {
-		t.Fatalf("counter = %d after Dec, want 2", c.Get(2))
-	}
-	wantPanic(t, "bitpack: decrement of zero counter", func() { c.Dec(0) })
-}
-
 func TestCountersSetOverflowPanics(t *testing.T) {
 	c, _ := NewCounters(4, 2)
 	wantPanic(t, "bitpack: value 4 exceeds 2-bit counter", func() { c.Set(0, 4) })

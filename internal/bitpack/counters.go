@@ -77,18 +77,6 @@ func (c *Counters) Set(i int, v uint64) {
 	c.words[word] = c.words[word]&^(c.mask<<shift) | v<<shift
 }
 
-// Dec decrements counter i by one and returns the new value. Decrementing a
-// zero counter panics: it would mean the table lost track of an item's copies,
-// which is a bug, not a recoverable condition.
-func (c *Counters) Dec(i int) uint64 {
-	v := c.Get(i)
-	if v == 0 {
-		panic("bitpack: decrement of zero counter")
-	}
-	c.Set(i, v-1)
-	return v - 1
-}
-
 // Reset zeroes all counters.
 func (c *Counters) Reset() {
 	for i := range c.words {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"mccuckoo/internal/kv"
@@ -153,6 +154,69 @@ func TestGrowWithPopulatedStash(t *testing.T) {
 			}
 		}
 		checkInv(t, tab)
+	}
+}
+
+// TestGrownStashHashesLikeReload: Grow rebuilds the stash under the grown
+// seed, as Load does from the grown table's snapshot, so a grown table with
+// stashed items and its reloaded copy hold the same bytes and charge the
+// same off-chip reads for the same lookups.
+func TestGrownStashHashesLikeReload(t *testing.T) {
+	keys := make([]uint64, 880)
+	for i := range keys {
+		keys[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	single := mustNew(t, Config{BucketsPerTable: 300, Seed: 7, StashEnabled: true, MaxLoop: 4})
+	checkGrownMatchesReload(t, single, keys, func(r io.Reader) (grownTable, error) { return Load(r) })
+	blocked := mustNewBlocked(t, Config{BucketsPerTable: 100, Seed: 7, StashEnabled: true, MaxLoop: 4})
+	checkGrownMatchesReload(t, blocked, keys, func(r io.Reader) (grownTable, error) { return LoadBlocked(r) })
+}
+
+// grownTable is what checkGrownMatchesReload drives: either table kind.
+type grownTable interface {
+	kv.Table
+	Grow(growFactor float64) error
+	WriteTo(w io.Writer) (int64, error)
+}
+
+// checkGrownMatchesReload fills tab with keys, grows it in place and checks
+// it against the table load restores from its snapshot.
+func checkGrownMatchesReload(t *testing.T, tab grownTable, keys []uint64, load func(io.Reader) (grownTable, error)) {
+	t.Helper()
+	for _, k := range keys {
+		tab.Insert(k, k+1)
+	}
+	if err := tab.Grow(1); err != nil {
+		t.Fatal(err)
+	}
+	if tab.StashLen() == 0 {
+		t.Fatal("test needs stashed items after Grow")
+	}
+	var grown, reloaded bytes.Buffer
+	if _, err := tab.WriteTo(&grown); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := load(bytes.NewReader(grown.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.WriteTo(&reloaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(grown.Bytes(), reloaded.Bytes()) {
+		t.Fatalf("a grown table with %d stashed items and its reloaded copy serialize differently", tab.StashLen())
+	}
+	reads := func(tab grownTable) int64 {
+		before := tab.Meter().OffChipReads
+		for _, k := range keys {
+			if v, ok := tab.Lookup(k); !ok || v != k+1 {
+				t.Fatalf("key %#x: (%d,%v)", k, v, ok)
+			}
+		}
+		return tab.Meter().OffChipReads - before
+	}
+	if got, want := reads(tab), reads(cp); got != want {
+		t.Fatalf("looking up %d keys: %d off-chip reads on the grown table, %d on its reloaded copy", len(keys), got, want)
 	}
 }
 

@@ -44,7 +44,7 @@ type goldenTable interface {
 // access, no kick and no snapshot byte, so snapshots written before it
 // still load.
 var goldenFingerprints = map[string]uint32{
-	"table/d=2/random-walk/reset-counters":   0xb2b96692,
+	"table/d=2/random-walk/reset-counters":   0x9d1daa76,
 	"table/d=2/random-walk/tombstone":        0xd4a1cbb9,
 	"table/d=2/min-counter/reset-counters":   0x91114062,
 	"table/d=2/min-counter/tombstone":        0x41fab59a,

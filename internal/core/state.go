@@ -122,19 +122,14 @@ func (s *tableState) setup(cfg Config, kind uint8, algo algorithm) error {
 	if cfg.Deletion == Tombstone {
 		s.tombstoneVal = uint64(cfg.D) + 1
 	}
-	if cfg.StashEnabled {
-		var err error
-		if s.overflow, err = stash.New(4, cfg.StashMax, cfg.Seed, &s.meter); err != nil {
-			return err
-		}
-	}
 	return s.allocate(cfg.BucketsPerTable, cfg.Seed)
 }
 
-// allocate installs an empty main table of n buckets per subtable hashed
-// under seed: cells, counters, flags, kick counters and the kind's hints.
-// On error the table is left as it was. As the constructor and rebuild
-// path it owns the installation of every restricted array.
+// allocate installs an empty table of n buckets per subtable hashed under
+// seed: cells, counters, flags, kick counters, the kind's hints and the
+// stash, so a grown table's stash hashes like the one Load builds from its
+// snapshot. On error the table is left as it was. As the constructor and
+// rebuild path it owns the installation of every restricted array.
 //
 //mcvet:setter counters flags kickcounts
 func (s *tableState) allocate(n int, seed uint64) error {
@@ -159,7 +154,13 @@ func (s *tableState) allocate(n int, seed uint64) error {
 			return err
 		}
 	}
-	s.cfg, s.family = cfg, family
+	var overflow *stash.Stash
+	if cfg.StashEnabled {
+		if overflow, err = stash.New(4, cfg.StashMax, seed, &s.meter); err != nil {
+			return err
+		}
+	}
+	s.cfg, s.family, s.overflow = cfg, family, overflow
 	s.cells = make([]kv.Entry, buckets*cfg.Slots)
 	s.counters, s.flags, s.kickCounts = counters, flags, kickCounts
 	if hints := s.algo.hintsRef(); hints != nil {

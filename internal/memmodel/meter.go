@@ -116,6 +116,3 @@ func (m Meter) Same(o Meter) bool {
 	return m.OffChipReads == o.OffChipReads && m.OffChipWrites == o.OffChipWrites &&
 		m.OnChipReads == o.OnChipReads && m.OnChipWrites == o.OnChipWrites
 }
-
-// OffChipTotal returns reads plus writes to off-chip memory.
-func (m Meter) OffChipTotal() int64 { return m.OffChipReads + m.OffChipWrites }

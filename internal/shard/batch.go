@@ -14,9 +14,9 @@ import (
 // min(k, NumShards()) and keeps every shard's critical section one
 // contiguous run of its keys.
 //
-// The Into variants write results through caller-owned slices so a replay
-// loop can reuse its buffers across batches; the plain forms allocate fresh
-// result slices per call. The grouping buffer obeys the keep rule
+// Results go through caller-owned slices so a replay loop can reuse its
+// buffers across batches, and a batch whose slices do not fit its keys
+// panics before any key is applied. The grouping buffer obeys the keep rule
 // (internal/keep): a batch whose buffer fits keep.Bytes, about 500 keys at 8
 // shards, reuses one from a per-table sync.Pool and allocates nothing, and a
 // larger batch allocates a buffer of its own that the GC takes back once the
@@ -91,26 +91,41 @@ func (s *Sharded) groupByShard(keys []uint64, buf *[]int32) (order []int32, star
 	return order, start
 }
 
-// InsertBatch stores every keys[i]/values[i] pair, taking each touched
-// shard's write lock once. The i-th outcome corresponds to the i-th key.
-// len(values) must equal len(keys).
-func (s *Sharded) InsertBatch(keys, values []uint64) []kv.Outcome {
-	out := make([]kv.Outcome, len(keys))
-	s.InsertBatchInto(keys, values, out)
-	return out
-}
-
-// InsertBatchInto is InsertBatch writing outcomes into out, which must be
-// nil (discard outcomes) or exactly len(keys) long.
-//
-//mcvet:hotpath
-func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
+// CheckInsertBatch panics unless values and out fit keys: len(values) must
+// equal len(keys), and out must be nil or exactly len(keys) long. Every
+// BatchStore checks a batch's shape with it, or with CheckLookupBatch or
+// CheckDeleteBatch, before it applies any key.
+func CheckInsertBatch(keys, values []uint64, out []kv.Outcome) {
 	if len(keys) != len(values) {
-		panic("shard: InsertBatch called with mismatched key/value lengths")
+		panic("shard: InsertBatchInto called with mismatched key/value lengths")
 	}
 	if out != nil && len(out) != len(keys) {
 		panic("shard: InsertBatchInto outcome slice has wrong length")
 	}
+}
+
+// CheckLookupBatch panics unless values and found are each exactly
+// len(keys) long.
+func CheckLookupBatch(keys, values []uint64, found []bool) {
+	if len(values) != len(keys) || len(found) != len(keys) {
+		panic("shard: LookupBatchInto result slices have wrong length")
+	}
+}
+
+// CheckDeleteBatch panics unless removed is nil or exactly len(keys) long.
+func CheckDeleteBatch(keys []uint64, removed []bool) {
+	if removed != nil && len(removed) != len(keys) {
+		panic("shard: DeleteBatchInto result slice has wrong length")
+	}
+}
+
+// InsertBatchInto stores every keys[i]/values[i] pair, taking each touched
+// shard's write lock once, and writes the i-th key's outcome into out[i].
+// out may be nil to discard the outcomes.
+//
+//mcvet:hotpath
+func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
+	CheckInsertBatch(keys, values, out)
 	if len(keys) == 0 {
 		return
 	}
@@ -155,23 +170,12 @@ func (s *Sharded) InsertBatchInto(keys, values []uint64, out []kv.Outcome) {
 	s.release(buf)
 }
 
-// LookupBatch answers every key, taking each touched shard's read lock
-// once. values[i], found[i] correspond to keys[i].
-func (s *Sharded) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	values = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	s.LookupBatchInto(keys, values, found)
-	return values, found
-}
-
-// LookupBatchInto is LookupBatch writing answers into values and found,
-// each of which must be exactly len(keys) long.
+// LookupBatchInto answers every key, taking each touched shard's read lock
+// once; values[i], found[i] answer keys[i].
 //
 //mcvet:hotpath
 func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
-	if len(values) != len(keys) || len(found) != len(keys) {
-		panic("shard: LookupBatchInto result slices have wrong length")
-	}
+	CheckLookupBatch(keys, values, found)
 	if len(keys) == 0 {
 		return
 	}
@@ -224,22 +228,13 @@ func (s *Sharded) LookupBatchInto(keys []uint64, values []uint64, found []bool) 
 	s.release(buf)
 }
 
-// DeleteBatch removes every key, taking each touched shard's write lock
-// once. removed[i] reports whether keys[i] was present.
-func (s *Sharded) DeleteBatch(keys []uint64) (removed []bool) {
-	removed = make([]bool, len(keys))
-	s.DeleteBatchInto(keys, removed)
-	return removed
-}
-
-// DeleteBatchInto is DeleteBatch writing results into removed, which must
-// be nil (discard results) or exactly len(keys) long.
+// DeleteBatchInto removes every key, taking each touched shard's write
+// lock once; removed[i] reports whether keys[i] was present. removed may be
+// nil to discard the results.
 //
 //mcvet:hotpath
 func (s *Sharded) DeleteBatchInto(keys []uint64, removed []bool) {
-	if removed != nil && len(removed) != len(keys) {
-		panic("shard: DeleteBatchInto result slice has wrong length")
-	}
+	CheckDeleteBatch(keys, removed)
 	if len(keys) == 0 {
 		return
 	}

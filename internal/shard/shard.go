@@ -85,10 +85,10 @@ type state struct {
 
 	// Batch-path bookkeeping (off the per-key hot path: one update per
 	// touched shard per batch).
-	batchLookups   atomic.Int64 // keys answered through LookupBatch
-	batchReadAcqs  atomic.Int64 // read-lock acquisitions by LookupBatch
-	batchWriteOps  atomic.Int64 // keys mutated through InsertBatch/DeleteBatch
-	batchWriteAcqs atomic.Int64 // write-lock acquisitions by InsertBatch/DeleteBatch
+	batchLookups   atomic.Int64 // keys answered through LookupBatchInto
+	batchReadAcqs  atomic.Int64 // read-lock acquisitions by LookupBatchInto
+	batchWriteOps  atomic.Int64 // keys mutated through InsertBatchInto/DeleteBatchInto
+	batchWriteAcqs atomic.Int64 // write-lock acquisitions by InsertBatchInto/DeleteBatchInto
 
 	_ [32]byte
 }

@@ -135,21 +135,24 @@ func TestBatchedMatchesSingle(t *testing.T) {
 		vals[i] = hashutil.SplitMix64(&rng)
 	}
 
-	gotIns := a.InsertBatch(keys, vals)
+	gotIns := make([]kv.Outcome, len(keys))
+	a.InsertBatchInto(keys, vals, gotIns)
 	for i := range keys {
 		want := b.Insert(keys[i], vals[i])
 		if gotIns[i] != want {
 			t.Fatalf("insert %d: batch %+v, single %+v", i, gotIns[i], want)
 		}
 	}
-	gotVals, gotOK := a.LookupBatch(keys)
+	gotVals, gotOK := make([]uint64, len(keys)), make([]bool, len(keys))
+	a.LookupBatchInto(keys, gotVals, gotOK)
 	for i := range keys {
 		wv, wok := b.Lookup(keys[i])
 		if gotOK[i] != wok || gotVals[i] != wv {
 			t.Fatalf("lookup %d: batch (%d,%v), single (%d,%v)", i, gotVals[i], gotOK[i], wv, wok)
 		}
 	}
-	gotDel := a.DeleteBatch(keys[:1000])
+	gotDel := make([]bool, 1000)
+	a.DeleteBatchInto(keys[:1000], gotDel)
 	for i, k := range keys[:1000] {
 		if want := b.Delete(k); gotDel[i] != want {
 			t.Fatalf("delete %d: batch %v, single %v", i, gotDel[i], want)
@@ -161,7 +164,7 @@ func TestBatchedMatchesSingle(t *testing.T) {
 
 	// A batch touches each shard at most once per call.
 	st := a.ShardStats()
-	maxWrite := int64(2) // one InsertBatch + one DeleteBatch
+	maxWrite := int64(2) // one InsertBatchInto + one DeleteBatchInto
 	for _, sh := range st.Shards {
 		if sh.WriteLocks > maxWrite {
 			t.Fatalf("shard %d took %d write locks for 2 batch calls", sh.Shard, sh.WriteLocks)
@@ -174,21 +177,18 @@ func TestBatchedMatchesSingle(t *testing.T) {
 
 func TestBatchEdgeCases(t *testing.T) {
 	s := newSharded(t, 2, 64, 5)
-	if out := s.InsertBatch(nil, nil); len(out) != 0 {
-		t.Fatal("empty InsertBatch must return empty")
-	}
-	if v, ok := s.LookupBatch(nil); len(v) != 0 || len(ok) != 0 {
-		t.Fatal("empty LookupBatch must return empty")
-	}
-	if r := s.DeleteBatch(nil); len(r) != 0 {
-		t.Fatal("empty DeleteBatch must return empty")
+	s.InsertBatchInto(nil, nil, nil)
+	s.LookupBatchInto(nil, nil, nil)
+	s.DeleteBatchInto(nil, nil)
+	if st := s.ShardStats(); s.Len() != 0 || st.ReadLocks != 0 || st.WriteLocks != 0 {
+		t.Fatalf("empty batches: Len %d, %d read and %d write locks, want none", s.Len(), st.ReadLocks, st.WriteLocks)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mismatched InsertBatch lengths must panic")
+			t.Fatal("mismatched InsertBatchInto lengths must panic")
 		}
 	}()
-	s.InsertBatch([]uint64{1, 2}, []uint64{1})
+	s.InsertBatchInto([]uint64{1, 2}, []uint64{1}, nil)
 }
 
 // TestRange verifies exactly-once cross-shard iteration and early stop.
@@ -239,7 +239,7 @@ func TestReadPathStashProbesCounted(t *testing.T) {
 		s.Lookup(k)
 	}
 	single := s.Stats().StashProbes
-	s.LookupBatch(keys)
+	s.LookupBatchInto(keys, make([]uint64, len(keys)), make([]bool, len(keys)))
 	total, perShard := s.Stats().StashProbes, int64(0)
 	for _, sh := range s.ShardStats().Shards {
 		perShard += sh.Ops.StashProbes
@@ -323,7 +323,7 @@ func TestConcurrentStress(t *testing.T) {
 						for i, bk := range buf {
 							vals[i] = bk + 1
 						}
-						s.InsertBatch(buf, vals)
+						s.InsertBatchInto(buf, vals, nil)
 						buf = buf[:0]
 					}
 				}
@@ -332,7 +332,7 @@ func TestConcurrentStress(t *testing.T) {
 			for i, bk := range buf {
 				vals[i] = bk + 1
 			}
-			s.InsertBatch(buf, vals)
+			s.InsertBatchInto(buf, vals, nil)
 			for k := base; k < base+keysPerGoro; k += deletedEvery {
 				s.Delete(k)
 			}
@@ -345,6 +345,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer readerWG.Done()
 			rng := hashutil.Mix64(uint64(r) ^ 0xfeed)
 			batch := make([]uint64, 16)
+			vals, oks := make([]uint64, len(batch)), make([]bool, len(batch))
 			for {
 				select {
 				case <-stop:
@@ -354,7 +355,7 @@ func TestConcurrentStress(t *testing.T) {
 				for i := range batch {
 					batch[i] = hashutil.SplitMix64(&rng) % (writers * keysPerGoro)
 				}
-				vals, oks := s.LookupBatch(batch)
+				s.LookupBatchInto(batch, vals, oks)
 				for i := range batch {
 					if oks[i] && vals[i] != batch[i]+1 {
 						t.Errorf("reader %d: key %d has value %d", r, batch[i], vals[i])

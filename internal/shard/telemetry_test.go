@@ -65,6 +65,7 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			rng := uint64(7777 + rd)
 			keys := make([]uint64, 16)
+			vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
 			for i := 0; i < opsEach; i++ {
 				r := hashutil.SplitMix64(&rng)
 				if r&1 == 0 {
@@ -73,7 +74,7 @@ func TestTelemetryConcurrentScrape(t *testing.T) {
 					for j := range keys {
 						keys[j] = (r + uint64(j)) % 5000
 					}
-					s.LookupBatch(keys)
+					s.LookupBatchInto(keys, vals, found)
 				}
 			}
 		}(rd)

@@ -16,6 +16,7 @@ import (
 	"mccuckoo"
 	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/hashutil"
+	"mccuckoo/internal/shard"
 	"mccuckoo/internal/telemetry"
 )
 
@@ -512,13 +513,11 @@ func (r *Replicated) StashLen() int      { return r.inner.StashLen() }
 
 func (r *Replicated) Stats() mccuckoo.Stats { return r.inner.Stats() }
 
-func (r *Replicated) InsertBatch(keys, values []uint64) []mccuckoo.InsertResult {
-	out := make([]mccuckoo.InsertResult, len(keys))
-	r.InsertBatchInto(keys, values, out)
-	return out
-}
-
+// InsertBatchInto and DeleteBatchInto check the batch's shape before they
+// take the lock, as every BatchStore does, so a malformed batch applies,
+// logs and sequences nothing.
 func (r *Replicated) InsertBatchInto(keys, values []uint64, out []mccuckoo.InsertResult) {
+	shard.CheckInsertBatch(keys, values, out)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, k := range keys {
@@ -530,21 +529,12 @@ func (r *Replicated) InsertBatchInto(keys, values []uint64, out []mccuckoo.Inser
 	r.notifyLocked()
 }
 
-func (r *Replicated) LookupBatch(keys []uint64) ([]uint64, []bool) {
-	return r.inner.LookupBatch(keys)
-}
-
 func (r *Replicated) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
 	r.inner.LookupBatchInto(keys, values, found)
 }
 
-func (r *Replicated) DeleteBatch(keys []uint64) []bool {
-	out := make([]bool, len(keys))
-	r.DeleteBatchInto(keys, out)
-	return out
-}
-
 func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
+	shard.CheckDeleteBatch(keys, removed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, k := range keys {

@@ -133,6 +133,33 @@ func TestReplicatedLocalWritesAreSequenced(t *testing.T) {
 	}
 }
 
+// TestReplicatedRejectsMalformedBatch: a batch whose slices do not fit its
+// keys panics before any entry is applied, logged or sequenced.
+func TestReplicatedRejectsMalformedBatch(t *testing.T) {
+	r := newReplicated(t, 1<<12)
+	r.Insert(7, 70)
+	keys := []uint64{1, 2, 3}
+	for name, call := range map[string]func(){
+		"mismatched values": func() { r.InsertBatchInto(keys, []uint64{10, 20}, nil) },
+		"short out":         func() { r.InsertBatchInto(keys, []uint64{10, 20, 30}, make([]mccuckoo.InsertResult, 2)) },
+		"short removed":     func() { r.DeleteBatchInto([]uint64{7, 1, 2}, make([]bool, 2)) },
+	} {
+		n, applied, digest := r.Len(), r.Applied(), r.Digest()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: batch accepted", name)
+				}
+			}()
+			call()
+		}()
+		if r.Len() != n || r.Applied() != applied || r.Digest() != digest {
+			t.Errorf("%s: Len %d, Applied %d, Digest %#x after the panic; want %d, %d, %#x",
+				name, r.Len(), r.Applied(), r.Digest(), n, applied, digest)
+		}
+	}
+}
+
 func TestReplicatedApplyFailedKeepsSeq(t *testing.T) {
 	// A tiny single-slot table with a one-item stash fills up fast; a
 	// replicated PUT that loses to capacity must NOT advance the key's

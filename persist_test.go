@@ -116,25 +116,18 @@ func TestPublicInsertPathwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := NewConcurrent(tab)
 	s := uint64(19)
-	keys := make([]uint64, 800)
+	keys := make([]uint64, 801)
 	for i := range keys {
 		keys[i] = hashutil.SplitMix64(&s)
-		if tab.InsertPathwise(keys[i], keys[i]).Status == Failed {
+		if c.InsertPathwise(keys[i], keys[i]).Status == Failed {
 			t.Fatal("pathwise insert failed")
 		}
 	}
 	for _, k := range keys {
-		if _, ok := tab.Lookup(k); !ok {
+		if _, ok := c.Lookup(k); !ok {
 			t.Fatalf("key %#x lost", k)
 		}
-	}
-	c := NewConcurrent(tab)
-	extra := hashutil.SplitMix64(&s)
-	if c.InsertPathwise(extra, 1).Status == Failed {
-		t.Fatal("concurrent pathwise insert failed")
-	}
-	if _, ok := c.Lookup(extra); !ok {
-		t.Fatal("concurrent pathwise insert lost")
 	}
 }

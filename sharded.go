@@ -41,25 +41,6 @@ func (s *shardedStore) Lookup(key uint64) (uint64, bool) { return s.inner.Lookup
 // Delete removes key under the owning shard's write lock.
 func (s *shardedStore) Delete(key uint64) bool { return s.inner.Delete(key) }
 
-// InsertBatch stores every keys[i]/values[i] pair, grouping keys by shard
-// and taking each touched shard's write lock once for the whole batch.
-// Results come back in input order. len(values) must equal len(keys).
-func (s *shardedStore) InsertBatch(keys, values []uint64) []InsertResult {
-	return s.inner.InsertBatch(keys, values)
-}
-
-// LookupBatch answers every key, taking each touched shard's read lock
-// once. values[i], found[i] correspond to keys[i].
-func (s *shardedStore) LookupBatch(keys []uint64) (values []uint64, found []bool) {
-	return s.inner.LookupBatch(keys)
-}
-
-// DeleteBatch removes every key, taking each touched shard's write lock
-// once. removed[i] reports whether keys[i] was present.
-func (s *shardedStore) DeleteBatch(keys []uint64) (removed []bool) {
-	return s.inner.DeleteBatch(keys)
-}
-
 // Len returns the total number of live items across all shards.
 func (s *shardedStore) Len() int { return s.inner.Len() }
 

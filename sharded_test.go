@@ -81,25 +81,24 @@ func TestShardedBatchAPI(t *testing.T) {
 		keys[i] = uint64(i + 1)
 		vals[i] = uint64(i) * 10
 	}
-	res := s.InsertBatch(keys, vals)
-	if len(res) != n {
-		t.Fatalf("InsertBatch returned %d results", len(res))
-	}
+	res := make([]InsertResult, n)
+	s.InsertBatchInto(keys, vals, res)
 	for i, r := range res {
 		if r.Status != Placed {
 			t.Fatalf("batch insert %d: status %v", i, r.Status)
 		}
 	}
-	got, ok := s.LookupBatch(append(keys[:10:10], 777777))
+	got, ok := lookupBatch(s, append(keys[:10:10], 777777))
 	for i := 0; i < 10; i++ {
 		if !ok[i] || got[i] != vals[i] {
 			t.Fatalf("batch lookup %d: (%d,%v)", i, got[i], ok[i])
 		}
 	}
 	if ok[10] {
-		t.Fatal("absent key found by LookupBatch")
+		t.Fatal("absent key found by LookupBatchInto")
 	}
-	removed := s.DeleteBatch(keys[:100])
+	removed := make([]bool, 100)
+	s.DeleteBatchInto(keys[:100], removed)
 	for i, r := range removed {
 		if !r {
 			t.Fatalf("batch delete %d reported absent", i)
@@ -111,7 +110,7 @@ func TestShardedBatchAPI(t *testing.T) {
 }
 
 // batchFixture is a Sharded table with n keys and caller-owned result
-// slices for the Into variants.
+// slices for the batch calls.
 type batchFixture struct {
 	s          *Sharded
 	keys, vals []uint64
@@ -173,7 +172,7 @@ func TestBatchScratchDoesNotOutliveBatch(t *testing.T) {
 }
 
 // TestSmallBatchZeroAlloc: a 16-key batch reuses a pooled grouping buffer
-// within the keep bound, so the Into variants allocate nothing.
+// within the keep bound, so the batch calls allocate nothing.
 func TestSmallBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under -race")
@@ -195,7 +194,7 @@ func TestShardedShardStats(t *testing.T) {
 		keys[i] = hashutil.SplitMix64(&rng)
 	}
 	vals := make([]uint64, len(keys))
-	s.InsertBatch(keys, vals)
+	s.InsertBatchInto(keys, vals, nil)
 	for _, k := range keys[:5000] {
 		s.Lookup(k)
 	}
@@ -219,7 +218,7 @@ func TestShardedShardStats(t *testing.T) {
 	if readLocks != st.ReadLocks || writeLocks != st.WriteLocks {
 		t.Fatal("lock counters do not aggregate")
 	}
-	// One InsertBatch: at most one write-lock acquisition per shard.
+	// One InsertBatchInto: at most one write-lock acquisition per shard.
 	if writeLocks > 16 {
 		t.Fatalf("write locks = %d for a single batch over 16 shards", writeLocks)
 	}

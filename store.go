@@ -36,10 +36,10 @@ type Store interface {
 	Stats() Stats
 }
 
-// BatchStore is a Store with batched operations. Results always come back
-// in input order. The Into variants write through caller-owned slices so a
-// replay or serving loop can reuse its buffers across batches; the plain
-// forms allocate fresh result slices per call.
+// BatchStore is a Store with batched operations. Each writes its results
+// through caller-owned slices, in input order, so a replay or serving loop
+// reuses its buffers across batches. A batch whose slices do not fit its
+// keys panics before any key is applied.
 //
 // Sharded and Concurrent amortize lock traffic across a batch (each
 // touched shard's lock is taken once per batch); Table and Blocked execute
@@ -47,23 +47,16 @@ type Store interface {
 // a uniform calling convention, not a speedup, there.
 type BatchStore interface {
 	Store
-	// InsertBatch stores every keys[i]/values[i] pair. len(values) must
-	// equal len(keys).
-	InsertBatch(keys, values []uint64) []InsertResult
-	// InsertBatchInto is InsertBatch writing outcomes into out, which must
-	// be nil (discard outcomes) or exactly len(keys) long.
+	// InsertBatchInto stores every keys[i]/values[i] pair, writing the
+	// outcomes into out. len(values) must equal len(keys), and out must be
+	// nil (discard outcomes) or exactly len(keys) long.
 	InsertBatchInto(keys, values []uint64, out []InsertResult)
-	// LookupBatch answers every key; values[i], found[i] correspond to
-	// keys[i].
-	LookupBatch(keys []uint64) (values []uint64, found []bool)
-	// LookupBatchInto is LookupBatch writing answers into values and
-	// found, each of which must be exactly len(keys) long.
+	// LookupBatchInto answers every key; values[i], found[i] correspond to
+	// keys[i], and each must be exactly len(keys) long.
 	LookupBatchInto(keys []uint64, values []uint64, found []bool)
-	// DeleteBatch removes every key; removed[i] reports whether keys[i]
-	// was present.
-	DeleteBatch(keys []uint64) (removed []bool)
-	// DeleteBatchInto is DeleteBatch writing results into removed, which
-	// must be nil (discard results) or exactly len(keys) long.
+	// DeleteBatchInto removes every key; removed[i] reports whether
+	// keys[i] was present. removed must be nil (discard results) or
+	// exactly len(keys) long.
 	DeleteBatchInto(keys []uint64, removed []bool)
 }
 

@@ -107,7 +107,7 @@ func TestStoreConformance(t *testing.T) {
 }
 
 // TestBatchStoreConformance checks that the batched forms agree with the
-// point operations and with each other (plain vs Into) on every kind.
+// point operations on every kind.
 func TestBatchStoreConformance(t *testing.T) {
 	const n = 1200
 	for name, s := range storeKinds(t, 4*n) {
@@ -118,19 +118,16 @@ func TestBatchStoreConformance(t *testing.T) {
 				keys[i], vals[i] = key(i), val(i)
 			}
 
-			res := s.InsertBatch(keys, vals)
-			if len(res) != n {
-				t.Fatalf("InsertBatch returned %d results, want %d", len(res), n)
-			}
-			for i, r := range res {
+			out := make([]InsertResult, n)
+			s.InsertBatchInto(keys, vals, out)
+			for i, r := range out {
 				if r.Status == Failed {
 					t.Fatalf("batch insert %d failed", i)
 				}
 			}
 
-			// Re-insert through the Into variant with a reused scratch
-			// slice: every key is live, so every result must be Updated.
-			out := make([]InsertResult, n)
+			// Re-insert with the same, reused result slice: every key is
+			// live, so every result must be Updated.
 			s.InsertBatchInto(keys, vals, out)
 			for i, r := range out {
 				if r.Status != Updated {
@@ -138,29 +135,27 @@ func TestBatchStoreConformance(t *testing.T) {
 				}
 			}
 
-			// Mixed positive/negative batch lookup, plain and Into.
+			// Mixed positive/negative batch lookup.
 			probe := make([]uint64, 0, n+200)
 			probe = append(probe, keys...)
 			for i := n; i < n+200; i++ {
 				probe = append(probe, key(i))
 			}
-			gotVals, gotFound := s.LookupBatch(probe)
-			intoVals := make([]uint64, len(probe))
-			intoFound := make([]bool, len(probe))
-			s.LookupBatchInto(probe, intoVals, intoFound)
+			gotVals, gotFound := lookupBatch(s, probe)
 			for i := range probe {
 				wantOK := i < n
-				if gotFound[i] != wantOK || intoFound[i] != wantOK {
-					t.Fatalf("batch lookup %d: found %v/%v, want %v", i, gotFound[i], intoFound[i], wantOK)
+				if gotFound[i] != wantOK {
+					t.Fatalf("batch lookup %d: found %v, want %v", i, gotFound[i], wantOK)
 				}
-				if wantOK && (gotVals[i] != vals[i] || intoVals[i] != vals[i]) {
-					t.Fatalf("batch lookup %d: values %d/%d, want %d", i, gotVals[i], intoVals[i], vals[i])
+				if wantOK && gotVals[i] != vals[i] {
+					t.Fatalf("batch lookup %d: value %d, want %d", i, gotVals[i], vals[i])
 				}
 			}
 
-			// Delete half through the batch form, the rest through Into
-			// with a nil result slice (discard).
-			removed := s.DeleteBatch(probe[:n/2])
+			// Delete half with results, the rest with a nil result slice
+			// (discard).
+			removed := make([]bool, n/2)
+			s.DeleteBatchInto(probe[:n/2], removed)
 			for i, ok := range removed {
 				if !ok {
 					t.Fatalf("batch delete %d reported absent", i)
@@ -171,11 +166,15 @@ func TestBatchStoreConformance(t *testing.T) {
 				t.Fatalf("after full delete Len() = %d, want 0", s.Len())
 			}
 
-			// Batch argument validation panics, uniformly across kinds.
-			mustPanic(t, name+"/mismatched", func() { s.InsertBatch(keys[:3], vals[:2]) })
+			// Batch argument validation panics, uniformly across kinds, and
+			// applies nothing.
+			mustPanic(t, name+"/mismatched", func() { s.InsertBatchInto(keys[:3], vals[:2], nil) })
 			mustPanic(t, name+"/shortout", func() { s.InsertBatchInto(keys[:3], vals[:3], make([]InsertResult, 2)) })
 			mustPanic(t, name+"/shortfound", func() { s.LookupBatchInto(keys[:3], make([]uint64, 3), make([]bool, 2)) })
 			mustPanic(t, name+"/shortremoved", func() { s.DeleteBatchInto(keys[:3], make([]bool, 2)) })
+			if s.Len() != 0 {
+				t.Fatalf("after rejected batches Len() = %d, want 0", s.Len())
+			}
 		})
 	}
 }
@@ -198,7 +197,7 @@ func TestBatchMatchesPoint(t *testing.T) {
 			for i := range keys {
 				point.Insert(keys[i], vals[i])
 			}
-			batched.InsertBatch(keys, vals)
+			batched.InsertBatchInto(keys, vals, nil)
 			for i := 0; i < n; i += 2 {
 				point.Delete(keys[i])
 			}
@@ -206,20 +205,27 @@ func TestBatchMatchesPoint(t *testing.T) {
 			for i := 0; i < n; i += 2 {
 				half = append(half, keys[i])
 			}
-			batched.DeleteBatch(half)
+			batched.DeleteBatchInto(half, nil)
 
 			if point.Len() != batched.Len() {
 				t.Fatalf("Len diverged: point %d, batched %d", point.Len(), batched.Len())
 			}
-			pv, pf := point.LookupBatch(keys)
-			bv, bf := batched.LookupBatch(keys)
-			for i := range keys {
-				if pf[i] != bf[i] || (pf[i] && pv[i] != bv[i]) {
-					t.Fatalf("key %d diverged: point %d,%v batched %d,%v", i, pv[i], pf[i], bv[i], bf[i])
+			bv, bf := lookupBatch(batched, keys)
+			for i, k := range keys {
+				pv, pf := point.Lookup(k)
+				if pf != bf[i] || (pf && pv != bv[i]) {
+					t.Fatalf("key %d diverged: point %d,%v batched %d,%v", i, pv, pf, bv[i], bf[i])
 				}
 			}
 		})
 	}
+}
+
+// lookupBatch answers keys through s.LookupBatchInto into fresh slices.
+func lookupBatch(s BatchStore, keys []uint64) (values []uint64, found []bool) {
+	values, found = make([]uint64, len(keys)), make([]bool, len(keys))
+	s.LookupBatchInto(keys, values, found)
+	return values, found
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

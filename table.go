@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"mccuckoo/internal/core"
-	"mccuckoo/internal/kv"
 	"mccuckoo/internal/memmodel"
 	"mccuckoo/internal/shard"
 	"mccuckoo/internal/telemetry"
@@ -94,7 +93,6 @@ type coreTable interface {
 	OnChipBytes() int
 	RefreshStashFlags() int
 	StashFlagDensity() float64
-	InsertPathwise(key, value uint64) kv.Outcome
 	SaveFile(path string) error
 }
 
@@ -198,15 +196,6 @@ func (s *singleStore) Stats() Stats { return s.inner.Stats() }
 // is the expensive operation the stash exists to avoid; use it when the
 // table must actually get bigger.
 func (s *singleStore) Grow(growFactor float64) error { return s.inner.Grow(growFactor) }
-
-// InsertPathwise inserts using two-phase cuckoo-path execution: the
-// relocation path is discovered first, then applied one bounded step at a
-// time, with the table in a fully consistent state between steps.
-// Functionally equivalent to Insert; Concurrent.InsertPathwise exploits the
-// bounded steps to interleave readers during long relocation chains.
-func (s *singleStore) InsertPathwise(key, value uint64) InsertResult {
-	return s.inner.InsertPathwise(key, value)
-}
 
 // WriteTo serializes the table as a versioned binary snapshot (implements
 // io.WriterTo); Load or LoadBlocked, matching the kind, restores it. The

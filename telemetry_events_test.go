@@ -97,12 +97,12 @@ func TestRecordedEventsGolden(t *testing.T) {
 		s.Lookup(101)
 		s.Delete(2)
 		s.Delete(102)
-		s.InsertBatch([]uint64{21}, []uint64{21})
-		s.InsertBatch(keyRange(22, 48), keyRange(22, 48))
-		s.LookupBatch([]uint64{21})
-		s.LookupBatch([]uint64{1, 2, 3, 22, 23, 47, 48, 103, 104})
-		s.DeleteBatch([]uint64{22})
-		s.DeleteBatch([]uint64{4, 5, 23, 24, 46, 105})
+		s.InsertBatchInto([]uint64{21}, []uint64{21}, nil)
+		s.InsertBatchInto(keyRange(22, 48), keyRange(22, 48), nil)
+		lookupBatch(s, []uint64{21})
+		lookupBatch(s, []uint64{1, 2, 3, 22, 23, 47, 48, 103, 104})
+		s.DeleteBatchInto([]uint64{22}, nil)
+		s.DeleteBatchInto([]uint64{4, 5, 23, 24, 46, 105}, nil)
 		check(t, tel, goldenSharded)
 	})
 
@@ -120,9 +120,9 @@ func TestRecordedEventsGolden(t *testing.T) {
 		c.Lookup(7)
 		c.Lookup(106)
 		c.Delete(8)
-		c.InsertBatch([]uint64{40, 41}, []uint64{40, 41})
-		c.LookupBatch([]uint64{9, 107})
-		c.DeleteBatch([]uint64{10, 108})
+		c.InsertBatchInto([]uint64{40, 41}, []uint64{40, 41}, nil)
+		lookupBatch(c, []uint64{9, 107})
+		c.DeleteBatchInto([]uint64{10, 108}, nil)
 		check(t, tel, goldenConcurrent)
 	})
 
