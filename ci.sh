@@ -78,9 +78,12 @@
 # Trace smoke: a traced mctrace replay against a live two-node replicated
 # pair, asserting the wire-propagated context yields a cross-node span
 # tree — the distributed-tracing tentpole end to end.
-# Fuzz smoke: short bounded runs of the snapshot-loader, wire-frame and
-# replica-sidecar (FuzzLoadSidecar) fuzzers so format changes that break
-# the rejection paths fail in CI, not in a long background fuzz. The
+# Fuzz smoke: short bounded runs of the snapshot-loader, sharded-container
+# (FuzzLoadSharded), wire-frame and replica-sidecar (FuzzLoadSidecar)
+# fuzzers so format changes that break the rejection paths fail in CI, not
+# in a long background fuzz. The sharded harness seeds genuine containers
+# and requires every input to load a table whose every shard takes an
+# insert and finds it again, or to be rejected as corrupt. The
 # wire-frame corpus includes traced frames (flag bit 0x40 + 16-byte
 # context prefix) and their rejection cases. The sidecar harness fixes up
 # each input's CRC, so it reaches the record checks (keys strictly
@@ -220,6 +223,9 @@ go test -race -short -count=1 -run 'TestTracedClusterReplaySmoke' ./cmd/mctrace
 
 say "fuzz smoke: snapshot loader"
 go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
+
+say "fuzz smoke: sharded snapshot loader"
+go test -run='^$' -fuzz=FuzzLoadSharded -fuzztime=5s ./internal/shard
 
 say "fuzz smoke: wire frame decoder"
 go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire

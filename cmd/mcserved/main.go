@@ -374,7 +374,10 @@ func buildStore(kind string, capacity, shards int, seed uint64, load string, tel
 }
 
 // loadStore restores a snapshot of unknown kind by trying each loader; the
-// snapshot header disambiguates, so exactly one can succeed.
+// snapshot header disambiguates, so exactly one can succeed. A loader
+// handed an intact snapshot of another kind declines it without counting
+// a corrupt load, so a healthy restore leaves mccuckoo_corrupt_loads_total
+// at 0.
 func loadStore(path string, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
 	opts := []mccuckoo.Option{mccuckoo.WithTelemetry(tel)}
 	var errs []string

@@ -1,7 +1,7 @@
 package mccuckoo
 
 import (
-	"os"
+	"io"
 
 	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/shard"
@@ -56,8 +56,5 @@ func (c *Concurrent) InsertPathwise(key, value uint64) InsertResult {
 // LoadBlockedFile a wrapped Blocked. The table is serialized under the read
 // lock, so lookups proceed and mutations wait.
 func (c *Concurrent) SaveFile(path string) error {
-	return atomicio.WriteFile(path, func(f *os.File) error {
-		_, err := c.inner.WriteShardTo(0, f)
-		return err
-	})
+	return atomicio.WriteFile(path, func(w io.Writer) (int64, error) { return c.inner.WriteShardTo(0, w) })
 }

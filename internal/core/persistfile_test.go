@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"mccuckoo/internal/atomicio"
 )
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
@@ -102,7 +104,7 @@ func TestLoadFileRejectsTrailingBytes(t *testing.T) {
 	}
 	f.Close()
 	_, err = LoadFile(path)
-	var ce *CorruptError
+	var ce *atomicio.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("trailing byte not rejected with CorruptError: %v", err)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"mccuckoo/internal/kv"
+	"mccuckoo/internal/memmodel"
 )
 
 func TestGrowRecoversAllItems(t *testing.T) {
@@ -134,5 +136,97 @@ func TestGrowChargesTraffic(t *testing.T) {
 	}
 	if delta.OffChipWrites < 100 {
 		t.Errorf("Grow charged %d writes, want at least one per item", delta.OffChipWrites)
+	}
+}
+
+// A Grow that cannot place every item fails and leaves the table as it
+// was: every item still found with its value, the invariants intact. Only
+// the meter and the stats keep what the attempt cost. Grow used to rebuild
+// the arrays empty and stop at the first item that did not fit, losing it
+// and every item after it.
+func TestFailedGrowKeepsTable(t *testing.T) {
+	const mul = 0x9e3779b97f4a7c15
+	fill := func(tab interface {
+		Insert(key, value uint64) kv.Outcome
+	}) {
+		for k := uint64(1); k <= 200; k++ {
+			tab.Insert(k*mul, k)
+		}
+	}
+	check := func(t *testing.T, tab interface {
+		Len() int
+		StashLen() int
+		Lookup(key uint64) (uint64, bool)
+		CheckInvariants() error
+	}, n, stashed int) {
+		t.Helper()
+		if tab.Len() != n || tab.StashLen() != stashed {
+			t.Fatalf("Len %d, StashLen %d after the failed grow, want %d and %d",
+				tab.Len(), tab.StashLen(), n, stashed)
+		}
+		found := 0
+		for k := uint64(1); k <= 200; k++ {
+			if v, ok := tab.Lookup(k * mul); ok {
+				if v != k {
+					t.Fatalf("key %d reads %d", k, v)
+				}
+				found++
+			}
+		}
+		if found != n {
+			t.Fatalf("%d keys found, Len %d", found, n)
+		}
+		if err := tab.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Five single-slot tables and four blocked ones (whose slot hints must
+	// come back too), each full past what a rehash can place.
+	type growable interface {
+		Insert(key, value uint64) kv.Outcome
+		Len() int
+		StashLen() int
+		Lookup(key uint64) (uint64, bool)
+		CheckInvariants() error
+		Meter() *memmodel.Meter
+		Grow(growFactor float64) error
+	}
+	var tables []growable
+	for seed := uint64(1); seed <= 5; seed++ {
+		tables = append(tables, mustNew(t, Config{BucketsPerTable: 64, StashEnabled: true,
+			StashMax: 2, MaxLoop: 4, Seed: seed}))
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		tables = append(tables, mustNewBlocked(t, Config{BucketsPerTable: 16, StashEnabled: true,
+			StashMax: 2, MaxLoop: 4, Seed: seed}))
+	}
+	for i, tab := range tables {
+		fill(tab)
+		n, stashed, before := tab.Len(), tab.StashLen(), tab.Meter().Snapshot()
+		if err := tab.Grow(1); err == nil {
+			t.Fatalf("table %d: Grow(1) placed every item; the test needs one that fails", i)
+		}
+		check(t, tab, n, stashed)
+		if cost := tab.Meter().Snapshot().Sub(before); cost.OffChipReads < 3*16 || cost.OffChipWrites == 0 {
+			t.Errorf("table %d: the failed grow charged %+v, want its reads and writes kept", i, cost)
+		}
+	}
+	// A factor Grow rejects leaves the table and its meter untouched, the
+	// stash included.
+	tab := mustNew(t, Config{BucketsPerTable: 64, StashEnabled: true, MaxLoop: 4, Seed: 1})
+	fill(tab)
+	n, stashed := tab.Len(), tab.StashLen()
+	if stashed == 0 {
+		t.Fatal("the test needs stashed items")
+	}
+	for _, f := range []float64{math.Inf(1), math.NaN(), math.MaxInt64} {
+		before := tab.Meter().Snapshot()
+		if err := tab.Grow(f); err == nil {
+			t.Fatalf("Grow(%g) accepted", f)
+		}
+		if !tab.Meter().Snapshot().Same(before) {
+			t.Fatalf("the rejected Grow(%g) charged the meter", f)
+		}
+		check(t, tab, n, stashed)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/kv"
 )
 
@@ -221,7 +222,7 @@ func TestSnapshotCorruption(t *testing.T) {
 	bad = append([]byte{}, raw...)
 	bad[len(bad)/2] ^= 0x10
 	_, err := Load(bytes.NewReader(bad))
-	var ce *CorruptError
+	var ce *atomicio.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("corruption error is %T (%v), want *CorruptError", err, err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"mccuckoo/internal/bitpack"
@@ -109,6 +110,8 @@ type algorithm interface {
 	// repairCopies picks, per subtable, the slot holding the key's copy
 	// (noSlot for none) from what Repair's off-chip scan found.
 	repairCopies(k repairKey, cand []int) [4]int8
+	// Range reports every distinct live item once, stash included.
+	Range(fn func(key, value uint64) bool)
 }
 
 // setup validates cfg and allocates an empty table of the given kind whose
@@ -343,19 +346,34 @@ func (s *tableState) RefreshStashFlags() int {
 // stash flags are rebuilt from scratch. The traffic of reading the whole
 // table back and rewriting every item is charged to the meter — this is the
 // expensive operation McCuckoo's stash exists to avoid (§I), provided here
-// because real deployments eventually need capacity growth.
+// because real deployments eventually need capacity growth. A grow that
+// cannot place every item fails and puts the old arrays back, so the table
+// holds what it held before; the meter and stats keep what the attempt
+// cost.
+//
+//mcvet:setter counters flags kickcounts
 func (s *tableState) Grow(growFactor float64) error {
-	if growFactor < 1 {
-		return fmt.Errorf("core: growFactor must be >= 1, got %g", growFactor)
+	newN := float64(s.cfg.BucketsPerTable) * growFactor
+	if !(growFactor >= 1) || newN > math.MaxInt32 {
+		return fmt.Errorf("core: growFactor must be >= 1 and give at most %d buckets per subtable, got %g",
+			math.MaxInt32, growFactor)
 	}
-	items := s.liveEntries()
-	// Reading every bucket back: one off-chip read per bucket.
+	items := make([]kv.Entry, 0, s.Len())
+	s.algo.Range(func(key, value uint64) bool {
+		items = append(items, kv.Entry{Key: key, Value: value})
+		return true
+	})
+	// Reading every bucket and the stash back.
 	s.meter.ReadOff(int64(s.cfg.D * s.cfg.BucketsPerTable))
 	if s.overflow != nil {
-		items = append(items, s.overflow.Drain()...)
+		s.overflow.ChargeScan()
 	}
-	newN := int(float64(s.cfg.BucketsPerTable) * growFactor)
-	if err := s.allocate(newN, hashutil.Mix64(s.cfg.Seed+0x47726f77)); err != nil {
+	old, hints := *s, s.algo.hintsRef()
+	var oldHints [][4]int8
+	if hints != nil {
+		oldHints = *hints
+	}
+	if err := s.allocate(int(newN), hashutil.Mix64(s.cfg.Seed+0x47726f77)); err != nil {
 		return err
 	}
 	s.size, s.copiesTotal, s.deletedAny = 0, 0, false
@@ -364,28 +382,16 @@ func (s *tableState) Grow(growFactor float64) error {
 		switch s.reinsert(e, cand[:]).Status {
 		case kv.Placed, kv.Stashed:
 		default:
+			s.cfg, s.family, s.cells, s.overflow = old.cfg, old.family, old.cells, old.overflow
+			s.counters, s.flags, s.kickCounts = old.counters, old.flags, old.kickCounts
+			s.size, s.copiesTotal, s.deletedAny = old.size, old.copiesTotal, old.deletedAny
+			if hints != nil {
+				*hints = oldHints
+			}
 			return fmt.Errorf("core: grow failed to place key %#x", e.Key)
 		}
 	}
 	return nil
-}
-
-// liveEntries collects one entry per distinct live key, without charging
-// traffic (Grow charges the bulk read separately).
-func (s *tableState) liveEntries() []kv.Entry {
-	seen := make(map[uint64]struct{}, s.size)
-	items := make([]kv.Entry, 0, s.size)
-	for idx, c := range s.cells {
-		if s.isFree(s.counters.Get(idx)) {
-			continue
-		}
-		if _, dup := seen[c.Key]; dup {
-			continue
-		}
-		seen[c.Key] = struct{}{}
-		items = append(items, c)
-	}
-	return items
 }
 
 // TryPlace attempts principle-based placement (or an in-place update) of

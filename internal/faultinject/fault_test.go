@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/faultinject"
 	"mccuckoo/internal/kv"
@@ -211,7 +212,7 @@ func TestSnapshotEveryBitFlipDetected(t *testing.T) {
 					if err == nil {
 						t.Fatalf("bit flip at byte %d bit %d accepted", off, bit)
 					}
-					var ce *core.CorruptError
+					var ce *atomicio.CorruptError
 					if !errors.As(err, &ce) {
 						t.Fatalf("bit flip at byte %d bit %d: error %T (%v), want *CorruptError",
 							off, bit, err, err)
@@ -273,7 +274,7 @@ func TestShardedSnapshotEveryBitFlipDetected(t *testing.T) {
 			if err == nil {
 				t.Fatalf("bit flip at byte %d bit %d accepted", off, bit)
 			}
-			var ce *core.CorruptError
+			var ce *atomicio.CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("bit flip at byte %d bit %d: error %T (%v), want *CorruptError",
 					off, bit, err, err)

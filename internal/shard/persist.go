@@ -1,49 +1,35 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 
 	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
 )
 
-// Sharded snapshot format, version 1: a small checksummed header followed by
-// one length-prefixed frame per shard, each frame a complete core snapshot
-// (itself section-checksummed, v3), then a whole-file CRC32C trailer.
+// Sharded snapshot format, version 1, written and read through
+// internal/atomicio's checksummed stream: a header section, one frame per
+// shard, each frame a complete core snapshot (itself section-checksummed,
+// v3), then the file trailer.
 //
 //	"MCSH" | u8 version | u32 shardCount | u64 seed | u8 innerKind | u32 headerCRC
 //	shardCount × ( u64 frameLen | frameLen bytes )
 //	u32 fileCRC
 //
-// Frames are buffered on both paths: core's loader reads through its own
-// internal buffering, so each frame must be handed over as an exactly-sized
-// byte slice, and the loader cross-checks that the core snapshot consumed
-// the whole frame. Every field is covered by a checksum — header by
-// headerCRC, frame bodies by the core v3 sections, frame lengths by the file
-// trailer — so any bit flip is detected.
+// The loader reads each shard's snapshot in place, bounded by its frame
+// length, and rejects a frame the snapshot does not fill. Every byte is
+// covered by a checksum — the header by headerCRC, frame bodies by the core
+// v3 sections, frame lengths by the file trailer — so any bit flip is
+// detected.
 
 const (
-	shardMagic   = "MCSH"
 	shardVersion = 1
-	// innerSingle/innerBlocked name the shard table kind in the header:
-	// the core tables' own kind bytes (core.Table.Kind and
-	// core.BlockedTable.Kind).
-	innerSingle  = 0
+	// innerBlocked is the header's inner kind byte for blocked shard
+	// tables: the core kind byte (core.BlockedTable.Kind). Single-slot
+	// tables record 0.
 	innerBlocked = 1
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// maxShardFrame bounds one shard's snapshot size (64 GiB) so a corrupt
-// length field cannot demand an absurd allocation; real frames hit the core
-// checksums long before this.
-const maxShardFrame = 1 << 36
 
 // WriteTo serializes every shard, each under its read lock. The per-shard
 // snapshots are individually consistent; for a cross-shard-consistent file,
@@ -52,49 +38,18 @@ const maxShardFrame = 1 << 36
 //
 //mcvet:deterministic
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	var head bytes.Buffer
-	head.WriteString(shardMagic)
-	head.WriteByte(shardVersion)
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(s.shards)))
-	head.Write(u32[:])
-	binary.LittleEndian.PutUint64(u64[:], s.seed)
-	head.Write(u64[:])
-	head.WriteByte(s.innerKind())
-	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(head.Bytes(), castagnoli))
-	head.Write(u32[:])
-
-	fileCRC := crc32.Checksum(head.Bytes(), castagnoli)
-	written, err := writeCounted(w, head.Bytes())
-	if err != nil {
-		return written, err
-	}
-
-	var frame bytes.Buffer
+	out := atomicio.NewWriter(w)
+	out.BeginSection()
+	out.Bytes([]byte(atomicio.MagicSharded))
+	out.U8(shardVersion)
+	out.U32(uint32(len(s.shards)))
+	out.U64(s.seed)
+	out.U8(s.innerKind())
+	out.EndSection()
 	for i := range s.shards {
-		frame.Reset()
-		if _, err := s.WriteShardTo(i, &frame); err != nil {
-			return written, fmt.Errorf("shard: serializing shard %d: %w", i, err)
-		}
-		binary.LittleEndian.PutUint64(u64[:], uint64(frame.Len()))
-		fileCRC = crc32.Update(fileCRC, castagnoli, u64[:])
-		fileCRC = crc32.Update(fileCRC, castagnoli, frame.Bytes())
-		n, err := writeCounted(w, u64[:])
-		written += n
-		if err != nil {
-			return written, err
-		}
-		n, err = writeCounted(w, frame.Bytes())
-		written += n
-		if err != nil {
-			return written, err
-		}
+		out.Frame(func(w io.Writer) (int64, error) { return s.WriteShardTo(i, w) })
 	}
-	binary.LittleEndian.PutUint32(u32[:], fileCRC)
-	n, err := writeCounted(w, u32[:])
-	written += n
-	return written, err
+	return out.Finish()
 }
 
 // WriteShardTo writes shard i's table, under the shard's read lock, as that
@@ -112,148 +67,61 @@ func (s *Sharded) WriteShardTo(i int, w io.Writer) (int64, error) {
 // SaveFile writes a crash-safe snapshot of all shards to path (temp file +
 // fsync + atomic rename), with the same per-shard consistency caveat as
 // WriteTo.
-func (s *Sharded) SaveFile(path string) error {
-	return atomicio.WriteFile(path, func(f *os.File) error {
-		_, err := s.WriteTo(f)
-		return err
-	})
-}
+func (s *Sharded) SaveFile(path string) error { return atomicio.WriteFile(path, s.WriteTo) }
 
 // Load reads a sharded snapshot written by WriteTo and rebuilds the table.
-// Any truncated or corrupted input is rejected with a *core.CorruptError.
-func Load(r io.Reader) (*Sharded, error) {
-	s, _, err := load(r)
-	return s, err
-}
+// Any truncated or corrupted input is rejected with an
+// *atomicio.CorruptError.
+func Load(r io.Reader) (*Sharded, error) { return read(atomicio.NewReader(r)) }
 
 // LoadFile loads a sharded snapshot file written by SaveFile, additionally
 // rejecting trailing bytes after the trailer.
-func LoadFile(path string) (*Sharded, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("shard: open snapshot: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("shard: stat snapshot: %w", err)
-	}
-	s, n, err := load(f)
-	if err != nil {
-		return nil, err
-	}
-	if n != info.Size() {
-		return nil, &core.CorruptError{Kind: "sharded", Section: "trailer", Offset: n,
-			Reason: fmt.Sprintf("%d trailing bytes after snapshot end", info.Size()-n)}
-	}
-	return s, nil
-}
+func LoadFile(path string) (*Sharded, error) { return atomicio.LoadFile(path, read) }
 
-func load(r io.Reader) (*Sharded, int64, error) {
-	corrupt := func(section string, off int64, reason string, err error) (*Sharded, int64, error) {
-		return nil, off, &core.CorruptError{Kind: "sharded", Section: section, Offset: off,
-			Reason: reason, Err: err}
+func read(s *atomicio.Reader) (*Sharded, error) {
+	s.BeginSection("header")
+	s.Magic("sharded", atomicio.MagicSharded)
+	version, shardCount, seed, kind := s.U8(), s.U32(), s.U64(), s.U8()
+	s.EndSection()
+	switch {
+	case s.Err() != nil:
+	case version != shardVersion:
+		s.Failf("unsupported sharded snapshot version %d (want %d)", version, shardVersion)
+	case shardCount == 0 || shardCount > MaxShards || shardCount&(shardCount-1) != 0:
+		s.Failf("invalid shard count %d", shardCount)
+	case kind > innerBlocked:
+		s.Failf("unknown inner table kind %d", kind)
+	}
+	if s.Err() != nil {
+		return nil, s.Err()
 	}
 
-	head := make([]byte, 4+1+4+8+1+4)
-	n, err := io.ReadFull(r, head)
-	read := int64(n)
-	if err != nil {
-		return corrupt("header", read, "truncated header", err)
-	}
-	body, stored := head[:len(head)-4], binary.LittleEndian.Uint32(head[len(head)-4:])
-	if got := crc32.Checksum(body, castagnoli); got != stored {
-		return corrupt("header", read, fmt.Sprintf("header checksum mismatch (stored %#08x, computed %#08x)", stored, got), nil)
-	}
-	if string(head[:4]) != shardMagic {
-		return corrupt("header", read, fmt.Sprintf("bad magic %q", head[:4]), nil)
-	}
-	if v := head[4]; v != shardVersion {
-		return corrupt("header", read, fmt.Sprintf("unsupported sharded snapshot version %d (want %d)", v, shardVersion), nil)
-	}
-	shardCount := binary.LittleEndian.Uint32(head[5:9])
-	seed := binary.LittleEndian.Uint64(head[9:17])
-	kind := head[17]
-	if shardCount == 0 || shardCount > MaxShards || shardCount&(shardCount-1) != 0 {
-		return corrupt("header", read, fmt.Sprintf("invalid shard count %d", shardCount), nil)
-	}
-	if kind != innerSingle && kind != innerBlocked {
-		return corrupt("header", read, fmt.Sprintf("unknown inner table kind %d", kind), nil)
-	}
-
-	fileCRC := crc32.Checksum(head, castagnoli)
-	var frameErr error
-	s, err := New(int(shardCount), seed, func(i int) (Inner, error) {
-		var lenBuf [8]byte
-		n, err := io.ReadFull(r, lenBuf[:])
-		read += int64(n)
-		if err != nil {
-			return nil, &core.CorruptError{Kind: "sharded", Section: "frame", Offset: read,
-				Reason: fmt.Sprintf("truncated length of shard %d", i), Err: err}
+	// Each shard's snapshot is read in place. A frame holding an intact
+	// file of another kind is still a damaged container.
+	s.Section("frame")
+	sh, err := New(int(shardCount), seed, func(i int) (tab Inner, err error) {
+		frame := s.Frame(s.U64())
+		if kind == innerBlocked {
+			tab, err = core.ReadBlocked(frame)
+		} else {
+			tab, err = core.Read(frame)
 		}
-		fileCRC = crc32.Update(fileCRC, castagnoli, lenBuf[:])
-		frameLen := binary.LittleEndian.Uint64(lenBuf[:])
-		if frameLen > maxShardFrame {
-			return nil, &core.CorruptError{Kind: "sharded", Section: "frame", Offset: read,
-				Reason: fmt.Sprintf("shard %d frame length %d exceeds limit", i, frameLen)}
+		if err == nil {
+			err = frame.End()
+		} else if errors.Is(err, atomicio.ErrOtherKind) {
+			s.Failf("shard %d: %v", i, err)
+			err = s.Err()
 		}
-		frame, got, err := readFrame(r, frameLen)
-		read += got
-		if err != nil {
-			return nil, &core.CorruptError{Kind: "sharded", Section: "frame", Offset: read,
-				Reason: fmt.Sprintf("truncated frame of shard %d", i), Err: err}
-		}
-		fileCRC = crc32.Update(fileCRC, castagnoli, frame)
-		tab, err := loadInner(kind, frame)
-		if err != nil {
-			frameErr = err
-			return nil, err
-		}
-		return tab, nil
+		return tab, err
 	})
 	if err != nil {
-		// Surface the core loader's CorruptError untouched when there is
-		// one (New wraps build errors).
-		if frameErr != nil {
-			return nil, read, frameErr
-		}
-		var ce *core.CorruptError
-		if errors.As(err, &ce) {
-			return nil, read, ce
-		}
-		return corrupt("frame", read, "rebuilding shards", err)
-	}
-
-	var crcBuf [4]byte
-	n, err = io.ReadFull(r, crcBuf[:])
-	read += int64(n)
-	if err != nil {
-		return corrupt("trailer", read, "truncated trailer", err)
-	}
-	if stored := binary.LittleEndian.Uint32(crcBuf[:]); stored != fileCRC {
-		return corrupt("trailer", read, fmt.Sprintf("file checksum mismatch (stored %#08x, computed %#08x)", stored, fileCRC), nil)
-	}
-	return s, read, nil
-}
-
-// loadInner parses one shard frame with the loader matching the header's
-// inner kind. A frame length inconsistent with its snapshot cannot slip
-// through: the length bytes are covered by the file trailer CRC, and any
-// mis-framing they cause lands the core loader (or a later frame, or the
-// trailer comparison) on bytes whose checksums cannot match.
-func loadInner(kind uint8, frame []byte) (Inner, error) {
-	if kind == innerBlocked {
-		tab, err := core.LoadBlocked(bytes.NewReader(frame))
-		if err != nil {
-			return nil, err
-		}
-		return tab, nil
-	}
-	tab, err := core.Load(bytes.NewReader(frame))
-	if err != nil {
 		return nil, err
 	}
-	return tab, nil
+	s.Trailer()
+	if s.Err() != nil {
+		return nil, s.Err()
+	}
+	return sh, nil
 }
 
 // innerKind is the shard tables' core kind byte, which the snapshot header
@@ -263,29 +131,4 @@ func (s *Sharded) innerKind() uint8 {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.tab.Kind()
-}
-
-func writeCounted(w io.Writer, b []byte) (int64, error) {
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// readFrame reads exactly want bytes, growing the buffer in bounded chunks
-// so a corrupted length field fails at EOF after reading what is actually
-// there instead of allocating the claimed size up front.
-func readFrame(r io.Reader, want uint64) ([]byte, int64, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, min(want, chunk))
-	var got int64
-	for uint64(len(buf)) < want {
-		n := min(want-uint64(len(buf)), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		m, err := io.ReadFull(r, buf[start:])
-		got += int64(m)
-		if err != nil {
-			return buf[:start+m], got, err
-		}
-	}
-	return buf, got, nil
 }

@@ -2,17 +2,20 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
 )
 
-func fillSharded(t *testing.T, s *Sharded, seed uint64, n int) map[uint64]uint64 {
+func fillSharded(t testing.TB, s *Sharded, seed uint64, n int) map[uint64]uint64 {
 	t.Helper()
 	expect := make(map[uint64]uint64, n)
 	k := seed | 1
@@ -116,7 +119,7 @@ func TestShardedSaveLoadFile(t *testing.T) {
 	f.Write([]byte{1, 2, 3})
 	f.Close()
 	_, err = LoadFile(path)
-	var ce *core.CorruptError
+	var ce *atomicio.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("trailing bytes not rejected with CorruptError: %v", err)
 	}
@@ -139,6 +142,31 @@ func TestShardedLoadRejectsBadHeader(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(raw[:10])); err == nil {
 		t.Error("truncated header accepted")
+	}
+}
+
+// A frame longer than the snapshot it holds is rejected even when every
+// checksum passes: the loader reads each shard's snapshot in place and
+// requires it to fill its frame.
+func TestShardedLoadRejectsUnfilledFrame(t *testing.T) {
+	s := newSharded(t, 1, 8, 19)
+	fillSharded(t, s, 20, 20)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const head = 22 // magic, version, count, seed, kind, header CRC
+	frameLen := binary.LittleEndian.Uint64(raw[head:])
+	bad := append([]byte{}, raw[:head]...)
+	bad = binary.LittleEndian.AppendUint64(bad, frameLen+1)
+	bad = append(bad, raw[head+8:head+8+int(frameLen)]...)
+	bad = append(bad, 0) // the byte the snapshot leaves unread
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(bad, crc32.MakeTable(crc32.Castagnoli)))
+	_, err := Load(bytes.NewReader(bad))
+	var ce *atomicio.CorruptError
+	if !errors.As(err, &ce) || ce.Kind != "table" || ce.Section != "trailer" {
+		t.Fatalf("unfilled frame: %v, want a *CorruptError at the table snapshot's trailer", err)
 	}
 }
 
@@ -185,4 +213,77 @@ func TestShardedRepairHealthyNoOp(t *testing.T) {
 			t.Fatalf("key %#x damaged by repair", k)
 		}
 	}
+}
+
+// FuzzLoadSharded feeds arbitrary bytes to the sharded loader. Every input
+// either loads a table each of whose shards takes an insert and finds it
+// again, or is rejected with an *atomicio.CorruptError; an intact file of
+// another kind (one that starts with a table snapshot's or a sidecar's
+// magic) may instead be declined with atomicio.ErrOtherKind. No input
+// panics.
+func FuzzLoadSharded(f *testing.F) {
+	// Genuine containers with single-slot and blocked shards, deletions and
+	// stashed items, each with a few bit-flipped variants that start the
+	// corpus inside the header, frame and trailer rejection paths, and a
+	// bare table snapshot.
+	add := func(s *Sharded) {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		raw := buf.Bytes()
+		f.Add(raw)
+		for _, off := range []int{2, 30, len(raw) / 3, len(raw) - 2} {
+			bad := bytes.Clone(raw)
+			bad[off] ^= 0x20
+			f.Add(bad)
+		}
+	}
+	single := newSharded(f, 4, 8, 21)
+	for k := range fillSharded(f, single, 22, 120) {
+		if k%3 == 0 {
+			single.Delete(k)
+		}
+	}
+	add(single)
+	add(newSharded(f, 1, 8, 23))
+	blocked, err := New(2, 24, func(i int) (Inner, error) {
+		return core.NewBlocked(core.Config{BucketsPerTable: 4, Seed: uint64(25 + i), StashEnabled: true})
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fillSharded(f, blocked, 26, 80)
+	add(blocked)
+	var table bytes.Buffer
+	if _, err := single.WriteShardTo(0, &table); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(table.Bytes())
+	f.Add([]byte(atomicio.MagicSharded))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			var ce *atomicio.CorruptError
+			otherKind := bytes.HasPrefix(data, []byte(atomicio.MagicTable)) ||
+				bytes.HasPrefix(data, []byte(atomicio.MagicSidecar))
+			if !errors.As(err, &ce) && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
+				t.Fatalf("Load: %v, want a *CorruptError", err)
+			}
+			return
+		}
+		for i, key := 0, uint64(1); i < s.NumShards(); key++ {
+			if s.shardIndex(key) != i {
+				continue
+			}
+			if out := s.Insert(key, ^key); out.Status == kv.Failed {
+				t.Fatalf("shard %d: insert of key %d failed", i, key)
+			}
+			if v, ok := s.Lookup(key); !ok || v != ^key {
+				t.Fatalf("shard %d: key %d reads (%d, %v) after its insert", i, key, v, ok)
+			}
+			i++
+		}
+	})
 }

@@ -146,22 +146,26 @@ func (s *Stash) Delete(key uint64) bool {
 // into the main table (stash-flag refresh, §III.F, and the baselines' retry
 // when space frees up).
 func (s *Stash) Drain() []kv.Entry {
-	out := make([]kv.Entry, 0, s.size)
-	for i, chain := range s.buckets {
-		if len(chain) == 0 {
-			continue
-		}
-		s.meter.ReadOff(groups(len(chain) - 1))
-		out = append(out, chain...)
-		s.buckets[i] = nil
-	}
+	s.ChargeScan()
+	out := s.Entries()
+	clear(s.buckets)
 	s.size = 0
 	return out
 }
 
+// ChargeScan charges the off-chip reads of reading every entry back, as
+// Drain does, and leaves the stash as it is.
+func (s *Stash) ChargeScan() {
+	for _, chain := range s.buckets {
+		if len(chain) > 0 {
+			s.meter.ReadOff(groups(len(chain) - 1))
+		}
+	}
+}
+
 // Entries returns a copy of all entries without mutating the stash and
-// without charging memory traffic (used by tests and invariant checks only).
-// Serialization depends on the bucket-then-insertion order being stable.
+// without charging memory traffic. Serialization depends on the
+// bucket-then-insertion order being stable.
 //
 //mcvet:deterministic
 func (s *Stash) Entries() []kv.Entry {

@@ -289,7 +289,7 @@ func (s *Sink) add(e Event) {
 	s.ring.Add(rec[:])
 }
 
-// RecordCorruptLoad counts one snapshot-load rejection (*core.CorruptError).
+// RecordCorruptLoad counts one snapshot-load rejection (*atomicio.CorruptError).
 func (s *Sink) RecordCorruptLoad() {
 	if s == nil {
 		return

@@ -1,14 +1,10 @@
 package wire
 
 import (
-	"bufio"
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand/v2"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -550,22 +546,17 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 
 // The sidecar file persists the replication bookkeeping next to the value
 // snapshot: the applied and drained sequence numbers plus every key's meta
-// word, CRC32C-guarded like every other on-disk artifact here (§7). A node
-// restarted with both files resumes its subscriptions from the drained
-// point instead of a full resynchronization. Version 1 files lack the
-// drained point and are rejected, which makes the node resync fully.
+// word, written and read through internal/atomicio's checksummed stream
+// like every other file here (§7). A node restarted with both files resumes
+// its subscriptions from the drained point instead of a full
+// resynchronization. Version 1 files lack the drained point and are
+// rejected, which makes the node resync fully.
+//
+//	"MCRS" | u32 version | u64 applied | u64 drained | u64 count
+//	count × ( u64 key | u64 meta ), keys strictly ascending
+//	u32 fileCRC
 
-const (
-	sidecarMagic   = "MCRS"
-	sidecarVersion = 2
-	sidecarHeader  = 32
-)
-
-// SidecarError is the typed rejection for a corrupt or mismatched sidecar
-// file; the caller should fall back to a full resynchronization.
-type SidecarError struct{ Reason string }
-
-func (e *SidecarError) Error() string { return "wire: replica sidecar: " + e.Reason }
+const sidecarVersion = 2
 
 // CheckpointWith atomically checkpoints the pair (values, bookkeeping):
 // saveValues runs with all mutations excluded, then the sidecar is written
@@ -582,8 +573,8 @@ func (r *Replicated) CheckpointWith(saveValues func() error, sidecarPath string)
 	return r.saveSidecarLocked(sidecarPath)
 }
 
-// saveSidecarLocked writes the sidecar: header, sorted (key, meta) pairs,
-// trailing CRC32C over everything before it.
+// saveSidecarLocked writes the sidecar: header, then the (key, meta) pairs
+// sorted by key, then the trailer.
 //
 //mcvet:locked
 //mcvet:deterministic
@@ -591,86 +582,77 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 	recs := make([]seqSlot, 0, r.seqs.n)
 	r.seqs.each(func(key, meta uint64) { recs = append(recs, seqSlot{key, meta}) })
 	slices.SortFunc(recs, func(a, b seqSlot) int { return cmp.Compare(a.key, b.key) })
-	return atomicio.WriteFile(path, func(f *os.File) error {
-		crc := crc32.New(castagnoli)
-		w := bufio.NewWriter(io.MultiWriter(f, crc))
-		var hdr [sidecarHeader]byte
-		copy(hdr[0:4], sidecarMagic)
-		binary.LittleEndian.PutUint32(hdr[4:8], sidecarVersion)
-		binary.LittleEndian.PutUint64(hdr[8:16], r.applied)
-		binary.LittleEndian.PutUint64(hdr[16:24], r.drained)
-		binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(recs)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		var rec [16]byte
+	return atomicio.WriteFile(path, func(w io.Writer) (int64, error) {
+		s := atomicio.NewWriter(w)
+		s.Bytes([]byte(atomicio.MagicSidecar))
+		s.U32(sidecarVersion)
+		s.U64(r.applied)
+		s.U64(r.drained)
+		s.U64(uint64(len(recs)))
 		for _, sl := range recs {
-			binary.LittleEndian.PutUint64(rec[0:8], sl.key)
-			binary.LittleEndian.PutUint64(rec[8:16], sl.meta)
-			if _, err := w.Write(rec[:]); err != nil {
-				return err
-			}
+			s.U64(sl.key)
+			s.U64(sl.meta)
 		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		var tail [4]byte
-		binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-		_, err := f.Write(tail[:])
-		return err
+		return s.Finish()
 	})
+}
+
+// sidecar is the content of a sidecar file that passed every check.
+type sidecar struct {
+	applied, drained uint64
+	recs             []seqSlot
+}
+
+// readSidecar reads and checks a whole sidecar. The records are appended
+// as they are read, so memory grows with the bytes present, never with the
+// record count the header claims.
+func readSidecar(s *atomicio.Reader) (*sidecar, error) {
+	s.Magic("sidecar", atomicio.MagicSidecar)
+	if v := s.U32(); s.Err() == nil && v != sidecarVersion {
+		s.Failf("unsupported sidecar version %d (want %d)", v, sidecarVersion)
+	}
+	side := &sidecar{applied: s.U64(), drained: s.U64()}
+	n := s.U64()
+	s.Section("records")
+	for i := uint64(0); i < n && s.Err() == nil; i++ {
+		rec := seqSlot{key: s.U64(), meta: s.U64()}
+		switch {
+		case s.Err() != nil:
+		case i > 0 && rec.key <= side.recs[i-1].key:
+			s.Failf("record %d: key %d repeats or breaks ascending order", i, rec.key)
+		case rec.meta < 2:
+			s.Failf("record %d: key %d has sequence number 0", i, rec.key)
+		}
+		side.recs = append(side.recs, rec)
+	}
+	s.Trailer()
+	return side, s.Err()
 }
 
 // LoadSidecar restores the bookkeeping written by CheckpointWith, replacing
 // any seeded state. Live keys whose value is absent from the wrapped store
 // (a sidecar older than the values snapshot) are dropped from tracking and
 // counted, so they read as missing and heal through read-repair and the
-// catch-up stream. Corrupt files are rejected with a *SidecarError and
-// leave the state untouched, as are files whose records are not in
-// strictly ascending key order or carry sequence number 0.
+// catch-up stream. A file that is damaged, not a version-2 sidecar, or
+// whose records are not in strictly ascending key order or carry sequence
+// number 0 is rejected with an *atomicio.CorruptError of Kind "sidecar"
+// and leaves the state untouched: the whole file is read and checked
+// before anything is installed.
 func (r *Replicated) LoadSidecar(path string) error {
-	raw, err := os.ReadFile(path)
+	side, err := atomicio.LoadFile(path, readSidecar)
 	if err != nil {
 		return err
 	}
-	if len(raw) < sidecarHeader+4 {
-		return &SidecarError{Reason: "truncated file"}
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return &SidecarError{Reason: fmt.Sprintf("checksum mismatch: computed %08x, file says %08x", got, want)}
-	}
-	if string(body[0:4]) != sidecarMagic {
-		return &SidecarError{Reason: "bad magic"}
-	}
-	if v := binary.LittleEndian.Uint32(body[4:8]); v != sidecarVersion {
-		return &SidecarError{Reason: fmt.Sprintf("unsupported version %d", v)}
-	}
-	applied := binary.LittleEndian.Uint64(body[8:16])
-	drained := binary.LittleEndian.Uint64(body[16:24])
-	count := binary.LittleEndian.Uint64(body[24:32])
-	recs := body[sidecarHeader:]
-	if len(recs)%16 != 0 || uint64(len(recs)/16) != count {
-		return &SidecarError{Reason: "record count disagrees with file size"}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seqs := newSeqIndex(r.seqs.seed, len(recs)/16)
+	seqs := newSeqIndex(r.seqs.seed, len(side.recs))
 	var digest uint64
 	tombs := 0
 	drops := int64(0)
-	for off := 0; off < len(recs); off += 16 {
-		k := binary.LittleEndian.Uint64(recs[off:])
-		meta := binary.LittleEndian.Uint64(recs[off+8:])
-		if off > 0 && k <= binary.LittleEndian.Uint64(recs[off-16:]) {
-			return &SidecarError{Reason: fmt.Sprintf("record %d: key %d repeats or breaks ascending order", off/16, k)}
-		}
-		if meta < 2 {
-			return &SidecarError{Reason: fmt.Sprintf("record %d: key %d has sequence number 0", off/16, k)}
-		}
+	for _, rec := range side.recs {
 		var val uint64
-		if meta&1 == 0 {
-			v, ok := r.inner.Lookup(k)
+		if rec.meta&1 == 0 {
+			v, ok := r.inner.Lookup(rec.key)
 			if !ok {
 				// Stale sidecar: the key was live at sidecar save time but
 				// the (newer) values snapshot no longer holds it. Drop it;
@@ -682,20 +664,20 @@ func (r *Replicated) LoadSidecar(path string) error {
 		} else {
 			tombs++
 		}
-		seqs.set(k, meta)
-		digest ^= DigestTerm(k, val, meta)
+		seqs.set(rec.key, rec.meta)
+		digest ^= DigestTerm(rec.key, val, rec.meta)
 	}
 	r.seqs = seqs
 	r.digest = digest
 	r.tombs = tombs
-	if applied > r.applied {
-		r.applied = applied
+	if side.applied > r.applied {
+		r.applied = side.applied
 	}
 	if r.applied > r.localSeq {
 		r.localSeq = r.applied
 	}
 	r.baseSeq = r.applied
-	r.drained = drained
+	r.drained = side.drained
 	r.sidecarDrops.Add(drops)
 	return nil
 }

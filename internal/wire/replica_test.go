@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/telemetry/trace"
 )
 
@@ -299,9 +300,9 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newReplicated(t, 1<<12)
-	var serr *SidecarError
-	if err := b.LoadSidecar(side); !errors.As(err, &serr) {
-		t.Fatalf("LoadSidecar on corrupt file: %v, want *SidecarError", err)
+	var serr *atomicio.CorruptError
+	if err := b.LoadSidecar(side); !errors.As(err, &serr) || serr.Kind != "sidecar" {
+		t.Fatalf("LoadSidecar on corrupt file: %v, want a sidecar *CorruptError", err)
 	}
 	if b.Applied() != 0 {
 		t.Fatal("corrupt sidecar mutated the replica state")
@@ -310,7 +311,7 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	// A version-1 file, which has no drained point, is rejected the same
 	// way, so the node takes a full resync rather than resuming from its
 	// push-inclusive applied sequence.
-	v1 := []byte(sidecarMagic)
+	v1 := []byte(atomicio.MagicSidecar)
 	v1 = binary.LittleEndian.AppendUint32(v1, 1)
 	v1 = binary.LittleEndian.AppendUint64(v1, 3) // applied
 	v1 = binary.LittleEndian.AppendUint64(v1, 1) // one record
@@ -320,15 +321,15 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(side, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LoadSidecar(side); !errors.As(err, &serr) || !strings.Contains(serr.Reason, "version 1") {
-		t.Fatalf("LoadSidecar on a version-1 file: %v, want *SidecarError naming version 1", err)
+	if err := b.LoadSidecar(side); !errors.As(err, &serr) || serr.Kind != "sidecar" || !strings.Contains(serr.Reason, "version 1") {
+		t.Fatalf("LoadSidecar on a version-1 file: %v, want a sidecar *CorruptError naming version 1", err)
 	}
 }
 
 // sidecarBody encodes a version-2 sidecar without its trailing CRC: the
 // header (count from len(recs)) and one {key, meta} record per pair.
 func sidecarBody(applied, drained uint64, recs ...[2]uint64) []byte {
-	b := []byte(sidecarMagic)
+	b := []byte(atomicio.MagicSidecar)
 	b = binary.LittleEndian.AppendUint32(b, sidecarVersion)
 	b = binary.LittleEndian.AppendUint64(b, applied)
 	b = binary.LittleEndian.AppendUint64(b, drained)
@@ -354,7 +355,7 @@ func writeSidecar(t *testing.T, dir string, body []byte) string {
 // TestLoadSidecarRejectsMalformedRecords: a CRC-valid sidecar whose records
 // repeat a key, break ascending key order, carry meta below 2 (sequence
 // number 0) or claim more records than the file holds is rejected with a
-// *SidecarError and leaves the replica as it was. Repeated keys used to
+// sidecar *CorruptError and leaves the replica as it was. Repeated keys used to
 // load: key 7 live twice and key 9 tombstoned twice gave 2 tombstones and
 // a digest of 0, the duplicate terms XORed away.
 func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
@@ -375,9 +376,9 @@ func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
 			r := newReplicated(t, 1<<12)
 			r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
 			before := r.ReplicaStats()
-			var serr *SidecarError
-			if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) {
-				t.Fatalf("LoadSidecar: %v, want *SidecarError", err)
+			var serr *atomicio.CorruptError
+			if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) || serr.Kind != "sidecar" {
+				t.Fatalf("LoadSidecar: %v, want a sidecar *CorruptError", err)
 			}
 			if after := r.ReplicaStats(); after != before {
 				t.Fatalf("rejected sidecar changed the replica: %+v, was %+v", after, before)
@@ -437,7 +438,8 @@ func FuzzLoadSidecar(f *testing.F) {
 	f.Add(sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb}))
 	f.Add(sidecarBody(5, 5, [2]uint64{9, tomb}, [2]uint64{7, live}))
 	f.Add(sidecarBody(5, 5, [2]uint64{7, 0}, [2]uint64{9, 1}))
-	f.Add([]byte(sidecarMagic))
+	f.Add([]byte(atomicio.MagicSidecar))
+	f.Add([]byte(atomicio.MagicSharded))
 
 	// Iterations run one at a time in each worker, so they share dir, and
 	// a one-record op log keeps each fresh replica small.
@@ -445,14 +447,18 @@ func FuzzLoadSidecar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r := NewReplicated(tab, cfg)
 		if err := r.LoadSidecar(writeSidecar(t, dir, body)); err != nil {
-			var serr *SidecarError
-			if !errors.As(err, &serr) {
-				t.Fatalf("LoadSidecar: %v, want nil or *SidecarError", err)
+			// A body that starts with another format's magic is an intact
+			// file of another kind, which is declined, not corrupt.
+			otherKind := bytes.HasPrefix(body, []byte(atomicio.MagicTable)) ||
+				bytes.HasPrefix(body, []byte(atomicio.MagicSharded))
+			var serr *atomicio.CorruptError
+			if !(errors.As(err, &serr) && serr.Kind == "sidecar") && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
+				t.Fatalf("LoadSidecar: %v, want nil or a sidecar *CorruptError", err)
 			}
 			return
 		}
 		kept := make(map[uint64]bool)
-		for off := sidecarHeader; off < len(body); off += 16 {
+		for off := 32; off < len(body); off += 16 { // the records follow the 32-byte header
 			k := binary.LittleEndian.Uint64(body[off:])
 			if _, ok := tab.Lookup(k); ok || binary.LittleEndian.Uint64(body[off+8:])&1 == 1 {
 				kept[k] = true
@@ -1018,5 +1024,53 @@ func TestClientFailFastAndReconnectCounter(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "mccuckoo_client_reconnects_total 1") {
 		t.Fatalf("prometheus output missing reconnect counter:\n%s", out.String())
+	}
+}
+
+// TestCheckpointBytesPinned pins the bytes a replicated sharded node
+// checkpoints: its sharded snapshot and its sidecar. Both files end with the
+// CRC32C of every byte before it, so the CRC32C of a whole file is the same
+// constant for every intact file; the test pins each file's length and the
+// CRC32C of the bytes before its trailer, which the trailer must repeat. A
+// change to how either file is framed must leave these values as they are.
+func TestCheckpointBytesPinned(t *testing.T) {
+	tab, err := mccuckoo.NewSharded(4096, 4, mccuckoo.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicated(tab, ReplicaConfig{})
+	const mul = 0x9e3779b97f4a7c15
+	for k := uint64(1); k <= 3000; k++ {
+		r.Insert(k*mul, k)
+	}
+	for k := uint64(1); k <= 300; k++ {
+		r.Delete(k * mul)
+	}
+	r.SetDrained(1234)
+	dir := t.TempDir()
+	snap, side := filepath.Join(dir, "table.snap"), filepath.Join(dir, "table.snap.replica")
+	if err := r.CheckpointWith(func() error { return tab.SaveFile(snap) }, side); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		size int
+		crc  uint32
+	}{
+		{snap, 68090, 0x9379fb95},
+		{side, 48036, 0x52afb0b1},
+	} {
+		raw, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != tc.size {
+			t.Fatalf("%s: %d bytes, want %d", filepath.Base(tc.path), len(raw), tc.size)
+		}
+		body, trailer := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
+		if got := crc32.Checksum(body, castagnoli); got != tc.crc || trailer != tc.crc {
+			t.Errorf("%s: CRC32C before the trailer %#08x, trailer %#08x, want %#08x",
+				filepath.Base(tc.path), got, trailer, tc.crc)
+		}
 	}
 }

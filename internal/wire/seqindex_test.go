@@ -2,8 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
-	"runtime"
 	"testing"
+	"unsafe"
 
 	"mccuckoo/internal/hashutil"
 )
@@ -119,30 +119,30 @@ func TestSeqIndexReadsTwoBuckets(t *testing.T) {
 	}
 }
 
-// heapBytes returns the bytes of live heap objects, each counted at the
-// size the allocator handed out. It collects twice: objects parked in a
-// sync.Pool survive the first collection.
-func heapBytes() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
+// indexBytes returns the bytes the index's buckets occupy: cap(buckets)
+// buckets of 64 bytes per segment. allocBuckets keeps the whole capacity
+// slices.Grow rounds an allocation up to, so this is exactly the size class
+// the allocator handed out, and unlike the process heap it counts no
+// bytes that other goroutines hold.
+func indexBytes(x *seqIndex) int {
+	b := 0
+	for i := range x.segs {
+		b += cap(x.segs[i].buckets) * int(unsafe.Sizeof(seqBucket{}))
+	}
+	return b
 }
 
 // TestSeqIndexBytesAndRehashBounds pins the two size claims of DESIGN §11
 // under a fixed seed. The index holds at most 19 allocated bytes per
 // tracked key at 4,096 to 1<<20 keys, grown one key at a time or
-// pre-sized; the bytes are what the heap holds while the index is live,
-// so allocator rounding counts. And from 4,096 keys on no insert rehashes
-// more than an eighth of the keys: a rebuild rehashes one segment, about
-// a twelfth.
+// pre-sized, allocator rounding included. And from 4,096 keys on no insert
+// rehashes more than an eighth of the keys: a rebuild rehashes one segment,
+// about a twelfth.
 func TestSeqIndexBytesAndRehashBounds(t *testing.T) {
 	const maxBytesPerKey = 19
 	checkpoints := []int{4096, 32768, 65536, 100000, 1 << 20}
-	perKey := func(heap uint64, keys int) float64 { return float64(heap) / float64(keys) }
+	perKey := func(x *seqIndex) float64 { return float64(indexBytes(x)) / float64(x.n) }
 	var grown []float64
-	base := heapBytes()
 	x := newSeqIndex(7, 0)
 	state := uint64(42)
 	for _, n := range checkpoints {
@@ -155,17 +155,14 @@ func TestSeqIndexBytesAndRehashBounds(t *testing.T) {
 				t.Fatalf("at %d keys an insert rehashed %d keys, more than 1/8", x.n, p.seg.n)
 			}
 		}
-		grown = append(grown, perKey(heapBytes()-base, n))
+		grown = append(grown, perKey(&x))
 	}
-	runtime.KeepAlive(&x)
 	for i, n := range checkpoints {
-		base := heapBytes()
 		x := newSeqIndex(7, n)
 		for x.n < n {
 			x.set(hashutil.SplitMix64(&state), 2)
 		}
-		pre := perKey(heapBytes()-base, n)
-		runtime.KeepAlive(&x)
+		pre := perKey(&x)
 		t.Logf("%d keys: %.2f bytes per key grown, %.2f pre-sized", n, grown[i], pre)
 		if grown[i] > maxBytesPerKey || pre > maxBytesPerKey {
 			t.Errorf("%d keys: %.2f bytes per key grown, %.2f pre-sized, want at most %d", n, grown[i], pre, maxBytesPerKey)

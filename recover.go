@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/shard"
 )
@@ -15,8 +16,11 @@ import (
 // CorruptError is the typed error every snapshot loader returns when the
 // input is truncated, bit-flipped, internally inconsistent, or out of the
 // format's bounds. Loaders never panic on garbage and never return a
-// silently-wrong table. Detect it with errors.As.
-type CorruptError = core.CorruptError
+// silently-wrong table. Detect it with errors.As. An intact snapshot of
+// another kind (a sharded one handed to LoadFile, a blocked one to Load)
+// is declined with an error that is not a *CorruptError, so trying each
+// loader in turn on a healthy file counts no corrupt load.
+type CorruptError = atomicio.CorruptError
 
 // RepairReport summarizes what a Repair pass rebuilt; see the field docs on
 // the underlying type.
@@ -56,7 +60,7 @@ func (s *singleStore) SaveFile(path string) error { return s.inner.SaveFile(path
 
 // LoadFile restores a single-slot table from a SaveFile snapshot. On top of
 // Load's checksum and bounds validation it rejects trailing bytes after the
-// snapshot end. Any rejection is a *CorruptError. Options behave as in Load:
+// snapshot end. Any damaged file is a *CorruptError. Options behave as in Load:
 // structural options are ignored (the snapshot carries its configuration);
 // WithTelemetry attaches a collector and counts corrupt rejections.
 func LoadFile(path string, opts ...Option) (*Table, error) {

@@ -255,3 +255,88 @@ func TestPublicShardedGrow(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadersInTurnCountOnlyCorruption tries the file loaders in turn, as a
+// node restoring a snapshot of unknown kind does (sharded, then single-slot,
+// then blocked), with one Telemetry. A loader handed an intact file of
+// another kind declines it without counting a corrupt load, so a healthy
+// restore reads 0 in mccuckoo_corrupt_loads_total; a damaged blocked
+// snapshot counts once, at its own loader.
+func TestLoadersInTurnCountOnlyCorruption(t *testing.T) {
+	dir := t.TempDir()
+	single, err := New(600, WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked, err := NewBlocked(600, WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 300; k++ {
+		single.Insert(k, k)
+		blocked.Insert(k, k)
+	}
+	singlePath, blockedPath := filepath.Join(dir, "single.mck"), filepath.Join(dir, "blocked.mck")
+	if err := single.SaveFile(singlePath); err != nil {
+		t.Fatal(err)
+	}
+	if err := blocked.SaveFile(blockedPath); err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry()
+	// loadInTurn returns the kind that accepted path and the last error.
+	loadInTurn := func(path string) (string, error) {
+		opts := []Option{WithTelemetry(tel)}
+		_, err := LoadShardedFile(path, opts...)
+		if err == nil {
+			return "sharded", nil
+		}
+		if _, err = LoadFile(path, opts...); err == nil {
+			return "single", nil
+		}
+		if _, err = LoadBlockedFile(path, opts...); err == nil {
+			return "blocked", nil
+		}
+		return "", err
+	}
+	corruptLoads := func() string {
+		var out strings.Builder
+		if err := tel.WriteMetrics(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "mccuckoo_corrupt_loads_total ") {
+				return strings.TrimPrefix(line, "mccuckoo_corrupt_loads_total ")
+			}
+		}
+		t.Fatalf("no corrupt-load counter in:\n%s", out.String())
+		return ""
+	}
+	for _, tc := range []struct{ path, kind string }{{singlePath, "single"}, {blockedPath, "blocked"}} {
+		if kind, err := loadInTurn(tc.path); kind != tc.kind {
+			t.Fatalf("%s snapshot loaded as %q: %v", tc.kind, kind, err)
+		}
+		if n := corruptLoads(); n != "0" {
+			t.Fatalf("healthy %s restore counted %s corrupt loads, want 0", tc.kind, n)
+		}
+	}
+
+	// One bit flipped in the blocked snapshot's buckets section, which
+	// starts after the 67-byte header and 61-byte bookkeeping sections.
+	raw, err := os.ReadFile(blockedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[67+61+16] ^= 0x08
+	if err := os.WriteFile(blockedPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = loadInTurn(blockedPath)
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Kind != "blocked" || ce.Section != "buckets" {
+		t.Fatalf("damaged blocked snapshot: %v, want a *CorruptError in its buckets section", err)
+	}
+	if n := corruptLoads(); n != "1" {
+		t.Fatalf("damaged blocked snapshot counted %s corrupt loads, want 1", n)
+	}
+}

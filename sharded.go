@@ -128,69 +128,17 @@ func (s *Sharded) CopyHistogram() []int { return s.inner.CopyHistogram() }
 func (s *Sharded) StashFlagDensity() float64 { return s.inner.StashFlagDensity() }
 
 // ShardStat describes one shard: population, load, stash depth and flag
-// density, kick-path work, read-path traffic, and lock-acquisition counts.
-type ShardStat struct {
-	Shard            int
-	Items            int
-	Capacity         int
-	LoadRatio        float64
-	StashLen         int
-	StashFlagDensity float64
-	Kicks            int64
-	Lookups          int64
-	Hits             int64
-	ReadLocks        int64
-	WriteLocks       int64
-}
+// density, the table's own operation counts under Ops (its kick-path work
+// in Ops.Kicks), the concurrent read path's lookups and hits, and
+// lock-acquisition counts.
+type ShardStat = shard.ShardStat
 
-// ShardStats aggregates per-shard statistics. MinLoad/MaxLoad expose the
-// routing balance across shards; when every shard is empty they are both
-// exactly 0 (never negative or NaN), so 0/0 reads as "idle table".
-type ShardStats struct {
-	Shards     []ShardStat
-	Items      int
-	Capacity   int
-	LoadRatio  float64
-	MinLoad    float64
-	MaxLoad    float64
-	StashLen   int
-	Kicks      int64
-	Lookups    int64
-	Hits       int64
-	ReadLocks  int64
-	WriteLocks int64
-}
+// ShardStats aggregates per-shard statistics; its Kicks, Lookups and Hits
+// sum both sides of every shard. MinLoad/MaxLoad expose the routing balance
+// across shards; when every shard is empty they are both exactly 0 (never
+// negative or NaN), so 0/0 reads as "idle table".
+type ShardStats = shard.ShardStats
 
 // ShardStats captures a per-shard statistics snapshot (consistent per
 // shard, not atomically consistent across shards).
-func (s *Sharded) ShardStats() ShardStats {
-	st := s.inner.ShardStats()
-	out := ShardStats{
-		Shards:    make([]ShardStat, len(st.Shards)),
-		Items:     st.Items,
-		Capacity:  st.Capacity,
-		LoadRatio: st.LoadRatio,
-		MinLoad:   st.MinLoad,
-		MaxLoad:   st.MaxLoad,
-		StashLen:  st.StashLen,
-		Kicks:     st.Kicks,
-		Lookups:   st.Lookups,
-		Hits:      st.Hits,
-		ReadLocks: st.ReadLocks, WriteLocks: st.WriteLocks,
-	}
-	for i, sh := range st.Shards {
-		out.Shards[i] = ShardStat{
-			Shard:            sh.Shard,
-			Items:            sh.Items,
-			Capacity:         sh.Capacity,
-			LoadRatio:        sh.LoadRatio,
-			StashLen:         sh.StashLen,
-			StashFlagDensity: sh.StashFlagDensity,
-			Kicks:            sh.Ops.Kicks,
-			Lookups:          sh.Ops.Lookups + sh.Lookups,
-			Hits:             sh.Ops.Hits + sh.Hits,
-			ReadLocks:        sh.ReadLocks, WriteLocks: sh.WriteLocks,
-		}
-	}
-	return out
-}
+func (s *Sharded) ShardStats() ShardStats { return s.inner.ShardStats() }
