@@ -39,7 +39,9 @@
 # tests drive Concurrent and Sharded from several goroutines;
 # internal/core's pathwise inserts; internal/shard — the one lock layer,
 # whose one-shard form is the public Concurrent and whose N-shard form is
-# Sharded — and internal/faultinject, which drives both; internal/wire's
+# Sharded — and internal/core's fault matrix, which drives the tables alone
+# and inside internal/shard (fault_test.go, package core_test, run by
+# ./internal/core/...); internal/wire's
 # pipelined server/client — TestServerUnderTrafficWithScrape is the
 # server-under-traffic smoke, a client fleet hammering a telemetry-scraped
 # sharded table; internal/netchaos's fault-injecting conn wrappers; and
@@ -204,7 +206,7 @@ say "go test -race: concurrency-bearing packages"
 # The ./internal/telemetry/... wildcard covers the shared seqlock ring and
 # the trace subpackage, whose span recorder and concurrent-scrape tests are
 # race-gated here.
-go test -race -shuffle=on . ./internal/core/... ./internal/shard/... ./internal/faultinject/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
+go test -race -shuffle=on . ./internal/core/... ./internal/shard/... ./internal/telemetry/... ./internal/wire/... ./internal/netchaos/... ./internal/cluster/...
 
 say "benchmark module: gofmt + vet + mcvet + tests (-race)"
 (cd benchmark && test -z "$(gofmt -l .)" && go vet ./... && go run ../cmd/mcvet ./... && go test -race -shuffle=on ./...)

@@ -140,16 +140,17 @@ func run(args []string, stdout io.Writer) error {
 	var sweeper *cluster.Sweeper
 	sidecarPath := ""
 	if *peers != "" {
-		rep = wire.NewReplicated(store, wire.ReplicaConfig{})
 		if *snapshot != "" {
 			sidecarPath = *snapshot + ".replica"
-			if *load != "" {
-				if err := rep.LoadSidecar(sidecarPath); err != nil {
-					if !errors.Is(err, os.ErrNotExist) {
-						logger.Printf("replica sidecar %s: %v (starting with a full resync)", sidecarPath, err)
-					}
-				}
+		}
+		if sidecarPath != "" && *load != "" {
+			rep, err = wire.RestoreReplicated(store, wire.ReplicaConfig{}, sidecarPath)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				logger.Printf("replica sidecar %s: %v (starting with a full resync)", sidecarPath, err)
 			}
+		}
+		if rep == nil {
+			rep = wire.NewReplicated(store, wire.ReplicaConfig{})
 		}
 		selfAddr := *self
 		if selfAddr == "" {

@@ -69,7 +69,7 @@ func LoadFile[T any](path string, parse func(*Reader) (T, error)) (T, error) {
 		return none, err
 	}
 	s := NewReader(f)
-	s.left = info.Size()
+	s.left, s.in.sized = info.Size(), true
 	v, err := parse(s)
 	if err == nil {
 		err = s.End()

@@ -2,6 +2,7 @@ package bitpack
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -196,8 +197,8 @@ func TestCountersWordsRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Set(i, uint64(i)%8)
 	}
-	b, _ := NewCounters(100, 3)
-	if err := b.LoadWords(a.Words()); err != nil {
+	b, err := LoadCounters(100, 3, slices.Clone(a.Words()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -206,9 +207,8 @@ func TestCountersWordsRoundTrip(t *testing.T) {
 		}
 	}
 	// Geometry mismatch rejected.
-	c, _ := NewCounters(50, 3)
-	if err := c.LoadWords(a.Words()); err == nil {
-		t.Error("mismatched LoadWords accepted")
+	if _, err := LoadCounters(50, 3, a.Words()); err == nil {
+		t.Error("mismatched LoadCounters accepted")
 	}
 }
 
@@ -217,16 +217,15 @@ func TestBitsetWordsRoundTrip(t *testing.T) {
 	a.Set(0)
 	a.Set(64)
 	a.Set(129)
-	b, _ := NewBitset(130)
-	if err := b.LoadWords(a.Words()); err != nil {
+	b, err := LoadBitset(130, slices.Clone(a.Words()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Count() != 3 {
 		t.Fatal("bitset words round-trip failed")
 	}
-	c, _ := NewBitset(10)
-	if err := c.LoadWords(a.Words()); err == nil {
-		t.Error("mismatched LoadWords accepted")
+	if _, err := LoadBitset(10, a.Words()); err == nil {
+		t.Error("mismatched LoadBitset accepted")
 	}
 }
 

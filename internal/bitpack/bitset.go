@@ -18,6 +18,19 @@ func NewBitset(n int) (*Bitset, error) {
 	return &Bitset{n: n, words: make([]uint64, (n+63)/64)}, nil
 }
 
+// LoadBitset returns n bits over words, the packed array Words returned,
+// which must have exactly the length NewBitset would allocate. The bitset
+// adopts words.
+func LoadBitset(n int, words []uint64) (*Bitset, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("bitpack: negative bitset length %d", n)
+	}
+	if len(words) != (n+63)/64 {
+		return nil, fmt.Errorf("bitpack: word count %d does not match geometry (want %d)", len(words), (n+63)/64)
+	}
+	return &Bitset{n: n, words: words}, nil
+}
+
 // Len returns the number of bits.
 func (b *Bitset) Len() int { return b.n }
 
@@ -68,13 +81,3 @@ func (b *Bitset) check(i int) {
 // Words exposes the packed backing array for serialization. The returned
 // slice aliases the live data; callers must not retain it across mutations.
 func (b *Bitset) Words() []uint64 { return b.words }
-
-// LoadWords replaces the backing array with words, which must have exactly
-// the length Words() returns for this bitset length.
-func (b *Bitset) LoadWords(words []uint64) error {
-	if len(words) != len(b.words) {
-		return fmt.Errorf("bitpack: word count %d does not match geometry (want %d)", len(words), len(b.words))
-	}
-	copy(b.words, words)
-	return nil
-}

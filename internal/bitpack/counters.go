@@ -29,8 +29,23 @@ type Counters struct {
 	log2PerWord int
 }
 
-// NewCounters allocates n counters of the given bit width (1..16).
-func NewCounters(n int, width uint) (*Counters, error) {
+// NewCounters allocates n counters of the given bit width (1..16), all
+// zero.
+func NewCounters(n int, width uint) (*Counters, error) { return newCounters(n, width, nil) }
+
+// LoadCounters returns n counters of the given bit width over words, the
+// packed array Words returned, which must have exactly the length NewCounters
+// would allocate. The counters adopt words.
+func LoadCounters(n int, width uint, words []uint64) (*Counters, error) {
+	if words == nil {
+		words = []uint64{}
+	}
+	return newCounters(n, width, words)
+}
+
+// newCounters builds the counters over words, or over zeroed ones when
+// words is nil.
+func newCounters(n int, width uint, words []uint64) (*Counters, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("bitpack: negative length %d", n)
 	}
@@ -39,6 +54,11 @@ func NewCounters(n int, width uint) (*Counters, error) {
 	}
 	perWord := 64 / int(width)
 	nWords := (n + perWord - 1) / perWord
+	if words == nil {
+		words = make([]uint64, nWords)
+	} else if len(words) != nWords {
+		return nil, fmt.Errorf("bitpack: word count %d does not match geometry (want %d)", len(words), nWords)
+	}
 	log2 := -1
 	if perWord&(perWord-1) == 0 {
 		log2 = bits.TrailingZeros(uint(perWord))
@@ -47,7 +67,7 @@ func NewCounters(n int, width uint) (*Counters, error) {
 		width:       width,
 		mask:        1<<width - 1,
 		n:           n,
-		words:       make([]uint64, nWords),
+		words:       words,
 		perWord:     perWord,
 		log2PerWord: log2,
 	}, nil
@@ -122,13 +142,3 @@ func (e valueError) Error() string {
 // Words exposes the packed backing array for serialization. The returned
 // slice aliases the live data; callers must not retain it across mutations.
 func (c *Counters) Words() []uint64 { return c.words }
-
-// LoadWords replaces the backing array with words, which must have exactly
-// the length Words() returns for this counter geometry.
-func (c *Counters) LoadWords(words []uint64) error {
-	if len(words) != len(c.words) {
-		return fmt.Errorf("bitpack: word count %d does not match geometry (want %d)", len(words), len(c.words))
-	}
-	copy(c.words, words)
-	return nil
-}

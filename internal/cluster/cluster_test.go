@@ -55,11 +55,14 @@ func startTestNode(t *testing.T, addr string, nodes []string, opt nodeOpts) *tes
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := wire.NewReplicated(tab, wire.ReplicaConfig{OplogSize: opt.oplogSize})
+	cfg := wire.ReplicaConfig{OplogSize: opt.oplogSize}
+	var rep *wire.Replicated
 	if opt.sidecar != "" {
-		if err := rep.LoadSidecar(opt.sidecar); err != nil {
+		if rep, err = wire.RestoreReplicated(tab, cfg, opt.sidecar); err != nil {
 			t.Fatal(err)
 		}
+	} else {
+		rep = wire.NewReplicated(tab, cfg)
 	}
 	srv, err := wire.NewServer(wire.Config{Store: rep, SubKeepalive: 50 * time.Millisecond, Trace: opt.trace})
 	if err != nil {

@@ -1,11 +1,10 @@
 package core
 
 // Fault-injection port: raw accessors over the on-chip and off-chip state
-// that deliberately bypass every invariant. They exist solely for
-// internal/faultinject and the fault-matrix tests, which corrupt a table and
-// then assert that Repair heals it (or that Load rejects it). Production
-// code paths never call them; the package is internal, so they are invisible
-// to library users.
+// that deliberately bypass every invariant. They exist solely for the
+// injector and the fault-matrix tests (faultinject_test.go, fault_test.go),
+// which corrupt a table and then assert that Repair heals it (or that Load
+// rejects it). Being test code, they are not in the build.
 //
 // Index spaces: cells are the flat key/value slot indexes
 // ((table*n+bucket)*l+slot, so table*n+bucket on a single-slot Table);

@@ -1,4 +1,4 @@
-package faultinject_test
+package core_test
 
 import (
 	"bytes"
@@ -7,7 +7,6 @@ import (
 
 	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
-	"mccuckoo/internal/faultinject"
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/shard"
 )
@@ -15,7 +14,7 @@ import (
 // faultTable is what the matrix drives: a corruptible table with repair and
 // invariant checking. Both core table kinds satisfy it.
 type faultTable interface {
-	faultinject.Port
+	Port
 	kv.Table
 	Repair() core.RepairReport
 	CheckInvariants() error
@@ -70,8 +69,8 @@ func TestOnChipFaultMatrixHealed(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for trial := uint64(0); trial < 8; trial++ {
 				tab, expect := build(t, c, 0.80)
-				inj := faultinject.New(1000*c.cfg.Seed + trial)
-				var faults []faultinject.Fault
+				inj := NewInjector(1000*c.cfg.Seed + trial)
+				var faults []Fault
 				for i := 0; i < 4; i++ {
 					faults = append(faults,
 						inj.FlipCounterBit(tab),
@@ -104,6 +103,40 @@ func TestOnChipFaultMatrixHealed(t *testing.T) {
 	}
 }
 
+// CheckInvariants is every load's check, so it must catch the on-chip fault
+// only the copy count sees: the copies of one multi-copy key stamped with
+// another in-range count, which keeps the size, the live copy total and the
+// copies' agreement on their counter.
+func TestInvariantsCatchMiscountedCopies(t *testing.T) {
+	for _, c := range combos() {
+		t.Run(c.name, func(t *testing.T) {
+			for trial := uint64(0); trial < 4; trial++ {
+				tab, _ := build(t, c, 0.80)
+				inj := NewInjector(3000*c.cfg.Seed + trial)
+				cells := inj.multiCopyCells(tab, 2)
+				if len(cells) == 0 {
+					t.Fatal("no key with two copies at 80% load")
+				}
+				key := tab.FaultCellKey(cells[inj.intn(len(cells))])
+				var copies []int
+				for _, i := range cells {
+					if tab.FaultCellKey(i) == key {
+						copies = append(copies, i)
+					}
+				}
+				wrong := uint64(len(copies))%uint64(tab.FaultArity()) + 1
+				for _, i := range copies {
+					tab.FaultSetCounter(i, wrong)
+				}
+				if err := tab.CheckInvariants(); err == nil {
+					t.Fatalf("trial %d: key %#x's %d copies, each counting %d, pass CheckInvariants",
+						trial, key, len(copies), wrong)
+				}
+			}
+		})
+	}
+}
+
 // On tables with deletion history the healing guarantee is necessarily
 // weaker (deletions live only on-chip): after faults and Repair the table
 // must be internally consistent and every lookup must return either the
@@ -122,7 +155,7 @@ func TestFaultMatrixAfterDeletions(t *testing.T) {
 					}
 					i++
 				}
-				inj := faultinject.New(7000*c.cfg.Seed + trial)
+				inj := NewInjector(7000*c.cfg.Seed + trial)
 				for i := 0; i < 6; i++ {
 					inj.FlipCounterBit(tab)
 					inj.CorruptCounter(tab)
@@ -303,7 +336,7 @@ func TestInjectorDeterministicAndSnapshotPrimitives(t *testing.T) {
 		return tab
 	}
 	a, b := mk(), mk()
-	ia, ib := faultinject.New(42), faultinject.New(42)
+	ia, ib := NewInjector(42), NewInjector(42)
 	for i := 0; i < 20; i++ {
 		fa := ia.FlipCounterBit(a)
 		fb := ib.FlipCounterBit(b)
@@ -317,7 +350,7 @@ func TestInjectorDeterministicAndSnapshotPrimitives(t *testing.T) {
 	if _, err := tab.(*core.Table).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(43)
+	inj := NewInjector(43)
 	for i := 0; i < 200; i++ {
 		raw := append([]byte{}, buf.Bytes()...)
 		f := inj.FlipSnapshotBit(raw)

@@ -1,4 +1,4 @@
-// Package faultinject deterministically corrupts McCuckoo tables and their
+// The fault injector deterministically corrupts McCuckoo tables and their
 // snapshots for fault-tolerance testing. Every injector is seeded, so a
 // failing test reproduces bit-for-bit from its seed.
 //
@@ -12,12 +12,12 @@
 //     the redundant copies; snapshot corruption must be *detected* at load
 //     (the checksums' job), never silently absorbed.
 //
-// The fault-matrix tests assert exactly that contract: every injected fault
-// is either detected at Load or healed by Repair.
-package faultinject
+// The fault-matrix tests (fault_test.go) assert exactly that contract:
+// every injected fault is either detected at Load or healed by Repair.
+package core_test
 
 // Port is the raw-mutation surface a corruptible table exposes; both
-// core.Table and core.BlockedTable implement it (see core's faultport.go for
+// core.Table and core.BlockedTable implement it (see export_test.go for
 // the index spaces).
 type Port interface {
 	FaultNumCounters() int
@@ -50,9 +50,9 @@ type Injector struct {
 	state uint64
 }
 
-// New returns an injector whose whole fault sequence is a pure function of
-// seed.
-func New(seed uint64) *Injector {
+// NewInjector returns an injector whose whole fault sequence is a pure
+// function of seed.
+func NewInjector(seed uint64) *Injector {
 	return &Injector{state: seed ^ 0x9e3779b97f4a7c15}
 }
 

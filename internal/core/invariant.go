@@ -7,29 +7,28 @@ import (
 )
 
 // CheckInvariants exhaustively validates the table's internal consistency.
-// It is O(capacity · d) and meant for tests and debugging, not production
-// paths; it charges no memory traffic.
+// Every load runs it on the table it built, and tests run it after their
+// operations. It is O(capacity · d · l), allocates nothing per key, and
+// charges no memory traffic.
 //
 // Verified properties:
 //
-//   - every live cell's stored key hashes to that bucket (copies only live
-//     in candidate positions);
-//   - for every live item, the number of cells holding its key equals the
-//     counter value of each of those cells (counter consistency);
+//   - every live cell's counter is at most d, and its stored key hashes to
+//     that bucket (copies only live in candidate positions);
+//   - for every live item, the number of cells holding its key in its d
+//     candidate buckets equals the counter value of each of those cells
+//     (counter consistency, the property the paper's counters encode);
 //   - on a blocked table, every live slot's hint vector points exactly at
 //     the item's live copies (checkHints);
 //   - size equals the number of distinct live keys and copiesTotal the
 //     number of live copies;
+//   - before any deletion, no live item has an all-empty candidate bucket;
 //   - no live key also sits in the stash.
 func (s *tableState) CheckInvariants() error {
 	d, n, l := s.cfg.D, s.cfg.BucketsPerTable, s.cfg.Slots
-	type info struct {
-		copies int
-		cnt    uint64
-	}
-	items := make(map[uint64]*info)
-	liveCopies := 0
+	items, liveCopies := 0, 0
 	hints := s.algo.hintsRef()
+	var cand [hashutil.MaxD]int
 
 	for table := 0; table < d; table++ {
 		for bucket := 0; bucket < n; bucket++ {
@@ -43,63 +42,38 @@ func (s *tableState) CheckInvariants() error {
 					return fmt.Errorf("cell (%d,%d,%d): counter %d exceeds d=%d", table, bucket, slot, c, d)
 				}
 				key := s.cells[idx].Key
-				if s.family.Index(table, key) != bucket {
+				s.family.Indexes(key, cand[:])
+				if cand[table] != bucket {
 					return fmt.Errorf("cell (%d,%d,%d): key %#x does not hash here", table, bucket, slot, key)
 				}
 				if hints != nil {
-					if err := s.checkHints(*hints, table, bucket, slot, key, c); err != nil {
+					if err := s.checkHints(*hints, cand[:], table, bucket, slot, key, c); err != nil {
 						return err
 					}
 				}
 				liveCopies++
-				it := items[key]
-				if it == nil {
-					items[key] = &info{copies: 1, cnt: c}
+				// The key's other checks run once, at its first copy in
+				// table order.
+				if s.liveCopyBefore(key, cand[:], idx) {
 					continue
 				}
-				if it.cnt != c {
-					return fmt.Errorf("key %#x: copies disagree on counter (%d vs %d)", key, it.cnt, c)
-				}
-				it.copies++
-			}
-		}
-	}
-	for key, it := range items {
-		if uint64(it.copies) != it.cnt {
-			return fmt.Errorf("key %#x: %d live copies but counter says %d", key, it.copies, it.cnt)
-		}
-	}
-	// Before any deletion, an inserted item can never have a candidate
-	// bucket whose cells are all empty: insertion takes a cell in every such
-	// bucket, and only deletion zeroes counters. Lookup rule 1 (the
-	// Bloom-filter shortcut) is sound precisely because of this.
-	if !s.deletedAny {
-		var cand [hashutil.MaxD]int
-		for key := range items {
-			s.family.Indexes(key, cand[:])
-			for j := 0; j < d; j++ {
-				empty := true
-				for slot := 0; slot < l; slot++ {
-					if s.counters.Get(s.cellIndex(j, cand[j], slot)) != 0 {
-						empty = false
-						break
-					}
-				}
-				if empty {
-					return fmt.Errorf("key %#x has an all-empty candidate bucket in table %d before any deletion", key, j)
+				items++
+				if err := s.checkCopies(key, cand[:d], c); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	if len(items) != s.size {
-		return fmt.Errorf("size = %d but %d distinct live keys found", s.size, len(items))
+	if items != s.size {
+		return fmt.Errorf("size = %d but %d distinct live keys found", s.size, items)
 	}
 	if liveCopies != s.copiesTotal {
 		return fmt.Errorf("copiesTotal = %d but %d live copies found", s.copiesTotal, liveCopies)
 	}
 	if s.overflow != nil {
 		for _, e := range s.overflow.Entries() {
-			if _, dup := items[e.Key]; dup {
+			s.family.Indexes(e.Key, cand[:])
+			if s.liveCopyBefore(e.Key, cand[:], len(s.cells)) {
 				return fmt.Errorf("key %#x is both live and stashed", e.Key)
 			}
 		}
@@ -107,17 +81,63 @@ func (s *tableState) CheckInvariants() error {
 	return nil
 }
 
-// checkHints verifies the hint vector of one live blocked slot: hints[j]
-// names a slot in subtable j holding the same key with the same counter,
-// hints for absent copies are noSlot, and the item's own entry names its
-// own slot.
-func (s *tableState) checkHints(hints [][4]int8, table, bucket, slot int, key, c uint64) error {
+// liveCopyBefore reports whether a live cell before cell end, in table
+// order, holds key in one of its candidate buckets cand.
+func (s *tableState) liveCopyBefore(key uint64, cand []int, end int) bool {
+	for j := 0; j < s.cfg.D; j++ {
+		for slot := 0; slot < s.cfg.Slots; slot++ {
+			idx := s.cellIndex(j, cand[j], slot)
+			if idx >= end {
+				return false
+			}
+			if s.cells[idx].Key == key && !s.isFree(s.counters.Get(idx)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkCopies counts key's live copies over its candidate buckets cand:
+// each must carry counter c, and there must be c of them. Before any
+// deletion, no candidate bucket may be all empty either: insertion takes a
+// cell in every such bucket, and only deletion zeroes counters. Lookup rule
+// 1 (the Bloom-filter shortcut) is sound precisely because of this.
+func (s *tableState) checkCopies(key uint64, cand []int, c uint64) error {
+	copies := uint64(0)
+	for j, bucket := range cand {
+		empty := true
+		for slot := 0; slot < s.cfg.Slots; slot++ {
+			idx := s.cellIndex(j, bucket, slot)
+			jc := s.counters.Get(idx)
+			empty = empty && jc == 0
+			if s.isFree(jc) || s.cells[idx].Key != key {
+				continue
+			}
+			if jc != c {
+				return fmt.Errorf("key %#x: copies disagree on counter (%d vs %d)", key, c, jc)
+			}
+			copies++
+		}
+		if empty && !s.deletedAny {
+			return fmt.Errorf("key %#x has an all-empty candidate bucket in table %d before any deletion", key, j)
+		}
+	}
+	if copies != c {
+		return fmt.Errorf("key %#x: %d live copies but counter says %d", key, copies, c)
+	}
+	return nil
+}
+
+// checkHints verifies the hint vector of one live blocked slot, whose key
+// has candidate buckets cand: hints[j] names a slot in subtable j holding
+// the same key with the same counter, hints for absent copies are noSlot,
+// and the item's own entry names its own slot.
+func (s *tableState) checkHints(hints [][4]int8, cand []int, table, bucket, slot int, key, c uint64) error {
 	h := hints[s.cellIndex(table, bucket, slot)]
 	if h[table] != int8(slot) {
 		return fmt.Errorf("cell (%d,%d,%d): own hint %d, want %d", table, bucket, slot, h[table], slot)
 	}
-	var cand [hashutil.MaxD]int
-	s.family.Indexes(key, cand[:])
 	hinted := 0
 	for j := 0; j < s.cfg.D; j++ {
 		if h[j] == noSlot {

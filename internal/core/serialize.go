@@ -6,10 +6,8 @@ import (
 	"math"
 
 	"mccuckoo/internal/atomicio"
-	"mccuckoo/internal/bitpack"
 	"mccuckoo/internal/kv"
 	"mccuckoo/internal/memmodel"
-	"mccuckoo/internal/stash"
 )
 
 // Serialization: a versioned little-endian binary snapshot of a table.
@@ -91,58 +89,67 @@ func boolByte(b bool) uint8 {
 	return 0
 }
 
-//mcvet:deterministic
-func writeStash(s *atomicio.Writer, entries []kv.Entry) {
-	s.U64(uint64(len(entries)))
-	for _, e := range entries {
-		s.U64(e.Key)
-		s.U64(e.Value)
-	}
-}
-
 // readStash reads the stash entries, rejecting any count above maxLen (the
 // configured stash limit, or the global array bound for unbounded stashes;
 // 0 when the configuration has no stash at all).
 func readStash(s *atomicio.Reader, maxLen uint64) []kv.Entry {
 	n := s.U64()
-	if s.Err() != nil {
-		return nil
-	}
-	if n > maxLen {
+	if s.Err() == nil && n > maxLen {
 		s.Failf("stash length %d exceeds limit %d", n, maxLen)
-		return nil
 	}
-	entries := make([]kv.Entry, 0, min(n, 1<<14))
-	for i := uint64(0); i < n; i++ {
-		e := kv.Entry{Key: s.U64(), Value: s.U64()}
-		if s.Err() != nil {
-			return nil
-		}
-		entries = append(entries, e)
+	entries := make([]kv.Entry, 0, s.Alloc(n, 16))
+	for i := uint64(0); i < n && s.Err() == nil; i++ {
+		entries = append(entries, kv.Entry{Key: s.U64(), Value: s.U64()})
 	}
 	return entries
 }
 
 // maxSnapshotArray bounds any single array in a snapshot; together with the
-// chunked reader it keeps garbage input from triggering large allocations.
+// stream's allocation rule it keeps garbage input from triggering large
+// allocations.
 const maxSnapshotArray = 1 << 32
 
-// snapshotState is the complete logical content of a snapshot, shared by the
-// single-slot and blocked writers and loaders.
+// tableArrays are a table's off-chip and on-chip arrays: an empty table's,
+// or a snapshot's, read in place for the loaded table to adopt.
+type tableArrays struct {
+	cells        []kv.Entry
+	hints        [][4]int8 // blocked only
+	counterWords []uint64
+	flagWords    []uint64
+	kickWords    []uint64 // MinCounter only
+}
+
+// emptyArrays allocates the arrays of an empty table of cfg in the order
+// New has always allocated them, on-chip words then cells, so a new table's
+// memory layout stays as it was.
+func emptyArrays(cfg *Config, blocked bool) tableArrays {
+	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(cfg)
+	a := tableArrays{
+		counterWords: make([]uint64, counterWords),
+		flagWords:    make([]uint64, flagWords),
+		kickWords:    make([]uint64, kickWords),
+	}
+	a.cells = make([]kv.Entry, cells)
+	if blocked {
+		a.hints = make([][4]int8, cells)
+		for i := range a.hints {
+			a.hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
+		}
+	}
+	return a
+}
+
+// snapshotState is the content of a snapshot that passed every check of the
+// stream: the configuration, the bookkeeping, and the arrays the loaded
+// table adopts.
 type snapshotState struct {
-	kind            uint8
+	tableArrays
 	cfg             Config
 	size            int
 	copiesTotal     int
 	redundantWrites int64
 	deletedAny      bool
 	meter           memmodel.Meter
-	keys            []uint64
-	vals            []uint64
-	hints           [][4]int8 // blocked only
-	counterWords    []uint64
-	flagWords       []uint64
-	kickWords       []uint64
 	stash           []kv.Entry
 }
 
@@ -162,65 +169,113 @@ func snapshotGeometry(cfg *Config) (cells, flagBits, counterWords, flagWords, ki
 	return
 }
 
-// writeSnapshot emits the v3 checksummed stream. The byte stream must be a
-// pure function of the logical state: snapshots are diffed and checksummed
-// across hosts, so nothing time-, rand-, or map-order-dependent may leak in.
+// configLen is the length of writeConfig's fields.
+const configLen = 1 + 1 + 4 + 8 + 1 + 1 + 1 + 4 + 1 + 1 + 1 + 8 + 1 + 4 + 8 + 4 + 8
+
+// SnapshotLen returns the length of the snapshot WriteSnapshot writes, a
+// function of the configuration, the kind and the stash length: the sharded
+// container announces each shard's frame with it.
+func (s *tableState) SnapshotLen() uint64 {
+	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(&s.cfg)
+	n := uint64(4+1+1+configLen+4) + // header section
+		3*8 + 1 + 4*8 + 4 + // bookkeeping section
+		8 + 8*cells + 8 + 8*cells + 4 + // buckets section: keys, values
+		8 + 8*counterWords + 8 + 8*flagWords + 8 + 8*kickWords + 4 + // onchip section
+		8 + 16*uint64(s.StashLen()) + 4 + // stash section
+		4 // trailer
+	if s.kind == kindBlocked {
+		n += 8 + 4*cells // the buckets section's slot hints
+	}
+	return n
+}
+
+// WriteTo serializes the table. It implements io.WriterTo.
 //
 //mcvet:deterministic
-func writeSnapshot(w io.Writer, st *snapshotState) (int64, error) {
-	s := atomicio.NewWriter(w)
+func (s *tableState) WriteTo(w io.Writer) (int64, error) {
+	return s.WriteSnapshot(atomicio.NewWriter(w))
+}
 
-	s.BeginSection()
-	s.Bytes([]byte(atomicio.MagicTable))
-	s.U8(snapshotVersion)
-	s.U8(st.kind)
-	writeConfig(s, st.cfg)
-	s.EndSection()
+// WriteSnapshot writes the v3 snapshot to out, a whole file's stream or a
+// frame's, straight from the table's arrays, and finishes it. The byte
+// stream must be a pure function of the logical state: snapshots are diffed
+// and checksummed across hosts, so nothing time-, rand-, or
+// map-order-dependent may leak in.
+//
+//mcvet:deterministic
+func (s *tableState) WriteSnapshot(out *atomicio.Writer) (int64, error) {
+	out.BeginSection()
+	out.Bytes([]byte(atomicio.MagicTable))
+	out.U8(snapshotVersion)
+	out.U8(s.kind)
+	writeConfig(out, s.cfg)
+	out.EndSection()
 
-	s.BeginSection()
-	s.U64(uint64(st.size))
-	s.U64(uint64(st.copiesTotal))
-	s.U64(uint64(st.redundantWrites))
-	s.U8(boolByte(st.deletedAny))
-	s.U64(uint64(st.meter.OffChipReads))
-	s.U64(uint64(st.meter.OffChipWrites))
-	s.U64(uint64(st.meter.OnChipReads))
-	s.U64(uint64(st.meter.OnChipWrites))
-	s.EndSection()
+	m := s.meter.Snapshot()
+	out.BeginSection()
+	out.U64(uint64(s.size))
+	out.U64(uint64(s.copiesTotal))
+	out.U64(uint64(s.redundantWrites))
+	out.U8(boolByte(s.deletedAny))
+	out.U64(uint64(m.OffChipReads))
+	out.U64(uint64(m.OffChipWrites))
+	out.U64(uint64(m.OnChipReads))
+	out.U64(uint64(m.OnChipWrites))
+	out.EndSection()
 
-	s.BeginSection()
-	s.U64s(st.keys)
-	s.U64s(st.vals)
-	if st.kind == kindBlocked {
-		s.U64(uint64(len(st.hints)))
-		for _, h := range st.hints {
-			s.U32(uint32(uint8(h[0])) | uint32(uint8(h[1]))<<8 |
+	// The byte format predates the interleaved cells: keys, then values.
+	out.BeginSection()
+	out.U64(uint64(len(s.cells)))
+	for _, c := range s.cells {
+		out.U64(c.Key)
+	}
+	out.U64(uint64(len(s.cells)))
+	for _, c := range s.cells {
+		out.U64(c.Value)
+	}
+	if hints := s.algo.hintsRef(); hints != nil {
+		out.U64(uint64(len(*hints)))
+		for _, h := range *hints {
+			out.U32(uint32(uint8(h[0])) | uint32(uint8(h[1]))<<8 |
 				uint32(uint8(h[2]))<<16 | uint32(uint8(h[3]))<<24)
 		}
 	}
-	s.EndSection()
+	out.EndSection()
 
-	s.BeginSection()
-	s.U64s(st.counterWords)
-	s.U64s(st.flagWords)
-	s.U64s(st.kickWords)
-	s.EndSection()
+	out.BeginSection()
+	out.U64s(s.counters.Words())
+	out.U64s(s.flags.Words())
+	var kickWords []uint64
+	if s.kickCounts != nil {
+		kickWords = s.kickCounts.Words()
+	}
+	out.U64s(kickWords)
+	out.EndSection()
 
-	s.BeginSection()
-	writeStash(s, st.stash)
-	s.EndSection()
+	out.BeginSection()
+	var stashed []kv.Entry
+	if s.overflow != nil {
+		stashed = s.overflow.Entries()
+	}
+	out.U64(uint64(len(stashed)))
+	for _, e := range stashed {
+		out.U64(e.Key)
+		out.U64(e.Value)
+	}
+	out.EndSection()
 
-	return s.Finish()
+	return out.Finish()
 }
 
-// readSnapshot parses and fully validates a v3 stream of the wanted kind.
+// readSnapshot parses and fully validates a v3 stream of the wanted kind,
+// reading each array once, into the array the loaded table adopts.
 // Everything is checked against the configuration-implied geometry before
 // any geometry-sized allocation happens, and every section must pass its
 // checksum. A snapshot of the other kind whose header checksum passes is
 // declined with atomicio.ErrOtherKind, not reported as corrupt.
 func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 	kindName, blocked := kindNames[wantKind], wantKind == kindBlocked
-	st := &snapshotState{kind: wantKind}
+	st := &snapshotState{}
 
 	s.BeginSection("header")
 	s.Magic(kindName, atomicio.MagicTable)
@@ -272,28 +327,28 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 		OnChipReads: int64(onR), OnChipWrites: int64(onW)}
 
 	s.BeginSection("buckets")
-	st.keys = s.U64sExact(cells, "bucket keys")
-	st.vals = s.U64sExact(cells, "bucket values")
+	st.cells = make([]kv.Entry, 0, s.Len(cells, 8, "bucket keys"))
+	for i := uint64(0); i < cells && s.Err() == nil; i++ {
+		st.cells = append(st.cells, kv.Entry{Key: s.U64()})
+	}
+	s.Len(cells, 8, "bucket values")
+	for i := range st.cells {
+		st.cells[i].Value = s.U64()
+	}
 	if blocked {
-		nHints := s.U64()
-		if s.Err() == nil && nHints != cells {
-			s.Failf("hint count %d does not match slot count %d", nHints, cells)
-		}
-		if s.Err() == nil {
-			st.hints = make([][4]int8, 0, min(nHints, 1<<14))
-			for i := uint64(0); i < nHints && s.Err() == nil; i++ {
-				packed := s.U32()
-				h := [4]int8{
-					int8(uint8(packed)), int8(uint8(packed >> 8)),
-					int8(uint8(packed >> 16)), int8(uint8(packed >> 24)),
-				}
-				for _, hv := range h {
-					if hv != noSlot && (hv < 0 || int(hv) >= cfg.Slots) {
-						s.Failf("slot hint %d out of range for %d slots", hv, cfg.Slots)
-					}
-				}
-				st.hints = append(st.hints, h)
+		st.hints = make([][4]int8, 0, s.Len(cells, 4, "slot hints"))
+		for i := uint64(0); i < cells && s.Err() == nil; i++ {
+			packed := s.U32()
+			h := [4]int8{
+				int8(uint8(packed)), int8(uint8(packed >> 8)),
+				int8(uint8(packed >> 16)), int8(uint8(packed >> 24)),
 			}
+			for _, hv := range h {
+				if hv != noSlot && (hv < 0 || int(hv) >= cfg.Slots) {
+					s.Failf("slot hint %d out of range for %d slots", hv, cfg.Slots)
+				}
+			}
+			st.hints = append(st.hints, h)
 		}
 	}
 	s.EndSection()
@@ -320,51 +375,6 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 		return nil, s.Err()
 	}
 	return st, nil
-}
-
-// splitCells materializes the snapshot's split key/value arrays from the
-// interleaved cells: the snapshot byte format predates the interleaving and
-// must stay byte-identical across it.
-func splitCells(cells []kv.Entry) (keys, vals []uint64) {
-	keys = make([]uint64, len(cells))
-	vals = make([]uint64, len(cells))
-	for i, c := range cells {
-		keys[i], vals[i] = c.Key, c.Value
-	}
-	return keys, vals
-}
-
-// snapshot captures the table's complete logical state.
-//
-//mcvet:deterministic
-func (s *tableState) snapshot() *snapshotState {
-	keys, vals := splitCells(s.cells)
-	st := &snapshotState{
-		kind:            s.kind,
-		cfg:             s.cfg,
-		size:            s.size,
-		copiesTotal:     s.copiesTotal,
-		redundantWrites: s.redundantWrites,
-		deletedAny:      s.deletedAny,
-		meter:           s.meter.Snapshot(),
-		keys:            keys,
-		vals:            vals,
-		counterWords:    s.counters.Words(),
-		flagWords:       s.flags.Words(),
-		kickWords:       kickWordsOf(s.kickCounts),
-		stash:           stashEntriesOf(s.overflow),
-	}
-	if hints := s.algo.hintsRef(); hints != nil {
-		st.hints = *hints
-	}
-	return st
-}
-
-// WriteTo serializes the table. It implements io.WriterTo.
-//
-//mcvet:deterministic
-func (s *tableState) WriteTo(w io.Writer) (int64, error) {
-	return writeSnapshot(w, s.snapshot())
 }
 
 // SaveFile writes a crash-safe snapshot of the table to path: temp file in
@@ -394,108 +404,59 @@ func LoadBlockedFile(path string) (*BlockedTable, error) {
 
 // Read reads a single-slot table snapshot from s with Load's guarantees.
 // The sharded container reads each shard's snapshot in place through it.
-func Read(s *atomicio.Reader) (*Table, error) { return loadSnapshot(s, kindSingle, New) }
-
-// ReadBlocked is Read for a blocked table snapshot.
-func ReadBlocked(s *atomicio.Reader) (*BlockedTable, error) {
-	return loadSnapshot(s, kindBlocked, NewBlocked)
-}
-
-// restorer is a freshly built table that a validated snapshot can be
-// restored into; both kinds implement it through their shared state.
-type restorer interface {
-	restore(st *snapshotState, offset int64) error
-}
-
-// loadSnapshot reads one snapshot of the given kind and restores it into the
-// table build makes from the snapshot's configuration.
-func loadSnapshot[T restorer](s *atomicio.Reader, kind uint8, build func(Config) (T, error)) (T, error) {
-	var none T
-	st, err := readSnapshot(s, kind)
-	if err != nil {
-		return none, err
-	}
-	t, err := build(st.cfg)
-	if err != nil {
-		return none, &atomicio.CorruptError{Kind: kindNames[kind], Section: "header", Offset: s.Offset(),
-			Reason: "configuration rejected", Err: err}
-	}
-	if err := t.restore(st, s.Offset()); err != nil {
-		return none, err
+func Read(s *atomicio.Reader) (*Table, error) {
+	t := &Table{}
+	if err := t.load(s, kindSingle, t); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// restore installs a validated snapshot into a freshly built table and
-// re-checks every invariant.
-func (s *tableState) restore(st *snapshotState, n int64) error {
-	kind := kindNames[s.kind]
+// ReadBlocked is Read for a blocked table snapshot.
+func ReadBlocked(s *atomicio.Reader) (*BlockedTable, error) {
+	t := &BlockedTable{}
+	if err := t.load(s, kindBlocked, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// load reads a snapshot of the given kind into s, a zero table whose probe
+// algorithm is algo. The table adopts the snapshot's arrays as read, and
+// every invariant is checked again.
+func (s *tableState) load(in *atomicio.Reader, kind uint8, algo algorithm) error {
+	st, err := readSnapshot(in, kind)
+	if err != nil {
+		return err
+	}
+	name, n := kindNames[kind], in.Offset()
+	s.init(st.cfg, kind, algo)
+	if err := s.install(st.cfg, &st.tableArrays); err != nil {
+		return &atomicio.CorruptError{Kind: name, Section: "header", Offset: n,
+			Reason: "configuration rejected", Err: err}
+	}
 	s.size = st.size
 	s.copiesTotal = st.copiesTotal
 	s.redundantWrites = st.redundantWrites
 	s.deletedAny = st.deletedAny
 	s.meter = st.meter
-	for i := range s.cells {
-		s.cells[i] = kv.Entry{Key: st.keys[i], Value: st.vals[i]}
-	}
-	if hints := s.algo.hintsRef(); hints != nil {
-		copy(*hints, st.hints)
-	}
-	if err := restoreOnChip(st, s.counters, s.flags, s.kickCounts, uint64(s.cfg.D), s.tombstoneVal); err != nil {
-		return &atomicio.CorruptError{Kind: kind, Section: "onchip", Offset: n,
-			Reason: "on-chip state invalid", Err: err}
+	d := uint64(s.cfg.D)
+	for i := 0; i < s.counters.Len(); i++ {
+		if v := s.counters.Get(i); v > d && (s.tombstoneVal == 0 || v != s.tombstoneVal) {
+			return &atomicio.CorruptError{Kind: name, Section: "onchip", Offset: n,
+				Reason: "on-chip state invalid", Err: fmt.Errorf("counter %d holds %d, above d=%d", i, v, d)}
+		}
 	}
 	if s.overflow != nil {
 		if err := s.overflow.Restore(st.stash); err != nil {
-			return &atomicio.CorruptError{Kind: kind, Section: "stash", Offset: n,
+			return &atomicio.CorruptError{Kind: name, Section: "stash", Offset: n,
 				Reason: "stash rejected", Err: err}
 		}
 	}
 	s.reseedRNG()
 	if err := s.CheckInvariants(); err != nil {
-		return &atomicio.CorruptError{Kind: kind, Section: "consistency", Offset: n,
+		return &atomicio.CorruptError{Kind: name, Section: "consistency", Offset: n,
 			Reason: "snapshot inconsistent", Err: err}
 	}
 	return nil
-}
-
-// restoreOnChip loads the packed counter/flag/kick words into a freshly
-// allocated table and bounds-checks every counter value against d (plus the
-// tombstone mark when enabled) — a snapshot cannot smuggle counter values
-// the insertion and lookup logic would never produce.
-func restoreOnChip(st *snapshotState, counters interface {
-	LoadWords([]uint64) error
-	Len() int
-	Get(int) uint64
-}, flags interface{ LoadWords([]uint64) error }, kick interface{ LoadWords([]uint64) error },
-	d, tombstoneVal uint64) error {
-	if err := counters.LoadWords(st.counterWords); err != nil {
-		return err
-	}
-	for i := 0; i < counters.Len(); i++ {
-		if v := counters.Get(i); v > d && (tombstoneVal == 0 || v != tombstoneVal) {
-			return fmt.Errorf("counter %d holds %d, above d=%d", i, v, d)
-		}
-	}
-	if err := flags.LoadWords(st.flagWords); err != nil {
-		return err
-	}
-	if kick != nil && len(st.kickWords) > 0 {
-		return kick.LoadWords(st.kickWords)
-	}
-	return nil
-}
-
-func kickWordsOf(c *bitpack.Counters) []uint64 {
-	if c == nil {
-		return nil
-	}
-	return c.Words()
-}
-
-func stashEntriesOf(s *stash.Stash) []kv.Entry {
-	if s == nil {
-		return nil
-	}
-	return s.Entries()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"mccuckoo/internal/atomicio"
@@ -266,4 +267,40 @@ func TestSnapshotTombstoneAndPolicy(t *testing.T) {
 		}
 	}
 	checkInv(t, got)
+}
+
+// TestSnapshotLenIsWhatWriteToWrites: the sharded container announces each
+// shard's frame with SnapshotLen before the shard writes it, so it must be
+// the exact byte count for every option that changes an array's length:
+// blocked slot hints, MinCounter kick words, the wider counters of
+// tombstones, and a stash.
+func TestSnapshotLenIsWhatWriteToWrites(t *testing.T) {
+	cfg := Config{BucketsPerTable: 64, Seed: 5, MaxLoop: 50, StashEnabled: true}
+	mincounter, tombstone := cfg, cfg
+	mincounter.Policy, tombstone.Deletion = kv.MinCounter, Tombstone
+	tables := map[string]interface {
+		kv.Table
+		SnapshotLen() uint64
+		WriteTo(w io.Writer) (int64, error)
+	}{
+		"single":     mustNew(t, cfg),
+		"mincounter": mustNew(t, mincounter),
+		"tombstone":  mustNew(t, tombstone),
+		"blocked":    mustNewBlocked(t, cfg),
+	}
+	for name, tab := range tables {
+		for _, k := range fillKeys(6, tab.Capacity()) {
+			tab.Insert(k, k)
+		}
+		if tab.StashLen() == 0 {
+			t.Fatalf("%s: the fill left the stash empty", name)
+		}
+		var buf bytes.Buffer
+		if _, err := tab.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := tab.SnapshotLen(); got != uint64(buf.Len()) {
+			t.Errorf("%s: SnapshotLen %d, WriteTo wrote %d bytes", name, got, buf.Len())
+		}
+	}
 }

@@ -120,57 +120,68 @@ func (s *tableState) setup(cfg Config, kind uint8, algo algorithm) error {
 	if err := cfg.normalize(kind == kindBlocked); err != nil {
 		return err
 	}
-	s.cfg, s.kind, s.algo = cfg, kind, algo
-	s.rng = rand.New(rand.NewPCG(cfg.Seed, hashutil.Mix64(cfg.Seed+2+uint64(kind))))
-	if cfg.Deletion == Tombstone {
-		s.tombstoneVal = uint64(cfg.D) + 1
-	}
+	s.init(cfg, kind, algo)
+	s.reseedRNG()
 	return s.allocate(cfg.BucketsPerTable, cfg.Seed)
 }
 
+// init sets what a table of a normalized cfg keeps apart from its arrays
+// and its random-walk generator.
+func (s *tableState) init(cfg Config, kind uint8, algo algorithm) {
+	s.cfg, s.kind, s.algo = cfg, kind, algo
+	if cfg.Deletion == Tombstone {
+		s.tombstoneVal = uint64(cfg.D) + 1
+	}
+}
+
 // allocate installs an empty table of n buckets per subtable hashed under
-// seed: cells, counters, flags, kick counters, the kind's hints and the
-// stash, so a grown table's stash hashes like the one Load builds from its
-// snapshot. On error the table is left as it was. As the constructor and
-// rebuild path it owns the installation of every restricted array.
-//
-//mcvet:setter counters flags kickcounts
+// seed, so a grown table's stash hashes like the one Load builds from its
+// snapshot. On error the table is left as it was.
 func (s *tableState) allocate(n int, seed uint64) error {
 	cfg := s.cfg
 	cfg.BucketsPerTable, cfg.Seed = n, seed
+	a := emptyArrays(&cfg, s.kind == kindBlocked)
+	return s.install(cfg, &a)
+}
+
+// install builds the table of cfg around a's arrays, which it adopts: the
+// hash family, the counter, flag and kick-counter arrays over a's words,
+// and a new stash. On error the table is left as it was. As the
+// constructor, loader and rebuild path it owns the installation of every
+// restricted array.
+//
+//mcvet:setter counters flags kickcounts
+func (s *tableState) install(cfg Config, a *tableArrays) error {
 	family, err := newFamily(cfg)
 	if err != nil {
 		return err
 	}
-	buckets := cfg.D * n
-	counters, err := bitpack.NewCounters(buckets*cfg.Slots, cfg.counterWidth())
+	buckets := cfg.D * cfg.BucketsPerTable
+	counters, err := bitpack.LoadCounters(buckets*cfg.Slots, cfg.counterWidth(), a.counterWords)
 	if err != nil {
 		return err
 	}
-	flags, err := bitpack.NewBitset(buckets)
+	flags, err := bitpack.LoadBitset(buckets, a.flagWords)
 	if err != nil {
 		return err
 	}
 	var kickCounts *bitpack.Counters
 	if cfg.Policy == kv.MinCounter {
-		if kickCounts, err = bitpack.NewCounters(buckets, 5); err != nil {
+		if kickCounts, err = bitpack.LoadCounters(buckets, 5, a.kickWords); err != nil {
 			return err
 		}
 	}
 	var overflow *stash.Stash
 	if cfg.StashEnabled {
-		if overflow, err = stash.New(4, cfg.StashMax, seed, &s.meter); err != nil {
+		if overflow, err = stash.New(4, cfg.StashMax, cfg.Seed, &s.meter); err != nil {
 			return err
 		}
 	}
 	s.cfg, s.family, s.overflow = cfg, family, overflow
-	s.cells = make([]kv.Entry, buckets*cfg.Slots)
+	s.cells = a.cells
 	s.counters, s.flags, s.kickCounts = counters, flags, kickCounts
 	if hints := s.algo.hintsRef(); hints != nil {
-		*hints = make([][4]int8, len(s.cells))
-		for i := range *hints {
-			(*hints)[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
-		}
+		*hints = a.hints
 	}
 	return nil
 }

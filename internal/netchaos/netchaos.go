@@ -1,9 +1,9 @@
 // Package netchaos deterministically injects network faults between named
-// endpoints, the network-layer sibling of internal/faultinject: every fault
-// decision — which links are cut, how much latency a write sees, when a
-// connection is reset — is a pure function of the seed and the steering
-// calls the test script makes, so a failing chaos drill reproduces from its
-// seed and script alone.
+// endpoints, the network-layer sibling of internal/core's table fault
+// injector: every fault decision — which links are cut, how much latency a
+// write sees, when a connection is reset — is a pure function of the seed
+// and the steering calls the test script makes, so a failing chaos drill
+// reproduces from its seed and script alone.
 //
 // A Network models directed links between named endpoints. Client-side
 // endpoints get a Dialer, which stamps every outbound connection with the

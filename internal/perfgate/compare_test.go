@@ -202,11 +202,15 @@ func TestSuitesSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CoreSuite: %v", err)
 	}
-	if len(core.Series) != 2*4*2+2+2 {
+	if len(core.Series) != 2*4*2+2+2+6 {
 		t.Fatalf("core suite produced %d series", len(core.Series))
 	}
 	for _, s := range core.Series {
-		if s.NsPerOp <= 0 || s.Ops != 4000 {
+		want := int64(4000) // Ops × Reps
+		if strings.HasPrefix(s.Name, "persist/") {
+			want = persistOps * 2 // whole saves and loads: persistOps × Reps
+		}
+		if s.NsPerOp <= 0 || s.Ops != want {
 			t.Errorf("series %s: ns/op %f over %d ops", s.Name, s.NsPerOp, s.Ops)
 		}
 		kind, _, _ := strings.Cut(s.Name, "/")

@@ -164,9 +164,9 @@ const coreNote = "schema v3 holds counts only: off-chip reads and writes per op 
 
 // CoreSuite measures the four public table kinds: single-thread lookup-hit,
 // lookup-miss (Table only — the paper's headline metric), and the fixed op
-// mix, at every scale, then a Table's fill to 85% and to 90% load. Table
-// and Blocked series carry off-chip counts; Concurrent and Sharded, which
-// expose no meter, carry allocations only.
+// mix, at every scale, then a Table's fill to 85% and to 90% load, then the
+// persist/* series (persistSeries). Table and Blocked series carry off-chip
+// counts; the rest, whose stores expose no meter, carry allocations only.
 func CoreSuite(o SuiteOptions) (*Report, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -218,6 +218,9 @@ func CoreSuite(o SuiteOptions) (*Report, error) {
 		if f.err != nil {
 			return nil, fmt.Errorf("perfgate: table/fill/load=%d: %w", load, f.err)
 		}
+	}
+	if err := persistSeries(r, o); err != nil {
+		return nil, fmt.Errorf("perfgate: persist series: %w", err)
 	}
 	return r, nil
 }

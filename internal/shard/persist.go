@@ -31,10 +31,12 @@ const (
 	innerBlocked = 1
 )
 
-// WriteTo serializes every shard, each under its read lock. The per-shard
-// snapshots are individually consistent; for a cross-shard-consistent file,
-// quiesce writers first (SaveFile from a maintenance window, or wrap the
-// call in application-level exclusion). It implements io.WriterTo.
+// WriteTo serializes every shard, each under its read lock: the shard's
+// table announces its snapshot's length and writes the snapshot as its
+// frame under one hold. The per-shard snapshots are individually
+// consistent; for a cross-shard-consistent file, quiesce writers first
+// (SaveFile from a maintenance window, or wrap the call in
+// application-level exclusion). It implements io.WriterTo.
 //
 //mcvet:deterministic
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
@@ -47,7 +49,10 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	out.U8(s.innerKind())
 	out.EndSection()
 	for i := range s.shards {
-		out.Frame(func(w io.Writer) (int64, error) { return s.WriteShardTo(i, w) })
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		out.Frame(sh.tab.SnapshotLen(), sh.tab.WriteSnapshot)
+		sh.mu.RUnlock()
 	}
 	return out.Finish()
 }

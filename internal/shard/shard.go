@@ -26,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/core"
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
@@ -50,6 +51,8 @@ type Inner interface {
 	Grow(growFactor float64) error
 	Repair() core.RepairReport
 	io.WriterTo
+	SnapshotLen() uint64
+	WriteSnapshot(out *atomicio.Writer) (int64, error)
 }
 
 // MaxShards bounds the shard count; beyond this the per-shard fixed

@@ -101,35 +101,59 @@ var _ mccuckoo.BatchStore = (*Replicated)(nil)
 
 // NewReplicated wraps inner. If inner is non-empty and supports Range (all
 // concrete kinds do), its keys are seeded at an ancient sequence number so
-// they participate in state dumps and version comparisons; LoadSidecar
-// afterwards replaces the seeded bookkeeping with the persisted one.
+// they participate in state dumps and version comparisons. A node restarted
+// with a sidecar builds its bookkeeping with RestoreReplicated instead.
 func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
-	if cfg.OplogSize <= 0 {
-		cfg.OplogSize = 1 << 12
-	}
-	r := &Replicated{
-		inner: inner,
-		seqs:  newSeqIndex(rand.Uint64(), inner.Len()),
-		log:   newOpLog(cfg.OplogSize),
-		subs:  make(map[*logSub]struct{}),
-	}
-	if rng, ok := inner.(interface {
-		Range(func(key, value uint64) bool)
-	}); ok && inner.Len() > 0 {
-		r.mu.Lock()
-		meta := uint64(seededSeq) << 1
-		rng.Range(func(key, value uint64) bool {
-			r.seqs.set(key, meta)
-			r.digest ^= DigestTerm(key, value, meta)
-			return true
-		})
+	r := newReplica(inner, cfg, inner.Len())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.seedLocked() {
 		r.applied = seededSeq
 		r.localSeq = seededSeq
 		r.baseSeq = seededSeq
 		r.drained = seededSeq
-		r.mu.Unlock()
 	}
 	return r
+}
+
+// newReplica returns a Replicated over inner with no tracked key and an
+// index sized for hint keys.
+func newReplica(inner mccuckoo.BatchStore, cfg ReplicaConfig, hint int) *Replicated {
+	if cfg.OplogSize <= 0 {
+		cfg.OplogSize = 1 << 12
+	}
+	return &Replicated{
+		inner: inner,
+		seqs:  newSeqIndex(rand.Uint64(), hint),
+		log:   newOpLog(cfg.OplogSize),
+		subs:  make(map[*logSub]struct{}),
+	}
+}
+
+// seedLocked tracks, at seededSeq, every key of inner that the index does
+// not hold. The index holds only live keys inner holds, so when it holds as
+// many as inner there is none to seed. seedLocked reports whether inner is
+// non-empty and supports Range.
+//
+//mcvet:locked
+func (r *Replicated) seedLocked() bool {
+	rng, ok := r.inner.(interface {
+		Range(func(key, value uint64) bool)
+	})
+	if !ok || r.inner.Len() == 0 {
+		return false
+	}
+	meta := uint64(seededSeq) << 1
+	if r.seqs.n-r.tombs < r.inner.Len() {
+		rng.Range(func(key, value uint64) bool {
+			if p, m := r.seqs.probe(key); m == 0 {
+				r.seqs.update(p, key, meta)
+				r.digest ^= DigestTerm(key, value, meta)
+			}
+			return true
+		})
+	}
+	return true
 }
 
 // Inner returns the wrapped store (for checkpointing by the owner).
@@ -451,10 +475,7 @@ func (r *Replicated) pull(sub *logSub, dst []Entry) ([]Entry, uint64) {
 	for len(dst) == 0 && len(sub.keys) > 0 {
 		n := min(cap(dst), len(sub.keys))
 		for _, k := range sub.keys[:n] {
-			meta, ok := r.seqs.get(k)
-			if !ok {
-				continue // untracked by a LoadSidecar since the catch-up began
-			}
+			meta, _ := r.seqs.get(k)
 			if meta&1 == 1 {
 				dst = append(dst, Entry{Seq: meta >> 1, Op: OpDel, Key: k})
 			} else if v, found := r.inner.Lookup(k); found {
@@ -562,8 +583,8 @@ const sidecarVersion = 2
 // saveValues runs with all mutations excluded, then the sidecar is written
 // while the lock is still held, so the two files always describe the same
 // state. A crash between the two writes leaves a values file newer than
-// the sidecar, which LoadSidecar tolerates (the op-log catch-up replays
-// the gap).
+// the sidecar, which RestoreReplicated tolerates: a key the sidecar lacks
+// is tracked at seededSeq, and the op-log catch-up replays the gap.
 func (r *Replicated) CheckpointWith(saveValues func() error, sidecarPath string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -597,89 +618,78 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 	})
 }
 
-// sidecar is the content of a sidecar file that passed every check.
-type sidecar struct {
-	applied, drained uint64
-	recs             []seqSlot
+// RestoreReplicated wraps inner, the values a restarted node loaded, with
+// the bookkeeping CheckpointWith wrote to the sidecar at path. It builds the
+// per-key index once, from the sidecar's records as they are read: a live
+// key whose value inner no longer holds (deleted after the sidecar's save)
+// is dropped and counted, so it reads as missing and heals through
+// read-repair and the catch-up stream. Then every key of inner that the
+// sidecar lacks, written between a checkpoint's two files by a node that
+// crashed there, is tracked at seededSeq, as NewReplicated tracks a store's
+// keys, so any streamed or swept write supersedes it. A file that is
+// damaged, not a version-2 sidecar, or whose records are not in strictly
+// ascending key order or carry sequence number 0 is rejected with an
+// *atomicio.CorruptError of Kind "sidecar"; the caller then starts from
+// NewReplicated.
+func RestoreReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig, path string) (*Replicated, error) {
+	return atomicio.LoadFile(path, func(s *atomicio.Reader) (*Replicated, error) {
+		return readSidecar(s, inner, cfg)
+	})
 }
 
-// readSidecar reads and checks a whole sidecar. The records are appended
-// as they are read, so memory grows with the bytes present, never with the
-// record count the header claims.
-func readSidecar(s *atomicio.Reader) (*sidecar, error) {
+// readSidecar reads and checks a whole sidecar, tracking each record in a
+// new Replicated over inner as it is read; the index is sized by the bytes
+// present, never by the record count the header claims.
+func readSidecar(s *atomicio.Reader, inner mccuckoo.BatchStore, cfg ReplicaConfig) (*Replicated, error) {
 	s.Magic("sidecar", atomicio.MagicSidecar)
 	if v := s.U32(); s.Err() == nil && v != sidecarVersion {
 		s.Failf("unsupported sidecar version %d (want %d)", v, sidecarVersion)
 	}
-	side := &sidecar{applied: s.U64(), drained: s.U64()}
-	n := s.U64()
+	applied, drained, n := s.U64(), s.U64(), s.U64()
+	if s.Err() != nil {
+		return nil, s.Err()
+	}
 	s.Section("records")
-	for i := uint64(0); i < n && s.Err() == nil; i++ {
-		rec := seqSlot{key: s.U64(), meta: s.U64()}
-		switch {
-		case s.Err() != nil:
-		case i > 0 && rec.key <= side.recs[i-1].key:
-			s.Failf("record %d: key %d repeats or breaks ascending order", i, rec.key)
-		case rec.meta < 2:
-			s.Failf("record %d: key %d has sequence number 0", i, rec.key)
-		}
-		side.recs = append(side.recs, rec)
-	}
-	s.Trailer()
-	return side, s.Err()
-}
-
-// LoadSidecar restores the bookkeeping written by CheckpointWith, replacing
-// any seeded state. Live keys whose value is absent from the wrapped store
-// (a sidecar older than the values snapshot) are dropped from tracking and
-// counted, so they read as missing and heal through read-repair and the
-// catch-up stream. A file that is damaged, not a version-2 sidecar, or
-// whose records are not in strictly ascending key order or carry sequence
-// number 0 is rejected with an *atomicio.CorruptError of Kind "sidecar"
-// and leaves the state untouched: the whole file is read and checked
-// before anything is installed.
-func (r *Replicated) LoadSidecar(path string) error {
-	side, err := atomicio.LoadFile(path, readSidecar)
-	if err != nil {
-		return err
-	}
+	r := newReplica(inner, cfg, max(s.Alloc(n, 16), inner.Len()))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seqs := newSeqIndex(r.seqs.seed, len(side.recs))
-	var digest uint64
-	tombs := 0
 	drops := int64(0)
-	for _, rec := range side.recs {
-		var val uint64
-		if rec.meta&1 == 0 {
-			v, ok := r.inner.Lookup(rec.key)
+	for i, prev := uint64(0), uint64(0); i < n && s.Err() == nil; i++ {
+		key, meta := s.U64(), s.U64()
+		switch {
+		case s.Err() != nil:
+		case i > 0 && key <= prev:
+			s.Failf("record %d: key %d repeats or breaks ascending order", i, key)
+		case meta < 2:
+			s.Failf("record %d: key %d has sequence number 0", i, key)
+		case meta&1 == 1:
+			r.tombs++
+			r.seqs.set(key, meta)
+			r.digest ^= DigestTerm(key, 0, meta)
+		default:
+			v, ok := inner.Lookup(key)
 			if !ok {
-				// Stale sidecar: the key was live at sidecar save time but
-				// the (newer) values snapshot no longer holds it. Drop it;
-				// catch-up replays its newer state.
 				drops++
-				continue
+				break
 			}
-			val = v
-		} else {
-			tombs++
+			r.seqs.set(key, meta)
+			r.digest ^= DigestTerm(key, v, meta)
 		}
-		seqs.set(rec.key, rec.meta)
-		digest ^= DigestTerm(rec.key, val, rec.meta)
+		prev = key
 	}
-	r.seqs = seqs
-	r.digest = digest
-	r.tombs = tombs
-	if side.applied > r.applied {
-		r.applied = side.applied
+	s.Trailer()
+	if s.Err() != nil {
+		return nil, s.Err()
 	}
-	if r.applied > r.localSeq {
-		r.localSeq = r.applied
+	r.applied = applied
+	if r.seedLocked() {
+		r.applied = max(applied, seededSeq)
 	}
+	r.localSeq = r.applied
 	r.baseSeq = r.applied
-	r.drained = side.drained
+	r.drained = drained
 	r.sidecarDrops.Add(drops)
-	return nil
+	return r, nil
 }
 
 // --- observability ---

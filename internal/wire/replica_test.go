@@ -257,8 +257,8 @@ func TestReplicatedSidecarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewReplicated(tab, ReplicaConfig{})
-	if err := b.LoadSidecar(side); err != nil {
+	b, err := RestoreReplicated(tab, ReplicaConfig{}, side)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Applied() != a.Applied() {
@@ -283,6 +283,63 @@ func TestReplicatedSidecarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreTracksKeysTheSidecarLacks: a crash between a checkpoint's two
+// files leaves the new values file with the previous sidecar, so a key
+// written between the two checkpoints is in the store but not in the
+// sidecar. The restored replica tracks it at seededSeq, so VGet, the digest
+// and a full dump see it, and any newer write supersedes it.
+func TestRestoreTracksKeysTheSidecarLacks(t *testing.T) {
+	dir := t.TempDir()
+	side, snap := filepath.Join(dir, "table.snap.replica"), filepath.Join(dir, "table.snap")
+	a := newReplicated(t, 1<<12)
+	saveValues := func() error { return a.Inner().(*mccuckoo.Sharded).SaveFile(snap) }
+	a.ApplyPush([]Entry{{Seq: 10, Op: OpPut, Key: 1, Value: 100}}, nil)
+	if err := a.CheckpointWith(saveValues, side); err != nil {
+		t.Fatal(err)
+	}
+	// The next checkpoint writes its values file and crashes before the
+	// sidecar.
+	a.ApplyPush([]Entry{{Seq: 11, Op: OpPut, Key: 2, Value: 200}}, nil)
+	if err := saveValues(); err != nil {
+		t.Fatal(err)
+	}
+
+	tab, err := mccuckoo.LoadShardedFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RestoreReplicated(tab, ReplicaConfig{}, side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := b.Lookup(2); !ok || v != 200 {
+		t.Fatalf("Lookup(2) = %d, %v; want 200, true", v, ok)
+	}
+	if state, v, seq := b.VGet(2); state != VStateLive || v != 200 || seq != seededSeq {
+		t.Fatalf("VGet(2) = state %d, value %d, seq %d; want live, 200, %d", state, v, seq, seededSeq)
+	}
+	if want := DigestTerm(1, 100, MetaOf(10, false)) ^ DigestTerm(2, 200, MetaOf(seededSeq, false)); b.Digest() != want {
+		t.Fatalf("digest %016x, want %016x", b.Digest(), want)
+	}
+	sub, _, full := b.subscribe(0)
+	if !full {
+		t.Fatal("a subscription from 0 should take a full dump")
+	}
+	dumped := make(map[uint64]Entry)
+	for ents, _ := b.pull(sub, make([]Entry, 0, 4)); len(ents) > 0; ents, _ = b.pull(sub, ents) {
+		for _, e := range ents {
+			dumped[e.Key] = e
+		}
+	}
+	b.unsubscribe(sub)
+	if e := dumped[2]; e.Op != OpPut || e.Value != 200 || e.Seq != seededSeq || len(dumped) != 2 {
+		t.Fatalf("full dump %v, want keys 1 and 2, key 2 as a PUT of 200 at %d", dumped, seededSeq)
+	}
+	if st := b.ApplyPush([]Entry{{Seq: 12, Op: OpPut, Key: 2, Value: 201}}, nil); st[0] != ApplyApplied {
+		t.Fatalf("a newer write to the seeded key: status %d, want applied", st[0])
+	}
+}
+
 func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	side := filepath.Join(dir, "sidecar")
@@ -299,13 +356,10 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(side, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := newReplicated(t, 1<<12)
+	store := newReplicated(t, 1<<12).Inner()
 	var serr *atomicio.CorruptError
-	if err := b.LoadSidecar(side); !errors.As(err, &serr) || serr.Kind != "sidecar" {
-		t.Fatalf("LoadSidecar on corrupt file: %v, want a sidecar *CorruptError", err)
-	}
-	if b.Applied() != 0 {
-		t.Fatal("corrupt sidecar mutated the replica state")
+	if b, err := RestoreReplicated(store, ReplicaConfig{}, side); !errors.As(err, &serr) || serr.Kind != "sidecar" || b != nil {
+		t.Fatalf("RestoreReplicated on corrupt file: %v, want a sidecar *CorruptError", err)
 	}
 
 	// A version-1 file, which has no drained point, is rejected the same
@@ -321,8 +375,8 @@ func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(side, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.LoadSidecar(side); !errors.As(err, &serr) || serr.Kind != "sidecar" || !strings.Contains(serr.Reason, "version 1") {
-		t.Fatalf("LoadSidecar on a version-1 file: %v, want a sidecar *CorruptError naming version 1", err)
+	if _, err := RestoreReplicated(store, ReplicaConfig{}, side); !errors.As(err, &serr) || serr.Kind != "sidecar" || !strings.Contains(serr.Reason, "version 1") {
+		t.Fatalf("RestoreReplicated on a version-1 file: %v, want a sidecar *CorruptError naming version 1", err)
 	}
 }
 
@@ -355,7 +409,7 @@ func writeSidecar(t *testing.T, dir string, body []byte) string {
 // TestLoadSidecarRejectsMalformedRecords: a CRC-valid sidecar whose records
 // repeat a key, break ascending key order, carry meta below 2 (sequence
 // number 0) or claim more records than the file holds is rejected with a
-// sidecar *CorruptError and leaves the replica as it was. Repeated keys used to
+// sidecar *CorruptError and builds no replica. Repeated keys used to
 // load: key 7 live twice and key 9 tombstoned twice gave 2 tombstones and
 // a digest of 0, the duplicate terms XORed away.
 func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
@@ -375,21 +429,18 @@ func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newReplicated(t, 1<<12)
 			r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
-			before := r.ReplicaStats()
 			var serr *atomicio.CorruptError
-			if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) || serr.Kind != "sidecar" {
-				t.Fatalf("LoadSidecar: %v, want a sidecar *CorruptError", err)
-			}
-			if after := r.ReplicaStats(); after != before {
-				t.Fatalf("rejected sidecar changed the replica: %+v, was %+v", after, before)
+			if b, err := RestoreReplicated(r.Inner(), ReplicaConfig{}, writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) || serr.Kind != "sidecar" || b != nil {
+				t.Fatalf("RestoreReplicated: %v, want a sidecar *CorruptError", err)
 			}
 		})
 	}
 
 	// The same records, once each and in order, load.
-	r := newReplicated(t, 1<<12)
-	r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
-	if err := r.LoadSidecar(writeSidecar(t, t.TempDir(), sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb}))); err != nil {
+	src := newReplicated(t, 1<<12)
+	src.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
+	r, err := RestoreReplicated(src.Inner(), ReplicaConfig{}, writeSidecar(t, t.TempDir(), sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb})))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := r.ReplicaStats(); st.TrackedKeys != 2 || st.Tombstones != 1 {
@@ -400,12 +451,12 @@ func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// FuzzLoadSidecar feeds LoadSidecar arbitrary sidecar bodies. The harness
-// appends the CRC each body needs, so mutations reach the header and record
-// checks instead of stopping at the checksum. A file that loads must track
-// exactly the distinct keys it kept (its tombstones and the live keys the
-// store holds), its digest must be the XOR of DigestTerm over VGet of each
-// kept key, and save, load, save must give byte-identical files.
+// FuzzLoadSidecar feeds RestoreReplicated arbitrary sidecar bodies. The
+// harness appends the CRC each body needs, so mutations reach the header and
+// record checks instead of stopping at the checksum. A file that loads must
+// track exactly its tombstones and the keys the store holds, from a live
+// record or seeded, its digest must be the XOR of DigestTerm over VGet of
+// each tracked key, and save, load, save must give byte-identical files.
 func FuzzLoadSidecar(f *testing.F) {
 	tab, err := mccuckoo.NewSharded(1<<10, 2, mccuckoo.WithSeed(3))
 	if err != nil {
@@ -445,25 +496,25 @@ func FuzzLoadSidecar(f *testing.F) {
 	// a one-record op log keeps each fresh replica small.
 	cfg := ReplicaConfig{OplogSize: 1}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := NewReplicated(tab, cfg)
-		if err := r.LoadSidecar(writeSidecar(t, dir, body)); err != nil {
+		r, err := RestoreReplicated(tab, cfg, writeSidecar(t, dir, body))
+		if err != nil {
 			// A body that starts with another format's magic is an intact
 			// file of another kind, which is declined, not corrupt.
 			otherKind := bytes.HasPrefix(body, []byte(atomicio.MagicTable)) ||
 				bytes.HasPrefix(body, []byte(atomicio.MagicSharded))
 			var serr *atomicio.CorruptError
 			if !(errors.As(err, &serr) && serr.Kind == "sidecar") && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
-				t.Fatalf("LoadSidecar: %v, want nil or a sidecar *CorruptError", err)
+				t.Fatalf("RestoreReplicated: %v, want nil or a sidecar *CorruptError", err)
 			}
 			return
 		}
 		kept := make(map[uint64]bool)
 		for off := 32; off < len(body); off += 16 { // the records follow the 32-byte header
-			k := binary.LittleEndian.Uint64(body[off:])
-			if _, ok := tab.Lookup(k); ok || binary.LittleEndian.Uint64(body[off+8:])&1 == 1 {
-				kept[k] = true
+			if binary.LittleEndian.Uint64(body[off+8:])&1 == 1 {
+				kept[binary.LittleEndian.Uint64(body[off:])] = true
 			}
 		}
+		tab.Range(func(k, _ uint64) bool { kept[k] = true; return true })
 		if n := r.ReplicaStats().TrackedKeys; n != len(kept) {
 			t.Fatalf("tracks %d keys, the file kept %d", n, len(kept))
 		}
@@ -483,8 +534,8 @@ func FuzzLoadSidecar(f *testing.F) {
 		if err := r.CheckpointWith(noValues, first); err != nil {
 			t.Fatal(err)
 		}
-		r2 := NewReplicated(tab, cfg)
-		if err := r2.LoadSidecar(first); err != nil {
+		r2, err := RestoreReplicated(tab, cfg, first)
+		if err != nil {
 			t.Fatalf("reloading a saved sidecar: %v", err)
 		}
 		if err := r2.CheckpointWith(noValues, second); err != nil {

@@ -36,15 +36,6 @@ type Config struct {
 	// connection beyond the cap receives one ERR frame and is closed.
 	MaxConns int
 
-	// IdleTimeout closes a connection that sends no frame for this long
-	// (default 2m).
-	IdleTimeout time.Duration
-
-	// WriteTimeout bounds each write (default 10s). A client that stops
-	// reading stalls its connection's goroutine in a write once TCP flow
-	// control fills the socket buffers; the deadline disconnects it.
-	WriteTimeout time.Duration
-
 	// SubKeepalive is how often an idle op-log subscription sends an empty
 	// REPLICATE frame (default 500ms). Keepalives refresh the subscriber's
 	// view of the server's high-water sequence number, which is what the
@@ -63,6 +54,15 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
+// A connection's deadlines. One that sends no frame for idleTimeout is
+// closed. One whose write takes longer than writeTimeout is dropped: a
+// client that stops reading stalls its connection's goroutine in a write
+// once TCP flow control fills the socket buffers.
+const (
+	idleTimeout  = 2 * time.Minute
+	writeTimeout = 10 * time.Second
+)
+
 // Server serves the wire protocol over TCP (or any net.Listener). Each
 // connection is served by one goroutine that reads, executes and writes, so
 // a client may pipeline any number of requests: they run in order, and
@@ -71,6 +71,9 @@ type Config struct {
 //mcvet:lifecycle
 type Server struct {
 	cfg Config
+	// idle and write are the deadlines idleTimeout and writeTimeout;
+	// TestServerTimeouts shortens them.
+	idle, write time.Duration
 
 	// rep is non-nil when the served store is a *Replicated; the
 	// replication opcodes (VGET, SUBSCRIBE, REPLICATE) require it and are
@@ -113,18 +116,14 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 256
 	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
 	if cfg.SubKeepalive <= 0 {
 		cfg.SubKeepalive = 500 * time.Millisecond
 	}
 	rep, _ := cfg.Store.(*Replicated)
 	return &Server{
 		cfg:       cfg,
+		idle:      idleTimeout,
+		write:     writeTimeout,
 		rep:       rep,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -220,7 +219,7 @@ func (s *Server) beginDrain() {
 	for ln := range s.listeners {
 		ln.Close()
 	}
-	// Interrupt blocked reads so the drain does not wait out IdleTimeout.
+	// Interrupt blocked reads so the drain does not wait out the idle deadline.
 	for nc := range s.conns {
 		if err := nc.SetReadDeadline(time.Now()); err != nil {
 			// Cannot interrupt the read by deadline; closing the
@@ -264,7 +263,7 @@ func (s *Server) closeConns() {
 //
 //mcvet:deadlined
 func (s *Server) rejectConn(nc net.Conn) {
-	if err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err == nil {
+	if err := nc.SetWriteDeadline(time.Now().Add(s.write)); err == nil {
 		// Without a deadline an unread ERR frame could pin this goroutine;
 		// skip the courtesy frame and just close.
 		b := respFrame(0, StatusErr, []byte("connection limit reached"))
@@ -289,7 +288,7 @@ func respFrame(id uint64, status byte, payload []byte) []byte {
 // it passes keep.Bytes, so the goroutine never blocks on a read while holding
 // unwritten responses, and pipelined responses share one write. A client
 // that stops reading stalls the goroutine in a write: TCP flow control is
-// the backpressure, and WriteTimeout frees the connection.
+// the backpressure, and the write deadline frees the connection.
 //
 //mcvet:deadlined
 func (s *Server) serveConn(nc net.Conn) {
@@ -369,7 +368,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// trickle of bytes that never completes one does not keep the
 		// connection alive.
 		if off > 0 || len(in) == 0 {
-			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+			if err := nc.SetReadDeadline(time.Now().Add(s.idle)); err != nil {
 				// A connection that cannot arm its idle deadline is failing;
 				// treat it like any other dead connection.
 				s.logf("wire: %s: set read deadline: %v", nc.RemoteAddr(), err)
@@ -537,7 +536,7 @@ func (h *connHandler) flush(nc net.Conn) bool {
 		return true
 	}
 	s := h.srv
-	err := nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	err := nc.SetWriteDeadline(time.Now().Add(s.write))
 	if err == nil {
 		_, err = nc.Write(h.out)
 	}

@@ -28,6 +28,14 @@ func startServer(t *testing.T, store mccuckoo.BatchStore, mod func(*Config)) (*S
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, shutdown := serve(t, srv)
+	return srv, addr, shutdown
+}
+
+// serve serves srv on a loopback listener and returns its address and the
+// func that shuts it down.
+func serve(t *testing.T, srv *Server) (string, func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +52,7 @@ func startServer(t *testing.T, store mccuckoo.BatchStore, mod func(*Config)) (*S
 			t.Errorf("Serve returned %v, want ErrServerClosed", err)
 		}
 	}
-	return srv, ln.Addr().String(), shutdown
+	return ln.Addr().String(), shutdown
 }
 
 func dialClient(t *testing.T, addr string, mod func(*ClientConfig)) *Client {
@@ -370,16 +378,18 @@ func TestServerOneGoroutinePerConn(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts: IdleTimeout closes a connection that sends nothing or
-// never completes a frame, and WriteTimeout drops one whose client stopped
-// reading; with one goroutine per connection the write deadline is the only
+// TestServerTimeouts: the idle deadline closes a connection that sends
+// nothing or never completes a frame, and the write deadline drops one whose
+// client stopped reading; with one goroutine per connection the write deadline is the only
 // thing that frees the last. Each time the connection's goroutine exits, so
 // the active-connections gauge returns to 0 and Shutdown stays clean.
 func TestServerTimeouts(t *testing.T) {
-	srv, addr, shutdown := startServer(t, newConcurrentTable(t, 1024), func(c *Config) {
-		c.IdleTimeout = 300 * time.Millisecond
-		c.WriteTimeout = 200 * time.Millisecond
-	})
+	srv, err := NewServer(Config{Store: newConcurrentTable(t, 1024), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.idle, srv.write = 300*time.Millisecond, 200*time.Millisecond
+	addr, shutdown := serve(t, srv)
 	defer shutdown()
 	// served waits for the connection to be admitted (want 1) or released
 	// (want 0).
@@ -395,7 +405,7 @@ func TestServerTimeouts(t *testing.T) {
 	}
 
 	// The server arms the idle deadline after the dial begins, so the
-	// connection cannot close sooner than IdleTimeout after start.
+	// connection cannot close sooner than the idle deadline after start.
 	start := time.Now()
 	idle := dialRaw(t, addr)
 	served(1, "idle connection")
@@ -406,7 +416,7 @@ func TestServerTimeouts(t *testing.T) {
 		t.Fatalf("idle connection: read %v, want EOF from the server closing it", err)
 	}
 	if d := time.Since(start); d < 300*time.Millisecond {
-		t.Fatalf("idle connection closed after %v, before the 300ms IdleTimeout", d)
+		t.Fatalf("idle connection closed after %v, before the 300ms idle deadline", d)
 	}
 	served(0, "after the idle timeout")
 

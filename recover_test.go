@@ -160,8 +160,8 @@ func TestPublicShardedSnapshotReader(t *testing.T) {
 }
 
 // The corruption-healing behaviour of Repair is exercised through the raw
-// accessors in internal/faultinject; the public surface promises that Repair
-// on a healthy table reports no changes and damages nothing.
+// accessors of internal/core's fault matrix; the public surface promises
+// that Repair on a healthy table reports no changes and damages nothing.
 func TestPublicRepairHealthy(t *testing.T) {
 	tab, err := New(400, WithSeed(27))
 	if err != nil {
