@@ -66,10 +66,13 @@
 # OpTimeout; and TestChaosSlowPeerDoesNotDelayCalls: a slow link to one
 # replica delays no call's legs to the others.
 # Replication smoke: the op-log catch-up tests (a subscription the ring
-# overtakes is caught up in place), the bootstrap full-sync drills and the
-# restart-from-drained-point test, 20 times each under the race detector.
-# Races in these paths have shown up only under repetition (a bootstrap
-# flake once in 50 runs), so one pass proves little.
+# overtakes is caught up in place), the bootstrap full-sync drills, the
+# restart-from-drained-point test, the batch-form property test (one entry
+# multiset applied as one batch, as single pushes and as stream chunks ends
+# in one state, though only the batch reserves index room up front) and a
+# subscriber pulling while reserving batches apply, 20 times each under the
+# race detector. Races in these paths have shown up only under repetition
+# (a bootstrap flake once in 50 runs), so one pass proves little.
 # Ring smoke: the flight-recorder ring (telemetry.Ring, which holds both the
 # table events and the trace spans) under concurrent writers that lap it
 # while a reader reads, 20 times under the race detector. A torn slot needs
@@ -214,8 +217,8 @@ say "benchmark module: gofmt + vet + mcvet + tests (-race)"
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...
 
-say "replication smoke: catch-up, bootstrap and restart-resume, 20 runs each"
-go test -race -count=20 -run 'CatchUp|TestClusterBootstrap|TestClusterRestartResumes' ./internal/wire/ ./internal/cluster/
+say "replication smoke: catch-up, bootstrap, restart-resume and batch applies, 20 runs each"
+go test -race -count=20 -run 'CatchUp|TestClusterBootstrap|TestClusterRestartResumes|TestBatchFormsAgree|TestPullDuringReservingBatch' ./internal/wire/ ./internal/cluster/
 
 say "ring smoke: flight-recorder ring under lapping writers, 20 runs"
 go test -race -count=20 -run 'TestRingConcurrentWritersWholeRecords' ./internal/telemetry/

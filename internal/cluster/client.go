@@ -354,26 +354,42 @@ func (c *Client) PutBatch(keys, values []uint64) error {
 		panic("cluster: PutBatch called with mismatched key/value lengths")
 	}
 	c.writes.Add(int64(len(keys)))
+	nodes := c.ring.Nodes()
 	ents := make([]wire.Entry, len(keys))
-	idx := make(map[string][]int) // per node, the entries it replicates
-	var owners []string
+	// idx lists, per node, the entries it replicates. The lists are cut
+	// from one array with room for every key in each, so none regrows.
+	idx := make([][]int, len(nodes))
+	flat := make([]int, len(keys)*len(nodes))
+	for j := range idx {
+		idx[j], flat = flat[:0:len(keys)], flat[len(keys):]
+	}
+	var buf [8]string
+	owners := buf[:0]
 	for i, k := range keys {
 		ents[i] = wire.Entry{Seq: c.nextSeq(), Op: wire.OpPut, Key: k, Value: values[i]}
 		owners = c.ring.Replicas(k, c.cfg.Replicas, owners[:0])
 		for _, addr := range owners {
-			idx[addr] = append(idx[addr], i)
+			j, _ := slices.BinarySearch(nodes, addr)
+			idx[j] = append(idx[j], i)
+		}
+	}
+	size := 0
+	for _, l := range idx {
+		if len(l) > 0 {
+			size += wire.ReplicatePayloadLen(len(l))
 		}
 	}
 	f := c.newFan(wire.OpReplicate)
 	defer f.unref()
 	f.batch = true
-	var batch []wire.Entry
-	for _, addr := range c.ring.Nodes() {
-		if len(idx[addr]) == 0 {
+	f.payload = slices.Grow(f.payload, size)
+	batch := make([]wire.Entry, 0, len(keys))
+	for j, addr := range nodes {
+		if len(idx[j]) == 0 {
 			continue
 		}
 		batch = batch[:0]
-		for _, i := range idx[addr] {
+		for _, i := range idx[j] {
 			batch = append(batch, ents[i])
 		}
 		lo := len(f.payload)
@@ -385,12 +401,13 @@ func (c *Client) PutBatch(keys, values []uint64) error {
 	errs := []error{f.errs()}
 	for i := range f.legs {
 		l := &f.legs[i]
-		for j, st := range l.statuses {
+		j, _ := slices.BinarySearch(nodes, l.p.addr)
+		for k, st := range l.statuses {
 			if st == wire.ApplyFailed {
-				errs = append(errs, fmt.Errorf("%s: %w (key %d)", l.p.addr, errTableFull, ents[idx[l.p.addr][j]].Key))
+				errs = append(errs, fmt.Errorf("%s: %w (key %d)", l.p.addr, errTableFull, ents[idx[j][k]].Key))
 				continue
 			}
-			acks[idx[l.p.addr][j]]++
+			acks[idx[j][k]]++
 		}
 	}
 	for i, n := range acks {

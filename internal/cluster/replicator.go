@@ -256,8 +256,8 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 		return fmt.Errorf("subscribe: %w", err)
 	}
 
-	// buf, ents and owned are parked between frames, so each obeys the keep
-	// rule (keep.Slice) before the next read blocks. The frame is returned,
+	// buf and ents are parked between frames, so each obeys the keep rule
+	// (keep.Slice) before the next read blocks. The frame is returned,
 	// not captured, so no stale payload pins a dropped buffer either.
 	var buf []byte
 	readFrame := func() (wire.Frame, error) {
@@ -292,9 +292,9 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 	seen := uint64(0)
 	observeHead(st, head, seen)
 
-	var ents, owned []wire.Entry
+	var ents []wire.Entry
 	for {
-		buf, ents, owned = keep.Slice(buf), keep.Slice(ents), keep.Slice(owned)
+		buf, ents = keep.Slice(buf), keep.Slice(ents)
 		f, err := readFrame()
 		if err != nil {
 			select {
@@ -324,6 +324,7 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 			}
 			r.rep.SetDrained(low)
 		}
+		owned := ents[:0] // filtered in place: each entry is read before its slot is written
 		for _, e := range ents {
 			if e.Seq > seen {
 				seen = e.Seq

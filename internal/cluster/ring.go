@@ -10,6 +10,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mccuckoo/internal/hashutil"
@@ -129,10 +130,16 @@ func (r *Ring) Replicas(key uint64, n int, dst []string) []string {
 	return dst
 }
 
-// Owns reports whether addr is one of the n replicas for key.
+// Owns reports whether addr is one of the n replicas for key. When n is at
+// least the node count every node holds every key, so Owns only checks that
+// addr is one of the ring's nodes.
 //
 //mcvet:deterministic
 func (r *Ring) Owns(addr string, key uint64, n int) bool {
+	if n >= len(r.nodes) {
+		_, ok := slices.BinarySearch(r.nodes, addr)
+		return ok
+	}
 	var buf [8]string
 	for _, a := range r.Replicas(key, n, buf[:0]) {
 		if a == addr {

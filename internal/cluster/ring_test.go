@@ -100,6 +100,32 @@ func TestRingReplicasDistinctAndOwned(t *testing.T) {
 	}
 }
 
+// TestRingOwnsMatchesReplicas: Owns(addr, key, n) is "addr is one of
+// Replicas(key, n)" for every n, including the n at or above the node
+// count where Owns skips the ring lookup, and for an address outside the
+// ring.
+func TestRingOwnsMatchesReplicas(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for nodes := 1; nodes <= 3; nodes++ {
+		r, err := NewRing(testNodes(nodes), 0, rng.Uint64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := append(testNodes(nodes), "10.0.9.9:9053")
+		for range 10_000 {
+			key := rng.Uint64()
+			for n := 1; n <= nodes+1; n++ {
+				reps := r.Replicas(key, n, nil)
+				for _, addr := range addrs {
+					if got, want := r.Owns(addr, key, n), slices.Contains(reps, addr); got != want {
+						t.Fatalf("%d nodes, key %#x, n=%d: Owns(%s) = %v, replicas %v", nodes, key, n, addr, got, reps)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRingReplicasMatchClockwiseWalk checks Replicas against a brute-force
 // reading of the ring. A node's distance from a key is the clockwise gap
 // from the key's point to the node's first point at or after it, wrapping

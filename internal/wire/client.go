@@ -378,8 +378,7 @@ func (c *Client) VGet(tc trace.Context, key uint64) (state byte, value, seq uint
 // valid, and returns the per-entry apply statuses. head is the sender's
 // high-water sequence number. The server must run a *Replicated store.
 func (c *Client) Replicate(tc trace.Context, head uint64, ents []Entry) ([]byte, error) {
-	p := AppendReplicatePayload(make([]byte, 0, replicateHeadLen+len(ents)*entrySize), head, ents)
-	w, err := c.do(tc, OpReplicate, p)
+	w, err := c.do(tc, OpReplicate, AppendReplicatePayload(nil, head, ents))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Payload encodings, little-endian throughout (DESIGN.md §10):
 //
@@ -164,9 +167,14 @@ const replicateHeadLen = 8 + 4
 // frame; streams chunk at this bound.
 const MaxEntriesPerFrame = (DefaultMaxPayload - replicateHeadLen) / entrySize
 
+// ReplicatePayloadLen is the size of a REPLICATE payload of n entries.
+func ReplicatePayloadLen(n int) int { return replicateHeadLen + n*entrySize }
+
 // AppendReplicatePayload appends the REPLICATE payload encoding of ents to
-// dst: head, count, then the fixed-size records.
+// dst: head, count, then the fixed-size records. It grows dst at most
+// once, to the payload's final size.
 func AppendReplicatePayload(dst []byte, head uint64, ents []Entry) []byte {
+	dst = slices.Grow(dst, ReplicatePayloadLen(len(ents)))
 	dst = appendU64(dst, head)
 	dst = appendU32(dst, uint32(len(ents)))
 	for _, e := range ents {

@@ -79,7 +79,7 @@ type Replicated struct {
 	//mcvet:guardedby mu
 	log *opLog
 	//mcvet:guardedby mu
-	subs map[*logSub]struct{}
+	subs []*logSub
 	//mcvet:guardedby mu
 	appended bool // the log grew since the subscribers were last poked
 	// filter restricts DigestRange to keys the requesting peer co-owns
@@ -126,7 +126,6 @@ func newReplica(inner mccuckoo.BatchStore, cfg ReplicaConfig, hint int) *Replica
 		inner: inner,
 		seqs:  newSeqIndex(rand.Uint64(), hint),
 		log:   newOpLog(cfg.OplogSize),
-		subs:  make(map[*logSub]struct{}),
 	}
 }
 
@@ -254,17 +253,22 @@ func MetaOf(seq uint64, tomb bool) uint64 {
 	return m
 }
 
+// valid reports whether e can apply: a PUT or DEL with a sequence number
+// from 1 to below seqLimit.
+func (e *Entry) valid() bool {
+	return e.Seq != 0 && e.Seq < seqLimit && (e.Op == OpPut || e.Op == OpDel)
+}
+
 // applyLocked is the single mutation path. It returns the apply status
 // plus the inner store's results for the caller-facing unversioned
-// wrappers. An invalid entry (Seq 0, Seq at or above seqLimit, or an op
-// other than PUT and DEL) is counted and answered as stale, never applied.
+// wrappers. An invalid entry is counted and answered as stale, never
+// applied.
 //
 //mcvet:locked
 func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResult, removed bool) {
 	pos, meta := r.seqs.probe(e.Key)
 	seen := meta != 0
-	invalid := e.Seq == 0 || e.Seq >= seqLimit || (e.Op != OpPut && e.Op != OpDel)
-	if invalid || (seen && e.Seq <= meta>>1) {
+	if !e.valid() || (seen && e.Seq <= meta>>1) {
 		r.entriesStale.Add(1)
 		return ApplyStale, res, false
 	}
@@ -311,7 +315,7 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 	if evicted := r.log.append(opRec{key: e.Key, value: newVal, meta: newMeta}); evicted != 0 {
 		// A subscriber whose cursor is now behind the ring had not been
 		// sent the evicted record: its floor drops to that sequence.
-		for sub := range r.subs {
+		for _, sub := range r.subs {
 			if sub.cursor < r.log.first {
 				sub.floor = min(sub.floor, evicted)
 			}
@@ -331,7 +335,7 @@ func (r *Replicated) notifyLocked() {
 		return
 	}
 	r.appended = false
-	for sub := range r.subs {
+	for _, sub := range r.subs {
 		select {
 		case sub.notify <- struct{}{}:
 		default:
@@ -348,6 +352,7 @@ func (r *Replicated) ApplyPush(ents []Entry, statuses []byte) []byte {
 	statuses = statuses[:len(ents)]
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seqs.reserve(len(ents), func(i int) (uint64, bool) { return ents[i].Key, ents[i].valid() })
 	for i, e := range ents {
 		st, _, _ := r.applyLocked(e)
 		statuses[i] = st
@@ -364,6 +369,7 @@ func (r *Replicated) ApplyPush(ents []Entry, statuses []byte) []byte {
 func (r *Replicated) ApplyStream(ents []Entry) (applied, stale, failed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seqs.reserve(len(ents), func(i int) (uint64, bool) { return ents[i].Key, ents[i].valid() })
 	for _, e := range ents {
 		switch st, _, _ := r.applyLocked(e); st {
 		case ApplyApplied:
@@ -437,14 +443,14 @@ func (r *Replicated) subscribe(fromSeq uint64) (sub *logSub, head uint64, full b
 		r.fullSyncs.Add(1)
 		sub.floor = 0
 	}
-	r.subs[sub] = struct{}{}
+	r.subs = append(r.subs, sub)
 	return sub, r.applied, full
 }
 
 func (r *Replicated) unsubscribe(sub *logSub) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.subs, sub)
+	r.subs = slices.DeleteFunc(r.subs, func(s *logSub) bool { return s == sub })
 }
 
 // pull fills dst, up to its capacity (at least one entry), with what the
@@ -537,6 +543,7 @@ func (r *Replicated) InsertBatchInto(keys, values []uint64, out []mccuckoo.Inser
 	shard.CheckInsertBatch(keys, values, out)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seqs.reserve(len(keys), func(i int) (uint64, bool) { return keys[i], true })
 	for i, k := range keys {
 		_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: k, Value: values[i]})
 		if out != nil {
@@ -554,6 +561,7 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 	shard.CheckDeleteBatch(keys, removed)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.seqs.reserve(len(keys), func(i int) (uint64, bool) { return keys[i], true })
 	for i, k := range keys {
 		_, _, rm := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: k})
 		if removed != nil {

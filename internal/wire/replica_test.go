@@ -652,6 +652,156 @@ func TestCatchUpFloorIsLowestEvictedUnsent(t *testing.T) {
 	}
 }
 
+// TestBatchFormsAgree applies one entry multiset three ways: as one
+// ApplyPush batch, which reserves index room for its new keys up front, as
+// single-entry pushes, which grow the index one insert at a time, and as
+// ApplyStream chunks of random sizes, which reserve while the index is
+// small next to them. The entries repeat keys, PUT and DEL them, repeat
+// sequence numbers, and include invalid ones. All three replicas must end
+// with the same digest, length, VGet of every key, and applied and stale
+// counts.
+func TestBatchFormsAgree(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := &digestRand{state: seed}
+		const n, keySpace = 6000, 4000
+		ents := make([]Entry, n)
+		for i := range ents {
+			ents[i] = Entry{Seq: 1 + rng.next()%3000, Op: OpPut, Key: rng.next() % keySpace, Value: rng.next()}
+			switch rng.next() % 16 {
+			case 0:
+				ents[i].Seq = 0
+			case 1:
+				ents[i].Op = OpGet
+			case 2, 3, 4, 5:
+				ents[i].Op, ents[i].Value = OpDel, 0
+			}
+		}
+		var reps [3]*Replicated
+		var applied, stale [3]int
+		tally := func(w int, st byte) {
+			switch st {
+			case ApplyApplied:
+				applied[w]++
+			case ApplyStale:
+				stale[w]++
+			default:
+				t.Fatalf("seed %d: apply failed", seed)
+			}
+		}
+		for w := range reps {
+			reps[w] = newReplicated(t, 1<<13)
+		}
+		for _, st := range reps[0].ApplyPush(ents, nil) {
+			tally(0, st)
+		}
+		for _, e := range ents {
+			tally(1, reps[1].ApplyPush([]Entry{e}, nil)[0])
+		}
+		for lo := 0; lo < n; {
+			hi := min(n, lo+1+int(rng.next()%700))
+			a, s, f := reps[2].ApplyStream(ents[lo:hi])
+			if f != 0 {
+				t.Fatalf("seed %d: %d stream entries failed", seed, f)
+			}
+			applied[2] += a
+			stale[2] += s
+			lo = hi
+		}
+		for w, r := range reps {
+			st := r.ReplicaStats()
+			if applied[w] != applied[0] || stale[w] != stale[0] || st.EntriesApplied != int64(applied[0]) || st.EntriesStale != int64(stale[0]) {
+				t.Fatalf("seed %d form %d: applied %d stale %d (stats %d, %d), batch applied %d stale %d",
+					seed, w, applied[w], stale[w], st.EntriesApplied, st.EntriesStale, applied[0], stale[0])
+			}
+			if r.Digest() != reps[0].Digest() || r.Len() != reps[0].Len() || st.TrackedKeys != reps[0].ReplicaStats().TrackedKeys {
+				t.Fatalf("seed %d form %d: digest %016x len %d, batch %016x len %d", seed, w, r.Digest(), r.Len(), reps[0].Digest(), reps[0].Len())
+			}
+		}
+		for k := uint64(0); k < keySpace+8; k++ {
+			state, v, seq := reps[0].VGet(k)
+			for w, r := range reps[1:] {
+				if s2, v2, seq2 := r.VGet(k); s2 != state || v2 != v || seq2 != seq {
+					t.Fatalf("seed %d key %d: form %d VGet (%d %d %d), batch (%d %d %d)", seed, k, w+1, s2, v2, seq2, state, v, seq)
+				}
+			}
+		}
+	}
+}
+
+// TestPullDuringReservingBatch has a subscriber pull on its own goroutine
+// while batches apply on this one, each with enough new keys to rebuild
+// every segment of the index up front. The op-log ring is smaller than a
+// batch, so the subscriber is caught up from the index between rebuilds.
+// After a final drain it must hold every key's newest state.
+func TestPullDuringReservingBatch(t *testing.T) {
+	tab, err := mccuckoo.NewSharded(1<<15, 4, mccuckoo.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicated(tab, ReplicaConfig{OplogSize: 512})
+	sub, _, _ := r.subscribe(0)
+	defer r.unsubscribe(sub)
+	got := make(map[uint64]Entry)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		dst := make([]Entry, 0, 256)
+		drain := func() {
+			for {
+				ents, _ := r.pull(sub, dst)
+				if len(ents) == 0 {
+					return
+				}
+				for _, e := range ents {
+					if old, ok := got[e.Key]; !ok || e.Seq > old.Seq {
+						got[e.Key] = e
+					}
+				}
+			}
+		}
+		for {
+			drain()
+			select {
+			case <-sub.notify:
+			case <-stop:
+				drain()
+				return
+			}
+		}
+	}()
+	// Each push brings 2,048 new keys and updates or deletes the previous
+	// push's 2,048.
+	const pushes, half = 6, 2048
+	ents := make([]Entry, 2*half)
+	seq := uint64(0)
+	for p := range pushes {
+		for i := range ents {
+			seq++
+			key := uint64(p*half+i) * 0x9e3779b97f4a7c15
+			ents[i] = Entry{Seq: seq, Op: OpPut, Key: key, Value: seq}
+			if i%3 == 0 {
+				ents[i].Op, ents[i].Value = OpDel, 0
+			}
+		}
+		r.ApplyPush(ents, nil)
+	}
+	close(stop)
+	<-done
+	if st := r.ReplicaStats(); len(got) != st.TrackedKeys || st.CatchUps == 0 {
+		t.Fatalf("subscriber holds %d keys, replica tracks %d; %d catch-ups, want some", len(got), st.TrackedKeys, st.CatchUps)
+	}
+	for k, e := range got {
+		state, v, seq := r.VGet(k)
+		want := Entry{Seq: seq, Op: OpPut, Key: k, Value: v}
+		if state == VStateTomb {
+			want.Op = OpDel
+		}
+		if e != want {
+			t.Fatalf("key %#x: subscriber holds %+v, replica %+v", k, e, want)
+		}
+	}
+}
+
 func TestReplicatedSeedsFromPreloadedStore(t *testing.T) {
 	tab, err := mccuckoo.NewSharded(1<<12, 4, mccuckoo.WithSeed(11))
 	if err != nil {

@@ -22,7 +22,9 @@ import (
 // while its first is full, and a lookup stops at the first empty slot it
 // meets. A segment rebuilds with a sixteenth more buckets, rounded up to
 // what the allocator hands out, once it passes 15/16 full or a walk
-// fails: a rebuild rehashes about a twelfth of the keys.
+// fails: a rebuild rehashes about a twelfth of the keys. A batch that
+// brings many new keys reserves their room first, so it rebuilds each
+// segment at most once, except to recover from a failed walk.
 //
 // The index has no lock of its own: every access happens under the owning
 // Replicated's mutex.
@@ -62,12 +64,14 @@ const (
 // allocator's first capacity that holds its share at 15/16 occupancy.
 func newSeqIndex(seed uint64, hint int) seqIndex {
 	x := seqIndex{seed: seed, rng: seed}
-	slots := ((hint+seqSegments-1)/seqSegments*16 + 14) / 15
 	for i := range x.segs {
-		x.segs[i].buckets = allocBuckets((slots + seqWays - 1) / seqWays)
+		x.segs[i].buckets = allocBuckets(bucketsFor((hint + seqSegments - 1) / seqSegments))
 	}
 	return x
 }
+
+// bucketsFor returns the fewest buckets that hold keys at 15/16 occupancy.
+func bucketsFor(keys int) int { return (keys*16 + seqWays*15 - 1) / (seqWays * 15) }
 
 // allocBuckets returns at least n buckets, and at least one: all that the
 // allocation the allocator rounds them up to holds.
@@ -76,9 +80,15 @@ func allocBuckets(n int) []seqBucket {
 	return b[:cap(b)]
 }
 
+// hash returns the index of key's segment and the bits that pick its two
+// buckets there.
+func (x *seqIndex) hash(key uint64) (si, h uint64) {
+	return bits.Mul64(hashutil.Mix64(key^x.seed), seqSegments)
+}
+
 // home returns key's segment and its two buckets there.
 func (x *seqIndex) home(key uint64) (s *seqSegment, b1, b2 int) {
-	si, h := bits.Mul64(hashutil.Mix64(key^x.seed), seqSegments)
+	si, h := x.hash(key)
 	s = &x.segs[si]
 	nb := uint64(len(s.buckets))
 	hi, h := bits.Mul64(h, nb)
@@ -143,8 +153,42 @@ func (x *seqIndex) update(p seqPos, key, meta uint64) {
 	} else {
 		sl = x.place(sl) // the record left without a slot, if any
 	}
-	if sl.meta != 0 || s.n*16 > len(s.buckets)*seqWays*15 {
-		x.grow(s, sl)
+	if sl.meta != 0 || bucketsFor(s.n) > len(s.buckets) {
+		x.grow(s, s.step(), sl)
+	}
+}
+
+// step is the bucket count one insert grows s to: a sixteenth more, and at
+// least one more.
+func (s *seqSegment) step() int { return len(s.buckets) + max(1, len(s.buckets)/16) }
+
+// reserve makes room, before a batch of n entries applies, for the keys
+// among them that the index does not track; key(i) returns entry i's key
+// and whether the entry is a valid write, and a repeated key counts each
+// time. Each segment that cannot hold its keys plus its share of those at
+// 15/16 occupancy rebuilds once, straight to a capacity that can, and by no
+// less than step. The count runs only when the batch holds at least a
+// sixteenth as many entries as the index holds keys: a smaller batch brings
+// a segment, on average, less than one step's room of new keys, which it
+// grows by one insert at a time.
+func (x *seqIndex) reserve(n int, key func(i int) (uint64, bool)) {
+	if n*16 < x.n {
+		return
+	}
+	var add [seqSegments]int
+	for i := range n {
+		if k, ok := key(i); ok {
+			if _, meta := x.probe(k); meta == 0 {
+				si, _ := x.hash(k)
+				add[si]++
+			}
+		}
+	}
+	for si, a := range add {
+		s := &x.segs[si]
+		if need := bucketsFor(s.n + a); need > len(s.buckets) {
+			x.grow(s, max(need, s.step()), seqSlot{})
+		}
 	}
 }
 
@@ -181,12 +225,11 @@ func (x *seqIndex) place(sl seqSlot) seqSlot {
 	return sl
 }
 
-// grow rebuilds s with at least a sixteenth more buckets, and one more
-// each time a walk fails, holding its records plus extra unless extra is a
-// zero slot. Only s's records move.
-func (x *seqIndex) grow(s *seqSegment, extra seqSlot) {
+// grow rebuilds s with at least n buckets, and one more each time a walk
+// fails, holding its records plus extra unless extra is a zero slot. Only
+// s's records move.
+func (x *seqIndex) grow(s *seqSegment, n int, extra seqSlot) {
 	old := s.buckets
-	n := len(old) + max(1, len(old)/16)
 rebuild:
 	for {
 		s.buckets = allocBuckets(n)

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"encoding/binary"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
+	"mccuckoo"
 	"mccuckoo/internal/hashutil"
 )
 
@@ -167,6 +170,132 @@ func TestSeqIndexBytesAndRehashBounds(t *testing.T) {
 		if grown[i] > maxBytesPerKey || pre > maxBytesPerKey {
 			t.Errorf("%d keys: %.2f bytes per key grown, %.2f pre-sized, want at most %d", n, grown[i], pre, maxBytesPerKey)
 		}
+	}
+}
+
+// TestBatchRebuildsEachSegmentOnce pushes eight batches of 4,096 new keys,
+// as cluster-rw's preload does, into an empty Replicated whose index seed is
+// fixed; every other entry is a DEL, which tracks a tombstone. A push to
+// untracked keys allocates nothing but the segments it rebuilds, so with
+// the GC off its allocations count the rebuilds, and the segments whose
+// array changed are the ones rebuilt: each must be rebuilt once. A walk
+// that fails rebuilds its segment once more; this seed meets none. Other
+// goroutines' allocations only add, so each push counts the fewest of three
+// runs. A rebuild allocates what one allocBuckets call does: once, or twice
+// under -race, whose instrumentation keeps slices.Grow's temporary. A
+// rebuild places every record of its segment again: over the fill that
+// stays at or under 3.5 per key, the cost of rebuilding every segment once
+// in every push after the first, and the index ends at or under 19 bytes
+// per key.
+func TestBatchRebuildsEachSegmentOnce(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const pushes, batch, runs = 8, 4096, 3
+	perRebuild := uint64(testing.AllocsPerRun(10, func() { allocBuckets(100) }))
+	fewest := make([]uint64, pushes)
+	rebuilt := make([]uint64, pushes)
+	var replaced int
+	var x *seqIndex
+	for run := range runs {
+		tab, err := mccuckoo.NewSharded(1<<17, 8, mccuckoo.WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReplicated(tab, ReplicaConfig{})
+		r.mu.Lock()
+		r.seqs = newSeqIndex(12345, 0)
+		r.mu.Unlock()
+		x = &r.seqs
+		ents := make([]Entry, batch)
+		statuses := make([]byte, batch)
+		var ms runtime.MemStats
+		replaced = 0
+		for p := range pushes {
+			for i := range ents {
+				k := uint64(p*batch + i + 1)
+				ents[i] = Entry{Seq: k, Op: OpPut, Key: k * 0x9e3779b97f4a7c15, Value: k}
+				if i%2 == 1 {
+					ents[i].Op = OpDel
+				}
+			}
+			before := x.segs
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			r.ApplyPush(ents, statuses)
+			runtime.ReadMemStats(&ms)
+			if n := ms.Mallocs - mallocs; run == 0 || n < fewest[p] {
+				fewest[p] = n
+			}
+			rebuilt[p] = 0
+			for si, s := range before {
+				if &x.segs[si].buckets[0] != &s.buckets[0] {
+					rebuilt[p]++
+					replaced += s.n
+				}
+			}
+		}
+	}
+	perKey := float64(replaced) / float64(x.n)
+	t.Logf("allocations per push %v, segments rebuilt %v; %.2f records placed again per key", fewest, rebuilt, perKey)
+	for p := range pushes {
+		if fewest[p] != rebuilt[p]*perRebuild {
+			t.Errorf("push %d: %d allocations for %d rebuilt segments, %d each; a segment was rebuilt more than once", p+1, fewest[p], rebuilt[p], perRebuild)
+		}
+	}
+	if perKey > 3.5 {
+		t.Errorf("rebuilds placed %.2f records per key again, want at most 3.5", perKey)
+	}
+	if b := float64(indexBytes(x)) / float64(x.n); x.n != pushes*batch || b > 19 {
+		t.Errorf("index holds %d keys in %.2f bytes per key, want %d in at most 19", x.n, b, pushes*batch)
+	}
+}
+
+// TestBatchOfTrackedKeysRebuildsNothing: a batch counts toward a
+// reservation only the valid entries whose key the index does not track.
+// Updates, stale entries and invalid entries for new keys, each in a batch
+// as large as the index, leave every segment's array where it was.
+func TestBatchOfTrackedKeysRebuildsNothing(t *testing.T) {
+	r := newReplicated(t, 1<<14)
+	const n = 4096
+	keys := make([]uint64, n)
+	ents := make([]Entry, n)
+	for i := range ents {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+		ents[i] = Entry{Seq: uint64(i + 1), Op: OpPut, Key: keys[i], Value: uint64(i)}
+	}
+	r.ApplyPush(ents, nil)
+	before := r.seqs.segs
+	check := func(what string) {
+		t.Helper()
+		for si, s := range before {
+			if &r.seqs.segs[si].buckets[0] != &s.buckets[0] {
+				t.Fatalf("%s rebuilt segment %d", what, si)
+			}
+		}
+		if r.seqs.n != n {
+			t.Fatalf("%s: index tracks %d keys, want %d", what, r.seqs.n, n)
+		}
+	}
+	for i := range ents {
+		ents[i].Seq += n
+		if i%2 == 1 {
+			ents[i].Op = OpDel
+		}
+	}
+	r.ApplyPush(ents, nil)
+	check("a push of updates")
+	r.ApplyStream(ents)
+	check("a stream of stale entries")
+	r.InsertBatchInto(keys, keys, nil)
+	check("a local insert batch of tracked keys")
+	r.DeleteBatchInto(keys, nil)
+	check("a local delete batch of tracked keys")
+	for i := range ents {
+		ents[i] = Entry{Seq: uint64(i%2) * seqLimit, Op: OpPut, Key: uint64(i) + 1}
+	}
+	r.ApplyPush(ents, nil)
+	check("a push of invalid entries for new keys")
+	if st := r.ReplicaStats(); st.EntriesStale != 2*n {
+		t.Fatalf("%d entries stale, want %d", st.EntriesStale, 2*n)
 	}
 }
 
