@@ -69,8 +69,10 @@
 # overtakes is caught up in place), the bootstrap full-sync drills, the
 # restart-from-drained-point test, the batch-form property test (one entry
 # multiset applied as one batch, as single pushes and as stream chunks ends
-# in one state, though only the batch reserves index room up front) and a
-# subscriber pulling while reserving batches apply, 20 times each under the
+# in one state, though only the batch reserves index room up front), a
+# subscriber pulling while reserving batches apply, and the cluster client's
+# batch write (its per-node routing at R < N and R = N, one sequence range
+# per batch, and a full table named in its error), 20 times each under the
 # race detector. Races in these paths have shown up only under repetition
 # (a bootstrap flake once in 50 runs), so one pass proves little.
 # Ring smoke: the flight-recorder ring (telemetry.Ring, which holds both the
@@ -217,8 +219,8 @@ say "benchmark module: gofmt + vet + mcvet + tests (-race)"
 say "chaos smoke: seeded partition + heal + digest equality"
 go test -race -short -run 'TestChaos|TestNetchaos' ./internal/netchaos/... ./internal/cluster/...
 
-say "replication smoke: catch-up, bootstrap, restart-resume and batch applies, 20 runs each"
-go test -race -count=20 -run 'CatchUp|TestClusterBootstrap|TestClusterRestartResumes|TestBatchFormsAgree|TestPullDuringReservingBatch' ./internal/wire/ ./internal/cluster/
+say "replication smoke: catch-up, bootstrap, restart-resume, batch applies and batch writes, 20 runs each"
+go test -race -count=20 -run 'CatchUp|TestClusterBootstrap|TestClusterRestartResumes|TestBatchFormsAgree|TestPullDuringReservingBatch|TestClusterPutBatch' ./internal/wire/ ./internal/cluster/
 
 say "ring smoke: flight-recorder ring under lapping writers, 20 runs"
 go test -race -count=20 -run 'TestRingConcurrentWritersWholeRecords' ./internal/telemetry/

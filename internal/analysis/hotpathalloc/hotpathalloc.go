@@ -1,6 +1,6 @@
 // Package hotpathalloc checks that functions annotated //mcvet:hotpath
 // contain no heap-allocation sites. The disabled-telemetry per-op paths
-// (Insert/Lookup/Delete, locateCopies/findCopies, the shard batched paths)
+// (Insert/Lookup/Delete, locateCopies, the shard batched paths)
 // are contractually zero-alloc — PR 3 fixed a locateCopies heap escape that
 // a runtime assertion (TestDisabledPathZeroAlloc) now guards; this analyzer
 // catches the same regression class at CI time, before a benchmark ever

@@ -219,18 +219,20 @@ func (c *Client) Close() error {
 // Ring returns the client's placement ring.
 func (c *Client) Ring() *Ring { return c.ring }
 
-// nextSeq issues a strictly increasing sequence number: the hybrid-clock
-// candidate, bumped past the previously issued one when the clock has not
-// advanced (or ran backwards).
-func (c *Client) nextSeq() uint64 {
+// nextSeqs issues n >= 1 consecutive sequence numbers and returns the
+// first: the hybrid-clock candidate, bumped past the previously issued one
+// when the clock has not advanced (or ran backwards). One clock read and
+// one CAS serve the whole range, which holds the numbers n single writes
+// within one millisecond would get.
+func (c *Client) nextSeqs(n int) uint64 {
 	for {
 		prev := c.lastSeq.Load()
-		cand := c.seqSrc()
-		if cand <= prev {
-			cand = prev + 1
+		first := c.seqSrc()
+		if first <= prev {
+			first = prev + 1
 		}
-		if c.lastSeq.CompareAndSwap(prev, cand) {
-			return cand
+		if c.lastSeq.CompareAndSwap(prev, first+uint64(n-1)) {
+			return first
 		}
 	}
 }
@@ -249,7 +251,7 @@ func (c *Client) Del(key uint64) error {
 
 func (c *Client) write(e wire.Entry) error {
 	c.writes.Add(1)
-	e.Seq = c.nextSeq()
+	e.Seq = c.nextSeqs(1)
 	root := c.tr.Start(c.tr.Begin(), trace.KindClientOp)
 	root.Op, root.Key = e.Op, hashutil.Mix64(e.Key)
 	f := c.newFan(wire.OpReplicate)
@@ -349,71 +351,101 @@ func (c *Client) repair(key uint64, read *fan, win *leg, root *trace.Span) {
 // per-node error; all other keys are still written. Batch pushes are
 // untraced: one frame carries many keys, so no single-request span tree
 // fits — the per-op path (Put/Del/Get) is the traced one.
+//
+// The batch takes one range of sequence numbers. When every node holds
+// every key (Ring.Everywhere), the batch is encoded once and every node's
+// leg sends it; otherwise each key's replicas are looked up on the ring
+// and each node is sent its own entries.
 func (c *Client) PutBatch(keys, values []uint64) error {
 	if len(keys) != len(values) {
 		panic("cluster: PutBatch called with mismatched key/value lengths")
 	}
+	if len(keys) == 0 {
+		return nil
+	}
 	c.writes.Add(int64(len(keys)))
+	first := c.nextSeqs(len(keys))
+	entry := func(i int) wire.Entry {
+		return wire.Entry{Seq: first + uint64(i), Op: wire.OpPut, Key: keys[i], Value: values[i]}
+	}
 	nodes := c.ring.Nodes()
-	ents := make([]wire.Entry, len(keys))
-	// idx lists, per node, the entries it replicates. The lists are cut
-	// from one array with room for every key in each, so none regrows.
-	idx := make([][]int, len(nodes))
-	flat := make([]int, len(keys)*len(nodes))
-	for j := range idx {
-		idx[j], flat = flat[:0:len(keys)], flat[len(keys):]
-	}
-	var buf [8]string
-	owners := buf[:0]
-	for i, k := range keys {
-		ents[i] = wire.Entry{Seq: c.nextSeq(), Op: wire.OpPut, Key: k, Value: values[i]}
-		owners = c.ring.Replicas(k, c.cfg.Replicas, owners[:0])
-		for _, addr := range owners {
-			j, _ := slices.BinarySearch(nodes, addr)
-			idx[j] = append(idx[j], i)
-		}
-	}
-	size := 0
-	for _, l := range idx {
-		if len(l) > 0 {
-			size += wire.ReplicatePayloadLen(len(l))
-		}
-	}
 	f := c.newFan(wire.OpReplicate)
 	defer f.unref()
 	f.batch = true
-	f.payload = slices.Grow(f.payload, size)
 	batch := make([]wire.Entry, 0, len(keys))
-	for j, addr := range nodes {
-		if len(idx[j]) == 0 {
-			continue
+	// idx lists, per node, the entries it replicates; nil when every node
+	// replicates every entry.
+	var idx [][]int
+	if c.ring.Everywhere(c.cfg.Replicas) {
+		for i := range keys {
+			batch = append(batch, entry(i))
 		}
-		batch = batch[:0]
-		for _, i := range idx[j] {
-			batch = append(batch, ents[i])
-		}
-		lo := len(f.payload)
 		f.payload = wire.AppendReplicatePayload(f.payload, batch[len(batch)-1].Seq, batch)
-		f.add(c.peers[addr], lo, len(batch))
+		for _, addr := range nodes {
+			f.add(c.peers[addr], 0, len(batch))
+		}
+	} else {
+		// The lists are cut from one array with room for every key in
+		// each, so none regrows.
+		idx = make([][]int, len(nodes))
+		flat := make([]int, len(keys)*len(nodes))
+		for j := range idx {
+			idx[j], flat = flat[:0:len(keys)], flat[len(keys):]
+		}
+		var buf [8]string
+		owners := buf[:0]
+		for i, k := range keys {
+			owners = c.ring.Replicas(k, c.cfg.Replicas, owners[:0])
+			for _, addr := range owners {
+				j, _ := slices.BinarySearch(nodes, addr)
+				idx[j] = append(idx[j], i)
+			}
+		}
+		size := 0
+		for _, l := range idx {
+			if len(l) > 0 {
+				size += wire.ReplicatePayloadLen(len(l))
+			}
+		}
+		f.payload = slices.Grow(f.payload, size)
+		for j, addr := range nodes {
+			if len(idx[j]) == 0 {
+				continue
+			}
+			batch = batch[:0]
+			for _, i := range idx[j] {
+				batch = append(batch, entry(i))
+			}
+			lo := len(f.payload)
+			f.payload = wire.AppendReplicatePayload(f.payload, batch[len(batch)-1].Seq, batch)
+			f.add(c.peers[addr], lo, len(batch))
+		}
 	}
 	c.fanOut(f, 0, &trace.Span{})
-	acks := make([]int, len(ents))
+	acks := make([]int, len(keys))
 	errs := []error{f.errs()}
 	for i := range f.legs {
 		l := &f.legs[i]
-		j, _ := slices.BinarySearch(nodes, l.p.addr)
+		var of []int // the entry of each of the leg's statuses; nil: the same index
+		if idx != nil {
+			j, _ := slices.BinarySearch(nodes, l.p.addr)
+			of = idx[j]
+		}
 		for k, st := range l.statuses {
+			if of != nil {
+				k = of[k]
+			}
 			if st == wire.ApplyFailed {
-				errs = append(errs, fmt.Errorf("%s: %w (key %d)", l.p.addr, errTableFull, ents[idx[j][k]].Key))
+				errs = append(errs, fmt.Errorf("%s: %w (key %d)", l.p.addr, errTableFull, keys[k]))
 				continue
 			}
-			acks[idx[j][k]]++
+			acks[k]++
 		}
 	}
 	for i, n := range acks {
 		if n < c.cfg.WriteQuorum {
 			c.quorumFailures.Add(1)
-			return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, n, c.cfg.WriteQuorum, ents[i].Key, errors.Join(errs...))
+			return fmt.Errorf("%w (%d/%d acks for key %d): %w", ErrNoQuorum, n, c.cfg.WriteQuorum, keys[i], errors.Join(errs...))
 		}
 	}
 	return nil

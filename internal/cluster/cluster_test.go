@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -759,10 +760,196 @@ func TestDefaultClientsDrawIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[c.nextSeq()>>14&0xff] = true
+		ids[c.nextSeqs(1)>>14&0xff] = true
 		c.Close()
 	}
 	if len(ids) < 2 {
 		t.Fatalf("32 default clients all stamp id %v", ids)
 	}
+}
+
+// TestClusterPutBatch checks PutBatch's routing, sequencing and errors on
+// in-process nodes with no replicators, so every copy a node holds came
+// from the batch's own pushes.
+func TestClusterPutBatch(t *testing.T) {
+	batch := func(lo, n uint64) (keys, values []uint64) {
+		for k := lo; k < lo+n; k++ {
+			keys, values = append(keys, k), append(values, k*3)
+		}
+		return keys, values
+	}
+
+	// At R=2 of 3 nodes each node holds exactly the keys the ring assigns
+	// it; at R=2 of 2 nodes both hold every key.
+	for _, n := range []int{3, 2} {
+		t.Run(fmt.Sprintf("R=2 of %d nodes", n), func(t *testing.T) {
+			addrs := freeAddrs(t, n)
+			nodes := make([]*testNode, n)
+			for i, addr := range addrs {
+				nodes[i] = startTestNode(t, addr, addrs, nodeOpts{noReplicator: true})
+				defer nodes[i].stop()
+			}
+			c, err := New(Config{Nodes: addrs, Replicas: 2, Seed: testRingSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			keys, values := batch(1, 2000)
+			if err := c.PutBatch(keys, values); err != nil {
+				t.Fatal(err)
+			}
+			held := make([]int, n)
+			for _, k := range keys {
+				owners := c.Ring().Replicas(k, 2, nil)
+				for i, nd := range nodes {
+					st, v, _ := nd.rep.VGet(k)
+					if owns := slices.Contains(owners, nd.addr); owns != (st == wire.VStateLive) || owns && v != k*3 {
+						t.Fatalf("node %s, key %d: state %d value %d; owners %v", nd.addr, k, st, v, owners)
+					}
+					if st == wire.VStateLive {
+						held[i]++
+					}
+				}
+			}
+			for i, nd := range nodes {
+				if got := nd.rep.ReplicaStats().TrackedKeys; got != held[i] || n == 2 && got != len(keys) {
+					t.Errorf("node %s tracks %d keys, holds %d of %d", nd.addr, got, held[i], len(keys))
+				}
+			}
+		})
+	}
+
+	t.Run("sequence numbers", func(t *testing.T) {
+		addrs := freeAddrs(t, 2)
+		a := startTestNode(t, addrs[0], addrs, nodeOpts{noReplicator: true})
+		defer a.stop()
+		defer startTestNode(t, addrs[1], addrs, nodeOpts{noReplicator: true}).stop()
+		var clock, calls atomic.Uint64
+		// W=2: a Put returns once both nodes applied it.
+		c, err := New(Config{
+			Nodes:       addrs,
+			Replicas:    2,
+			WriteQuorum: 2,
+			Seed:        testRingSeed,
+			SeqSource: func() uint64 {
+				calls.Add(1)
+				return clock.Load()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		seqOf := func(k uint64) uint64 {
+			_, _, seq := a.rep.VGet(k)
+			return seq
+		}
+
+		// Each step sets the clock, then writes; want is the first sequence
+		// number the step must get: the clock, or one past the last number
+		// issued when the clock stands still or ran backwards.
+		steps := []struct {
+			clock, want uint64
+			lo, n       uint64 // n == 0: a single Put of key lo
+		}{
+			{clock: 1000, want: 1000, lo: 1, n: 300},
+			{clock: 1000, want: 1300, lo: 9001},
+			{clock: 5000, want: 5000, lo: 301, n: 300},
+			{clock: 10, want: 5300, lo: 601, n: 50},
+			{clock: 10, want: 5350, lo: 9002},
+			{clock: 9000, want: 9000, lo: 651, n: 1},
+		}
+		for i, s := range steps {
+			clock.Store(s.clock)
+			if s.n == 0 {
+				if err := c.Put(s.lo, 1); err != nil {
+					t.Fatal(err)
+				}
+				if got := seqOf(s.lo); got != s.want {
+					t.Fatalf("step %d: Put got sequence number %d, want %d", i, got, s.want)
+				}
+			} else {
+				keys, values := batch(s.lo, s.n)
+				if err := c.PutBatch(keys, values); err != nil {
+					t.Fatal(err)
+				}
+				for j, k := range keys {
+					if got := seqOf(k); got != s.want+uint64(j) {
+						t.Fatalf("step %d: entry %d got sequence number %d, want %d", i, j, got, s.want+uint64(j))
+					}
+				}
+			}
+			if got := calls.Load(); got != uint64(i+1) {
+				t.Fatalf("after step %d the sequence source was called %d times, want %d", i, got, i+1)
+			}
+		}
+
+		if err := c.PutBatch(nil, nil); err != nil {
+			t.Fatalf("empty batch: %v", err)
+		}
+		if got := calls.Load(); got != uint64(len(steps)) {
+			t.Errorf("an empty batch called the sequence source: %d calls, want %d", got, len(steps))
+		}
+	})
+
+	// A node whose table is full fails the keys it cannot take; at W=2
+	// they miss their quorum, and the error names the node and each key.
+	t.Run("full table", func(t *testing.T) {
+		addrs := freeAddrs(t, 2)
+		defer startTestNode(t, addrs[0], addrs, nodeOpts{noReplicator: true}).stop()
+		small := func() *wire.Replicated {
+			tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return wire.NewReplicated(mccuckoo.NewConcurrent(tab), wire.ReplicaConfig{})
+		}
+		srv, err := wire.NewServer(wire.Config{Store: small()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", addrs[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		}()
+		c, err := New(Config{Nodes: addrs, Replicas: 2, WriteQuorum: 2, Seed: testRingSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		keys, values := batch(1, 64)
+		err = c.PutBatch(keys, values)
+		if !errors.Is(err, ErrNoQuorum) || !errors.Is(err, errTableFull) {
+			t.Fatalf("PutBatch into a full table: %v, want a quorum failure for a full table", err)
+		}
+		// A twin of the small table, given the same entries in the same
+		// order, fails the same keys. (A failed insert can also lose a key
+		// the table held, so the served table's contents cannot tell.)
+		ents := make([]wire.Entry, len(keys))
+		for i, k := range keys {
+			ents[i] = wire.Entry{Seq: uint64(i + 1), Op: wire.OpPut, Key: k, Value: values[i]}
+		}
+		statuses := small().ApplyPush(ents, nil)
+		failed := 0
+		for i, k := range keys {
+			if statuses[i] != wire.ApplyFailed {
+				continue
+			}
+			if failed++; failed == 1 && !strings.Contains(err.Error(), fmt.Sprintf("(1/2 acks for key %d)", k)) {
+				t.Errorf("error does not name %d, the first key short of its quorum: %v", k, err)
+			}
+			if want := fmt.Sprintf("%s: %v (key %d)", addrs[1], errTableFull, k); !strings.Contains(err.Error(), want) {
+				t.Errorf("error lacks %q: %v", want, err)
+			}
+		}
+		if failed == 0 || failed == len(keys) {
+			t.Fatalf("the small table took %d of %d keys", len(keys)-failed, len(keys))
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -291,6 +292,9 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 	// are still in flight; a head at or below it means we are current.
 	seen := uint64(0)
 	observeHead(st, head, seen)
+	// When every node holds every key, a ring node owns every entry, so
+	// the stream applies them unfiltered.
+	ownsAll := r.ring.Everywhere(r.cfg.Replicas) && r.ring.Owns(r.cfg.Self, 0, r.cfg.Replicas)
 
 	var ents []wire.Entry
 	for {
@@ -324,14 +328,14 @@ func (r *Replicator) streamOnce(addr string, st *peerState) error {
 			}
 			r.rep.SetDrained(low)
 		}
-		owned := ents[:0] // filtered in place: each entry is read before its slot is written
 		for _, e := range ents {
-			if e.Seq > seen {
-				seen = e.Seq
-			}
-			if r.ring.Owns(r.cfg.Self, e.Key, r.cfg.Replicas) {
-				owned = append(owned, e)
-			}
+			seen = max(seen, e.Seq)
+		}
+		owned := ents
+		if !ownsAll {
+			owned = slices.DeleteFunc(ents, func(e wire.Entry) bool {
+				return !r.ring.Owns(r.cfg.Self, e.Key, r.cfg.Replicas)
+			})
 		}
 		if len(owned) > 0 {
 			// No client context reaches a stream apply, so the span's trace

@@ -130,13 +130,17 @@ func (r *Ring) Replicas(key uint64, n int, dst []string) []string {
 	return dst
 }
 
-// Owns reports whether addr is one of the n replicas for key. When n is at
-// least the node count every node holds every key, so Owns only checks that
-// addr is one of the ring's nodes.
+// Everywhere reports whether n replicas put every key on every node: n is
+// at least the node count, so no key's placement needs a ring walk.
+func (r *Ring) Everywhere(n int) bool { return n >= len(r.nodes) }
+
+// Owns reports whether addr is one of the n replicas for key. When every
+// node holds every key (Everywhere), Owns only checks that addr is one of
+// the ring's nodes.
 //
 //mcvet:deterministic
 func (r *Ring) Owns(addr string, key uint64, n int) bool {
-	if n >= len(r.nodes) {
+	if r.Everywhere(n) {
 		_, ok := slices.BinarySearch(r.nodes, addr)
 		return ok
 	}

@@ -27,7 +27,13 @@ import (
 // exchange must share: a key contributes to the digest between self and a
 // peer only when BOTH own it per the ring. The two directions of an
 // exchange then digest the same key set, so equal digests mean converged.
+// When every node holds every key (Ring.Everywhere) every pair of nodes
+// co-owns every key, so there is nothing to filter and DigestFilter returns
+// nil, which Replicated.SetDigestFilter takes as no filter.
 func DigestFilter(ring *Ring, self string, replicas int) func(peer string, key uint64) bool {
+	if ring.Everywhere(replicas) {
+		return nil
+	}
 	return func(peer string, key uint64) bool {
 		return ring.Owns(peer, key, replicas) && ring.Owns(self, key, replicas)
 	}

@@ -27,6 +27,25 @@ func TestDigestFilterOwnership(t *testing.T) {
 	}
 }
 
+// TestDigestFilterEverywhereIsNil: when every node holds every key, every
+// pair of nodes co-owns every key, so DigestFilter returns no filter and a
+// range digest runs no ring check per key.
+func TestDigestFilterEverywhereIsNil(t *testing.T) {
+	nodes := []string{"a", "b", "c", "d"}
+	ring, err := NewRing(nodes, 64, testRingSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{4, 5} {
+		if DigestFilter(ring, "a", r) != nil {
+			t.Errorf("R=%d of 4 nodes: DigestFilter is not nil", r)
+		}
+	}
+	if DigestFilter(ring, "a", 3) == nil {
+		t.Error("R=3 of 4 nodes: DigestFilter is nil")
+	}
+}
+
 // startSweeper builds a sweeper for one node. Every node gets one even in
 // tests that only run some of them: NewSweeper installs the node's
 // ownership digest filter, which the node needs to answer its peers'

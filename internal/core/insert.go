@@ -25,17 +25,24 @@ func (t *Table) Insert(key, value uint64) kv.Outcome {
 	var cand [hashutil.MaxD]int
 	t.family.Indexes(key, cand[:])
 
-	if !t.cfg.AssumeUniqueKeys {
-		if out, done := t.updateExisting(key, value, cand[:t.cfg.D]); done {
+	// The update's scan leaves the candidates' counters in st.cnt, and
+	// nothing writes a counter before placement reads them.
+	e := kv.Entry{Key: key, Value: value}
+	var copies int
+	if t.cfg.AssumeUniqueKeys {
+		copies = t.place(e, cand[:t.cfg.D])
+	} else {
+		var st scanState
+		if out, done := t.update(key, value, cand[:t.cfg.D], &st); done {
 			return out
 		}
+		copies = t.placeCounted(e, cand[:t.cfg.D], &st.cnt)
 	}
-
-	if copies := t.place(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D]); copies > 0 {
+	if copies > 0 {
 		t.size++
 		return kv.Outcome{Status: kv.Placed}
 	}
-	return t.resolveCollision(kv.Entry{Key: key, Value: value}, cand[:t.cfg.D])
+	return t.resolveCollision(e, cand[:t.cfg.D])
 }
 
 // updateExisting checks for an existing copy of key and updates all its
@@ -43,8 +50,17 @@ func (t *Table) Insert(key, value uint64) kv.Outcome {
 //
 //mcvet:hotpath
 func (t *Table) updateExisting(key, value uint64, cand []int) (kv.Outcome, bool) {
+	var st scanState
+	return t.update(key, value, cand, &st)
+}
+
+// update is updateExisting with the caller's scan state, which it leaves
+// holding the scan's counter snapshot.
+//
+//mcvet:hotpath
+func (t *Table) update(key, value uint64, cand []int, st *scanState) (kv.Outcome, bool) {
 	var locBuf [hashutil.MaxD]int
-	locs, _ := t.findCopies(key, cand, &locBuf)
+	locs, _ := t.locateCopies(key, cand, &locBuf, st)
 	if len(locs) > 0 {
 		for _, table := range locs {
 			t.writeBucket(table, cand[table], kv.Entry{Key: key, Value: value})
@@ -67,13 +83,28 @@ func (t *Table) updateExisting(key, value uint64, cand []int) (kv.Outcome, bool)
 //
 //mcvet:hotpath
 func (t *Table) place(e kv.Entry, cand []int) int {
+	var cnt [hashutil.MaxD]uint64
+	for i := range cand {
+		cnt[i] = t.counters.Get(t.bucketIndex(i, cand[i]))
+	}
+	return t.placeCounted(e, cand, &cnt)
+}
+
+// placeCounted is place with the candidates' counters already read into
+// cnt, as a scan of e's key leaves them. Principle 1 charges each counter
+// read where it uses it, so the meter sees the accesses place always made.
+//
+//mcvet:hotpath
+func (t *Table) placeCounted(e kv.Entry, cand []int, cnt *[hashutil.MaxD]uint64) int {
 	d := t.cfg.D
 	var owned [hashutil.MaxD]bool
 	copies := 0
 
-	// Principle 1: occupy every free candidate.
+	// Principle 1: occupy every free candidate. Taking one changes no
+	// other candidate's counter, so the snapshot stays exact.
 	for i := 0; i < d; i++ {
-		if t.isFree(t.counterAt(i, cand[i])) {
+		t.meter.ReadOn(1)
+		if t.isFree(cnt[i]) {
 			t.writeBucket(i, cand[i], e)
 			copies++
 			t.setCounter(i, cand[i], uint64(copies))

@@ -280,12 +280,3 @@ func (t *Table) locateCopies(key uint64, cand []int, buf *[hashutil.MaxD]int, st
 	}
 	return tables, true
 }
-
-// findCopies is locateCopies without the scan state, for callers that only
-// need the copy locations. The result aliases buf.
-//
-//mcvet:hotpath
-func (t *Table) findCopies(key uint64, cand []int, buf *[hashutil.MaxD]int) ([]int, bool) {
-	var st scanState
-	return t.locateCopies(key, cand, buf, &st)
-}

@@ -88,13 +88,11 @@ type Replicated struct {
 	//mcvet:guardedby mu
 	filter func(peer string, key uint64) bool
 
-	entriesApplied atomic.Int64
-	entriesStale   atomic.Int64
-	applyFailures  atomic.Int64
-	repairApplied  atomic.Int64
-	fullSyncs      atomic.Int64
-	catchUps       atomic.Int64
-	sidecarDrops   atomic.Int64
+	applies       [ApplyFailed + 1]atomic.Int64 // entries per apply status, all sources
+	repairApplied atomic.Int64
+	fullSyncs     atomic.Int64
+	catchUps      atomic.Int64
+	sidecarDrops  atomic.Int64
 }
 
 var _ mccuckoo.BatchStore = (*Replicated)(nil)
@@ -259,17 +257,22 @@ func (e *Entry) valid() bool {
 	return e.Seq != 0 && e.Seq < seqLimit && (e.Op == OpPut || e.Op == OpDel)
 }
 
-// applyLocked is the single mutation path. It returns the apply status
-// plus the inner store's results for the caller-facing unversioned
-// wrappers. An invalid entry is counted and answered as stale, never
-// applied.
+// applyCounts tallies one call's apply statuses, indexed by status.
+// applyLocked counts each entry into its caller's tally, and the caller
+// adds the tally to the replica's counters once (finishLocked).
+type applyCounts [ApplyFailed + 1]int64
+
+// applyLocked is the single mutation path. It counts the entry's apply
+// status into n and returns it, plus the inner store's results for the
+// caller-facing unversioned wrappers. An invalid entry is counted and
+// answered as stale, never applied.
 //
 //mcvet:locked
-func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResult, removed bool) {
+func (r *Replicated) applyLocked(e Entry, n *applyCounts) (status byte, res mccuckoo.InsertResult, removed bool) {
 	pos, meta := r.seqs.probe(e.Key)
 	seen := meta != 0
 	if !e.valid() || (seen && e.Seq <= meta>>1) {
-		r.entriesStale.Add(1)
+		n[ApplyStale]++
 		return ApplyStale, res, false
 	}
 	var oldTerm uint64
@@ -291,7 +294,7 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 			// The write should have won but the table had no room. The
 			// sequence number is NOT advanced, so a later retry (or
 			// read-repair) can still land it.
-			r.applyFailures.Add(1)
+			n[ApplyFailed]++
 			return ApplyFailed, res, false
 		}
 		newVal = e.Value
@@ -322,15 +325,22 @@ func (r *Replicated) applyLocked(e Entry) (status byte, res mccuckoo.InsertResul
 		}
 	}
 	r.appended = true
-	r.entriesApplied.Add(1)
+	n[ApplyApplied]++
 	return ApplyApplied, res, removed
 }
 
-// notifyLocked pokes every subscriber once if the log grew since the last
-// poke. Each mutating call runs it once, before it releases the lock.
+// finishLocked adds one call's tally to the replica's counters and pokes
+// every subscriber once if the log grew since the last poke. Each mutating
+// call runs it once, before it releases the lock, so ReplicaStats never
+// sees part of a call.
 //
 //mcvet:locked
-func (r *Replicated) notifyLocked() {
+func (r *Replicated) finishLocked(n *applyCounts) {
+	for st, c := range n {
+		if c != 0 {
+			r.applies[st].Add(c)
+		}
+	}
 	if !r.appended {
 		return
 	}
@@ -353,14 +363,14 @@ func (r *Replicated) ApplyPush(ents []Entry, statuses []byte) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seqs.reserve(len(ents), func(i int) (uint64, bool) { return ents[i].Key, ents[i].valid() })
+	var n applyCounts
 	for i, e := range ents {
-		st, _, _ := r.applyLocked(e)
-		statuses[i] = st
-		if st == ApplyApplied {
-			r.repairApplied.Add(1)
-		}
+		statuses[i], _, _ = r.applyLocked(e, &n)
 	}
-	r.notifyLocked()
+	if n[ApplyApplied] != 0 {
+		r.repairApplied.Add(n[ApplyApplied])
+	}
+	r.finishLocked(&n)
 	return statuses
 }
 
@@ -370,18 +380,12 @@ func (r *Replicated) ApplyStream(ents []Entry) (applied, stale, failed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seqs.reserve(len(ents), func(i int) (uint64, bool) { return ents[i].Key, ents[i].valid() })
+	var n applyCounts
 	for _, e := range ents {
-		switch st, _, _ := r.applyLocked(e); st {
-		case ApplyApplied:
-			applied++
-		case ApplyStale:
-			stale++
-		case ApplyFailed:
-			failed++
-		}
+		r.applyLocked(e, &n)
 	}
-	r.notifyLocked()
-	return applied, stale, failed
+	r.finishLocked(&n)
+	return int(n[ApplyApplied]), int(n[ApplyStale]), int(n[ApplyFailed])
 }
 
 // VGet reports a key's replication state: VStateLive with its value and
@@ -512,16 +516,18 @@ func (r *Replicated) nextSeqLocked() uint64 {
 func (r *Replicated) Insert(key, value uint64) mccuckoo.InsertResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: key, Value: value})
-	r.notifyLocked()
+	var n applyCounts
+	_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: key, Value: value}, &n)
+	r.finishLocked(&n)
 	return res
 }
 
 func (r *Replicated) Delete(key uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, _, removed := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: key})
-	r.notifyLocked()
+	var n applyCounts
+	_, _, removed := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: key}, &n)
+	r.finishLocked(&n)
 	return removed
 }
 
@@ -544,13 +550,14 @@ func (r *Replicated) InsertBatchInto(keys, values []uint64, out []mccuckoo.Inser
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seqs.reserve(len(keys), func(i int) (uint64, bool) { return keys[i], true })
+	var n applyCounts
 	for i, k := range keys {
-		_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: k, Value: values[i]})
+		_, res, _ := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpPut, Key: k, Value: values[i]}, &n)
 		if out != nil {
 			out[i] = res
 		}
 	}
-	r.notifyLocked()
+	r.finishLocked(&n)
 }
 
 func (r *Replicated) LookupBatchInto(keys []uint64, values []uint64, found []bool) {
@@ -562,13 +569,14 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seqs.reserve(len(keys), func(i int) (uint64, bool) { return keys[i], true })
+	var n applyCounts
 	for i, k := range keys {
-		_, _, rm := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: k})
+		_, _, rm := r.applyLocked(Entry{Seq: r.nextSeqLocked(), Op: OpDel, Key: k}, &n)
 		if removed != nil {
 			removed[i] = rm
 		}
 	}
-	r.notifyLocked()
+	r.finishLocked(&n)
 }
 
 // --- sidecar persistence ---
@@ -737,9 +745,9 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 		OplogLen:       int(r.log.next - r.log.first),
 		OplogDropped:   r.log.dropped,
 		Subscribers:    len(r.subs),
-		EntriesApplied: r.entriesApplied.Load(),
-		EntriesStale:   r.entriesStale.Load(),
-		ApplyFailures:  r.applyFailures.Load(),
+		EntriesApplied: r.applies[ApplyApplied].Load(),
+		EntriesStale:   r.applies[ApplyStale].Load(),
+		ApplyFailures:  r.applies[ApplyFailed].Load(),
 		RepairApplied:  r.repairApplied.Load(),
 		FullSyncs:      r.fullSyncs.Load(),
 		CatchUps:       r.catchUps.Load(),

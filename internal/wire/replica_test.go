@@ -192,6 +192,78 @@ func TestReplicatedApplyFailedKeepsSeq(t *testing.T) {
 	}
 }
 
+// TestApplyCountsPerCall: a push whose entries apply, go stale, are
+// invalid and fail on a full table moves each apply counter by exactly its
+// count, and a stream chunk moves every counter but repair_applied.
+func TestApplyCountsPerCall(t *testing.T) {
+	tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicated(mccuckoo.NewConcurrent(tab), ReplicaConfig{})
+	r.ApplyPush([]Entry{{Seq: 50, Op: OpPut, Key: 1, Value: 1}, {Seq: 50, Op: OpPut, Key: 2, Value: 2}}, nil)
+	mixed := []Entry{
+		{Seq: 60, Op: OpPut, Key: 1, Value: 10}, // applied
+		{Seq: 40, Op: OpPut, Key: 2, Value: 20}, // stale
+		{Seq: 0, Op: OpPut, Key: 3, Value: 30},  // invalid: stale
+		{Seq: 61, Op: OpDel, Key: 2},            // applied
+	}
+	for k := uint64(100); k < 140; k++ { // the table fills: some fail
+		mixed = append(mixed, Entry{Seq: 100 + k, Op: OpPut, Key: k, Value: k})
+	}
+	for _, tc := range []struct {
+		name  string
+		apply func([]Entry) []int64 // counts per status
+		push  bool
+	}{
+		{"push", func(ents []Entry) []int64 {
+			n := make([]int64, ApplyFailed+1)
+			for _, st := range r.ApplyPush(ents, nil) {
+				n[st]++
+			}
+			return n
+		}, true},
+		{"stream", func(ents []Entry) []int64 {
+			applied, stale, failed := r.ApplyStream(ents)
+			n := make([]int64, ApplyFailed+1)
+			n[ApplyApplied], n[ApplyStale], n[ApplyFailed] = int64(applied), int64(stale), int64(failed)
+			return n
+		}, false},
+	} {
+		before := r.ReplicaStats()
+		n := tc.apply(mixed)
+		after := r.ReplicaStats()
+		if tc.push && (n[ApplyApplied] < 2 || n[ApplyStale] < 2 || n[ApplyFailed] == 0) {
+			t.Fatalf("%s: statuses %v do not mix applied, stale and failed", tc.name, n)
+		}
+		repair := int64(0)
+		if tc.push {
+			repair = n[ApplyApplied]
+		}
+		for _, c := range []struct {
+			name          string
+			before, after int64
+			want          int64
+		}{
+			{"entries_applied", before.EntriesApplied, after.EntriesApplied, n[ApplyApplied]},
+			{"entries_stale", before.EntriesStale, after.EntriesStale, n[ApplyStale]},
+			{"apply_failures", before.ApplyFailures, after.ApplyFailures, n[ApplyFailed]},
+			{"repair_applied", before.RepairApplied, after.RepairApplied, repair},
+		} {
+			if got := c.after - c.before; got != c.want {
+				t.Errorf("%s: %s moved by %d, want %d", tc.name, c.name, got, c.want)
+			}
+		}
+		// The stream replays the push's entries with higher sequence
+		// numbers, so they apply or fail again rather than go stale.
+		for i := range mixed {
+			if mixed[i].Seq != 0 {
+				mixed[i].Seq += 1000
+			}
+		}
+	}
+}
+
 func TestReplicatedDigestConvergence(t *testing.T) {
 	// Two replicas receiving the same entries in different orders must end
 	// with identical digests.
