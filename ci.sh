@@ -86,16 +86,19 @@
 # pair, asserting the wire-propagated context yields a cross-node span
 # tree — the distributed-tracing tentpole end to end.
 # Fuzz smoke: short bounded runs of the snapshot-loader, sharded-container
-# (FuzzLoadSharded), wire-frame and replica-sidecar (FuzzLoadSidecar)
-# fuzzers so format changes that break the rejection paths fail in CI, not
-# in a long background fuzz. The sharded harness seeds genuine containers
+# (FuzzLoadSharded), wire-frame and replica-checkpoint (FuzzLoadSidecar,
+# named for the sidecar its record section grew from) fuzzers so format
+# changes that break the rejection paths fail in CI, not in a long
+# background fuzz. The sharded harness seeds genuine containers
 # and requires every input to load a table whose every shard takes an
 # insert and finds it again, or to be rejected as corrupt. The
 # wire-frame corpus includes traced frames (flag bit 0x40 + 16-byte
-# context prefix) and their rejection cases. The sidecar harness fixes up
-# each input's CRC, so it reaches the record checks (keys strictly
-# ascending, sequence numbers nonzero) and checks that whatever loads
-# saves back byte for byte. The replica key index fuzzer (FuzzSeqIndex)
+# context prefix) and their rejection cases. The checkpoint harness feeds
+# whole checkpoints and fixes up each input's file CRC, so it reaches the
+# record checks (keys strictly ascending, sequence numbers nonzero and not
+# past the applied point, live records exactly the store's keys); whatever
+# loads must digest to the XOR of its terms and checkpoint back byte for
+# byte. The replica key index fuzzer (FuzzSeqIndex)
 # drives set, get and probe-then-update on an index small enough that
 # random walks and segment rebuilds run, checking every result against a
 # map: a cuckoo table loses keys in exactly those paths.
@@ -237,7 +240,7 @@ go test -run='^$' -fuzz=FuzzLoadSharded -fuzztime=5s ./internal/shard
 say "fuzz smoke: wire frame decoder"
 go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
 
-say "fuzz smoke: replica sidecar loader"
+say "fuzz smoke: replica checkpoint loader"
 go test -run='^$' -fuzz=FuzzLoadSidecar -fuzztime=5s ./internal/wire
 
 say "fuzz smoke: replica key index"

@@ -28,12 +28,12 @@
 // and the node subscribes to every peer's op log, applying the entries it
 // owns under the shared consistent-hash ring (-replicas copies per key,
 // ring seeded by -seed, -vnodes virtual nodes — all of which must match on
-// every node and client). With -snapshot, a replication sidecar is
-// checkpointed next to the snapshot so a restart resumes its subscriptions
-// from where every peer stream had last drained instead of taking a full
-// resync. A peer's op-log ring keeps its last 4,096 writes, so a node that
-// was down for more of a peer's writes than that takes a full dump from
-// that peer. /metrics additionally exposes
+// every node and client). With -snapshot, the node checkpoints the store
+// and its replication bookkeeping into one file, so a restart with -load on
+// it resumes its subscriptions from where every peer stream had last
+// drained instead of taking a full resync. A peer's op-log ring keeps its
+// last 4,096 writes, so a node that was down for more of a peer's writes
+// than that takes a full dump from that peer. /metrics additionally exposes
 // mccuckoo_replica_* and per-peer mccuckoo_peer_* series (replica lag,
 // repair counts, connects).
 //
@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"mccuckoo"
+	"mccuckoo/internal/atomicio"
 	"mccuckoo/internal/cluster"
 	"mccuckoo/internal/telemetry"
 	"mccuckoo/internal/telemetry/trace"
@@ -128,27 +129,18 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	tel := mccuckoo.NewTelemetry()
-	store, err := buildStore(*kind, *capacity, *shards, *seed, *load, tel)
+	store, err := buildStore(*kind, *capacity, *shards, *seed, *load, *peers != "", tel)
 	if err != nil {
 		return err
 	}
 
-	// Cluster mode: wrap the store in replication bookkeeping and prepare
-	// the peer subscription loops. The ring covers self plus every peer.
-	var rep *wire.Replicated
+	// Cluster mode: wrap the store in replication bookkeeping, unless it
+	// was restored with its own, and prepare the peer subscription loops.
+	// The ring covers self plus every peer.
+	rep, _ := store.(*wire.Replicated)
 	var replicator *cluster.Replicator
 	var sweeper *cluster.Sweeper
-	sidecarPath := ""
 	if *peers != "" {
-		if *snapshot != "" {
-			sidecarPath = *snapshot + ".replica"
-		}
-		if sidecarPath != "" && *load != "" {
-			rep, err = wire.RestoreReplicated(store, wire.ReplicaConfig{}, sidecarPath)
-			if err != nil && !errors.Is(err, os.ErrNotExist) {
-				logger.Printf("replica sidecar %s: %v (starting with a full resync)", sidecarPath, err)
-			}
-		}
 		if rep == nil {
 			rep = wire.NewReplicated(store, wire.ReplicaConfig{})
 		}
@@ -280,7 +272,7 @@ func run(args []string, stdout io.Writer) error {
 			case <-stopHousekeeping:
 				return
 			case <-ticker.C:
-				if err := saveSnapshot(store, *snapshot, sidecarPath); err != nil {
+				if err := saveSnapshot(store, *snapshot); err != nil {
 					logger.Printf("checkpoint: %v", err)
 				}
 			}
@@ -338,7 +330,7 @@ func run(args []string, stdout io.Writer) error {
 		metricsSrv.Close()
 	}
 	if *snapshot != "" {
-		if err := saveSnapshot(store, *snapshot, sidecarPath); err != nil {
+		if err := saveSnapshot(store, *snapshot); err != nil {
 			return fmt.Errorf("final snapshot: %w", err)
 		}
 		logger.Printf("snapshot saved to %s", *snapshot)
@@ -349,10 +341,10 @@ func run(args []string, stdout io.Writer) error {
 
 // buildStore constructs (or restores) the served table. Single-writer
 // kinds are wrapped with mccuckoo.NewConcurrent; Sharded serves as-is.
-func buildStore(kind string, capacity, shards int, seed uint64, load string, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
+func buildStore(kind string, capacity, shards int, seed uint64, load string, replicated bool, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
 	opts := []mccuckoo.Option{mccuckoo.WithSeed(seed), mccuckoo.WithTelemetry(tel)}
 	if load != "" {
-		return loadStore(load, tel)
+		return loadStore(load, replicated, tel)
 	}
 	switch kind {
 	case "sharded":
@@ -378,9 +370,20 @@ func buildStore(kind string, capacity, shards int, seed uint64, load string, tel
 // snapshot header disambiguates, so exactly one can succeed. A loader
 // handed an intact snapshot of another kind declines it without counting
 // a corrupt load, so a healthy restore leaves mccuckoo_corrupt_loads_total
-// at 0.
-func loadStore(path string, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
+// at 0. A replicated node tries its checkpoint first, store and
+// bookkeeping, and refuses one that fails its checks; any other snapshot
+// loads as a plain store, which NewReplicated then tracks afresh.
+func loadStore(path string, replicated bool, tel *mccuckoo.Telemetry) (mccuckoo.BatchStore, error) {
 	opts := []mccuckoo.Option{mccuckoo.WithTelemetry(tel)}
+	if replicated {
+		rep, err := wire.RestoreReplicated(path, wire.ReplicaConfig{}, opts...)
+		if err == nil {
+			return rep, nil
+		}
+		if !errors.Is(err, atomicio.ErrOtherKind) {
+			return nil, fmt.Errorf("load %s: %w", path, err)
+		}
+	}
 	var errs []string
 	if s, err := mccuckoo.LoadShardedFile(path, opts...); err == nil {
 		return s, nil
@@ -411,20 +414,15 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// saveSnapshot checkpoints any kind through its own SaveFile, which reads
-// under the kind's shard locks. A Replicated store checkpoints the value
-// snapshot and its replication sidecar as one consistent pair.
-func saveSnapshot(store mccuckoo.BatchStore, path, sidecar string) error {
-	if rep, ok := store.(*wire.Replicated); ok {
-		if sidecar == "" {
-			return saveSnapshot(rep.Inner(), path, "")
-		}
-		return rep.CheckpointWith(func() error {
-			return saveSnapshot(rep.Inner(), path, "")
-		}, sidecar)
-	}
-	if sv, ok := store.(saver); ok {
-		return sv.SaveFile(path)
+// saveSnapshot checkpoints the served store: a Replicated writes its one
+// checkpoint file, and any other kind its own SaveFile, which reads under
+// the kind's shard locks.
+func saveSnapshot(store mccuckoo.BatchStore, path string) error {
+	switch s := store.(type) {
+	case *wire.Replicated:
+		return s.Checkpoint(path)
+	case saver:
+		return s.SaveFile(path)
 	}
 	return fmt.Errorf("kind %T cannot snapshot", store)
 }

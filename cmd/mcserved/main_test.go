@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
 	"net"
 	"net/http"
@@ -179,21 +180,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // through the cluster client, and verifies the replication metrics are on
 // /metrics before a single SIGTERM drains all three nodes.
 func TestClusterServe(t *testing.T) {
-	addrs := make([]string, 3)
-	lns := make([]net.Listener, len(addrs))
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i], addrs[i] = ln, ln.Addr().String()
-	}
-	// The nodes re-bind these ports. Each is closed only once all are
-	// picked: a port closed early can be handed out again.
-	for _, ln := range lns {
-		ln.Close()
-	}
-
+	addrs := freePorts(t, 3)
 	lineChans := make([]chan string, 3)
 	errChans := make([]chan error, 3)
 	for i, addr := range addrs {
@@ -252,6 +239,153 @@ func TestClusterServe(t *testing.T) {
 			t.Fatalf("node %d run: %v", i, err)
 		}
 	}
+}
+
+// freePorts picks n loopback addresses for nodes to re-bind. Each port is
+// closed only once all are picked: a port closed early can be handed out
+// again.
+func freePorts(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	lns := make([]net.Listener, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	for _, ln := range lns {
+		ln.Close()
+	}
+	return addrs
+}
+
+// replicaStats reads the STATS replica section of the node at addr.
+func replicaStats(t *testing.T, addr string) wire.ReplicaStats {
+	t.Helper()
+	c, err := wire.Dial(wire.ClientConfig{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Stats()
+	if err != nil || st.Replica == nil {
+		t.Fatalf("stats: %+v, %v; want a replica section", st, err)
+	}
+	return *st.Replica
+}
+
+// TestReplicatedRestart stops a replicated node with SIGTERM, which writes
+// its final checkpoint to -snapshot, and restarts it with -load on that
+// one file: it reads back every key, and its STATS replica section carries
+// the applied and drained points the checkpoint holds. A damaged
+// checkpoint stops the node from starting, naming the file. A plain
+// sharded snapshot given to -load with -peers loads under fresh
+// bookkeeping at the seeded sequence, the full-resync path of a values
+// file an older node saved.
+func TestReplicatedRestart(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "a.ckpt")
+	addrs := freePorts(t, 2)
+	lineChans := make([]chan string, 2)
+	errChans := make([]chan error, 2)
+	for i, addr := range addrs {
+		args := []string{"-addr", addr, "-capacity", "8192", "-shards", "4", "-seed", "42",
+			"-peers", addrs[1-i], "-replicas", "2"}
+		if i == 0 {
+			args = append(args, "-snapshot", ckpt)
+		}
+		lineChans[i], errChans[i] = startServed(t, args...)
+	}
+	for i := range addrs {
+		waitLine(t, lineChans[i], "listening on ")
+	}
+	c, err := cluster.New(cluster.Config{Nodes: addrs, Replicas: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, 300)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+		if err := c.Put(keys[i], keys[i]*7); err != nil {
+			t.Fatalf("put %d: %v", keys[i], err)
+		}
+	}
+	c.Close()
+	// The drained point moves once node 0's stream from node 1 drains.
+	deadline := time.Now().Add(10 * time.Second)
+	for replicaStats(t, addrs[0]).DrainedSeq == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never recorded a drained point")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	sigtermSelf(t)
+	for i := range errChans {
+		if err := <-errChans[i]; err != nil {
+			t.Fatalf("node %d run: %v", i, err)
+		}
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatalf("checkpoint not written: %v", err)
+	}
+	applied, drained := binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:])
+
+	// serveAndCheck restarts node 0 from file and checks its keys and its
+	// replica section, then stops it.
+	serveAndCheck := func(file string, want wire.ReplicaStats) {
+		t.Helper()
+		lines, errCh := startServed(t, "-addr", addrs[0], "-load", file, "-peers", addrs[1], "-replicas", "2", "-seed", "42")
+		waitLine(t, lines, "listening on ")
+		rc, err := wire.Dial(wire.ClientConfig{Addr: addrs[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, found, err := rc.GetBatch(keys)
+		rc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			if !found[i] || vals[i] != k*7 {
+				t.Fatalf("%s: key %d reads %d, %v; want %d", filepath.Base(file), k, vals[i], found[i], k*7)
+			}
+		}
+		st := replicaStats(t, addrs[0])
+		if st.AppliedSeq != want.AppliedSeq || st.DrainedSeq != want.DrainedSeq || st.TrackedKeys != len(keys) {
+			t.Fatalf("%s: applied %d, drained %d, %d keys tracked; want %d, %d and %d",
+				filepath.Base(file), st.AppliedSeq, st.DrainedSeq, st.TrackedKeys, want.AppliedSeq, want.DrainedSeq, len(keys))
+		}
+		sigtermSelf(t)
+		if err := <-errCh; err != nil {
+			t.Fatalf("%s: run: %v", filepath.Base(file), err)
+		}
+	}
+	serveAndCheck(ckpt, wire.ReplicaStats{AppliedSeq: applied, DrainedSeq: drained})
+
+	bad := filepath.Join(dir, "bad.ckpt")
+	raw[len(raw)-10] ^= 1
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-addr", addrs[0], "-load", bad, "-peers", addrs[1]}, io.Discard); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("a damaged checkpoint: %v, want an error naming %s", err, bad)
+	}
+
+	tab, err := mccuckoo.NewSharded(8192, 4, mccuckoo.WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		tab.Insert(k, k*7)
+	}
+	plain := filepath.Join(dir, "plain.snap")
+	if err := tab.SaveFile(plain); err != nil {
+		t.Fatal(err)
+	}
+	serveAndCheck(plain, wire.ReplicaStats{AppliedSeq: 1, DrainedSeq: 1})
 }
 
 func TestBadFlags(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package atomicio is how a node writes and reads its files: a table
-// snapshot, the sharded container and the replica sidecar. Each is
+// snapshot, the sharded container and a replicated node's checkpoint. Each is
 // little-endian fields under CRC32C, written and read through the one
 // checksummed stream in stream.go, and rejected with a *CorruptError when
 // damaged. WriteFile makes the write crash-safe: the content goes to a

@@ -26,12 +26,12 @@ import (
 // The magic every file starts with, one per format. No single bit flip
 // turns one into another, so a damaged magic always reads as corruption.
 const (
-	MagicTable   = "MCCK" // a core table snapshot, single-slot or blocked
-	MagicSharded = "MCSH" // the sharded container of table snapshots
-	MagicSidecar = "MCRS" // the replica sidecar
+	MagicTable      = "MCCK" // a core table snapshot, single-slot or blocked
+	MagicSharded    = "MCSH" // the sharded container of table snapshots
+	MagicCheckpoint = "MCRS" // a replicated node's checkpoint
 )
 
-var magics = []string{MagicTable, MagicSharded, MagicSidecar}
+var magics = []string{MagicTable, MagicSharded, MagicCheckpoint}
 
 // ErrOtherKind is wrapped by the error a loader returns for an intact file
 // of another kind: one that starts with another known magic, or a table
@@ -50,7 +50,7 @@ var ErrOtherKind = errors.New("atomicio: file of another kind")
 //	if errors.As(err, &ce) { log.Printf("file bad at %s+%d: %s", ce.Section, ce.Offset, ce.Reason) }
 type CorruptError struct {
 	// Kind names the file being loaded: "table", "blocked", "sharded" or
-	// "sidecar".
+	// "checkpoint".
 	Kind string
 	// Section names the region of the file that failed: "header",
 	// "bookkeeping", "buckets", "onchip", "stash", "frame", "records",

@@ -27,7 +27,6 @@ const testRingSeed = 7
 // cmd/mcserved -peers assembles.
 type testNode struct {
 	addr string
-	tab  *mccuckoo.Sharded
 	rep  *wire.Replicated
 	srv  *wire.Server
 	r    *Replicator
@@ -36,9 +35,9 @@ type testNode struct {
 type nodeOpts struct {
 	oplogSize    int
 	noReplicator bool
-	// snap/sidecar, when set, restore the node's state before it serves —
+	// checkpoint, when set, restores the node's state before it serves —
 	// the restart path a crashed mcserved takes.
-	snap, sidecar string
+	checkpoint string
 	// trace, when set, is the node's flight recorder, threaded into both
 	// the server and the replicator exactly as cmd/mcserved -trace does.
 	trace *trace.Recorder
@@ -46,24 +45,19 @@ type nodeOpts struct {
 
 func startTestNode(t *testing.T, addr string, nodes []string, opt nodeOpts) *testNode {
 	t.Helper()
-	var tab *mccuckoo.Sharded
+	cfg := wire.ReplicaConfig{OplogSize: opt.oplogSize}
+	var rep *wire.Replicated
 	var err error
-	if opt.snap != "" {
-		tab, err = mccuckoo.LoadShardedFile(opt.snap)
+	if opt.checkpoint != "" {
+		rep, err = wire.RestoreReplicated(opt.checkpoint, cfg)
 	} else {
-		tab, err = mccuckoo.NewSharded(1<<14, 8, mccuckoo.WithSeed(42))
+		var tab *mccuckoo.Sharded
+		if tab, err = mccuckoo.NewSharded(1<<14, 8, mccuckoo.WithSeed(42)); err == nil {
+			rep = wire.NewReplicated(tab, cfg)
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
-	}
-	cfg := wire.ReplicaConfig{OplogSize: opt.oplogSize}
-	var rep *wire.Replicated
-	if opt.sidecar != "" {
-		if rep, err = wire.RestoreReplicated(tab, cfg, opt.sidecar); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		rep = wire.NewReplicated(tab, cfg)
 	}
 	srv, err := wire.NewServer(wire.Config{Store: rep, SubKeepalive: 50 * time.Millisecond, Trace: opt.trace})
 	if err != nil {
@@ -74,7 +68,7 @@ func startTestNode(t *testing.T, addr string, nodes []string, opt nodeOpts) *tes
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	n := &testNode{addr: addr, tab: tab, rep: rep, srv: srv}
+	n := &testNode{addr: addr, rep: rep, srv: srv}
 	if !opt.noReplicator {
 		n.startReplicator(t, nodes, opt.trace)
 	}
@@ -139,7 +133,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestClusterKillNodeConvergence is the tentpole scenario: a 3-node R=2
 // cluster under mixed traffic loses a node mid-run with zero failed reads,
 // keeps accepting writes and deletes, and the node restarted from its
-// snapshot + replication sidecar converges back to byte-identical state via
+// checkpoint converges back to byte-identical state via
 // the op-log catch-up stream.
 func TestClusterKillNodeConvergence(t *testing.T) {
 	addrs := freeAddrs(t, 3)
@@ -168,13 +162,10 @@ func TestClusterKillNodeConvergence(t *testing.T) {
 		expected[k] = k * 7
 	}
 
-	// Checkpoint node 0 so its restart exercises the snapshot+sidecar
-	// restore path rather than a from-scratch sync.
-	snap := filepath.Join(t.TempDir(), "n0.snap")
-	sidecar := snap + ".replica"
-	if err := nodes[0].rep.CheckpointWith(func() error {
-		return nodes[0].tab.SaveFile(snap)
-	}, sidecar); err != nil {
+	// Checkpoint node 0 so its restart exercises the checkpoint restore
+	// path rather than a from-scratch sync.
+	checkpoint := filepath.Join(t.TempDir(), "n0.ckpt")
+	if err := nodes[0].rep.Checkpoint(checkpoint); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 
@@ -234,8 +225,8 @@ func TestClusterKillNodeConvergence(t *testing.T) {
 	}
 
 	// Restart node 0 from its checkpoint; the op-log subscriptions resume
-	// from the sidecar's applied sequence and replay what it missed.
-	nodes[0] = startTestNode(t, addrs[0], addrs, nodeOpts{snap: snap, sidecar: sidecar})
+	// from the checkpoint's drained point and replay what it missed.
+	nodes[0] = startTestNode(t, addrs[0], addrs, nodeOpts{checkpoint: checkpoint})
 
 	ring := c.Ring()
 	owned := func(k uint64) bool { return ring.Owns(addrs[0], k, 2) }
@@ -719,13 +710,13 @@ func TestClusterCatchUpAfterBurst(t *testing.T) {
 // TestClusterRestartResumesFromDrainedPoint restarts a node from a
 // checkpoint taken after a push ran ahead of its stream. Node B holds only
 // key 100 at sequence 100, pushed before its replicator ever ran, while node
-// A holds keys 1..100 at sequences 1..100 in an 8-entry ring. B's sidecar
+// A holds keys 1..100 at sequences 1..100 in an 8-entry ring. B's checkpoint
 // records applied 100 but drained 0, so the restarted B resumes from 0,
 // takes A's full dump and converges with no sweeper. Resuming from the
 // applied 100 would replay only sequences 93..100.
 func TestClusterRestartResumesFromDrainedPoint(t *testing.T) {
 	dir := t.TempDir()
-	snap, side := filepath.Join(dir, "b.snap"), filepath.Join(dir, "b.snap.replica")
+	checkpoint := filepath.Join(dir, "b.ckpt")
 	addrs := freeAddrs(t, 2)
 	a := startTestNode(t, addrs[0], addrs, nodeOpts{oplogSize: 8, noReplicator: true})
 	defer a.stop()
@@ -735,12 +726,12 @@ func TestClusterRestartResumesFromDrainedPoint(t *testing.T) {
 
 	b := startTestNode(t, addrs[1], addrs, nodeOpts{noReplicator: true})
 	b.rep.ApplyPush([]wire.Entry{{Seq: 100, Op: wire.OpPut, Key: 100, Value: 300}}, nil)
-	if err := b.rep.CheckpointWith(func() error { return b.tab.SaveFile(snap) }, side); err != nil {
+	if err := b.rep.Checkpoint(checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	b.stop()
 
-	b = startTestNode(t, addrs[1], addrs, nodeOpts{snap: snap, sidecar: side})
+	b = startTestNode(t, addrs[1], addrs, nodeOpts{checkpoint: checkpoint})
 	defer b.stop()
 	waitFor(t, 10*time.Second, "restarted node to converge", func() bool {
 		return b.rep.Digest() == a.rep.Digest() && b.rep.ReplicaStats().TrackedKeys == 100
@@ -897,14 +888,12 @@ func TestClusterPutBatch(t *testing.T) {
 	t.Run("full table", func(t *testing.T) {
 		addrs := freeAddrs(t, 2)
 		defer startTestNode(t, addrs[0], addrs, nodeOpts{noReplicator: true}).stop()
-		small := func() *wire.Replicated {
-			tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return wire.NewReplicated(mccuckoo.NewConcurrent(tab), wire.ReplicaConfig{})
+		tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		srv, err := wire.NewServer(wire.Config{Store: small()})
+		small := wire.NewReplicated(mccuckoo.NewConcurrent(tab), wire.ReplicaConfig{})
+		srv, err := wire.NewServer(wire.Config{Store: small})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -928,17 +917,11 @@ func TestClusterPutBatch(t *testing.T) {
 		if !errors.Is(err, ErrNoQuorum) || !errors.Is(err, errTableFull) {
 			t.Fatalf("PutBatch into a full table: %v, want a quorum failure for a full table", err)
 		}
-		// A twin of the small table, given the same entries in the same
-		// order, fails the same keys. (A failed insert can also lose a key
-		// the table held, so the served table's contents cannot tell.)
-		ents := make([]wire.Entry, len(keys))
-		for i, k := range keys {
-			ents[i] = wire.Entry{Seq: uint64(i + 1), Op: wire.OpPut, Key: k, Value: values[i]}
-		}
-		statuses := small().ApplyPush(ents, nil)
+		// A failed insert leaves the table as it was, so the keys the
+		// small table lacks are the ones it failed.
 		failed := 0
-		for i, k := range keys {
-			if statuses[i] != wire.ApplyFailed {
+		for _, k := range keys {
+			if _, ok := small.Lookup(k); ok {
 				continue
 			}
 			if failed++; failed == 1 && !strings.Contains(err.Error(), fmt.Sprintf("(1/2 acks for key %d)", k)) {

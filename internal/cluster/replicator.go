@@ -64,7 +64,7 @@ type ReplicatorConfig struct {
 // away. A stream that falls behind the peer's op-log ring is caught up in
 // place by the peer, on the same connection. A restarted node needs no
 // special bootstrap path: its subscriptions resume from the drained point
-// its snapshot+sidecar restored (ReplicaStats.DrainedSeq), and a peer answers
+// its checkpoint restored (ReplicaStats.DrainedSeq), and a peer answers
 // with a full state dump when that point is behind its ring.
 //
 // Each peer's resume point advances only when that peer's stream has

@@ -16,7 +16,7 @@ import (
 // read-repair heals keys that reads happen to touch and the op-log
 // subscriptions heal everything a live connection can stream, divergence
 // created while both were impossible (a partition that outlasted the op
-// log, a missed oplog window, a lost sidecar) persists silently until a
+// log, a missed oplog window, a lost checkpoint) persists silently until a
 // read lands on it. The Sweeper finds such keys proactively: it exchanges
 // ring-ownership-filtered XOR digests with each peer over key ranges,
 // bisects mismatched ranges until they are small enough to enumerate, and

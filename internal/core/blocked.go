@@ -259,10 +259,10 @@ func (t *BlockedTable) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 	copy(curCand[:], cand)
 	prevTable := -1
 	kicks := 0
+	walk := t.walkRecord()
 	for {
 		if kicks >= t.cfg.MaxLoop {
-			t.stats.Kicks += int64(kicks)
-			return t.overflowInsert(cur, curCand[:t.cfg.D], kicks)
+			return t.overflowWalk(cur, curCand[:t.cfg.D], kicks)
 		}
 		r := t.pickVictim(curCand[:t.cfg.D], prevTable)
 		s := t.rng.IntN(t.cfg.Slots)
@@ -277,6 +277,7 @@ func (t *BlockedTable) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 		}
 		hints[r] = int8(s)
 		t.writeSlot(idx, cur, hints)
+		walk[kicks] = uint8(r<<4 | s)
 		kicks++
 		cur = victim
 		prevTable = r

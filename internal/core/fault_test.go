@@ -278,7 +278,7 @@ func TestSnapshotEveryTruncationDetected(t *testing.T) {
 }
 
 // Sharded snapshots: every single-bit flip — header, frame lengths, frame
-// bodies, trailer — must be detected by shard.Load.
+// bodies, trailer — must be detected by shard.Read.
 func TestShardedSnapshotEveryBitFlipDetected(t *testing.T) {
 	s, err := shard.New(4, 77, func(i int) (shard.Inner, error) {
 		return core.New(core.Config{BucketsPerTable: 4, Seed: uint64(200 + i),
@@ -295,7 +295,7 @@ func TestShardedSnapshotEveryBitFlipDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := shard.Load(bytes.NewReader(raw)); err != nil {
+	if _, err := shard.Read(atomicio.NewReader(bytes.NewReader(raw))); err != nil {
 		t.Fatalf("pristine sharded snapshot rejected: %v", err)
 	}
 	bad := make([]byte, len(raw))
@@ -303,7 +303,7 @@ func TestShardedSnapshotEveryBitFlipDetected(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(bad, raw)
 			bad[off] ^= 1 << bit
-			_, err := shard.Load(bytes.NewReader(bad))
+			_, err := shard.Read(atomicio.NewReader(bytes.NewReader(bad)))
 			if err == nil {
 				t.Fatalf("bit flip at byte %d bit %d accepted", off, bit)
 			}
@@ -315,7 +315,7 @@ func TestShardedSnapshotEveryBitFlipDetected(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < len(raw); cut += 7 {
-		if _, err := shard.Load(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := shard.Read(atomicio.NewReader(bytes.NewReader(raw[:cut]))); err == nil {
 			t.Fatalf("sharded truncation at %d accepted", cut)
 		}
 	}

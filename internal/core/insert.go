@@ -205,7 +205,7 @@ func (t *Table) victimLostCopy(victimKey uint64, lostTable int, v uint64) {
 // resolveCollision runs the counter-guided random walk: evict a random sole
 // copy, re-place the evicted item by the insertion principles, and repeat
 // until a placement succeeds or MaxLoop is exceeded, in which case the item
-// in hand goes to the stash.
+// in hand goes to the stash or the walk is undone (overflowWalk).
 //
 //mcvet:hotpath
 func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
@@ -214,10 +214,10 @@ func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 	copy(curCand[:], cand)
 	prevTable := -1
 	kicks := 0
+	walk := t.walkRecord()
 	for {
 		if kicks >= t.cfg.MaxLoop {
-			t.stats.Kicks += int64(kicks)
-			return t.overflowInsert(cur, curCand[:t.cfg.D], kicks)
+			return t.overflowWalk(cur, curCand[:t.cfg.D], kicks)
 		}
 		// Pick a candidate to evict per the configured policy,
 		// avoiding an immediate bounce back to the bucket cur was
@@ -227,6 +227,7 @@ func (t *Table) resolveCollision(e kv.Entry, cand []int) kv.Outcome {
 		t.writeBucket(r, curCand[r], cur)
 		// The bucket's counter is already 1 (sole copy out, sole copy
 		// in), so no counter update is needed.
+		walk[kicks] = uint8(r << 4)
 		kicks++
 		cur = victim
 		prevTable = r

@@ -181,7 +181,8 @@ func TestFailedGrowKeepsTable(t *testing.T) {
 		}
 	}
 	// Five single-slot tables and four blocked ones (whose slot hints must
-	// come back too), each full past what a rehash can place.
+	// come back too), each full past what a rehash can place. The blocked
+	// ones walk at most 2 kicks, short enough that each rehash fails.
 	type growable interface {
 		Insert(key, value uint64) kv.Outcome
 		Len() int
@@ -198,7 +199,7 @@ func TestFailedGrowKeepsTable(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		tables = append(tables, mustNewBlocked(t, Config{BucketsPerTable: 16, StashEnabled: true,
-			StashMax: 2, MaxLoop: 4, Seed: seed}))
+			StashMax: 2, MaxLoop: 2, Seed: seed}))
 	}
 	for i, tab := range tables {
 		fill(tab)

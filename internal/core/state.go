@@ -90,6 +90,10 @@ type tableState struct {
 	// and snapshot paths go through it; Insert, Lookup and Delete are the
 	// kinds' own methods and call their algorithm directly.
 	algo algorithm
+	// walk records the current random walk's kicks, one byte each: the
+	// subtable in the high nibble, the slot in the low one. It holds
+	// MaxLoop bytes from the table's first walk on (walkRecord).
+	walk []uint8
 }
 
 // algorithm is the probe algorithm of one table kind, as the shared state
@@ -299,6 +303,41 @@ func (s *tableState) updateStash(key, value uint64) (kv.Outcome, bool) {
 		}
 	}
 	return kv.Outcome{}, false
+}
+
+// walkRecord returns the kick record, allocating it at the table's first
+// walk.
+func (s *tableState) walkRecord() []uint8 {
+	if s.walk == nil {
+		s.walk = make([]uint8, s.cfg.MaxLoop)
+	}
+	return s.walk
+}
+
+// overflowWalk ends a walk that reached MaxLoop with cur, its last victim,
+// in hand. The stash takes cur, or else the recorded kicks are replayed in
+// reverse, so a failed insert leaves the table as it found it and the item
+// being inserted is the one that fails. Each kick put the item in hand in a
+// cell of the item it evicted, so that item's candidate in the recorded
+// subtable, at the recorded slot, is the cell. An undone kick costs one
+// off-chip read and one write and draws no random number. Every victim was
+// a sole copy, so no counter moves, and a blocked cell's slot hints, which
+// name only the cell, stay as they are.
+//
+//mcvet:hotpath
+func (s *tableState) overflowWalk(cur kv.Entry, cand []int, kicks int) kv.Outcome {
+	s.stats.Kicks += int64(kicks)
+	out := s.overflowInsert(cur, cand, kicks)
+	var handCand [hashutil.MaxD]int
+	for k := kicks - 1; out.Status == kv.Failed && k >= 0; k-- {
+		s.family.Indexes(cur.Key, handCand[:])
+		table, slot := int(s.walk[k]>>4), int(s.walk[k]&0xf)
+		idx := s.cellIndex(table, handCand[table], slot)
+		s.meter.ReadOff(1)
+		s.meter.WriteOff(1)
+		cur, s.cells[idx] = s.cells[idx], cur
+	}
+	return out
 }
 
 // overflowInsert stores the item the walk could not place into the stash and

@@ -22,8 +22,8 @@ const persistOps = 2
 // or load per op: a sharded table's save to io.Discard and its load from a
 // file, at 1<<14 and at 1<<17 capacity (a cluster-rw node's), each with 8
 // shards and seeded to half load; then a Replicated over the larger table,
-// its checkpoint (values file and sidecar) and the restore a restarted node
-// runs (the values file, then RestoreReplicated). The allocation counts
+// its checkpoint (one file: the container and the bookkeeping) and the
+// restore a restarted node runs (RestoreReplicated). The allocation counts
 // show what each costs per array rather than per word: a save or a load
 // makes as many allocations at either size, and a restore builds one index.
 func persistSeries(r *Report, o SuiteOptions) (err error) {
@@ -88,16 +88,12 @@ func persistSeries(r *Report, o SuiteOptions) (err error) {
 			check(e)
 		})
 	}
-	rep, sidecar := wire.NewReplicated(tab, wire.ReplicaConfig{}), values+".replica"
-	saveValues := func() error { return tab.SaveFile(values) }
+	rep, checkpoint := wire.NewReplicated(tab, wire.ReplicaConfig{}), filepath.Join(dir, "replica.ckpt")
 	measure("persist/checkpoint/cap=131072", func() {
-		check(rep.CheckpointWith(saveValues, sidecar))
+		check(rep.Checkpoint(checkpoint))
 	})
 	measure("persist/restore/cap=131072", func() {
-		loaded, e := mccuckoo.LoadShardedFile(values)
-		if e == nil {
-			_, e = wire.RestoreReplicated(loaded, wire.ReplicaConfig{}, sidecar)
-		}
+		_, e := wire.RestoreReplicated(checkpoint, wire.ReplicaConfig{})
 		check(e)
 	})
 	return err

@@ -40,7 +40,26 @@ const (
 //
 //mcvet:deterministic
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	out := atomicio.NewWriter(w)
+	return s.WriteSnapshot(atomicio.NewWriter(w))
+}
+
+// SnapshotLen returns the length of the container WriteSnapshot writes. A
+// caller that frames it excludes writers until the container is written.
+func (s *Sharded) SnapshotLen() uint64 {
+	n := uint64(4+1+4+8+1+4) + 4 // the header section, the trailer
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		n += 8 + sh.tab.SnapshotLen()
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// WriteSnapshot is WriteTo into out, a whole file's stream or a frame's.
+//
+//mcvet:deterministic
+func (s *Sharded) WriteSnapshot(out *atomicio.Writer) (int64, error) {
 	out.BeginSection()
 	out.Bytes([]byte(atomicio.MagicSharded))
 	out.U8(shardVersion)
@@ -74,16 +93,14 @@ func (s *Sharded) WriteShardTo(i int, w io.Writer) (int64, error) {
 // WriteTo.
 func (s *Sharded) SaveFile(path string) error { return atomicio.WriteFile(path, s.WriteTo) }
 
-// Load reads a sharded snapshot written by WriteTo and rebuilds the table.
-// Any truncated or corrupted input is rejected with an
-// *atomicio.CorruptError.
-func Load(r io.Reader) (*Sharded, error) { return read(atomicio.NewReader(r)) }
+// LoadFile loads a sharded snapshot file written by SaveFile, rejecting
+// trailing bytes after the trailer.
+func LoadFile(path string) (*Sharded, error) { return atomicio.LoadFile(path, Read) }
 
-// LoadFile loads a sharded snapshot file written by SaveFile, additionally
-// rejecting trailing bytes after the trailer.
-func LoadFile(path string) (*Sharded, error) { return atomicio.LoadFile(path, read) }
-
-func read(s *atomicio.Reader) (*Sharded, error) {
+// Read reads a sharded snapshot written by WriteTo from s, a whole file's
+// stream or a frame's, and rebuilds the table. Any truncated or corrupted
+// input is rejected with an *atomicio.CorruptError.
+func Read(s *atomicio.Reader) (*Sharded, error) {
 	s.BeginSection("header")
 	s.Magic("sharded", atomicio.MagicSharded)
 	version, shardCount, seed, kind := s.U8(), s.U32(), s.U64(), s.U8()

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,6 +15,9 @@ import (
 	"mccuckoo/internal/hashutil"
 	"mccuckoo/internal/kv"
 )
+
+// load reads a sharded snapshot from r.
+func load(r io.Reader) (*Sharded, error) { return Read(atomicio.NewReader(r)) }
 
 func fillSharded(t testing.TB, s *Sharded, seed uint64, n int) map[uint64]uint64 {
 	t.Helper()
@@ -45,7 +49,7 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	got, err := load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -84,7 +88,7 @@ func TestShardedSnapshotBlockedInner(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	got, err := load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -136,11 +140,11 @@ func TestShardedLoadRejectsBadHeader(t *testing.T) {
 	for _, off := range []int{0, 4, 5, 9, 17} { // magic, version, count, seed, kind
 		bad := append([]byte{}, raw...)
 		bad[off] ^= 0xff
-		if _, err := Load(bytes.NewReader(bad)); err == nil {
+		if _, err := load(bytes.NewReader(bad)); err == nil {
 			t.Errorf("header corruption at %d accepted", off)
 		}
 	}
-	if _, err := Load(bytes.NewReader(raw[:10])); err == nil {
+	if _, err := load(bytes.NewReader(raw[:10])); err == nil {
 		t.Error("truncated header accepted")
 	}
 }
@@ -163,7 +167,7 @@ func TestShardedLoadRejectsUnfilledFrame(t *testing.T) {
 	bad = append(bad, raw[head+8:head+8+int(frameLen)]...)
 	bad = append(bad, 0) // the byte the snapshot leaves unread
 	bad = binary.LittleEndian.AppendUint32(bad, crc32.Checksum(bad, crc32.MakeTable(crc32.Castagnoli)))
-	_, err := Load(bytes.NewReader(bad))
+	_, err := load(bytes.NewReader(bad))
 	var ce *atomicio.CorruptError
 	if !errors.As(err, &ce) || ce.Kind != "table" || ce.Section != "trailer" {
 		t.Fatalf("unfilled frame: %v, want a *CorruptError at the table snapshot's trailer", err)
@@ -218,7 +222,7 @@ func TestShardedRepairHealthyNoOp(t *testing.T) {
 // FuzzLoadSharded feeds arbitrary bytes to the sharded loader. Every input
 // either loads a table each of whose shards takes an insert and finds it
 // again, or is rejected with an *atomicio.CorruptError; an intact file of
-// another kind (one that starts with a table snapshot's or a sidecar's
+// another kind (one that starts with a table snapshot's or a checkpoint's
 // magic) may instead be declined with atomicio.ErrOtherKind. No input
 // panics.
 func FuzzLoadSharded(f *testing.F) {
@@ -263,11 +267,11 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add([]byte(atomicio.MagicSharded))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data))
+		s, err := load(bytes.NewReader(data))
 		if err != nil {
 			var ce *atomicio.CorruptError
 			otherKind := bytes.HasPrefix(data, []byte(atomicio.MagicTable)) ||
-				bytes.HasPrefix(data, []byte(atomicio.MagicSidecar))
+				bytes.HasPrefix(data, []byte(atomicio.MagicCheckpoint))
 			if !errors.As(err, &ce) && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
 				t.Fatalf("Load: %v, want a *CorruptError", err)
 			}

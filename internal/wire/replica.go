@@ -2,6 +2,7 @@ package wire
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -92,7 +93,6 @@ type Replicated struct {
 	repairApplied atomic.Int64
 	fullSyncs     atomic.Int64
 	catchUps      atomic.Int64
-	sidecarDrops  atomic.Int64
 }
 
 var _ mccuckoo.BatchStore = (*Replicated)(nil)
@@ -100,17 +100,24 @@ var _ mccuckoo.BatchStore = (*Replicated)(nil)
 // NewReplicated wraps inner. If inner is non-empty and supports Range (all
 // concrete kinds do), its keys are seeded at an ancient sequence number so
 // they participate in state dumps and version comparisons. A node restarted
-// with a sidecar builds its bookkeeping with RestoreReplicated instead.
+// from its checkpoint builds its replica with RestoreReplicated instead.
 func NewReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig) *Replicated {
 	r := newReplica(inner, cfg, inner.Len())
+	rng, ok := inner.(interface {
+		Range(func(key, value uint64) bool)
+	})
+	if !ok || inner.Len() == 0 {
+		return r
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.seedLocked() {
-		r.applied = seededSeq
-		r.localSeq = seededSeq
-		r.baseSeq = seededSeq
-		r.drained = seededSeq
-	}
+	meta := uint64(seededSeq) << 1
+	rng.Range(func(key, value uint64) bool {
+		r.seqs.set(key, meta)
+		r.digest ^= DigestTerm(key, value, meta)
+		return true
+	})
+	r.applied, r.localSeq, r.baseSeq, r.drained = seededSeq, seededSeq, seededSeq, seededSeq
 	return r
 }
 
@@ -127,35 +134,6 @@ func newReplica(inner mccuckoo.BatchStore, cfg ReplicaConfig, hint int) *Replica
 	}
 }
 
-// seedLocked tracks, at seededSeq, every key of inner that the index does
-// not hold. The index holds only live keys inner holds, so when it holds as
-// many as inner there is none to seed. seedLocked reports whether inner is
-// non-empty and supports Range.
-//
-//mcvet:locked
-func (r *Replicated) seedLocked() bool {
-	rng, ok := r.inner.(interface {
-		Range(func(key, value uint64) bool)
-	})
-	if !ok || r.inner.Len() == 0 {
-		return false
-	}
-	meta := uint64(seededSeq) << 1
-	if r.seqs.n-r.tombs < r.inner.Len() {
-		rng.Range(func(key, value uint64) bool {
-			if p, m := r.seqs.probe(key); m == 0 {
-				r.seqs.update(p, key, meta)
-				r.digest ^= DigestTerm(key, value, meta)
-			}
-			return true
-		})
-	}
-	return true
-}
-
-// Inner returns the wrapped store (for checkpointing by the owner).
-func (r *Replicated) Inner() mccuckoo.BatchStore { return r.inner }
-
 // Applied returns the highest sequence number applied so far, pushes
 // included, so it is not a safe point to resume a subscription from; see
 // SetDrained.
@@ -168,7 +146,7 @@ func (r *Replicated) Applied() uint64 {
 // SetDrained records the point the replicator resumes its peer
 // subscriptions from after a restart (ReplicaStats.DrainedSeq): the
 // lowest, over the peers, of the newest sequence number each stream had
-// delivered when that stream last drained. The sidecar persists it. It
+// delivered when that stream last drained. The checkpoint persists it. It
 // only moves forward, so concurrent callers cannot move it back.
 func (r *Replicated) SetDrained(seq uint64) {
 	r.mu.Lock()
@@ -403,9 +381,10 @@ func (r *Replicated) VGet(key uint64) (state byte, value, seq uint64) {
 	}
 	v, found := r.inner.Lookup(key)
 	if !found {
-		// A live meta without a value means the pair predates sequence
-		// tracking and diverged (stale sidecar); report missing so
-		// read-repair re-fills it.
+		// Every live meta has its value: a failed insert changes neither,
+		// and a restore rejects a checkpoint whose records and store
+		// differ. Should the store lose a value regardless, report the key
+		// missing so read-repair re-fills it.
 		return VStateMissing, 0, 0
 	}
 	return VStateLive, v, meta >> 1
@@ -579,52 +558,48 @@ func (r *Replicated) DeleteBatchInto(keys []uint64, removed []bool) {
 	r.finishLocked(&n)
 }
 
-// --- sidecar persistence ---
+// --- checkpoints ---
 
-// The sidecar file persists the replication bookkeeping next to the value
-// snapshot: the applied and drained sequence numbers plus every key's meta
-// word, written and read through internal/atomicio's checksummed stream
-// like every other file here (§7). A node restarted with both files resumes
-// its subscriptions from the drained point instead of a full
-// resynchronization. Version 1 files lack the drained point and are
-// rejected, which makes the node resync fully.
+// A replicated node checkpoints into one file, written and read through
+// internal/atomicio's checksummed stream (§7): the applied and drained
+// sequence numbers, the store's sharded container as a frame, and every
+// key's meta word, all from one instant. A node restarted from it resumes
+// its subscriptions from the drained point. Versions 1 and 2, sidecars
+// written after a separate values file, are rejected.
 //
-//	"MCRS" | u32 version | u64 applied | u64 drained | u64 count
-//	count × ( u64 key | u64 meta ), keys strictly ascending
+//	"MCRS" | u32 version | u64 applied | u64 drained
+//	u64 len | the sharded container (Sharded.WriteTo's bytes)
+//	u64 count | count × ( u64 key | u64 meta ), keys strictly ascending
 //	u32 fileCRC
 
-const sidecarVersion = 2
+const checkpointVersion = 3
 
-// CheckpointWith atomically checkpoints the pair (values, bookkeeping):
-// saveValues runs with all mutations excluded, then the sidecar is written
-// while the lock is still held, so the two files always describe the same
-// state. A crash between the two writes leaves a values file newer than
-// the sidecar, which RestoreReplicated tolerates: a key the sidecar lacks
-// is tracked at seededSeq, and the op-log catch-up replays the gap.
-func (r *Replicated) CheckpointWith(saveValues func() error, sidecarPath string) error {
+// Checkpoint writes the replica to path through atomicio.WriteFile, under
+// the write lock, so the file's store and bookkeeping describe one instant
+// and a crash leaves the previous checkpoint whole. The wrapped store must
+// be a Sharded or a Concurrent, which writes a one-shard container.
+//
+//mcvet:deterministic
+func (r *Replicated) Checkpoint(path string) error {
+	store, ok := r.inner.(interface {
+		SnapshotLen() uint64
+		WriteSnapshot(out *atomicio.Writer) (int64, error)
+	})
+	if !ok {
+		return fmt.Errorf("wire: a %T store cannot checkpoint", r.inner)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := saveValues(); err != nil {
-		return err
-	}
-	return r.saveSidecarLocked(sidecarPath)
-}
-
-// saveSidecarLocked writes the sidecar: header, then the (key, meta) pairs
-// sorted by key, then the trailer.
-//
-//mcvet:locked
-//mcvet:deterministic
-func (r *Replicated) saveSidecarLocked(path string) error {
 	recs := make([]seqSlot, 0, r.seqs.n)
 	r.seqs.each(func(key, meta uint64) { recs = append(recs, seqSlot{key, meta}) })
 	slices.SortFunc(recs, func(a, b seqSlot) int { return cmp.Compare(a.key, b.key) })
 	return atomicio.WriteFile(path, func(w io.Writer) (int64, error) {
 		s := atomicio.NewWriter(w)
-		s.Bytes([]byte(atomicio.MagicSidecar))
-		s.U32(sidecarVersion)
+		s.Bytes([]byte(atomicio.MagicCheckpoint))
+		s.U32(checkpointVersion)
 		s.U64(r.applied)
 		s.U64(r.drained)
+		s.Frame(store.SnapshotLen(), store.WriteSnapshot)
 		s.U64(uint64(len(recs)))
 		for _, sl := range recs {
 			s.U64(sl.key)
@@ -634,77 +609,79 @@ func (r *Replicated) saveSidecarLocked(path string) error {
 	})
 }
 
-// RestoreReplicated wraps inner, the values a restarted node loaded, with
-// the bookkeeping CheckpointWith wrote to the sidecar at path. It builds the
-// per-key index once, from the sidecar's records as they are read: a live
-// key whose value inner no longer holds (deleted after the sidecar's save)
-// is dropped and counted, so it reads as missing and heals through
-// read-repair and the catch-up stream. Then every key of inner that the
-// sidecar lacks, written between a checkpoint's two files by a node that
-// crashed there, is tracked at seededSeq, as NewReplicated tracks a store's
-// keys, so any streamed or swept write supersedes it. A file that is
-// damaged, not a version-2 sidecar, or whose records are not in strictly
-// ascending key order or carry sequence number 0 is rejected with an
-// *atomicio.CorruptError of Kind "sidecar"; the caller then starts from
-// NewReplicated.
-func RestoreReplicated(inner mccuckoo.BatchStore, cfg ReplicaConfig, path string) (*Replicated, error) {
+// RestoreReplicated reads the checkpoint at path: the store, as a Sharded
+// with opts applied as LoadShardedFile applies them, and the bookkeeping
+// saved with it. A file that is damaged, is not a version-3 checkpoint, or
+// whose records repeat a key, break ascending key order, carry sequence
+// number 0 or one past the applied point, or differ from the store's keys
+// is rejected with an *atomicio.CorruptError. An intact file of another
+// kind, such as an unreplicated node's snapshot, is declined with an error
+// wrapping atomicio.ErrOtherKind.
+func RestoreReplicated(path string, cfg ReplicaConfig, opts ...mccuckoo.Option) (*Replicated, error) {
 	return atomicio.LoadFile(path, func(s *atomicio.Reader) (*Replicated, error) {
-		return readSidecar(s, inner, cfg)
+		return readCheckpoint(s, cfg, opts)
 	})
 }
 
-// readSidecar reads and checks a whole sidecar, tracking each record in a
-// new Replicated over inner as it is read; the index is sized by the bytes
-// present, never by the record count the header claims.
-func readSidecar(s *atomicio.Reader, inner mccuckoo.BatchStore, cfg ReplicaConfig) (*Replicated, error) {
-	s.Magic("sidecar", atomicio.MagicSidecar)
-	if v := s.U32(); s.Err() == nil && v != sidecarVersion {
-		s.Failf("unsupported sidecar version %d (want %d)", v, sidecarVersion)
+// readCheckpoint reads the container in place and each record straight
+// into the index, sized by the bytes present, never by the record count the
+// header claims.
+func readCheckpoint(s *atomicio.Reader, cfg ReplicaConfig, opts []mccuckoo.Option) (*Replicated, error) {
+	s.Magic("checkpoint", atomicio.MagicCheckpoint)
+	if v := s.U32(); s.Err() == nil && v != checkpointVersion {
+		s.Failf("unsupported checkpoint version %d (want %d)", v, checkpointVersion)
 	}
-	applied, drained, n := s.U64(), s.U64(), s.U64()
+	applied, drained := s.U64(), s.U64()
 	if s.Err() != nil {
 		return nil, s.Err()
 	}
+	// The container is read in place; an intact file of another kind in
+	// its frame is still a damaged checkpoint.
+	s.Section("frame")
+	frame := s.Frame(s.U64())
+	store, err := mccuckoo.ReadSharded(frame, opts...)
+	if err == nil {
+		err = frame.End()
+	} else if errors.Is(err, atomicio.ErrOtherKind) {
+		s.Failf("store frame: %v", err)
+		err = s.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	n := s.U64()
 	s.Section("records")
-	r := newReplica(inner, cfg, max(s.Alloc(n, 16), inner.Len()))
+	r := newReplica(store, cfg, s.Alloc(n, 16))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	drops := int64(0)
 	for i, prev := uint64(0), uint64(0); i < n && s.Err() == nil; i++ {
 		key, meta := s.U64(), s.U64()
+		v, held := store.Lookup(key)
 		switch {
 		case s.Err() != nil:
 		case i > 0 && key <= prev:
 			s.Failf("record %d: key %d repeats or breaks ascending order", i, key)
 		case meta < 2:
 			s.Failf("record %d: key %d has sequence number 0", i, key)
-		case meta&1 == 1:
-			r.tombs++
-			r.seqs.set(key, meta)
-			r.digest ^= DigestTerm(key, 0, meta)
-		default:
-			v, ok := inner.Lookup(key)
-			if !ok {
-				drops++
-				break
-			}
+		case meta>>1 > applied:
+			s.Failf("record %d: key %d has sequence number %d, past the applied %d", i, key, meta>>1, applied)
+		case held == (meta&1 == 1):
+			s.Failf("record %d: key %d is live in the store or the record only", i, key)
+		default: // v is 0 for a tombstone, which the store does not hold
 			r.seqs.set(key, meta)
 			r.digest ^= DigestTerm(key, v, meta)
+			r.tombs += int(meta & 1)
 		}
 		prev = key
+	}
+	if live := n - uint64(r.tombs); s.Err() == nil && live != uint64(store.Len()) {
+		s.Failf("%d live records, but the store holds %d keys", live, store.Len())
 	}
 	s.Trailer()
 	if s.Err() != nil {
 		return nil, s.Err()
 	}
-	r.applied = applied
-	if r.seedLocked() {
-		r.applied = max(applied, seededSeq)
-	}
-	r.localSeq = r.applied
-	r.baseSeq = r.applied
-	r.drained = drained
-	r.sidecarDrops.Add(drops)
+	r.applied, r.localSeq, r.baseSeq, r.drained = applied, applied, applied, drained
 	return r, nil
 }
 
@@ -728,7 +705,6 @@ type ReplicaStats struct {
 	RepairApplied  int64  `json:"repair_applied"`
 	FullSyncs      int64  `json:"full_syncs"`
 	CatchUps       int64  `json:"catch_ups"`
-	SidecarDrops   int64  `json:"sidecar_drops"`
 }
 
 // ReplicaStats snapshots the replication state.
@@ -751,7 +727,6 @@ func (r *Replicated) ReplicaStats() ReplicaStats {
 		RepairApplied:  r.repairApplied.Load(),
 		FullSyncs:      r.fullSyncs.Load(),
 		CatchUps:       r.catchUps.Load(),
-		SidecarDrops:   r.sidecarDrops.Load(),
 	}
 }
 
@@ -773,6 +748,5 @@ func (r *Replicated) WritePrometheus(w io.Writer) error {
 	p.Simple("mccuckoo_replica_repair_applied_total", "Pushed entries (cluster writes and read-repair) applied.", "counter", st.RepairApplied)
 	p.Simple("mccuckoo_replica_full_syncs_total", "Subscriptions that required a full state dump.", "counter", st.FullSyncs)
 	p.Simple("mccuckoo_replica_catch_ups_total", "Catch-ups sent in place to live subscriptions the op-log ring overtook.", "counter", st.CatchUps)
-	p.Simple("mccuckoo_replica_sidecar_drops_total", "Sidecar keys dropped for missing values at load.", "counter", st.SidecarDrops)
 	return p.Err()
 }

@@ -27,10 +27,6 @@ func newReplicated(t testing.TB, capacity int) *Replicated {
 	return NewReplicated(tab, ReplicaConfig{})
 }
 
-// noValues is a CheckpointWith values step that saves nothing, for tests
-// that write the sidecar alone.
-func noValues() error { return nil }
-
 func TestReplicatedNewestWriteWins(t *testing.T) {
 	r := newReplicated(t, 1<<12)
 
@@ -302,163 +298,203 @@ func TestReplicatedDigestConvergence(t *testing.T) {
 	}
 }
 
+// TestReplicatedSidecarRoundTrip checkpoints a replica into its one file
+// and restores it: the store, the applied and drained points, the
+// tombstone and the digest come back. A Concurrent-backed replica writes a
+// one-shard container and comes back over a one-shard Sharded.
 func TestReplicatedSidecarRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	side := filepath.Join(dir, "table.snap.replica")
-	snap := filepath.Join(dir, "table.snap")
-
-	a := newReplicated(t, 1<<12)
-	for k := uint64(1); k <= 500; k++ {
-		a.ApplyPush([]Entry{{Seq: k, Op: OpPut, Key: k, Value: k * 2}}, nil)
-	}
-	a.ApplyPush([]Entry{{Seq: 1000, Op: OpDel, Key: 5}}, nil)
-	a.SetDrained(400)
-	a.SetDrained(300) // the drained point never moves back
-	saved := false
-	if err := a.CheckpointWith(func() error {
-		saved = true
-		return a.Inner().(*mccuckoo.Sharded).SaveFile(snap)
-	}, side); err != nil {
-		t.Fatal(err)
-	}
-	if !saved {
-		t.Fatal("CheckpointWith never called saveValues")
-	}
-
-	tab, err := mccuckoo.LoadShardedFile(snap)
+	single, err := mccuckoo.New(1<<12, mccuckoo.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RestoreReplicated(tab, ReplicaConfig{}, side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Applied() != a.Applied() {
-		t.Fatalf("restored applied %d, want %d", b.Applied(), a.Applied())
-	}
-	if b.Digest() != a.Digest() {
-		t.Fatalf("restored digest %016x, want %016x", b.Digest(), a.Digest())
-	}
-	if st := b.ReplicaStats(); st.DrainedSeq != 400 || st.BaseSeq != 1000 {
-		t.Fatalf("restored drained point %d and base seq %d, want 400 and the applied 1000", st.DrainedSeq, st.BaseSeq)
-	}
-	if state, _, seq := b.VGet(5); state != VStateTomb || seq != 1000 {
-		t.Fatalf("restored tombstone: state=%d seq=%d", state, seq)
-	}
-	// The restore marks everything as predating the op log, so a
-	// subscriber resuming below the restore point is forced into a full
-	// sync.
-	sub, _, full := b.subscribe(10)
-	b.unsubscribe(sub)
-	if !full {
-		t.Fatal("resume below the restore point should force a full sync")
+	for name, a := range map[string]*Replicated{
+		"sharded":    newReplicated(t, 1<<12),
+		"concurrent": NewReplicated(mccuckoo.NewConcurrent(single), ReplicaConfig{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "node.ckpt")
+			for k := uint64(1); k <= 500; k++ {
+				a.ApplyPush([]Entry{{Seq: k, Op: OpPut, Key: k, Value: k * 2}}, nil)
+			}
+			a.ApplyPush([]Entry{{Seq: 1000, Op: OpDel, Key: 5}}, nil)
+			a.SetDrained(400)
+			a.SetDrained(300) // the drained point never moves back
+			if err := a.Checkpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			b, err := RestoreReplicated(path, ReplicaConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Applied() != a.Applied() {
+				t.Fatalf("restored applied %d, want %d", b.Applied(), a.Applied())
+			}
+			if b.Digest() != a.Digest() {
+				t.Fatalf("restored digest %016x, want %016x", b.Digest(), a.Digest())
+			}
+			if v, ok := b.Lookup(6); b.Len() != 499 || !ok || v != 12 {
+				t.Fatalf("restored store holds %d keys and reads 6 as %d, %v; want 499 and 12", b.Len(), v, ok)
+			}
+			if shards := b.inner.(*mccuckoo.Sharded).Shards(); name == "concurrent" && shards != 1 {
+				t.Fatalf("a Concurrent's checkpoint restored %d shards, want 1", shards)
+			}
+			if st := b.ReplicaStats(); st.DrainedSeq != 400 || st.BaseSeq != 1000 {
+				t.Fatalf("restored drained point %d and base seq %d, want 400 and the applied 1000", st.DrainedSeq, st.BaseSeq)
+			}
+			if state, _, seq := b.VGet(5); state != VStateTomb || seq != 1000 {
+				t.Fatalf("restored tombstone: state=%d seq=%d", state, seq)
+			}
+			// The restore marks everything as predating the op log, so a
+			// subscriber resuming below the restore point is forced into a
+			// full sync.
+			sub, _, full := b.subscribe(10)
+			b.unsubscribe(sub)
+			if !full {
+				t.Fatal("resume below the restore point should force a full sync")
+			}
+		})
 	}
 }
 
-// TestRestoreTracksKeysTheSidecarLacks: a crash between a checkpoint's two
-// files leaves the new values file with the previous sidecar, so a key
-// written between the two checkpoints is in the store but not in the
-// sidecar. The restored replica tracks it at seededSeq, so VGet, the digest
-// and a full dump see it, and any newer write supersedes it.
-func TestRestoreTracksKeysTheSidecarLacks(t *testing.T) {
-	dir := t.TempDir()
-	side, snap := filepath.Join(dir, "table.snap.replica"), filepath.Join(dir, "table.snap")
-	a := newReplicated(t, 1<<12)
-	saveValues := func() error { return a.Inner().(*mccuckoo.Sharded).SaveFile(snap) }
-	a.ApplyPush([]Entry{{Seq: 10, Op: OpPut, Key: 1, Value: 100}}, nil)
-	if err := a.CheckpointWith(saveValues, side); err != nil {
+// failingStore is a Sharded whose container write fails while fail is
+// set, as a checkpoint cut short by a crash never reaches its rename.
+type failingStore struct {
+	*mccuckoo.Sharded
+	fail bool
+}
+
+func (f *failingStore) WriteSnapshot(out *atomicio.Writer) (int64, error) {
+	if f.fail {
+		return 0, errors.New("injected write failure")
+	}
+	return f.Sharded.WriteSnapshot(out)
+}
+
+// TestInterruptedCheckpointLeavesThePrevious: key 5 is put at 10 and
+// deleted at 20, a checkpoint is taken, and 300 is put at 30. The next
+// checkpoint fails before its rename, so the restore reads the first one
+// whole: key 5 is a tombstone at 20 in the store and in the bookkeeping
+// alike. A second file written after the first used to stage the opposite:
+// the new values beside the old bookkeeping, where Lookup(5) found 300
+// while VGet(5) reported the tombstone. A checkpoint that completes
+// restores 300 at 30.
+func TestInterruptedCheckpointLeavesThePrevious(t *testing.T) {
+	tab, err := mccuckoo.NewSharded(1<<12, 4, mccuckoo.WithSeed(11))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The next checkpoint writes its values file and crashes before the
-	// sidecar.
-	a.ApplyPush([]Entry{{Seq: 11, Op: OpPut, Key: 2, Value: 200}}, nil)
-	if err := saveValues(); err != nil {
+	store := &failingStore{Sharded: tab}
+	r := NewReplicated(store, ReplicaConfig{})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "node.ckpt")
+	r.ApplyPush([]Entry{{Seq: 10, Op: OpPut, Key: 5, Value: 100}, {Seq: 20, Op: OpDel, Key: 5}}, nil)
+	if err := r.Checkpoint(path); err != nil {
 		t.Fatal(err)
+	}
+	r.ApplyPush([]Entry{{Seq: 30, Op: OpPut, Key: 5, Value: 300}}, nil)
+	store.fail = true
+	if err := r.Checkpoint(path); err == nil {
+		t.Fatal("a checkpoint whose store write failed reported success")
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 1 {
+		t.Fatalf("the failed checkpoint left %d files (%v), want only the previous checkpoint", len(files), err)
+	}
+	b, err := RestoreReplicated(path, ReplicaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := b.Lookup(5); ok {
+		t.Fatalf("Lookup(5) = %d after restoring the first checkpoint, want a miss", v)
+	}
+	if state, _, seq := b.VGet(5); state != VStateTomb || seq != 20 {
+		t.Fatalf("VGet(5) = state %d at %d, want the tombstone at 20", state, seq)
 	}
 
-	tab, err := mccuckoo.LoadShardedFile(snap)
-	if err != nil {
+	store.fail = false
+	if err := r.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	b, err := RestoreReplicated(tab, ReplicaConfig{}, side)
-	if err != nil {
+	if b, err = RestoreReplicated(path, ReplicaConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := b.Lookup(2); !ok || v != 200 {
-		t.Fatalf("Lookup(2) = %d, %v; want 200, true", v, ok)
-	}
-	if state, v, seq := b.VGet(2); state != VStateLive || v != 200 || seq != seededSeq {
-		t.Fatalf("VGet(2) = state %d, value %d, seq %d; want live, 200, %d", state, v, seq, seededSeq)
-	}
-	if want := DigestTerm(1, 100, MetaOf(10, false)) ^ DigestTerm(2, 200, MetaOf(seededSeq, false)); b.Digest() != want {
-		t.Fatalf("digest %016x, want %016x", b.Digest(), want)
-	}
-	sub, _, full := b.subscribe(0)
-	if !full {
-		t.Fatal("a subscription from 0 should take a full dump")
-	}
-	dumped := make(map[uint64]Entry)
-	for ents, _ := b.pull(sub, make([]Entry, 0, 4)); len(ents) > 0; ents, _ = b.pull(sub, ents) {
-		for _, e := range ents {
-			dumped[e.Key] = e
-		}
-	}
-	b.unsubscribe(sub)
-	if e := dumped[2]; e.Op != OpPut || e.Value != 200 || e.Seq != seededSeq || len(dumped) != 2 {
-		t.Fatalf("full dump %v, want keys 1 and 2, key 2 as a PUT of 200 at %d", dumped, seededSeq)
-	}
-	if st := b.ApplyPush([]Entry{{Seq: 12, Op: OpPut, Key: 2, Value: 201}}, nil); st[0] != ApplyApplied {
-		t.Fatalf("a newer write to the seeded key: status %d, want applied", st[0])
+	if state, v, seq := b.VGet(5); state != VStateLive || v != 300 || seq != 30 {
+		t.Fatalf("VGet(5) = state %d, %d at %d; want live, 300 at 30", state, v, seq)
 	}
 }
 
 func TestReplicatedSidecarRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	side := filepath.Join(dir, "sidecar")
+	path := filepath.Join(dir, "node.ckpt")
 	a := newReplicated(t, 1<<12)
 	a.ApplyPush([]Entry{{Seq: 3, Op: OpPut, Key: 9, Value: 90}}, nil)
-	if err := a.CheckpointWith(noValues, side); err != nil {
+	if err := a.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(side)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(side, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store := newReplicated(t, 1<<12).Inner()
+	// A flipped bit in the header, the store's frame or the records.
 	var serr *atomicio.CorruptError
-	if b, err := RestoreReplicated(store, ReplicaConfig{}, side); !errors.As(err, &serr) || serr.Kind != "sidecar" || b != nil {
-		t.Fatalf("RestoreReplicated on corrupt file: %v, want a sidecar *CorruptError", err)
+	for _, off := range []int{10, len(good) / 2, len(good) - 10} {
+		raw := slices.Clone(good)
+		raw[off] ^= 0x10
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := RestoreReplicated(path, ReplicaConfig{}); !errors.As(err, &serr) || b != nil {
+			t.Fatalf("RestoreReplicated with byte %d flipped: %v, want a *CorruptError", off, err)
+		}
 	}
 
-	// A version-1 file, which has no drained point, is rejected the same
-	// way, so the node takes a full resync rather than resuming from its
-	// push-inclusive applied sequence.
-	v1 := []byte(atomicio.MagicSidecar)
-	v1 = binary.LittleEndian.AppendUint32(v1, 1)
-	v1 = binary.LittleEndian.AppendUint64(v1, 3) // applied
-	v1 = binary.LittleEndian.AppendUint64(v1, 1) // one record
-	v1 = binary.LittleEndian.AppendUint64(v1, 9)
-	v1 = binary.LittleEndian.AppendUint64(v1, MetaOf(3, false))
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.Checksum(v1, castagnoli))
-	if err := os.WriteFile(side, v1, 0o644); err != nil {
+	// A version-2 sidecar, which a node wrote after a separate values file,
+	// is rejected the same way, so the node takes a full resync.
+	v2 := binary.LittleEndian.AppendUint32([]byte(atomicio.MagicCheckpoint), 2)
+	v2 = binary.LittleEndian.AppendUint64(v2, 3) // applied
+	v2 = binary.LittleEndian.AppendUint64(v2, 3) // drained
+	v2 = binary.LittleEndian.AppendUint64(v2, 1) // one record
+	v2 = binary.LittleEndian.AppendUint64(v2, 9)
+	v2 = binary.LittleEndian.AppendUint64(v2, MetaOf(3, false))
+	if _, err := RestoreReplicated(writeCheckpoint(t, dir, v2), ReplicaConfig{}); !errors.As(err, &serr) || serr.Kind != "checkpoint" || !strings.Contains(serr.Reason, "version 2") {
+		t.Fatalf("RestoreReplicated on a version-2 file: %v, want a checkpoint *CorruptError naming version 2", err)
+	}
+
+	// An unreplicated node's snapshot is declined as another kind.
+	if err := a.inner.(*mccuckoo.Sharded).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreReplicated(store, ReplicaConfig{}, side); !errors.As(err, &serr) || serr.Kind != "sidecar" || !strings.Contains(serr.Reason, "version 1") {
-		t.Fatalf("RestoreReplicated on a version-1 file: %v, want a sidecar *CorruptError naming version 1", err)
+	if _, err := RestoreReplicated(path, ReplicaConfig{}); !errors.Is(err, atomicio.ErrOtherKind) || errors.As(err, &serr) {
+		t.Fatalf("RestoreReplicated on a sharded snapshot: %v, want it declined as another kind", err)
 	}
 }
 
-// sidecarBody encodes a version-2 sidecar without its trailing CRC: the
-// header (count from len(recs)) and one {key, meta} record per pair.
-func sidecarBody(applied, drained uint64, recs ...[2]uint64) []byte {
-	b := []byte(atomicio.MagicSidecar)
-	b = binary.LittleEndian.AppendUint32(b, sidecarVersion)
+// containerOf returns the sharded container of a one-shard store holding
+// the given key, value pairs.
+func containerOf(t testing.TB, pairs ...uint64) []byte {
+	t.Helper()
+	tab, err := mccuckoo.NewSharded(64, 1, mccuckoo.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(pairs); i += 2 {
+		tab.Insert(pairs[i], pairs[i+1])
+	}
+	var buf bytes.Buffer
+	if _, err := tab.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkpointBody encodes a version-3 checkpoint without its trailing CRC:
+// the header, container as the store's frame, and one {key, meta} record
+// per pair, the count from len(recs).
+func checkpointBody(applied, drained uint64, container []byte, recs ...[2]uint64) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(atomicio.MagicCheckpoint), checkpointVersion)
 	b = binary.LittleEndian.AppendUint64(b, applied)
 	b = binary.LittleEndian.AppendUint64(b, drained)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(container)))
+	b = append(b, container...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(recs)))
 	for _, rec := range recs {
 		b = binary.LittleEndian.AppendUint64(b, rec[0])
@@ -467,10 +503,10 @@ func sidecarBody(applied, drained uint64, recs ...[2]uint64) []byte {
 	return b
 }
 
-// writeSidecar writes body plus the CRC32C it needs to a file in dir.
-func writeSidecar(t *testing.T, dir string, body []byte) string {
+// writeCheckpoint writes body plus the CRC32C it needs to a file in dir.
+func writeCheckpoint(t *testing.T, dir string, body []byte) string {
 	t.Helper()
-	path := filepath.Join(dir, "sidecar")
+	path := filepath.Join(dir, "checkpoint")
 	file := binary.LittleEndian.AppendUint32(slices.Clip(body), crc32.Checksum(body, castagnoli))
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
@@ -478,40 +514,42 @@ func writeSidecar(t *testing.T, dir string, body []byte) string {
 	return path
 }
 
-// TestLoadSidecarRejectsMalformedRecords: a CRC-valid sidecar whose records
-// repeat a key, break ascending key order, carry meta below 2 (sequence
-// number 0) or claim more records than the file holds is rejected with a
-// sidecar *CorruptError and builds no replica. Repeated keys used to
-// load: key 7 live twice and key 9 tombstoned twice gave 2 tombstones and
-// a digest of 0, the duplicate terms XORed away.
+// TestLoadSidecarRejectsMalformedRecords: a CRC-valid checkpoint whose
+// records repeat a key, break ascending key order, carry meta below 2
+// (sequence number 0) or a sequence number past the applied point, claim
+// more records than the file holds, or differ from the store's keys is
+// rejected with a checkpoint *CorruptError and builds no replica. Repeated
+// keys once loaded: key 7 live twice and key 9 tombstoned twice gave 2
+// tombstones and a digest of 0, the duplicate terms XORed away.
 func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
+	store := containerOf(t, 7, 70) // the store holds key 7 alone
 	live, tomb := MetaOf(3, false), MetaOf(4, true)
-	overflow := sidecarBody(5, 5)
-	binary.LittleEndian.PutUint64(overflow[24:32], 1<<60) // count*16 wraps to 0
+	overflow := checkpointBody(5, 5, store)
+	binary.LittleEndian.PutUint64(overflow[len(overflow)-8:], 1<<60) // count*16 wraps to 0
 	for _, tc := range []struct {
 		name string
 		body []byte
 	}{
-		{"repeated keys", sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb})},
-		{"descending keys", sidecarBody(5, 5, [2]uint64{9, tomb}, [2]uint64{7, live})},
-		{"live sequence 0", sidecarBody(5, 5, [2]uint64{7, 0}, [2]uint64{9, tomb})},
-		{"tombstone sequence 0", sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, 1})},
+		{"repeated keys", checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb})},
+		{"descending keys", checkpointBody(5, 5, store, [2]uint64{9, tomb}, [2]uint64{7, live})},
+		{"live sequence 0", checkpointBody(5, 5, store, [2]uint64{7, 0}, [2]uint64{9, tomb})},
+		{"tombstone sequence 0", checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{9, 1})},
 		{"count overflows", overflow},
+		{"sequence past applied", checkpointBody(3, 3, store, [2]uint64{7, live}, [2]uint64{9, tomb})},
+		{"live record the store lacks", checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{9, live})},
+		{"tombstone the store holds", checkpointBody(5, 5, store, [2]uint64{7, tomb}, [2]uint64{9, tomb})},
+		{"store key with no record", checkpointBody(5, 5, store, [2]uint64{9, tomb})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newReplicated(t, 1<<12)
-			r.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
 			var serr *atomicio.CorruptError
-			if b, err := RestoreReplicated(r.Inner(), ReplicaConfig{}, writeSidecar(t, t.TempDir(), tc.body)); !errors.As(err, &serr) || serr.Kind != "sidecar" || b != nil {
-				t.Fatalf("RestoreReplicated: %v, want a sidecar *CorruptError", err)
+			if b, err := RestoreReplicated(writeCheckpoint(t, t.TempDir(), tc.body), ReplicaConfig{}); !errors.As(err, &serr) || serr.Kind != "checkpoint" || b != nil {
+				t.Fatalf("RestoreReplicated: %v, want a checkpoint *CorruptError", err)
 			}
 		})
 	}
 
 	// The same records, once each and in order, load.
-	src := newReplicated(t, 1<<12)
-	src.ApplyPush([]Entry{{Seq: 2, Op: OpPut, Key: 7, Value: 70}}, nil)
-	r, err := RestoreReplicated(src.Inner(), ReplicaConfig{}, writeSidecar(t, t.TempDir(), sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb})))
+	r, err := RestoreReplicated(writeCheckpoint(t, t.TempDir(), checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{9, tomb})), ReplicaConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,31 +561,31 @@ func TestLoadSidecarRejectsMalformedRecords(t *testing.T) {
 	}
 }
 
-// FuzzLoadSidecar feeds RestoreReplicated arbitrary sidecar bodies. The
-// harness appends the CRC each body needs, so mutations reach the header and
-// record checks instead of stopping at the checksum. A file that loads must
-// track exactly its tombstones and the keys the store holds, from a live
-// record or seeded, its digest must be the XOR of DigestTerm over VGet of
-// each tracked key, and save, load, save must give byte-identical files.
+// FuzzLoadSidecar feeds RestoreReplicated arbitrary checkpoints, whose
+// record section is the sidecar's that the fuzzer was named for. The
+// harness appends the CRC each body needs, so mutations reach the header,
+// frame and record checks instead of stopping at the file checksum. Every
+// input is rejected with a *CorruptError (or, when it starts with another
+// format's magic, declined as another kind), or it loads a replica whose
+// live tracked keys are exactly the store's keys, whose digest is the XOR
+// of DigestTerm over its tracked keys, and which checkpoints back byte for
+// byte.
 func FuzzLoadSidecar(f *testing.F) {
-	tab, err := mccuckoo.NewSharded(1<<10, 2, mccuckoo.WithSeed(3))
+	// A checkpoint of a replica with live keys and tombstones, kept small
+	// so the fuzzer minimizes its inputs quickly, and the crafted files
+	// above.
+	tab, err := mccuckoo.NewSharded(64, 1, mccuckoo.WithSeed(3))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for k := uint64(1); k <= 16; k++ {
-		tab.Insert(k, k*10)
-	}
-
-	// A saved sidecar of a replica whose keys the store holds, plus
-	// tombstones, and the crafted rejections above.
-	src := newReplicated(f, 1<<10)
+	src := NewReplicated(tab, ReplicaConfig{})
 	for k := uint64(1); k <= 20; k++ {
 		src.ApplyPush([]Entry{{Seq: 10 + k, Op: OpPut, Key: k, Value: k}}, nil)
 	}
 	src.ApplyPush([]Entry{{Seq: 40, Op: OpDel, Key: 3}, {Seq: 41, Op: OpDel, Key: 30}}, nil)
 	src.SetDrained(25)
 	dir := f.TempDir()
-	if err := src.CheckpointWith(noValues, filepath.Join(dir, "seed")); err != nil {
+	if err := src.Checkpoint(filepath.Join(dir, "seed")); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "seed"))
@@ -555,68 +593,61 @@ func FuzzLoadSidecar(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw[:len(raw)-4])
+	store := containerOf(f, 7, 70)
 	live, tomb := MetaOf(3, false), MetaOf(4, true)
-	f.Add(sidecarBody(0, 0))
-	f.Add(sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{9, tomb}))
-	f.Add(sidecarBody(5, 5, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb}))
-	f.Add(sidecarBody(5, 5, [2]uint64{9, tomb}, [2]uint64{7, live}))
-	f.Add(sidecarBody(5, 5, [2]uint64{7, 0}, [2]uint64{9, 1}))
-	f.Add([]byte(atomicio.MagicSidecar))
+	f.Add(checkpointBody(0, 0, containerOf(f)))
+	f.Add(checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{9, tomb}))
+	f.Add(checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{7, live}, [2]uint64{9, tomb}, [2]uint64{9, tomb}))
+	f.Add(checkpointBody(5, 5, store, [2]uint64{9, tomb}, [2]uint64{7, live}))
+	f.Add(checkpointBody(5, 5, store, [2]uint64{7, 0}, [2]uint64{9, 1}))
+	f.Add(checkpointBody(5, 5, store, [2]uint64{7, live}, [2]uint64{9, live}))
+	f.Add([]byte(atomicio.MagicCheckpoint))
 	f.Add([]byte(atomicio.MagicSharded))
 
 	// Iterations run one at a time in each worker, so they share dir, and
-	// a one-record op log keeps each fresh replica small.
+	// a one-record op log keeps each replica small.
 	cfg := ReplicaConfig{OplogSize: 1}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r, err := RestoreReplicated(tab, cfg, writeSidecar(t, dir, body))
+		path := writeCheckpoint(t, dir, body)
+		r, err := RestoreReplicated(path, cfg)
 		if err != nil {
-			// A body that starts with another format's magic is an intact
-			// file of another kind, which is declined, not corrupt.
 			otherKind := bytes.HasPrefix(body, []byte(atomicio.MagicTable)) ||
 				bytes.HasPrefix(body, []byte(atomicio.MagicSharded))
 			var serr *atomicio.CorruptError
-			if !(errors.As(err, &serr) && serr.Kind == "sidecar") && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
-				t.Fatalf("RestoreReplicated: %v, want nil or a sidecar *CorruptError", err)
+			if !errors.As(err, &serr) && !(otherKind && errors.Is(err, atomicio.ErrOtherKind)) {
+				t.Fatalf("RestoreReplicated: %v, want nil or a *CorruptError", err)
 			}
 			return
 		}
-		kept := make(map[uint64]bool)
-		for off := 32; off < len(body); off += 16 { // the records follow the 32-byte header
-			if binary.LittleEndian.Uint64(body[off+8:])&1 == 1 {
-				kept[binary.LittleEndian.Uint64(body[off:])] = true
+		held := make(map[uint64]uint64)
+		r.inner.(*mccuckoo.Sharded).Range(func(k, v uint64) bool { held[k] = v; return true })
+		live, digest := 0, uint64(0)
+		r.mu.RLock()
+		r.seqs.each(func(k, meta uint64) {
+			v, ok := held[k]
+			if ok == (meta&1 == 1) {
+				t.Errorf("key %d: meta %#x, and the store holds it: %v", k, meta, ok)
 			}
-		}
-		tab.Range(func(k, _ uint64) bool { kept[k] = true; return true })
-		if n := r.ReplicaStats().TrackedKeys; n != len(kept) {
-			t.Fatalf("tracks %d keys, the file kept %d", n, len(kept))
-		}
-		var digest uint64
-		for k := range kept {
-			state, v, seq := r.VGet(k)
-			if state == VStateMissing {
-				t.Fatalf("kept key %d reads as missing", k)
+			if ok {
+				live++
 			}
-			digest ^= DigestTerm(k, v, MetaOf(seq, state == VStateTomb))
+			digest ^= DigestTerm(k, v, meta)
+		})
+		r.mu.RUnlock()
+		if live != len(held) {
+			t.Fatalf("%d live tracked keys, the store holds %d", live, len(held))
 		}
 		if digest != r.Digest() {
-			t.Fatalf("digest %016x, VGets give %016x", r.Digest(), digest)
+			t.Fatalf("digest %016x, its terms give %016x", r.Digest(), digest)
 		}
-
-		first, second := filepath.Join(dir, "first"), filepath.Join(dir, "second")
-		if err := r.CheckpointWith(noValues, first); err != nil {
+		again := filepath.Join(dir, "again")
+		if err := r.Checkpoint(again); err != nil {
 			t.Fatal(err)
 		}
-		r2, err := RestoreReplicated(tab, cfg, first)
-		if err != nil {
-			t.Fatalf("reloading a saved sidecar: %v", err)
-		}
-		if err := r2.CheckpointWith(noValues, second); err != nil {
-			t.Fatal(err)
-		}
-		a, errA := os.ReadFile(first)
-		b, errB := os.ReadFile(second)
-		if errA != nil || errB != nil || !bytes.Equal(a, b) {
-			t.Fatalf("save, load, save changed the file (%v, %v)", errA, errB)
+		want, errA := os.ReadFile(path)
+		got, errB := os.ReadFile(again)
+		if errA != nil || errB != nil || !bytes.Equal(got, want) {
+			t.Fatalf("the restored replica checkpoints %d bytes unlike the %d it read (%v, %v)", len(got), len(want), errA, errB)
 		}
 	})
 }
@@ -1301,11 +1332,12 @@ func TestClientFailFastAndReconnectCounter(t *testing.T) {
 }
 
 // TestCheckpointBytesPinned pins the bytes a replicated sharded node
-// checkpoints: its sharded snapshot and its sidecar. Both files end with the
-// CRC32C of every byte before it, so the CRC32C of a whole file is the same
-// constant for every intact file; the test pins each file's length and the
-// CRC32C of the bytes before its trailer, which the trailer must repeat. A
-// change to how either file is framed must leave these values as they are.
+// checkpoints: the whole file, and in it the store's frame, which holds the
+// bytes Sharded.SaveFile writes. Each ends with the CRC32C of every byte
+// before it, so the CRC32C of the whole is the same constant for every
+// intact file; the test pins each one's length and the CRC32C of the bytes
+// before its trailer, which the trailer must repeat. A change to how either
+// is framed must leave these values as they are.
 func TestCheckpointBytesPinned(t *testing.T) {
 	tab, err := mccuckoo.NewSharded(4096, 4, mccuckoo.WithSeed(7))
 	if err != nil {
@@ -1320,30 +1352,82 @@ func TestCheckpointBytesPinned(t *testing.T) {
 		r.Delete(k * mul)
 	}
 	r.SetDrained(1234)
-	dir := t.TempDir()
-	snap, side := filepath.Join(dir, "table.snap"), filepath.Join(dir, "table.snap.replica")
-	if err := r.CheckpointWith(func() error { return tab.SaveFile(snap) }, side); err != nil {
+	path := filepath.Join(t.TempDir(), "node.ckpt")
+	if err := r.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frameAt = 4 + 4 + 8 + 8 + 8 // magic, version, applied, drained, the frame's length
+	n := binary.LittleEndian.Uint64(raw[frameAt-8:])
+	if n > uint64(len(raw)-frameAt) {
+		t.Fatalf("a store frame of %d bytes in a %d-byte file", n, len(raw))
+	}
 	for _, tc := range []struct {
-		path string
+		name string
+		b    []byte
 		size int
 		crc  uint32
 	}{
-		{snap, 68090, 0x9379fb95},
-		{side, 48036, 0x52afb0b1},
+		{"checkpoint", raw, 116134, 0x7967bba5},
+		{"store frame", raw[frameAt : frameAt+n], 68090, 0x9379fb95},
 	} {
-		raw, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Fatal(err)
+		if len(tc.b) != tc.size {
+			t.Fatalf("%s: %d bytes, want %d", tc.name, len(tc.b), tc.size)
 		}
-		if len(raw) != tc.size {
-			t.Fatalf("%s: %d bytes, want %d", filepath.Base(tc.path), len(raw), tc.size)
-		}
-		body, trailer := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
+		body, trailer := tc.b[:len(tc.b)-4], binary.LittleEndian.Uint32(tc.b[len(tc.b)-4:])
 		if got := crc32.Checksum(body, castagnoli); got != tc.crc || trailer != tc.crc {
-			t.Errorf("%s: CRC32C before the trailer %#08x, trailer %#08x, want %#08x",
-				filepath.Base(tc.path), got, trailer, tc.crc)
+			t.Errorf("%s: CRC32C before the trailer %#08x, trailer %#08x, want %#08x", tc.name, got, trailer, tc.crc)
 		}
+	}
+}
+
+// TestApplyFailedLeavesReplica pushes keys 1-40 into a replica over an
+// 8-bucket table with a one-item stash: every push answered ApplyFailed
+// leaves Digest, every VGet and every Lookup as they were, so the key that
+// failed is absent and untracked and no key the table held is lost. The
+// replica then checkpoints and restores cleanly: its records and its store
+// agree.
+func TestApplyFailedLeavesReplica(t *testing.T) {
+	tab, err := mccuckoo.New(8, mccuckoo.WithSeed(3), mccuckoo.WithStashLimit(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplicated(mccuckoo.NewConcurrent(tab), ReplicaConfig{})
+	type keyState struct {
+		state          byte
+		vvalue, seq, v uint64
+		ok             bool
+	}
+	observe := func() (digest uint64, keys [41]keyState) {
+		for k := uint64(1); k <= 40; k++ {
+			s := &keys[k]
+			s.state, s.vvalue, s.seq = r.VGet(k)
+			s.v, s.ok = r.Lookup(k)
+		}
+		return r.Digest(), keys
+	}
+	failed := 0
+	for k := uint64(1); k <= 40; k++ {
+		digest, before := observe()
+		if st := r.ApplyPush([]Entry{{Seq: k, Op: OpPut, Key: k, Value: k * 10}}, nil); st[0] != ApplyFailed {
+			continue
+		}
+		failed++
+		if d, after := observe(); d != digest || after != before {
+			t.Fatalf("the failed push of key %d changed the replica: digest %016x -> %016x, keys %v -> %v", k, digest, d, before, after)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no push failed; the test needs a table that fills")
+	}
+	path := filepath.Join(t.TempDir(), "node.ckpt")
+	if err := r.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := RestoreReplicated(path, ReplicaConfig{}); err != nil || b.Digest() != r.Digest() {
+		t.Fatalf("restoring the checkpoint of a table that failed inserts: %v", err)
 	}
 }

@@ -191,6 +191,61 @@ func TestWithoutStashFailsWhenFull(t *testing.T) {
 	}
 }
 
+// TestFailedInsertLeavesTable inserts keys 1-40 into 8-bucket tables of
+// both kinds, with a one-item stash and with none: every key answered
+// Placed or Stashed is found with its value, every key answered Failed is
+// absent right after its call, and Len counts the accepted keys. When the
+// walk's last victim was dropped instead, each kind lost 9 of its 10
+// accepted keys under WithStashLimit(1), and 28 failed keys (26 on the
+// blocked table) were present.
+func TestFailedInsertLeavesTable(t *testing.T) {
+	type table interface {
+		Insert(key, value uint64) InsertResult
+		Lookup(key uint64) (uint64, bool)
+		Len() int
+	}
+	kinds := []struct {
+		name  string
+		build func(opts ...Option) (table, error)
+	}{
+		{"single", func(opts ...Option) (table, error) { return New(8, opts...) }},
+		{"blocked", func(opts ...Option) (table, error) { return NewBlocked(8, opts...) }},
+	}
+	stashes := []struct {
+		name string
+		opt  Option
+	}{{"stash=1", WithStashLimit(1)}, {"nostash", WithoutStash()}}
+	for _, kind := range kinds {
+		for _, stash := range stashes {
+			t.Run(kind.name+"/"+stash.name, func(t *testing.T) {
+				tab, err := kind.build(WithSeed(3), stash.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var accepted []uint64
+				for k := uint64(1); k <= 40; k++ {
+					if tab.Insert(k, k*10).Status != Failed {
+						accepted = append(accepted, k)
+					} else if _, ok := tab.Lookup(k); ok {
+						t.Errorf("key %d answered Failed and is present", k)
+					}
+				}
+				if len(accepted) == 40 {
+					t.Fatal("every insert succeeded; the test needs a table that fills")
+				}
+				for _, k := range accepted {
+					if v, ok := tab.Lookup(k); !ok || v != k*10 {
+						t.Errorf("accepted key %d reads %d, %v", k, v, ok)
+					}
+				}
+				if tab.Len() != len(accepted) {
+					t.Errorf("Len %d, %d keys accepted", tab.Len(), len(accepted))
+				}
+			})
+		}
+	}
+}
+
 func TestOptionVariantsWork(t *testing.T) {
 	variants := [][]Option{
 		{WithHashFunctions(4)},

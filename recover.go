@@ -108,15 +108,29 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) { return s.inner.WriteTo(w
 // temp-file + fsync + atomic-rename guarantee as Table.SaveFile.
 func (s *Sharded) SaveFile(path string) error { return s.inner.SaveFile(path) }
 
+// SnapshotLen and WriteSnapshot frame the sharded container in a replica
+// checkpoint; a Concurrent's reads back through ReadSharded as one shard.
+func (s *shardedStore) SnapshotLen() uint64 { return s.inner.SnapshotLen() }
+
+func (s *shardedStore) WriteSnapshot(out *atomicio.Writer) (int64, error) {
+	return s.inner.WriteSnapshot(out)
+}
+
 // LoadSharded restores a sharded table from a snapshot written by
 // Sharded.WriteTo. Shard count, routing seed, and every shard's full state
 // travel with the snapshot. Options behave as in Load.
 func LoadSharded(r io.Reader, opts ...Option) (*Sharded, error) {
+	return ReadSharded(atomicio.NewReader(r), opts...)
+}
+
+// ReadSharded is LoadSharded over s, a stream of internal/atomicio: a
+// replica checkpoint reads the container in its frame through it.
+func ReadSharded(s *atomicio.Reader, opts ...Option) (*Sharded, error) {
 	tel, err := loadOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := shard.Load(r)
+	inner, err := shard.Read(s)
 	if err != nil {
 		return nil, recordCorrupt(tel, err)
 	}
