@@ -21,6 +21,9 @@
 # exact counts, and a demonstration an Example whose output go test
 # checks. The nested benchmark/ module is outside the root module's ./...
 # and keeps its own gate.
+# Cross-build: the root module also builds for one non-Linux target
+# (GOOS=darwin GOARCH=arm64), so the files built only off Linux — the
+# no-op huge-page advice of internal/core — keep compiling.
 # Paper gate: `mcbench -exp all` at the RESULTS.txt settings (capacity
 # 147456, 5 runs, seed 1) must reproduce RESULTS.txt line for line once the
 # wall-clock "[... completed in ...]" lines are dropped. Kicks, off-chip and
@@ -101,7 +104,11 @@
 # byte. The replica key index fuzzer (FuzzSeqIndex)
 # drives set, get and probe-then-update on an index small enough that
 # random walks and segment rebuilds run, checking every result against a
-# map: a cuckoo table loses keys in exactly those paths.
+# map: a cuckoo table loses keys in exactly those paths. Each smoke bounds
+# the minimization of a newly found input to 100 runs
+# (-fuzzminimizetime=100x); unbounded, one minimization could take the
+# whole 5 seconds and more at 0 execs/s, so a smoke tested few new inputs.
+# A crasher still fails the step, minimized within the same bound.
 # Perf gate: cmd/mcperf reruns the seeded core and wire suites and compares
 # every series' counts against the committed BENCH_core.json /
 # BENCH_wire.json baselines (DESIGN.md §14): off-chip reads and writes per
@@ -163,6 +170,9 @@ rm -f "${mcvet_out}"
 
 say "go build: compiling all packages"
 go build ./...
+
+say "cross-build: the root module for darwin/arm64"
+GOOS=darwin GOARCH=arm64 go build ./...
 
 say "unjudged code: no Go benchmark, no package main outside cmd/"
 unjudged="$(
@@ -232,19 +242,19 @@ say "trace smoke: traced replay over a two-node cluster"
 go test -race -short -count=1 -run 'TestTracedClusterReplaySmoke' ./cmd/mctrace
 
 say "fuzz smoke: snapshot loader"
-go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s ./internal/core
+go test -run='^$' -fuzz=FuzzLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/core
 
 say "fuzz smoke: sharded snapshot loader"
-go test -run='^$' -fuzz=FuzzLoadSharded -fuzztime=5s ./internal/shard
+go test -run='^$' -fuzz=FuzzLoadSharded -fuzztime=5s -fuzzminimizetime=100x ./internal/shard
 
 say "fuzz smoke: wire frame decoder"
-go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz=FuzzWireFrame -fuzztime=5s -fuzzminimizetime=100x ./internal/wire
 
 say "fuzz smoke: replica checkpoint loader"
-go test -run='^$' -fuzz=FuzzLoadSidecar -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz=FuzzLoadSidecar -fuzztime=5s -fuzzminimizetime=100x ./internal/wire
 
 say "fuzz smoke: replica key index"
-go test -run='^$' -fuzz=FuzzSeqIndex -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz=FuzzSeqIndex -fuzztime=5s -fuzzminimizetime=100x ./internal/wire
 
 # Perf gate (DESIGN.md §14): one check per suite. Record and check run the
 # same configuration, so a count that moves is a behaviour change: a change

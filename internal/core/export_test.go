@@ -74,3 +74,10 @@ func (s *tableState) FaultTombstoneValue() uint64 { return s.tombstoneVal }
 
 // FaultArity returns the hash-function count d.
 func (s *tableState) FaultArity() int { return s.cfg.D }
+
+// HugeAdvised returns the bytes handed to the kernel's huge-page advice so
+// far.
+func HugeAdvised() int64 { return hugeAdvised.Load() }
+
+// HugePageSize is the size of the pages the advice asks for.
+const HugePageSize = hugePageSize

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"mccuckoo/internal/kv"
@@ -120,5 +122,69 @@ func TestCopyHistogram(t *testing.T) {
 	btab.Insert(1, 1)
 	if bh := btab.CopyHistogram(); bh[3] != 1 {
 		t.Fatalf("blocked histogram after first insert: %v", bh)
+	}
+}
+
+// copyHistogramByKey is CopyHistogram's reference: it counts each live key
+// once, at the counter of the first of its cells met.
+func copyHistogramByKey(s *tableState) []int {
+	hist := make([]int, s.cfg.D+1)
+	seen := make(map[uint64]bool, s.size)
+	for idx, cell := range s.cells {
+		c := s.counters.Get(idx)
+		if s.isFree(c) || c > uint64(s.cfg.D) || seen[cell.Key] {
+			continue
+		}
+		seen[cell.Key] = true
+		hist[c]++
+	}
+	return hist
+}
+
+// TestCopyHistogramMatchesKeyCount checks the counter-only histogram against
+// the per-key count on both kinds and both deletion modes, every 50 ops of
+// a fill to 95% of capacity that deletes an earlier key after every third
+// insert, so items lose copies to kicks and cells are freed and reused.
+func TestCopyHistogramMatchesKeyCount(t *testing.T) {
+	type table interface {
+		kv.Table
+		CopyHistogram() []int
+		state() *tableState
+	}
+	for _, mode := range []DeletionMode{ResetCounters, Tombstone} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := Config{BucketsPerTable: 128, Seed: seed, MaxLoop: 100, StashEnabled: true, Deletion: mode}
+			tables := []table{mustNew(t, cfg)}
+			cfg.BucketsPerTable = 48
+			tables = append(tables, mustNewBlocked(t, cfg))
+			for _, tab := range tables {
+				name := fmt.Sprintf("%T/%v/seed=%d", tab, mode, seed)
+				keys := fillKeys(seed+10, int(0.95*float64(tab.Capacity())))
+				for i, k := range keys {
+					tab.Insert(k, k)
+					if i%3 == 2 {
+						tab.Delete(keys[i/2])
+					}
+					if i%50 == 49 || i == len(keys)-1 {
+						got, want := tab.CopyHistogram(), copyHistogramByKey(tab.state())
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s after %d inserts: histogram %v, per-key count %v", name, i+1, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCopyHistogramAllocatesOnlyResult holds a scrape's histogram to one
+// allocation, the result, however many items the table holds.
+func TestCopyHistogramAllocatesOnlyResult(t *testing.T) {
+	tab := mustNew(t, Config{BucketsPerTable: 1024, Seed: 9})
+	for _, k := range fillKeys(8, 2000) {
+		tab.Insert(k, k)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { tab.CopyHistogram() }); allocs != 1 {
+		t.Errorf("CopyHistogram made %v allocations, want 1", allocs)
 	}
 }

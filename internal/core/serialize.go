@@ -121,7 +121,9 @@ type tableArrays struct {
 
 // emptyArrays allocates the arrays of an empty table of cfg in the order
 // New has always allocated them, on-chip words then cells, so a new table's
-// memory layout stays as it was.
+// memory layout stays as it was. The cells, and a blocked table's hints,
+// are advised onto huge pages (DESIGN.md §6) before the table writes them:
+// the hints before their noSlot fill, the cells before the first insert.
 func emptyArrays(cfg *Config, blocked bool) tableArrays {
 	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(cfg)
 	a := tableArrays{
@@ -130,8 +132,10 @@ func emptyArrays(cfg *Config, blocked bool) tableArrays {
 		kickWords:    make([]uint64, kickWords),
 	}
 	a.cells = make([]kv.Entry, cells)
+	adviseHugePages(a.cells)
 	if blocked {
 		a.hints = make([][4]int8, cells)
+		adviseHugePages(a.hints)
 		for i := range a.hints {
 			a.hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
 		}
@@ -326,8 +330,12 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 	st.meter = memmodel.Meter{OffChipReads: int64(offR), OffChipWrites: int64(offW),
 		OnChipReads: int64(onR), OnChipWrites: int64(onW)}
 
+	// A file of known size allocates each array whole, and its huge-page
+	// advice comes before the first element is read. A stream of unknown
+	// length starts with a buffer's worth, too small to advise, and grows.
 	s.BeginSection("buckets")
 	st.cells = make([]kv.Entry, 0, s.Len(cells, 8, "bucket keys"))
+	adviseHugePages(st.cells)
 	for i := uint64(0); i < cells && s.Err() == nil; i++ {
 		st.cells = append(st.cells, kv.Entry{Key: s.U64()})
 	}
@@ -337,6 +345,7 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 	}
 	if blocked {
 		st.hints = make([][4]int8, 0, s.Len(cells, 4, "slot hints"))
+		adviseHugePages(st.hints)
 		for i := uint64(0); i < cells && s.Err() == nil; i++ {
 			packed := s.U32()
 			h := [4]int8{

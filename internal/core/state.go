@@ -545,19 +545,21 @@ func (s *tableState) StashFlagDensity() float64 {
 // copies (index 0 is unused). The redundancy distribution is the quantity
 // Theorems 1 and 2 reason about; watching it drain toward all-ones shows a
 // table approaching its collision regime.
+//
+// By counter consistency (DESIGN.md §5) an item with c copies holds c cells
+// whose counters read c, so it reads the counters alone and no key: the
+// cells with counter c, divided by c. A free cell's 0 is counted in
+// hist[0] and dropped; a tombstone's d+1 is past the end.
 func (s *tableState) CopyHistogram() []int {
 	hist := make([]int, s.cfg.D+1)
-	seen := make(map[uint64]struct{}, s.size)
-	for idx, cell := range s.cells {
-		c := s.counters.Get(idx)
-		if s.isFree(c) || c > uint64(s.cfg.D) {
-			continue
+	for idx := range s.counters.Len() {
+		if c := s.counters.Get(idx); c < uint64(len(hist)) {
+			hist[c]++
 		}
-		if _, dup := seen[cell.Key]; dup {
-			continue
-		}
-		seen[cell.Key] = struct{}{}
-		hist[c]++
+	}
+	hist[0] = 0
+	for c := 2; c < len(hist); c++ {
+		hist[c] /= c
 	}
 	return hist
 }
