@@ -28,10 +28,15 @@ func hugeSpan(addr, n uintptr) (off, length uintptr) {
 
 // adviseHugePages asks the kernel to back the aligned interior of a's
 // backing array with huge pages, so that loads spread over a large table
-// stop missing the TLB (DESIGN.md §6). It must run before the table writes
-// the array: a page already touched stays small. The kernel's policy
-// decides what is granted, and nothing is asked for an array too small to
-// hold an aligned huge page.
+// stop missing the TLB (DESIGN.md §6). It runs before the table writes the
+// array, since a page already touched stays small. That gets huge pages at
+// fault time only for memory fresh from the OS: when make reuses freed
+// heap memory, the runtime clears it first, and the advice then takes
+// effect only if khugepaged collapses the pages later. The advice also
+// outlives the array: a freed table's range keeps it, and later memory
+// there faults whole huge pages. The kernel's policy decides what is
+// granted, and nothing is asked for an array too small to hold an aligned
+// huge page.
 func adviseHugePages[T any](a []T) {
 	p := unsafe.Pointer(unsafe.SliceData(a))
 	off, n := hugeSpan(uintptr(p), uintptr(cap(a))*unsafe.Sizeof(*new(T)))

@@ -45,12 +45,13 @@ func TestHugeSpan(t *testing.T) {
 func (s *tableState) state() *tableState { return s }
 
 // TestHugePageAdvice checks that each way a table gets its arrays advises
-// its cells and hints before use — New, NewBlocked, Grow and a load from a
-// file of known size — and that a load from a stream of unknown length,
-// whose arrays grow as they are read, advises neither. It counts what the
-// helper hands the kernel, not what the kernel grants, which is the host's
-// policy. Each array of the tables at full size is 4 MiB or more, so it
-// holds an aligned 2 MiB page wherever it lies.
+// its cells, and only its cells, before use — New, NewBlocked, Grow and a
+// load from a file of known size — and that a load from a stream of
+// unknown length, whose arrays grow as they are read, advises nothing. It
+// counts what the helper hands the kernel, not what the kernel grants,
+// which is the host's policy. The cells of the tables at full size are 4
+// MiB or more, so they hold an aligned 2 MiB page wherever they lie, and
+// the blocked table's hints, 4 MiB too, would add theirs if advised.
 func TestHugePageAdvice(t *testing.T) {
 	type table interface {
 		state() *tableState
@@ -74,22 +75,15 @@ func TestHugePageAdvice(t *testing.T) {
 			func(p string) (table, error) { return LoadBlockedFile(p) },
 			func(b []byte) (table, error) { return LoadBlocked(bytes.NewReader(b)) }},
 	}
-	// spans are the aligned interiors of a table's cells and hints.
-	spans := func(s *tableState) (cells, hints int64) {
-		span := func(p unsafe.Pointer, n int) int64 {
-			_, length := hugeSpan(uintptr(p), uintptr(n))
-			return int64(length)
-		}
-		cells = span(unsafe.Pointer(unsafe.SliceData(s.cells)), cap(s.cells)*16)
-		if h := s.algo.hintsRef(); h != nil {
-			hints = span(unsafe.Pointer(unsafe.SliceData(*h)), cap(*h)*4)
-		}
-		return cells, hints
+	// cellSpan is the length of the aligned interior of a table's cells.
+	cellSpan := func(s *tableState) int64 {
+		_, length := hugeSpan(uintptr(unsafe.Pointer(unsafe.SliceData(s.cells))), uintptr(cap(s.cells)*16))
+		return int64(length)
 	}
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
 			// advised builds a table and checks what the build advised:
-			// every array's span when whole, or nothing.
+			// the cells' span when whole, or nothing.
 			advised := func(what string, whole bool, build func() (table, error)) table {
 				t.Helper()
 				before := hugeAdvised.Load()
@@ -97,11 +91,10 @@ func TestHugePageAdvice(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				cells, hints := spans(tab.state())
-				if cells == 0 || (hints == 0 && tab.state().algo.hintsRef() != nil) {
-					t.Fatalf("%s: an array holds no aligned huge page (cells %d, hints %d bytes)", what, cells, hints)
+				want := cellSpan(tab.state())
+				if want == 0 {
+					t.Fatalf("%s: the cells hold no aligned huge page", what)
 				}
-				want := cells + hints
 				if !whole {
 					want = 0
 				}

@@ -121,9 +121,10 @@ type tableArrays struct {
 
 // emptyArrays allocates the arrays of an empty table of cfg in the order
 // New has always allocated them, on-chip words then cells, so a new table's
-// memory layout stays as it was. The cells, and a blocked table's hints,
-// are advised onto huge pages (DESIGN.md §6) before the table writes them:
-// the hints before their noSlot fill, the cells before the first insert.
+// memory layout stays as it was. The cells are advised onto huge pages
+// (DESIGN.md §6) before the first insert writes them; a blocked table's
+// hints, a quarter of their size, are not, as advising them gained nothing
+// measurable.
 func emptyArrays(cfg *Config, blocked bool) tableArrays {
 	cells, _, counterWords, flagWords, kickWords := snapshotGeometry(cfg)
 	a := tableArrays{
@@ -135,7 +136,6 @@ func emptyArrays(cfg *Config, blocked bool) tableArrays {
 	adviseHugePages(a.cells)
 	if blocked {
 		a.hints = make([][4]int8, cells)
-		adviseHugePages(a.hints)
 		for i := range a.hints {
 			a.hints[i] = [4]int8{noSlot, noSlot, noSlot, noSlot}
 		}
@@ -330,8 +330,8 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 	st.meter = memmodel.Meter{OffChipReads: int64(offR), OffChipWrites: int64(offW),
 		OnChipReads: int64(onR), OnChipWrites: int64(onW)}
 
-	// A file of known size allocates each array whole, and its huge-page
-	// advice comes before the first element is read. A stream of unknown
+	// A file of known size allocates the cells whole, and their huge-page
+	// advice comes before the first cell is read. A stream of unknown
 	// length starts with a buffer's worth, too small to advise, and grows.
 	s.BeginSection("buckets")
 	st.cells = make([]kv.Entry, 0, s.Len(cells, 8, "bucket keys"))
@@ -345,7 +345,6 @@ func readSnapshot(s *atomicio.Reader, wantKind uint8) (*snapshotState, error) {
 	}
 	if blocked {
 		st.hints = make([][4]int8, 0, s.Len(cells, 4, "slot hints"))
-		adviseHugePages(st.hints)
 		for i := uint64(0); i < cells && s.Err() == nil; i++ {
 			packed := s.U32()
 			h := [4]int8{
